@@ -288,12 +288,7 @@ def _cmd_geiser(args) -> int:
         image, trace = inv.eval_detail(x)
         payload["x"] = _point_str(x)
         payload["image"] = _point_str(image)
-        payload["trace"] = {
-            "attempts": trace.attempts,
-            "resultant_degree": trace.resultant_degree,
-            "known_linear_factors": trace.known_linear_factors,
-            "residual_degree": trace.residual_degree,
-        }
+        payload["trace"] = {"attempts": trace.attempts}
     if args.interpolate:
         payload["map"] = _map_json(inv.interpolated_map)
     emit(payload, args.json)
@@ -316,13 +311,7 @@ def _cmd_bertini(args) -> int:
         image, trace = inv.eval_detail(x)
         payload["x"] = _point_str(x)
         payload["image"] = _point_str(image)
-        payload["trace"] = {
-            "attempts": trace.attempts,
-            "resultant_degree": trace.resultant_degree,
-            "config_factor_degree": trace.config_factor_degree,
-            "x_factor_degree": trace.x_factor_degree,
-            "residual_degree": trace.residual_degree,
-        }
+        payload["trace"] = {"attempts": trace.attempts}
     emit(payload, args.json)
     return 0
 

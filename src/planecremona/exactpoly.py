@@ -16,7 +16,7 @@ Conventions fixed once for the whole package:
 """
 
 from fractions import Fraction
-from math import gcd as igcd, isqrt
+from math import gcd as igcd
 
 from .errors import ValidationError
 
@@ -580,10 +580,41 @@ def hpoly_gcd(f: HPoly, g: HPoly) -> HPoly:
     return HPoly(deg + sum(common), terms).canonical()
 
 
+# two fixed lines, each given by two points, on which hpoly_gcd_many first
+# tries to show its inputs coprime
+_PROBE_LINES = (((1, 3, 7), (2, -5, 1)), ((3, -1, 2), (1, 4, -3)))
+
+
+def _coprime_on_a_line(polys) -> bool:
+    """Sufficient test that forms have no common factor: on a probe line
+    s p + t q, the restrictions that are not identically zero have a
+    constant gcd. A common factor that does not contain the line restricts
+    to a common factor of the same degree, and one that contains it makes
+    every restriction vanish, so a constant gcd rules out both."""
+    for p, q in _PROBE_LINES:
+        line = [HPoly(1, {(1, 0, 0): p[i], (0, 1, 0): q[i]}) for i in range(3)]
+        forms = [hpoly_to_bform(f.substitute(line), 0, 1) for f in polys]
+        forms = [b for b in forms if not b.is_zero()]
+        if not forms:
+            continue
+        g = forms[0]
+        for b in forms[1:]:
+            if g.degree == 0:
+                break
+            g = bform_gcd(g, b)
+        if g.degree == 0:
+            return True
+    return False
+
+
 def hpoly_gcd_many(polys) -> HPoly:
+    """Gcd of several polynomials, canonical: the constant 1 when a probe
+    line shows them coprime, else pairwise primitive-PRS gcds."""
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         raise ValidationError("zero input", "gcd of zero polynomials")
+    if len(polys) > 1 and _coprime_on_a_line(polys):
+        return HPoly.constant(1)
     acc = polys[0].canonical()
     for p in polys[1:]:
         if acc.degree == 0:
@@ -1024,11 +1055,14 @@ def resultant_univariate(fc, gc) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _clear_row(row):
-    den = 1
-    for c in row:
-        fc = Fraction(c)
-        den = den * fc.denominator // igcd(den, fc.denominator)
-    ints = [int(Fraction(c) * den) for c in row]
+    if all(type(c) is int for c in row):
+        ints = list(row)
+    else:
+        den = 1
+        for c in row:
+            fc = Fraction(c)
+            den = den * fc.denominator // igcd(den, fc.denominator)
+        ints = [int(Fraction(c) * den) for c in row]
     g = 0
     for v in ints:
         g = igcd(g, abs(v))
@@ -1148,10 +1182,3 @@ def adjugate3(m):
             m[0][0] * m[1][1] - m[0][1] * m[1][0],
         ),
     )
-
-
-def is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = isqrt(n)
-    return r * r == n

@@ -10,15 +10,32 @@
 * Bertini: x goes to the residual common point of the net of sextics through
   a fixed general 8-point set and x, singular along the 8 points.
 
-Geiser and Bertini are exact per-point evaluators (resultant elimination
-with exact linear-factor bookkeeping); an optional interpolation recovers
-the degree-8 Geiser map in closed form. All pseudo-random choices come from
-the package's seeded SplitMix64 streams.
+Geiser and Bertini are evaluated by chord-tangent constructions on one
+cubic, in integers (Bayle-Beauville, section 2). On a cubic f, third(P, Q)
+is the third point of the line PQ (of the tangent when P = Q). By
+Cayley-Bacharach the ninth base point of a cubic pencil through p1..p8 is
+third(third(a, b), third(c, w)), with a, b, c, w the third points of the
+chords p1p2, p3p4, p5p6, p7p8 on a member. Geiser takes p8 = x. Bertini
+takes the pencil through its 8 points, whose ninth base point p9 is the
+origin of the group law on each member, and sends x to -x on the member
+through x: third(x, third(p9, p9)).
+
+Each image is certified exactly by the linear system the involution is
+defined by before it is returned; a degenerate or uncertified construction
+gives way to the next one in a fixed order. The certificates assume general
+position: no 3 points collinear, no 6 on a conic, and for 8 points no cubic
+through all of them singular at one (make_point_config checks only the
+first). Then the pencil or net through x has no fixed component and exactly
+one base point besides the configuration and x.
+
+An optional interpolation recovers the degree-8 Geiser map in closed form.
+All pseudo-random choices come from the package's seeded SplitMix64 streams.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import gcd as igcd
 
 from .errors import ExtractionError, IndeterminacyError, ValidationError
@@ -31,16 +48,14 @@ from .exactpoly import (
     bform_to_hpoly,
     det3,
     hpoly_to_bform,
-    is_perfect_square,
     is_squarefree,
     kernel_basis,
+    matrix_rank,
     resultant,
 )
 from . import fixedcurve
 from .projmaps import ProjPoint, RationalMap, collinear, is_involution
-from .rng import SplitMix64, unimodular_matrix
-
-MAX_COORDINATE_RETRIES = 24
+from .rng import SplitMix64
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +348,32 @@ class PointConfig:
     points: tuple
     kind: str            # "geiser" | "bertini"
     report: dict = field(compare=False, default_factory=dict)
+    # basis of the configuration's linear system: the net of cubics through
+    # the 7 points, or the sextics singular at the 8 (solved once, here)
+    system: tuple = field(compare=False, default=())
 
     def __contains__(self, pt: ProjPoint):
         return pt in self.points
+
+    @cached_property
+    def special_curves(self) -> list:
+        """Curves on which the points fail general position, though no 3 are
+        collinear: conics through 6 of them and, for 8 points, cubics through
+        all of them singular at one. Through a point of such a curve the
+        pencil (net) defining the involution has it as a fixed component."""
+        conic_rows = [[_mono_eval(m, p) for m in _monomials(2)] for p in self.points]
+        curves = [_vector_to_poly(v, 2) for six in combinations(conic_rows, 6)
+                  for v in kernel_basis(list(six))]
+        if len(self.points) == 8:
+            through = [[_mono_eval(m, p) for m in _monomials(3)] for p in self.points]
+            for p in self.points:
+                rows = through + [[_mono_partial_eval(m, v, p) for m in _monomials(3)] for v in range(3)]
+                curves += [_vector_to_poly(v, 3) for v in kernel_basis(rows)]
+        return curves
+
+    def check_off_special_curves(self, x: ProjPoint, reason: str):
+        if any(c.eval(x.coords) == 0 for c in self.special_curves):
+            raise ValidationError(reason, f"the linear system through {x} has a fixed component")
 
 
 def make_point_config(points, kind: str) -> PointConfig:
@@ -343,7 +381,8 @@ def make_point_config(points, kind: str) -> PointConfig:
 
     Rank checks only: pairwise distinct, no 3 collinear, and the expected
     linear-system dimension (3 cubics, resp. 4 sextics). Finer classical
-    degeneracies surface as dimension or extraction failures downstream.
+    degeneracies (PointConfig.special_curves) are accepted; the evaluators
+    refuse points on those curves.
     """
     expected = {"geiser": 7, "bertini": 8}[kind]
     pts = tuple(points)
@@ -360,28 +399,25 @@ def make_point_config(points, kind: str) -> PointConfig:
                         "degenerate configuration",
                         f"points {i}, {j}, {k} are collinear",
                     )
-    report = {"pairwise_distinct": True, "no_three_collinear": True}
-    if kind == "geiser":
-        basis = cubic_system(pts)
-        report["system_dimension"] = len(basis)
-    else:
-        basis = sextic_system(pts)
-        report["system_dimension"] = len(basis)
-    return PointConfig(pts, kind, report)
+    basis = cubic_system(pts) if kind == "geiser" else sextic_system(pts)
+    report = {"pairwise_distinct": True, "no_three_collinear": True,
+              "system_dimension": len(basis)}
+    return PointConfig(pts, kind, report, tuple(basis))
 
 
 def cubic_system(points) -> list:
-    """Deterministic basis of the net of cubics through 7 points."""
+    """Deterministic basis of the cubics through the points: a net for 7
+    points, a pencil for 8."""
     pts = tuple(points)
     if len(set(pts)) != len(pts):
         raise ValidationError("degenerate configuration", "repeated point")
     monos = _monomials(3)
     rows = [[_mono_eval(mn, p) for mn in monos] for p in pts]
     kern = kernel_basis(rows)
-    if len(pts) == 7 and len(kern) != 3:
+    if len(pts) in (7, 8) and len(kern) != 10 - len(pts):
         raise ValidationError(
             "degenerate configuration",
-            f"cubics through the points form a system of dimension {len(kern)}, expected 3",
+            f"cubics through the points form a system of dimension {len(kern)}, expected {10 - len(pts)}",
         )
     return [_vector_to_poly(v, 3) for v in kern]
 
@@ -456,134 +492,159 @@ def _mono_partial2_eval(mn, v1, v2, p: ProjPoint):
 
 
 # ---------------------------------------------------------------------------
-# shared elimination machinery for Geiser and Bertini
+# chord-tangent arithmetic on plane cubics, in integers
 # ---------------------------------------------------------------------------
 
-def _transform_setup(attempt: int, stream: SplitMix64):
-    """Coordinate change for one retry attempt: identity first, then seeded
-    unimodular matrices (deterministic draw order)."""
-    if attempt == 0:
-        ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        return ident, ident
-    m = unimodular_matrix(stream)
-    return m, _invert_unimodular(m)
+_QUADRICS = _monomials(2)          # x^2, xy, xz, y^2, yz, z^2
+# pencil members s f + t h, tried in turn: 13 distinct ratios, one more than
+# the 12 singular members a cubic pencil with a smooth member can have
+_MEMBERS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, -1),
+            (1, 3), (3, 1), (1, -3), (3, -1), (2, 3))
 
 
-def _projections_ok(points):
-    """All (x, y)-projections defined and pairwise distinct."""
-    pairs = []
-    for p in points:
-        a, b = p.coords[0], p.coords[1]
-        if a == 0 and b == 0:
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+class _Cubic:
+    """Integer plane cubic held as the rows of its three partial derivatives
+    over the quadric monomials, so that a gradient costs a few products."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    @classmethod
+    def from_hpoly(cls, f: HPoly) -> "_Cubic":
+        return cls([[f.partial(v).terms.get(m, 0) for m in _QUADRICS] for v in range(3)])
+
+    @classmethod
+    def combination(cls, coeffs, cubics) -> "_Cubic":
+        return cls([[sum(c * cb.rows[v][i] for c, cb in zip(coeffs, cubics)) for i in range(6)]
+                    for v in range(3)])
+
+    def grad(self, p):
+        a, b, c = p
+        q = (a * a, a * b, a * c, b * b, b * c, c * c)
+        return tuple(r[0] * q[0] + r[1] * q[1] + r[2] * q[2] + r[3] * q[3] + r[4] * q[4] + r[5] * q[5]
+                     for r in self.rows)
+
+    def value(self, p) -> int:
+        return _dot(self.grad(p), p) // 3          # Euler: grad f(p).p = 3 f(p)
+
+    def third(self, p, q):
+        """Third intersection of the line pq with the cubic, for p and q on
+        it: R = (grad f(q).p) p - (grad f(p).q) q. For p = q, with D = grad
+        f(p) x p on the tangent, R = f(D) p - (grad f(D).p) D. Returns a
+        primitive integer triple, or None when p or q is singular or the
+        line is a component of the cubic."""
+        gp = self.grad(p)
+        if not any(gp):
             return None
-        pairs.append((a, b))
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            if pairs[i][0] * pairs[j][1] - pairs[i][1] * pairs[j][0] == 0:
+        if any(_cross(p, q)):
+            gq = self.grad(q)
+            if not any(gq):
                 return None
-    return pairs
-
-
-def _line_form(a: int, b: int) -> BForm:
-    """Linear binary form vanishing at the projection (a : b)."""
-    return BForm(1, [b, -a])
-
-
-def _uni_gcd(f, g):
-    """Monic gcd of univariate polynomials given as ascending Fraction lists."""
-    def trim(c):
-        c = [Fraction(v) for v in c]
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    f, g = trim(f), trim(g)
-    while g:
-        # remainder of f mod g
-        while len(f) >= len(g) and f:
-            coef = f[-1] / g[-1]
-            shift = len(f) - len(g)
-            for i, gv in enumerate(g):
-                f[shift + i] -= coef * gv
-            f = trim(f)
-        f, g = g, f
-    if not f:
-        return []
-    lead = f[-1]
-    return [v / lead for v in f]
-
-
-def _rational_roots_lowdeg(coeffs):
-    """Roots of an ascending-coefficient polynomial of degree <= 2; returns
-    None when degree > 2 or a quadratic has irrational roots."""
-    c = [Fraction(v) for v in coeffs]
-    while c and c[-1] == 0:
-        c.pop()
-    if not c:
-        return None
-    deg = len(c) - 1
-    if deg == 0:
-        return []
-    if deg == 1:
-        return [-c[0] / c[1]]
-    if deg == 2:
-        a, b, cc = c[2], c[1], c[0]
-        disc = b * b - 4 * a * cc
-        num, den = disc.numerator, disc.denominator
-        if num < 0:
-            return []
-        # exact square test of num/den
-        if not (is_perfect_square(num) and is_perfect_square(den)):
+            s, t, d = _dot(gq, p), _dot(gp, q), q
+        else:
+            d = _cross(gp, p)
+            gd = self.grad(d)
+            s, t = _dot(gd, d), 3 * _dot(gd, p)     # 3 f(D), 3 grad f(D).p
+        r = (s * p[0] - t * d[0], s * p[1] - t * d[1], s * p[2] - t * d[2])
+        g = igcd(*r)
+        if g == 0:
             return None
-        from math import isqrt
-
-        root = Fraction(isqrt(num), isqrt(den))
-        return sorted({(-b + root) / (2 * a), (-b - root) / (2 * a)})
-    return None
+        return (r[0] // g, r[1] // g, r[2] // g)
 
 
-def _points_above(projection, specialized, exclude, back_matrix):
-    """Rational common zeros of the specialized generators above one
-    (x:y)-projection, mapped back through the coordinate change and filtered
-    against the excluded set. Returns None to request a retry (roots of
-    degree > 2 or irrational)."""
-    alpha, beta = projection
-    g = specialized[0]
-    for other in specialized[1:]:
-        g = _uni_gcd(g, other)
-        if len(g) == 1:
-            return []
-    roots = _rational_roots_lowdeg(g)
-    if roots is None:
-        return None
+def _cayley_bacharach(cubic: _Cubic, base, x):
+    """Ninth base point of a cubic pencil with base points base[0..6] and x,
+    on one member through them: with a, b, c the third points of the chords
+    p1p2, p3p4, p5p6 and w that of p7x, it is third(third(a, b), third(c, w)).
+    (On a smooth member p1 + ... + p7 + x + q ~ 3H, and p + p' + third(p, p')
+    ~ H for the hyperplane class H, so q ~ a + b + c + w - H.) Returns None,
+    passed along the chain, when a step degenerates."""
+    third = cubic.third
+    a = third(base[0], base[1])
+    b = a and third(base[2], base[3])
+    c = b and third(base[4], base[5])
+    w = c and third(base[6], x)
+    e = w and third(a, b)
+    g = e and third(c, w)
+    return g and third(e, g)
+
+
+def _ninth_base_point(f: _Cubic, h: _Cubic, base, x: ProjPoint):
+    """Certified ninth base point of the cubic pencil spanned by f and h,
+    whose other base points are the seven points `base` and x.
+
+    On each member s f + t h in the order of _MEMBERS, the seven rotations of
+    the base points are tried in turn until a candidate q passes: f(q) =
+    h(q) = 0, and where q is x or a base point, grad f and grad h are
+    parallel there (a double base point). On a smooth member no step
+    degenerates, so one of the 13 members certifies. Returns the point and
+    the number of constructions tried."""
+    pts = tuple(p.coords for p in base)
+    attempts = 0
+    for s, t in _MEMBERS:
+        member = _Cubic.combination((s, t), (f, h))
+        for k in range(7):
+            attempts += 1
+            q = _cayley_bacharach(member, pts[k:] + pts[:k], x.coords)
+            if q is None or f.value(q) or h.value(q):
+                continue
+            image = ProjPoint(*q)
+            if (image == x or image in base) and any(_cross(f.grad(q), h.grad(q))):
+                continue
+            return image, attempts
+    raise ExtractionError(f"no certified ninth base point after {attempts} constructions")
+
+
+def _parallel(u, v) -> bool:
+    """Whether v is a nonzero multiple of the integer vector u."""
+    n = len(u)
+    return any(v) and all(u[i] * v[j] == u[j] * v[i] for i in range(n) for j in range(i + 1, n))
+
+
+def _perp_basis(values):
+    """Integer basis of the vectors orthogonal to a nonzero integer vector:
+    v_k e_i - v_i e_k for i != k, with k its first nonzero entry."""
+    k = next(i for i, v in enumerate(values) if v)
     out = []
-    for zv in roots:
-        pt = ProjPoint(alpha, beta, zv).apply_matrix(back_matrix)
-        if pt not in exclude:
-            out.append(pt)
-    # dedupe, preserving deterministic order
-    seen = []
-    for pt in out:
-        if pt not in seen:
-            seen.append(pt)
-    return seen
+    for i in range(len(values)):
+        if i != k:
+            vec = [0] * len(values)
+            vec[i], vec[k] = values[k], -values[i]
+            out.append(vec)
+    return out
+
+
+def _combination(coeffs, forms) -> HPoly:
+    f = HPoly.zero(forms[0].degree)
+    for c, g in zip(coeffs, forms):
+        if c:
+            f = f + g * c
+    return f.canonical()
+
+
+def _int_values(forms, p):
+    """Values of integer forms of one degree at an integer point."""
+    d = forms[0].degree
+    pa, pb, pc = ([v ** i for i in range(d + 1)] for v in p)
+    return [sum(c * pa[i] * pb[j] * pc[k] for (i, j, k), c in f.terms.items()) for f in forms]
 
 
 @dataclass(frozen=True)
-class GeiserTrace:
-    attempts: int
-    resultant_degree: int
-    known_linear_factors: int
-    residual_degree: int
+class EvalTrace:
+    """What one Geiser or Bertini evaluation did: the number of chord-tangent
+    constructions tried until one was certified."""
 
-
-@dataclass(frozen=True)
-class BertiniTrace:
     attempts: int
-    resultant_degree: int
-    config_factor_degree: int
-    x_factor_degree: int
-    residual_degree: int
 
 
 class GeiserInvolution:
@@ -597,7 +658,11 @@ class GeiserInvolution:
 
     @cached_property
     def net(self):
-        return cubic_system(self.config.points)
+        return list(self.config.system) or cubic_system(self.config.points)
+
+    @cached_property
+    def _net_cubics(self):
+        return [_Cubic.from_hpoly(g) for g in self.net]
 
     @cached_property
     def fixed_sextic(self) -> HPoly:
@@ -613,72 +678,31 @@ class GeiserInvolution:
             raise ValidationError("degenerate configuration", "Jacobian sextic vanishes")
         return j.canonical()
 
-    def _pencil_through(self, x: ProjPoint):
-        vals = [g.eval(x.coords) for g in self.net]
-        kern = kernel_basis([vals])
-        if len(kern) != 2:
+    def _pencil_coeffs(self, x: ProjPoint):
+        """Coefficients, over the net basis, of two members spanning the
+        pencil of net cubics through x."""
+        vals = [g.value(x.coords) for g in self._net_cubics]
+        if not any(vals):
             raise ValidationError("pencil dimension wrong", f"net does not restrict to a pencil at {x}")
-        gens = []
-        for combo in kern:
-            f = HPoly.zero(3)
-            for c, g in zip(combo, self.net):
-                if c:
-                    f = f + g * c
-            gens.append(f.canonical())
-        return gens
+        return _perp_basis(vals)
+
+    def _pencil_through(self, x: ProjPoint):
+        return [_combination(c, self.net) for c in self._pencil_coeffs(x)]
 
     def eval(self, x: ProjPoint) -> ProjPoint:
         return self.eval_detail(x)[0]
 
     def eval_detail(self, x: ProjPoint):
         """Ninth base point of the pencil of cubics through the 7 points and
-        x, with the factor bookkeeping of the computation."""
+        x, and the EvalTrace of its construction (_ninth_base_point): the
+        image lies on two members f, h spanning the pencil, and is x or a
+        base point only where the pencil has a double base point there."""
         if x in self.config.points:
             raise IndeterminacyError(f"{x} is a base point of the involution")
-        f, h = self._pencil_through(x)
-        known = list(self.config.points) + [x]
-        stream = SplitMix64(self.seed)
-        for attempt in range(MAX_COORDINATE_RETRIES):
-            m, minv = _transform_setup(attempt, stream)
-            moved = [p.apply_matrix(m) for p in known]
-            pairs = _projections_ok(moved)
-            if pairs is None:
-                continue
-            fm = f.apply_matrix(minv)
-            hm = h.apply_matrix(minv)
-            r = resultant(fm, hm, 2)
-            if r.is_zero():
-                if bform_gcd_nonconstant(f, h):
-                    raise ValidationError(
-                        "pencil dimension wrong",
-                        "the pencil has a fixed component at this point",
-                    )
-                continue
-            res = hpoly_to_bform(r, 0, 1)
-            if res.degree != 9:
-                continue
-            try:
-                for a, b in pairs:
-                    res = res.divexact(_line_form(a, b))
-            except ValidationError:
-                continue
-            if res.degree != 1:
-                continue
-            alpha, beta = -res.coeffs[1], res.coeffs[0]
-            g = igcd(abs(alpha), abs(beta))
-            alpha, beta = alpha // g, beta // g
-            spec = [fm.specialize(2, (alpha, beta)), hm.specialize(2, (alpha, beta))]
-            found = _points_above((alpha, beta), spec, set(self.config.points), minv)
-            if found is None or len(found) != 1:
-                continue
-            image = found[0]
-            if f.eval(image.coords) != 0 or h.eval(image.coords) != 0:
-                raise ValidationError("internal", "extracted point is not on the pencil")
-            trace = GeiserTrace(attempt + 1, 9, 8, 1)
-            return image, trace
-        raise ExtractionError(
-            f"residual-point extraction failed after {MAX_COORDINATE_RETRIES} coordinate retries"
-        )
+        self.config.check_off_special_curves(x, "pencil dimension wrong")
+        f, h = (_Cubic.combination(c, self._net_cubics) for c in self._pencil_coeffs(x))
+        image, attempts = _ninth_base_point(f, h, self.config.points, x)
+        return image, EvalTrace(attempts)
 
     @cached_property
     def interpolated_map(self) -> RationalMap:
@@ -754,12 +778,6 @@ class GeiserInvolution:
         )
 
 
-def bform_gcd_nonconstant(f: HPoly, h: HPoly) -> bool:
-    from .exactpoly import hpoly_gcd
-
-    return hpoly_gcd(f, h).degree > 0
-
-
 class BertiniInvolution:
     """Bertini involution attached to 8 points in general position."""
 
@@ -771,99 +789,71 @@ class BertiniInvolution:
 
     @cached_property
     def space(self):
-        return sextic_system(self.config.points)
+        return list(self.config.system) or sextic_system(self.config.points)
+
+    @cached_property
+    def _cubic_pencil(self):
+        return [_Cubic.from_hpoly(c) for c in cubic_system(self.config.points)]
+
+    @cached_property
+    def ninth_point(self) -> ProjPoint:
+        """Ninth base point p9 of the cubic pencil through the 8 points: the
+        Geiser construction on that pencil, with p8 in the role of x."""
+        c1, c2 = self._cubic_pencil
+        return _ninth_base_point(c1, c2, self.config.points[:7], self.config.points[7])[0]
+
+    def _space_values(self, x: ProjPoint):
+        vals = _int_values(self.space, x.coords)
+        if not any(vals):
+            raise ValidationError("net dimension wrong", f"sextic space does not restrict to a net at {x}")
+        return vals
 
     def _net_through(self, x: ProjPoint):
-        vals = [g.eval(x.coords) for g in self.space]
-        kern = kernel_basis([vals])
-        if len(kern) != 3:
-            raise ValidationError("net dimension wrong", f"sextic space does not restrict to a net at {x}")
-        gens = []
-        for combo in kern:
-            f = HPoly.zero(6)
-            for c, g in zip(combo, self.space):
-                if c:
-                    f = f + g * c
-            gens.append(f.canonical())
-        return gens
+        return [_combination(c, self.space) for c in _perp_basis(self._space_values(x))]
 
     def eval(self, x: ProjPoint) -> ProjPoint:
         return self.eval_detail(x)[0]
 
     def eval_detail(self, x: ProjPoint):
-        """Residual common point of the net of sextics through the 8 points
-        and x, singular along the 8 points."""
+        """Image of x under the Bertini involution, and the EvalTrace.
+
+        On the member f of the cubic pencil through x the image is -x in the
+        group law with origin p9, third(x, third(p9, p9)); at a singular
+        point of f, where no chord is defined, x itself is the candidate. A
+        candidate y is certified when the sextics singular at the 8 points
+        take proportional values at x and y, and, if y is x, when their
+        gradients at x have rank < 3, or, if y is a base point, when x lies
+        on the member with a triple point at y."""
         if x in self.config.points:
             raise IndeterminacyError(f"{x} is a base point of the involution")
-        n0, n1, n2 = self._net_through(x)
-        known_cfg = list(self.config.points)
-        stream = SplitMix64(self.seed)
-        for attempt in range(MAX_COORDINATE_RETRIES):
-            m, minv = _transform_setup(attempt, stream)
-            moved_cfg = [p.apply_matrix(m) for p in known_cfg]
-            moved_x = x.apply_matrix(m)
-            pairs = _projections_ok(moved_cfg + [moved_x])
-            if pairs is None:
+        self.config.check_off_special_curves(x, "net dimension wrong")
+        vx = self._space_values(x)
+        c1, c2 = self._cubic_pencil
+        u1, u2 = c1.value(x.coords), c2.value(x.coords)
+        f = _Cubic.combination((u2, -u1), (c1, c2)) if u1 or u2 else c1
+        p9 = self.ninth_point.coords
+        o = f.third(p9, p9)
+        y = o and f.third(x.coords, o)
+        for attempts, candidate in enumerate((y, x.coords), start=1):
+            if candidate is None:
                 continue
-            gens = [g.apply_matrix(minv) for g in (n0, n1, n2)]
-            residuals = []
-            ok = True
-            for i, j in ((0, 1), (0, 2)):
-                res = self._reduced_residual(gens[i], gens[j], pairs)
-                if res is None:
-                    ok = False
-                    break
-                residuals.append(res)
-            if not ok:
-                continue
-            g = bform_gcd(residuals[0], residuals[1])
-            if g.degree != 1:
-                extra = self._reduced_residual(gens[1], gens[2], pairs)
-                if extra is not None and g.degree > 1:
-                    g = bform_gcd(g, extra)
-                if g.degree != 1:
-                    continue
-            alpha, beta = -g.coeffs[1], g.coeffs[0]
-            cg = igcd(abs(alpha), abs(beta))
-            alpha, beta = alpha // cg, beta // cg
-            spec = [gg.specialize(2, (alpha, beta)) for gg in gens]
-            found = _points_above((alpha, beta), spec, set(self.config.points), minv)
-            if found is None or len(found) != 1:
-                continue
-            image = found[0]
-            if any(gg.eval(image.coords) != 0 for gg in (n0, n1, n2)):
-                raise ValidationError("internal", "extracted point is not on the net")
-            trace = BertiniTrace(attempt + 1, 36, 32, 1, 3)
-            return image, trace
-        raise ExtractionError(
-            f"residual-point extraction failed after {MAX_COORDINATE_RETRIES} coordinate retries"
-        )
+            image = ProjPoint(*candidate)
+            if self._certified(x, vx, image):
+                return image, EvalTrace(attempts)
+        raise ExtractionError("no certified image: the chord construction degenerates at this point")
 
-    def _reduced_residual(self, f: HPoly, h: HPoly, pairs):
-        """Degree-36 resultant divided by the known contributions: the 8
-        config points enter with intersection multiplicity 4 (double point on
-        each sextic), x with multiplicity 1; what remains has degree 3."""
-        r = resultant(f, h, 2)
-        if r.is_zero():
-            if bform_gcd_nonconstant(f, h):
-                raise ValidationError(
-                    "net dimension wrong", "two net generators share a component"
-                )
-            return None
-        res = hpoly_to_bform(r, 0, 1)
-        if res.degree != 36:
-            return None
-        try:
-            for a, b in pairs[:-1]:
-                lin = _line_form(a, b)
-                for _ in range(4):
-                    res = res.divexact(lin)
-            res = res.divexact(_line_form(*pairs[-1]))
-        except ValidationError:
-            return None
-        if res.degree != 3:
-            return None
-        return res
+    def _certified(self, x: ProjPoint, vx, y: ProjPoint) -> bool:
+        if y in self.config.points:
+            rows = [vx] + [[s.partial(v1).partial(v2).eval(y.coords) for s in self.space]
+                           for v1 in range(3) for v2 in range(v1, 3)]
+            return matrix_rank(rows) < len(self.space)
+        vy = _int_values(self.space, y.coords)
+        if not _parallel(vx, vy):
+            return False
+        if y == x:
+            rows = [[s.partial(v).eval(x.coords) for v in range(3)] for s in self.space]
+            return matrix_rank(rows) < 3
+        return True
 
     def record(self) -> InvolutionRecord:
         return InvolutionRecord(

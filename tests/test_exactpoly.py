@@ -10,6 +10,7 @@ from planecremona.exactpoly import (
     bform_gcd,
     bform_rational_roots,
     hpoly_gcd,
+    hpoly_gcd_many,
     is_squarefree,
     kernel_basis,
     matrix_rank,
@@ -77,6 +78,21 @@ def test_gcd_divides_both_exactly():
         # any common divisor divides it: h was a planted common divisor
         assert d.divexact(hpoly_gcd(d, h)) * hpoly_gcd(d, h) == d
         assert hpoly_gcd(d, h) == h.canonical()
+
+
+
+def test_gcd_many_finds_planted_factor():
+    # the probe lines through (1:3:7), (2:-5:1) and (3:-1:2), (1:4:-3), on
+    # which hpoly_gcd_many first looks for a proof of coprimality
+    probe1 = HPoly(1, {(1, 0, 0): 38, (0, 1, 0): 13, (0, 0, 1): -11})
+    probe2 = HPoly(1, {(1, 0, 0): -5, (0, 1, 0): 11, (0, 0, 1): 13})
+    assert probe1.eval((2, -5, 1)) == 0 and probe2.eval((1, 4, -3)) == 0
+    stream = SplitMix64(11)
+    forms = [random_poly(stream, 3) for _ in range(3)]
+    assert hpoly_gcd_many(forms).degree == 0
+    for planted in (X + Y * 2 - Z, CONIC, probe1, probe2 * X, probe1 * probe2):
+        found = hpoly_gcd_many([f * planted for f in forms])
+        assert found == planted.canonical()
 
 
 # -- resultants ----------------------------------------------------------------

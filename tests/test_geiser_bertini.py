@@ -78,9 +78,7 @@ def test_geiser_round_trips_exact(geiser, seven_config):
     xs = sample_points(101, 6, avoid=seven_config.points)
     for x in xs:
         y, trace = geiser.eval_detail(x)
-        assert trace.resultant_degree == 9
-        assert trace.known_linear_factors == 8
-        assert trace.residual_degree == 1
+        assert trace.attempts == 1          # the first construction certifies
         assert geiser.eval(y) == x
 
 
@@ -132,17 +130,70 @@ def test_geiser_record(geiser):
     assert rec.invariant.genus == 3
 
 
+# images computed by the earlier resultant-elimination evaluators
+GEISER_IMAGES = [
+    (SEXTIC_POINT, SEXTIC_POINT),
+    ((9, 6, 7), (6359287889205, -1494140711046, -892913403910)),
+    ((2, 6, 7), (132755170375441, -34921881634249, 35002511832751)),
+    ((1, 1, -1), (22265, -50264, 4635)),
+    ((9, 8, 2), (65384537169, 104244247256, 92765754032)),
+    ((4, -4, -3), (353428937053, 125643239623, 202337302079)),
+    ((5, -2, 3), (15716685824455, -297866256770810, -151353855980938)),
+]
+
+
+def test_geiser_recorded_images(geiser):
+    for x, y in GEISER_IMAGES:
+        assert geiser.eval(ProjPoint(*x)) == ProjPoint(*y)
+
+
+def test_geiser_image_on_contracted_cubic():
+    # (5:3:1) lies on the cubic of the net that is double at (2:1:2); the
+    # involution contracts that cubic to the base point
+    pts = [(0, 1, -1), (1, -2, -2), (2, 1, 1), (1, -1, 1), (2, 1, 2), (1, 0, -2), (1, 1, 2)]
+    inv = GeiserInvolution(make_point_config([ProjPoint(*p) for p in pts], "geiser"))
+    assert inv.eval(ProjPoint(5, 3, 1)) == ProjPoint(2, 1, 2)
+
+
 # -- Bertini -------------------------------------------------------------------------
 
 def test_bertini_round_trips_exact(bertini, eight_config):
     xs = sample_points(202, 3, avoid=eight_config.points)
     for x in xs:
         y, trace = bertini.eval_detail(x)
-        assert trace.resultant_degree == 36
-        assert trace.config_factor_degree == 32
-        assert trace.x_factor_degree == 1
-        assert trace.residual_degree == 3
+        assert trace.attempts == 1
         assert bertini.eval(y) == x
+
+
+BERTINI_IMAGES = [
+    ((2, 3, 7), (1448290438405248941237, 185311338342648815223, 4852942739693099701447)),
+    ((1, 1, -1), (1376379066758062703, 20419534064383177, -245312457443649648)),
+    ((2, -7, -8), (114437928335219047, 834881344701087013, 7288862911117502)),
+    ((2, 1, 1), (37314885576558720, 46987676563025260, 22025786007041921)),
+    ((1, 8, 5), (121024432697005843990, 888325077001544659875, 592341898524981918063)),
+    ((2, -9, 3), (43933904784584531196966, 143707245796493030706147, 60511024778937682438519)),
+]
+
+
+def test_bertini_recorded_images(bertini):
+    for x, y in BERTINI_IMAGES:
+        assert bertini.eval(ProjPoint(*x)) == ProjPoint(*y)
+
+
+def test_bertini_general_configuration():
+    # the reference set has 6 points on a conic; with (4:-1:3) as the 8th
+    # point the set is in general position
+    from planecremona.configs import EIGHT_POINTS
+
+    pts = [ProjPoint(*p) for p in EIGHT_POINTS[:7] + ((4, -1, 3),)]
+    inv = BertiniInvolution(make_point_config(pts, "bertini"))
+    for x in sample_points(303, 4, avoid=pts):
+        y = inv.eval(x)
+        assert y != x and inv.eval(y) == x
+    # the ninth base point of the cubic pencil is the origin of the group
+    # law on every member, so it is fixed
+    p9 = inv.ninth_point
+    assert p9 not in pts and inv.eval(p9) == p9
 
 
 def test_bertini_indeterminate_at_base_points(bertini, eight_config):
@@ -155,6 +206,19 @@ def test_bertini_record(bertini):
     assert rec.kind == "bertini" and rec.degree == 17
     assert rec.fixed_curve is None
     assert rec.invariant.genus == 4
+
+
+def test_fixed_component_rejected(eight_config):
+    # through a point of a conic holding 6 of the points, every member of
+    # the pencil (net) contains that conic, and the evaluators refuse it
+    onc = [(t * t, t, 1) for t in (0, 1, -1, 2, -2, 3)]
+    seven = make_point_config([ProjPoint(*p) for p in onc + [(1, 2, 5)]], "geiser")
+    with pytest.raises(ValidationError, match="fixed component"):
+        GeiserInvolution(seven).eval(ProjPoint(9, -3, 1))
+    # the reference 8 points have 6 on the conic 4xy - xz - 3yz
+    assert [str(c) for c in eight_config.special_curves] == ["4*x*y - x*z - 3*y*z"]
+    with pytest.raises(ValidationError, match="fixed component"):
+        BertiniInvolution(eight_config).eval(ProjPoint(7, 14, 8))
 
 
 def test_net_restriction_dimensions(geiser, bertini):

@@ -1,0 +1,135 @@
+"""Seeded property tests of the Geiser and Bertini evaluators on random point
+sets in general position. Linear systems and general position are computed
+here with plain Fraction elimination, apart from the package."""
+
+from fractions import Fraction
+from itertools import combinations
+
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from planecremona.involutions import BertiniInvolution, GeiserInvolution, make_point_config
+from planecremona.projmaps import ProjPoint
+
+
+def seeded(examples):
+    return settings(max_examples=examples, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+
+
+def monomials(degree):
+    return [(i, j, degree - i - j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+
+
+def monomial_value(e, p):
+    return p[0] ** e[0] * p[1] ** e[1] * p[2] ** e[2]
+
+
+def partial_value(e, var, p):
+    if not e[var]:
+        return 0
+    lower = list(e)
+    lower[var] -= 1
+    return e[var] * monomial_value(lower, p)
+
+
+def echelon(rows):
+    """Reduced row echelon form over the rationals: (rows, pivot columns)."""
+    m = [[Fraction(v) for v in r] for r in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [v / m[r][c] for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                q = m[i][c]
+                m[i] = [a - q * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def rank(rows):
+    return len(echelon(rows)[1])
+
+
+def kernel(rows):
+    m, pivots = echelon(rows)
+    ncols = len(rows[0])
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, pc in zip(m, pivots):
+            vec[pc] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def general_position(points):
+    """No 3 collinear, no 6 on a conic, and for 8 points no cubic through
+    all of them singular at one."""
+    if any(rank([list(p) for p in t]) < 3 for t in combinations(points, 3)):
+        return False
+    conics = monomials(2)
+    if any(rank([[monomial_value(e, p) for e in conics] for p in six]) < 6
+           for six in combinations(points, 6)):
+        return False
+    if len(points) == 8:
+        cubics = monomials(3)
+        through = [[monomial_value(e, p) for e in cubics] for p in points]
+        for p in points:
+            if rank(through + [[partial_value(e, v, p) for e in cubics] for v in range(3)]) < 10:
+                return False
+    return True
+
+
+def linear_system(points):
+    """Monomials and coefficient vectors of a basis of the cubics through 7
+    points, or of the sextics singular at 8."""
+    if len(points) == 7:
+        monos = monomials(3)
+        rows = [[monomial_value(e, p) for e in monos] for p in points]
+    else:
+        monos = monomials(6)
+        rows = [[partial_value(e, v, p) for e in monos] for p in points for v in range(3)]
+    return monos, kernel(rows)
+
+
+def values(system, x):
+    monos, basis = system
+    return [sum(c * monomial_value(e, x) for c, e in zip(vec, monos)) for vec in basis]
+
+
+coords = st.tuples(*[st.integers(-6, 6)] * 3).filter(any)
+
+
+def point_sets(n):
+    return st.lists(coords.map(lambda c: ProjPoint(*c)), min_size=n, max_size=n,
+                    unique=True).filter(lambda pts: general_position([p.coords for p in pts]))
+
+
+def check_involution(inv, pts, x):
+    assume(x not in pts)
+    y = inv.eval(x)
+    assume(y not in pts)            # x on a curve contracted to a base point
+    assert inv.eval(y) == x
+    # y lies on every member of the linear system through x
+    system = linear_system([p.coords for p in pts])
+    assert rank([values(system, x.coords), values(system, y.coords)]) == 1
+
+
+@seeded(20)
+@given(pts=point_sets(7), x=coords.map(lambda c: ProjPoint(*c)))
+def test_geiser_involutive_and_on_pencil(pts, x):
+    inv = GeiserInvolution(make_point_config(pts, "geiser"))
+    check_involution(inv, pts, x)
+
+
+@seeded(5)
+@given(pts=point_sets(8), x=coords.map(lambda c: ProjPoint(*c)))
+def test_bertini_involutive_and_on_net(pts, x):
+    inv = BertiniInvolution(make_point_config(pts, "bertini"))
+    check_involution(inv, pts, x)
