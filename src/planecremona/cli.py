@@ -73,6 +73,11 @@ class _Scanner:
 
 def parse_poly(text: str) -> HPoly:
     """Parse the polynomial grammar into a canonical homogeneous polynomial."""
+    return _parse_form(text).canonical()
+
+
+def _parse_form(text: str) -> HPoly:
+    """Parse the polynomial grammar, keeping the coefficients as written."""
     sc = _Scanner(text)
     var_index = {"x": 0, "y": 1, "z": 2}
     terms = []
@@ -131,7 +136,7 @@ def parse_poly(text: str) -> HPoly:
     for c, e in terms:
         acc[e] = acc.get(e, Fraction(0)) + c
     degree = degrees.pop() if degrees else 0
-    return HPoly(degree, {e: c for e, c in acc.items() if c != 0}).canonical()
+    return HPoly(degree, {e: c for e, c in acc.items() if c != 0})
 
 
 def parse_point(text: str) -> ProjPoint:
@@ -150,10 +155,15 @@ def parse_point(text: str) -> ProjPoint:
 
 
 def parse_map(text: str) -> RationalMap:
-    parts = text.split(";")
-    if len(parts) != 3:
-        raise ValidationError("syntax error", "a map needs three ';'-separated components")
-    return RationalMap(*(parse_poly(p) for p in parts))
+    return _map_of(text.split(";"))
+
+
+def _map_of(texts) -> RationalMap:
+    """The map with these components as written; RationalMap rescales them
+    jointly, since rescaling one alone would give another map."""
+    if len(texts) != 3:
+        raise ValidationError("syntax error", "a map needs three components")
+    return RationalMap(*(_parse_form(t) for t in texts))
 
 
 def parse_points_file(path: str):
@@ -322,20 +332,16 @@ def _load_map(args) -> RationalMap:
     if getattr(args, "map_file", None):
         with open(args.map_file, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        comps = data["components"]
-        return RationalMap(*(parse_poly(c) for c in comps))
+        return _map_of(data["components"])
     raise ValidationError("bad request", "supply --map or --map-file")
 
 
 def _cmd_verify(args) -> int:
+    """Exact involution test of a raw map at any degree (is_involution);
+    exit code 2 with reason "not involutive" when it fails."""
     sigma = _load_map(args)
-    if sigma.degree <= 6:
-        ok = is_involution(sigma)
-        method = "symbolic"
-    else:
-        ok = fixedcurve._involutive_pointwise(sigma, seed=args.seed)
-        method = "pointwise"
-    payload = {"involutive": ok, "method": method, "degree": sigma.degree, "seed": args.seed}
+    ok = is_involution(sigma)
+    payload = {"involutive": ok, "degree": sigma.degree, "seed": args.seed}
     if not ok:
         payload["reason"] = "not involutive"
         emit(payload, args.json)
@@ -379,7 +385,7 @@ def _cmd_invariant(args) -> int:
         emit(payload, args.json)
         return 0
     sigma = _load_map(args)
-    result = fixedcurve.classify_involution(sigma, seed=args.seed)
+    result = fixedcurve.classify_involution(sigma)
     payload = {
         "label": result.label,
         "invariant": result.invariant.as_dict() if result.invariant else None,
@@ -395,7 +401,7 @@ def _cmd_classify(args) -> int:
     if record is not None:
         result = fixedcurve.classify_involution(record)
     else:
-        result = fixedcurve.classify_involution(_load_map(args), seed=args.seed)
+        result = fixedcurve.classify_involution(_load_map(args))
     payload = {
         "label": result.label,
         "invariant": result.invariant.as_dict() if result.invariant else None,

@@ -194,12 +194,9 @@ class HPoly:
 
     # -- evaluation and calculus ----------------------------------------------
 
-    def eval(self, pt) -> Fraction:
-        a, b, c = pt
-        total = Fraction(0)
-        for (i, j, k), coeff in self.terms.items():
-            total += Fraction(coeff) * a**i * b**j * c**k
-        return total
+    def eval(self, pt):
+        """Value at a point: an int on integer data, else the exact Fraction."""
+        return values_at((self,), pt)[0]
 
     def partial(self, var: int) -> "HPoly":
         """Formal partial derivative with respect to x, y or z."""
@@ -331,6 +328,21 @@ def _power_table(g: HPoly, top: int):
     return table
 
 
+def values_at(forms, pt) -> list:
+    """Values of several forms at one point, from one table of powers of the
+    point's coordinates shared by all of them. Integer forms at an integer
+    point give ints; a Fraction anywhere gives the exact Fraction."""
+    top = max((f.degree for f in forms), default=0)
+    tables = []
+    for v in pt:
+        powers = [1]
+        for _ in range(top):
+            powers.append(powers[-1] * v)
+        tables.append(powers)
+    pa, pb, pc = tables
+    return [sum(c * pa[i] * pb[j] * pc[k] for (i, j, k), c in f.terms.items()) for f in forms]
+
+
 def format_hpoly(f: HPoly) -> str:
     """Canonical text form, re-parsable by the CLI grammar."""
     if f.is_zero():
@@ -358,7 +370,7 @@ def format_hpoly(f: HPoly) -> str:
     return out
 
 
-def hpoly_eval(f: HPoly, pt) -> Fraction:
+def hpoly_eval(f: HPoly, pt):
     return f.eval(pt)
 
 

@@ -10,11 +10,15 @@ construction, never computed from equations.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import ValidationError
-from .exactpoly import HPoly, hpoly_gcd_many, resultant, bform_rational_roots, hpoly_to_bform, bform_gcd
-from .projmaps import RationalMap, ProjPoint, identity_minors, is_involution
-from .rng import SplitMix64
+from .exactpoly import (
+    BForm, HPoly, bform_gcd, bform_rational_roots, hpoly_gcd_many, hpoly_to_bform, resultant, values_at,
+)
+from .projmaps import (
+    ProjPoint, RationalMap, frame_moving_to_center, identity_minors, is_identity, is_involution,
+)
 
 KIND_EMPTY = "empty"
 KIND_HYPERELLIPTIC = "hyperelliptic"
@@ -82,8 +86,10 @@ def invariant_for_kind(kind: str, d: int | None = None) -> FixedCurveInvariant:
 def invariant_of(record) -> FixedCurveInvariant:
     """Invariant of a constructed involution record, with cross-checks.
 
-    The numeric checks recompute the genus from the fixed curve's degree and
-    singularity data; a mismatch means the record is corrupted.
+    The checks read the record's fixed curve: its degree for DJ(d), and for
+    Geiser its degree and its double points at the 7 base points; a mismatch
+    means the record is corrupted. A Bertini record carries no fixed curve
+    to check.
     """
     kind = record.kind
     if kind == "dj":
@@ -91,9 +97,6 @@ def invariant_of(record) -> FixedCurveInvariant:
         curve = record.fixed_curve
         if curve is None or curve.degree != d:
             raise ValidationError("corrupted record", "fixed curve degree does not match")
-        genus = plane_genus(d, [d - 2] if d >= 3 else [])
-        if genus != d - 2:
-            raise ValidationError("corrupted record", "genus cross-check failed")
         return invariant_for_kind("dj", d)
     if kind == "geiser":
         curve = record.fixed_curve
@@ -104,14 +107,8 @@ def invariant_of(record) -> FixedCurveInvariant:
             for v in range(3):
                 if curve.partial(v).eval(p.coords) != 0:
                     raise ValidationError("corrupted record", f"sextic not double at {p}")
-        if plane_genus(6, [2] * 7) != 3:
-            raise ValidationError("corrupted record", "genus cross-check failed")
         return invariant_for_kind("geiser")
     if kind == "bertini":
-        # no explicit fixed curve is carried; the plane model is a degree-9
-        # curve with triple points at the eight base points
-        if plane_genus(9, [3] * 8) != 4:
-            raise ValidationError("corrupted record", "genus cross-check failed")
         return invariant_for_kind("bertini")
     raise ValidationError("unknown kind", f"cannot derive invariant for {kind!r}")
 
@@ -121,30 +118,6 @@ class Classification:
     label: str
     invariant: FixedCurveInvariant | None
     note: str
-
-
-def _involutive_pointwise(sigma: RationalMap, samples: int = 20, seed: int = 0) -> bool:
-    stream = SplitMix64(seed)
-    done = 0
-    attempts = 0
-    while done < samples:
-        attempts += 1
-        if attempts > 40 * samples:
-            raise ValidationError("sampling failed", "could not draw enough sample points")
-        coords = tuple(stream.next_int(-9, 9) for _ in range(3))
-        if coords == (0, 0, 0):
-            continue
-        pt = ProjPoint(*coords)
-        img = sigma.eval(pt)
-        if img is None:
-            continue
-        back = sigma.eval(img)
-        if back is None:
-            continue
-        if back != pt:
-            return False
-        done += 1
-    return True
 
 
 def _multiplicity_at(f: HPoly, substitution) -> int:
@@ -163,7 +136,7 @@ def rational_base_points(sigma: RationalMap, limit: int = 10**12):
     """
     f1, f2, f3 = sigma.components
     found = set()
-    if all(f.eval((0, 0, 1)) == 0 for f in sigma.components):
+    if not any(values_at(sigma.components, (0, 0, 1))):
         found.add(ProjPoint(0, 0, 1))
     r12 = resultant(f1, f2, 2)
     r13 = resultant(f1, f3, 2)
@@ -182,7 +155,7 @@ def rational_base_points(sigma: RationalMap, limit: int = 10**12):
             zroots = _common_rational_roots_univ(specs)
             for zv in zroots:
                 pt = ProjPoint(s0, t0, zv)
-                if all(f.eval(pt.coords) == 0 for f in sigma.components):
+                if not any(values_at(sigma.components, pt.coords)):
                     found.add(pt)
     return sorted(found, key=lambda p: p.coords)
 
@@ -190,8 +163,6 @@ def rational_base_points(sigma: RationalMap, limit: int = 10**12):
 def _common_rational_roots_univ(coeff_lists):
     """Common rational roots of several univariate polynomials (ascending
     coefficient lists, at least one nonzero)."""
-    from .exactpoly import BForm
-
     nonzero = [c for c in coeff_lists if any(v != 0 for v in c)]
     if not nonzero:
         return []
@@ -208,34 +179,28 @@ def _common_rational_roots_univ(coeff_lists):
     out = []
     for (s0, t0), _m in bform_rational_roots(g):
         if s0 != 0:
-            from fractions import Fraction
-
             out.append(Fraction(t0, s0))
     return out
 
 
-def classify_involution(arg, seed: int = 0) -> Classification:
+def classify_involution(arg) -> Classification:
     """Classify a constructed record (authoritative) or a raw map (heuristic).
 
-    Raw maps of degree <= 6 are checked involutive symbolically, larger ones
-    pointwise at 20 seeded samples. Recognition for raw maps: degree d with a
-    degree-d fixed locus carrying a rational point of multiplicity d-2 that
-    is a base point of multiplicity d-1 is DJ(d); degree 8 with a sextic
-    fixed locus is a Geiser candidate; degree 17 a Bertini candidate.
+    A raw map must pass the exact involution test (projmaps.is_involution)
+    at any degree. Recognition for raw maps: degree d with a degree-d fixed
+    locus carrying a rational point of multiplicity d-2 that is a base point
+    of multiplicity d-1 is DJ(d); degree 8 with a sextic fixed locus is a
+    Geiser candidate; degree 17 a Bertini candidate.
     """
     if hasattr(arg, "kind") and hasattr(arg, "invariant"):
         record = arg
         inv = record.invariant
         return Classification(inv.source, inv, "construction metadata")
     sigma: RationalMap = arg
-    if is_identity_map(sigma):
+    if is_identity(sigma):
         raise ValidationError("not involutive", "the identity is not a nontrivial involution")
-    if sigma.degree <= 6:
-        if not is_involution(sigma):
-            raise ValidationError("not involutive", "symbolic composition is not the identity")
-    else:
-        if not _involutive_pointwise(sigma, seed=seed):
-            raise ValidationError("not involutive", "pointwise round-trip failed")
+    if not is_involution(sigma):
+        raise ValidationError("not involutive", "the map composed with itself is not the identity")
     d = sigma.degree
     if d == 1:
         return Classification(
@@ -260,17 +225,9 @@ def classify_involution(arg, seed: int = 0) -> Classification:
     )
 
 
-def is_identity_map(sigma: RationalMap) -> bool:
-    from .projmaps import is_identity
-
-    return is_identity(sigma)
-
-
 def _find_dj_center(sigma: RationalMap, fixed: HPoly):
     """Rational candidate center: multiplicity d-2 on the fixed curve and a
     multiplicity-(d-1) base point of the map."""
-    from .involutions import frame_moving_to_center
-
     d = sigma.degree
     try:
         candidates = rational_base_points(sigma)

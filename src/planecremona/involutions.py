@@ -33,7 +33,6 @@ All pseudo-random choices come from the package's seeded SplitMix64 streams.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd as igcd
@@ -52,29 +51,16 @@ from .exactpoly import (
     kernel_basis,
     matrix_rank,
     resultant,
+    values_at,
 )
 from . import fixedcurve
-from .projmaps import ProjPoint, RationalMap, collinear, is_involution
+from .projmaps import ProjPoint, RationalMap, collinear, frame_moving_to_center
 from .rng import SplitMix64
 
 
 # ---------------------------------------------------------------------------
 # frames
 # ---------------------------------------------------------------------------
-
-def frame_moving_to_center(p: ProjPoint):
-    """Deterministic integer frame (M, Minv) with M @ p proportional to
-    (0,1,0) and M @ Minv = det * I. Minv has p as its middle column and the
-    two standard basis vectors away from p's pivot as the others."""
-    pivot = next(i for i, c in enumerate(p.coords) if c != 0)
-    others = [i for i in range(3) if i != pivot]
-    cols = [None, list(p.coords), None]
-    cols[0] = [1 if i == others[0] else 0 for i in range(3)]
-    cols[2] = [1 if i == others[1] else 0 for i in range(3)]
-    minv = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
-    m = adjugate3(minv)
-    return m, minv
-
 
 def _invert_unimodular(m):
     d = det3(m)
@@ -632,13 +618,6 @@ def _combination(coeffs, forms) -> HPoly:
     return f.canonical()
 
 
-def _int_values(forms, p):
-    """Values of integer forms of one degree at an integer point."""
-    d = forms[0].degree
-    pa, pb, pc = ([v ** i for i in range(d + 1)] for v in p)
-    return [sum(c * pa[i] * pb[j] * pc[k] for (i, j, k), c in f.terms.items()) for f in forms]
-
-
 @dataclass(frozen=True)
 class EvalTrace:
     """What one Geiser or Bertini evaluation did: the number of chord-tangent
@@ -717,10 +696,10 @@ class GeiserInvolution:
         fit_samples = self._draw_samples(stream, 6)
         rows = []
         for x, y in fit_samples:
-            ovals = [o.eval(x.coords) for o in octics]
+            ovals = values_at(octics, x.coords)
             yv = y.coords
             for p, q in ((0, 1), (0, 2), (1, 2)):
-                row = [Fraction(0)] * 9
+                row = [0] * 9
                 for j in range(3):
                     row[3 * p + j] += ovals[j] * yv[q]
                     row[3 * q + j] -= ovals[j] * yv[p]
@@ -803,7 +782,7 @@ class BertiniInvolution:
         return _ninth_base_point(c1, c2, self.config.points[:7], self.config.points[7])[0]
 
     def _space_values(self, x: ProjPoint):
-        vals = _int_values(self.space, x.coords)
+        vals = values_at(self.space, x.coords)
         if not any(vals):
             raise ValidationError("net dimension wrong", f"sextic space does not restrict to a net at {x}")
         return vals
@@ -847,7 +826,7 @@ class BertiniInvolution:
             rows = [vx] + [[s.partial(v1).partial(v2).eval(y.coords) for s in self.space]
                            for v1 in range(3) for v2 in range(v1, 3)]
             return matrix_rank(rows) < len(self.space)
-        vy = _int_values(self.space, y.coords)
+        vy = values_at(self.space, y.coords)
         if not _parallel(vx, vy):
             return False
         if y == x:

@@ -1,5 +1,6 @@
-"""Projective points, cross-ratio and harmonic conjugation, plane rational
-maps with composition, projective identity test and conjugation.
+"""Projective points and frames, cross-ratio and harmonic conjugation, plane
+rational maps with composition, projective identity and involution tests and
+conjugation.
 
 A point of the parameter line is a Fraction, or INF for the point at
 infinity; internally everything is handled through the projective pair
@@ -10,7 +11,7 @@ from fractions import Fraction
 from math import gcd as igcd
 
 from .errors import IndeterminacyError, ValidationError
-from .exactpoly import HPoly, hpoly_gcd_many
+from .exactpoly import HPoly, adjugate3, hpoly_gcd_many, values_at
 
 
 class _Infinity:
@@ -98,6 +99,20 @@ class ProjPoint:
             m[1][0] * a + m[1][1] * b + m[1][2] * c,
             m[2][0] * a + m[2][1] * b + m[2][2] * c,
         )
+
+
+def frame_moving_to_center(p: ProjPoint):
+    """Deterministic integer frame (M, Minv) with M @ p proportional to
+    (0,1,0) and M @ Minv = det * I. Minv has p as its middle column and the
+    two standard basis vectors away from p's pivot as the others."""
+    pivot = next(i for i, c in enumerate(p.coords) if c != 0)
+    others = [i for i in range(3) if i != pivot]
+    cols = [None, list(p.coords), None]
+    cols[0] = [1 if i == others[0] else 0 for i in range(3)]
+    cols[2] = [1 if i == others[1] else 0 for i in range(3)]
+    minv = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
+    m = adjugate3(minv)
+    return m, minv
 
 
 def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
@@ -198,7 +213,7 @@ class RationalMap:
 
     def eval(self, pt: ProjPoint):
         """Image of a point, or None at an indeterminacy (a base point)."""
-        vals = [f.eval(pt.coords) for f in self.components]
+        vals = values_at(self.components, pt.coords)
         if all(v == 0 for v in vals):
             return None
         return ProjPoint(*vals)
@@ -267,11 +282,24 @@ def compose_raw(f: RationalMap, g: RationalMap):
 
 
 def is_involution(f: RationalMap) -> bool:
-    """Exact symbolic check that f composed with itself is the identity."""
-    raw = tuple(c.substitute(f.components) for c in f.components)
-    if all(r.is_zero() for r in raw):
-        return False
-    return all(m.is_zero() for m in identity_minors(raw))
+    """Exact test that f composed with itself is the identity.
+
+    The minors of (x, y, z) against the components of f(f) are forms of
+    degree D = d^2 + 1, so they vanish identically iff they vanish on the
+    unisolvent grid {(i:j:1) : i + j <= D}. They are evaluated there in
+    integers, with f(f)(p) = f(f(p)) taken without normalising f(p); the
+    first nonzero minor ends the test. A composite that vanishes on the
+    whole grid vanishes identically, and is not the identity.
+    """
+    top = f.degree ** 2 + 1
+    composite_seen = False
+    for i in range(top + 1):
+        for j in range(top + 1 - i):
+            a, b, c = values_at(f.components, values_at(f.components, (i, j, 1)))
+            if i * b != j * a or i * c != a or j * c != b:
+                return False
+            composite_seen = composite_seen or bool(a or b or c)
+    return composite_seen
 
 
 def conjugate(sigma: RationalMap, phi: RationalMap, phi_inverse: RationalMap) -> RationalMap:

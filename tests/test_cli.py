@@ -10,7 +10,7 @@ import pytest
 from planecremona.cli import parse_point, parse_poly, parse_map, run
 from planecremona.errors import ValidationError
 from planecremona.exactpoly import HPoly, format_hpoly
-from planecremona.projmaps import ProjPoint
+from planecremona.projmaps import ProjPoint, RationalMap
 from planecremona.rng import SplitMix64
 
 SCHEMA = json.loads(
@@ -131,6 +131,20 @@ def test_verify_involution_and_rejection(tmp_path):
     mf.write_text(json.dumps({"components": ["y", "z", "x"]}))
     code, payload, _ = run_json(["verify", "--map-file", str(mf)])
     assert code == 2 and payload["reason"] == "not involutive"
+
+
+def test_map_components_are_rescaled_jointly(tmp_path):
+    # each component canonicalised alone, -x;y;z would read as the identity
+    code, payload, _ = run_json(["classify", "--map=-x;y;z"])
+    assert code == 0 and payload["label"] == "DJ(2)"
+    code, payload, _ = run_json(["dj", "--curve", "2*x*y^2 + 4*z^2*y + x^3 + z^3", "--p", "(0:1:0)"])
+    assert code == 0
+    comps = payload["components"]
+    assert RationalMap(*(parse_poly(c) for c in comps)) != parse_map(";".join(comps))
+    mf = tmp_path / "dj.json"
+    mf.write_text(json.dumps(payload))
+    code, payload, _ = run_json(["verify", "--map-file", str(mf)])
+    assert code == 0 and payload["involutive"] and payload["degree"] == 3
 
 
 def test_fixed_curve_command():

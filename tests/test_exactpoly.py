@@ -16,6 +16,7 @@ from planecremona.exactpoly import (
     matrix_rank,
     resultant,
     resultant_univariate,
+    values_at,
 )
 from planecremona.rng import SplitMix64
 
@@ -44,6 +45,17 @@ def test_eval_examples():
 def test_eval_rational_point():
     f = HPoly(2, {(2, 0, 0): Fraction(1, 2), (0, 0, 2): -3})
     assert f.eval((Fraction(2, 3), 0, Fraction(1, 3))) == Fraction(2, 9) - Fraction(1, 3)
+
+
+def test_values_at_ints_stay_ints_and_rationals_are_exact():
+    forms = [CONIC, X ** 3, HPoly.zero(2)]
+    vals = values_at(forms, (2, 5, 7))
+    assert vals == [-11, 8, 0] and all(type(v) is int for v in vals)
+    assert type(CONIC.eval((2, 5, 7))) is int
+    pt = (Fraction(1, 2), 1, Fraction(1, 3))
+    assert values_at([X * Y, Z ** 3, CONIC], pt) == [Fraction(1, 2), Fraction(1, 27), Fraction(-5, 6)]
+    assert CONIC.eval(pt) == Fraction(-5, 6)
+    assert HPoly(1, {(1, 0, 0): Fraction(1, 3)}).eval((1, 0, 0)) == Fraction(1, 3)
 
 
 # -- gcd ----------------------------------------------------------------------

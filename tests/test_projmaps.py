@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from planecremona.errors import ValidationError
-from planecremona.exactpoly import HPoly
+from planecremona.exactpoly import HPoly, adjugate3, det3
 from planecremona.projmaps import (
     INF,
     ProjPoint,
@@ -13,6 +14,7 @@ from planecremona.projmaps import (
     conjugate,
     cross_ratio,
     harmonic_conjugate,
+    identity_minors,
     is_identity,
     is_involution,
 )
@@ -166,6 +168,58 @@ def test_is_identity_examples():
     assert is_identity(RationalMap.identity())
     assert is_identity(RationalMap(X * X, X * Y, X * Z))
     assert not is_identity(RationalMap(Y, X, Z))
+
+
+def symbolic_is_involution(f):
+    """Reference test: the minors of (x, y, z) against the symbolic f(f)
+    vanish, and f(f) does not."""
+    raw = compose_raw(f, f)
+    return any(not r.is_zero() for r in raw) and all(m.is_zero() for m in identity_minors(raw))
+
+
+def test_grid_involution_test_agrees_with_symbolic(dj_records):
+    for d in range(2, 7):
+        f = dj_records[d].map
+        a, b, c = f.components
+        for g in (f, RationalMap(b, a, c)):
+            assert is_involution(g) == symbolic_is_involution(g)
+        assert is_involution(f)
+
+
+def test_vanishing_composite_is_not_an_involution():
+    f = RationalMap(HPoly.zero(1), HPoly.zero(1), X, _normalized=True)
+    assert all(r.is_zero() for r in compose_raw(f, f))
+    assert not is_involution(f)
+
+
+def _monomials(d):
+    return [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+
+
+@st.composite
+def integer_maps(draw):
+    d = draw(st.integers(1, 3))
+    coeff = st.sampled_from((0, 0, 0, 1, -1, 2))
+    comps = [HPoly(d, {e: draw(coeff) for e in _monomials(d)}) for _ in range(3)]
+    assume(any(not c.is_zero() for c in comps))
+    return RationalMap(*comps)
+
+
+@st.composite
+def conjugated_involutions(draw):
+    """Involutions of degree 1 and 2, so that both answers are drawn."""
+    m = draw(st.lists(st.integers(-2, 2), min_size=9, max_size=9)
+             .map(lambda v: (tuple(v[0:3]), tuple(v[3:6]), tuple(v[6:9])))
+             .filter(lambda m: det3(m) != 0))
+    sigma = draw(st.sampled_from((RationalMap.linear(((1, 0, 0), (0, 1, 0), (0, 0, -1))),
+                                  SIGMA, RationalMap(Y * Z, X * Z, X * Y))))
+    return compose(RationalMap.linear(m), compose(sigma, RationalMap.linear(adjugate3(m))))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(f=st.one_of(integer_maps(), conjugated_involutions()))
+def test_grid_involution_test_agrees_on_random_maps(f):
+    assert is_involution(f) == symbolic_is_involution(f)
 
 
 def test_eval_map_examples():
