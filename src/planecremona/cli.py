@@ -13,6 +13,11 @@ Input grammars:
                 '*' between coefficient and variables and between variables
                 is optional; all terms must have the same total degree
   points        (a:b:c) with rational entries, not all zero
+  maps          --map takes three ';'-separated components; one whose first
+                component starts with '-' must be written --map=-x;y;z,
+                since argparse reads "--map -x;y;z" as a new option.
+                --map-file takes a JSON object whose "components" is a
+                list of three such strings
   point files   one point per line, '#' comments allowed
   matrix files  whitespace-separated integers, row-major, first line = rank
 """
@@ -254,7 +259,7 @@ def _default_human(payload, prefix=""):
 def _cmd_dj(args) -> int:
     curve = parse_poly(args.curve)
     p = parse_point(args.p)
-    record = involutions.dj_involution(curve, p, trusted=args.trusted)
+    record = involutions.dj_involution(curve, p)
     payload = _record_json(record, args.seed)
     base = fixedcurve.rational_base_points(record.map)
     payload["rational_base_points"] = [_point_str(b) for b in base]
@@ -331,8 +336,14 @@ def _load_map(args) -> RationalMap:
         return parse_map(args.map)
     if getattr(args, "map_file", None):
         with open(args.map_file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return _map_of(data["components"])
+            try:
+                data = json.load(fh)
+            except ValueError:
+                raise ValidationError("syntax error", "the map file is not JSON") from None
+        comps = data.get("components") if isinstance(data, dict) else None
+        if not isinstance(comps, list) or len(comps) != 3 or not all(isinstance(c, str) for c in comps):
+            raise ValidationError("syntax error", "the map file needs 'components': a list of 3 strings")
+        return _map_of(comps)
     raise ValidationError("bad request", "supply --map or --map-file")
 
 
@@ -365,7 +376,7 @@ def _cmd_fixed_curve(args) -> int:
 
 def _build_record(args):
     if args.curve and args.p:
-        return involutions.dj_involution(parse_poly(args.curve), parse_point(args.p), trusted=args.trusted)
+        return involutions.dj_involution(parse_poly(args.curve), parse_point(args.p))
     if args.points or args.builtin:
         kind = args.kind
         if kind not in ("geiser", "bertini"):
@@ -499,6 +510,9 @@ def _cmd_elmt(args) -> int:
 # argument parser
 # ---------------------------------------------------------------------------
 
+MAP_HELP = "three ';'-separated components; write --map=-x;y;z when the first starts with '-'"
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="planecremona",
@@ -513,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dj", help="de Jonquieres involution from a curve and center")
     p.add_argument("--curve", required=True)
     p.add_argument("--p", required=True)
-    p.add_argument("--trusted", action="store_true", help="skip the singular-locus solve")
     common(p)
     p.set_defaults(func=_cmd_dj)
 
@@ -535,13 +548,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=handler)
 
     p = sub.add_parser("verify", help="check that a map is an involution")
-    p.add_argument("--map", help="three ';'-separated components")
+    p.add_argument("--map", help=MAP_HELP)
     p.add_argument("--map-file", help="JSON file with a 'components' list")
     common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("fixed-curve", help="divisorial fixed locus of a map")
-    p.add_argument("--map", help="three ';'-separated components")
+    p.add_argument("--map", help=MAP_HELP)
     p.add_argument("--map-file")
     common(p)
     p.set_defaults(func=_cmd_fixed_curve)
@@ -550,11 +563,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} of an involution (construction or raw map)")
         p.add_argument("--curve")
         p.add_argument("--p")
-        p.add_argument("--trusted", action="store_true")
         p.add_argument("--points")
         p.add_argument("--builtin", action="store_true")
         p.add_argument("--kind", choices=("geiser", "bertini"))
-        p.add_argument("--map")
+        p.add_argument("--map", help=MAP_HELP)
         p.add_argument("--map-file")
         common(p)
         p.set_defaults(func=handler)

@@ -16,7 +16,7 @@ Conventions fixed once for the whole package:
 """
 
 from fractions import Fraction
-from math import gcd as igcd
+from math import gcd as igcd, isqrt
 
 from .errors import ValidationError
 
@@ -247,20 +247,6 @@ class HPoly:
             ne[var] = 0
             buckets[k][tuple(ne)] = c
         return [HPoly(self.degree - k, b) for k, b in enumerate(buckets)]
-
-    def specialize(self, var: int, values) -> list:
-        """Univariate coefficient list in `var` after fixing the other two.
-
-        `values` gives the two substituted values in variable order. Returns
-        [c_0, ..., c_m] with c_k the coefficient of var**k (Fraction/int).
-        """
-        others = [v for v in range(3) if v != var]
-        m = self.max_exponent(var)
-        out = [0] * (m + 1)
-        a, b = values
-        for e, c in self.terms.items():
-            out[e[var]] += c * a ** e[others[0]] * b ** e[others[1]]
-        return [_norm_coeff(Fraction(v)) for v in out]
 
     # -- canonical form --------------------------------------------------------
 
@@ -827,53 +813,70 @@ def bform_discriminant(a: BForm, b: BForm, c: BForm) -> BForm:
     return b * b - (a * c) * 4
 
 
-def bform_rational_roots(q: BForm, factor_limit: int = 10**12):
-    """All rational projective roots (s0:t0) with multiplicities.
+def bform_rational_roots(q: BForm):
+    """The distinct rational projective roots (s0:t0) of a binary form, sorted.
 
-    Requires divisor enumeration of the extreme coefficients, so it refuses
-    (raises ValidationError) when they exceed factor_limit; callers that may
-    face huge coefficients must avoid root extraction entirely.
+    The squarefree part of q, stripped of the roots (1:0) and (0:1), is
+    f(u) = q(1, u). Its roots are found modulo the first odd prime p not
+    dividing lc(f) at which all of them are simple; only primes dividing
+    disc(f) * lc(f) fail, so the search ends. Each is Newton-lifted modulo
+    p^k until p^k > 2 (|lc| + max |f_i|), which bounds |lc * r| for every
+    rational root r, and lc * r, read as a symmetric residue, is kept
+    exactly when f(r) = 0 (von zur Gathen-Gerhard, Modern Computer Algebra,
+    ch. 15). No size bound applies.
     """
     if q.is_zero():
         raise ValidationError("zero input", "roots of the zero form")
     q = q.canonical()
+    if q.degree > 1:
+        repeated = bform_gcd(q.derivative_s(), q.derivative_t())
+        if repeated.degree > 0:
+            q = q.divexact(repeated).canonical()
     vs, vt = q.monomial_valuations()
     roots = []
     if vt:
-        roots.append(((1, 0), vt))
+        roots.append((1, 0))
     if vs:
-        roots.append(((0, 1), vs))
-    core_coeffs = list(q.coeffs[vt: q.degree + 1 - vs])
-    if len(core_coeffs) > 1:
-        # as a polynomial in t (s = 1): constant term first, leading term last
-        const_c, lead_c = abs(core_coeffs[0]), abs(core_coeffs[-1])
-        if const_c > factor_limit or lead_c > factor_limit:
-            raise ValidationError("coefficients too large", "rational root search refused")
-        core = BForm(len(core_coeffs) - 1, core_coeffs)
-        seen = set()
-        for p in _divisors(const_c):
-            for qq in _divisors(lead_c):
-                if igcd(p, qq) != 1:
-                    continue
-                for t0, s0 in ((p, qq), (-p, qq)):
-                    if (t0, s0) in seen:
-                        continue
-                    seen.add((t0, s0))
-                    if core.eval(s0, t0) == 0:
-                        mult = 0
-                        lin = BForm(1, [t0, -s0])
-                        while True:
-                            try:
-                                core2 = core.divexact(lin)
-                            except ValidationError:
-                                break
-                            core = core2
-                            mult += 1
-                            if core.degree == 0:
-                                break
-                        roots.append((_canon_pair(s0, t0), mult))
-    roots.sort(key=lambda r: r[0])
-    return roots
+        roots.append((0, 1))
+    f = list(q.coeffs[vt: q.degree + 1 - vs])   # f[i] multiplies u^i
+    n = len(f) - 1
+    if n > 0:
+        lc = f[-1]
+        df = [i * c for i, c in enumerate(f)][1:]
+        p, residues = _simple_roots_mod_prime(f, df)
+        modulus, bound = p, 2 * (abs(lc) + max(abs(c) for c in f))
+        while modulus <= bound:
+            modulus *= modulus
+            residues = [
+                (r - _horner(f, r, modulus) * pow(_horner(df, r, modulus), -1, modulus)) % modulus
+                for r in residues
+            ]
+        for r in residues:
+            num = lc * r % modulus
+            if num > modulus // 2:
+                num -= modulus
+            if sum(c * num ** i * lc ** (n - i) for i, c in enumerate(f)) == 0:
+                roots.append(_canon_pair(lc, num))
+    return sorted(roots)
+
+
+def _horner(f, r, modulus):
+    v = 0
+    for c in reversed(f):
+        v = (v * r + c) % modulus
+    return v
+
+
+def _simple_roots_mod_prime(f, df):
+    """(p, roots of f mod p) for the first odd prime p not dividing the
+    leading coefficient at which every root of f mod p is simple."""
+    p = 3
+    while True:
+        if f[-1] % p and all(p % k for k in range(3, isqrt(p) + 1, 2)):
+            residues = [r for r in range(p) if _horner(f, r, p) == 0]
+            if all(_horner(df, r, p) for r in residues):
+                return p, residues
+        p += 2
 
 
 def _canon_pair(s0, t0):
@@ -882,21 +885,6 @@ def _canon_pair(s0, t0):
     if s0 < 0 or (s0 == 0 and t0 < 0):
         s0, t0 = -s0, -t0
     return (s0, t0)
-
-
-def _divisors(n: int):
-    if n == 0:
-        return [1]
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 def hpoly_to_bform(f: HPoly, svar: int, tvar: int) -> BForm:
@@ -908,18 +896,6 @@ def hpoly_to_bform(f: HPoly, svar: int, tvar: int) -> BForm:
     for e, c in f.terms.items():
         out[e[tvar]] = c
     return BForm(f.degree, out)
-
-
-def bform_to_hpoly(q: BForm, svar: int, tvar: int) -> HPoly:
-    terms = {}
-    for i, c in enumerate(q.coeffs):
-        if c == 0:
-            continue
-        e = [0, 0, 0]
-        e[svar] = q.degree - i
-        e[tvar] = i
-        terms[tuple(e)] = c
-    return HPoly(q.degree, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -1042,8 +1018,8 @@ def resultant(f: HPoly, g: HPoly, var: int) -> HPoly:
     """Sylvester resultant eliminating one variable.
 
     Coefficients are taken in the other two variables at the actual degrees
-    in `var`; the result vanishes at a specialization iff the specialized
-    pair has a common root there (or both leading coefficients vanish).
+    in `var`; the result vanishes at values of those two iff the pair with
+    them substituted has a common root (or both leading coefficients vanish).
     """
     if f.is_zero() or g.is_zero():
         raise ValidationError("zero input", "resultant of the zero polynomial")

@@ -7,14 +7,20 @@ elliptic curve counts as hyperelliptic by convention), the non-hyperelliptic
 genus-3 curve of a Geiser involution, or the genus-4 curve on a singular
 quadric of a Bertini involution. Hyperellipticity is assigned by
 construction, never computed from equations.
+
+A de Jonquieres involution preserves the pencil of lines through its
+center p, and its center and base points are read off that pencil: p is the
+one point collinear with every x and sigma(x), and the other base points lie
+over the rational roots of the discriminant of the fixed curve in the frame
+where p = (0:1:0).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import combinations
 
 from .errors import ValidationError
 from .exactpoly import (
-    BForm, HPoly, bform_gcd, bform_rational_roots, hpoly_gcd_many, hpoly_to_bform, resultant, values_at,
+    HPoly, bform_gcd, bform_rational_roots, hpoly_gcd_many, hpoly_to_bform, kernel_basis, values_at,
 )
 from .projmaps import (
     ProjPoint, RationalMap, frame_moving_to_center, identity_minors, is_identity, is_involution,
@@ -127,70 +133,68 @@ def _multiplicity_at(f: HPoly, substitution) -> int:
     return f.degree - moved.max_exponent(1)
 
 
-def rational_base_points(sigma: RationalMap, limit: int = 10**12):
-    """Rational base points of a map (bounded search, rational points only).
+def pencil_center(sigma: RationalMap):
+    """The center of an involution that preserves every line through a
+    point p, or None.
 
-    Eliminates z between pairs of components, takes the gcd of the
-    resultants, extracts its rational roots and solves above each; (0:0:1)
-    is checked directly. Irrational base points are invisible here.
+    p, x and sigma(x) are collinear for all x exactly when p is in the kernel
+    of the matrix whose columns are the coefficient vectors of
+    x cross sigma(x). That kernel is 1-dimensional for such a map: two
+    centers would force sigma(x) = x.
     """
-    f1, f2, f3 = sigma.components
-    found = set()
-    if not any(values_at(sigma.components, (0, 0, 1))):
-        found.add(ProjPoint(0, 0, 1))
-    r12 = resultant(f1, f2, 2)
-    r13 = resultant(f1, f3, 2)
-    r23 = resultant(f2, f3, 2)
-    gs = [hpoly_to_bform(r, 0, 1) for r in (r12, r13, r23) if not r.is_zero()]
-    if not gs:
-        return sorted(found, key=lambda p: p.coords)
-    g = gs[0]
-    for other in gs[1:]:
-        if g.degree == 0:
-            break
-        g = bform_gcd(g, other)
-    if g.degree > 0:
-        for (s0, t0), _mult in bform_rational_roots(g, factor_limit=limit):
-            specs = [f.specialize(2, (s0, t0)) for f in sigma.components]
-            zroots = _common_rational_roots_univ(specs)
-            for zv in zroots:
-                pt = ProjPoint(s0, t0, zv)
-                if not any(values_at(sigma.components, pt.coords)):
-                    found.add(pt)
-    return sorted(found, key=lambda p: p.coords)
+    m1, m2, m3 = identity_minors(sigma.components)
+    cross = (m3, -m2, m1)
+    monomials = sorted(set().union(*(c.terms for c in cross)))
+    basis = kernel_basis([[c.terms.get(e, 0) for c in cross] for e in monomials], 3)
+    return ProjPoint(*basis[0]) if len(basis) == 1 else None
 
 
-def _common_rational_roots_univ(coeff_lists):
-    """Common rational roots of several univariate polynomials (ascending
-    coefficient lists, at least one nonzero)."""
-    nonzero = [c for c in coeff_lists if any(v != 0 for v in c)]
-    if not nonzero:
-        return []
+def rational_base_points(sigma: RationalMap):
+    """Rational base points of an involution with a center p (pencil_center).
+
+    In a frame where p = (0:1:0) each component is y h_i + k_i with h_i, k_i
+    binary forms in x, z. A base point other than p lies above a root of
+    every h_i k_j - h_j k_i, at y = -k_i / h_i for an h_i not vanishing
+    there; for a de Jonquieres map the gcd of these minors is the
+    discriminant B^2 - 4 A C_d. Returns p and the points above the rational
+    roots, each kept only where every component vanishes.
+    """
+    p = pencil_center(sigma)
+    if p is None:
+        raise ValidationError("no center", "the map preserves no pencil of lines")
+    _m, minv = frame_moving_to_center(p)
+    hk = []
+    for c in sigma.components:
+        by_y = c.apply_matrix(minv).coeffs_by_var(1)
+        if len(by_y) > 2:
+            raise ValidationError("not de Jonquieres", "a component is not linear in y at the center")
+        h = by_y[1] if len(by_y) == 2 else HPoly.zero(c.degree - 1)
+        hk.append((hpoly_to_bform(h, 0, 2), hpoly_to_bform(by_y[0], 0, 2)))
     g = None
-    for coeffs in nonzero:
-        deg = len(coeffs) - 1
-        while deg > 0 and coeffs[deg] == 0:
-            deg -= 1
-        # ascending z-coefficients map to BForm coefficients directly (z = t/s)
-        form = BForm(deg, coeffs[: deg + 1])
-        g = form if g is None else bform_gcd(g, form)
-        if g.degree == 0:
-            return []
-    out = []
-    for (s0, t0), _m in bform_rational_roots(g):
-        if s0 != 0:
-            out.append(Fraction(t0, s0))
-    return out
+    for (hi, ki), (hj, kj) in combinations(hk, 2):
+        minor = hi * kj - hj * ki
+        if not minor.is_zero():
+            g = minor if g is None else bform_gcd(g, minor)
+    candidates = [p]
+    for s0, t0 in bform_rational_roots(g) if g is not None else []:
+        for h, k in hk:
+            hv = h.eval(s0, t0)
+            if hv != 0:
+                candidates.append(ProjPoint(s0 * hv, -k.eval(s0, t0), t0 * hv).apply_matrix(minv))
+                break
+    found = {q for q in candidates if not any(values_at(sigma.components, q.coords))}
+    return sorted(found, key=lambda q: q.coords)
 
 
 def classify_involution(arg) -> Classification:
     """Classify a constructed record (authoritative) or a raw map (heuristic).
 
     A raw map must pass the exact involution test (projmaps.is_involution)
-    at any degree. Recognition for raw maps: degree d with a degree-d fixed
-    locus carrying a rational point of multiplicity d-2 that is a base point
-    of multiplicity d-1 is DJ(d); degree 8 with a sextic fixed locus is a
-    Geiser candidate; degree 17 a Bertini candidate.
+    at any degree. Recognition for raw maps: a map of degree d that
+    preserves every line through its center (pencil_center), with a
+    degree-d fixed locus of multiplicity d-2 at the center and the center a
+    base point of multiplicity d-1, is DJ(d); degree 8 with a sextic fixed
+    locus is a Geiser candidate; degree 17 a Bertini candidate.
     """
     if hasattr(arg, "kind") and hasattr(arg, "invariant"):
         record = arg
@@ -226,18 +230,15 @@ def classify_involution(arg) -> Classification:
 
 
 def _find_dj_center(sigma: RationalMap, fixed: HPoly):
-    """Rational candidate center: multiplicity d-2 on the fixed curve and a
-    multiplicity-(d-1) base point of the map."""
-    d = sigma.degree
-    try:
-        candidates = rational_base_points(sigma)
-    except ValidationError:
+    """The center of sigma (pencil_center), if the fixed curve has
+    multiplicity d-2 there and it is a base point of multiplicity d-1."""
+    p = pencil_center(sigma)
+    if p is None:
         return None
-    for p in candidates:
-        _m, minv = frame_moving_to_center(p)
-        if _multiplicity_at(fixed, minv) != d - 2:
-            continue
-        comp_mult = min(_multiplicity_at(c, minv) for c in sigma.components)
-        if comp_mult == d - 1:
-            return p
-    return None
+    d = sigma.degree
+    _m, minv = frame_moving_to_center(p)
+    if _multiplicity_at(fixed, minv) != d - 2:
+        return None
+    if min(_multiplicity_at(c, minv) for c in sigma.components) != d - 1:
+        return None
+    return p

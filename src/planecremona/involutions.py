@@ -44,13 +44,11 @@ from .exactpoly import (
     adjugate3,
     bform_discriminant,
     bform_gcd,
-    bform_to_hpoly,
     det3,
     hpoly_to_bform,
     is_squarefree,
     kernel_basis,
     matrix_rank,
-    resultant,
     values_at,
 )
 from . import fixedcurve
@@ -79,10 +77,9 @@ def _invert_unimodular(m):
 @dataclass(frozen=True)
 class ValidationReport:
     checks: tuple
-    trusted: bool
 
     def as_dict(self):
-        return {"checks": list(self.checks), "trusted": self.trusted}
+        return {"checks": list(self.checks)}
 
 
 @dataclass(frozen=True)
@@ -125,47 +122,17 @@ def _dj_decompose(c_norm: HPoly, d: int):
     return a, b, cd
 
 
-def _singular_locus_clear(c_norm: HPoly, a: HPoly, b: HPoly, delta: BForm) -> bool:
-    """Iterated-resultant check that the curve is smooth away from the center.
-
-    Resultants in y of C_y against C_x and C_z give binary forms whose common
-    roots with the discriminant locate singular candidates off the center;
-    roots coming from the common vanishing of A and B are provably spurious
-    (a singular point away from the center never projects into A = 0) and
-    are divided out before deciding.
-    """
-    cy = c_norm.partial(1)
-    gs = [bform_to_hpoly(delta, 0, 2)]
-    for var in (0, 2):
-        cv = c_norm.partial(var)
-        if cv.is_zero():
-            continue
-        gs.append(resultant(cy, cv, 1))
-    g = hpoly_to_bform(gs[0], 0, 2)
-    for other in gs[1:]:
-        if g.degree == 0:
-            break
-        g = bform_gcd(g, hpoly_to_bform(other, 0, 2))
-    if g.degree == 0:
-        return True
-    spurious = bform_gcd(hpoly_to_bform(a, 0, 2),
-                         hpoly_to_bform(b, 0, 2) if not b.is_zero() else BForm.zero(0))
-    while g.degree > 0:
-        common = bform_gcd(g, spurious) if spurious.degree > 0 else BForm(0, [1])
-        if common.degree == 0:
-            break
-        g = g.divexact(common)
-    return g.degree == 0
-
-
-def validate_dj(curve: HPoly, p: ProjPoint, trusted: bool = False) -> DJData:
+def validate_dj(curve: HPoly, p: ProjPoint) -> DJData:
     """Validate a (curve, center) pair as de Jonquieres data.
 
     Checks, in order: degree >= 2; multiplicity at p exactly d-2 (A != 0 and
     no higher y-power in the normal frame); ordinarity (A squarefree); no
     line of the curve through p (gcd(A,B,Cd) constant); discriminant nonzero
-    and squarefree; unless trusted, the iterated-resultant singular-locus
-    solve confirming p is the only singular point.
+    and squarefree. Together these make p the only singular point: a point
+    q != p lies on a line through p, where the curve is A w^2 - Delta/(4A)
+    with w = y + B/(2A) if A != 0 there, singular only over a double root of
+    Delta; if A = 0 there, either dC/dy = B != 0 or no point of the curve
+    but p lies on that line.
     """
     curve = curve.canonical()
     d = curve.degree
@@ -211,14 +178,7 @@ def validate_dj(curve: HPoly, p: ProjPoint, trusted: bool = False) -> DJData:
             "extra singularities", "discriminant is not squarefree"
         )
     checks.append(f"discriminant squarefree of degree {delta.degree}")
-
-    if not trusted:
-        if not _singular_locus_clear(c_norm, a, b, delta):
-            raise ValidationError(
-                "extra singularities", "singular point found away from the center"
-            )
-        checks.append("singular-locus solve: center is the only singular point")
-    report = ValidationReport(tuple(checks), trusted)
+    report = ValidationReport(tuple(checks))
     return DJData(d, a, b, cd, (m, minv), p, curve, report)
 
 
@@ -271,10 +231,10 @@ def conjugated_map(data: DJData) -> RationalMap:
     return sigma
 
 
-def dj_involution(curve: HPoly, p: ProjPoint, trusted: bool = False) -> InvolutionRecord:
+def dj_involution(curve: HPoly, p: ProjPoint) -> InvolutionRecord:
     """De Jonquieres involution preserving the lines through p and fixing the
     given curve pointwise."""
-    data = validate_dj(curve, p, trusted=trusted)
+    data = validate_dj(curve, p)
     sigma = conjugated_map(data)
     record = InvolutionRecord(
         kind="dj",

@@ -147,6 +147,17 @@ def test_map_components_are_rescaled_jointly(tmp_path):
     assert code == 0 and payload["involutive"] and payload["degree"] == 3
 
 
+@pytest.mark.parametrize("text", [
+    "{}", '{"components": 5}', '["x", "y", "z"]', "x;y;z",
+    '{"components": ["x", "y"]}', '{"components": ["x", "y", 1]}',
+])
+def test_malformed_map_file_is_a_validation_failure(tmp_path, text):
+    mf = tmp_path / "m.json"
+    mf.write_text(text)
+    code, payload, _ = run_json(["verify", "--map-file", str(mf)])
+    assert code == 2 and payload["reason"] == "syntax error"
+
+
 def test_fixed_curve_command():
     code, payload, _ = run_json(["fixed-curve", "--map", "x*y; x*z; y*z"])
     assert code == 0

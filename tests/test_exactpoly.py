@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
@@ -283,11 +284,39 @@ def test_squarefree_examples():
 
 def test_bform_roots_and_gcd():
     q = BForm(3, [2, -3, -3, 2])
-    roots = bform_rational_roots(q)
-    assert [r for r, _ in roots] == [(1, -1), (1, 2), (2, 1)]
-    assert all(m == 1 for _, m in roots)
+    assert bform_rational_roots(q) == [(1, -1), (1, 2), (2, 1)]
     g = bform_gcd(q, q.derivative_t())
     assert g.degree == 0
+
+
+def test_bform_roots_without_a_size_bound():
+    # coefficients above 10**12, which a divisor search over them cannot reach
+    big = 10**15 + 37
+    lin = BForm(1, [-big, 3])
+    q = lin * lin * BForm(1, [7, 5]) * BForm(2, [1, 0, 2]) * BForm(1, [0, 1])
+    assert bform_rational_roots(q) == [(1, 0), (3, big), (5, -7)]
+
+
+def test_bform_roots_match_brute_force():
+    """Products of random linear factors a s + b t (|a|, |b| <= 5) and
+    irreducible quadratics: every root has |s0|, |t0| <= 5, so trying all
+    such pairs finds them all."""
+    stream = SplitMix64(15)
+    pairs = {(s0, t0) for s0 in range(6) for t0 in range(-5, 6)
+             if gcd(s0, t0) == 1 and (s0 > 0 or t0 > 0)}
+    for _ in range(40):
+        q = BForm(0, [stream.next_nonzero_int(-3, 3)])
+        for _ in range(stream.next_int(0, 4)):
+            a, b = stream.next_int(-5, 5), stream.next_nonzero_int(-5, 5)
+            q = q * BForm(1, [a, b])
+        for _ in range(stream.next_int(0, 2)):
+            while True:
+                a, b, c = (stream.next_nonzero_int(-6, 6) for _ in range(3))
+                disc = b * b - 4 * a * c
+                if disc < 0 or isqrt(disc) ** 2 != disc:
+                    break
+            q = q * BForm(2, [a, b, c])
+        assert bform_rational_roots(q) == sorted(p for p in pairs if q.eval(*p) == 0)
 
 
 # -- canonical form ----------------------------------------------------------------

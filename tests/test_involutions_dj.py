@@ -1,10 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from planecremona.errors import ValidationError
-from planecremona.exactpoly import HPoly, hpoly_gcd_many, is_squarefree
-from planecremona.fixedcurve import fixed_locus, rational_base_points
+from planecremona.exactpoly import (
+    HPoly, adjugate3, hpoly_gcd_many, is_squarefree, kernel_basis, values_at,
+)
+from planecremona.fixedcurve import (
+    classify_involution, fixed_locus, pencil_center, rational_base_points,
+)
 from planecremona.involutions import (
     conjugated_map,
     dj_from_conic,
@@ -14,7 +19,7 @@ from planecremona.involutions import (
     validate_dj,
 )
 from planecremona.projmaps import ProjPoint, RationalMap, compose, is_identity, is_involution
-from planecremona.rng import SplitMix64
+from planecremona.rng import SplitMix64, unimodular_matrix
 
 X, Y, Z = (HPoly.variable(i) for i in range(3))
 CONIC = X * Z - Y * Y
@@ -72,10 +77,53 @@ def test_multiplicity_mismatch_rejected():
         validate_dj(smooth_cubic, ProjPoint(0, 1, 0))
 
 
-def test_trusted_skips_singular_solve():
-    data = validate_dj(CONIC, ProjPoint(0, 1, 0), trusted=True)
-    assert data.report.trusted
-    assert all("singular-locus" not in c for c in data.report.checks)
+def _xz_form(stream, degree):
+    return HPoly(degree, {(i, 0, degree - i): c for i in range(degree + 1)
+                          if (c := stream.next_int(-4, 4))})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 6), seed=st.integers(0, 2**32),
+       s0=st.integers(-3, 3), t0=st.integers(-3, 3))
+def test_planted_singular_point_is_refused(d, seed, s0, t0):
+    """C = A y^2 + B y + C_d, made singular at a point q != (0:1:0) by
+    solving C(q) = grad C(q) = 0 for C_d and the scale of A y^2 + B y, is
+    refused with its center in a random integer frame."""
+    stream = SplitMix64(seed)
+    a, b = _xz_form(stream, d - 2), _xz_form(stream, d - 1)
+    av, bv = a.eval((s0, 0, t0)), b.eval((s0, 0, t0))
+    assume((s0, t0) != (0, 0) and av != 0)
+    q = (2 * av * s0, -bv, 2 * av * t0)   # where 2 A y + B = 0 above (s0 : t0)
+    columns = [HPoly.monomial(1, (d - i, 0, i)) for i in range(d + 1)] + [a * Y * Y + b * Y]
+    rows = [values_at(columns, q)]
+    rows += [values_at([f.partial(v) for f in columns], q) for v in range(3)]
+    weights = [(w, stream.next_int(-3, 3)) for w in kernel_basis(rows)]
+    vec = [sum(c * w[i] for w, c in weights) for i in range(d + 2)]
+    assume(vec[-1] != 0 and any(vec[:-1]))
+    curve = sum((f * c for f, c in zip(columns, vec) if c), HPoly.zero(d))
+    assert not any(values_at([curve.partial(v) for v in range(3)], q))
+    m = unimodular_matrix(stream)
+    adj = adjugate3(m)
+    center = ProjPoint(adj[0][1], adj[1][1], adj[2][1])
+    with pytest.raises(ValidationError):
+        validate_dj(curve.apply_matrix(m), center)
+
+
+@pytest.mark.parametrize("d, seed", [(6, 0), (7, 2)])
+def test_base_points_and_label_of_maps_with_large_resultants(d, seed):
+    # eliminating a variable between the components gave coefficients above
+    # 10**12 here, where a divisor-enumeration root search gave up
+    rec = dj_involution(*make_dj_instance(d, seed))
+    points = rational_base_points(rec.map)
+    assert rec.center in points
+    assert all(not any(values_at(rec.map.components, pt.coords)) for pt in points)
+    assert classify_involution(rec.map).label == f"DJ({d})"
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_kernel_center_is_the_construction_center(d, dj_records):
+    rec = dj_records[d]
+    assert pencil_center(rec.map) == rec.center
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
