@@ -12,13 +12,11 @@ from .exactpoly import (
     Rat,
     bform_discriminant,
     bform_gcd,
-    hpoly_eval,
     hpoly_gcd,
     is_squarefree,
     kernel_basis,
     matrix_rank,
     resultant,
-    resultant_univariate,
 )
 from .projmaps import (
     INF,
@@ -30,6 +28,7 @@ from .projmaps import (
     harmonic_conjugate,
     is_identity,
     is_involution,
+    pencil_form,
 )
 from .involutions import (
     BertiniInvolution,
@@ -37,12 +36,9 @@ from .involutions import (
     GeiserInvolution,
     InvolutionRecord,
     PointConfig,
-    bertini_eval,
     cubic_system,
     dj_from_conic,
     dj_involution,
-    geiser_eval,
-    geiser_fixed_sextic,
     make_dj_instance,
     make_point_config,
     sample_points,

@@ -171,23 +171,31 @@ def _map_of(texts) -> RationalMap:
     return RationalMap(*(_parse_form(t) for t in texts))
 
 
+def _read_file(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError("unreadable file", f"cannot read {path!r}: {exc}") from None
+
+
 def parse_points_file(path: str):
     pts = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                pts.append(parse_point(line))
+    for line in _read_file(path).splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line:
+            pts.append(parse_point(line))
     return pts
 
 
 def parse_matrix_file(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
+    tokens = _read_file(path).split()
     if not tokens:
         raise ValidationError("syntax error", "empty matrix file")
-    rank = int(tokens[0])
-    vals = [int(t) for t in tokens[1:]]
+    try:
+        rank, *vals = (int(t) for t in tokens)
+    except ValueError:
+        raise ValidationError("syntax error", "the matrix file holds a token that is not an integer") from None
     if len(vals) != rank * rank:
         raise ValidationError(
             "syntax error", f"expected {rank * rank} entries after the rank, got {len(vals)}"
@@ -261,7 +269,7 @@ def _cmd_dj(args) -> int:
     p = parse_point(args.p)
     record = involutions.dj_involution(curve, p)
     payload = _record_json(record, args.seed)
-    base = fixedcurve.rational_base_points(record.map)
+    base = fixedcurve.rational_base_points(record)
     payload["rational_base_points"] = [_point_str(b) for b in base]
     emit(payload, args.json)
     return 0
@@ -272,7 +280,7 @@ def _cmd_dj_conic(args) -> int:
     p = parse_point(args.p)
     record = involutions.dj_from_conic(q, p)
     payload = _record_json(record, args.seed)
-    base = fixedcurve.rational_base_points(record.map)
+    base = fixedcurve.rational_base_points(record)
     payload["rational_base_points"] = [_point_str(b) for b in base]
     emit(payload, args.json)
     return 0
@@ -335,11 +343,11 @@ def _load_map(args) -> RationalMap:
     if getattr(args, "map", None):
         return parse_map(args.map)
     if getattr(args, "map_file", None):
-        with open(args.map_file, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except ValueError:
-                raise ValidationError("syntax error", "the map file is not JSON") from None
+        text = _read_file(args.map_file)
+        try:
+            data = json.loads(text)
+        except ValueError:
+            raise ValidationError("syntax error", "the map file is not JSON") from None
         comps = data.get("components") if isinstance(data, dict) else None
         if not isinstance(comps, list) or len(comps) != 3 or not all(isinstance(c, str) for c in comps):
             raise ValidationError("syntax error", "the map file needs 'components': a list of 3 strings")

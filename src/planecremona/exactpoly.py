@@ -121,9 +121,6 @@ class HPoly:
         """Largest exponent of one variable over all terms (0 for the zero poly)."""
         return max((e[var] for e in self.terms), default=0)
 
-    def min_exponent(self, var: int) -> int:
-        return min((e[var] for e in self.terms), default=0)
-
     def uses_var(self, var: int) -> bool:
         return any(e[var] > 0 for e in self.terms)
 
@@ -267,10 +264,6 @@ class HPoly:
         scale = sign * content
         return HPoly(self.degree, {e: v // scale for e, v in ints.items()})
 
-    def proportional_to(self, other: "HPoly") -> bool:
-        """Projective equality: equal canonical forms."""
-        return self.canonical() == other.canonical()
-
     def divexact(self, d: "HPoly") -> "HPoly":
         """Exact division; raises if d does not divide self."""
         if d.is_zero():
@@ -354,10 +347,6 @@ def format_hpoly(f: HPoly) -> str:
     for sign, body in parts[1:]:
         out += f" {sign} {body}"
     return out
-
-
-def hpoly_eval(f: HPoly, pt):
-    return f.eval(pt)
 
 
 # ---------------------------------------------------------------------------
@@ -806,6 +795,27 @@ def is_squarefree(q: BForm) -> bool:
     return g.degree == 0
 
 
+def odd_multiplicity_root_count(q: BForm) -> int:
+    """Number of distinct roots of odd multiplicity of a nonzero binary form,
+    over an algebraic closure.
+
+    Counts from Yun's squarefree decomposition (Yun, "On square-free
+    decomposition algorithms", SYMSAC 1976): with g_0 = q and g_k the gcd of
+    the two partials of g_(k-1), a root of multiplicity m divides g_k
+    exactly max(m - k, 0) times, so deg g_(k-1) - deg g_k is the number of
+    distinct roots of multiplicity >= k.
+    """
+    if q.is_zero():
+        raise ValidationError("zero input", "roots of the zero form")
+    at_least = []
+    g = q
+    while g.degree > 0:
+        h = bform_gcd(g.derivative_s(), g.derivative_t())
+        at_least.append(g.degree - h.degree)
+        g = h
+    return sum(at_least[0::2]) - sum(at_least[1::2])
+
+
 def bform_discriminant(a: BForm, b: BForm, c: BForm) -> BForm:
     """Discriminant b^2 - 4ac of a quadratic with binary-form coefficients."""
     if a.is_zero():
@@ -899,119 +909,30 @@ def hpoly_to_bform(f: HPoly, svar: int, tvar: int) -> BForm:
 
 
 # ---------------------------------------------------------------------------
-# Sylvester resultants (generic Bareiss determinant over an exact ring)
+# Sylvester resultants (Bareiss determinant over HPoly entries)
 # ---------------------------------------------------------------------------
 
-class _FracOps:
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def divexact(a, b):
-        return _norm_coeff(Fraction(a) / Fraction(b))
-
-
-class _HPolyOps:
-    zero = HPoly.zero(0)
-    one = HPoly.constant(1)
-
-    @staticmethod
-    def is_zero(a):
-        return a.is_zero()
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def sub(a, b):
-        if a.is_zero() and not b.is_zero():
-            return -b
-        if b.is_zero():
-            return a
-        return a - b
-
-    @staticmethod
-    def divexact(a, b):
-        return a.divexact(b)
-
-
-def _bareiss_det(mat, ops):
-    """Fraction-free determinant; entries live in an exact integral domain."""
+def _bareiss_det(mat) -> HPoly:
+    """Fraction-free determinant of a square matrix of HPoly entries."""
     n = len(mat)
-    if n == 0:
-        return ops.one
     m = [row[:] for row in mat]
     sign = 1
-    prev = ops.one
+    prev = HPoly.constant(1)
     for k in range(n - 1):
-        if ops.is_zero(m[k][k]):
-            pivot = next((r for r in range(k + 1, n) if not ops.is_zero(m[r][k])), None)
+        if m[k][k].is_zero():
+            pivot = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
             if pivot is None:
-                return ops.zero
+                return HPoly.zero(0)
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = ops.sub(ops.mul(m[i][j], m[k][k]), ops.mul(m[i][k], m[k][j]))
-                m[i][j] = ops.divexact(num, prev) if not ops.is_zero(num) else ops.zero
-            m[i][k] = ops.zero
+                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                m[i][j] = num.divexact(prev) if not num.is_zero() else HPoly.zero(0)
+            m[i][k] = HPoly.zero(0)
         prev = m[k][k]
     det = m[n - 1][n - 1]
-    if sign < 0:
-        det = ops.sub(ops.zero, det)
-    return det
-
-
-def sylvester_matrix(fc, gc, ops):
-    """Sylvester matrix from descending coefficient lists (leading first)."""
-    m = len(fc) - 1
-    n = len(gc) - 1
-    size = m + n
-    rows = []
-    for i in range(n):
-        rows.append([ops.zero] * i + list(fc) + [ops.zero] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([ops.zero] * i + list(gc) + [ops.zero] * (size - n - 1 - i))
-    return rows
-
-
-def _resultant_generic(fc, gc, ops):
-    """Resultant from descending coefficient lists over an exact ring.
-
-    Lists must reflect the actual degrees (nonzero leading entries), except
-    that degree-0 inputs are allowed and handled by the usual convention
-    res(f, g) = f^{ deg g } when deg f = 0.
-    """
-    if all(ops.is_zero(c) for c in fc) or all(ops.is_zero(c) for c in gc):
-        raise ValidationError("zero input", "resultant of the zero polynomial")
-    m = len(fc) - 1
-    n = len(gc) - 1
-    if m == 0 and n == 0:
-        return ops.one
-    if m == 0:
-        out = ops.one
-        for _ in range(n):
-            out = ops.mul(out, fc[0])
-        return out
-    if n == 0:
-        out = ops.one
-        for _ in range(m):
-            out = ops.mul(out, gc[0])
-        return out
-    return _bareiss_det(sylvester_matrix(fc, gc, ops), ops)
+    return -det if sign < 0 else det
 
 
 def resultant(f: HPoly, g: HPoly, var: int) -> HPoly:
@@ -1020,22 +941,21 @@ def resultant(f: HPoly, g: HPoly, var: int) -> HPoly:
     Coefficients are taken in the other two variables at the actual degrees
     in `var`; the result vanishes at values of those two iff the pair with
     them substituted has a common root (or both leading coefficients vanish).
+    A factor of degree 0 in `var` gives the usual res(f, g) = f^deg(g).
     """
     if f.is_zero() or g.is_zero():
         raise ValidationError("zero input", "resultant of the zero polynomial")
     fc = f.coeffs_by_var(var)[::-1]
     gc = g.coeffs_by_var(var)[::-1]
-    return _resultant_generic(fc, gc, _HPolyOps)
-
-
-def resultant_univariate(fc, gc) -> Fraction:
-    """Resultant of two univariate polynomials given by descending rational
-    coefficient lists (leading coefficient first, nonzero)."""
-    fc = [Fraction(c) for c in fc]
-    gc = [Fraction(c) for c in gc]
-    if fc and fc[0] == 0 or gc and gc[0] == 0:
-        raise ValidationError("bad input", "leading coefficient must be nonzero")
-    return Fraction(_resultant_generic(fc, gc, _FracOps))
+    m, n = len(fc) - 1, len(gc) - 1
+    if m == 0:
+        return fc[0] ** n
+    if n == 0:
+        return gc[0] ** m
+    zero = HPoly.zero(0)
+    rows = [[zero] * i + fc + [zero] * (n - 1 - i) for i in range(n)]
+    rows += [[zero] * i + gc + [zero] * (m - 1 - i) for i in range(m)]
+    return _bareiss_det(rows)
 
 
 # ---------------------------------------------------------------------------

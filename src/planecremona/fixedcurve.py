@@ -2,28 +2,26 @@
 
 The divisorial fixed locus of a plane involution is read off the minors of
 the map against (x, y, z). The conjugacy invariant of an involution is its
-normalized fixed curve: empty, a hyperelliptic curve of genus g >= 1 (an
-elliptic curve counts as hyperelliptic by convention), the non-hyperelliptic
-genus-3 curve of a Geiser involution, or the genus-4 curve on a singular
-quadric of a Bertini involution. Hyperellipticity is assigned by
-construction, never computed from equations.
+normalized fixed curve (Bayle-Beauville): empty, a hyperelliptic curve of
+genus g >= 1 (an elliptic curve counts as hyperelliptic by convention), the
+non-hyperelliptic genus-3 curve of a Geiser involution, or the genus-4 curve
+on a singular quadric of a Bertini involution.
 
-A de Jonquieres involution preserves the pencil of lines through its
-center p, and its center and base points are read off that pencil: p is the
-one point collinear with every x and sigma(x), and the other base points lie
-over the rational roots of the discriminant of the fixed curve in the frame
-where p = (0:1:0).
+For a map with a center p (projmaps.pencil_form) the invariant is computed
+from equations: the map acts by a Moebius involution on each line through
+p, and the normalized fixed curve is the double cover of that pencil
+branched at the odd-multiplicity roots of the branch form beta. Its base
+points besides p lie over the rational roots of det M. The Geiser and
+Bertini labels of raw maps, and the invariants of records, are still
+assigned from the degree or the construction.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import ValidationError
-from .exactpoly import (
-    HPoly, bform_gcd, bform_rational_roots, hpoly_gcd_many, hpoly_to_bform, kernel_basis, values_at,
-)
+from .exactpoly import HPoly, bform_rational_roots, hpoly_gcd_many, values_at
 from .projmaps import (
-    ProjPoint, RationalMap, frame_moving_to_center, identity_minors, is_identity, is_involution,
+    ProjPoint, RationalMap, identity_minors, involution_on_grid, is_identity, pencil_form,
 )
 
 KIND_EMPTY = "empty"
@@ -126,75 +124,47 @@ class Classification:
     note: str
 
 
-def _multiplicity_at(f: HPoly, substitution) -> int:
-    """Multiplicity of a curve at a point, given the substitution matrix that
-    rewrites the curve in a frame where the point sits at (0:1:0)."""
-    moved = f.apply_matrix(substitution)
-    return f.degree - moved.max_exponent(1)
+def rational_base_points(arg):
+    """Rational base points of a map with a center p, given as a raw map or
+    as a de Jonquieres record, whose pencil form is reused.
 
-
-def pencil_center(sigma: RationalMap):
-    """The center of an involution that preserves every line through a
-    point p, or None.
-
-    p, x and sigma(x) are collinear for all x exactly when p is in the kernel
-    of the matrix whose columns are the coefficient vectors of
-    x cross sigma(x). That kernel is 1-dimensional for such a map: two
-    centers would force sigma(x) = x.
+    In the frame of the pencil form the components are (x u, c y + e, z u)
+    with u = a y + b; away from p they vanish together where a y + b and
+    c y + e do, at y = -b/a (or -e/c where a = 0) above a root of
+    b c - a e. Returns p and the points above the rational roots, each kept
+    only where every component vanishes.
     """
-    m1, m2, m3 = identity_minors(sigma.components)
-    cross = (m3, -m2, m1)
-    monomials = sorted(set().union(*(c.terms for c in cross)))
-    basis = kernel_basis([[c.terms.get(e, 0) for c in cross] for e in monomials], 3)
-    return ProjPoint(*basis[0]) if len(basis) == 1 else None
-
-
-def rational_base_points(sigma: RationalMap):
-    """Rational base points of an involution with a center p (pencil_center).
-
-    In a frame where p = (0:1:0) each component is y h_i + k_i with h_i, k_i
-    binary forms in x, z. A base point other than p lies above a root of
-    every h_i k_j - h_j k_i, at y = -k_i / h_i for an h_i not vanishing
-    there; for a de Jonquieres map the gcd of these minors is the
-    discriminant B^2 - 4 A C_d. Returns p and the points above the rational
-    roots, each kept only where every component vanishes.
-    """
-    p = pencil_center(sigma)
-    if p is None:
+    if isinstance(arg, RationalMap):
+        sigma, form = arg, pencil_form(arg)
+    else:
+        sigma, form = arg.map, arg.dj_data.pencil if arg.dj_data else None
+    if form is None:
         raise ValidationError("no center", "the map preserves no pencil of lines")
-    _m, minv = frame_moving_to_center(p)
-    hk = []
-    for c in sigma.components:
-        by_y = c.apply_matrix(minv).coeffs_by_var(1)
-        if len(by_y) > 2:
-            raise ValidationError("not de Jonquieres", "a component is not linear in y at the center")
-        h = by_y[1] if len(by_y) == 2 else HPoly.zero(c.degree - 1)
-        hk.append((hpoly_to_bform(h, 0, 2), hpoly_to_bform(by_y[0], 0, 2)))
-    g = None
-    for (hi, ki), (hj, kj) in combinations(hk, 2):
-        minor = hi * kj - hj * ki
-        if not minor.is_zero():
-            g = minor if g is None else bform_gcd(g, minor)
-    candidates = [p]
-    for s0, t0 in bform_rational_roots(g) if g is not None else []:
-        for h, k in hk:
+    if not form.linear:
+        raise ValidationError("not de Jonquieres", "a component is not linear in y at the center")
+    a, b, c, e = form.a, form.b, form.c, form.e
+    det = b * c - a * e
+    candidates = [form.center]
+    for s0, t0 in bform_rational_roots(det) if not det.is_zero() else []:
+        for h, k in ((a, b), (c, e)):
             hv = h.eval(s0, t0)
             if hv != 0:
-                candidates.append(ProjPoint(s0 * hv, -k.eval(s0, t0), t0 * hv).apply_matrix(minv))
+                candidates.append(ProjPoint(s0 * hv, -k.eval(s0, t0), t0 * hv).apply_matrix(form.frame[1]))
                 break
     found = {q for q in candidates if not any(values_at(sigma.components, q.coords))}
     return sorted(found, key=lambda q: q.coords)
 
 
 def classify_involution(arg) -> Classification:
-    """Classify a constructed record (authoritative) or a raw map (heuristic).
+    """Classify a constructed record (from its construction) or a raw map.
 
-    A raw map must pass the exact involution test (projmaps.is_involution)
-    at any degree. Recognition for raw maps: a map of degree d that
-    preserves every line through its center (pencil_center), with a
-    degree-d fixed locus of multiplicity d-2 at the center and the center a
-    base point of multiplicity d-1, is DJ(d); degree 8 with a sextic fixed
-    locus is a Geiser candidate; degree 17 a Bertini candidate.
+    A raw map with a center (projmaps.pencil_form) is classified from its
+    pencil form: it must pass PencilForm.is_involution, and its normalized
+    fixed curve has genus g = (odd-multiplicity roots of beta)/2 - 1, so it
+    is DJ(g + 2), with g <= 0 the class of the linear involutions, DJ(2).
+    Any other raw map must pass the grid test (projmaps.involution_on_grid);
+    degree 8 with a sextic fixed locus is then a Geiser candidate and degree
+    17 a Bertini candidate, labels assigned from the degree.
     """
     if hasattr(arg, "kind") and hasattr(arg, "invariant"):
         record = arg
@@ -203,21 +173,20 @@ def classify_involution(arg) -> Classification:
     sigma: RationalMap = arg
     if is_identity(sigma):
         raise ValidationError("not involutive", "the identity is not a nontrivial involution")
-    if not is_involution(sigma):
+    form = pencil_form(sigma)
+    if form is not None:
+        if not form.is_involution():
+            raise ValidationError("not involutive", "the map composed with itself is not the identity")
+        g = form.genus()
+        inv = invariant_for_kind("dj", max(g, 0) + 2)
+        note = (f"preserves the lines through {form.center}; the fixed curve is a double cover "
+                f"of that pencil branched at {2 * g + 2} points")
+        return Classification(inv.source, inv, note)
+    if not involution_on_grid(sigma):
         raise ValidationError("not involutive", "the map composed with itself is not the identity")
     d = sigma.degree
-    if d == 1:
-        return Classification(
-            "DJ(2)", invariant_for_kind("dj", 2),
-            "linear involution: birationally equivalent to the quadratic de Jonquieres class",
-        )
     fixed = fixed_locus(sigma)
     caveat = "; rational fixed components not certified"
-    if fixed.degree == d:
-        center = _find_dj_center(sigma, fixed)
-        if center is not None:
-            inv = invariant_for_kind("dj", d)
-            return Classification(f"DJ({d})", inv, "raw-map heuristic" + caveat)
     if d == 8 and fixed.degree == 6:
         return Classification("Geiser", invariant_for_kind("geiser"),
                               "raw-map heuristic: degree 8 with fixed sextic" + caveat)
@@ -227,18 +196,3 @@ def classify_involution(arg) -> Classification:
     raise ValidationError(
         "unrecognized", "unrecognized involution: supply construction metadata"
     )
-
-
-def _find_dj_center(sigma: RationalMap, fixed: HPoly):
-    """The center of sigma (pencil_center), if the fixed curve has
-    multiplicity d-2 there and it is a base point of multiplicity d-1."""
-    p = pencil_center(sigma)
-    if p is None:
-        return None
-    d = sigma.degree
-    _m, minv = frame_moving_to_center(p)
-    if _multiplicity_at(fixed, minv) != d - 2:
-        return None
-    if min(_multiplicity_at(c, minv) for c in sigma.components) != d - 1:
-        return None
-    return p

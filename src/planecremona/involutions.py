@@ -39,10 +39,8 @@ from math import gcd as igcd
 
 from .errors import ExtractionError, IndeterminacyError, ValidationError
 from .exactpoly import (
-    BForm,
     HPoly,
     adjugate3,
-    bform_discriminant,
     bform_gcd,
     det3,
     hpoly_to_bform,
@@ -52,7 +50,9 @@ from .exactpoly import (
     values_at,
 )
 from . import fixedcurve
-from .projmaps import ProjPoint, RationalMap, collinear, frame_moving_to_center
+from .projmaps import (
+    PencilForm, ProjPoint, RationalMap, collinear, frame_conjugate, frame_moving_to_center,
+)
 from .rng import SplitMix64
 
 
@@ -84,22 +84,17 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class DJData:
-    """Normal-form data of a validated de Jonquieres instance."""
+    """Normal-form data of a validated de Jonquieres instance: the curve
+    A y^2 + B y + C_d in the frame where the center is (0:1:0), and the
+    pencil form of its involution, u = 2 A y + B and v = -B y - 2 C_d."""
 
     d: int
     A: HPoly
     B: HPoly
     Cd: HPoly
-    frame: tuple
-    center: ProjPoint
+    pencil: PencilForm
     curve: HPoly
     report: ValidationReport
-
-    def discriminant(self) -> BForm:
-        a = hpoly_to_bform(self.A, 0, 2)
-        b = hpoly_to_bform(self.B, 0, 2) if not self.B.is_zero() else BForm.zero(self.d - 1)
-        c = hpoly_to_bform(self.Cd, 0, 2)
-        return bform_discriminant(a, b, c)
 
 
 def _dj_decompose(c_norm: HPoly, d: int):
@@ -143,34 +138,27 @@ def validate_dj(curve: HPoly, p: ProjPoint) -> DJData:
     a, b, cd = _dj_decompose(c_norm, d)
     checks = ["multiplicity d-2 at center"]
 
-    a_form = hpoly_to_bform(a, 0, 2)
+    a_form, b_form, c_form = (hpoly_to_bform(f, 0, 2) for f in (a, b, cd))
     if not is_squarefree(a_form):
         raise ValidationError(
             "non-ordinary", "the tangent cone at the center has repeated lines"
         )
     checks.append("ordinary tangent cone (A squarefree)")
 
-    parts = [a_form]
-    if not b.is_zero():
-        parts.append(hpoly_to_bform(b, 0, 2))
-    if not cd.is_zero():
-        parts.append(hpoly_to_bform(cd, 0, 2))
-    g = parts[0]
-    for q in parts[1:]:
+    g = a_form
+    for q in (b_form, c_form):
         if g.degree == 0:
             break
-        g = bform_gcd(g, q)
+        if not q.is_zero():
+            g = bform_gcd(g, q)
     if g.degree > 0:
         raise ValidationError(
             "line through center", "the curve contains a line through the center"
         )
     checks.append("no line through the center (gcd(A,B,Cd) = 1)")
 
-    delta = bform_discriminant(
-        a_form,
-        hpoly_to_bform(b, 0, 2) if not b.is_zero() else BForm.zero(d - 1),
-        hpoly_to_bform(cd, 0, 2) if not cd.is_zero() else BForm.zero(d),
-    )
+    pencil = PencilForm(p, (m, minv), (b_form, a_form * 2), (c_form * -2, -b_form))
+    delta = pencil.beta                 # 4 (B^2 - 4 A C_d)
     if delta.is_zero():
         raise ValidationError("degenerate", "zero discriminant")
     if not is_squarefree(delta):
@@ -179,7 +167,7 @@ def validate_dj(curve: HPoly, p: ProjPoint) -> DJData:
         )
     checks.append(f"discriminant squarefree of degree {delta.degree}")
     report = ValidationReport(tuple(checks))
-    return DJData(d, a, b, cd, (m, minv), p, curve, report)
+    return DJData(d, a, b, cd, pencil, curve, report)
 
 
 # ---------------------------------------------------------------------------
@@ -211,21 +199,10 @@ class InvolutionRecord:
 
 
 def conjugated_map(data: DJData) -> RationalMap:
-    """Closed-form map of a validated de Jonquieres instance."""
-    y = HPoly.variable(1)
-    x = HPoly.variable(0)
-    z = HPoly.variable(2)
-    u = (data.A * y) * 2 + data.B
-    f1 = x * u
-    f2 = -((data.B * y) + data.Cd * 2)
-    f3 = z * u
-    m, minv = data.frame
-    inner = [f.apply_matrix(m) for f in (f1, f2, f3)]
-    outer = [
-        inner[0] * minv[i][0] + inner[1] * minv[i][1] + inner[2] * minv[i][2]
-        for i in range(3)
-    ]
-    sigma = RationalMap(*outer)
+    """Closed-form map of a validated de Jonquieres instance: its pencil
+    form (x u : v : z u) moved back from the frame of the center."""
+    m, minv = data.pencil.frame
+    sigma = RationalMap(*frame_conjugate(data.pencil.components(), minv, m))
     if sigma.degree != data.d:
         raise ValidationError("internal", "constructed map has the wrong degree")
     return sigma
@@ -262,13 +239,10 @@ def dj_from_conic(q: HPoly, p: ProjPoint) -> InvolutionRecord:
 
 
 def singular_fibre_count(data: DJData) -> int:
-    """Number of singular fibres of the conic-bundle model: the distinct
-    roots of the discriminant, which is squarefree of degree 2d-2 for a
-    validated instance, so the count is 2g+2 with g = d-2."""
-    delta = data.discriminant()
-    if not is_squarefree(delta):
-        raise ValidationError("extra singularities", "discriminant is not squarefree")
-    return delta.degree
+    """Number of singular fibres of the conic-bundle model: the
+    odd-multiplicity roots of the branch form of the pencil form, 2g + 2
+    for a fixed curve of genus g."""
+    return data.pencil.branch_count()
 
 
 # ---------------------------------------------------------------------------
@@ -803,18 +777,6 @@ class BertiniInvolution:
             config=self.config,
             seed=self.seed,
         )
-
-
-def geiser_eval(config: PointConfig, x: ProjPoint, seed: int = 0) -> ProjPoint:
-    return GeiserInvolution(config, seed).eval(x)
-
-
-def bertini_eval(config: PointConfig, x: ProjPoint, seed: int = 0) -> ProjPoint:
-    return BertiniInvolution(config, seed).eval(x)
-
-
-def geiser_fixed_sextic(config: PointConfig) -> HPoly:
-    return GeiserInvolution(config).fixed_sextic
 
 
 # ---------------------------------------------------------------------------

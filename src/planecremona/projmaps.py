@@ -1,17 +1,21 @@
 """Projective points and frames, cross-ratio and harmonic conjugation, plane
 rational maps with composition, projective identity and involution tests and
-conjugation.
+conjugation, and the pencil normal form of a map with a center.
 
 A point of the parameter line is a Fraction, or INF for the point at
 infinity; internally everything is handled through the projective pair
 (u : v), so no chart is privileged.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd as igcd
 
-from .errors import IndeterminacyError, ValidationError
-from .exactpoly import HPoly, adjugate3, hpoly_gcd_many, values_at
+from .errors import ValidationError
+from .exactpoly import (
+    BForm, HPoly, adjugate3, hpoly_gcd_many, kernel_basis, odd_multiplicity_root_count, values_at,
+)
 
 
 class _Infinity:
@@ -218,12 +222,6 @@ class RationalMap:
             return None
         return ProjPoint(*vals)
 
-    def eval_strict(self, pt: ProjPoint) -> ProjPoint:
-        img = self.eval(pt)
-        if img is None:
-            raise IndeterminacyError(f"map is indeterminate at {pt}")
-        return img
-
 
 def _canon_triple(comps):
     """Joint canonical scaling of a component triple (one scalar for all)."""
@@ -282,7 +280,15 @@ def compose_raw(f: RationalMap, g: RationalMap):
 
 
 def is_involution(f: RationalMap) -> bool:
-    """Exact test that f composed with itself is the identity.
+    """Exact test that f composed with itself is the identity: the test of
+    its pencil normal form (PencilForm.is_involution) when f has a center,
+    else the grid test (involution_on_grid)."""
+    form = pencil_form(f)
+    return form.is_involution() if form is not None else involution_on_grid(f)
+
+
+def involution_on_grid(f: RationalMap) -> bool:
+    """Exact test that f composed with itself is the identity, for any map.
 
     The minors of (x, y, z) against the components of f(f) are forms of
     degree D = d^2 + 1, so they vanish identically iff they vanish on the
@@ -300,6 +306,126 @@ def is_involution(f: RationalMap) -> bool:
                 return False
             composite_seen = composite_seen or bool(a or b or c)
     return composite_seen
+
+
+def frame_conjugate(comps, outer, inner):
+    """Components of outer . f . inner for integer 3x3 matrices outer and
+    inner and the component triple comps of f."""
+    moved = [c.apply_matrix(inner) for c in comps]
+    return [moved[0] * row[0] + moved[1] * row[1] + moved[2] * row[2] for row in outer]
+
+
+def pencil_center(sigma: RationalMap):
+    """The point p collinear with every x and sigma(x), or None.
+
+    That holds exactly when p is in the kernel of the matrix whose columns
+    are the coefficient vectors of x cross sigma(x). The kernel has
+    dimension at most 1 unless sigma is the identity: two such points force
+    sigma(x) = x.
+    """
+    m1, m2, m3 = identity_minors(sigma.components)
+    cross = (m3, -m2, m1)
+    monomials = sorted(set().union(*(c.terms for c in cross)))
+    basis = kernel_basis([[c.terms.get(e, 0) for c in cross] for e in monomials], 3)
+    return ProjPoint(*basis[0]) if len(basis) == 1 else None
+
+
+@dataclass(frozen=True)
+class PencilForm:
+    """A map sigma of degree d with a center p, in the frame (m, minv) of
+    frame_moving_to_center(p), where p = (0:1:0):
+
+        m sigma(minv x) = (x u : v : z u),
+
+    with u = sum u[k] y^k and v = sum v[k] y^k, u[k] and v[k] binary forms
+    in (x, z) of degrees d - 1 - k and d - k (s = x, t = z). u and v are
+    padded to at least two terms, so that u = a y + b and v = c y + e when
+    both are linear in y. On the line over (x : z) sigma acts by y -> v / u,
+    for linear u and v by the Moebius matrix M = [[c, e], [a, b]], whose
+    fixed points solve a y^2 + (b - c) y - e = 0.
+    """
+
+    center: ProjPoint
+    frame: tuple
+    u: tuple
+    v: tuple
+
+    @property
+    def linear(self) -> bool:
+        return len(self.u) == 2 and len(self.v) == 2
+
+    a = property(lambda self: self.u[1])
+    b = property(lambda self: self.u[0])
+    c = property(lambda self: self.v[1])
+    e = property(lambda self: self.v[0])
+
+    @cached_property
+    def beta(self) -> BForm:
+        """Branch form (b - c)^2 + 4 a e, the discriminant of the fixed
+        points on each line; 4 (B^2 - 4 A C_d) for a de Jonquieres map."""
+        return (self.b - self.c) * (self.b - self.c) + self.a * self.e * 4
+
+    def is_involution(self) -> bool:
+        """Whether sigma composed with itself is the identity.
+
+        u and v are coprime, so sigma has degree max(deg_y u, deg_y v) on a
+        general line through p, and an involution needs degree 1. Then by
+        Cayley-Hamilton M^2 = (b + c) M - det(M) I, so M^2 is scalar exactly
+        when b + c = 0 or M is scalar; b + c = 0 and beta = -4 det(M) != 0
+        rule out a scalar M, the identity, and an M of rank <= 1, whose map
+        is not birational.
+        """
+        return self.linear and (self.b + self.c).is_zero() and not self.beta.is_zero()
+
+    def branch_count(self) -> int:
+        """Number of distinct odd-multiplicity roots of beta: the branch
+        points of the normalized fixed curve over the pencil of lines."""
+        return odd_multiplicity_root_count(self.beta)
+
+    def genus(self) -> int:
+        """Genus of the normalized fixed curve of an involution, the double
+        cover of the pencil branched at branch_count() points; -1 when that
+        cover splits into two rational curves."""
+        return self.branch_count() // 2 - 1
+
+    def components(self):
+        """The components (x u, v, z u) of sigma in the frame."""
+        u, v = _from_forms_by_y(self.u), _from_forms_by_y(self.v)
+        return HPoly.variable(0) * u, v, HPoly.variable(2) * u
+
+
+def _from_forms_by_y(forms) -> HPoly:
+    """sum forms[k] y^k for binary forms in (x, z): the inverse of
+    _forms_by_y."""
+    y, out = HPoly.variable(1), HPoly.zero(0)
+    for k, f in enumerate(forms):
+        if not f.is_zero():
+            out = out + HPoly(f.degree, {(f.degree - i, 0, i): c for i, c in enumerate(f.coeffs)}) * y ** k
+    return out
+
+
+def _forms_by_y(f: HPoly, d: int):
+    """The coefficients of y^0, y^1, ... of a form of degree d, as binary
+    forms in (x, z)."""
+    rows = [[0] * (d - k + 1) for k in range(max(f.max_exponent(1), 1) + 1)]
+    for (_i, j, k), c in f.terms.items():
+        rows[j][k] = c
+    return tuple(BForm(d - j, row) for j, row in enumerate(rows))
+
+
+def pencil_form(sigma: RationalMap):
+    """The PencilForm of a nonconstant map with a center (pencil_center), or
+    None."""
+    if sigma.degree == 0:
+        return None
+    p = pencil_center(sigma)
+    if p is None:
+        return None
+    m, minv = frame_moving_to_center(p)
+    xu, v, _zu = frame_conjugate(sigma.components, m, minv)
+    # x u has no pure power of z: dropping that coefficient divides by x
+    u = tuple(BForm(f.degree - 1, f.coeffs[:-1]) for f in _forms_by_y(xu, sigma.degree))
+    return PencilForm(p, (m, minv), u, _forms_by_y(v, sigma.degree))
 
 
 def conjugate(sigma: RationalMap, phi: RationalMap, phi_inverse: RationalMap) -> RationalMap:

@@ -158,6 +158,20 @@ def test_malformed_map_file_is_a_validation_failure(tmp_path, text):
     assert code == 2 and payload["reason"] == "syntax error"
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["verify", "--map-file", "{absent}"], "unreadable file"),
+    (["geiser", "--points", "{absent}"], "unreadable file"),
+    (["lattice", "classify", "--n", "3", "--matrix-file", "{absent}"], "unreadable file"),
+    (["lattice", "classify", "--n", "3", "--matrix-file", "{bad_token}"], "syntax error"),
+])
+def test_unreadable_input_file_is_a_validation_failure(tmp_path, argv, reason):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("4\n2 1 1 1\n-1 0 -1 x\n-1 -1 0 -1\n-1 -1 -1 0\n")
+    paths = {"absent": tmp_path / "absent.txt", "bad_token": bad}
+    code, payload, _ = run_json([a.format(**paths) for a in argv])
+    assert code == 2 and payload["reason"] == reason
+
+
 def test_fixed_curve_command():
     code, payload, _ = run_json(["fixed-curve", "--map", "x*y; x*z; y*z"])
     assert code == 0

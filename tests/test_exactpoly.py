@@ -15,8 +15,8 @@ from planecremona.exactpoly import (
     is_squarefree,
     kernel_basis,
     matrix_rank,
+    odd_multiplicity_root_count,
     resultant,
-    resultant_univariate,
     values_at,
 )
 from planecremona.rng import SplitMix64
@@ -111,7 +111,8 @@ def test_gcd_many_finds_planted_factor():
 # -- resultants ----------------------------------------------------------------
 
 def test_resultant_examples():
-    assert resultant_univariate([1, 0, -1], [1, -2]) == 3
+    # res_x(x^2 - z^2, x - 2 z) = (2 z)^2 - z^2
+    assert resultant(X * X - Z * Z, X - Z * 2, 0) == Z * Z * 3
     f = HPoly(2, {(1, 0, 1): 1, (2, 0, 0): -1})  # x(z - x): root z = x
     g = HPoly(2, {(0, 1, 1): 1, (0, 2, 0): -1})  # y(z - y): root z = y
     rr = resultant(f, g, 2)
@@ -121,11 +122,8 @@ def test_resultant_examples():
 
 
 def test_resultant_linear_symbolic():
-    # res_t(t - a, t - b) with a, b the plane coordinates x, y
-    from planecremona.exactpoly import _HPolyOps, _resultant_generic
-
-    one = HPoly.constant(1)
-    r = _resultant_generic([one, -X], [one, -Y], _HPolyOps)
+    # res_z(z - x, z - y) = x - y up to sign
+    r = resultant(Z - X, Z - Y, 2)
     assert r == (X - Y) or r == (Y - X)
 
 
@@ -174,10 +172,14 @@ def test_resultant_vanishing_iff_common_root():
                     coeffs[i] -= r * coeffs[i - 1]
             return coeffs
 
+        def form_from(coeffs):
+            n = len(coeffs) - 1
+            return HPoly(n, {(n - i, 0, i): c for i, c in enumerate(coeffs)})
+
         fc, gc = poly_from(roots_f), poly_from(roots_g)
-        res = resultant_univariate(fc, gc)
+        res = resultant(form_from(fc), form_from(gc), 0)
         shared = _brute_common_root(fc, gc)
-        assert (res == 0) == (shared is not None)
+        assert res.is_zero() == (shared is not None)
 
 
 def test_resultant_zero_input_rejected():
@@ -317,6 +319,27 @@ def test_bform_roots_match_brute_force():
                     break
             q = q * BForm(2, [a, b, c])
         assert bform_rational_roots(q) == sorted(p for p in pairs if q.eval(*p) == 0)
+
+
+def test_odd_multiplicity_root_count_matches_planted_factors():
+    """Products of distinct linear factors s0 t - t0 s (roots (s0 : t0),
+    (1 : 0) included) and an irreducible quadratic, each to a drawn power:
+    the count is the number of odd powers, a quadratic counting twice."""
+    stream = SplitMix64(17)
+    roots = [(1, 0), (0, 1), (1, 1), (1, -2), (2, 3), (3, -1)]
+    for _ in range(40):
+        q = BForm(0, [stream.next_nonzero_int(-3, 3)])
+        expect = 0
+        for s0, t0 in roots:
+            k = stream.next_int(0, 4)
+            for _ in range(k):
+                q = q * BForm(1, [-t0, s0])
+            expect += k % 2
+        k = stream.next_int(0, 3)
+        for _ in range(k):
+            q = q * BForm(2, [1, 0, 2])
+        expect += 2 * (k % 2)
+        assert odd_multiplicity_root_count(q) == expect
 
 
 # -- canonical form ----------------------------------------------------------------

@@ -10,8 +10,8 @@ from planecremona.fixedcurve import (
     invariant_of,
     plane_genus,
 )
-from planecremona.involutions import dj_involution, make_dj_instance
-from planecremona.projmaps import ProjPoint, RationalMap
+from planecremona.involutions import _invert_unimodular, dj_involution, make_dj_instance
+from planecremona.projmaps import ProjPoint, RationalMap, frame_conjugate, is_involution, pencil_form
 from planecremona.rng import SplitMix64, unimodular_matrix
 
 X, Y, Z = (HPoly.variable(i) for i in range(3))
@@ -172,3 +172,42 @@ def test_classify_rejects_non_involution():
         classify_involution(cyc)
     with pytest.raises(ValidationError):
         classify_involution(RationalMap.identity())
+
+
+# -- labels computed from the pencil normal form ------------------------------------
+
+def _pencil_map(u, v):
+    return RationalMap(X * u, v, Z * u)
+
+
+def test_nodal_fixed_curve_is_elliptic():
+    # the map of A y^2 + B y + C_4 at (0:1:0); B^2 - 4 A C_4 has the double
+    # root x = 0, so the fixed curve has a node there and its normalization
+    # has genus 1: DJ(3), not DJ(4)
+    a, b = X * X - Z * Z, X ** 3 + X * Z * Z
+    c4 = X ** 4 + X ** 3 * Z + X * X * Z * Z
+    sigma = _pencil_map(a * Y * 2 + b, -(b * Y + c4 * 2))
+    assert sigma.degree == 4 and is_involution(sigma)
+    result = classify_involution(sigma)
+    assert result.label == "DJ(3)"
+    assert result.invariant == invariant_for_kind("dj", 3) and result.invariant.genus == 1
+
+
+def test_map_with_a_rational_fixed_curve_is_dj2():
+    # y -> -y + e/b on each line through (0:1:0): beta = 4 b^2 has only
+    # double roots, and the fixed curve 2 b y = e is rational
+    b, e = X * X + Z * Z, X ** 3 + Z ** 3 * 2
+    sigma = _pencil_map(b, -(b * Y) + e)
+    assert sigma.degree == 3 and is_involution(sigma)
+    assert classify_involution(sigma).label == "DJ(2)"
+
+
+def test_pencil_genus_of_dj_maps_and_their_linear_conjugates(dj_records):
+    stream = SplitMix64(307)
+    for d in range(2, 7):
+        sigma = dj_records[d].map
+        m = unimodular_matrix(stream)
+        conj = RationalMap(*frame_conjugate(sigma.components, m, _invert_unimodular(m)))
+        for f in (sigma, conj):
+            assert pencil_form(f).genus() == d - 2
+            assert classify_involution(f).label == f"DJ({d})"

@@ -5,11 +5,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from planecremona.errors import ValidationError
 from planecremona.exactpoly import (
-    HPoly, adjugate3, hpoly_gcd_many, is_squarefree, kernel_basis, values_at,
+    HPoly, adjugate3, bform_discriminant, hpoly_gcd_many, hpoly_to_bform, is_squarefree,
+    kernel_basis, values_at,
 )
-from planecremona.fixedcurve import (
-    classify_involution, fixed_locus, pencil_center, rational_base_points,
-)
+from planecremona.fixedcurve import classify_involution, fixed_locus, rational_base_points
 from planecremona.involutions import (
     conjugated_map,
     dj_from_conic,
@@ -18,7 +17,9 @@ from planecremona.involutions import (
     singular_fibre_count,
     validate_dj,
 )
-from planecremona.projmaps import ProjPoint, RationalMap, compose, is_identity, is_involution
+from planecremona.projmaps import (
+    ProjPoint, RationalMap, compose, is_identity, is_involution, pencil_center,
+)
 from planecremona.rng import SplitMix64, unimodular_matrix
 
 X, Y, Z = (HPoly.variable(i) for i in range(3))
@@ -146,7 +147,8 @@ def test_seeded_instances_fix_their_curve(d, dj_records):
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_discriminant_profile(d, dj_records):
     data = dj_records[d].dj_data
-    delta = data.discriminant()
+    delta = bform_discriminant(*(hpoly_to_bform(f, 0, 2) for f in (data.A, data.B, data.Cd)))
+    assert data.pencil.beta == delta * 4
     assert delta.degree == 2 * d - 2
     assert is_squarefree(delta)
     assert singular_fibre_count(data) == 2 * (d - 2) + 2
@@ -227,7 +229,7 @@ def test_dj_map_against_pointwise_harmonic_conjugation():
     curve, center = make_dj_instance(3, seed=0)
     data = validate_dj(curve, center)
     sigma = conjugated_map(data)
-    m, minv = data.frame
+    m, minv = data.pencil.frame
     stream = SplitMix64(77)
     done = 0
     while done < 12:

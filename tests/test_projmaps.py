@@ -13,10 +13,13 @@ from planecremona.projmaps import (
     compose_raw,
     conjugate,
     cross_ratio,
+    frame_conjugate,
     harmonic_conjugate,
     identity_minors,
+    involution_on_grid,
     is_identity,
     is_involution,
+    pencil_form,
 )
 from planecremona.rng import SplitMix64, unimodular_matrix
 
@@ -182,7 +185,7 @@ def test_grid_involution_test_agrees_with_symbolic(dj_records):
         f = dj_records[d].map
         a, b, c = f.components
         for g in (f, RationalMap(b, a, c)):
-            assert is_involution(g) == symbolic_is_involution(g)
+            assert is_involution(g) == involution_on_grid(g) == symbolic_is_involution(g)
         assert is_involution(f)
 
 
@@ -220,6 +223,58 @@ def conjugated_involutions(draw):
 @given(f=st.one_of(integer_maps(), conjugated_involutions()))
 def test_grid_involution_test_agrees_on_random_maps(f):
     assert is_involution(f) == symbolic_is_involution(f)
+
+
+def _xz_form(draw, degree):
+    coeff = st.sampled_from((0, 0, 1, -1, 2, -3))
+    if degree < 0:
+        return HPoly.zero(0)
+    return HPoly(degree, {(degree - i, 0, i): draw(coeff) for i in range(degree + 1)})
+
+
+@st.composite
+def pencil_maps(draw):
+    """(x u : v : z u) with u and v of y-degree 0-2, in a unimodular frame: a
+    third planted involutions (u = a y + b, v = -b y + e), a third the same
+    with a y^2 term added to v, and a third random."""
+    d = draw(st.integers(1, 3))
+    kind = draw(st.integers(0, 2))
+    if kind < 2:
+        a, b, e = (_xz_form(draw, d - k) for k in (2, 1, 0))
+        u, v = a * Y + b, -(b * Y) + e
+        if kind == 1:
+            v = v + _xz_form(draw, d - 2) * Y * Y
+    else:
+        u = sum((_xz_form(draw, d - 1 - k) * Y ** k for k in range(min(2, d - 1) + 1)), HPoly.zero(0))
+        v = sum((_xz_form(draw, d - k) * Y ** k for k in range(min(2, d) + 1)), HPoly.zero(0))
+    assume(not (u.is_zero() and v.is_zero()))
+    m = unimodular_matrix(SplitMix64(draw(st.integers(0, 2**32))))
+    comps = frame_conjugate((X * u, v, Z * u), adjugate3(m), m)
+    return RationalMap(*comps)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(f=pencil_maps())
+def test_pencil_involution_test_agrees_with_symbolic(f):
+    assert pencil_form(f) is not None or f.degree == 0
+    assert is_involution(f) == symbolic_is_involution(f) == involution_on_grid(f)
+
+
+def test_pencil_map_of_degree_two_on_lines_is_not_an_involution():
+    # b = z and c = -z as for an involution, but y -> (y^2 - z y + x^2) / z
+    # has degree 2 on the lines through (0:1:0)
+    f = RationalMap(X * Z, Y * Y - Y * Z + X * X, Z * Z)
+    form = pencil_form(f)
+    assert (form.b + form.c).is_zero() and not form.beta.is_zero() and not form.linear
+    assert not is_involution(f) and not symbolic_is_involution(f)
+
+
+def test_constant_map_is_not_an_involution():
+    f = RationalMap(HPoly.constant(1), HPoly.constant(2), HPoly.constant(3))
+    assert not is_involution(f) and not symbolic_is_involution(f)
+    # everything to the center (0:1:0): no pencil form, a constant map
+    g = RationalMap(HPoly.zero(2), X * Z + Z * Z, HPoly.zero(2))
+    assert g.degree == 0 and pencil_form(g) is None and not is_involution(g)
 
 
 def test_eval_map_examples():
