@@ -4,8 +4,9 @@ The 7-point set was produced by a deterministic search: six small points
 plus a seventh chosen on the cubic of the net that is nodal at (1:2:-1), so
 that the Jacobian sextic of the net has a known small rational point (the
 involution fixes it, which the test suite exercises). The 8-point set is a
-small configuration passing every rank validation. Both are frozen here and
-mirrored in the data/ text files for the CLI.
+small configuration in general position: no 3 on a line, no 6 on a conic and
+no cubic through all 8 singular at one. Both pass make_point_config, are
+frozen here and are mirrored in the data/ text files for the CLI.
 """
 
 from .involutions import PointConfig, make_point_config
@@ -32,7 +33,7 @@ EIGHT_POINTS = (
     (1, 2, 3),
     (2, 5, 1),
     (3, 1, 2),
-    (1, -1, 2),
+    (4, -1, 3),
 )
 
 

@@ -1036,28 +1036,29 @@ def kernel_basis(rows, ncols: int | None = None):
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+        # integer back-substitution: before solving row r for its pivot
+        # entry, scale the vector so that the division is exact
+        vec = [0] * ncols
+        vec[fc] = 1
         for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            s = sum((Fraction(rows_e[r][j]) * vec[j] for j in range(pc + 1, ncols)), Fraction(0))
-            vec[pc] = -s / rows_e[r][pc]
+            pc, row = pivots[r], rows_e[r]
+            s = sum(row[j] * vec[j] for j in range(pc + 1, ncols) if vec[j])
+            g = igcd(s, row[pc])
+            k = row[pc] // g
+            if k != 1:
+                vec = [v * k for v in vec]
+            vec[pc] = -s // g
         basis.append(tuple(_canon_vector(vec)))
     return basis
 
 
-def _canon_vector(vec):
-    den = 1
-    for c in vec:
-        fc = Fraction(c)
-        den = den * fc.denominator // igcd(den, fc.denominator)
-    ints = [int(Fraction(c) * den) for c in vec]
+def _canon_vector(ints):
+    """Primitive integer vector with first nonzero entry positive."""
     g = 0
     for v in ints:
-        g = igcd(g, abs(v))
+        g = igcd(g, v)
     if g:
-        lead = next(v for v in ints if v != 0)
-        if lead < 0:
+        if next(v for v in ints if v) < 0:
             g = -g
         ints = [v // g for v in ints]
     return ints

@@ -11,12 +11,15 @@ For a map with a center p (projmaps.pencil_form) the invariant is computed
 from equations: the map acts by a Moebius involution on each line through
 p, and the normalized fixed curve is the double cover of that pencil
 branched at the odd-multiplicity roots of the branch form beta. Its base
-points besides p lie over the rational roots of det M. The Geiser and
-Bertini labels of raw maps, and the invariants of records, are still
-assigned from the degree or the construction.
+points besides p lie over the rational roots of det M. Geiser and Bertini
+records carry their fixed curves, the Jacobian sextic double at the 7
+points and the nonic triple at the 8, which invariant_of checks; their
+labels, and those of raw maps without a center, are still assigned from the
+construction or the degree.
 """
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 from .errors import ValidationError
 from .exactpoly import HPoly, bform_rational_roots, hpoly_gcd_many, values_at
@@ -90,30 +93,29 @@ def invariant_for_kind(kind: str, d: int | None = None) -> FixedCurveInvariant:
 def invariant_of(record) -> FixedCurveInvariant:
     """Invariant of a constructed involution record, with cross-checks.
 
-    The checks read the record's fixed curve: its degree for DJ(d), and for
-    Geiser its degree and its double points at the 7 base points; a mismatch
-    means the record is corrupted. A Bertini record carries no fixed curve
-    to check.
+    The checks read the record's fixed curve: its degree for DJ(d); for
+    Geiser a sextic double at the 7 base points, for Bertini a nonic triple
+    at the 8. A mismatch means the record is corrupted.
     """
     kind = record.kind
+    curve = record.fixed_curve
     if kind == "dj":
         d = record.degree
-        curve = record.fixed_curve
         if curve is None or curve.degree != d:
             raise ValidationError("corrupted record", "fixed curve degree does not match")
         return invariant_for_kind("dj", d)
-    if kind == "geiser":
-        curve = record.fixed_curve
-        if curve is None or curve.degree != 6:
-            raise ValidationError("corrupted record", "Geiser fixed curve must be a sextic")
-        pts = record.config.points
-        for p in pts:
-            for v in range(3):
-                if curve.partial(v).eval(p.coords) != 0:
-                    raise ValidationError("corrupted record", f"sextic not double at {p}")
-        return invariant_for_kind("geiser")
-    if kind == "bertini":
-        return invariant_for_kind("bertini")
+    if kind in ("geiser", "bertini"):
+        degree, mult = (6, 2) if kind == "geiser" else (9, 3)
+        if curve is None or curve.degree != degree:
+            raise ValidationError("corrupted record", f"{record.label} fixed curve must have degree {degree}")
+        for var in combinations_with_replacement(range(3), mult - 1):
+            q = curve
+            for v in var:
+                q = q.partial(v)
+            for p in record.config.points:
+                if q.eval(p.coords) != 0:
+                    raise ValidationError("corrupted record", f"fixed curve not of multiplicity {mult} at {p}")
+        return invariant_for_kind(kind)
     raise ValidationError("unknown kind", f"cannot derive invariant for {kind!r}")
 
 

@@ -24,9 +24,9 @@ Each image is certified exactly by the linear system the involution is
 defined by before it is returned; a degenerate or uncertified construction
 gives way to the next one in a fixed order. The certificates assume general
 position: no 3 points collinear, no 6 on a conic, and for 8 points no cubic
-through all of them singular at one (make_point_config checks only the
-first). Then the pencil or net through x has no fixed component and exactly
-one base point besides the configuration and x.
+through all of them singular at one, which make_point_config checks. Then
+no curve lies in the base locus of the pencil or net through x, which has
+exactly one base point besides the configuration and x.
 
 An optional interpolation recovers the degree-8 Geiser map in closed form.
 All pseudo-random choices come from the package's seeded SplitMix64 streams.
@@ -34,15 +34,13 @@ All pseudo-random choices come from the package's seeded SplitMix64 streams.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
-from math import gcd as igcd
+from itertools import combinations, combinations_with_replacement
+from math import gcd as igcd, perm
 
 from .errors import ExtractionError, IndeterminacyError, ValidationError
 from .exactpoly import (
     HPoly,
-    adjugate3,
     bform_gcd,
-    det3,
     hpoly_to_bform,
     is_squarefree,
     kernel_basis,
@@ -54,20 +52,6 @@ from .projmaps import (
     PencilForm, ProjPoint, RationalMap, collinear, frame_conjugate, frame_moving_to_center,
 )
 from .rng import SplitMix64
-
-
-# ---------------------------------------------------------------------------
-# frames
-# ---------------------------------------------------------------------------
-
-def _invert_unimodular(m):
-    d = det3(m)
-    adj = adjugate3(m)
-    if d == 1:
-        return adj
-    if d == -1:
-        return tuple(tuple(-v for v in row) for row in adj)
-    raise ValueError("matrix is not unimodular")
 
 
 # ---------------------------------------------------------------------------
@@ -263,62 +247,65 @@ def _vector_to_poly(vec, degree: int) -> HPoly:
     return HPoly(degree, {m: c for m, c in zip(monos, vec) if c != 0}).canonical()
 
 
+def _conditions(points, degree: int, mults) -> list:
+    """Linear conditions on the forms of the given degree to have
+    multiplicity >= m at each point p: one row per partial derivative of
+    order m - 1 at p, over the monomials in _monomials order, taken in the
+    order of combinations_with_replacement (lower orders follow by Euler)."""
+    monos = _monomials(degree)
+    rows = []
+    for p, m in zip(points, mults):
+        a, b, c = p.coords
+        for var in combinations_with_replacement(range(3), m - 1):
+            i, j, k = (var.count(v) for v in range(3))
+            rows.append([(f := perm(e[0], i) * perm(e[1], j) * perm(e[2], k))
+                         and f * a ** (e[0] - i) * b ** (e[1] - j) * c ** (e[2] - k) for e in monos])
+    return rows
+
+
 @dataclass(frozen=True)
 class PointConfig:
     points: tuple
     kind: str            # "geiser" | "bertini"
-    report: dict = field(compare=False, default_factory=dict)
+    report: dict = field(compare=False)
     # basis of the configuration's linear system: the net of cubics through
     # the 7 points, or the sextics singular at the 8 (solved once, here)
-    system: tuple = field(compare=False, default=())
+    system: tuple = field(compare=False)
 
     def __contains__(self, pt: ProjPoint):
         return pt in self.points
-
-    @cached_property
-    def special_curves(self) -> list:
-        """Curves on which the points fail general position, though no 3 are
-        collinear: conics through 6 of them and, for 8 points, cubics through
-        all of them singular at one. Through a point of such a curve the
-        pencil (net) defining the involution has it as a fixed component."""
-        conic_rows = [[_mono_eval(m, p) for m in _monomials(2)] for p in self.points]
-        curves = [_vector_to_poly(v, 2) for six in combinations(conic_rows, 6)
-                  for v in kernel_basis(list(six))]
-        if len(self.points) == 8:
-            through = [[_mono_eval(m, p) for m in _monomials(3)] for p in self.points]
-            for p in self.points:
-                rows = through + [[_mono_partial_eval(m, v, p) for m in _monomials(3)] for v in range(3)]
-                curves += [_vector_to_poly(v, 3) for v in kernel_basis(rows)]
-        return curves
-
-    def check_off_special_curves(self, x: ProjPoint, reason: str):
-        if any(c.eval(x.coords) == 0 for c in self.special_curves):
-            raise ValidationError(reason, f"the linear system through {x} has a fixed component")
 
 
 def make_point_config(points, kind: str) -> PointConfig:
     """Validate a 7-point (Geiser) or 8-point (Bertini) configuration.
 
-    Rank checks only: pairwise distinct, no 3 collinear, and the expected
-    linear-system dimension (3 cubics, resp. 4 sextics). Finer classical
-    degeneracies (PointConfig.special_curves) are accepted; the evaluators
-    refuse points on those curves.
+    The points must be in general position: pairwise distinct, no 3
+    collinear, no 6 on a conic, and for 8 points no cubic through all of
+    them singular at one. Then the blow-up is a del Pezzo surface of degree
+    2 (resp. 1), no curve lies in the base locus of the pencil (net) through
+    any other point, and the linear system has the expected dimension (3
+    cubics, resp. 4 sextics).
     """
     expected = {"geiser": 7, "bertini": 8}[kind]
     pts = tuple(points)
-    if len(pts) != expected:
-        raise ValidationError("bad count", f"{kind} needs {expected} points, got {len(pts)}")
-    if len(set(pts)) != expected:
-        raise ValidationError("degenerate configuration", "points are not pairwise distinct")
     n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if collinear(pts[i], pts[j], pts[k]):
-                    raise ValidationError(
-                        "degenerate configuration",
-                        f"points {i}, {j}, {k} are collinear",
-                    )
+    if n != expected:
+        raise ValidationError("bad count", f"{kind} needs {expected} points, got {n}")
+    if len(set(pts)) != n:
+        raise ValidationError("degenerate configuration", "points are not pairwise distinct")
+    for t in combinations(range(n), 3):
+        if collinear(*(pts[i] for i in t)):
+            raise ValidationError("degenerate configuration", "points {}, {}, {} are collinear".format(*t))
+    conic_rows = _conditions(pts, 2, [1] * n)
+    for six in combinations(range(n), 6):
+        if matrix_rank([conic_rows[i] for i in six]) < 6:
+            raise ValidationError("degenerate configuration",
+                                  "points {}, {}, {}, {}, {}, {} lie on a conic".format(*six))
+    if n == 8:
+        for i in range(n):
+            if matrix_rank(_conditions(pts, 3, [1] * i + [2] + [1] * (n - 1 - i))) < 10:
+                raise ValidationError("degenerate configuration",
+                                      f"a cubic through the points is singular at point {i}")
     basis = cubic_system(pts) if kind == "geiser" else sextic_system(pts)
     report = {"pairwise_distinct": True, "no_three_collinear": True,
               "system_dimension": len(basis)}
@@ -331,9 +318,7 @@ def cubic_system(points) -> list:
     pts = tuple(points)
     if len(set(pts)) != len(pts):
         raise ValidationError("degenerate configuration", "repeated point")
-    monos = _monomials(3)
-    rows = [[_mono_eval(mn, p) for mn in monos] for p in pts]
-    kern = kernel_basis(rows)
+    kern = kernel_basis(_conditions(pts, 3, [1] * len(pts)))
     if len(pts) in (7, 8) and len(kern) != 10 - len(pts):
         raise ValidationError(
             "degenerate configuration",
@@ -343,19 +328,12 @@ def cubic_system(points) -> list:
 
 
 def sextic_system(points) -> list:
-    """Deterministic basis of the sextics singular at all 8 points.
-
-    Three vanishing partials per point (24 conditions on 28 coefficients;
-    the values vanish automatically by the Euler relation)."""
+    """Deterministic basis of the sextics singular at all 8 points (24
+    conditions on 28 coefficients)."""
     pts = tuple(points)
     if len(set(pts)) != len(pts):
         raise ValidationError("degenerate configuration", "repeated point")
-    monos = _monomials(6)
-    rows = []
-    for p in pts:
-        for var in range(3):
-            rows.append([_mono_partial_eval(mn, var, p) for mn in monos])
-    kern = kernel_basis(rows)
+    kern = kernel_basis(_conditions(pts, 6, [2] * len(pts)))
     if len(pts) == 8 and len(kern) != 4:
         raise ValidationError(
             "degenerate configuration",
@@ -365,50 +343,14 @@ def sextic_system(points) -> list:
 
 
 def octic_triple_system(points) -> list:
-    """Basis of the octics with points of multiplicity >= 3 at all 7 points
-    (all six second partials vanish; lower orders follow by Euler)."""
-    monos = _monomials(8)
-    rows = []
-    for p in points:
-        for v1 in range(3):
-            for v2 in range(v1, 3):
-                rows.append([_mono_partial2_eval(mn, v1, v2, p) for mn in monos])
-    kern = kernel_basis(rows)
+    """Basis of the octics with points of multiplicity >= 3 at all 7 points."""
+    kern = kernel_basis(_conditions(points, 8, [3] * len(points)))
     if len(kern) != 3:
         raise ValidationError(
             "degenerate configuration",
             f"triple-point octics form a system of dimension {len(kern)}, expected 3",
         )
     return [_vector_to_poly(v, 8) for v in kern]
-
-
-def _mono_eval(mn, p: ProjPoint):
-    a, b, c = p.coords
-    return a ** mn[0] * b ** mn[1] * c ** mn[2]
-
-
-def _mono_partial_eval(mn, var, p: ProjPoint):
-    e = list(mn)
-    if e[var] == 0:
-        return 0
-    coef = e[var]
-    e[var] -= 1
-    a, b, c = p.coords
-    return coef * a ** e[0] * b ** e[1] * c ** e[2]
-
-
-def _mono_partial2_eval(mn, v1, v2, p: ProjPoint):
-    e = list(mn)
-    if e[v1] == 0:
-        return 0
-    coef = e[v1]
-    e[v1] -= 1
-    if e[v2] == 0:
-        return 0
-    coef *= e[v2]
-    e[v2] -= 1
-    a, b, c = p.coords
-    return coef * a ** e[0] * b ** e[1] * c ** e[2]
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +486,17 @@ def _perp_basis(values):
     return out
 
 
+def _jacobian(f: HPoly, g: HPoly, h: HPoly) -> HPoly:
+    """Determinant of the 3x3 matrix of partials of f, g, h, canonical."""
+    rows = [[q.partial(v) for v in range(3)] for q in (f, g, h)]
+    j = (
+        rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
+        - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
+        + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
+    )
+    return j.canonical()
+
+
 def _combination(coeffs, forms) -> HPoly:
     f = HPoly.zero(forms[0].degree)
     for c, g in zip(coeffs, forms):
@@ -571,7 +524,7 @@ class GeiserInvolution:
 
     @cached_property
     def net(self):
-        return list(self.config.system) or cubic_system(self.config.points)
+        return list(self.config.system)
 
     @cached_property
     def _net_cubics(self):
@@ -579,17 +532,11 @@ class GeiserInvolution:
 
     @cached_property
     def fixed_sextic(self) -> HPoly:
-        """Jacobian of the net: determinant of the 3x3 matrix of partials."""
-        g1, g2, g3 = self.net
-        rows = [[g.partial(v) for v in range(3)] for g in (g1, g2, g3)]
-        j = (
-            rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-            - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-            + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-        )
+        """Jacobian of the net."""
+        j = _jacobian(*self.net)
         if j.is_zero():
             raise ValidationError("degenerate configuration", "Jacobian sextic vanishes")
-        return j.canonical()
+        return j
 
     def _pencil_coeffs(self, x: ProjPoint):
         """Coefficients, over the net basis, of two members spanning the
@@ -612,7 +559,6 @@ class GeiserInvolution:
         base point only where the pencil has a double base point there."""
         if x in self.config.points:
             raise IndeterminacyError(f"{x} is a base point of the involution")
-        self.config.check_off_special_curves(x, "pencil dimension wrong")
         f, h = (_Cubic.combination(c, self._net_cubics) for c in self._pencil_coeffs(x))
         image, attempts = _ninth_base_point(f, h, self.config.points, x)
         return image, EvalTrace(attempts)
@@ -702,7 +648,7 @@ class BertiniInvolution:
 
     @cached_property
     def space(self):
-        return list(self.config.system) or sextic_system(self.config.points)
+        return list(self.config.system)
 
     @cached_property
     def _cubic_pencil(self):
@@ -714,6 +660,18 @@ class BertiniInvolution:
         Geiser construction on that pencil, with p8 in the role of x."""
         c1, c2 = self._cubic_pencil
         return _ninth_base_point(c1, c2, self.config.points[:7], self.config.points[7])[0]
+
+    @cached_property
+    def fixed_curve(self) -> HPoly:
+        """The curve fixed by the involution, of degree 9 with triple points
+        at the 8 points: the Jacobian of c1, c2 spanning the cubic pencil
+        and a sextic s of the space outside span{c1^2, c1 c2, c2^2}."""
+        c1, c2 = cubic_system(self.config.points)
+        squares = [c1 * c1, c1 * c2, c2 * c2]
+        monos = _monomials(6)
+        rows = [[q.terms.get(e, 0) for e in monos] for q in squares]
+        s = next(s for s in self.space if matrix_rank(rows + [[s.terms.get(e, 0) for e in monos]]) == 4)
+        return _jacobian(c1, c2, s)
 
     def _space_values(self, x: ProjPoint):
         vals = values_at(self.space, x.coords)
@@ -739,7 +697,6 @@ class BertiniInvolution:
         on the member with a triple point at y."""
         if x in self.config.points:
             raise IndeterminacyError(f"{x} is a base point of the involution")
-        self.config.check_off_special_curves(x, "net dimension wrong")
         vx = self._space_values(x)
         c1, c2 = self._cubic_pencil
         u1, u2 = c1.value(x.coords), c2.value(x.coords)
@@ -774,6 +731,7 @@ class BertiniInvolution:
             degree=17,
             evaluator=self.eval,
             invariant=fixedcurve.invariant_for_kind("bertini"),
+            fixed_curve=self.fixed_curve,
             config=self.config,
             seed=self.seed,
         )

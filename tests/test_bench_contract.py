@@ -1,12 +1,15 @@
-"""Every function the benchmark's tracer wraps (perfbench/tracer.py, TRACED)
-must be defined where the tracer looks for it; otherwise a traced benchmark
-run fails with KeyError while installing its wrappers."""
+"""What the benchmark (perfbench/) needs of the package. Every function its
+tracer wraps (perfbench/tracer.py, TRACED) must be defined where the tracer
+looks for it; otherwise a traced benchmark run fails with KeyError while
+installing its wrappers. Every point configuration it draws must pass
+make_point_config, or the worker fails while setting up."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _load_tracer():
@@ -24,3 +27,18 @@ def test_traced_names_resolve():
         if attr not in owner.__dict__:
             missing.append(f"{modname}.{path}")
     assert missing == []
+
+
+def test_benchmark_configurations_pass_the_gate(monkeypatch):
+    from planecremona.involutions import make_point_config
+    from planecremona.projmaps import ProjPoint
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    for kind in ("geiser", "bertini"):
+        _job, _expects, ctx = run.build(kind, seed=1, seconds=1)
+        assert ctx["configs"]
+        for pts in ctx["configs"]:
+            make_point_config([ProjPoint(*p) for p in pts], kind)

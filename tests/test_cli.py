@@ -109,8 +109,21 @@ def test_geiser_builtin_eval():
 def test_bertini_builtin_eval():
     code, payload, _ = run_json(["bertini", "--builtin", "--x", "(2:3:7)"])
     assert code == 0
+    assert payload["points"][7] == "(4:-1:3)"
     assert payload["sextic_system_dimension"] == 4
     assert payload["trace"] == {"attempts": 1}
+    assert payload["image"] == "(90248659568972575:140287127599959845:684641864192847228)"
+    code, payload, _ = run_json(["bertini", "--builtin", "--x", payload["image"]])
+    assert parse_point(payload["image"]) == ProjPoint(2, 3, 7)
+
+
+def test_bertini_points_on_a_conic_exit_2(tmp_path):
+    # the earlier reference set: points 0, 1, 2, 3, 6, 7 lie on a conic
+    pf = tmp_path / "pts8.txt"
+    pf.write_text("(1:0:0)\n(0:1:0)\n(0:0:1)\n(1:1:1)\n(1:2:3)\n(2:5:1)\n(3:1:2)\n(1:-1:2)\n")
+    code, payload, _ = run_json(["bertini", "--points", str(pf), "--x", "(2:3:7)"])
+    assert code == 2
+    assert payload["reason"] == "degenerate configuration"
 
 
 def test_points_file_parsing(tmp_path):
@@ -119,6 +132,15 @@ def test_points_file_parsing(tmp_path):
                   "(1:2:3)\n(2:5:1)\n(12:41:5)  # inline comment\n")
     code, payload, _ = run_json(["geiser", "--points", str(pf), "--x", "(2:3:7)"])
     assert code == 0
+
+
+def test_data_files_mirror_the_reference_configurations():
+    from planecremona.cli import parse_points_file
+    from planecremona.configs import EIGHT_POINTS, SEVEN_POINTS
+
+    data = Path(__file__).resolve().parents[1] / "data"
+    for name, points in (("points7.txt", SEVEN_POINTS), ("points8.txt", EIGHT_POINTS)):
+        assert parse_points_file(str(data / name)) == [ProjPoint(*p) for p in points]
 
 
 def test_verify_involution_and_rejection(tmp_path):

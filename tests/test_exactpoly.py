@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planecremona.errors import ValidationError
 from planecremona.exactpoly import (
@@ -199,10 +200,11 @@ def test_kernel_zero_matrix():
     assert basis[0] == (1, 0, 0, 0, 0)
 
 
-def _gauss_rank(rows):
-    """Independent textbook row reduction over Fraction."""
+def _rref(rows):
+    """Independent textbook reduced row echelon form over Fraction: the
+    nonzero rows and the pivot columns."""
     m = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
+    rank, pivots = 0, []
     for c in range(len(m[0])):
         piv = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
         if piv is None:
@@ -215,16 +217,43 @@ def _gauss_rank(rows):
                 f = m[r][c]
                 m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
         rank += 1
-    return rank
+        pivots.append(c)
+    return m[:rank], pivots
+
+
+def _gauss_rank(rows):
+    return len(_rref(rows)[1])
+
+
+def _rref_kernel(rows):
+    """Kernel basis read off the RREF, one vector per free column (1 there,
+    0 at the other free columns), scaled to coprime integers with the first
+    nonzero entry positive."""
+    m, pivots = _rref(rows)
+    ncols = len(rows[0])
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, pc in zip(m, pivots):
+            vec[pc] = -row[free]
+        den = 1
+        for v in vec:
+            den = den * v.denominator // gcd(den, v.denominator)
+        ints = [int(v * den) for v in vec]
+        g = 0
+        for v in ints:
+            g = gcd(g, v)
+        g = g if next(v for v in ints if v) > 0 else -g
+        basis.append(tuple(v // g for v in ints))
+    return basis
 
 
 def test_kernel_vanishing_conditions_of_cubics():
     from planecremona.configs import SEVEN_POINTS
-    from planecremona.involutions import _mono_eval, _monomials
-    from planecremona.projmaps import ProjPoint
 
-    pts = [ProjPoint(*c) for c in SEVEN_POINTS]
-    rows = [[_mono_eval(mn, p) for mn in _monomials(3)] for p in pts]
+    monos = [(i, j, 3 - i - j) for i in range(4) for j in range(4 - i)]
+    rows = [[a ** e[0] * b ** e[1] * c ** e[2] for e in monos] for a, b, c in SEVEN_POINTS]
     basis = kernel_basis(rows)
     assert len(basis) == 3
     assert matrix_rank(rows) == 7
@@ -246,6 +275,20 @@ def test_kernel_annihilation_and_rank_nullity_random():
         for v in basis:
             for row in rows:
                 assert sum(a * b for a, b in zip(row, v)) == 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_kernel_basis_matches_fraction_rref(data):
+    nrows, ncols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
+    entry = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=7))
+    rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                              min_size=nrows, max_size=nrows))
+    # rank-deficient matrices: rows that are combinations of the drawn ones
+    combos = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=nrows, max_size=nrows),
+                                max_size=3))
+    rows += [[sum(c * row[j] for c, row in zip(cs, rows)) for j in range(ncols)] for cs in combos]
+    assert kernel_basis(rows) == _rref_kernel(rows)
 
 
 # -- binary forms ----------------------------------------------------------------

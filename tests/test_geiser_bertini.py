@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from planecremona.configs import SEXTIC_POINT
@@ -166,12 +168,15 @@ def test_bertini_round_trips_exact(bertini, eight_config):
 
 
 BERTINI_IMAGES = [
-    ((2, 3, 7), (1448290438405248941237, 185311338342648815223, 4852942739693099701447)),
-    ((1, 1, -1), (1376379066758062703, 20419534064383177, -245312457443649648)),
-    ((2, -7, -8), (114437928335219047, 834881344701087013, 7288862911117502)),
-    ((2, 1, 1), (37314885576558720, 46987676563025260, 22025786007041921)),
-    ((1, 8, 5), (121024432697005843990, 888325077001544659875, 592341898524981918063)),
-    ((2, -9, 3), (43933904784584531196966, 143707245796493030706147, 60511024778937682438519)),
+    ((2, 3, 7), (90248659568972575, 140287127599959845, 684641864192847228)),
+    ((1, 1, -1), (7466976097795333311, 10653375887002052495, 1275077029072208815)),
+    ((2, -7, -8), (11115568937728859678129900153880900, -45729878453546566408801076282967485,
+                   -52079926403487825966155329308442816)),
+    ((2, 1, 1), (253490674369244, -717141071234325, -278622227714025)),
+    ((1, 8, 5), (123292358126038215580191008228815708, 50236708958710766596199802804934311,
+                 68909584942227763150554195021012597)),
+    ((2, -9, 3), (10550334577331899911030812556396, 18166072274533808437513657749051,
+                  5979069693939736603649535633631)),
 ]
 
 
@@ -180,20 +185,58 @@ def test_bertini_recorded_images(bertini):
         assert bertini.eval(ProjPoint(*x)) == ProjPoint(*y)
 
 
-def test_bertini_general_configuration():
-    # the reference set has 6 points on a conic; with (4:-1:3) as the 8th
-    # point the set is in general position
+def _fraction_rank(rows):
+    m = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0])):
+        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(rank + 1, len(m)):
+            f = m[r][c] / m[rank][c]
+            m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def test_bertini_recorded_images_lie_on_the_net_through_x():
+    # certified apart from the package: the sextics singular at the 8
+    # points take proportional values at x and y, i.e. vanishing at y adds
+    # no condition to the sextics singular at the 8 points through x
     from planecremona.configs import EIGHT_POINTS
 
-    pts = [ProjPoint(*p) for p in EIGHT_POINTS[:7] + ((4, -1, 3),)]
-    inv = BertiniInvolution(make_point_config(pts, "bertini"))
+    monos = [(i, j, 6 - i - j) for i in range(7) for j in range(7 - i)]
+
+    def value_row(p, var=None):
+        row = []
+        for e in monos:
+            e = list(e)
+            c = 1
+            if var is not None:
+                c, e[var] = e[var], e[var] - 1
+            row.append(c and c * p[0] ** e[0] * p[1] ** e[1] * p[2] ** e[2])
+        return row
+
+    singular = [value_row(p, v) for p in EIGHT_POINTS for v in range(3)]
+    for x, y in BERTINI_IMAGES:
+        through_x = singular + [value_row(x)]
+        assert _fraction_rank(through_x) == 25
+        assert _fraction_rank(through_x + [value_row(y)]) == 25
+        assert ProjPoint(*y) not in [ProjPoint(*p) for p in EIGHT_POINTS + (x,)]
+
+
+def test_bertini_general_configuration(bertini):
+    # the reference set is in general position: every sample round-trips
+    # and has an image other than itself
+    pts = bertini.config.points
     for x in sample_points(303, 4, avoid=pts):
-        y = inv.eval(x)
-        assert y != x and inv.eval(y) == x
+        y = bertini.eval(x)
+        assert y != x and bertini.eval(y) == x
     # the ninth base point of the cubic pencil is the origin of the group
     # law on every member, so it is fixed
-    p9 = inv.ninth_point
-    assert p9 not in pts and inv.eval(p9) == p9
+    p9 = bertini.ninth_point
+    assert p9 not in pts and bertini.eval(p9) == p9
 
 
 def test_bertini_indeterminate_at_base_points(bertini, eight_config):
@@ -201,24 +244,55 @@ def test_bertini_indeterminate_at_base_points(bertini, eight_config):
         bertini.eval(eight_config.points[3])
 
 
-def test_bertini_record(bertini):
+def test_bertini_record(bertini, eight_config):
     rec = bertini.record()
     assert rec.kind == "bertini" and rec.degree == 17
-    assert rec.fixed_curve is None
     assert rec.invariant.genus == 4
+    # the fixed curve: a nonic with a triple point at each of the 8 points
+    curve = rec.fixed_curve
+    assert curve == bertini.fixed_curve and curve.degree == 9
+    for p in eight_config.points:
+        for v1 in range(3):
+            for v2 in range(v1, 3):
+                assert curve.partial(v1).partial(v2).eval(p.coords) == 0
 
 
-def test_fixed_component_rejected(eight_config):
-    # through a point of a conic holding 6 of the points, every member of
-    # the pencil (net) contains that conic, and the evaluators refuse it
+def test_bertini_fixed_curve_divides_the_jacobians_of_the_sextics(bertini):
+    from itertools import combinations
+
+    from planecremona.involutions import _jacobian
+
+    for f, g, h in combinations(bertini.space, 3):
+        jac = _jacobian(f, g, h)
+        assert jac.degree == 15
+        jac.divexact(bertini.fixed_curve)           # raises unless it divides
+
+
+# the old reference 8-point set: points 0, 1, 2, 3, 6, 7 lie on the conic
+# 4xy - xz - 3yz
+DEGENERATE_EIGHT = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (2, 5, 1), (3, 1, 2),
+                    (1, -1, 2)]
+
+
+def test_old_reference_eight_points_rejected():
+    with pytest.raises(ValidationError, match="points 0, 1, 2, 3, 6, 7 lie on a conic") as err:
+        make_point_config([ProjPoint(*p) for p in DEGENERATE_EIGHT], "bertini")
+    assert err.value.reason == "degenerate configuration"
+
+
+def test_cubic_singular_at_one_of_eight_points_rejected():
+    # 7 points of the nodal cubic y^2 z = x^3 + x^2 z and its node: no 3 on
+    # a line and no 6 on a conic, but the cubic is singular at point 0
+    pts = [(0, 0, 1)] + [(t * t - 1, t * (t * t - 1), 1) for t in (0, 2, -2, 3, -3, 4, 6)]
+    with pytest.raises(ValidationError, match="singular at point 0") as err:
+        make_point_config([ProjPoint(*p) for p in pts], "bertini")
+    assert err.value.reason == "degenerate configuration"
+
+
+def test_six_of_seven_points_on_a_conic_rejected():
     onc = [(t * t, t, 1) for t in (0, 1, -1, 2, -2, 3)]
-    seven = make_point_config([ProjPoint(*p) for p in onc + [(1, 2, 5)]], "geiser")
-    with pytest.raises(ValidationError, match="fixed component"):
-        GeiserInvolution(seven).eval(ProjPoint(9, -3, 1))
-    # the reference 8 points have 6 on the conic 4xy - xz - 3yz
-    assert [str(c) for c in eight_config.special_curves] == ["4*x*y - x*z - 3*y*z"]
-    with pytest.raises(ValidationError, match="fixed component"):
-        BertiniInvolution(eight_config).eval(ProjPoint(7, 14, 8))
+    with pytest.raises(ValidationError, match="lie on a conic"):
+        make_point_config([ProjPoint(*p) for p in onc + [(1, 2, 5)]], "geiser")
 
 
 def test_net_restriction_dimensions(geiser, bertini):

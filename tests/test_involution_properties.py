@@ -7,6 +7,7 @@ from itertools import combinations
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from planecremona.errors import ValidationError
 from planecremona.involutions import BertiniInvolution, GeiserInvolution, make_point_config
 from planecremona.projmaps import ProjPoint
 
@@ -133,3 +134,31 @@ def test_geiser_involutive_and_on_pencil(pts, x):
 def test_bertini_involutive_and_on_net(pts, x):
     inv = BertiniInvolution(make_point_config(pts, "bertini"))
     check_involution(inv, pts, x)
+
+
+def planted_sets():
+    """7 or 8 small points: random, with 6 planted on the conic xz = y^2, or
+    (8 points) with 7 planted on the cubic y^2 z = x^3 + x^2 z and its node."""
+    small = st.tuples(*[st.integers(-6, 6)] * 3).filter(any)
+    params = st.lists(st.integers(-9, 9), min_size=7, max_size=7, unique=True)
+    conic = params.map(lambda ts: [(t * t, t, 1) for t in ts[:6]])
+    cubic = params.filter(lambda ts: 1 not in ts and -1 not in ts).map(
+        lambda ts: [(0, 0, 1)] + [(t * t - 1, t * (t * t - 1), 1) for t in ts])
+    return st.sampled_from((7, 8)).flatmap(lambda n: st.tuples(
+        st.just(n), st.one_of(st.just([]), conic, cubic if n == 8 else conic),
+        st.lists(small, min_size=n, max_size=n, unique_by=lambda c: ProjPoint(*c))))
+
+
+@seeded(150)
+@given(case=planted_sets())
+def test_gate_accepts_exactly_the_sets_in_general_position(case):
+    n, planted, rest = case
+    pts = [ProjPoint(*c) for c in (planted + rest)[:n]]
+    assume(len(set(pts)) == n)
+    try:
+        make_point_config(pts, "geiser" if n == 7 else "bertini")
+        accepted = True
+    except ValidationError as exc:
+        assert exc.reason == "degenerate configuration"
+        accepted = False
+    assert accepted == general_position([p.coords for p in pts])
