@@ -755,16 +755,35 @@ class BForm:
         return f"BForm(deg={self.degree}, {list(self.coeffs)})"
 
 
+# a Mersenne prime: bform_gcd decides most coprime pairs modulo it
+_GCD_PRIME = (1 << 61) - 1
+
+
 def bform_gcd(f: BForm, g: BForm) -> BForm:
-    """Gcd of binary forms, canonical."""
+    """Gcd of binary forms, canonical.
+
+    Coprime pairs are certified modulo the prime p = 2^61 - 1 (Brown, "On
+    Euclid's algorithm and the computation of polynomial greatest common
+    divisors", JACM 1971; von zur Gathen-Gerhard, Modern Computer Algebra,
+    ch. 6): a primitive common factor over Z of positive degree reduces to
+    a nonzero form of the same degree mod p that divides both reductions, so
+    coprime reductions rule it out. Euclid runs on the forms at s = 1, which
+    loses only the factor s, so it is trusted only when the reductions do
+    not both vanish at (0:1). A zero reduction needs no guard of its own:
+    Euclid then returns the other one, constant only for a constant form.
+    Every other pair goes to a primitive PRS over Z.
+    """
     if f.is_zero() and g.is_zero():
         raise ValidationError("zero input", "gcd of zero forms")
     if f.is_zero():
         return g.canonical()
     if g.is_zero():
         return f.canonical()
-    fz = {(i, f.degree - i): c for i, c in enumerate(_int_coeffs(f)) if c != 0}
-    gz = {(i, g.degree - i): c for i, c in enumerate(_int_coeffs(g)) if c != 0}
+    fi, gi = _int_coeffs(f), _int_coeffs(g)
+    if _coprime_mod_prime(fi, gi):
+        return BForm(0, [1])
+    fz = {(i, f.degree - i): c for i, c in enumerate(fi) if c != 0}
+    gz = {(i, g.degree - i): c for i, c in enumerate(gi) if c != 0}
     # reuse the multivariate engine in two variables (t, s)
     core = _zp_gcd(fz, gz, 2)
     deg = max(e[0] + e[1] for e in core)
@@ -772,6 +791,31 @@ def bform_gcd(f: BForm, g: BForm) -> BForm:
     for (i, _j), c in core.items():
         out[i] = c
     return BForm(deg, out).canonical()
+
+
+def _coprime_mod_prime(fi, gi) -> bool:
+    """True when integer binary forms (coefficient lists, the last one at
+    t^degree) are certified coprime modulo _GCD_PRIME; see bform_gcd."""
+    p = _GCD_PRIME
+    a = [c % p for c in fi]          # a[i] multiplies t^i once s = 1
+    b = [c % p for c in gi]
+    if a[-1] == b[-1] == 0:
+        return False
+    for u in (a, b):
+        while u and u[-1] == 0:
+            u.pop()
+    while b:
+        inv = pow(b[-1], -1, p)
+        n = len(b) - 1
+        while len(a) > n:
+            q = a.pop() * inv % p
+            shift = len(a) - n
+            for j in range(n):
+                a[shift + j] = (a[shift + j] - q * b[j]) % p
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
 
 
 def _int_coeffs(f: BForm):
@@ -783,16 +827,13 @@ def _int_coeffs(f: BForm):
 
 
 def is_squarefree(q: BForm) -> bool:
-    """True iff gcd(q, dq/ds, dq/dt) is constant."""
+    """True iff the two partials of q are coprime. By Euler's identity
+    d q = s dq/ds + t dq/dt, their gcd is gcd(q, dq/ds, dq/dt) for d >= 2."""
     if q.is_zero():
         raise ValidationError("zero input", "squarefree test of the zero form")
     if q.degree <= 1:
         return True
-    g = bform_gcd(q, q.derivative_s())
-    if g.degree == 0:
-        return True
-    g = bform_gcd(g, q.derivative_t())
-    return g.degree == 0
+    return bform_gcd(q.derivative_s(), q.derivative_t()).degree == 0
 
 
 def odd_multiplicity_root_count(q: BForm) -> int:

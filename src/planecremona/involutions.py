@@ -267,7 +267,6 @@ def _conditions(points, degree: int, mults) -> list:
 class PointConfig:
     points: tuple
     kind: str            # "geiser" | "bertini"
-    report: dict = field(compare=False)
     # basis of the configuration's linear system: the net of cubics through
     # the 7 points, or the sextics singular at the 8 (solved once, here)
     system: tuple = field(compare=False)
@@ -307,9 +306,7 @@ def make_point_config(points, kind: str) -> PointConfig:
                 raise ValidationError("degenerate configuration",
                                       f"a cubic through the points is singular at point {i}")
     basis = cubic_system(pts) if kind == "geiser" else sextic_system(pts)
-    report = {"pairwise_distinct": True, "no_three_collinear": True,
-              "system_dimension": len(basis)}
-    return PointConfig(pts, kind, report, tuple(basis))
+    return PointConfig(pts, kind, tuple(basis))
 
 
 def cubic_system(points) -> list:

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from planecremona.errors import ValidationError
 from planecremona.exactpoly import (
@@ -332,6 +332,94 @@ def test_bform_roots_and_gcd():
     assert bform_rational_roots(q) == [(1, -1), (1, 2), (2, 1)]
     g = bform_gcd(q, q.derivative_t())
     assert g.degree == 0
+
+
+P61 = (1 << 61) - 1
+S, T = BForm(1, [1, 0]), BForm(1, [0, 1])
+
+
+def _euclid_gcd(f, g):
+    """Reference gcd of binary forms: the common power of s, times the
+    Fraction Euclid gcd of the rest at s = 1, rehomogenized."""
+    def split(form):
+        c = list(form.coeffs)
+        v = 0
+        while not c[-1]:
+            c.pop()
+            v += 1
+        return v, [Fraction(x) for x in c]      # c[i] multiplies t^i
+
+    (vf, a), (vg, b) = split(f), split(g)
+    while b:
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            a = [x - q * b[i - shift] if i >= shift else x for i, x in enumerate(a)][:-1]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    k = len(a) - 1
+    return (BForm(k, a) * BForm(min(vf, vg), [1] + [0] * min(vf, vg))).canonical()
+
+
+def test_bform_gcd_examples():
+    # (0:1) is a root of both: s is the gcd, though 1 + t and 1 - t are coprime
+    assert bform_gcd(S * (S + T), S * (S - T)) == S
+    # coprime over Q; the first two pairs are equal modulo 2^61 - 1, so the
+    # PRS answers them
+    assert bform_gcd(S + T * P61, S) == BForm(0, [1])
+    assert bform_gcd(S + T, S + T * (P61 + 1)) == BForm(0, [1])
+    assert bform_gcd(S * P61 + T, S) == BForm(0, [1])
+    # every coefficient a multiple of the prime: its reduction is zero
+    assert bform_gcd((S + T) * P61, S) == BForm(0, [1])
+    assert bform_gcd((S + T) * P61, S + T) == S + T
+    assert bform_gcd((S + T) * (S - T) * P61, (S - T) * 2) == S - T
+    # constants and Fraction coefficients
+    assert bform_gcd(BForm(0, [6]), BForm(0, [P61])) == BForm(0, [1])
+    assert bform_gcd(BForm(0, [P61]), S * S) == BForm(0, [1])
+    half = BForm(2, [Fraction(1, 2), Fraction(-1, 3), 0])      # s (s/2 - t/3)
+    assert bform_gcd(half, BForm(1, [Fraction(3, 7), Fraction(-2, 7)])) == BForm(1, [3, -2])
+    assert bform_gcd(half, BForm(1, [Fraction(1, 5), 0])) == S
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_bform_gcd_matches_fraction_euclid(data):
+    """Products with a planted common factor, some with coefficients that are
+    multiples of 2^61 - 1 or shifted by it, against a Fraction Euclid."""
+    entry = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=5))
+
+    def form(lo, hi):
+        d = data.draw(st.integers(lo, hi))
+        return BForm(d, data.draw(st.lists(entry, min_size=d + 1, max_size=d + 1)))
+
+    h, f, g = form(0, 3), form(0, 4), form(0, 4)
+    k = data.draw(st.integers(0, 2))
+    h = h * BForm(k, [1] + [0] * k)         # s^k: a root at (0:1)
+    f, g = f * h, g * h
+    for scale in data.draw(st.lists(st.sampled_from([P61, -P61, Fraction(1, P61)]), max_size=2)):
+        f = f * scale
+    if data.draw(st.booleans()):
+        g = g + form(g.degree, g.degree) * P61
+    assume(not (f.is_zero() and g.is_zero()))
+    expect = _euclid_gcd(f, g) if not (f.is_zero() or g.is_zero()) else (f + g).canonical()
+    assert bform_gcd(f, g) == expect
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_squarefree_is_gcd_of_the_form_and_both_partials(data):
+    """is_squarefree asks only gcd(dq/ds, dq/dt); compare the gcd with q too,
+    on products of small linear and quadratic factors, some of them squared."""
+    factor = st.lists(st.integers(-4, 4), min_size=2, max_size=3)
+    factors = data.draw(st.lists(factor, min_size=1, max_size=5))
+    factors += 2 * data.draw(st.lists(factor, max_size=1))
+    q = BForm(0, [1])
+    for cs in factors:
+        q = q * BForm(len(cs) - 1, cs)
+    assume(not q.is_zero())
+    g = bform_gcd(bform_gcd(q, q.derivative_s()), q.derivative_t())
+    assert is_squarefree(q) == (g.degree == 0)
 
 
 def test_bform_roots_without_a_size_bound():
