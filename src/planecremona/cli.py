@@ -27,6 +27,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from .errors import IndeterminacyError, ValidationError
 from .exactpoly import HPoly, format_hpoly, rat
@@ -521,7 +522,9 @@ def _cmd_elmt(args) -> int:
 MAP_HELP = "three ';'-separated components; write --map=-x;y;z when the first starts with '-'"
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parse_args leaves it unchanged."""
     top = argparse.ArgumentParser(
         prog="planecremona",
         description="Exact constructions and classification of plane birational involutions.",

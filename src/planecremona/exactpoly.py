@@ -1,10 +1,11 @@
 """Exact arithmetic substrate.
 
 Rationals (stdlib Fraction), homogeneous polynomials in x, y, z, binary
-forms in a parameter pair (s, t), multivariate gcd, Sylvester resultants and
-fraction-free kernel computation. Everything is exact; nothing here ever
-rounds. All values are immutable after construction and all operations are
-pure functions, so they can be shared freely between workers.
+forms in a parameter pair (s, t), gcds (a degree bound modulo a prime, then
+one linear system), Sylvester resultants and fraction-free kernel
+computation. Everything is exact; nothing here ever rounds. All values are
+immutable after construction and all operations are pure functions, so they
+can be shared freely between workers.
 
 Conventions fixed once for the whole package:
 
@@ -95,23 +96,10 @@ class HPoly:
         exps[index] = 1
         return cls(1, {tuple(exps): 1})
 
-    @classmethod
-    def from_terms(cls, terms: dict) -> "HPoly":
-        """Build from a term map, inferring the degree; rejects mixed degrees."""
-        degs = {sum(e) for e, c in terms.items() if _norm_coeff(c) != 0}
-        if not degs:
-            return cls.zero(0)
-        if len(degs) > 1:
-            raise ValidationError("inhomogeneous", f"mixed total degrees {sorted(degs)}")
-        return cls(degs.pop(), terms)
-
     # -- basic queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_constant(self) -> bool:
-        return self.degree == 0 or not self.terms
 
     def sorted_terms(self):
         """Terms in the global order (exponent triples descending lex)."""
@@ -322,6 +310,18 @@ def values_at(forms, pt) -> list:
     return [sum(c * pa[i] * pb[j] * pc[k] for (i, j, k), c in f.terms.items()) for f in forms]
 
 
+def monomials(degree: int, variables=(0, 1, 2)) -> list:
+    """Exponent triples of the given degree in the given variables, in the
+    global order (descending lex)."""
+    top = [degree if v in variables else 0 for v in range(3)]
+    return [
+        (i, j, degree - i - j)
+        for i in range(top[0], -1, -1)
+        for j in range(min(degree - i, top[1]), -1, -1)
+        if degree - i - j <= top[2]
+    ]
+
+
 def format_hpoly(f: HPoly) -> str:
     """Canonical text form, re-parsable by the CLI grammar."""
     if f.is_zero():
@@ -350,198 +350,95 @@ def format_hpoly(f: HPoly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# multivariate gcd over the integers (content/primitive-part recursion)
+# gcd: a degree bound modulo a prime on two probe lines, then one linear system
 # ---------------------------------------------------------------------------
-#
-# The internal representation is a dict from exponent tuples (any arity) to
-# nonzero ints. Homogeneous inputs are dehomogenized (z -> 1) after their
-# monomial content is removed, so the real work happens in two variables.
 
-def _zp_is_zero(f) -> bool:
-    return not f
+# a Mersenne prime: the degree bound of a gcd is read modulo it
+_GCD_PRIME = (1 << 61) - 1
+# two fixed lines, each given by two points, on which the bound is read
+_PROBE_LINES = (((1, 3, 7), (2, -5, 1)), ((3, -1, 2), (1, 4, -3)))
 
 
-def _zp_mul(f, g):
-    res: dict = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            s = res.get(e, 0) + c1 * c2
-            if s == 0:
-                res.pop(e, None)
-            else:
-                res[e] = s
-    return res
+def _mul_mod(u, v):
+    out = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            out[i + j] += a * b
+    return [c % _GCD_PRIME for c in out]
 
 
-def _zp_sub(f, g):
-    res = dict(f)
-    for e, c in g.items():
-        s = res.get(e, 0) - c
-        if s == 0:
-            res.pop(e, None)
-        else:
-            res[e] = s
-    return res
+def _line_restriction(f: HPoly, p, q):
+    """f(p + t q) modulo _GCD_PRIME for an integer form f, entry i at t^i:
+    the restriction of f to the line pq, read at s = 1."""
+    powers = []
+    for a, b in zip(p, q):
+        table = [[1]]
+        for _ in range(f.degree):
+            table.append(_mul_mod(table[-1], [a, b]))
+        powers.append(table)
+    out = [0] * (f.degree + 1)
+    for (i, j, k), c in f.terms.items():
+        for n, v in enumerate(_mul_mod(_mul_mod(powers[0][i], powers[1][j]), powers[2][k])):
+            out[n] += c * v
+    return [c % _GCD_PRIME for c in out]
 
 
-def _zp_divexact(f, d):
-    """Exact multivariate division over Z (raises on failure)."""
-    if not d:
-        raise ZeroDivisionError
-    if not f:
-        return {}
-    rem = dict(f)
-    dlead = max(d)
-    dlc = d[dlead]
-    q: dict = {}
-    while rem:
-        rlead = max(rem)
-        qe = tuple(a - b for a, b in zip(rlead, dlead))
-        if any(e < 0 for e in qe) or rem[rlead] % dlc != 0:
-            raise ArithmeticError("inexact division")
-        qc = rem[rlead] // dlc
-        q[qe] = qc
-        for e, c in d.items():
-            t = tuple(a + b for a, b in zip(e, qe))
-            s = rem.get(t, 0) - qc * c
-            if s == 0:
-                rem.pop(t, None)
-            else:
-                rem[t] = s
-    return q
+def _gcd_mod_p(a, b):
+    """Euclid over the integers mod _GCD_PRIME on polynomials in t given as
+    coefficient lists (entry i at t^i, no trailing zeros); [] for 0."""
+    p = _GCD_PRIME
+    while b:
+        inv = pow(b[-1], -1, p)
+        n = len(b) - 1
+        while len(a) > n:
+            q = a.pop() * inv % p
+            shift = len(a) - n
+            for j in range(n):
+                a[shift + j] = (a[shift + j] - q * b[j]) % p
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return a
 
 
-def _zp_main_var(f, g, nvars):
-    for v in range(nvars):
-        if any(e[v] > 0 for e in f) or any(e[v] > 0 for e in g):
-            return v
-    return None
-
-
-def _zp_by_var(f, var, nvars):
-    m = max((e[var] for e in f), default=0)
-    buckets: list[dict] = [dict() for _ in range(m + 1)]
-    for e, c in f.items():
-        ne = list(e)
-        k = ne[var]
-        ne[var] = 0
-        buckets[k][tuple(ne)] = c
-    return buckets
-
-
-def _zp_from_coeffs(coeffs, var):
-    res: dict = {}
-    for k, coef in enumerate(coeffs):
-        for e, c in coef.items():
-            ne = list(e)
-            ne[var] = k
-            res[tuple(ne)] = c
-    return res
-
-
-def _zp_content(coeffs, nvars):
-    cont: dict = {}
-    for c in coeffs:
-        if not c:
-            continue
-        cont = _zp_gcd(cont, c, nvars) if cont else dict(c)
-    return cont
-
-
-def _zp_int_content_sign(f):
-    g = 0
-    for c in f.values():
-        g = igcd(g, abs(c))
-    if g == 0:
-        return {}
-    lead = max(f)
-    if f[lead] < 0:
-        g = -g
-    return {e: c // g for e, c in f.items()}
-
-
-def _zp_prem_step(f, g, var, nvars):
-    """Pseudo-remainder of f by g in the main variable (sign-loose)."""
-    fc = _zp_by_var(f, var, nvars)
-    gc = _zp_by_var(g, var, nvars)
-    dg = len(gc) - 1
-    glc = gc[-1]
-    r = f
-    while r:
-        rc = _zp_by_var(r, var, nvars)
-        dr = len(rc) - 1
-        if dr < dg:
+def _gcd_degree_bound(forms) -> int:
+    """An upper bound on the degree of the gcd of nonzero integer forms: on
+    each probe line whose restrictions are not all zero mod _GCD_PRIME, the
+    degree of the gcd of those restrictions as binary forms, which is the
+    degree of their Euclid gcd at s = 1 plus the least multiplicity of the
+    root (0:1). The least value over the lines, and at most the least degree."""
+    bound = min(f.degree for f in forms)
+    for p, q in _PROBE_LINES:
+        if bound == 0:
             break
-        rlc = rc[-1]
-        shift = dr - dg
-        # r <- glc * r - rlc * var^shift * g
-        shifted: dict = {}
-        for e, c in g.items():
-            ne = list(e)
-            ne[var] += shift
-            shifted[tuple(ne)] = c
-        r = _zp_sub(_zp_mul(r, glc), _zp_mul(shifted, rlc))
-    return r
-
-
-def _zp_gcd(f, g, nvars):
-    if not f:
-        return _zp_int_content_sign(g)
-    if not g:
-        return _zp_int_content_sign(f)
-    var = _zp_main_var(f, g, nvars)
-    if var is None:
-        return {(0,) * nvars: igcd(abs(next(iter(f.values()))), abs(next(iter(g.values()))))}
-    f_has = any(e[var] > 0 for e in f)
-    g_has = any(e[var] > 0 for e in g)
-    if not f_has or not g_has:
-        # the gcd cannot involve the main variable; reduce to a content gcd
-        small = g if not g_has else f
-        big = f if not g_has else g
-        cont = _zp_content(_zp_by_var(big, var, nvars), nvars)
-        return _zp_gcd(cont, small, nvars)
-    fc = _zp_by_var(f, var, nvars)
-    gc = _zp_by_var(g, var, nvars)
-    cont_f = _zp_content(fc, nvars)
-    cont_g = _zp_content(gc, nvars)
-    pf = _zp_divexact(f, cont_f)
-    pg = _zp_divexact(g, cont_g)
-    cont_gcd = _zp_gcd(cont_f, cont_g, nvars)
-
-    if len(fc) < len(gc):
-        pf, pg = pg, pf
-    while True:
-        r = _zp_prem_step(pf, pg, var, nvars)
-        if not r:
-            prim = pg
-            break
-        if not any(e[var] > 0 for e in r):
-            prim = {(0,) * nvars: 1}
-            break
-        rc = _zp_by_var(r, var, nvars)
-        r = _zp_divexact(r, _zp_content(rc, nvars))
-        pf, pg = pg, r
-    prim = _zp_divexact(prim, _zp_content(_zp_by_var(prim, var, nvars), nvars))
-    return _zp_int_content_sign(_zp_mul(prim, cont_gcd))
-
-
-def _hpoly_to_zdict(f: HPoly):
-    den = 1
-    for c in f.terms.values():
-        if isinstance(c, Fraction):
-            den = den * c.denominator // igcd(den, c.denominator)
-    return {e: int(c * den) for e, c in f.terms.items()}
+        g, mults = [], []
+        for f in forms:
+            r = _line_restriction(f, p, q)
+            while r and r[-1] == 0:
+                r.pop()
+            if r:
+                g = _gcd_mod_p(g, r)
+                mults.append(f.degree + 1 - len(r))
+        if mults:
+            bound = min(bound, len(g) - 1 + min(mults))
+    return bound
 
 
 def hpoly_gcd(f: HPoly, g: HPoly) -> HPoly:
     """Gcd of homogeneous polynomials, in canonical form.
 
-    Strategy: clear to integers, split off the monomial content, dehomogenize
-    (z = 1) and run a primitive-PRS content/primitive-part recursion over Z
-    in the remaining variables, then rehomogenize. Dehomogenization is safe
-    because after removing each input's own monomial content neither input,
-    hence no candidate divisor, is divisible by z.
+    Let h be the gcd. Its degree is at most k0 = _gcd_degree_bound([f, g])
+    (Brown, "On Euclid's algorithm and the computation of polynomial greatest
+    common divisors", JACM 1971): on a line that h does not contain, h
+    restricts to a factor of degree deg h of both restrictions, nonzero mod
+    p wherever one of them is; a factor that contains the line makes every
+    restriction vanish, and such a line is skipped. Then, for k = k0, ..., 1,
+    solve a f = b g for forms a, b of degrees deg g - k, deg f - k in the
+    variables f or g use (von zur Gathen-Gerhard, Modern Computer Algebra,
+    ch. 6): with f = h f1, g = h g1 the solutions are c (g1, f1) for forms c
+    of degree deg h - k, none for k > deg h and one up to scale for
+    k = deg h. The first k with a solution is deg h and h = f / b; with none,
+    h = 1.
     """
     if f.is_zero() and g.is_zero():
         raise ValidationError("zero input", "gcd of two zero polynomials")
@@ -549,60 +446,34 @@ def hpoly_gcd(f: HPoly, g: HPoly) -> HPoly:
         return g.canonical()
     if g.is_zero():
         return f.canonical()
-    fz = _hpoly_to_zdict(f)
-    gz = _hpoly_to_zdict(g)
-    mono_f = tuple(min(e[v] for e in fz) for v in range(3))
-    mono_g = tuple(min(e[v] for e in gz) for v in range(3))
-    common = tuple(min(a, b) for a, b in zip(mono_f, mono_g))
-    fz = {tuple(e[v] - mono_f[v] for v in range(3)): c for e, c in fz.items()}
-    gz = {tuple(e[v] - mono_g[v] for v in range(3)): c for e, c in gz.items()}
-    f2 = {(e[0], e[1]): c for e, c in fz.items()}
-    g2 = {(e[0], e[1]): c for e, c in gz.items()}
-    core = _zp_gcd(f2, g2, 2)
-    deg = max((e[0] + e[1] for e in core), default=0)
-    terms = {
-        (e[0] + common[0], e[1] + common[1], deg - e[0] - e[1] + common[2]): c
-        for e, c in core.items()
-    }
-    return HPoly(deg + sum(common), terms).canonical()
-
-
-# two fixed lines, each given by two points, on which hpoly_gcd_many first
-# tries to show its inputs coprime
-_PROBE_LINES = (((1, 3, 7), (2, -5, 1)), ((3, -1, 2), (1, 4, -3)))
-
-
-def _coprime_on_a_line(polys) -> bool:
-    """Sufficient test that forms have no common factor: on a probe line
-    s p + t q, the restrictions that are not identically zero have a
-    constant gcd. A common factor that does not contain the line restricts
-    to a common factor of the same degree, and one that contains it makes
-    every restriction vanish, so a constant gcd rules out both."""
-    for p, q in _PROBE_LINES:
-        line = [HPoly(1, {(1, 0, 0): p[i], (0, 1, 0): q[i]}) for i in range(3)]
-        forms = [hpoly_to_bform(f.substitute(line), 0, 1) for f in polys]
-        forms = [b for b in forms if not b.is_zero()]
-        if not forms:
-            continue
-        g = forms[0]
-        for b in forms[1:]:
-            if g.degree == 0:
-                break
-            g = bform_gcd(g, b)
-        if g.degree == 0:
-            return True
-    return False
+    f, g = f.canonical(), g.canonical()
+    variables = [v for v in range(3) if f.uses_var(v) or g.uses_var(v)]
+    minus_g = -g
+    for k in range(_gcd_degree_bound([f, g]), 0, -1):
+        a_monos = monomials(g.degree - k, variables)
+        b_monos = monomials(f.degree - k, variables)
+        columns = [(m, f) for m in a_monos] + [(m, minus_g) for m in b_monos]
+        row_of = {e: i for i, e in enumerate(monomials(f.degree + g.degree - k, variables))}
+        rows = [[0] * len(columns) for _ in row_of]
+        for col, (m, form) in enumerate(columns):
+            for e, c in form.terms.items():
+                rows[row_of[(m[0] + e[0], m[1] + e[1], m[2] + e[2])]][col] = c
+        kernel = kernel_basis(rows)
+        if kernel:
+            b = dict(zip(b_monos, kernel[0][len(a_monos):]))
+            return f.divexact(HPoly(f.degree - k, b)).canonical()
+    return HPoly.constant(1)
 
 
 def hpoly_gcd_many(polys) -> HPoly:
-    """Gcd of several polynomials, canonical: the constant 1 when a probe
-    line shows them coprime, else pairwise primitive-PRS gcds."""
-    polys = [p for p in polys if not p.is_zero()]
+    """Gcd of several polynomials, canonical: the constant 1 when the degree
+    bound of hpoly_gcd over all of them is 0, else the pairwise gcds."""
+    polys = [p.canonical() for p in polys if not p.is_zero()]
     if not polys:
         raise ValidationError("zero input", "gcd of zero polynomials")
-    if len(polys) > 1 and _coprime_on_a_line(polys):
+    if _gcd_degree_bound(polys) == 0:
         return HPoly.constant(1)
-    acc = polys[0].canonical()
+    acc = polys[0]
     for p in polys[1:]:
         if acc.degree == 0:
             break
@@ -755,75 +626,13 @@ class BForm:
         return f"BForm(deg={self.degree}, {list(self.coeffs)})"
 
 
-# a Mersenne prime: bform_gcd decides most coprime pairs modulo it
-_GCD_PRIME = (1 << 61) - 1
-
-
 def bform_gcd(f: BForm, g: BForm) -> BForm:
-    """Gcd of binary forms, canonical.
+    """Gcd of binary forms, canonical: hpoly_gcd of the forms read in (x, z),
+    with its degree bound mod p and its linear system (see there)."""
+    def as_hpoly(b):
+        return HPoly(b.degree, {(b.degree - i, 0, i): c for i, c in enumerate(b.coeffs)})
 
-    Coprime pairs are certified modulo the prime p = 2^61 - 1 (Brown, "On
-    Euclid's algorithm and the computation of polynomial greatest common
-    divisors", JACM 1971; von zur Gathen-Gerhard, Modern Computer Algebra,
-    ch. 6): a primitive common factor over Z of positive degree reduces to
-    a nonzero form of the same degree mod p that divides both reductions, so
-    coprime reductions rule it out. Euclid runs on the forms at s = 1, which
-    loses only the factor s, so it is trusted only when the reductions do
-    not both vanish at (0:1). A zero reduction needs no guard of its own:
-    Euclid then returns the other one, constant only for a constant form.
-    Every other pair goes to a primitive PRS over Z.
-    """
-    if f.is_zero() and g.is_zero():
-        raise ValidationError("zero input", "gcd of zero forms")
-    if f.is_zero():
-        return g.canonical()
-    if g.is_zero():
-        return f.canonical()
-    fi, gi = _int_coeffs(f), _int_coeffs(g)
-    if _coprime_mod_prime(fi, gi):
-        return BForm(0, [1])
-    fz = {(i, f.degree - i): c for i, c in enumerate(fi) if c != 0}
-    gz = {(i, g.degree - i): c for i, c in enumerate(gi) if c != 0}
-    # reuse the multivariate engine in two variables (t, s)
-    core = _zp_gcd(fz, gz, 2)
-    deg = max(e[0] + e[1] for e in core)
-    out = [0] * (deg + 1)
-    for (i, _j), c in core.items():
-        out[i] = c
-    return BForm(deg, out).canonical()
-
-
-def _coprime_mod_prime(fi, gi) -> bool:
-    """True when integer binary forms (coefficient lists, the last one at
-    t^degree) are certified coprime modulo _GCD_PRIME; see bform_gcd."""
-    p = _GCD_PRIME
-    a = [c % p for c in fi]          # a[i] multiplies t^i once s = 1
-    b = [c % p for c in gi]
-    if a[-1] == b[-1] == 0:
-        return False
-    for u in (a, b):
-        while u and u[-1] == 0:
-            u.pop()
-    while b:
-        inv = pow(b[-1], -1, p)
-        n = len(b) - 1
-        while len(a) > n:
-            q = a.pop() * inv % p
-            shift = len(a) - n
-            for j in range(n):
-                a[shift + j] = (a[shift + j] - q * b[j]) % p
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    return len(a) == 1
-
-
-def _int_coeffs(f: BForm):
-    den = 1
-    for c in f.coeffs:
-        if isinstance(c, Fraction):
-            den = den * c.denominator // igcd(den, c.denominator)
-    return [int(c * den) for c in f.coeffs]
+    return hpoly_to_bform(hpoly_gcd(as_hpoly(f), as_hpoly(g)), 0, 2)
 
 
 def is_squarefree(q: BForm) -> bool:

@@ -45,6 +45,7 @@ from .exactpoly import (
     is_squarefree,
     kernel_basis,
     matrix_rank,
+    monomials,
     values_at,
 )
 from . import fixedcurve
@@ -233,26 +234,18 @@ def singular_fibre_count(data: DJData) -> int:
 # point configurations
 # ---------------------------------------------------------------------------
 
-def _monomials(degree: int):
-    out = [
-        (i, j, degree - i - j)
-        for i in range(degree, -1, -1)
-        for j in range(degree - i, -1, -1)
-    ]
-    return sorted(out, reverse=True)
-
-
 def _vector_to_poly(vec, degree: int) -> HPoly:
-    monos = _monomials(degree)
+    monos = monomials(degree)
     return HPoly(degree, {m: c for m, c in zip(monos, vec) if c != 0}).canonical()
 
 
 def _conditions(points, degree: int, mults) -> list:
     """Linear conditions on the forms of the given degree to have
     multiplicity >= m at each point p: one row per partial derivative of
-    order m - 1 at p, over the monomials in _monomials order, taken in the
-    order of combinations_with_replacement (lower orders follow by Euler)."""
-    monos = _monomials(degree)
+    order m - 1 at p, over the monomials of that degree in the global order,
+    taken in the order of combinations_with_replacement (lower orders follow
+    by Euler)."""
+    monos = monomials(degree)
     rows = []
     for p, m in zip(points, mults):
         a, b, c = p.coords
@@ -354,7 +347,7 @@ def octic_triple_system(points) -> list:
 # chord-tangent arithmetic on plane cubics, in integers
 # ---------------------------------------------------------------------------
 
-_QUADRICS = _monomials(2)          # x^2, xy, xz, y^2, yz, z^2
+_QUADRICS = monomials(2)           # x^2, xy, xz, y^2, yz, z^2
 # pencil members s f + t h, tried in turn: 13 distinct ratios, one more than
 # the 12 singular members a cubic pencil with a smooth member can have
 _MEMBERS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, -1),
@@ -665,7 +658,7 @@ class BertiniInvolution:
         and a sextic s of the space outside span{c1^2, c1 c2, c2^2}."""
         c1, c2 = cubic_system(self.config.points)
         squares = [c1 * c1, c1 * c2, c2 * c2]
-        monos = _monomials(6)
+        monos = monomials(6)
         rows = [[q.terms.get(e, 0) for e in monos] for q in squares]
         s = next(s for s in self.space if matrix_rank(rows + [[s.terms.get(e, 0) for e in monos]]) == 4)
         return _jacobian(c1, c2, s)

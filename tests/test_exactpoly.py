@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from planecremona.errors import ValidationError
 from planecremona.exactpoly import (
+    _gcd_degree_bound,
     BForm,
     HPoly,
     bform_discriminant,
@@ -13,9 +14,11 @@ from planecremona.exactpoly import (
     bform_rational_roots,
     hpoly_gcd,
     hpoly_gcd_many,
+    hpoly_to_bform,
     is_squarefree,
     kernel_basis,
     matrix_rank,
+    monomials,
     odd_multiplicity_root_count,
     resultant,
     values_at,
@@ -24,6 +27,7 @@ from planecremona.rng import SplitMix64
 
 X, Y, Z = (HPoly.variable(i) for i in range(3))
 CONIC = X * Z - Y * Y
+P61 = (1 << 61) - 1
 
 
 def random_poly(stream, degree, lo=-4, hi=4):
@@ -97,7 +101,7 @@ def test_gcd_divides_both_exactly():
 
 def test_gcd_many_finds_planted_factor():
     # the probe lines through (1:3:7), (2:-5:1) and (3:-1:2), (1:4:-3), on
-    # which hpoly_gcd_many first looks for a proof of coprimality
+    # which the gcd's degree bound is read
     probe1 = HPoly(1, {(1, 0, 0): 38, (0, 1, 0): 13, (0, 0, 1): -11})
     probe2 = HPoly(1, {(1, 0, 0): -5, (0, 1, 0): 11, (0, 0, 1): 13})
     assert probe1.eval((2, -5, 1)) == 0 and probe2.eval((1, 4, -3)) == 0
@@ -107,6 +111,119 @@ def test_gcd_many_finds_planted_factor():
     for planted in (X + Y * 2 - Z, CONIC, probe1, probe2 * X, probe1 * probe2):
         found = hpoly_gcd_many([f * planted for f in forms])
         assert found == planted.canonical()
+
+
+# points of the probe lines: (1:3:7), (2:-5:1) on the first and (3:-1:2),
+# (1:4:-3) on the second; a line and a smooth conic through the first point
+# of each, and a line through the second point of each
+THROUGH_FIRST = X * 13 + Y * 19 - Z * 10
+CONIC_THROUGH_FIRST = X * X * 159 + X * Y * 437 - Z * Z * 30
+THROUGH_SECOND = X * 11 + Y * 7 + Z * 13
+
+
+def test_probe_points_lie_where_the_gcd_tests_need_them():
+    for p in ((1, 3, 7), (3, -1, 2)):
+        assert THROUGH_FIRST.eval(p) == 0 and CONIC_THROUGH_FIRST.eval(p) == 0
+    for p in ((2, -5, 1), (1, 4, -3)):
+        assert THROUGH_SECOND.eval(p) == 0
+
+
+def test_gcd_scan_reaches_one_for_forms_meeting_on_both_probe_lines():
+    # coprime, but their restrictions share a root on each probe line
+    f, g = THROUGH_FIRST * (X * X + Y * Z), CONIC_THROUGH_FIRST
+    assert _gcd_degree_bound([f, g]) == 1
+    assert hpoly_gcd(f, g) == HPoly.constant(1)
+    assert hpoly_gcd_many([f, g]) == HPoly.constant(1)
+
+
+def test_gcd_scan_goes_below_the_bound():
+    common = X * 2 - Y * 7 + Z * 5
+    f = THROUGH_FIRST * (X * X + Y * Z) * common
+    g = CONIC_THROUGH_FIRST * common
+    assert _gcd_degree_bound([f, g]) == 2
+    assert hpoly_gcd(f, g) == common
+    assert hpoly_gcd_many([f, g]) == common
+
+
+def test_gcd_with_a_root_at_the_second_point_of_both_probe_lines():
+    # the common factor restricts to a multiple of s on both lines: only the
+    # multiplicity of (0:1) sees it, the Euclid gcd at s = 1 does not
+    f, g = THROUGH_SECOND * (X * X + Y * Z), THROUGH_SECOND * CONIC_THROUGH_FIRST
+    assert hpoly_gcd(f, g) == THROUGH_SECOND
+    assert hpoly_gcd_many([f, g, THROUGH_SECOND * Z]) == THROUGH_SECOND
+    # in (x : z), the second points are (2 : 1) and (1 : -3)
+    common = (X - Z * 2) * (X * 3 + Z)
+    a, b = (hpoly_to_bform(p, 0, 2) for p in (common * X, common * (X + Z)))
+    assert bform_gcd(a, b) == BForm(2, [3, -5, -2])
+
+
+def test_gcd_with_a_factor_containing_a_probe_line():
+    probe1 = HPoly(1, {(1, 0, 0): 38, (0, 1, 0): 13, (0, 0, 1): -11})
+    probe2 = HPoly(1, {(1, 0, 0): -5, (0, 1, 0): 11, (0, 0, 1): 13})
+    f, g = X * X + Y * Z, CONIC_THROUGH_FIRST
+    assert hpoly_gcd(probe1 * f, probe1 * g) == probe1.canonical()
+    both = probe1 * probe2
+    assert hpoly_gcd(both * f, both * g * X) == both.canonical()
+
+
+def test_gcd_of_forms_with_coefficients_multiples_of_the_prime():
+    conic = CONIC_THROUGH_FIRST
+    assert hpoly_gcd(X * conic * P61, Y * conic * P61 * P61) == conic
+    assert hpoly_gcd((X * Y + Z * Z) * P61, X * Z * P61) == HPoly.constant(1)
+    # x y + p z^2 and x z share x mod p, not over Q
+    assert _gcd_degree_bound([X * Y + Z * Z * P61, X * Z]) == 1
+    assert hpoly_gcd(X * Y + Z * Z * P61, X * Z) == HPoly.constant(1)
+
+
+def test_gcd_of_coprime_degree_twelve_forms():
+    stream = SplitMix64(12)
+    f, g = random_poly(stream, 12), random_poly(stream, 12)
+    assert _gcd_degree_bound([f, g]) == 0
+    assert hpoly_gcd(f, g) == HPoly.constant(1)
+
+
+def _linear_forms(data, variables, n):
+    """n pairwise non-proportional nonzero linear forms in the variables."""
+    def direction(v):
+        g = gcd(*v) * (1 if next(c for c in v if c) > 0 else -1)
+        return tuple(c // g for c in v)
+
+    entry = [st.integers(-5, 5) if v in variables else st.just(0) for v in range(3)]
+    vecs = data.draw(st.lists(st.tuples(*entry).filter(any), min_size=n, max_size=n,
+                              unique_by=direction))
+    return [HPoly(1, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c}) for a, b, c in vecs]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_gcd_of_planted_factor_and_coprime_cofactors(data):
+    """hpoly_gcd(h f1, h g1) = h when f1 and g1 are products of pairwise
+    non-proportional linear forms, hence coprime; h is drawn at random,
+    sometimes reducible or Fraction-scaled. Forms free of y also go through
+    bform_gcd."""
+    binary = data.draw(st.booleans())
+    variables = (0, 2) if binary else (0, 1, 2)
+
+    def form(degree):
+        return HPoly(degree, {e: data.draw(st.integers(-6, 6)) for e in monomials(degree, variables)})
+
+    h = form(data.draw(st.integers(0, 3)))
+    if data.draw(st.booleans()):
+        h = h * form(data.draw(st.integers(1, 2)))
+    assume(not h.is_zero())
+    if data.draw(st.booleans()):
+        h = h * data.draw(st.fractions(-9, 9, max_denominator=7).filter(bool))
+    nf, ng = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    lines = _linear_forms(data, variables, nf + ng)
+    f, g = h, h
+    for line in lines[:nf]:
+        f = f * line
+    for line in lines[nf:]:
+        g = g * line
+    assert hpoly_gcd(f, g) == h.canonical()
+    if binary:
+        f, g, h = (hpoly_to_bform(p, 0, 2) for p in (f, g, h))
+        assert bform_gcd(f, g) == h.canonical()
 
 
 # -- resultants ----------------------------------------------------------------
@@ -334,7 +451,6 @@ def test_bform_roots_and_gcd():
     assert g.degree == 0
 
 
-P61 = (1 << 61) - 1
 S, T = BForm(1, [1, 0]), BForm(1, [0, 1])
 
 
@@ -365,8 +481,8 @@ def _euclid_gcd(f, g):
 def test_bform_gcd_examples():
     # (0:1) is a root of both: s is the gcd, though 1 + t and 1 - t are coprime
     assert bform_gcd(S * (S + T), S * (S - T)) == S
-    # coprime over Q; the first two pairs are equal modulo 2^61 - 1, so the
-    # PRS answers them
+    # coprime over Q; the first two pairs are equal modulo 2^61 - 1, so
+    # their degree bound is 1 and the linear system answers them
     assert bform_gcd(S + T * P61, S) == BForm(0, [1])
     assert bform_gcd(S + T, S + T * (P61 + 1)) == BForm(0, [1])
     assert bform_gcd(S * P61 + T, S) == BForm(0, [1])
