@@ -7,7 +7,6 @@ exceptional-class enumeration, structure labels) behind the classification.
 
 from .errors import ExtractionError, IndeterminacyError, ValidationError
 from .exactpoly import (
-    BForm,
     HPoly,
     Rat,
     bform_discriminant,

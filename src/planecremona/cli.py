@@ -20,6 +20,7 @@ Input grammars:
                 list of three such strings
   point files   one point per line, '#' comments allowed
   matrix files  whitespace-separated integers, row-major, first line = rank
+  integer lists --alpha and --contacts take comma-separated integers
 """
 
 import argparse
@@ -155,9 +156,19 @@ def parse_point(text: str) -> ProjPoint:
         raise ValidationError("syntax error", f"point needs three coordinates: {text!r}")
     try:
         vals = [rat(p) for p in parts]
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError("syntax error", f"bad coordinate in {text!r}: {exc}") from None
     return ProjPoint(*vals)
+
+
+def parse_int_list(text: str) -> tuple:
+    """Parse a comma-separated list of integers."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ValidationError(
+            "syntax error", f"expected comma-separated integers: {text!r}"
+        ) from None
 
 
 def parse_map(text: str) -> RationalMap:
@@ -215,10 +226,6 @@ def _map_json(m: RationalMap):
     }
 
 
-def _point_str(p: ProjPoint) -> str:
-    return str(p)
-
-
 def _record_json(record, seed: int):
     out = {
         "kind": record.label,
@@ -232,7 +239,7 @@ def _record_json(record, seed: int):
     if record.fixed_curve is not None:
         out["fixed_curve"] = format_hpoly(record.fixed_curve)
     if record.center is not None:
-        out["center"] = _point_str(record.center)
+        out["center"] = str(record.center)
     if record.validation is not None:
         out["validation"] = record.validation.as_dict()
     return out
@@ -271,7 +278,7 @@ def _cmd_dj(args) -> int:
     record = involutions.dj_involution(curve, p)
     payload = _record_json(record, args.seed)
     base = fixedcurve.rational_base_points(record)
-    payload["rational_base_points"] = [_point_str(b) for b in base]
+    payload["rational_base_points"] = [str(b) for b in base]
     emit(payload, args.json)
     return 0
 
@@ -282,7 +289,7 @@ def _cmd_dj_conic(args) -> int:
     record = involutions.dj_from_conic(q, p)
     payload = _record_json(record, args.seed)
     base = fixedcurve.rational_base_points(record)
-    payload["rational_base_points"] = [_point_str(b) for b in base]
+    payload["rational_base_points"] = [str(b) for b in base]
     emit(payload, args.json)
     return 0
 
@@ -303,15 +310,15 @@ def _cmd_geiser(args) -> int:
         "kind": "Geiser",
         "label": "Geiser",
         "seed": args.seed,
-        "points": [_point_str(p) for p in config.points],
+        "points": [str(p) for p in config.points],
         "invariant": fixedcurve.invariant_for_kind("geiser").as_dict(),
         "fixed_curve": format_hpoly(inv.fixed_sextic),
     }
     if args.x:
         x = parse_point(args.x)
         image, trace = inv.eval_detail(x)
-        payload["x"] = _point_str(x)
-        payload["image"] = _point_str(image)
+        payload["x"] = str(x)
+        payload["image"] = str(image)
         payload["trace"] = {"attempts": trace.attempts}
     if args.interpolate:
         payload["map"] = _map_json(inv.interpolated_map)
@@ -326,15 +333,15 @@ def _cmd_bertini(args) -> int:
         "kind": "Bertini",
         "label": "Bertini",
         "seed": args.seed,
-        "points": [_point_str(p) for p in config.points],
+        "points": [str(p) for p in config.points],
         "invariant": fixedcurve.invariant_for_kind("bertini").as_dict(),
         "sextic_system_dimension": len(inv.space),
     }
     if args.x:
         x = parse_point(args.x)
         image, trace = inv.eval_detail(x)
-        payload["x"] = _point_str(x)
-        payload["image"] = _point_str(image)
+        payload["x"] = str(x)
+        payload["image"] = str(image)
         payload["trace"] = {"attempts": trace.attempts}
     emit(payload, args.json)
     return 0
@@ -455,7 +462,7 @@ def _cmd_lattice(args) -> int:
         return 0
     if sub == "reflect":
         if args.alpha:
-            alpha = tuple(int(v) for v in args.alpha.split(","))
+            alpha = parse_int_list(args.alpha)
             matrix = picard.reflection_through(lat, alpha)
             payload = {"matrix": [list(r) for r in matrix], "alpha": list(alpha), "seed": args.seed}
         else:
@@ -499,7 +506,7 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_elmt(args) -> int:
-    contacts = tuple(int(v) for v in args.contacts.split(",")) if args.contacts else ()
+    contacts = parse_int_list(args.contacts) if args.contacts else ()
     model = picard.ConicBundleModel(args.n, args.s, contacts)
     moved = picard.elementary_transformation(
         model, on_negative_section=args.on, contact_index=args.contact_index

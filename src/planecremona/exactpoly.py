@@ -1,11 +1,11 @@
 """Exact arithmetic substrate.
 
-Rationals (stdlib Fraction), homogeneous polynomials in x, y, z, binary
-forms in a parameter pair (s, t), gcds (a degree bound modulo a prime, then
-one linear system), Sylvester resultants and fraction-free kernel
-computation. Everything is exact; nothing here ever rounds. All values are
-immutable after construction and all operations are pure functions, so they
-can be shared freely between workers.
+Rationals (stdlib Fraction), homogeneous polynomials in x, y, z (one type,
+HPoly; binary forms are HPoly in (x, z)), gcds (a degree bound modulo a
+prime, then one linear system), Sylvester resultants and fraction-free
+kernel computation. Everything is exact; nothing here ever rounds. All
+values are immutable after construction and all operations are pure
+functions, so they can be shared freely between workers.
 
 Conventions fixed once for the whole package:
 
@@ -482,170 +482,33 @@ def hpoly_gcd_many(polys) -> HPoly:
 
 
 # ---------------------------------------------------------------------------
-# binary forms in (s, t)
+# binary forms are HPoly in (x, z)
 # ---------------------------------------------------------------------------
 
-class BForm:
-    """Binary form of fixed degree: coeffs[i] multiplies s^(degree-i) t^i."""
-
-    __slots__ = ("degree", "coeffs")
-
-    def __init__(self, degree: int, coeffs):
-        coeffs = [_norm_coeff(Fraction(c)) for c in coeffs]
-        if len(coeffs) != degree + 1:
-            raise ValidationError("bad degree", "coefficient count does not match degree")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, *args):
-        raise AttributeError("BForm is immutable")
-
-    @classmethod
-    def zero(cls, degree: int = 0) -> "BForm":
-        return cls(degree, [0] * (degree + 1))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, BForm):
-            return NotImplemented
-        if self.is_zero() and other.is_zero():
-            return True
-        return self.degree == other.degree and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(Fraction(c) for c in self.coeffs))
-
-    def __add__(self, other: "BForm") -> "BForm":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.degree != other.degree:
-            raise ValidationError("inhomogeneous", "degree mismatch in +")
-        return BForm(self.degree, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self) -> "BForm":
-        return BForm(self.degree, [-c for c in self.coeffs])
-
-    def __sub__(self, other: "BForm") -> "BForm":
-        return self + (-other)
-
-    def __mul__(self, other) -> "BForm":
-        if not isinstance(other, BForm):
-            return BForm(self.degree, [c * other for c in self.coeffs])
-        out = [0] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return BForm(self.degree + other.degree, out)
-
-    __rmul__ = __mul__
-
-    def eval(self, s0, t0) -> Fraction:
-        total = Fraction(0)
-        d = self.degree
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                total += Fraction(c) * Fraction(s0) ** (d - i) * Fraction(t0) ** i
-        return total
-
-    def derivative_s(self) -> "BForm":
-        d = self.degree
-        if d == 0:
-            return BForm.zero(0)
-        return BForm(d - 1, [(d - i) * self.coeffs[i] for i in range(d)])
-
-    def derivative_t(self) -> "BForm":
-        d = self.degree
-        if d == 0:
-            return BForm.zero(0)
-        return BForm(d - 1, [(i + 1) * self.coeffs[i + 1] for i in range(d)])
-
-    def canonical(self) -> "BForm":
-        if self.is_zero():
-            return BForm.zero(self.degree)
-        den = 1
-        for c in self.coeffs:
-            if isinstance(c, Fraction):
-                den = den * c.denominator // igcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        content = 0
-        for v in ints:
-            content = igcd(content, abs(v))
-        lead = next(v for v in ints if v != 0)
-        if lead < 0:
-            content = -content
-        return BForm(self.degree, [v // content for v in ints])
-
-    def divexact(self, d: "BForm") -> "BForm":
-        if d.is_zero():
-            raise ZeroDivisionError
-        a = list(self.coeffs)
-        b = list(d.coeffs)
-        # strip leading (s-side) zeros of the divisor; track the s-power
-        sb = 0
-        while b and b[0] == 0:
-            b.pop(0)
-            sb += 1
-        if sb:
-            if any(c != 0 for c in a[: sb]):
-                raise ValidationError("not divisible", "s-power does not divide")
-            a = a[sb:]
-        qn = len(a) - len(b)
-        if qn < 0:
-            raise ValidationError("not divisible", "degree too small")
-        q = [0] * (qn + 1)
-        for i in range(qn + 1):
-            c = Fraction(a[i]) / Fraction(b[0])
-            q[i] = _norm_coeff(c)
-            for j, bc in enumerate(b):
-                a[i + j] -= c * bc
-        if any(c != 0 for c in a):
-            raise ValidationError("not divisible", "nonzero remainder")
-        return BForm(self.degree - d.degree, q)
-
-    def monomial_valuations(self):
-        """(v_s, v_t): orders of vanishing at (0:1) and (1:0)."""
-        if self.is_zero():
-            raise ValidationError("zero input", "zero form has no valuations")
-        coeffs = self.coeffs
-        vt = 0
-        while coeffs[vt] == 0:
-            vt += 1
-        vs = 0
-        while coeffs[len(coeffs) - 1 - vs] == 0:
-            vs += 1
-        # leading s-side zeros mean t | form (root (1:0)); trailing mean s | form
-        return (vs, vt)
-
-    def __repr__(self):
-        return f"BForm(deg={self.degree}, {list(self.coeffs)})"
+def _binary(q: HPoly) -> HPoly:
+    """q, refused when it uses y: a binary form is an HPoly in (x, z)."""
+    if q.uses_var(1):
+        raise ValidationError("bad variables", "a binary form does not involve y")
+    return q
 
 
-def bform_gcd(f: BForm, g: BForm) -> BForm:
-    """Gcd of binary forms, canonical: hpoly_gcd of the forms read in (x, z),
-    with its degree bound mod p and its linear system (see there)."""
-    def as_hpoly(b):
-        return HPoly(b.degree, {(b.degree - i, 0, i): c for i, c in enumerate(b.coeffs)})
-
-    return hpoly_to_bform(hpoly_gcd(as_hpoly(f), as_hpoly(g)), 0, 2)
+def bform_gcd(f: HPoly, g: HPoly) -> HPoly:
+    """Gcd of binary forms, canonical: hpoly_gcd, with its degree bound mod p
+    and its linear system (see there)."""
+    return hpoly_gcd(_binary(f), _binary(g))
 
 
-def is_squarefree(q: BForm) -> bool:
+def is_squarefree(q: HPoly) -> bool:
     """True iff the two partials of q are coprime. By Euler's identity
-    d q = s dq/ds + t dq/dt, their gcd is gcd(q, dq/ds, dq/dt) for d >= 2."""
-    if q.is_zero():
+    d q = x dq/dx + z dq/dz, their gcd is gcd(q, dq/dx, dq/dz) for d >= 2."""
+    if _binary(q).is_zero():
         raise ValidationError("zero input", "squarefree test of the zero form")
     if q.degree <= 1:
         return True
-    return bform_gcd(q.derivative_s(), q.derivative_t()).degree == 0
+    return bform_gcd(q.partial(0), q.partial(2)).degree == 0
 
 
-def odd_multiplicity_root_count(q: BForm) -> int:
+def odd_multiplicity_root_count(q: HPoly) -> int:
     """Number of distinct roots of odd multiplicity of a nonzero binary form,
     over an algebraic closure.
 
@@ -655,29 +518,29 @@ def odd_multiplicity_root_count(q: BForm) -> int:
     exactly max(m - k, 0) times, so deg g_(k-1) - deg g_k is the number of
     distinct roots of multiplicity >= k.
     """
-    if q.is_zero():
+    if _binary(q).is_zero():
         raise ValidationError("zero input", "roots of the zero form")
     at_least = []
     g = q
     while g.degree > 0:
-        h = bform_gcd(g.derivative_s(), g.derivative_t())
+        h = bform_gcd(g.partial(0), g.partial(2))
         at_least.append(g.degree - h.degree)
         g = h
     return sum(at_least[0::2]) - sum(at_least[1::2])
 
 
-def bform_discriminant(a: BForm, b: BForm, c: BForm) -> BForm:
+def bform_discriminant(a: HPoly, b: HPoly, c: HPoly) -> HPoly:
     """Discriminant b^2 - 4ac of a quadratic with binary-form coefficients."""
     if a.is_zero():
         raise ValidationError("degenerate", "quadratic coefficient is identically zero")
     return b * b - (a * c) * 4
 
 
-def bform_rational_roots(q: BForm):
-    """The distinct rational projective roots (s0:t0) of a binary form, sorted.
+def bform_rational_roots(q: HPoly):
+    """The distinct rational projective roots (x0:z0) of a binary form, sorted.
 
     The squarefree part of q, stripped of the roots (1:0) and (0:1), is
-    f(u) = q(1, u). Its roots are found modulo the first odd prime p not
+    f(u) = q(1, 0, u). Its roots are found modulo the first odd prime p not
     dividing lc(f) at which all of them are simple; only primes dividing
     disc(f) * lc(f) fail, so the search ends. Each is Newton-lifted modulo
     p^k until p^k > 2 (|lc| + max |f_i|), which bounds |lc * r| for every
@@ -685,20 +548,23 @@ def bform_rational_roots(q: BForm):
     exactly when f(r) = 0 (von zur Gathen-Gerhard, Modern Computer Algebra,
     ch. 15). No size bound applies.
     """
-    if q.is_zero():
+    if _binary(q).is_zero():
         raise ValidationError("zero input", "roots of the zero form")
     q = q.canonical()
     if q.degree > 1:
-        repeated = bform_gcd(q.derivative_s(), q.derivative_t())
+        repeated = bform_gcd(q.partial(0), q.partial(2))
         if repeated.degree > 0:
             q = q.divexact(repeated).canonical()
-    vs, vt = q.monomial_valuations()
+    coeffs = [q.terms.get((q.degree - i, 0, i), 0) for i in range(q.degree + 1)]
+    # z^vz and x^vx divide q: the roots (1:0) and (0:1)
+    vz = next(i for i, c in enumerate(coeffs) if c)
+    vx = next(i for i, c in enumerate(reversed(coeffs)) if c)
     roots = []
-    if vt:
+    if vz:
         roots.append((1, 0))
-    if vs:
+    if vx:
         roots.append((0, 1))
-    f = list(q.coeffs[vt: q.degree + 1 - vs])   # f[i] multiplies u^i
+    f = coeffs[vz: q.degree + 1 - vx]   # f[i] multiplies u^i
     n = len(f) - 1
     if n > 0:
         lc = f[-1]
@@ -745,17 +611,6 @@ def _canon_pair(s0, t0):
     if s0 < 0 or (s0 == 0 and t0 < 0):
         s0, t0 = -s0, -t0
     return (s0, t0)
-
-
-def hpoly_to_bform(f: HPoly, svar: int, tvar: int) -> BForm:
-    """View a polynomial using only two variables as a binary form."""
-    other = 3 - svar - tvar
-    if f.uses_var(other):
-        raise ValidationError("bad variables", f"polynomial involves {VAR_NAMES[other]}")
-    out = [0] * (f.degree + 1)
-    for e, c in f.terms.items():
-        out[e[tvar]] = c
-    return BForm(f.degree, out)
 
 
 # ---------------------------------------------------------------------------
@@ -914,7 +769,9 @@ def _canon_vector(ints):
     return ints
 
 
-def det3(m) -> int:
+def det3(m):
+    """Determinant of a 3x3 matrix over any commutative ring, by cofactors
+    along the first row."""
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])

@@ -149,9 +149,9 @@ def rational_base_points(arg):
     candidates = [form.center]
     for s0, t0 in bform_rational_roots(det) if not det.is_zero() else []:
         for h, k in ((a, b), (c, e)):
-            hv = h.eval(s0, t0)
+            hv, kv = values_at((h, k), (s0, 0, t0))
             if hv != 0:
-                candidates.append(ProjPoint(s0 * hv, -k.eval(s0, t0), t0 * hv).apply_matrix(form.frame[1]))
+                candidates.append(ProjPoint(s0 * hv, -kv, t0 * hv).apply_matrix(form.frame[1]))
                 break
     found = {q for q in candidates if not any(values_at(sigma.components, q.coords))}
     return sorted(found, key=lambda q: q.coords)

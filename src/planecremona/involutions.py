@@ -41,7 +41,7 @@ from .errors import ExtractionError, IndeterminacyError, ValidationError
 from .exactpoly import (
     HPoly,
     bform_gcd,
-    hpoly_to_bform,
+    det3,
     is_squarefree,
     kernel_basis,
     matrix_rank,
@@ -123,15 +123,14 @@ def validate_dj(curve: HPoly, p: ProjPoint) -> DJData:
     a, b, cd = _dj_decompose(c_norm, d)
     checks = ["multiplicity d-2 at center"]
 
-    a_form, b_form, c_form = (hpoly_to_bform(f, 0, 2) for f in (a, b, cd))
-    if not is_squarefree(a_form):
+    if not is_squarefree(a):
         raise ValidationError(
             "non-ordinary", "the tangent cone at the center has repeated lines"
         )
     checks.append("ordinary tangent cone (A squarefree)")
 
-    g = a_form
-    for q in (b_form, c_form):
+    g = a
+    for q in (b, cd):
         if g.degree == 0:
             break
         if not q.is_zero():
@@ -142,7 +141,7 @@ def validate_dj(curve: HPoly, p: ProjPoint) -> DJData:
         )
     checks.append("no line through the center (gcd(A,B,Cd) = 1)")
 
-    pencil = PencilForm(p, (m, minv), (b_form, a_form * 2), (c_form * -2, -b_form))
+    pencil = PencilForm(p, (m, minv), (b, a * 2), (cd * -2, -b))
     delta = pencil.beta                 # 4 (B^2 - 4 A C_d)
     if delta.is_zero():
         raise ValidationError("degenerate", "zero discriminant")
@@ -478,13 +477,7 @@ def _perp_basis(values):
 
 def _jacobian(f: HPoly, g: HPoly, h: HPoly) -> HPoly:
     """Determinant of the 3x3 matrix of partials of f, g, h, canonical."""
-    rows = [[q.partial(v) for v in range(3)] for q in (f, g, h)]
-    j = (
-        rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-        - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-        + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-    )
-    return j.canonical()
+    return det3([[q.partial(v) for v in range(3)] for q in (f, g, h)]).canonical()
 
 
 def _combination(coeffs, forms) -> HPoly:

@@ -124,6 +124,10 @@ def reflection_through(lat: PicLattice, alpha) -> tuple:
     yields the involution used for the two Del Pezzo cases.
     """
     alpha = tuple(alpha)
+    if len(alpha) != lat.rank:
+        raise ValidationError(
+            "bad reflection", f"alpha has {len(alpha)} entries, the lattice rank is {lat.rank}"
+        )
     a2 = lat.dot(alpha, alpha)
     if a2 not in (1, 2):
         raise ValidationError("bad reflection", f"alpha.alpha = {a2}, must be 1 or 2")

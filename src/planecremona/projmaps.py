@@ -14,7 +14,7 @@ from math import gcd as igcd
 
 from .errors import ValidationError
 from .exactpoly import (
-    BForm, HPoly, adjugate3, hpoly_gcd_many, kernel_basis, odd_multiplicity_root_count, values_at,
+    HPoly, adjugate3, det3, hpoly_gcd_many, kernel_basis, odd_multiplicity_root_count, values_at,
 )
 
 
@@ -120,13 +120,7 @@ def frame_moving_to_center(p: ProjPoint):
 
 
 def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
-    m = (p.coords, q.coords, r.coords)
-    det = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-    return det == 0
+    return det3((p.coords, q.coords, r.coords)) == 0
 
 
 def cross_ratio(a, b, c, d):
@@ -239,13 +233,9 @@ def _canon_triple(comps):
     sign = 1 if lead > 0 else -1
     scale = Fraction(sign * content, den)
     return tuple(
-        HPoly(f.degree, {e: _frac_div(c, scale) for e, c in f.terms.items()})
+        HPoly(f.degree, {e: Fraction(c) / scale for e, c in f.terms.items()})
         for f in comps
     )
-
-
-def _frac_div(c, scale):
-    return Fraction(c) / scale
 
 
 def identity_minors(comps):
@@ -337,12 +327,13 @@ class PencilForm:
 
         m sigma(minv x) = (x u : v : z u),
 
-    with u = sum u[k] y^k and v = sum v[k] y^k, u[k] and v[k] binary forms
-    in (x, z) of degrees d - 1 - k and d - k (s = x, t = z). u and v are
-    padded to at least two terms, so that u = a y + b and v = c y + e when
-    both are linear in y. On the line over (x : z) sigma acts by y -> v / u,
-    for linear u and v by the Moebius matrix M = [[c, e], [a, b]], whose
-    fixed points solve a y^2 + (b - c) y - e = 0.
+    with u = sum u[k] y^k and v = sum v[k] y^k, u[k] and v[k] binary forms,
+    HPoly in (x, z), of degrees d - 1 - k and d - k (degree 0 for the zero
+    u[1] of a linear map). u and v are padded to at least two terms, so
+    that u = a y + b and v = c y + e when both are linear in y. On the line
+    over (x : z) sigma acts by y -> v / u, for linear u and v by the Moebius
+    matrix M = [[c, e], [a, b]], whose fixed points solve
+    a y^2 + (b - c) y - e = 0.
     """
 
     center: ProjPoint
@@ -360,7 +351,7 @@ class PencilForm:
     e = property(lambda self: self.v[0])
 
     @cached_property
-    def beta(self) -> BForm:
+    def beta(self) -> HPoly:
         """Branch form (b - c)^2 + 4 a e, the discriminant of the fixed
         points on each line; 4 (B^2 - 4 A C_d) for a de Jonquieres map."""
         return (self.b - self.c) * (self.b - self.c) + self.a * self.e * 4
@@ -390,27 +381,17 @@ class PencilForm:
 
     def components(self):
         """The components (x u, v, z u) of sigma in the frame."""
-        u, v = _from_forms_by_y(self.u), _from_forms_by_y(self.v)
+        y = HPoly.variable(1)
+        u, v = (sum((f * y ** k for k, f in enumerate(forms)), HPoly.zero(0))
+                for forms in (self.u, self.v))
         return HPoly.variable(0) * u, v, HPoly.variable(2) * u
 
 
-def _from_forms_by_y(forms) -> HPoly:
-    """sum forms[k] y^k for binary forms in (x, z): the inverse of
-    _forms_by_y."""
-    y, out = HPoly.variable(1), HPoly.zero(0)
-    for k, f in enumerate(forms):
-        if not f.is_zero():
-            out = out + HPoly(f.degree, {(f.degree - i, 0, i): c for i, c in enumerate(f.coeffs)}) * y ** k
-    return out
-
-
-def _forms_by_y(f: HPoly, d: int):
-    """The coefficients of y^0, y^1, ... of a form of degree d, as binary
-    forms in (x, z)."""
-    rows = [[0] * (d - k + 1) for k in range(max(f.max_exponent(1), 1) + 1)]
-    for (_i, j, k), c in f.terms.items():
-        rows[j][k] = c
-    return tuple(BForm(d - j, row) for j, row in enumerate(rows))
+def _by_y(f: HPoly):
+    """The coefficients of y^0, y^1, ... of f, binary forms in (x, z),
+    padded to two."""
+    forms = f.coeffs_by_var(1)
+    return forms if len(forms) > 1 else forms + [HPoly.zero(f.degree - 1)]
 
 
 def pencil_form(sigma: RationalMap):
@@ -423,9 +404,12 @@ def pencil_form(sigma: RationalMap):
         return None
     m, minv = frame_moving_to_center(p)
     xu, v, _zu = frame_conjugate(sigma.components, m, minv)
-    # x u has no pure power of z: dropping that coefficient divides by x
-    u = tuple(BForm(f.degree - 1, f.coeffs[:-1]) for f in _forms_by_y(xu, sigma.degree))
-    return PencilForm(p, (m, minv), u, _forms_by_y(v, sigma.degree))
+    # every term of x u has x: lowering its x exponent divides by x
+    u = tuple(
+        HPoly(max(f.degree - 1, 0), {(i - 1, j, k): c for (i, j, k), c in f.terms.items()})
+        for f in _by_y(xu)
+    )
+    return PencilForm(p, (m, minv), u, tuple(_by_y(v)))
 
 
 def conjugate(sigma: RationalMap, phi: RationalMap, phi_inverse: RationalMap) -> RationalMap:

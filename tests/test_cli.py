@@ -194,6 +194,17 @@ def test_unreadable_input_file_is_a_validation_failure(tmp_path, argv, reason):
     assert code == 2 and payload["reason"] == reason
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["lattice", "reflect", "--n", "3", "--alpha", "1,a"], "syntax error"),
+    (["elmt", "--n", "1", "--contacts", "1,x", "--on"], "syntax error"),
+    (["lattice", "reflect", "--n", "3", "--alpha", "0,1,-1,0,5"], "bad reflection"),
+    (["dj", "--curve", "x*z - y^2", "--p", "(0:0:1/0)"], "syntax error"),
+])
+def test_malformed_command_line_input_is_a_validation_failure(argv, reason):
+    code, payload, _ = run_json(argv)
+    assert code == 2 and payload["reason"] == reason
+
+
 def test_fixed_curve_command():
     code, payload, _ = run_json(["fixed-curve", "--map", "x*y; x*z; y*z"])
     assert code == 0

@@ -7,14 +7,12 @@ from hypothesis import assume, given, settings, strategies as st
 from planecremona.errors import ValidationError
 from planecremona.exactpoly import (
     _gcd_degree_bound,
-    BForm,
     HPoly,
     bform_discriminant,
     bform_gcd,
     bform_rational_roots,
     hpoly_gcd,
     hpoly_gcd_many,
-    hpoly_to_bform,
     is_squarefree,
     kernel_basis,
     matrix_rank,
@@ -28,6 +26,16 @@ from planecremona.rng import SplitMix64
 X, Y, Z = (HPoly.variable(i) for i in range(3))
 CONIC = X * Z - Y * Y
 P61 = (1 << 61) - 1
+
+
+def _bform(d, coeffs):
+    """The binary form sum c_i x^(d-i) z^i."""
+    return HPoly(d, {(d - i, 0, i): c for i, c in enumerate(coeffs)})
+
+
+def _coeffs(form):
+    """The coefficients [c_0, ..., c_d] of a binary form, c_i at x^(d-i) z^i."""
+    return [form.terms.get((form.degree - i, 0, i), 0) for i in range(form.degree + 1)]
 
 
 def random_poly(stream, degree, lo=-4, hi=4):
@@ -153,8 +161,8 @@ def test_gcd_with_a_root_at_the_second_point_of_both_probe_lines():
     assert hpoly_gcd_many([f, g, THROUGH_SECOND * Z]) == THROUGH_SECOND
     # in (x : z), the second points are (2 : 1) and (1 : -3)
     common = (X - Z * 2) * (X * 3 + Z)
-    a, b = (hpoly_to_bform(p, 0, 2) for p in (common * X, common * (X + Z)))
-    assert bform_gcd(a, b) == BForm(2, [3, -5, -2])
+    a, b = common * X, common * (X + Z)
+    assert bform_gcd(a, b) == _bform(2, [3, -5, -2])
 
 
 def test_gcd_with_a_factor_containing_a_probe_line():
@@ -222,7 +230,6 @@ def test_gcd_of_planted_factor_and_coprime_cofactors(data):
         g = g * line
     assert hpoly_gcd(f, g) == h.canonical()
     if binary:
-        f, g, h = (hpoly_to_bform(p, 0, 2) for p in (f, g, h))
         assert bform_gcd(f, g) == h.canonical()
 
 
@@ -411,14 +418,14 @@ def test_kernel_basis_matches_fraction_rref(data):
 # -- binary forms ----------------------------------------------------------------
 
 def test_discriminant_conic_normal_form():
-    a, b, c = BForm(0, [-1]), BForm.zero(1), BForm(2, [0, 1, 0])
+    a, b, c = _bform(0, [-1]), HPoly.zero(1), _bform(2, [0, 1, 0])
     disc = bform_discriminant(a, b, c)
-    assert disc.degree == 2 and list(disc.coeffs) == [0, 4, 0]
+    assert disc.degree == 2 and _coeffs(disc) == [0, 4, 0]
     assert is_squarefree(disc)
 
 
 def test_discriminant_zero_is_callers_problem():
-    disc = bform_discriminant(BForm(0, [1]), BForm.zero(1), BForm.zero(2))
+    disc = bform_discriminant(_bform(0, [1]), HPoly.zero(1), HPoly.zero(2))
     assert disc.is_zero()
     with pytest.raises(ValidationError):
         is_squarefree(disc)
@@ -426,39 +433,49 @@ def test_discriminant_zero_is_callers_problem():
 
 def test_discriminant_degenerate_quadratic_rejected():
     with pytest.raises(ValidationError):
-        bform_discriminant(BForm.zero(2), BForm(3, [1, 0, 0, 0]), BForm(4, [1, 0, 0, 0, 0]))
+        bform_discriminant(HPoly.zero(2), _bform(3, [1, 0, 0, 0]), _bform(4, [1, 0, 0, 0, 0]))
 
 
 def test_discriminant_generic_degree():
     # degree-d data (A: d-2, B: d-1, C: d) gives degree 2d-2, symbolically
     stream = SplitMix64(5)
     for d in (3, 4, 5, 6):
-        a = BForm(d - 2, [stream.next_int(1, 5) for _ in range(d - 1)])
-        b = BForm(d - 1, [stream.next_int(-5, 5) for _ in range(d)])
-        c = BForm(d, [stream.next_int(-5, 5) for _ in range(d + 1)])
+        a = _bform(d - 2, [stream.next_int(1, 5) for _ in range(d - 1)])
+        b = _bform(d - 1, [stream.next_int(-5, 5) for _ in range(d)])
+        c = _bform(d, [stream.next_int(-5, 5) for _ in range(d + 1)])
         assert bform_discriminant(a, b, c).degree == 2 * d - 2
 
 
 def test_squarefree_examples():
-    assert is_squarefree(BForm(2, [0, 4, 0]))            # 4st
-    assert not is_squarefree(BForm(4, [0, 0, 1, 0, 0]))  # s^2 t^2
+    assert is_squarefree(_bform(2, [0, 4, 0]))            # 4xz
+    assert not is_squarefree(_bform(4, [0, 0, 1, 0, 0]))  # x^2 z^2
+
+
+@pytest.mark.parametrize("fn", [
+    lambda q: bform_gcd(q, X), bform_rational_roots, is_squarefree, odd_multiplicity_root_count,
+])
+def test_binary_form_functions_refuse_y(fn):
+    # x y is no binary form in (x, z): dropping its y would answer for x
+    with pytest.raises(ValidationError) as exc:
+        fn(X * Y)
+    assert exc.value.reason == "bad variables"
 
 
 def test_bform_roots_and_gcd():
-    q = BForm(3, [2, -3, -3, 2])
+    q = _bform(3, [2, -3, -3, 2])
     assert bform_rational_roots(q) == [(1, -1), (1, 2), (2, 1)]
-    g = bform_gcd(q, q.derivative_t())
+    g = bform_gcd(q, q.partial(2))
     assert g.degree == 0
 
 
-S, T = BForm(1, [1, 0]), BForm(1, [0, 1])
+S, T = _bform(1, [1, 0]), _bform(1, [0, 1])
 
 
 def _euclid_gcd(f, g):
-    """Reference gcd of binary forms: the common power of s, times the
-    Fraction Euclid gcd of the rest at s = 1, rehomogenized."""
+    """Reference gcd of binary forms: the common power of x, times the
+    Fraction Euclid gcd of the rest at x = 1, rehomogenized."""
     def split(form):
-        c = list(form.coeffs)
+        c = _coeffs(form)
         v = 0
         while not c[-1]:
             c.pop()
@@ -475,27 +492,27 @@ def _euclid_gcd(f, g):
                 a.pop()
         a, b = b, a
     k = len(a) - 1
-    return (BForm(k, a) * BForm(min(vf, vg), [1] + [0] * min(vf, vg))).canonical()
+    return (_bform(k, a) * _bform(min(vf, vg), [1] + [0] * min(vf, vg))).canonical()
 
 
 def test_bform_gcd_examples():
-    # (0:1) is a root of both: s is the gcd, though 1 + t and 1 - t are coprime
+    # (0:1) is a root of both: x is the gcd, though 1 + z and 1 - z are coprime
     assert bform_gcd(S * (S + T), S * (S - T)) == S
     # coprime over Q; the first two pairs are equal modulo 2^61 - 1, so
     # their degree bound is 1 and the linear system answers them
-    assert bform_gcd(S + T * P61, S) == BForm(0, [1])
-    assert bform_gcd(S + T, S + T * (P61 + 1)) == BForm(0, [1])
-    assert bform_gcd(S * P61 + T, S) == BForm(0, [1])
+    assert bform_gcd(S + T * P61, S) == _bform(0, [1])
+    assert bform_gcd(S + T, S + T * (P61 + 1)) == _bform(0, [1])
+    assert bform_gcd(S * P61 + T, S) == _bform(0, [1])
     # every coefficient a multiple of the prime: its reduction is zero
-    assert bform_gcd((S + T) * P61, S) == BForm(0, [1])
+    assert bform_gcd((S + T) * P61, S) == _bform(0, [1])
     assert bform_gcd((S + T) * P61, S + T) == S + T
     assert bform_gcd((S + T) * (S - T) * P61, (S - T) * 2) == S - T
     # constants and Fraction coefficients
-    assert bform_gcd(BForm(0, [6]), BForm(0, [P61])) == BForm(0, [1])
-    assert bform_gcd(BForm(0, [P61]), S * S) == BForm(0, [1])
-    half = BForm(2, [Fraction(1, 2), Fraction(-1, 3), 0])      # s (s/2 - t/3)
-    assert bform_gcd(half, BForm(1, [Fraction(3, 7), Fraction(-2, 7)])) == BForm(1, [3, -2])
-    assert bform_gcd(half, BForm(1, [Fraction(1, 5), 0])) == S
+    assert bform_gcd(_bform(0, [6]), _bform(0, [P61])) == _bform(0, [1])
+    assert bform_gcd(_bform(0, [P61]), S * S) == _bform(0, [1])
+    half = _bform(2, [Fraction(1, 2), Fraction(-1, 3), 0])      # x (x/2 - z/3)
+    assert bform_gcd(half, _bform(1, [Fraction(3, 7), Fraction(-2, 7)])) == _bform(1, [3, -2])
+    assert bform_gcd(half, _bform(1, [Fraction(1, 5), 0])) == S
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -507,11 +524,11 @@ def test_bform_gcd_matches_fraction_euclid(data):
 
     def form(lo, hi):
         d = data.draw(st.integers(lo, hi))
-        return BForm(d, data.draw(st.lists(entry, min_size=d + 1, max_size=d + 1)))
+        return _bform(d, data.draw(st.lists(entry, min_size=d + 1, max_size=d + 1)))
 
     h, f, g = form(0, 3), form(0, 4), form(0, 4)
     k = data.draw(st.integers(0, 2))
-    h = h * BForm(k, [1] + [0] * k)         # s^k: a root at (0:1)
+    h = h * _bform(k, [1] + [0] * k)         # x^k: a root at (0:1)
     f, g = f * h, g * h
     for scale in data.draw(st.lists(st.sampled_from([P61, -P61, Fraction(1, P61)]), max_size=2)):
         f = f * scale
@@ -530,19 +547,19 @@ def test_squarefree_is_gcd_of_the_form_and_both_partials(data):
     factor = st.lists(st.integers(-4, 4), min_size=2, max_size=3)
     factors = data.draw(st.lists(factor, min_size=1, max_size=5))
     factors += 2 * data.draw(st.lists(factor, max_size=1))
-    q = BForm(0, [1])
+    q = _bform(0, [1])
     for cs in factors:
-        q = q * BForm(len(cs) - 1, cs)
+        q = q * _bform(len(cs) - 1, cs)
     assume(not q.is_zero())
-    g = bform_gcd(bform_gcd(q, q.derivative_s()), q.derivative_t())
+    g = bform_gcd(bform_gcd(q, q.partial(0)), q.partial(2))
     assert is_squarefree(q) == (g.degree == 0)
 
 
 def test_bform_roots_without_a_size_bound():
     # coefficients above 10**12, which a divisor search over them cannot reach
     big = 10**15 + 37
-    lin = BForm(1, [-big, 3])
-    q = lin * lin * BForm(1, [7, 5]) * BForm(2, [1, 0, 2]) * BForm(1, [0, 1])
+    lin = _bform(1, [-big, 3])
+    q = lin * lin * _bform(1, [7, 5]) * _bform(2, [1, 0, 2]) * _bform(1, [0, 1])
     assert bform_rational_roots(q) == [(1, 0), (3, big), (5, -7)]
 
 
@@ -554,18 +571,18 @@ def test_bform_roots_match_brute_force():
     pairs = {(s0, t0) for s0 in range(6) for t0 in range(-5, 6)
              if gcd(s0, t0) == 1 and (s0 > 0 or t0 > 0)}
     for _ in range(40):
-        q = BForm(0, [stream.next_nonzero_int(-3, 3)])
+        q = _bform(0, [stream.next_nonzero_int(-3, 3)])
         for _ in range(stream.next_int(0, 4)):
             a, b = stream.next_int(-5, 5), stream.next_nonzero_int(-5, 5)
-            q = q * BForm(1, [a, b])
+            q = q * _bform(1, [a, b])
         for _ in range(stream.next_int(0, 2)):
             while True:
                 a, b, c = (stream.next_nonzero_int(-6, 6) for _ in range(3))
                 disc = b * b - 4 * a * c
                 if disc < 0 or isqrt(disc) ** 2 != disc:
                     break
-            q = q * BForm(2, [a, b, c])
-        assert bform_rational_roots(q) == sorted(p for p in pairs if q.eval(*p) == 0)
+            q = q * _bform(2, [a, b, c])
+        assert bform_rational_roots(q) == sorted(p for p in pairs if q.eval((p[0], 0, p[1])) == 0)
 
 
 def test_odd_multiplicity_root_count_matches_planted_factors():
@@ -575,16 +592,16 @@ def test_odd_multiplicity_root_count_matches_planted_factors():
     stream = SplitMix64(17)
     roots = [(1, 0), (0, 1), (1, 1), (1, -2), (2, 3), (3, -1)]
     for _ in range(40):
-        q = BForm(0, [stream.next_nonzero_int(-3, 3)])
+        q = _bform(0, [stream.next_nonzero_int(-3, 3)])
         expect = 0
         for s0, t0 in roots:
             k = stream.next_int(0, 4)
             for _ in range(k):
-                q = q * BForm(1, [-t0, s0])
+                q = q * _bform(1, [-t0, s0])
             expect += k % 2
         k = stream.next_int(0, 3)
         for _ in range(k):
-            q = q * BForm(2, [1, 0, 2])
+            q = q * _bform(2, [1, 0, 2])
         expect += 2 * (k % 2)
         assert odd_multiplicity_root_count(q) == expect
 

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from planecremona.errors import ValidationError
 from planecremona.exactpoly import (
-    HPoly, adjugate3, bform_discriminant, hpoly_gcd_many, hpoly_to_bform, is_squarefree,
+    HPoly, adjugate3, bform_discriminant, hpoly_gcd_many, is_squarefree,
     kernel_basis, values_at,
 )
 from planecremona.fixedcurve import classify_involution, fixed_locus, rational_base_points
@@ -147,7 +147,7 @@ def test_seeded_instances_fix_their_curve(d, dj_records):
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_discriminant_profile(d, dj_records):
     data = dj_records[d].dj_data
-    delta = bform_discriminant(*(hpoly_to_bform(f, 0, 2) for f in (data.A, data.B, data.Cd)))
+    delta = bform_discriminant(data.A, data.B, data.Cd)
     assert data.pencil.beta == delta * 4
     assert delta.degree == 2 * d - 2
     assert is_squarefree(delta)
