@@ -8,8 +8,6 @@ exceptional-class enumeration, structure labels) behind the classification.
 from .errors import ExtractionError, IndeterminacyError, ValidationError
 from .exactpoly import (
     HPoly,
-    Rat,
-    bform_discriminant,
     bform_gcd,
     hpoly_gcd,
     is_squarefree,
@@ -18,13 +16,10 @@ from .exactpoly import (
     resultant,
 )
 from .projmaps import (
-    INF,
     ProjPoint,
     RationalMap,
     compose,
     conjugate,
-    cross_ratio,
-    harmonic_conjugate,
     is_identity,
     is_involution,
     pencil_form,
@@ -42,7 +37,6 @@ from .involutions import (
     make_point_config,
     sample_points,
     sextic_system,
-    singular_fibre_count,
     validate_dj,
 )
 from .fixedcurve import (
@@ -50,7 +44,6 @@ from .fixedcurve import (
     classify_involution,
     fixed_locus,
     invariant_of,
-    plane_genus,
 )
 from .picard import (
     ConicBundleModel,
@@ -66,7 +59,6 @@ from .picard import (
     make_lattice,
     quadric_lattice,
     reflection_through,
-    swap_involution,
 )
 from . import configs
 

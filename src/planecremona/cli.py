@@ -9,7 +9,8 @@ codes: 0 success, 2 validation failure (machine-readable reason), 1
 internal error.
 
 Input grammars:
-  polynomials   signed terms  c x^i*y^j*z^k  with rational c like 3/4; the
+  polynomials   signed terms  c x^i*y^j*z^k  with rational c like 3/4 and
+                exponents i, j, k written as digits; the
                 '*' between coefficient and variables and between variables
                 is optional; all terms must have the same total degree
   points        (a:b:c) with rational entries, not all zero
@@ -56,22 +57,20 @@ class _Scanner:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take_number(self) -> Fraction:
-        self.skip_ws()
+    def take_digits(self, what: str = "a number") -> int:
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if self.pos == start:
-            self.error("expected a number")
-        num = int(self.text[start:self.pos])
+            self.error(f"expected {what}")
+        return int(self.text[start:self.pos])
+
+    def take_number(self) -> Fraction:
+        self.skip_ws()
+        num = self.take_digits()
         if self.peek() == "/":
             self.pos += 1
-            dstart = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == dstart:
-                self.error("expected a denominator")
-            den = int(self.text[dstart:self.pos])
+            den = self.take_digits("a denominator")
             if den == 0:
                 self.error("zero denominator")
             return Fraction(num, den)
@@ -118,7 +117,8 @@ def _parse_form(text: str) -> HPoly:
                 e = 1
                 if sc.peek() == "^":
                     sc.pos += 1
-                    e = int(sc.take_number())
+                    sc.skip_ws()
+                    e = sc.take_digits()
                 exps[v] += e
                 if sc.peek() == "*":
                     sc.pos += 1
@@ -273,20 +273,8 @@ def _default_human(payload, prefix=""):
 # ---------------------------------------------------------------------------
 
 def _cmd_dj(args) -> int:
-    curve = parse_poly(args.curve)
-    p = parse_point(args.p)
-    record = involutions.dj_involution(curve, p)
-    payload = _record_json(record, args.seed)
-    base = fixedcurve.rational_base_points(record)
-    payload["rational_base_points"] = [str(b) for b in base]
-    emit(payload, args.json)
-    return 0
-
-
-def _cmd_dj_conic(args) -> int:
-    q = parse_poly(args.q)
-    p = parse_point(args.p)
-    record = involutions.dj_from_conic(q, p)
+    """dj and dj-conic: args.construct is dj_involution or dj_from_conic."""
+    record = args.construct(parse_poly(args.curve), parse_point(args.p))
     payload = _record_json(record, args.seed)
     base = fixedcurve.rational_base_points(record)
     payload["rational_base_points"] = [str(b) for b in base]
@@ -379,6 +367,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_fixed_curve(args) -> int:
     sigma = _load_map(args)
+    if not is_involution(sigma):
+        raise ValidationError("not involutive", "the map composed with itself is not the identity")
     locus = fixedcurve.fixed_locus(sigma)
     payload = {
         "degree": sigma.degree,
@@ -405,30 +395,19 @@ def _build_record(args):
 
 
 def _cmd_invariant(args) -> int:
+    """The invariant of a construction, cross-checked against its fixed
+    curve (invariant_of); a raw map is classified as by classify."""
     record = _build_record(args)
-    if record is not None:
-        inv = fixedcurve.invariant_of(record)
-        payload = {"label": record.label, "invariant": inv.as_dict(), "seed": args.seed}
-        emit(payload, args.json)
-        return 0
-    sigma = _load_map(args)
-    result = fixedcurve.classify_involution(sigma)
-    payload = {
-        "label": result.label,
-        "invariant": result.invariant.as_dict() if result.invariant else None,
-        "note": result.note,
-        "seed": args.seed,
-    }
-    emit(payload, args.json)
+    if record is None:
+        return _cmd_classify(args)
+    inv = fixedcurve.invariant_of(record)
+    emit({"label": record.label, "invariant": inv.as_dict(), "seed": args.seed}, args.json)
     return 0
 
 
 def _cmd_classify(args) -> int:
     record = _build_record(args)
-    if record is not None:
-        result = fixedcurve.classify_involution(record)
-    else:
-        result = fixedcurve.classify_involution(_load_map(args))
+    result = fixedcurve.classify_involution(record if record is not None else _load_map(args))
     payload = {
         "label": result.label,
         "invariant": result.invariant.as_dict() if result.invariant else None,
@@ -486,6 +465,8 @@ def _cmd_lattice(args) -> int:
         emit(payload, args.json)
         return 0
     if sub in ("minimal", "classify"):
+        if not args.matrix_file:
+            raise ValidationError("bad request", "supply --matrix-file")
         matrix = parse_matrix_file(args.matrix_file)
         inv = picard.LatticeInvolution(lat, matrix)
         if sub == "minimal":
@@ -546,13 +527,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", required=True)
     p.add_argument("--p", required=True)
     common(p)
-    p.set_defaults(func=_cmd_dj)
+    p.set_defaults(func=_cmd_dj, construct=involutions.dj_involution)
 
     p = sub.add_parser("dj-conic", help="quadratic de Jonquieres involution from a conic")
-    p.add_argument("--q", required=True)
+    p.add_argument("--q", dest="curve", metavar="Q", required=True)
     p.add_argument("--p", required=True)
     common(p)
-    p.set_defaults(func=_cmd_dj_conic)
+    p.set_defaults(func=_cmd_dj, construct=involutions.dj_from_conic)
 
     for name, handler in (("geiser", _cmd_geiser), ("bertini", _cmd_bertini)):
         p = sub.add_parser(name, help=f"{name} involution on a point configuration")

@@ -21,8 +21,6 @@ from math import gcd as igcd, isqrt
 
 from .errors import ValidationError
 
-Rat = Fraction
-
 NVARS = 3
 VAR_NAMES = ("x", "y", "z")
 
@@ -527,13 +525,6 @@ def odd_multiplicity_root_count(q: HPoly) -> int:
         at_least.append(g.degree - h.degree)
         g = h
     return sum(at_least[0::2]) - sum(at_least[1::2])
-
-
-def bform_discriminant(a: HPoly, b: HPoly, c: HPoly) -> HPoly:
-    """Discriminant b^2 - 4ac of a quadratic with binary-form coefficients."""
-    if a.is_zero():
-        raise ValidationError("degenerate", "quadratic coefficient is identically zero")
-    return b * b - (a * c) * 4
 
 
 def bform_rational_roots(q: HPoly):

@@ -49,20 +49,6 @@ class FixedCurveInvariant:
         return {"kind": self.kind, "genus": self.genus, "source": self.source}
 
 
-def plane_genus(d: int, mults) -> int:
-    """Genus of the normalization of a plane curve of degree d whose only
-    singularities are ordinary points of the given multiplicities."""
-    if d < 1:
-        raise ValidationError("bad degree", "degree must be >= 1")
-    mults = list(mults)
-    if any(m < 1 for m in mults):
-        raise ValidationError("bad multiplicity", "multiplicities must be >= 1")
-    g = (d - 1) * (d - 2) // 2 - sum(m * (m - 1) // 2 for m in mults)
-    if g < 0:
-        raise ValidationError("inconsistent", f"formula gives negative genus {g}")
-    return g
-
-
 def fixed_locus(sigma: RationalMap) -> HPoly:
     """Divisorial fixed locus: gcd of the minors of ((x,y,z), components).
 

@@ -95,11 +95,7 @@ def _dj_decompose(c_norm: HPoly, d: int):
             "multiplicity mismatch",
             f"multiplicity at the center exceeds {d - 2}",
         )
-    a, b, cd = by_y[2], by_y[1], by_y[0]
-    for part, name in ((a, "A"), (b, "B"), (cd, "Cd")):
-        if part.uses_var(1):
-            raise ValueError(f"internal: {name} still involves y")
-    return a, b, cd
+    return by_y[2], by_y[1], by_y[0]
 
 
 def validate_dj(curve: HPoly, p: ProjPoint) -> DJData:
@@ -222,13 +218,6 @@ def dj_from_conic(q: HPoly, p: ProjPoint) -> InvolutionRecord:
     return dj_involution(q, p)
 
 
-def singular_fibre_count(data: DJData) -> int:
-    """Number of singular fibres of the conic-bundle model: the
-    odd-multiplicity roots of the branch form of the pencil form, 2g + 2
-    for a fixed curve of genus g."""
-    return data.pencil.branch_count()
-
-
 # ---------------------------------------------------------------------------
 # point configurations
 # ---------------------------------------------------------------------------
@@ -262,9 +251,6 @@ class PointConfig:
     # basis of the configuration's linear system: the net of cubics through
     # the 7 points, or the sextics singular at the 8 (solved once, here)
     system: tuple = field(compare=False)
-
-    def __contains__(self, pt: ProjPoint):
-        return pt in self.points
 
 
 def make_point_config(points, kind: str) -> PointConfig:
@@ -480,14 +466,6 @@ def _jacobian(f: HPoly, g: HPoly, h: HPoly) -> HPoly:
     return det3([[q.partial(v) for v in range(3)] for q in (f, g, h)]).canonical()
 
 
-def _combination(coeffs, forms) -> HPoly:
-    f = HPoly.zero(forms[0].degree)
-    for c, g in zip(coeffs, forms):
-        if c:
-            f = f + g * c
-    return f.canonical()
-
-
 @dataclass(frozen=True)
 class EvalTrace:
     """What one Geiser or Bertini evaluation did: the number of chord-tangent
@@ -528,9 +506,6 @@ class GeiserInvolution:
         if not any(vals):
             raise ValidationError("pencil dimension wrong", f"net does not restrict to a pencil at {x}")
         return _perp_basis(vals)
-
-    def _pencil_through(self, x: ProjPoint):
-        return [_combination(c, self.net) for c in self._pencil_coeffs(x)]
 
     def eval(self, x: ProjPoint) -> ProjPoint:
         return self.eval_detail(x)[0]
@@ -661,9 +636,6 @@ class BertiniInvolution:
         if not any(vals):
             raise ValidationError("net dimension wrong", f"sextic space does not restrict to a net at {x}")
         return vals
-
-    def _net_through(self, x: ProjPoint):
-        return [_combination(c, self.space) for c in _perp_basis(self._space_values(x))]
 
     def eval(self, x: ProjPoint) -> ProjPoint:
         return self.eval_detail(x)[0]

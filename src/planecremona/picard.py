@@ -3,7 +3,7 @@
 A blow-up lattice has basis (H, E_1, ..., E_n), diagonal intersection form
 (+1, -1, ..., -1) and canonical class K = -3H + sum E_i, so K^2 = 9 - n.
 The quadric P^1 x P^1 is carried as a separate rank-2 model with Gram matrix
-[[0,1],[1,0]] and K = (-2,-2); it is recognized by K being divisible by 2.
+[[0,1],[1,0]] and K = (-2,-2); it is recognized by its kind, "quadric".
 
 Involutions are integer matrices M acting on column vectors, validated to
 preserve the form, square to the identity and fix K. The minimality test is
@@ -15,7 +15,6 @@ validity domain.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 from .errors import ValidationError
@@ -46,9 +45,6 @@ class PicLattice:
 
     def k_square(self) -> int:
         return self.dot(self.k, self.k)
-
-    def k_divisible_by_two(self) -> bool:
-        return all(c % 2 == 0 for c in self.k)
 
 
 def make_lattice(n: int) -> PicLattice:
@@ -158,26 +154,12 @@ def anti_reflection_in_k(lat: PicLattice) -> LatticeInvolution:
     return LatticeInvolution(lat, m)
 
 
-def swap_involution(lat: PicLattice) -> LatticeInvolution:
-    """Factor swap on the quadric model."""
-    if lat.kind != "quadric":
-        raise ValidationError("bad lattice", "swap lives on the quadric model")
-    return LatticeInvolution(lat, ((0, 1), (1, 0)))
-
-
 def fixed_rank(inv: LatticeInvolution) -> int:
     """Rank of the fixed sublattice: kernel of M - I over the rationals."""
     m = inv.matrix
     r = inv.lattice.rank
     rows = [[m[i][j] - (1 if i == j else 0) for j in range(r)] for i in range(r)]
     return len(kernel_basis(rows))
-
-
-def fixed_sublattice_basis(inv: LatticeInvolution):
-    m = inv.matrix
-    r = inv.lattice.rank
-    rows = [[m[i][j] - (1 if i == j else 0) for j in range(r)] for i in range(r)]
-    return [tuple(v) for v in kernel_basis(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +193,7 @@ def _fill_classes(a: int, n: int, rem_sum: int, rem_sq: int, prefix, out):
         _fill_classes(a, n, rem_sum - c, rem_sq - c * c, prefix + [c], out)
 
 
-def exceptional_classes(lat: PicLattice, widen: int = 0):
+def exceptional_classes(lat: PicLattice):
     """All classes with E^2 = -1 and E.K = -1, deterministically ordered.
 
     Exhaustive search: for each H-degree a in the proven window, integer
@@ -226,7 +208,7 @@ def exceptional_classes(lat: PicLattice, widen: int = 0):
     if n == 0:
         return []
     out: list = []
-    lo, hi = _degree_bounds(n, widen)
+    lo, hi = _degree_bounds(n)
     for a in range(lo, hi + 1):
         _fill_classes(a, n, 1 - 3 * a, a * a + 1, [], out)
     out.sort()
@@ -365,9 +347,6 @@ class ConicBundleModel:
             raise ValidationError("bad model", "n and s must be >= 0")
         if any(c < 1 for c in self.contact_orders):
             raise ValidationError("bad model", "contact orders must be >= 1")
-
-    def negative_section_square(self) -> int:
-        return -self.n
 
 
 def elementary_transformation(

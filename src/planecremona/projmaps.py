@@ -1,10 +1,12 @@
-"""Projective points and frames, cross-ratio and harmonic conjugation, plane
-rational maps with composition, projective identity and involution tests and
-conjugation, and the pencil normal form of a map with a center.
+"""Projective points and frames, plane rational maps with composition,
+projective identity and involution tests and conjugation, and the pencil
+normal form of a map with a center.
 
-A point of the parameter line is a Fraction, or INF for the point at
-infinity; internally everything is handled through the projective pair
-(u : v), so no chart is privileged.
+A map with a center p preserves every line through p. In a frame where
+p = (0:1:0) it is (x u : v : z u) with u and v polynomials in y over binary
+forms in (x, z) (PencilForm); a de Jonquieres involution acts on each line
+by the Moebius involution y -> v / u, harmonic conjugation with respect to
+the two points of its fixed curve on that line.
 """
 
 from dataclasses import dataclass
@@ -16,39 +18,6 @@ from .errors import ValidationError
 from .exactpoly import (
     HPoly, adjugate3, det3, hpoly_gcd_many, kernel_basis, odd_multiplicity_root_count, values_at,
 )
-
-
-class _Infinity:
-    """The point at infinity of a parameter line (projective (1:0))."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INF"
-
-
-INF = _Infinity()
-
-
-def _as_pair(t):
-    """Parameter value -> projective pair (u, v) with t = u/v."""
-    if t is INF:
-        return (1, 0)
-    t = Fraction(t)
-    return (t.numerator, t.denominator)
-
-
-def _from_pair(u, v):
-    if v == 0:
-        if u == 0:
-            raise ValidationError("degenerate", "0:0 is not a parameter value")
-        return INF
-    return Fraction(u, v)
 
 
 class ProjPoint:
@@ -121,45 +90,6 @@ def frame_moving_to_center(p: ProjPoint):
 
 def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
     return det3((p.coords, q.coords, r.coords)) == 0
-
-
-def cross_ratio(a, b, c, d):
-    """Cross-ratio (a, b; c, d) of four parameters (Fractions or INF).
-
-    Harmonic quadruples give -1. Requires at least three of the four points
-    to be distinct; the result may itself be INF.
-    """
-    pts = [_as_pair(t) for t in (a, b, c, d)]
-    distinct = []
-    for u, v in pts:
-        if not any(u * v2 - v * u2 == 0 for u2, v2 in distinct):
-            distinct.append((u, v))
-    if len(distinct) < 3:
-        raise ValidationError("degenerate", "cross-ratio needs at least three distinct points")
-    (ua, va), (ub, vb), (uc, vc), (ud, vd) = pts
-
-    def det(p, q):
-        return p[0] * q[1] - p[1] * q[0]
-
-    num = det((uc, vc), (ua, va)) * det((ud, vd), (ub, vb))
-    den = det((uc, vc), (ub, vb)) * det((ud, vd), (ua, va))
-    return _from_pair(num, den)
-
-
-def harmonic_conjugate(quadratic, t):
-    """Fourth harmonic point of t with respect to the roots of a*u^2+b*u+c.
-
-    Closed form t' = -(b t + 2 c) / (2 a t + b); together with t it separates
-    the root pair harmonically (cross-ratio -1), and applying it twice gives
-    t back. Requires a != 0 and a nonzero discriminant.
-    """
-    a, b, c = (Fraction(v) for v in quadratic)
-    if a == 0:
-        raise ValidationError("degenerate", "quadratic coefficient a must be nonzero")
-    if b * b - 4 * a * c == 0:
-        raise ValidationError("degenerate", "double root: harmonic conjugation undefined")
-    u, v = _as_pair(t)
-    return _from_pair(-(b * u + 2 * c * v), 2 * a * u + b * v)
 
 
 class RationalMap:
@@ -262,11 +192,6 @@ def compose(f: RationalMap, g: RationalMap) -> RationalMap:
     if all(m.is_zero() for m in identity_minors(raw)):
         return RationalMap.identity()
     return RationalMap(*raw)
-
-
-def compose_raw(f: RationalMap, g: RationalMap):
-    """Substitution without normalization (for degree bookkeeping tests)."""
-    return tuple(c.substitute(g.components) for c in f.components)
 
 
 def is_involution(f: RationalMap) -> bool:

@@ -199,6 +199,10 @@ def test_unreadable_input_file_is_a_validation_failure(tmp_path, argv, reason):
     (["elmt", "--n", "1", "--contacts", "1,x", "--on"], "syntax error"),
     (["lattice", "reflect", "--n", "3", "--alpha", "0,1,-1,0,5"], "bad reflection"),
     (["dj", "--curve", "x*z - y^2", "--p", "(0:0:1/0)"], "syntax error"),
+    (["fixed-curve", "--map", "0;0;x"], "not involutive"),
+    (["fixed-curve", "--map", "x^2;y^2;z^2"], "not involutive"),
+    (["dj", "--curve", "x^2/3*y + z", "--p", "(0:1:0)"], "syntax error"),
+    (["lattice", "minimal", "--n", "3"], "bad request"),
 ])
 def test_malformed_command_line_input_is_a_validation_failure(argv, reason):
     code, payload, _ = run_json(argv)

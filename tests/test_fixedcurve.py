@@ -8,7 +8,6 @@ from planecremona.fixedcurve import (
     fixed_locus,
     invariant_for_kind,
     invariant_of,
-    plane_genus,
 )
 from planecremona.involutions import dj_involution, make_dj_instance
 from planecremona.projmaps import ProjPoint, RationalMap, frame_conjugate, is_involution, pencil_form
@@ -40,55 +39,6 @@ def test_fixed_locus_constant_when_no_curve_is_fixed():
     locus = fixed_locus(sigma)
     # the swap fixes the line x = y and the isolated point; divisorial part
     assert locus.degree == 1
-
-
-# -- genus formula ----------------------------------------------------------------
-
-def test_genus_table():
-    assert plane_genus(6, [2] * 7) == 3
-    assert plane_genus(9, [3] * 8) == 4
-    for d in range(3, 11):
-        assert plane_genus(d, [d - 2]) == d - 2
-
-
-def _lattice_point_genus(d, mults):
-    """Independent oracle: (d-1)(d-2)/2 as a count of interior lattice
-    points of the degree-d triangle, and m(m-1)/2 as a count of pairs."""
-    interior = sum(
-        1 for i in range(1, d) for j in range(1, d) if i + j <= d - 1
-    )
-    deductions = sum(
-        sum(1 for a in range(m) for b in range(a + 1, m)) for m in mults
-    )
-    return interior - deductions
-
-
-def test_genus_matches_bruteforce_oracle():
-    stream = SplitMix64(101)
-    for _ in range(40):
-        d = stream.next_int(1, 12)
-        mults = [stream.next_int(1, max(2, d - 1)) for _ in range(stream.next_int(0, 3))]
-        expect = _lattice_point_genus(d, mults)
-        if expect < 0:
-            with pytest.raises(ValidationError):
-                plane_genus(d, mults)
-        else:
-            assert plane_genus(d, mults) == expect
-
-
-def test_genus_monotone_in_multiplicities():
-    base = plane_genus(8, [3, 2])
-    assert plane_genus(8, [4, 2]) <= base
-    assert plane_genus(8, [3, 3]) <= base
-
-
-def test_genus_bad_input():
-    with pytest.raises(ValidationError):
-        plane_genus(0, [])
-    with pytest.raises(ValidationError):
-        plane_genus(4, [0])
-    with pytest.raises(ValidationError):
-        plane_genus(3, [5])  # negative result
 
 
 # -- invariants -------------------------------------------------------------------

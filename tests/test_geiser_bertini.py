@@ -4,6 +4,7 @@ import pytest
 
 from planecremona.configs import SEXTIC_POINT
 from planecremona.errors import IndeterminacyError, ValidationError
+from planecremona.exactpoly import kernel_basis, matrix_rank
 from planecremona.involutions import (
     BertiniInvolution,
     GeiserInvolution,
@@ -296,13 +297,21 @@ def test_six_of_seven_points_on_a_conic_rejected():
 
 def test_net_restriction_dimensions(geiser, bertini):
     x = ProjPoint(2, 3, 7)
-    assert len(geiser._pencil_through(x)) == 2
-    assert len(bertini._net_through(x)) == 3
+    # the members of the net of cubics through x: a pencil, spanned by the
+    # two coefficient vectors _pencil_coeffs returns
+    values = [g.eval(x.coords) for g in geiser.net]
+    members = geiser._pencil_coeffs(x)
+    assert matrix_rank(members) == 2 == len(kernel_basis([values]))
+    assert all(sum(c * v for c, v in zip(m, values)) == 0 for m in members)
+    # the members of the space of 4 sextics through x: a net
+    vx = bertini._space_values(x)
+    assert vx == [s.eval(x.coords) for s in bertini.space]
+    assert len(kernel_basis([vx])) == 3
     # at a base point the restriction degenerates
     with pytest.raises(ValidationError):
-        geiser._pencil_through(geiser.config.points[0])
+        geiser._pencil_coeffs(geiser.config.points[0])
     with pytest.raises(ValidationError):
-        bertini._net_through(bertini.config.points[0])
+        bertini._space_values(bertini.config.points[0])
 
 
 def test_involutions_commute_with_relabeling(seven_config):

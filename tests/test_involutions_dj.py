@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from planecremona.errors import ValidationError
 from planecremona.exactpoly import (
-    HPoly, adjugate3, bform_discriminant, hpoly_gcd_many, is_squarefree,
+    HPoly, adjugate3, hpoly_gcd_many, is_squarefree,
     kernel_basis, values_at,
 )
 from planecremona.fixedcurve import classify_involution, fixed_locus, rational_base_points
@@ -14,7 +14,6 @@ from planecremona.involutions import (
     dj_from_conic,
     dj_involution,
     make_dj_instance,
-    singular_fibre_count,
     validate_dj,
 )
 from planecremona.projmaps import (
@@ -147,11 +146,11 @@ def test_seeded_instances_fix_their_curve(d, dj_records):
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_discriminant_profile(d, dj_records):
     data = dj_records[d].dj_data
-    delta = bform_discriminant(data.A, data.B, data.Cd)
+    delta = data.B * data.B - (data.A * data.Cd) * 4      # B^2 - 4 A C_d
     assert data.pencil.beta == delta * 4
     assert delta.degree == 2 * d - 2
     assert is_squarefree(delta)
-    assert singular_fibre_count(data) == 2 * (d - 2) + 2
+    assert data.pencil.branch_count() == 2 * (d - 2) + 2
 
 
 def test_normal_form_minors_expose_the_curve():
@@ -221,11 +220,12 @@ def test_make_dj_instance_deterministic():
 
 
 def test_dj_map_against_pointwise_harmonic_conjugation():
-    """Independent oracle: evaluate the closed-form map and separately
-    perform harmonic conjugation on the parameter of the line through the
-    center; the two must agree at every sampled point."""
-    from planecremona.projmaps import harmonic_conjugate
-
+    """Independent oracle: on the line over (x0 : z0) through the center the
+    fixed curve is a t^2 + b t + c = 0, and the harmonic conjugate t' of
+    y0 with respect to its two roots solves the polar equation
+    2 a y0 t' + b (y0 + t') + 2 c = 0; t' is infinite, the image is the
+    center, when 2 a y0 + b = 0. The closed-form map must agree at every
+    sampled point."""
     curve, center = make_dj_instance(3, seed=0)
     data = validate_dj(curve, center)
     sigma = conjugated_map(data)
@@ -250,14 +250,12 @@ def test_dj_map_against_pointwise_harmonic_conjugation():
         c = data.Cd.eval((x0, 0, z0))
         if a == 0 or b * b - 4 * a * c == 0:
             continue
-        t = Fraction(y0)
-        tp = harmonic_conjugate((a, b, c), t)
-        # image point in the normal frame must be (x0 : t' : z0); the
-        # conjugate at infinity is the center itself
-        from planecremona.projmaps import INF
-
-        if tp is INF:
+        if 2 * a * y0 + b == 0:
             assert qn == ProjPoint(0, 1, 0)
         else:
-            assert qn == ProjPoint(x0, tp, z0)
+            x1, y1, z1 = qn.coords
+            # the image lies on the same line: (x1 : y1 : z1) = (x0 : t' : z0)
+            assert x1 * z0 == z1 * x0
+            tp = Fraction(y1 * x0, x1) if x1 else Fraction(y1 * z0, z1)
+            assert 2 * a * y0 * tp + b * (y0 + tp) + 2 * c == 0
         done += 1

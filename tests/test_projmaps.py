@@ -6,15 +6,11 @@ from hypothesis import assume, given, settings, strategies as st
 from planecremona.errors import ValidationError
 from planecremona.exactpoly import HPoly, adjugate3, det3
 from planecremona.projmaps import (
-    INF,
     ProjPoint,
     RationalMap,
     compose,
-    compose_raw,
     conjugate,
-    cross_ratio,
     frame_conjugate,
-    harmonic_conjugate,
     identity_minors,
     involution_on_grid,
     is_identity,
@@ -50,90 +46,6 @@ def test_point_canonicalization():
         ProjPoint(0, 0, 0)
 
 
-# -- harmonic conjugation ----------------------------------------------------------
-
-def test_harmonic_examples():
-    assert harmonic_conjugate((1, 0, -1), 0) is INF
-    assert harmonic_conjugate((1, 0, -1), 1) == 1
-    assert harmonic_conjugate((1, 0, -4), 1) == 4
-
-
-def test_harmonic_newton_identity():
-    # 2(t t' + t1 t2) = (t + t')(t1 + t2) characterizes the harmonic pair;
-    # with roots +-2: 2(1*4 - 4) = 0 = (1 + 4)*0
-    t, tp = Fraction(1), harmonic_conjugate((1, 0, -4), 1)
-    t1t2, t1pt2 = Fraction(-4), Fraction(0)
-    assert 2 * (t * tp + t1t2) == (t + tp) * t1pt2
-
-
-def test_harmonic_is_involution_and_fixes_roots():
-    stream = SplitMix64(21)
-    for _ in range(40):
-        a = stream.next_nonzero_int(-5, 5)
-        b = stream.next_int(-5, 5)
-        c = stream.next_int(-5, 5)
-        if b * b - 4 * a * c == 0:
-            continue
-        t = Fraction(stream.next_int(-9, 9), stream.next_int(1, 5))
-        tp = harmonic_conjugate((a, b, c), t)
-        assert harmonic_conjugate((a, b, c), tp) == t
-        assert cross_ratio_of_roots(a, b, c, t, tp) == -1
-
-
-def cross_ratio_of_roots(a, b, c, t, tp):
-    """Cross-ratio (t1, t2; t, t') computed projectively without extracting
-    the roots: for q = a u^2 + b u + c with roots t1, t2,
-    (t1,t2;t,t') = -1 iff 2(t t' + t1 t2) = (t + t')(t1 + t2), and the
-    right-hand data comes from the coefficients."""
-    from fractions import Fraction as F
-
-    if t is INF or tp is INF:
-        # (t1,t2;t,INF) = (t1-t)/(t2-t) ... -1 iff t is the midpoint: 2t = t1+t2
-        finite = tp if t is INF else t
-        return -1 if 2 * a * finite + b == 0 else None
-    lhs = 2 * (F(t) * F(tp) + F(c, a))
-    rhs = (F(t) + F(tp)) * F(-b, a)
-    return -1 if lhs == rhs else None
-
-
-def test_harmonic_degenerate_rejected():
-    with pytest.raises(ValidationError):
-        harmonic_conjugate((0, 1, 1), 0)
-    with pytest.raises(ValidationError):
-        harmonic_conjugate((1, 2, 1), 0)  # double root
-
-
-# -- cross-ratio --------------------------------------------------------------------
-
-def test_cross_ratio_examples():
-    assert cross_ratio(0, INF, 1, -1) == -1
-    assert cross_ratio(0, 1, 2, 3) == Fraction(4, 3)
-    with pytest.raises(ValidationError):
-        cross_ratio(1, 1, 1, 2)
-
-
-def test_cross_ratio_projective_invariance():
-    stream = SplitMix64(33)
-    for _ in range(25):
-        vals = [Fraction(stream.next_int(-9, 9), stream.next_int(1, 4)) for _ in range(4)]
-        if len(set(vals)) < 3:
-            continue
-        a, b, c, d = stream.next_nonzero_int(-5, 5), stream.next_int(-5, 5), stream.next_int(-5, 5), stream.next_nonzero_int(-5, 5)
-        if a * d - b * c == 0:
-            continue
-
-        def moebius(t):
-            num, den = a * t + b, c * t + d
-            return INF if den == 0 else Fraction(num, den)
-
-        try:
-            before = cross_ratio(*vals)
-            after = cross_ratio(*(moebius(t) for t in vals))
-        except ValidationError:
-            continue
-        assert before == after
-
-
 # -- maps ---------------------------------------------------------------------------
 
 def test_compose_identity():
@@ -143,7 +55,7 @@ def test_compose_identity():
 
 
 def test_compose_standard_quadratic_squares_to_identity():
-    raw = compose_raw(SIGMA, SIGMA)
+    raw = tuple(c.substitute(SIGMA.components) for c in SIGMA.components)
     expect = (X * X * Y * Z, X * Y * Y * Z, X * Y * Z * Z)
     assert tuple(r.canonical() for r in raw) == tuple(e.canonical() for e in expect)
     assert is_identity(compose(SIGMA, SIGMA))
@@ -176,7 +88,7 @@ def test_is_identity_examples():
 def symbolic_is_involution(f):
     """Reference test: the minors of (x, y, z) against the symbolic f(f)
     vanish, and f(f) does not."""
-    raw = compose_raw(f, f)
+    raw = tuple(c.substitute(f.components) for c in f.components)
     return any(not r.is_zero() for r in raw) and all(m.is_zero() for m in identity_minors(raw))
 
 
@@ -191,7 +103,7 @@ def test_grid_involution_test_agrees_with_symbolic(dj_records):
 
 def test_vanishing_composite_is_not_an_involution():
     f = RationalMap(HPoly.zero(1), HPoly.zero(1), X, _normalized=True)
-    assert all(r.is_zero() for r in compose_raw(f, f))
+    assert all(c.substitute(f.components).is_zero() for c in f.components)
     assert not is_involution(f)
 
 
