@@ -316,7 +316,7 @@ def _cmd_geiser(args) -> int:
 
 def _cmd_bertini(args) -> int:
     config = _load_config(args, "bertini")
-    inv = involutions.BertiniInvolution(config, seed=args.seed)
+    inv = involutions.BertiniInvolution(config)
     payload = {
         "kind": "Bertini",
         "label": "Bertini",
@@ -390,7 +390,7 @@ def _build_record(args):
         config = _load_config(args, kind)
         if kind == "geiser":
             return involutions.GeiserInvolution(config, seed=args.seed).record()
-        return involutions.BertiniInvolution(config, seed=args.seed).record()
+        return involutions.BertiniInvolution(config).record()
     return None
 
 

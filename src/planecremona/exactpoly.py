@@ -11,13 +11,17 @@ Conventions fixed once for the whole package:
 
 * monomial order: graded lexicographic with x > y > z (for homogeneous
   polynomials this is lex on the exponent triples, largest first);
-* canonical form: coefficients cleared to coprime integers, sign chosen so
-  the first monomial in the order has positive coefficient;
+* one normal form, primitive(): denominators cleared, content divided
+  out, first nonzero entry positive (the primitive part of von zur
+  Gathen-Gerhard, Modern Computer Algebra, ch. 6). A form's canonical()
+  is primitive over its coefficients in the monomial order; points, the
+  joint scaling of a map's components, kernel vectors and rational roots
+  are primitive vectors;
 * coefficients are stored as int when the denominator is 1, else Fraction.
 """
 
 from fractions import Fraction
-from math import gcd as igcd, isqrt
+from math import gcd as igcd, isqrt, lcm
 
 from .errors import ValidationError
 
@@ -26,12 +30,30 @@ VAR_NAMES = ("x", "y", "z")
 
 
 def _norm_coeff(c):
-    """Collapse Fraction with denominator 1 to int (faster arithmetic)."""
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return int(c)
+    """An int as it is; anything else converted exactly to a Fraction, and
+    to an int when its denominator is 1 (faster arithmetic)."""
+    if type(c) is int:
         return c
-    return int(c)
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def primitive(values) -> list:
+    """The normal form of a vector of rationals up to a nonzero scalar:
+    coprime integers whose first nonzero entry is positive. The zero vector
+    is returned unchanged."""
+    values = list(values)
+    if not all(type(v) is int for v in values):
+        fracs = [Fraction(v) for v in values]
+        den = lcm(*(f.denominator for f in fracs))
+        values = [f.numerator * (den // f.denominator) for f in fracs]
+    g = igcd(*values)
+    if g == 0:
+        return values
+    if next(v for v in values if v) < 0:
+        g = -g
+    return values if g == 1 else [v // g for v in values]
 
 
 def rat(text: str) -> Fraction:
@@ -173,7 +195,7 @@ class HPoly:
         return self.degree == other.degree and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset((e, Fraction(c)) for e, c in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     # -- evaluation and calculus ----------------------------------------------
 
@@ -234,21 +256,10 @@ class HPoly:
     # -- canonical form --------------------------------------------------------
 
     def canonical(self) -> "HPoly":
-        """Integer coprime coefficients, first monomial in the order positive."""
-        if not self.terms:
-            return HPoly.zero(self.degree)
-        den = 1
-        for c in self.terms.values():
-            if isinstance(c, Fraction):
-                den = den * c.denominator // igcd(den, c.denominator)
-        ints = {e: int(c * den) for e, c in self.terms.items()}
-        content = 0
-        for v in ints.values():
-            content = igcd(content, abs(v))
-        lead = max(ints)
-        sign = 1 if ints[lead] > 0 else -1
-        scale = sign * content
-        return HPoly(self.degree, {e: v // scale for e, v in ints.items()})
+        """primitive over the coefficients in the monomial order."""
+        terms = self.sorted_terms()
+        coeffs = primitive(c for _, c in terms)
+        return HPoly(self.degree, {e: c for (e, _), c in zip(terms, coeffs)})
 
     def divexact(self, d: "HPoly") -> "HPoly":
         """Exact division; raises if d does not divide self."""
@@ -331,7 +342,7 @@ def format_hpoly(f: HPoly) -> str:
             for v in range(3)
             if e[v] > 0
         )
-        mag = abs(Fraction(c))
+        mag = abs(c)
         if not mono:
             body = str(mag)
         elif mag == 1:
@@ -573,7 +584,7 @@ def bform_rational_roots(q: HPoly):
             if num > modulus // 2:
                 num -= modulus
             if sum(c * num ** i * lc ** (n - i) for i, c in enumerate(f)) == 0:
-                roots.append(_canon_pair(lc, num))
+                roots.append(tuple(primitive((lc, num))))
     return sorted(roots)
 
 
@@ -594,14 +605,6 @@ def _simple_roots_mod_prime(f, df):
             if all(_horner(df, r, p) for r in residues):
                 return p, residues
         p += 2
-
-
-def _canon_pair(s0, t0):
-    g = igcd(abs(s0), abs(t0))
-    s0, t0 = s0 // g, t0 // g
-    if s0 < 0 or (s0 == 0 and t0 < 0):
-        s0, t0 = -s0, -t0
-    return (s0, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -658,23 +661,6 @@ def resultant(f: HPoly, g: HPoly, var: int) -> HPoly:
 # exact linear algebra: fraction-free elimination, kernel bases
 # ---------------------------------------------------------------------------
 
-def _clear_row(row):
-    if all(type(c) is int for c in row):
-        ints = list(row)
-    else:
-        den = 1
-        for c in row:
-            fc = Fraction(c)
-            den = den * fc.denominator // igcd(den, fc.denominator)
-        ints = [int(Fraction(c) * den) for c in row]
-    g = 0
-    for v in ints:
-        g = igcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
-
-
 def _bareiss_echelon(rows):
     """Fraction-free (Bareiss) row echelon form of an integer matrix.
 
@@ -707,17 +693,15 @@ def _bareiss_echelon(rows):
 def matrix_rank(rows) -> int:
     if not rows:
         return 0
-    ints = [_clear_row(row) for row in rows]
-    _, pivots = _bareiss_echelon(ints)
+    _, pivots = _bareiss_echelon([primitive(row) for row in rows])
     return len(pivots)
 
 
 def kernel_basis(rows, ncols: int | None = None):
     """Exact basis of the right kernel via fraction-free elimination.
 
-    Returns canonical integer vectors (coprime entries, first nonzero entry
-    positive), one per free column, ordered by free column index. The basis
-    is deterministic because pivoting is.
+    Returns primitive integer vectors, one per free column, ordered by free
+    column index. The basis is deterministic because pivoting is.
     """
     if not rows:
         if ncols is None:
@@ -727,8 +711,7 @@ def kernel_basis(rows, ncols: int | None = None):
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ValidationError("bad input", "ragged matrix")
-        ints = [_clear_row(row) for row in rows]
-        rows_e, pivots = _bareiss_echelon(ints)
+        rows_e, pivots = _bareiss_echelon([primitive(row) for row in rows])
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -744,20 +727,8 @@ def kernel_basis(rows, ncols: int | None = None):
             if k != 1:
                 vec = [v * k for v in vec]
             vec[pc] = -s // g
-        basis.append(tuple(_canon_vector(vec)))
+        basis.append(tuple(primitive(vec)))
     return basis
-
-
-def _canon_vector(ints):
-    """Primitive integer vector with first nonzero entry positive."""
-    g = 0
-    for v in ints:
-        g = igcd(g, v)
-    if g:
-        if next(v for v in ints if v) < 0:
-            g = -g
-        ints = [v // g for v in ints]
-    return ints
 
 
 def det3(m):

@@ -167,7 +167,6 @@ class InvolutionRecord:
     center: ProjPoint | None = None
     config: "PointConfig | None" = None
     dj_data: DJData | None = None
-    seed: int = 0
     validation: ValidationReport | None = None
 
     @property
@@ -591,18 +590,16 @@ class GeiserInvolution:
             map=sigma,
             fixed_curve=self.fixed_sextic,
             config=self.config,
-            seed=self.seed,
         )
 
 
 class BertiniInvolution:
     """Bertini involution attached to 8 points in general position."""
 
-    def __init__(self, config: PointConfig, seed: int = 0):
+    def __init__(self, config: PointConfig):
         if config.kind != "bertini":
             raise ValidationError("bad config", "expected an 8-point configuration")
         self.config = config
-        self.seed = seed
 
     @cached_property
     def space(self):
@@ -688,7 +685,6 @@ class BertiniInvolution:
             invariant=fixedcurve.invariant_for_kind("bertini"),
             fixed_curve=self.fixed_curve,
             config=self.config,
-            seed=self.seed,
         )
 
 

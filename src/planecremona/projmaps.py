@@ -10,37 +10,25 @@ the two points of its fixed curve on that line.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import gcd as igcd
 
 from .errors import ValidationError
 from .exactpoly import (
-    HPoly, adjugate3, det3, hpoly_gcd_many, kernel_basis, odd_multiplicity_root_count, values_at,
+    HPoly, adjugate3, det3, hpoly_gcd_many, kernel_basis, odd_multiplicity_root_count, primitive,
+    values_at,
 )
 
 
 class ProjPoint:
-    """Point of the projective plane, stored in canonical integer form:
-    coprime coordinates, first nonzero coordinate positive."""
+    """Point of the projective plane, its coordinates stored primitive."""
 
     __slots__ = ("coords",)
 
     def __init__(self, a, b, c):
-        fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
-        if fa == 0 and fb == 0 and fc == 0:
+        coords = tuple(primitive((a, b, c)))
+        if coords == (0, 0, 0):
             raise ValidationError("zero point", "(0:0:0) is not a point")
-        den = 1
-        for f in (fa, fb, fc):
-            den = den * f.denominator // igcd(den, f.denominator)
-        ints = [int(f * den) for f in (fa, fb, fc)]
-        g = 0
-        for v in ints:
-            g = igcd(g, abs(v))
-        lead = next(v for v in ints if v != 0)
-        if lead < 0:
-            g = -g
-        object.__setattr__(self, "coords", tuple(v // g for v in ints))
+        object.__setattr__(self, "coords", coords)
 
     def __setattr__(self, *args):
         raise AttributeError("ProjPoint is immutable")
@@ -96,8 +84,9 @@ class RationalMap:
     """Plane rational map given by a coprime triple of equal-degree forms.
 
     Construction normalizes: the common factor of the three components is
-    divided out and the coefficients are scaled to a canonical joint integer
-    form, so `degree` is the degree of the map in the usual sense.
+    divided out and their coefficients, taken component by component in the
+    monomial order, are scaled jointly to a primitive vector, so `degree` is
+    the degree of the map in the usual sense.
     """
 
     __slots__ = ("components", "degree")
@@ -148,24 +137,11 @@ class RationalMap:
 
 
 def _canon_triple(comps):
-    """Joint canonical scaling of a component triple (one scalar for all)."""
-    den = 1
-    for f in comps:
-        for c in f.terms.values():
-            if isinstance(c, Fraction):
-                den = den * c.denominator // igcd(den, c.denominator)
-    content = 0
-    for f in comps:
-        for c in f.terms.values():
-            content = igcd(content, abs(int(c * den)) if isinstance(c, Fraction) else abs(c * den))
-    first = next(f for f in comps if not f.is_zero())
-    lead = first.terms[max(first.terms)]
-    sign = 1 if lead > 0 else -1
-    scale = Fraction(sign * content, den)
-    return tuple(
-        HPoly(f.degree, {e: Fraction(c) / scale for e, c in f.terms.items()})
-        for f in comps
-    )
+    """The components scaled by one scalar: primitive over their terms,
+    taken in order."""
+    terms = [f.sorted_terms() for f in comps]
+    coeffs = iter(primitive(c for t in terms for _, c in t))
+    return tuple(HPoly(f.degree, {e: next(coeffs) for e, _ in t}) for f, t in zip(comps, terms))
 
 
 def identity_minors(comps):

@@ -24,7 +24,7 @@ def geiser(seven_config):
 def bertini(eight_config):
     from planecremona.involutions import BertiniInvolution
 
-    return BertiniInvolution(eight_config, seed=0)
+    return BertiniInvolution(eight_config)
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,185 @@
+"""Byte-for-byte replay of the command line against stored output.
+
+tests/data/cli_golden.json holds, for each call, its argv, its exit code and
+its stdout. The test replays every call in process, from the repository
+root so that the relative paths of data/ resolve, and compares both byte for
+byte. A change meant to leave the output alone passes it unchanged; a change
+meant to alter the output regenerates the file, from the repository root,
+and shows the difference in review:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import io
+import json
+from contextlib import redirect_stdout
+from pathlib import Path
+
+from planecremona.cli import run
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "data" / "cli_golden.json"
+
+
+def replay(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = run(list(argv))
+    return code, buf.getvalue()
+
+
+def _golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_calls_hold_no_absolute_path():
+    for call in _golden():
+        for text in call["argv"] + [call["stdout"]]:
+            assert not text.startswith("/") and str(ROOT) not in text
+
+
+def test_cli_output_matches_the_golden_file(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    mismatches = []
+    for call in _golden():
+        code, out = replay(call["argv"])
+        if (code, out) != (call["code"], call["stdout"]):
+            mismatches.append(" ".join(call["argv"]))
+    assert not mismatches, f"{len(mismatches)} calls differ, first: {mismatches[0]}"
+
+
+# ---------------------------------------------------------------------------
+# the calls, each run without and with --json
+# ---------------------------------------------------------------------------
+
+CONIC_MAP = "x*y;x*z;y*z"
+RAW_MAPS = (
+    CONIC_MAP,                      # the standard quadratic involution
+    "y;x;z",                        # a linear involution
+    "-x;y;z",                       # a linear involution fixing a line
+    "-y;-x;z",                      # a linear involution, negative lead
+    "x;y;z",                        # the identity
+    "y;z;x",                        # linear, not involutive
+    "x^2;y^2;z^2",                  # not birational
+    "2*x*y;2*x*z;2*y*z",            # the first, scaled
+    "1/2*x*y;1/2*x*z;1/2*y*z",      # the first, scaled by a fraction
+    "2/3*x*y;x*z;-y*z",             # rational coefficients
+    "0;-y;z",                       # a zero first component
+    "x*y;x*z/3;y*z",                # malformed: '/3' after a variable
+    "x;y^2;z",                      # inhomogeneous
+    "0;0;0",                        # the zero map
+    "x;y",                          # two components
+)
+
+
+def _dj_calls():
+    from planecremona.exactpoly import format_hpoly
+    from planecremona.involutions import dj_involution, make_dj_instance
+
+    argvs, maps = [], []
+    for d in range(2, 7):
+        for seed in range(3):
+            curve, center = make_dj_instance(d, seed)
+            given = ["--curve", format_hpoly(curve), "--p", str(center)]
+            argvs += [["dj"] + given, ["invariant"] + given, ["classify"] + given]
+            if seed == 0:
+                maps.append(";".join(map(format_hpoly, dj_involution(curve, center).map.components)))
+    return argvs, maps
+
+
+def calls():
+    """Every stored argv, before --json is appended."""
+    out, dj_maps = _dj_calls()
+    out += [
+        ["dj-conic", "--q", "x*z - y^2", "--p", "(0:1:0)"],
+        ["dj-conic", "--q", "x^2 + y^2 - 2*z^2", "--p", "(0:0:1)"],
+        ["dj-conic", "--q", "x*z - y^2", "--p", "(1:1:1)"],             # on the conic
+        ["dj-conic", "--q", "x*y*z", "--p", "(1:1:1)"],                 # not a conic
+        ["dj", "--curve", "x*y^2 + z^2*y + x^3 + z^3", "--p", "(1/2:0:3)"],
+        ["dj", "--curve", "x*y^2 + z^2*y + x^3 + z^3", "--p", "(0:0:0)"],
+        ["dj", "--curve", "x +", "--p", "(0:1:0)"],
+        ["dj", "--curve", "x*y", "--p", "(0:1)"],
+    ]
+    for name in ("geiser", "bertini"):
+        out += [
+            [name, "--builtin"],
+            [name, "--builtin", "--x", "(2:3:7)"],
+            [name, "--builtin", "--x", "(2:3:7)", "--seed", "5"],
+            [name, "--builtin", "--x", "(-1/2:1:5)"],
+            [name, "--builtin", "--x", "(1:0:0)"],                      # a base point
+            [name],                                                     # no configuration
+        ]
+    out += [
+        ["geiser", "--builtin", "--interpolate"],
+        ["geiser", "--points", "data/points7.txt", "--x", "(3:-2:5)"],
+        ["bertini", "--points", "data/points8.txt", "--x", "(3:-2:5)"],
+        ["geiser", "--points", "data/points8.txt"],                     # eight points
+        ["bertini", "--points", "data/points7.txt"],                    # seven points
+        ["geiser", "--points", "data/absent.txt"],
+    ]
+    for m in RAW_MAPS + tuple(dj_maps):
+        for cmd in ("verify", "fixed-curve", "classify", "invariant"):
+            out.append([cmd, f"--map={m}"])
+    out += [
+        ["verify"],
+        ["fixed-curve", "--map-file", "data/absent.json"],
+        ["verify", "--map-file", "data/points7.txt"],                   # not JSON
+        ["verify", "--map-file", "tests/data/conic_map.json", "--seed", "5"],
+        ["classify", "--map-file", "tests/data/conic_map.json"],
+        ["classify", "--builtin", "--kind", "geiser"],
+        ["invariant", "--builtin", "--kind", "geiser"],
+        ["invariant", "--points", "data/points7.txt", "--kind", "geiser"],
+        ["invariant", "--builtin"],                                     # no kind
+        ["classify"],
+    ]
+    for n in range(10):
+        out += [["lattice", "make", "--n", str(n)], ["lattice", "reflect", "--n", str(n)]]
+    out += [
+        ["lattice", "make", "--quadric"],
+        ["lattice", "reflect", "--quadric"],
+        ["lattice", "make"],
+        ["lattice", "make", "--n", "-1"],
+        ["lattice", "reflect", "--n", "3", "--alpha", "1,0,0,0"],
+        ["lattice", "reflect", "--n", "3", "--alpha", "0,1,-1,0"],
+        ["lattice", "reflect", "--n", "3", "--alpha", "0,1,-1,0,5"],
+        ["lattice", "reflect", "--n", "3", "--alpha", "1,a"],
+        ["lattice", "exceptionals", "--quadric"],
+        ["lattice", "exceptionals", "--n", "9"],
+        ["lattice", "minimal", "--n", "3"],
+        ["lattice", "classify", "--n", "3"],
+        ["lattice", "classify", "--n", "3", "--matrix-file", "data/absent.txt"],
+        ["lattice", "minimal", "--n", "3", "--matrix-file", "data/points7.txt"],
+        ["lattice", "minimal", "--n", "7", "--matrix-file", "tests/data/lattice7_geiser.txt"],
+        ["lattice", "classify", "--n", "7", "--matrix-file", "tests/data/lattice7_geiser.txt"],
+        ["lattice", "classify", "--n", "8", "--matrix-file", "tests/data/lattice7_geiser.txt"],
+        ["lattice", "minimal", "--n", "3", "--matrix-file", "tests/data/lattice3_nonminimal.txt"],
+        ["lattice", "classify", "--n", "3", "--matrix-file", "tests/data/lattice3_nonminimal.txt"],
+        ["lattice", "classify", "--quadric", "--matrix-file", "tests/data/quadric_swap.txt"],
+    ]
+    out += [["lattice", "exceptionals", "--n", str(n), "--oracle"] for n in range(1, 7)]
+    out += [
+        ["elmt", "--n", "1", "--s", "2", "--on"],
+        ["elmt", "--n", "1", "--s", "2", "--off"],
+        ["elmt", "--n", "2", "--s", "1", "--contacts", "2,1", "--on", "--contact-index", "0"],
+        ["elmt", "--n", "2", "--s", "1", "--contacts", "2,1", "--off", "--contact-index", "1"],
+        ["elmt", "--n", "0", "--contacts", "1,x", "--on"],
+        ["elmt", "--n", "-1", "--on"],
+        ["elmt", "--n", "1", "--contacts", "1", "--on", "--contact-index", "4"],
+    ]
+    return out
+
+
+if __name__ == "__main__":
+    import os
+
+    os.chdir(ROOT)
+    stored = []
+    for argv in calls():
+        for full in (argv, argv + ["--json"]):
+            code, out = replay(full)
+            stored.append({"argv": full, "code": code, "stdout": out})
+    GOLDEN.parent.mkdir(exist_ok=True)
+    # one call per line, so that a change shows as the calls it changes
+    lines = ",\n".join(json.dumps(c, sort_keys=True) for c in stored)
+    GOLDEN.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
+    print(f"{len(stored)} calls, {sum(len(c['stdout']) for c in stored)} bytes of stdout")

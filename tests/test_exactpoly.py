@@ -21,6 +21,7 @@ from planecremona.exactpoly import (
     values_at,
 )
 from planecremona.rng import SplitMix64
+from tests.streams import next_nonzero_int
 
 X, Y, Z = (HPoly.variable(i) for i in range(3))
 CONIC = X * Z - Y * Y
@@ -572,13 +573,13 @@ def test_bform_roots_match_brute_force():
     pairs = {(s0, t0) for s0 in range(6) for t0 in range(-5, 6)
              if gcd(s0, t0) == 1 and (s0 > 0 or t0 > 0)}
     for _ in range(40):
-        q = _bform(0, [stream.next_nonzero_int(-3, 3)])
+        q = _bform(0, [next_nonzero_int(stream, -3, 3)])
         for _ in range(stream.next_int(0, 4)):
-            a, b = stream.next_int(-5, 5), stream.next_nonzero_int(-5, 5)
+            a, b = stream.next_int(-5, 5), next_nonzero_int(stream, -5, 5)
             q = q * _bform(1, [a, b])
         for _ in range(stream.next_int(0, 2)):
             while True:
-                a, b, c = (stream.next_nonzero_int(-6, 6) for _ in range(3))
+                a, b, c = (next_nonzero_int(stream, -6, 6) for _ in range(3))
                 disc = b * b - 4 * a * c
                 if disc < 0 or isqrt(disc) ** 2 != disc:
                     break
@@ -593,7 +594,7 @@ def test_odd_multiplicity_root_count_matches_planted_factors():
     stream = SplitMix64(17)
     roots = [(1, 0), (0, 1), (1, 1), (1, -2), (2, 3), (3, -1)]
     for _ in range(40):
-        q = _bform(0, [stream.next_nonzero_int(-3, 3)])
+        q = _bform(0, [next_nonzero_int(stream, -3, 3)])
         expect = 0
         for s0, t0 in roots:
             k = stream.next_int(0, 4)
@@ -631,6 +632,12 @@ def test_canonical_idempotent_and_projective_complete():
                 for e1 in fc.terms
                 for e2 in hc.terms
             )
+
+
+def test_float_coefficients_are_converted_exactly():
+    assert HPoly(1, {(1, 0, 0): 0.5}).terms == {(1, 0, 0): Fraction(1, 2)}
+    assert HPoly(1, {(1, 0, 0): 2.7}).terms == {(1, 0, 0): Fraction(2.7)}
+    assert HPoly(1, {(1, 0, 0): 3.0}).terms == {(1, 0, 0): 3}
 
 
 def test_zero_polynomial_has_degree_tag():

@@ -11,7 +11,8 @@ from planecremona.fixedcurve import (
 )
 from planecremona.involutions import dj_involution, make_dj_instance
 from planecremona.projmaps import ProjPoint, RationalMap, frame_conjugate, is_involution, pencil_form
-from planecremona.rng import SplitMix64, unimodular_matrix
+from planecremona.rng import SplitMix64
+from tests.streams import unimodular_matrix
 
 X, Y, Z = (HPoly.variable(i) for i in range(3))
 

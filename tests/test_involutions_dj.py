@@ -19,7 +19,8 @@ from planecremona.involutions import (
 from planecremona.projmaps import (
     ProjPoint, RationalMap, compose, is_identity, is_involution, pencil_center,
 )
-from planecremona.rng import SplitMix64, unimodular_matrix
+from planecremona.rng import SplitMix64
+from tests.streams import unimodular_matrix
 
 X, Y, Z = (HPoly.variable(i) for i in range(3))
 CONIC = X * Z - Y * Y

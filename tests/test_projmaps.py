@@ -17,7 +17,8 @@ from planecremona.projmaps import (
     is_involution,
     pencil_form,
 )
-from planecremona.rng import SplitMix64, unimodular_matrix
+from planecremona.rng import SplitMix64
+from tests.streams import unimodular_matrix
 
 X, Y, Z = (HPoly.variable(i) for i in range(3))
 SIGMA = RationalMap(X * Y, X * Z, Y * Z)
