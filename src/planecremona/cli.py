@@ -10,7 +10,7 @@ internal error.
 
 Input grammars:
   polynomials   signed terms  c x^i*y^j*z^k  with rational c like 3/4 and
-                exponents i, j, k written as digits; the
+                exponents i, j, k, all written with the ASCII digits 0-9; the
                 '*' between coefficient and variables and between variables
                 is optional; all terms must have the same total degree
   points        (a:b:c) with rational entries, not all zero
@@ -26,6 +26,7 @@ Input grammars:
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -41,6 +42,10 @@ from .projmaps import ProjPoint, RationalMap, is_involution
 # parsing
 # ---------------------------------------------------------------------------
 
+_WHITESPACE = re.compile(r"\s*")
+_DIGITS = re.compile(r"[0-9]+")
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -50,22 +55,24 @@ class _Scanner:
         raise ValidationError("syntax error", f"{message} at position {self.pos}: {self.text!r}")
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.pos = _WHITESPACE.match(self.text, self.pos).end()
 
     def peek(self):
+        """The next character after whitespace, "" at the end."""
         self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.text[self.pos:self.pos + 1]
 
     def take_digits(self, what: str = "a number") -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
+        """A run of ASCII digits 0-9; str.isdigit would also take superscript
+        or full-width digits."""
+        m = _DIGITS.match(self.text, self.pos)
+        if m is None:
             self.error(f"expected {what}")
-        return int(self.text[start:self.pos])
+        self.pos = m.end()
+        return int(m.group())
 
-    def take_number(self) -> Fraction:
+    def take_number(self):
+        """An int, or a Fraction when a '/' is written."""
         self.skip_ws()
         num = self.take_digits()
         if self.peek() == "/":
@@ -74,7 +81,7 @@ class _Scanner:
             if den == 0:
                 self.error("zero denominator")
             return Fraction(num, den)
-        return Fraction(num)
+        return num
 
 
 def parse_poly(text: str) -> HPoly:
@@ -101,8 +108,8 @@ def _parse_form(text: str) -> HPoly:
             sc.error("expected '+' or '-' between terms")
         if ch == "":
             sc.error("dangling sign")
-        coeff = Fraction(1)
-        if ch.isdigit():
+        coeff = 1
+        if "0" <= ch <= "9":
             coeff = sc.take_number()
             if sc.peek() == "*":
                 sc.pos += 1
@@ -122,7 +129,7 @@ def _parse_form(text: str) -> HPoly:
                 exps[v] += e
                 if sc.peek() == "*":
                     sc.pos += 1
-                    if sc.peek() not in var_index and not sc.peek().isdigit():
+                    if sc.peek() not in var_index and not "0" <= sc.peek() <= "9":
                         sc.error("dangling '*'")
                 continue
             break
@@ -141,7 +148,7 @@ def _parse_form(text: str) -> HPoly:
         )
     acc: dict = {}
     for c, e in terms:
-        acc[e] = acc.get(e, Fraction(0)) + c
+        acc[e] = acc.get(e, 0) + c
     degree = degrees.pop() if degrees else 0
     return HPoly(degree, {e: c for e, c in acc.items() if c != 0})
 

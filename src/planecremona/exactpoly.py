@@ -18,6 +18,14 @@ Conventions fixed once for the whole package:
   joint scaling of a map's components, kernel vectors and rational roots
   are primitive vectors;
 * coefficients are stored as int when the denominator is 1, else Fraction.
+
+Only outside input is validated. HPoly(degree, terms) checks every exponent
+triple and drops zero coefficients; the ring operations, partial,
+coeffs_by_var, canonical, divexact and substitute build their results with
+the trusted HPoly._make, whose caller guarantees that the terms are
+homogeneous of the degree with nonzero coefficients. _make normalises only
+coefficients that are not int, so a Fraction with denominator 1 becomes an
+int and every HPoly, however built, satisfies the convention above.
 """
 
 from fractions import Fraction
@@ -96,6 +104,19 @@ class HPoly:
     def __setattr__(self, *args):
         raise AttributeError("HPoly is immutable")
 
+    @classmethod
+    def _make(cls, degree: int, terms: dict) -> "HPoly":
+        """Trusted constructor for arithmetic results, taking ownership of
+        `terms`: the caller guarantees that every exponent triple sums to
+        `degree` and that no coefficient is zero."""
+        for e, c in terms.items():
+            if type(c) is not int:
+                terms[e] = _norm_coeff(c)
+        self = object.__new__(cls)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "terms", terms)
+        return self
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -148,10 +169,10 @@ class HPoly:
                 res.pop(e, None)
             else:
                 res[e] = s
-        return HPoly(self.degree, res)
+        return HPoly._make(self.degree, res)
 
     def __neg__(self) -> "HPoly":
-        return HPoly(self.degree, {e: -c for e, c in self.terms.items()})
+        return HPoly._make(self.degree, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "HPoly") -> "HPoly":
         return self + (-other)
@@ -161,7 +182,7 @@ class HPoly:
             c = _norm_coeff(other)
             if c == 0:
                 return HPoly.zero(self.degree)
-            return HPoly(self.degree, {e: cc * c for e, cc in self.terms.items()})
+            return HPoly._make(self.degree, {e: cc * c for e, cc in self.terms.items()})
         res: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -171,7 +192,7 @@ class HPoly:
                     res.pop(e, None)
                 else:
                     res[e] = s
-        return HPoly(self.degree + other.degree, res)
+        return HPoly._make(self.degree + other.degree, res)
 
     __rmul__ = __mul__
 
@@ -213,7 +234,7 @@ class HPoly:
             ne = list(e)
             ne[var] -= 1
             res[tuple(ne)] = c * e[var]
-        return HPoly(deg, res)
+        return HPoly._make(deg, res)
 
     def substitute(self, comps) -> "HPoly":
         """Substitute a triple of equal-degree polynomials for (x, y, z)."""
@@ -225,10 +246,15 @@ class HPoly:
         pow1 = _power_table(g1, self.max_exponent(0))
         pow2 = _power_table(g2, self.max_exponent(1))
         pow3 = _power_table(g3, self.max_exponent(2))
-        acc = HPoly.zero(d * sub_deg)
-        for (i, j, k), c in self.sorted_terms():
-            acc = acc + (pow1[i] * pow2[j] * pow3[k]) * c
-        return acc
+        acc: dict = {}
+        for (i, j, k), c in self.terms.items():
+            tail = pow3[k].terms.items()
+            for (i1, j1, k1), c1 in (pow1[i] * pow2[j]).terms.items():
+                c1 *= c
+                for (i2, j2, k2), c2 in tail:
+                    e = (i1 + i2, j1 + j2, k1 + k2)
+                    acc[e] = acc.get(e, 0) + c1 * c2
+        return HPoly._make(d * sub_deg, {e: c for e, c in acc.items() if c})
 
     def apply_matrix(self, m) -> "HPoly":
         """Substitute the linear forms (m @ (x,y,z)) for the variables."""
@@ -251,7 +277,7 @@ class HPoly:
             k = ne[var]
             ne[var] = 0
             buckets[k][tuple(ne)] = c
-        return [HPoly(self.degree - k, b) for k, b in enumerate(buckets)]
+        return [HPoly._make(self.degree - k, b) for k, b in enumerate(buckets)]
 
     # -- canonical form --------------------------------------------------------
 
@@ -259,7 +285,7 @@ class HPoly:
         """primitive over the coefficients in the monomial order."""
         terms = self.sorted_terms()
         coeffs = primitive(c for _, c in terms)
-        return HPoly(self.degree, {e: c for (e, _), c in zip(terms, coeffs)})
+        return HPoly._make(self.degree, {e: c for (e, _), c in zip(terms, coeffs)})
 
     def divexact(self, d: "HPoly") -> "HPoly":
         """Exact division; raises if d does not divide self."""
@@ -280,7 +306,7 @@ class HPoly:
             if any(e < 0 for e in qe):
                 raise ValidationError("not divisible", "leading monomial not divisible")
             qc = Fraction(rem[rlead]) / Fraction(dlc)
-            q[qe] = _norm_coeff(qc)
+            q[qe] = qc
             for e, c in d.terms.items():
                 t = (e[0] + qe[0], e[1] + qe[1], e[2] + qe[2])
                 s = rem.get(t, 0) - qc * c
@@ -288,7 +314,7 @@ class HPoly:
                     rem.pop(t, None)
                 else:
                     rem[t] = s
-        return HPoly(qdeg, q)
+        return HPoly._make(qdeg, q)
 
     def __str__(self) -> str:
         return format_hpoly(self)
@@ -368,28 +394,28 @@ _GCD_PRIME = (1 << 61) - 1
 _PROBE_LINES = (((1, 3, 7), (2, -5, 1)), ((3, -1, 2), (1, 4, -3)))
 
 
-def _mul_mod(u, v):
-    out = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        for j, b in enumerate(v):
-            out[i + j] += a * b
-    return [c % _GCD_PRIME for c in out]
-
-
 def _line_restriction(f: HPoly, p, q):
     """f(p + t q) modulo _GCD_PRIME for an integer form f, entry i at t^i:
-    the restriction of f to the line pq, read at s = 1."""
-    powers = []
-    for a, b in zip(p, q):
-        table = [[1]]
-        for _ in range(f.degree):
-            table.append(_mul_mod(table[-1], [a, b]))
-        powers.append(table)
-    out = [0] * (f.degree + 1)
-    for (i, j, k), c in f.terms.items():
-        for n, v in enumerate(_mul_mod(_mul_mod(powers[0][i], powers[1][j]), powers[2][k])):
-            out[n] += c * v
-    return [c % _GCD_PRIME for c in out]
+    the restriction of f to the line pq, read at s = 1.
+
+    A polynomial of degree n in t is fixed by its values at t = 0, ..., n:
+    take them, then Newton divided differences at those nodes, then expand
+    the Newton form in the monomial basis, all mod p (von zur
+    Gathen-Gerhard, Modern Computer Algebra, ch. 5)."""
+    P = _GCD_PRIME
+    n = f.degree
+    c = [f.eval([a + t * b for a, b in zip(p, q)]) % P for t in range(n + 1)]
+    # divided differences: the nodes t and t - k are k apart
+    for k in range(1, n + 1):
+        inv = pow(k, -1, P)
+        for t in range(n, k - 1, -1):
+            c[t] = (c[t] - c[t - 1]) * inv % P
+    # Horner on c_0 + (t - 0)(c_1 + (t - 1)(c_2 + ...))
+    out = [c[n]]
+    for k in range(n - 1, -1, -1):
+        out = [(lo * -k + hi) % P for lo, hi in zip(out + [0], [0] + out)]
+        out[0] = (out[0] + c[k]) % P
+    return out
 
 
 def _gcd_mod_p(a, b):

@@ -113,11 +113,14 @@ class LatticeInvolution:
 
 
 def reflection_through(lat: PicLattice, alpha) -> tuple:
-    """Matrix of x -> x - 2 (a.x)/(a.a) a; integral when a.a is 1 or 2.
+    """Matrix of x -> x - 2 (a.x)/(a.a) a, for any a with a.a != 0.
 
-    This is an involutive isometry but fixes K only when K is orthogonal to
-    alpha; composing with global negation when K is proportional to alpha
-    yields the involution used for the two Del Pezzo cases.
+    This is an involutive isometry over Q, integral exactly when a.a
+    divides 2 (a.x) for every basis vector x, as for a.a = +-1 or +-2; any
+    other alpha is refused. The roots, a.a = -2 such as E_i - E_j, give
+    x + (a.x) a. It fixes K only when K is orthogonal to alpha, as for
+    E_i - E_j; composing with global negation when K is proportional to
+    alpha yields the involution used for the two Del Pezzo cases.
     """
     alpha = tuple(alpha)
     if len(alpha) != lat.rank:
@@ -125,8 +128,8 @@ def reflection_through(lat: PicLattice, alpha) -> tuple:
             "bad reflection", f"alpha has {len(alpha)} entries, the lattice rank is {lat.rank}"
         )
     a2 = lat.dot(alpha, alpha)
-    if a2 not in (1, 2):
-        raise ValidationError("bad reflection", f"alpha.alpha = {a2}, must be 1 or 2")
+    if a2 == 0:
+        raise ValidationError("bad reflection", "alpha.alpha = 0, no reflection")
     r = lat.rank
     cols = []
     for j in range(r):

@@ -203,6 +203,9 @@ def test_unreadable_input_file_is_a_validation_failure(tmp_path, argv, reason):
     (["fixed-curve", "--map", "x^2;y^2;z^2"], "not involutive"),
     (["dj", "--curve", "x^2/3*y + z", "--p", "(0:1:0)"], "syntax error"),
     (["lattice", "minimal", "--n", "3"], "bad request"),
+    # digits are ASCII: a superscript or full-width digit is not one
+    (["verify", "--map", "x^\u00b2*y;y^3;z^3"], "syntax error"),
+    (["verify", "--map", "\uff13x;y;z"], "syntax error"),
 ])
 def test_malformed_command_line_input_is_a_validation_failure(argv, reason):
     code, payload, _ = run_json(argv)

@@ -80,10 +80,27 @@ def test_reflection_negates_alpha_and_fixes_orthogonal():
     assert _mat_mul(m, m) == _identity(8)
 
 
-def test_reflection_requires_norm_one_or_two():
+def test_reflection_in_a_root_swaps_e1_and_e2():
+    from planecremona.picard import _identity, _mat_mul, _mat_vec
+
     lat = make_lattice(3)
-    with pytest.raises(ValidationError):
-        reflection_through(lat, (0, 1, -1, 0))  # square -2
+    alpha = (0, 1, -1, 0)  # E_1 - E_2, square -2
+    m = reflection_through(lat, alpha)
+    e1, e2 = (0, 1, 0, 0), (0, 0, 1, 0)
+    assert _mat_vec(m, e1) == e2 and _mat_vec(m, e2) == e1
+    assert _mat_vec(m, lat.k) == lat.k
+    assert _mat_mul(m, m) == _identity(4)
+    basis = _identity(4)
+    assert all(lat.dot(_mat_vec(m, u), _mat_vec(m, v)) == lat.dot(u, v)
+               for u in basis for v in basis)
+
+
+def test_reflection_refuses_isotropic_and_nonintegral_alpha():
+    lat = make_lattice(3)
+    with pytest.raises(ValidationError, match="alpha.alpha = 0"):
+        reflection_through(lat, (1, 1, 0, 0))        # square 0
+    with pytest.raises(ValidationError, match="not integral"):
+        reflection_through(lat, (0, 1, 1, 1))        # square -3
 
 
 @pytest.mark.parametrize("n", [7, 8])
