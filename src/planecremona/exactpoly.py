@@ -249,7 +249,8 @@ class HPoly:
         acc: dict = {}
         for (i, j, k), c in self.terms.items():
             tail = pow3[k].terms.items()
-            for (i1, j1, k1), c1 in (pow1[i] * pow2[j]).terms.items():
+            head = pow2[j] if not i else pow1[i] if not j else pow1[i] * pow2[j]
+            for (i1, j1, k1), c1 in head.terms.items():
                 c1 *= c
                 for (i2, j2, k2), c2 in tail:
                     e = (i1 + i2, j1 + j2, k1 + k2)
@@ -324,8 +325,9 @@ class HPoly:
 
 
 def _power_table(g: HPoly, top: int):
-    table = [HPoly.constant(1)]
-    for _ in range(top):
+    """[1, g, g^2, ..., g^top], with no product by the constant 1."""
+    table = [HPoly.constant(1), g][:top + 1]
+    for _ in range(top - 1):
         table.append(table[-1] * g)
     return table
 

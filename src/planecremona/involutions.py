@@ -28,13 +28,16 @@ through all of them singular at one, which make_point_config checks. Then
 no curve lies in the base locus of the pencil or net through x, which has
 exactly one base point besides the configuration and x.
 
-An optional interpolation recovers the degree-8 Geiser map in closed form.
+An optional interpolation recovers the degree-8 Geiser map in closed form
+from 6 evaluated samples. The fitted map is checked at 100 seeded points by
+the same ninth-base-point certificate, applied to its own image, not by
+evaluating those points again.
 All pseudo-random choices come from the package's seeded SplitMix64 streams.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 from math import gcd as igcd, perm
 
 from .errors import ExtractionError, IndeterminacyError, ValidationError
@@ -361,8 +364,13 @@ class _Cubic:
 
     @classmethod
     def combination(cls, coeffs, cubics) -> "_Cubic":
-        return cls([[sum(c * cb.rows[v][i] for c, cb in zip(coeffs, cubics)) for i in range(6)]
-                    for v in range(3)])
+        rows = [[0] * 6 for _ in range(3)]
+        for c, cb in zip(coeffs, cubics):
+            if c:
+                for row, src in zip(rows, cb.rows):
+                    for i in range(6):
+                        row[i] += c * src[i]
+        return cls(rows)
 
     def grad(self, p):
         a, b, c = p
@@ -415,29 +423,39 @@ def _cayley_bacharach(cubic: _Cubic, base, x):
     return g and third(e, g)
 
 
+def _is_ninth_base_point(f: _Cubic, h: _Cubic, base, x: ProjPoint, y: ProjPoint) -> bool:
+    """Certificate that y is the ninth base point of the cubic pencil spanned
+    by f and h, whose other base points are the seven points `base` and x:
+    f(y) = h(y) = 0, and where y is x or a base point, grad f and grad h are
+    parallel there (a double base point). In general position the pencil has
+    exactly nine base points counted with multiplicity, so y is unique."""
+    q = y.coords
+    if f.value(q) or h.value(q):
+        return False
+    return not ((y == x or y in base) and any(_cross(f.grad(q), h.grad(q))))
+
+
 def _ninth_base_point(f: _Cubic, h: _Cubic, base, x: ProjPoint):
     """Certified ninth base point of the cubic pencil spanned by f and h,
     whose other base points are the seven points `base` and x.
 
     On each member s f + t h in the order of _MEMBERS, the seven rotations of
-    the base points are tried in turn until a candidate q passes: f(q) =
-    h(q) = 0, and where q is x or a base point, grad f and grad h are
-    parallel there (a double base point). On a smooth member no step
-    degenerates, so one of the 13 members certifies. Returns the point and
-    the number of constructions tried."""
+    the base points are tried in turn until a candidate passes
+    _is_ninth_base_point. On a smooth member no step degenerates, so one of
+    the 13 members certifies. Returns the point and the number of
+    constructions tried."""
     pts = tuple(p.coords for p in base)
     attempts = 0
     for s, t in _MEMBERS:
-        member = _Cubic.combination((s, t), (f, h))
+        member = f if not t else h if not s else _Cubic.combination((s, t), (f, h))
         for k in range(7):
             attempts += 1
             q = _cayley_bacharach(member, pts[k:] + pts[:k], x.coords)
-            if q is None or f.value(q) or h.value(q):
+            if q is None:
                 continue
             image = ProjPoint(*q)
-            if (image == x or image in base) and any(_cross(f.grad(q), h.grad(q))):
-                continue
-            return image, attempts
+            if _is_ninth_base_point(f, h, base, x, image):
+                return image, attempts
     raise ExtractionError(f"no certified ninth base point after {attempts} constructions")
 
 
@@ -506,6 +524,10 @@ class GeiserInvolution:
             raise ValidationError("pencil dimension wrong", f"net does not restrict to a pencil at {x}")
         return _perp_basis(vals)
 
+    def _pencil(self, x: ProjPoint):
+        """The two members f, h of _pencil_coeffs(x), as _Cubic."""
+        return [_Cubic.combination(c, self._net_cubics) for c in self._pencil_coeffs(x)]
+
     def eval(self, x: ProjPoint) -> ProjPoint:
         return self.eval_detail(x)[0]
 
@@ -516,7 +538,7 @@ class GeiserInvolution:
         base point only where the pencil has a double base point there."""
         if x in self.config.points:
             raise IndeterminacyError(f"{x} is a base point of the involution")
-        f, h = (_Cubic.combination(c, self._net_cubics) for c in self._pencil_coeffs(x))
+        f, h = self._pencil(x)
         image, attempts = _ninth_base_point(f, h, self.config.points, x)
         return image, EvalTrace(attempts)
 
@@ -525,14 +547,15 @@ class GeiserInvolution:
         """Closed-form degree-8 map fitted from evaluated samples.
 
         The components are found inside the 3-dimensional space of octics
-        triply vanishing at the base points, so the fit has 9 unknowns; the
-        result is verified against the evaluator on 100 fresh seeded samples.
+        triply vanishing at the base points, so the fit has 9 unknowns and
+        takes 6 evaluator samples. The result is then checked at 100 fresh
+        seeded points by the ninth-base-point certificate (_check_fit), not
+        by evaluating them again.
         """
         octics = octic_triple_system(self.config.points)
         stream = SplitMix64(self.seed ^ 0x6A09E667F3BCC908)
-        fit_samples = self._draw_samples(stream, 6)
         rows = []
-        for x, y in fit_samples:
+        for x, y in self._draw_samples(stream, 6):
             ovals = values_at(octics, x.coords)
             yv = y.coords
             for p, q in ((0, 1), (0, 2), (1, 2)):
@@ -555,30 +578,41 @@ class GeiserInvolution:
         sigma = RationalMap(*comps)
         if sigma.degree != 8:
             raise ValidationError("interpolation failed", "fitted map does not have degree 8")
-        for x, y in self._draw_samples(stream, 100):
-            if sigma.eval(x) != y:
-                raise ValidationError("interpolation failed", "fitted map disagrees with the evaluator")
+        self._check_fit(sigma, stream)
         return sigma
+
+    def _check_fit(self, sigma: RationalMap, stream: SplitMix64):
+        """Refuse sigma unless, at 100 points drawn from the stream, sigma(x)
+        is the ninth base point of the pencil through x. In general position
+        that pencil has one base point besides the 7 points and x, the only
+        point _is_ninth_base_point accepts and the only image the evaluator
+        can return, so this is the comparison with the evaluator."""
+        for x in islice(self._candidates(stream, 100), 100):
+            y = sigma.eval(x)
+            if y is None or not _is_ninth_base_point(*self._pencil(x), self.config.points, x, y):
+                raise ValidationError("interpolation failed",
+                                      f"fitted map sends {x} to {y}, not to the ninth base point")
+
+    def _candidates(self, stream: SplitMix64, count: int):
+        """Seeded points with coordinates in [-9, 9] other than the base
+        points, from at most 200 * count draws."""
+        for _ in range(200 * count):
+            coords = tuple(stream.next_int(-9, 9) for _ in range(3))
+            if coords != (0, 0, 0):
+                x = ProjPoint(*coords)
+                if x not in self.config.points:
+                    yield x
+        raise ValidationError("sampling failed", "could not draw enough sample points")
 
     def _draw_samples(self, stream: SplitMix64, count: int):
         out = []
-        guard = 0
-        while len(out) < count:
-            guard += 1
-            if guard > 200 * count:
-                raise ValidationError("sampling failed", "could not draw enough sample points")
-            coords = tuple(stream.next_int(-9, 9) for _ in range(3))
-            if coords == (0, 0, 0):
-                continue
-            x = ProjPoint(*coords)
-            if x in self.config.points:
-                continue
+        for x in self._candidates(stream, count):
             try:
-                y = self.eval(x)
+                out.append((x, self.eval(x)))
             except (ValidationError, ExtractionError):
                 continue
-            out.append((x, y))
-        return out
+            if len(out) == count:
+                return out
 
     def record(self, interpolate: bool = False) -> InvolutionRecord:
         sigma = self.interpolated_map if interpolate else None

@@ -8,8 +8,11 @@ from itertools import combinations
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from planecremona.errors import ValidationError
-from planecremona.involutions import BertiniInvolution, GeiserInvolution, make_point_config
-from planecremona.projmaps import ProjPoint
+from planecremona.involutions import (
+    BertiniInvolution, GeiserInvolution, _is_ninth_base_point, make_point_config,
+)
+from planecremona.projmaps import ProjPoint, RationalMap
+from planecremona.rng import SplitMix64
 
 
 def seeded(examples):
@@ -134,6 +137,44 @@ def test_geiser_involutive_and_on_pencil(pts, x):
 def test_bertini_involutive_and_on_net(pts, x):
     inv = BertiniInvolution(make_point_config(pts, "bertini"))
     check_involution(inv, pts, x)
+
+
+@seeded(20)
+@given(pts=point_sets(7), x=coords.map(lambda c: ProjPoint(*c)))
+def test_ninth_base_point_certificate(pts, x):
+    """The certificate accepts the evaluator's image and refuses x, the base
+    points and a point of one member only."""
+    assume(x not in pts)
+    inv = GeiserInvolution(make_point_config(pts, "geiser"))
+    f, h = inv._pencil(x)
+    y = inv.eval(x)
+    assert _is_ninth_base_point(f, h, pts, x, y)
+    if inv.fixed_sextic.eval(x.coords):
+        # off the fixed sextic x is a simple base point of its pencil
+        assert not _is_ninth_base_point(f, h, pts, x, x)
+    if y not in pts:
+        # and so is every one of the seven points
+        assert not any(_is_ninth_base_point(f, h, pts, x, p) for p in pts)
+    r = f.third(pts[0].coords, pts[1].coords)
+    assume(r is not None)
+    assert f.value(r) == 0
+    assume(h.value(r))
+    assert not _is_ninth_base_point(f, h, pts, x, ProjPoint(*r))
+
+
+@seeded(3)
+@given(pts=point_sets(7), seed=st.integers(0, 2**32))
+def test_fit_check_refuses_a_wrong_map(pts, seed):
+    inv = GeiserInvolution(make_point_config(pts, "geiser"), seed=seed)
+    sigma = inv.interpolated_map
+    inv._check_fit(sigma, SplitMix64(seed))
+    f1, f2, f3 = sigma.components
+    try:
+        inv._check_fit(RationalMap(f2, f1, f3), SplitMix64(seed))
+    except ValidationError as exc:
+        assert exc.reason == "interpolation failed"
+    else:
+        raise AssertionError("a map with two components exchanged passed the fit check")
 
 
 def planted_sets():

@@ -10,8 +10,9 @@ at a time; the side that runs first alternates from seed to seed. Per
 end-to-end metric (names and directions from the change's BENCHMARK.json)
 the output holds both sides' medians, first and third quartiles, raw runs
 and the number of seeds in which the change reads better. With
---traced-seed N, one `--trace 1` run of dj at seed N on each side adds the
-per-layer calls and self time per op of every layer that ran.
+--traced-seed N, one `--trace 1` run of each workload at seed N on each side
+adds, as traced_<workload>_seed_<N>, the per-layer calls and self time per op
+of every layer that ran.
 
 Nothing is imported from perfbench/; the runs are subprocesses.
 """
@@ -90,10 +91,11 @@ def paired_workload(parent, change, workload, seeds, end_to_end):
     }
 
 
-def traced_dj(parent, change, seed):
-    runs = {side: run_bench(d, "dj", seed, 1)["metrics"]
+def traced_workload(parent, change, workload, seed):
+    runs = {side: run_bench(d, workload, seed, 1)["metrics"]
             for side, d in (("parent", parent), ("change", change))}
-    out = {"command": f"python3 perfbench/run.py --workload dj --seed {seed} --seconds {SECONDS} --trace 1"}
+    out = {"command": f"python3 perfbench/run.py --workload {workload} --seed {seed} "
+                      f"--seconds {SECONDS} --trace 1"}
     layers = [name[:-len(".calls")] for name in runs["change"] if name.endswith(".calls")]
     for layer in layers:
         if any(runs[side].get(f"{layer}.calls", {"value": 0})["value"] for side in runs):
@@ -120,7 +122,7 @@ def main(argv=None):
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 131-140 or 1,2,3")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--traced-seed", type=int, help="also compare one traced dj run at this seed")
+    parser.add_argument("--traced-seed", type=int, help="also compare one traced run of each workload at this seed")
     args = parser.parse_args(argv)
     parent, change = os.path.abspath(args.parent), os.path.abspath(args.change)
     with open(os.path.join(change, "BENCHMARK.json"), encoding="utf-8") as fh:
@@ -137,7 +139,9 @@ def main(argv=None):
                       for w in args.workloads},
     }
     if args.traced_seed is not None:
-        doc[f"traced_dj_seed_{args.traced_seed}"] = traced_dj(parent, change, args.traced_seed)
+        for w in args.workloads:
+            doc[f"traced_{w}_seed_{args.traced_seed}"] = traced_workload(parent, change, w,
+                                                                         args.traced_seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
