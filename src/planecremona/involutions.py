@@ -28,10 +28,11 @@ through all of them singular at one, which make_point_config checks. Then
 no curve lies in the base locus of the pencil or net through x, which has
 exactly one base point besides the configuration and x.
 
-An optional interpolation recovers the degree-8 Geiser map in closed form
-from 6 evaluated samples. The fitted map is checked at 100 seeded points by
-the same ninth-base-point certificate, applied to its own image, not by
-evaluating those points again.
+An optional closed form of the degree-8 Geiser map is built from the
+pull-backs of the sides of the triangle p1p2p3 (the octics C_a C_b Q_ab)
+and one evaluated sample. It is checked at 100 seeded points by the same
+ninth-base-point certificate, applied to its own image, not by evaluating
+those points again.
 All pseudo-random choices come from the package's seeded SplitMix64 streams.
 """
 
@@ -43,12 +44,14 @@ from math import gcd as igcd, perm
 from .errors import ExtractionError, IndeterminacyError, ValidationError
 from .exactpoly import (
     HPoly,
+    adjugate3,
     bform_gcd,
     det3,
     is_squarefree,
     kernel_basis,
     matrix_rank,
     monomials,
+    primitive,
     values_at,
 )
 from . import fixedcurve
@@ -319,15 +322,36 @@ def sextic_system(points) -> list:
     return [_vector_to_poly(v, 6) for v in kern]
 
 
+def _unique_form(points, degree: int, mults, what: str) -> HPoly:
+    """The one form of the degree with multiplicity >= m at each point."""
+    kern = kernel_basis(_conditions(points, degree, mults))
+    if len(kern) != 1:
+        raise ValidationError("degenerate configuration",
+                              f"{what} form a system of dimension {len(kern)}, expected 1")
+    return _vector_to_poly(kern[0], degree)
+
+
+# the sides p1p2, p1p3, p2p3 of the triangle of the first three points
+_SIDES = ((0, 1), (0, 2), (1, 2))
+
+
 def octic_triple_system(points) -> list:
-    """Basis of the octics with points of multiplicity >= 3 at all 7 points."""
-    kern = kernel_basis(_conditions(points, 8, [3] * len(points)))
-    if len(kern) != 3:
-        raise ValidationError(
-            "degenerate configuration",
-            f"triple-point octics form a system of dimension {len(kern)}, expected 3",
-        )
-    return [_vector_to_poly(v, 8) for v in kern]
+    """Basis of the octics with points of multiplicity >= 3 at all 7 points:
+    C_a C_b Q_ab for the sides ab of _SIDES, where C_a is the cubic through
+    the points singular at p_a and Q_ab the conic through the five others.
+    These are the pull-backs of the sides by the Geiser involution: on the
+    blow-up, sigma* H = 8H - 3 sum E_i is the sum of sigma* E_a = C_a,
+    sigma* E_b = C_b and sigma* (H - E_a - E_b) = Q_ab."""
+    pts = tuple(points)
+    n = len(pts)
+    cubics = [_unique_form(pts, 3, [1] * a + [2] + [1] * (n - 1 - a), f"cubics singular at point {a}")
+              for a in range(3)]
+    octics = []
+    for a, b in _SIDES:
+        others = [p for i, p in enumerate(pts) if i not in (a, b)]
+        conic = _unique_form(others, 2, [1] * (n - 2), f"conics missing points {a}, {b}")
+        octics.append(cubics[a] * cubics[b] * conic)
+    return octics
 
 
 # ---------------------------------------------------------------------------
@@ -544,37 +568,37 @@ class GeiserInvolution:
 
     @cached_property
     def interpolated_map(self) -> RationalMap:
-        """Closed-form degree-8 map fitted from evaluated samples.
+        """Closed-form degree-8 map, built from one evaluated sample.
 
-        The components are found inside the 3-dimensional space of octics
-        triply vanishing at the base points, so the fit has 9 unknowns and
-        takes 6 evaluator samples. The result is then checked at 100 fresh
-        seeded points by the ninth-base-point certificate (_check_fit), not
-        by evaluating them again.
+        The side l_k of the triangle p1p2p3 pulls back to l_k(sigma) =
+        lambda_k P_k, with P_k the octics of octic_triple_system. So, with L
+        the matrix of the l_k, sigma = adj(L) diag(lambda) P. At the first
+        seeded x where no P_k vanishes, with y = sigma(x) from the evaluator,
+        lambda_k is proportional to l_k(y) times the product of the other
+        P_j(x). The result is then checked at 100 fresh seeded points by the
+        ninth-base-point certificate (_check_fit).
         """
-        octics = octic_triple_system(self.config.points)
+        pts = self.config.points
+        octics = octic_triple_system(pts)
+        lines = [_cross(pts[a].coords, pts[b].coords) for a, b in _SIDES]
         stream = SplitMix64(self.seed ^ 0x6A09E667F3BCC908)
-        rows = []
-        for x, y in self._draw_samples(stream, 6):
-            ovals = values_at(octics, x.coords)
-            yv = y.coords
-            for p, q in ((0, 1), (0, 2), (1, 2)):
-                row = [0] * 9
-                for j in range(3):
-                    row[3 * p + j] += ovals[j] * yv[q]
-                    row[3 * q + j] -= ovals[j] * yv[p]
-                rows.append(row)
-        kern = kernel_basis(rows)
-        if len(kern) != 1:
-            raise ValidationError("interpolation failed", f"fit space has dimension {len(kern)}")
-        coeffs = kern[0]
-        comps = []
-        for i in range(3):
-            f = HPoly.zero(8)
-            for j in range(3):
-                if coeffs[3 * i + j]:
-                    f = f + octics[j] * coeffs[3 * i + j]
-            comps.append(f)
+        for x in self._candidates(stream, 1):
+            px = values_at(octics, x.coords)
+            if not all(px):
+                continue
+            try:
+                y = self.eval(x)
+            except (ValidationError, ExtractionError):
+                continue
+            break
+        ly = [_dot(line, y.coords) for line in lines]
+        if not all(ly):
+            raise ValidationError("interpolation failed",
+                                  f"the image {y} of {x} lies on a side of the triangle")
+        scales = primitive([ly[k] * px[k - 1] * px[k - 2] for k in range(3)])
+        adj = adjugate3(lines)
+        comps = [sum((octics[k] * (adj[i][k] * scales[k]) for k in range(3)), HPoly.zero(8))
+                 for i in range(3)]
         sigma = RationalMap(*comps)
         if sigma.degree != 8:
             raise ValidationError("interpolation failed", "fitted map does not have degree 8")
@@ -603,16 +627,6 @@ class GeiserInvolution:
                 if x not in self.config.points:
                     yield x
         raise ValidationError("sampling failed", "could not draw enough sample points")
-
-    def _draw_samples(self, stream: SplitMix64, count: int):
-        out = []
-        for x in self._candidates(stream, count):
-            try:
-                out.append((x, self.eval(x)))
-            except (ValidationError, ExtractionError):
-                continue
-            if len(out) == count:
-                return out
 
     def record(self, interpolate: bool = False) -> InvolutionRecord:
         sigma = self.interpolated_map if interpolate else None

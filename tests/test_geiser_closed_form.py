@@ -1,0 +1,163 @@
+"""The closed-form Geiser map against the pull-backs it is built from and
+against the fit it replaced.
+
+GeiserInvolution.interpolated_map builds sigma from the pull-backs of the
+sides of the triangle p1p2p3: l_ab(sigma) = lambda C_a C_b Q_ab, with C_a
+the cubic through the 7 points singular at p_a and Q_ab the conic through
+the five others (sigma* E_a = C_a on the blow-up). The reference fit below
+is the one it replaced: a basis of the triple-point octics from the 42 x 45
+conditions, and 9 unknowns solved from 6 evaluator samples.
+"""
+
+from fractions import Fraction
+from itertools import chain, combinations
+
+from hypothesis import given
+
+from planecremona.errors import ValidationError
+from planecremona.exactpoly import HPoly, kernel_basis, matrix_rank, monomials, values_at
+from planecremona.involutions import (
+    GeiserInvolution, _conditions, make_point_config, octic_triple_system, sample_points,
+)
+from planecremona.projmaps import ProjPoint, RationalMap
+from planecremona.rng import SplitMix64
+from tests.test_involution_properties import (
+    kernel, monomial_value, partial_value, point_sets, seeded,
+)
+
+
+def form(degree, vec):
+    return HPoly(degree, {e: Fraction(c) for e, c in zip(monomials(degree), vec) if c})
+
+
+def singular_cubic(pts, a):
+    """The cubic through the points singular at pts[a], by Fraction
+    elimination."""
+    monos = monomials(3)
+    rows = [[monomial_value(e, p.coords) for e in monos] for p in pts]
+    rows += [[partial_value(e, v, pts[a].coords) for e in monos] for v in range(3)]
+    (vec,) = kernel(rows)
+    return form(3, vec)
+
+
+def conic_through(pts):
+    monos = monomials(2)
+    (vec,) = kernel([[monomial_value(e, p.coords) for e in monos] for p in pts])
+    return form(2, vec)
+
+
+def side(pts, a, b):
+    p, q = pts[a].coords, pts[b].coords
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+def octic_vector(f):
+    return [f.terms.get(e, 0) for e in monomials(8)]
+
+
+def triple_point_octics(pts):
+    """Basis of the octics triple at the points: the 42 x 45 elimination."""
+    return [form(8, v) for v in kernel_basis(_conditions(pts, 8, [3] * 7))]
+
+
+def six_sample_fit(inv):
+    """The fit interpolated_map used to run: sigma in the span of the
+    triple-point octics, 9 unknowns from the evaluator at the first 6 points
+    of the seeded stream where it succeeds."""
+    octics = triple_point_octics(inv.config.points)
+    stream = SplitMix64(inv.seed ^ 0x6A09E667F3BCC908)
+    samples = []
+    for x in inv._candidates(stream, 6):
+        try:
+            samples.append((x, inv.eval(x)))
+        except ValidationError:
+            continue
+        if len(samples) == 6:
+            break
+    rows = []
+    for x, y in samples:
+        ovals = values_at(octics, x.coords)
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            row = [0] * 9
+            for j in range(3):
+                row[3 * p + j] += ovals[j] * y.coords[q]
+                row[3 * q + j] -= ovals[j] * y.coords[p]
+            rows.append(row)
+    (coeffs,) = kernel_basis(rows)
+    return RationalMap(*(sum((octics[j] * coeffs[3 * i + j] for j in range(3)), HPoly.zero(8))
+                         for i in range(3)))
+
+
+def seeded_configs(count):
+    """The first `count` seeded 7-point sets in general position."""
+    out = []
+    seed = 0
+    while len(out) < count:
+        seed += 1
+        try:
+            out.append(make_point_config(sample_points(seed, 7), "geiser"))
+        except ValidationError:
+            continue
+    return out
+
+
+@seeded(8)
+@given(pts=point_sets(7))
+def test_sides_pull_back_to_two_singular_cubics_and_a_conic(pts):
+    sigma = GeiserInvolution(make_point_config(pts, "geiser")).interpolated_map
+    cubics = [singular_cubic(pts, a) for a in range(7)]
+    for a, b in combinations(range(7), 2):
+        line = side(pts, a, b)
+        pulled = sum((c * f for c, f in zip(line, sigma.components) if c), HPoly.zero(8))
+        conic = conic_through([p for i, p in enumerate(pts) if i not in (a, b)])
+        assert pulled.canonical() == (cubics[a] * cubics[b] * conic).canonical(), (a, b)
+
+
+@seeded(3)
+@given(pts=point_sets(7))
+def test_octic_triple_system_spans_the_triple_point_octics(pts):
+    octics = octic_triple_system(pts)
+    rows = _conditions(pts, 8, [3] * 7)
+    assert len(rows) == 42 and len(rows[0]) == 45
+    vecs = [octic_vector(f) for f in octics]
+    assert all(sum(r * c for r, c in zip(row, v)) == 0 for row in rows for v in vecs)
+    reference = [octic_vector(f) for f in triple_point_octics(pts)]
+    assert len(reference) == 3
+    assert matrix_rank(vecs) == 3 and matrix_rank(vecs + reference) == 3
+
+
+def test_closed_form_matches_the_six_sample_fit():
+    for config in seeded_configs(10):
+        pts = config.points
+        sigma = GeiserInvolution(config).interpolated_map
+        assert sigma.components == six_sample_fit(GeiserInvolution(config)).components
+        for order in (pts[::-1], pts[3:] + pts[:3]):
+            for seed in (0, 11):
+                inv = GeiserInvolution(make_point_config(order, "geiser"), seed=seed)
+                assert inv.interpolated_map.components == sigma.components, (order, seed)
+
+
+def test_sample_on_a_contracted_cubic_is_skipped(geiser):
+    """A first candidate on C_1, where two of the octics vanish, is skipped
+    and the map is the one built from the next candidate."""
+    pts = geiser.config.points
+    c1 = singular_cubic(pts, 0)
+    p = pts[0].coords
+    # the line from p1 towards r meets C_1 again at C_1(r) p1 - q r, where q
+    # is the second-order term of C_1(p1 + t r)
+    r = (2, -3, 5)
+    q = c1.eval(tuple(u + v for u, v in zip(p, r))) - c1.eval(r)
+    on_c1 = ProjPoint(*(c1.eval(r) * u - q * v for u, v in zip(p, r)))
+    assert c1.eval(on_c1.coords) == 0 and on_c1 not in pts
+    assert 0 in values_at(octic_triple_system(pts), on_c1.coords)
+    inv = GeiserInvolution(geiser.config, seed=geiser.seed)
+    draws = inv._candidates
+    calls = []
+
+    def candidates(stream, count):
+        calls.append(count)
+        return chain([on_c1] if len(calls) == 1 else [], draws(stream, count))
+
+    inv._candidates = candidates
+    assert inv.interpolated_map.components == geiser.interpolated_map.components
+    assert calls == [1, 100]
