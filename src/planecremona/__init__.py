@@ -35,7 +35,6 @@ from .involutions import (
     dj_involution,
     make_dj_instance,
     make_point_config,
-    sample_points,
     sextic_system,
     validate_dj,
 )

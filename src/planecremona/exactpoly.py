@@ -29,7 +29,9 @@ int and every HPoly, however built, satisfies the convention above.
 """
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd as igcd, isqrt, lcm
+from operator import mul
 
 from .errors import ValidationError
 
@@ -332,19 +334,51 @@ def _power_table(g: HPoly, top: int):
     return table
 
 
+class Evaluator:
+    """The values of a fixed family of forms at any point.
+
+    Each form is held as its coefficient row over the family's support, the
+    monomials that occur in some form. A point costs one list of monomial
+    values, from one table of powers of each coordinate, then one dot
+    product per form. Integer forms at an integer point give ints; a
+    Fraction anywhere gives the exact Fraction, except that a form whose
+    terms are all ints at the point (the zero form, say) gives an int, as a
+    term-by-term sum does.
+    """
+
+    __slots__ = ("top", "support", "rows")
+
+    def __init__(self, forms):
+        support, top = {}, 0
+        for f in forms:
+            support.update(f.terms)
+            if f.degree > top:
+                top = f.degree
+        self.top = top
+        keys = self.support = tuple(support)
+        # a form whose monomials are the support in its order (a lone form,
+        # say) has its values as its row
+        self.rows = [list(f.terms.values()) if tuple(f.terms) == keys
+                     else list(map(f.terms.get, keys, repeat(0))) for f in forms]
+
+    def __call__(self, pt) -> list:
+        a, b, c = pt
+        pa, pb, pc = [1], [1], [1]
+        for _ in range(self.top):
+            pa.append(pa[-1] * a)
+            pb.append(pb[-1] * b)
+            pc.append(pc[-1] * c)
+        mv = [pa[i] * pb[j] * pc[k] for i, j, k in self.support]
+        if type(a) is int and type(b) is int and type(c) is int:
+            return [sum(map(mul, row, mv)) for row in self.rows]
+        # a zero entry times a Fraction is a Fraction: sum the form's own terms
+        return [sum(u * v for u, v in zip(row, mv) if u) for row in self.rows]
+
+
 def values_at(forms, pt) -> list:
-    """Values of several forms at one point, from one table of powers of the
-    point's coordinates shared by all of them. Integer forms at an integer
-    point give ints; a Fraction anywhere gives the exact Fraction."""
-    top = max((f.degree for f in forms), default=0)
-    tables = []
-    for v in pt:
-        powers = [1]
-        for _ in range(top):
-            powers.append(powers[-1] * v)
-        tables.append(powers)
-    pa, pb, pc = tables
-    return [sum(c * pa[i] * pb[j] * pc[k] for (i, j, k), c in f.terms.items()) for f in forms]
+    """Values of several forms at one point (Evaluator), for a one-off call;
+    evaluate a family at many points through one Evaluator."""
+    return Evaluator(forms)(pt)
 
 
 def monomials(degree: int, variables=(0, 1, 2)) -> list:

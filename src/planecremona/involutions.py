@@ -43,6 +43,7 @@ from math import gcd as igcd, perm
 
 from .errors import ExtractionError, IndeterminacyError, ValidationError
 from .exactpoly import (
+    Evaluator,
     HPoly,
     adjugate3,
     bform_gcd,
@@ -447,54 +448,73 @@ def _cayley_bacharach(cubic: _Cubic, base, x):
     return g and third(e, g)
 
 
-def _is_ninth_base_point(f: _Cubic, h: _Cubic, base, x: ProjPoint, y: ProjPoint) -> bool:
-    """Certificate that y is the ninth base point of the cubic pencil spanned
-    by f and h, whose other base points are the seven points `base` and x:
-    f(y) = h(y) = 0, and where y is x or a base point, grad f and grad h are
-    parallel there (a double base point). In general position the pencil has
-    exactly nine base points counted with multiplicity, so y is unique."""
-    q = y.coords
-    if f.value(q) or h.value(q):
+def _in_span(u, v) -> bool:
+    """Whether the integer vector v is a multiple of u, zero included."""
+    n = len(u)
+    return (any(u) or not any(v)) and all(u[i] * v[j] == u[j] * v[i]
+                                          for i in range(n) for j in range(i + 1, n))
+
+
+def _is_ninth_base_point(cubics, base, x: ProjPoint, cx, y, cy) -> bool:
+    """Certificate that the point with integer coordinates y (any nonzero
+    multiple will do: the test is homogeneous) is the ninth base point of
+    the pencil of cubics through x in the span of `cubics`, whose other base
+    points are the seven points `base` and x. cx and cy are the values of
+    `cubics` at x and at y; the members through x are those whose
+    coefficients are orthogonal to cx.
+
+    Every member vanishes at y exactly when cy lies in span(cx): then f(y) =
+    h(y) = 0 for the two members f, h of _perp_basis(cx) spanning the
+    pencil. Where y is x or a base point (cy = 0 there), grad f and grad h
+    must also be parallel at y (a double base point); only then are f and h
+    built. In general position the pencil has exactly nine base points
+    counted with multiplicity, so y is unique."""
+    if not _in_span(cx, cy):
         return False
-    return not ((y == x or y in base) and any(_cross(f.grad(q), h.grad(q))))
+    if any(_cross(x.coords, y)) and (any(cy) or ProjPoint(*y) not in base):
+        return True
+    f, h = (_Cubic.combination(c, cubics) for c in _perp_basis(cx))
+    return not any(_cross(f.grad(y), h.grad(y)))
 
 
-def _ninth_base_point(f: _Cubic, h: _Cubic, base, x: ProjPoint):
-    """Certified ninth base point of the cubic pencil spanned by f and h,
-    whose other base points are the seven points `base` and x.
+def _ninth_base_point(cubics, base, x: ProjPoint, cx):
+    """Certified ninth base point of the pencil of cubics through x in the
+    span of `cubics`, whose values at x are cx, and whose other base points
+    are the seven points `base` and x.
 
-    On each member s f + t h in the order of _MEMBERS, the seven rotations of
-    the base points are tried in turn until a candidate passes
-    _is_ninth_base_point. On a smooth member no step degenerates, so one of
-    the 13 members certifies. Returns the point and the number of
-    constructions tried."""
+    On each member s f + t h in the order of _MEMBERS, with f, h the members
+    of _perp_basis(cx), the seven rotations of the base points are tried in
+    turn until a candidate passes _is_ninth_base_point. On a smooth member
+    no step degenerates, so one of the 13 members certifies. Returns the
+    point and the number of constructions tried."""
+    fc, hc = _perp_basis(cx)
+    f, h = _Cubic.combination(fc, cubics), None
     pts = tuple(p.coords for p in base)
     attempts = 0
     for s, t in _MEMBERS:
+        if t and h is None:
+            h = _Cubic.combination(hc, cubics)       # most points certify on f
         member = f if not t else h if not s else _Cubic.combination((s, t), (f, h))
         for k in range(7):
             attempts += 1
             q = _cayley_bacharach(member, pts[k:] + pts[:k], x.coords)
             if q is None:
                 continue
-            image = ProjPoint(*q)
-            if _is_ninth_base_point(f, h, base, x, image):
-                return image, attempts
+            if _is_ninth_base_point(cubics, base, x, cx, q, [g.value(q) for g in cubics]):
+                return ProjPoint(*q), attempts
     raise ExtractionError(f"no certified ninth base point after {attempts} constructions")
 
 
-def _parallel(u, v) -> bool:
-    """Whether v is a nonzero multiple of the integer vector u."""
-    n = len(u)
-    return any(v) and all(u[i] * v[j] == u[j] * v[i] for i in range(n) for j in range(i + 1, n))
-
-
 def _perp_basis(values):
-    """Integer basis of the vectors orthogonal to a nonzero integer vector:
-    v_k e_i - v_i e_k for i != k, with k its first nonzero entry."""
-    k = next(i for i, v in enumerate(values) if v)
+    """Integer basis of the vectors orthogonal to an integer vector: v_k e_i
+    - v_i e_k for i != k, with k its first nonzero entry; the standard basis
+    for the zero vector."""
+    n = len(values)
+    k = next((i for i, v in enumerate(values) if v), None)
+    if k is None:
+        return [[int(i == j) for j in range(n)] for i in range(n)]
     out = []
-    for i in range(len(values)):
+    for i in range(n):
         if i != k:
             vec = [0] * len(values)
             vec[i], vec[k] = values[k], -values[i]
@@ -540,17 +560,13 @@ class GeiserInvolution:
             raise ValidationError("degenerate configuration", "Jacobian sextic vanishes")
         return j
 
-    def _pencil_coeffs(self, x: ProjPoint):
-        """Coefficients, over the net basis, of two members spanning the
-        pencil of net cubics through x."""
+    def _net_values(self, x: ProjPoint):
+        """Values of the net basis at x; the members through x, those with
+        coefficients orthogonal to them, form a pencil."""
         vals = [g.value(x.coords) for g in self._net_cubics]
         if not any(vals):
             raise ValidationError("pencil dimension wrong", f"net does not restrict to a pencil at {x}")
-        return _perp_basis(vals)
-
-    def _pencil(self, x: ProjPoint):
-        """The two members f, h of _pencil_coeffs(x), as _Cubic."""
-        return [_Cubic.combination(c, self._net_cubics) for c in self._pencil_coeffs(x)]
+        return vals
 
     def eval(self, x: ProjPoint) -> ProjPoint:
         return self.eval_detail(x)[0]
@@ -558,12 +574,12 @@ class GeiserInvolution:
     def eval_detail(self, x: ProjPoint):
         """Ninth base point of the pencil of cubics through the 7 points and
         x, and the EvalTrace of its construction (_ninth_base_point): the
-        image lies on two members f, h spanning the pencil, and is x or a
-        base point only where the pencil has a double base point there."""
+        net takes values proportional to its values at x on the image, which
+        is x or a base point only where the pencil has a double base point
+        there."""
         if x in self.config.points:
             raise IndeterminacyError(f"{x} is a base point of the involution")
-        f, h = self._pencil(x)
-        image, attempts = _ninth_base_point(f, h, self.config.points, x)
+        image, attempts = _ninth_base_point(self._net_cubics, self.config.points, x, self._net_values(x))
         return image, EvalTrace(attempts)
 
     @cached_property
@@ -610,12 +626,18 @@ class GeiserInvolution:
         is the ninth base point of the pencil through x. In general position
         that pencil has one base point besides the 7 points and x, the only
         point _is_ninth_base_point accepts and the only image the evaluator
-        can return, so this is the comparison with the evaluator."""
+        can return, so this is the comparison with the evaluator. The net
+        and sigma are each evaluated through one Evaluator, the net at x and
+        at the values of sigma at x, as they are (the certificate is
+        homogeneous in y)."""
+        net, comps = Evaluator(self.net), Evaluator(sigma.components)
         for x in islice(self._candidates(stream, 100), 100):
-            y = sigma.eval(x)
-            if y is None or not _is_ninth_base_point(*self._pencil(x), self.config.points, x, y):
+            y = comps(x.coords)
+            if not any(y) or not _is_ninth_base_point(self._net_cubics, self.config.points,
+                                                      x, net(x.coords), y, net(y)):
+                image = ProjPoint(*y) if any(y) else None
                 raise ValidationError("interpolation failed",
-                                      f"fitted map sends {x} to {y}, not to the ninth base point")
+                                      f"fitted map sends {x} to {image}, not to the ninth base point")
 
     def _candidates(self, stream: SplitMix64, count: int):
         """Seeded points with coordinates in [-9, 9] other than the base
@@ -658,11 +680,15 @@ class BertiniInvolution:
         return [_Cubic.from_hpoly(c) for c in cubic_system(self.config.points)]
 
     @cached_property
+    def _space_at(self):
+        return Evaluator(self.space)
+
+    @cached_property
     def ninth_point(self) -> ProjPoint:
         """Ninth base point p9 of the cubic pencil through the 8 points: the
-        Geiser construction on that pencil, with p8 in the role of x."""
-        c1, c2 = self._cubic_pencil
-        return _ninth_base_point(c1, c2, self.config.points[:7], self.config.points[7])[0]
+        Geiser construction on that pencil, with p8 in the role of x (where
+        both members vanish)."""
+        return _ninth_base_point(self._cubic_pencil, self.config.points[:7], self.config.points[7], (0, 0))[0]
 
     @cached_property
     def fixed_curve(self) -> HPoly:
@@ -677,7 +703,7 @@ class BertiniInvolution:
         return _jacobian(c1, c2, s)
 
     def _space_values(self, x: ProjPoint):
-        vals = values_at(self.space, x.coords)
+        vals = self._space_at(x.coords)
         if not any(vals):
             raise ValidationError("net dimension wrong", f"sextic space does not restrict to a net at {x}")
         return vals
@@ -713,12 +739,17 @@ class BertiniInvolution:
         raise ExtractionError("no certified image: the chord construction degenerates at this point")
 
     def _certified(self, x: ProjPoint, vx, y: ProjPoint) -> bool:
+        """Certificate that y is the image of x, given the values vx of the
+        sextic space at x: where y is a base point, x lies on the member
+        with a triple point at y; elsewhere the space's values at y, taken
+        through its one Evaluator, are a nonzero multiple of vx, and where
+        y is x its gradients there have rank < 3."""
         if y in self.config.points:
             rows = [vx] + [[s.partial(v1).partial(v2).eval(y.coords) for s in self.space]
                            for v1 in range(3) for v2 in range(v1, 3)]
             return matrix_rank(rows) < len(self.space)
-        vy = values_at(self.space, y.coords)
-        if not _parallel(vx, vy):
+        vy = self._space_at(y.coords)
+        if not any(vy) or not _in_span(vx, vy):
             return False
         if y == x:
             rows = [[s.partial(v).eval(x.coords) for v in range(3)] for s in self.space]
@@ -782,23 +813,3 @@ def make_dj_instance(d: int, seed: int):
             continue
         return curve, center
     raise ExtractionError(f"no valid degree-{d} instance found for this seed")
-
-
-def sample_points(seed: int, count: int, avoid=()):
-    """Deterministic small-coordinate sample points avoiding a given set."""
-    stream = SplitMix64(seed)
-    avoid = set(avoid)
-    out = []
-    guard = 0
-    while len(out) < count:
-        guard += 1
-        if guard > 400 * count:
-            raise ExtractionError("could not draw enough sample points")
-        coords = tuple(stream.next_int(-9, 9) for _ in range(3))
-        if coords == (0, 0, 0):
-            continue
-        p = ProjPoint(*coords)
-        if p in avoid or p in out:
-            continue
-        out.append(p)
-    return out

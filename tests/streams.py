@@ -1,5 +1,7 @@
 """Seeded draws that only the tests use, on the package's SplitMix64."""
 
+from planecremona.errors import ExtractionError
+from planecremona.projmaps import ProjPoint
 from planecremona.rng import SplitMix64
 
 
@@ -30,3 +32,23 @@ def unimodular_matrix(stream: SplitMix64) -> tuple[tuple[int, int, int], ...]:
         for i in range(3)
     )
     return tuple(lu[p[i]] for i in range(3))
+
+
+def sample_points(seed: int, count: int, avoid=()):
+    """Deterministic small-coordinate sample points avoiding a given set."""
+    stream = SplitMix64(seed)
+    avoid = set(avoid)
+    out = []
+    guard = 0
+    while len(out) < count:
+        guard += 1
+        if guard > 400 * count:
+            raise ExtractionError("could not draw enough sample points")
+        coords = tuple(stream.next_int(-9, 9) for _ in range(3))
+        if coords == (0, 0, 0):
+            continue
+        p = ProjPoint(*coords)
+        if p in avoid or p in out:
+            continue
+        out.append(p)
+    return out

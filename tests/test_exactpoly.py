@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from planecremona.errors import ValidationError
 from planecremona.exactpoly import (
     _gcd_degree_bound,
+    Evaluator,
     HPoly,
     bform_gcd,
     bform_rational_roots,
@@ -70,6 +71,53 @@ def test_values_at_ints_stay_ints_and_rationals_are_exact():
     assert values_at([X * Y, Z ** 3, CONIC], pt) == [Fraction(1, 2), Fraction(1, 27), Fraction(-5, 6)]
     assert CONIC.eval(pt) == Fraction(-5, 6)
     assert HPoly(1, {(1, 0, 0): Fraction(1, 3)}).eval((1, 0, 0)) == Fraction(1, 3)
+
+
+def naive_values(forms, pt):
+    """Term-by-term values: every term's coefficient times the point's
+    coordinates, each multiplied in as often as its exponent says."""
+    return [sum(prod([pt[0]] * i + [pt[1]] * j + [pt[2]] * k, start=c) for (i, j, k), c in f.terms.items())
+            for f in forms]
+
+
+big = st.integers(-10 ** 30, 10 ** 30)
+rational = st.one_of(big, st.fractions(max_denominator=10 ** 6), st.integers(-3, 3))
+
+
+@st.composite
+def form_families(draw):
+    """1-4 forms of degrees 0-5, sparse or dense, some zero, with int or
+    Fraction coefficients; and maybe the first form again with its terms
+    stored in the reverse order."""
+    out = []
+    for degree in draw(st.lists(st.integers(0, 5), min_size=1, max_size=4)):
+        monos = monomials(degree)
+        chosen = draw(st.lists(st.sampled_from(monos), unique=True, max_size=len(monos)))
+        out.append(HPoly(degree, {e: draw(rational) for e in chosen}))
+    if draw(st.booleans()):
+        out.append(HPoly(out[0].degree, dict(reversed(out[0].terms.items()))))
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(forms=form_families(), pt=st.tuples(rational, rational, rational),
+       ints=st.booleans())
+def test_evaluator_matches_the_term_by_term_sum(forms, pt, ints):
+    if ints:
+        pt = tuple(int(v) for v in pt)
+    expected = naive_values(forms, pt)
+    evaluate = Evaluator(forms)
+    for got in (evaluate(pt), evaluate(pt), values_at(forms, pt)):
+        assert got == expected
+        assert [type(v) for v in got] == [type(v) for v in expected]
+
+
+def test_evaluator_keeps_int_values_int_at_a_fraction_point():
+    half = (Fraction(1, 2), 1, 1)
+    vals = values_at([X, Y * Z, HPoly.zero(2), HPoly.constant(5)], half)
+    assert vals == [Fraction(1, 2), 1, 0, 5]
+    assert [type(v) for v in vals] == [Fraction, int, int, int]
+    assert values_at([], half) == []
 
 
 # -- gcd ----------------------------------------------------------------------
@@ -253,12 +301,12 @@ def test_resultant_linear_symbolic():
 
 
 def test_resultant_pencil_of_cubics_degree_nine(seven_config):
-    from planecremona.involutions import GeiserInvolution
+    from planecremona.involutions import GeiserInvolution, _perp_basis
     from planecremona.projmaps import ProjPoint
 
     g = GeiserInvolution(seven_config)
     f, h = (sum((q * c for c, q in zip(coeffs, g.net)), HPoly.zero(3))
-            for coeffs in g._pencil_coeffs(ProjPoint(2, 3, 7)))
+            for coeffs in _perp_basis(g._net_values(ProjPoint(2, 3, 7))))
     # move to coordinates where no intersection point sits at the projection
     # center (0:0:1); otherwise the elimination drops that point and one
     # degree with it

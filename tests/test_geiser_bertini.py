@@ -8,12 +8,13 @@ from planecremona.exactpoly import kernel_basis, matrix_rank
 from planecremona.involutions import (
     BertiniInvolution,
     GeiserInvolution,
+    _perp_basis,
     cubic_system,
     make_point_config,
-    sample_points,
     sextic_system,
 )
 from planecremona.projmaps import ProjPoint
+from tests.streams import sample_points
 
 
 # -- configurations ------------------------------------------------------------
@@ -298,9 +299,10 @@ def test_six_of_seven_points_on_a_conic_rejected():
 def test_net_restriction_dimensions(geiser, bertini):
     x = ProjPoint(2, 3, 7)
     # the members of the net of cubics through x: a pencil, spanned by the
-    # two coefficient vectors _pencil_coeffs returns
+    # two coefficient vectors orthogonal to the net's values at x
     values = [g.eval(x.coords) for g in geiser.net]
-    members = geiser._pencil_coeffs(x)
+    assert geiser._net_values(x) == values
+    members = _perp_basis(values)
     assert matrix_rank(members) == 2 == len(kernel_basis([values]))
     assert all(sum(c * v for c, v in zip(m, values)) == 0 for m in members)
     # the members of the space of 4 sextics through x: a net
@@ -309,7 +311,7 @@ def test_net_restriction_dimensions(geiser, bertini):
     assert len(kernel_basis([vx])) == 3
     # at a base point the restriction degenerates
     with pytest.raises(ValidationError):
-        geiser._pencil_coeffs(geiser.config.points[0])
+        geiser._net_values(geiser.config.points[0])
     with pytest.raises(ValidationError):
         bertini._space_values(bertini.config.points[0])
 

@@ -10,6 +10,7 @@ conditions, and 9 unknowns solved from 6 evaluator samples.
 """
 
 from fractions import Fraction
+from hashlib import sha256
 from itertools import chain, combinations
 
 from hypothesis import given
@@ -17,10 +18,11 @@ from hypothesis import given
 from planecremona.errors import ValidationError
 from planecremona.exactpoly import HPoly, kernel_basis, matrix_rank, monomials, values_at
 from planecremona.involutions import (
-    GeiserInvolution, _conditions, make_point_config, octic_triple_system, sample_points,
+    GeiserInvolution, _conditions, make_point_config, octic_triple_system,
 )
 from planecremona.projmaps import ProjPoint, RationalMap
 from planecremona.rng import SplitMix64
+from tests.streams import sample_points
 from tests.test_involution_properties import (
     kernel, monomial_value, partial_value, point_sets, seeded,
 )
@@ -135,6 +137,26 @@ def test_closed_form_matches_the_six_sample_fit():
             for seed in (0, 11):
                 inv = GeiserInvolution(make_point_config(order, "geiser"), seed=seed)
                 assert inv.interpolated_map.components == sigma.components, (order, seed)
+
+
+# sha256 of str(interpolated_map) on seeded_configs(8), with seed 0: a faster
+# fit or fit check must leave these maps byte-identical
+FITTED_MAP_SHA256 = (
+    "0eaa508e307ece1e2e969b749448ae18652021a4a6ba3ba0cfcdac87ee0347cb",
+    "e5cf37b174a0aad9f46f3203c1dba9da1b798adbad65586fac080ed2ff630b5f",
+    "2ba01656eae7b7cb87edc6e9223498e79fee5e896f1278a9e5a244f8500277e4",
+    "0b49d39f86e40eb96c8a1d89e07c59eb519b0159bc20170893d4a38b05a2e6dc",
+    "67bfbd1350dd4cca51d21d2dfdd188694d4de0c1d3986bf7fbf05c560dbb2ed9",
+    "afd4ef4ded03506531a6f3937003c6b1e80e877574011a7d70667610818cd3c0",
+    "4490b04b86e455d092c095e6a82acf914c53f3068121000dc23e069d07567b5e",
+    "c685b86c0ce31fb01c02c59f715488c51c93565177f28348b9bd59caf917ca6f",
+)
+
+
+def test_fitted_maps_are_pinned():
+    digests = tuple(sha256(str(GeiserInvolution(config).interpolated_map).encode()).hexdigest()
+                    for config in seeded_configs(len(FITTED_MAP_SHA256)))
+    assert digests == FITTED_MAP_SHA256
 
 
 def test_sample_on_a_contracted_cubic_is_skipped(geiser):

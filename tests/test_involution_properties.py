@@ -8,8 +8,9 @@ from itertools import combinations
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from planecremona.errors import ValidationError
+from planecremona.exactpoly import HPoly
 from planecremona.involutions import (
-    BertiniInvolution, GeiserInvolution, _is_ninth_base_point, make_point_config,
+    BertiniInvolution, GeiserInvolution, _Cubic, _is_ninth_base_point, make_point_config,
 )
 from planecremona.projmaps import ProjPoint, RationalMap
 from planecremona.rng import SplitMix64
@@ -139,6 +140,32 @@ def test_bertini_involutive_and_on_net(pts, x):
     check_involution(inv, pts, x)
 
 
+def pencil_through(inv, x):
+    """Two HPoly members spanning the pencil of net cubics through x."""
+    vx = [g.eval(x.coords) for g in inv.net]
+    return [sum((g * c for c, g in zip(vec, inv.net) if c), HPoly.zero(3)).canonical()
+            for vec in kernel([vx])]
+
+
+def pencil_certificate(f, h, base, x, y):
+    """The ninth-base-point certificate in pencil form, the reference for
+    the net-value form: f(y) = h(y) = 0, and where y is x or a base point,
+    grad f and grad h are parallel there."""
+    q = y.coords
+    if f.eval(q) or h.eval(q):
+        return False
+    grads = [[g.partial(v).eval(q) for v in range(3)] for g in (f, h)]
+    return not ((y == x or y in base) and rank(grads) == 2)
+
+
+def net_certificate(inv, x, y, scale=1):
+    """_is_ninth_base_point on the net's values at x and at y, the latter
+    given as the triple of y times scale."""
+    q = [scale * v for v in y.coords]
+    return _is_ninth_base_point(inv._net_cubics, inv.config.points, x, inv._net_values(x), q,
+                                [g.eval(q) for g in inv.net])
+
+
 @seeded(20)
 @given(pts=point_sets(7), x=coords.map(lambda c: ProjPoint(*c)))
 def test_ninth_base_point_certificate(pts, x):
@@ -146,20 +173,77 @@ def test_ninth_base_point_certificate(pts, x):
     points and a point of one member only."""
     assume(x not in pts)
     inv = GeiserInvolution(make_point_config(pts, "geiser"))
-    f, h = inv._pencil(x)
     y = inv.eval(x)
-    assert _is_ninth_base_point(f, h, pts, x, y)
+    assert net_certificate(inv, x, y)
     if inv.fixed_sextic.eval(x.coords):
         # off the fixed sextic x is a simple base point of its pencil
-        assert not _is_ninth_base_point(f, h, pts, x, x)
+        assert not net_certificate(inv, x, x)
     if y not in pts:
         # and so is every one of the seven points
-        assert not any(_is_ninth_base_point(f, h, pts, x, p) for p in pts)
+        assert not any(net_certificate(inv, x, p) for p in pts)
+    f, h = (_Cubic.from_hpoly(g) for g in pencil_through(inv, x))
     r = f.third(pts[0].coords, pts[1].coords)
     assume(r is not None)
     assert f.value(r) == 0
     assume(h.value(r))
-    assert not _is_ninth_base_point(f, h, pts, x, ProjPoint(*r))
+    assert not net_certificate(inv, x, ProjPoint(*r))
+
+
+def on_sextic(pts6, x, d):
+    """A seventh point p7 such that x lies on the Jacobian sextic of the net
+    through pts6 and p7, or None: the cubic C through pts6 singular at x is
+    a member of that net when p7 lies on C, and p7 = C(d) x - A d is the third
+    point of C on the line from x towards d, with A the second-order term of
+    C(x + t d)."""
+    monos = monomials(3)
+    rows = [[monomial_value(e, p) for e in monos] for p in pts6]
+    rows += [[partial_value(e, v, x) for e in monos] for v in range(3)]
+    basis = kernel(rows)
+    if len(basis) != 1:
+        return None
+    cubic = HPoly(3, {e: c for e, c in zip(monos, basis[0]) if c})
+    a = cubic.eval(tuple(u + v for u, v in zip(x, d))) - cubic.eval(d)
+    p7 = [cubic.eval(d) * u - a * v for u, v in zip(x, d)]
+    return ProjPoint(*p7) if any(p7) else None
+
+
+@st.composite
+def pencil_cases(draw):
+    """A 7-point set and a point x off it; for half of the cases x lies on
+    the Jacobian sextic, by on_sextic."""
+    small = coords.map(lambda c: ProjPoint(*c))
+    if not draw(st.booleans()):
+        return draw(point_sets(7)), draw(small)
+    pts6 = draw(st.lists(small, min_size=6, max_size=6, unique=True))
+    x, d = draw(small), draw(coords)
+    assume(x not in pts6)
+    p7 = on_sextic([p.coords for p in pts6], x.coords, d)
+    assume(p7 is not None and p7 not in pts6 and p7 != x)
+    pts = pts6 + [p7]
+    assume(general_position([p.coords for p in pts]))
+    return pts, x
+
+
+@seeded(25)
+@given(case=pencil_cases())
+def test_net_certificate_agrees_with_the_pencil_form(case):
+    """On the evaluator's image, x, the seven points and the third points of
+    chords on two members, the net-value certificate gives the pencil
+    form's answer, also on a multiple of the triple."""
+    pts, x = case
+    assume(x not in pts)
+    inv = GeiserInvolution(make_point_config(pts, "geiser"))
+    f, h = pencil_through(inv, x)
+    y = inv.eval(x)
+    if not inv.fixed_sextic.eval(x.coords):
+        assert y == x
+    thirds = [m.third(p.coords, q.coords) for m in map(_Cubic.from_hpoly, (f, h))
+              for p, q in zip(pts + [x], pts[1:] + [x, pts[0]])]
+    candidates = [y, x, *pts, *(ProjPoint(*r) for r in thirds if r is not None)]
+    for q in candidates:
+        expected = pencil_certificate(f, h, pts, x, q)
+        assert net_certificate(inv, x, q) == expected == net_certificate(inv, x, q, -3), q
+    assert pencil_certificate(f, h, pts, x, y)
 
 
 @seeded(3)
