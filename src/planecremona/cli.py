@@ -44,44 +44,25 @@ from .projmaps import ProjPoint, RationalMap, is_involution
 
 _WHITESPACE = re.compile(r"\s*")
 _DIGITS = re.compile(r"[0-9]+")
+# One term, each piece optional: a sign, a coefficient a or a/b with an
+# optional '*', then the run of factors x^e, each with an optional '*'. The
+# term ends where the match stops, and a syntax error is read off the groups
+# and that position. Digits are ASCII: \d or str.isdigit would also take
+# superscript or full-width digits.
+_TERM = re.compile(
+    r"(?P<sign>[+-]?)\s*"
+    r"(?:(?P<num>[0-9]+)(?:\s*/(?P<den>[0-9]*))?(?:\s*\*)?)?"
+    r"(?P<factors>(?:\s*[xyz](?:\s*\^\s*[0-9]*)?(?:\s*\*)?)*)"
+    r"\s*"
+)
+# one factor of the run: the variable, the exponent's digits (None with no
+# '^', "" for a '^' without digits) and a trailing '*'
+_FACTOR = re.compile(r"\s*([xyz])(?:\s*\^\s*([0-9]*))?(\s*\*)?")
+_VAR_INDEX = {"x": 0, "y": 1, "z": 2}
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str):
-        raise ValidationError("syntax error", f"{message} at position {self.pos}: {self.text!r}")
-
-    def skip_ws(self):
-        self.pos = _WHITESPACE.match(self.text, self.pos).end()
-
-    def peek(self):
-        """The next character after whitespace, "" at the end."""
-        self.skip_ws()
-        return self.text[self.pos:self.pos + 1]
-
-    def take_digits(self, what: str = "a number") -> int:
-        """A run of ASCII digits 0-9; str.isdigit would also take superscript
-        or full-width digits."""
-        m = _DIGITS.match(self.text, self.pos)
-        if m is None:
-            self.error(f"expected {what}")
-        self.pos = m.end()
-        return int(m.group())
-
-    def take_number(self):
-        """An int, or a Fraction when a '/' is written."""
-        self.skip_ws()
-        num = self.take_digits()
-        if self.peek() == "/":
-            self.pos += 1
-            den = self.take_digits("a denominator")
-            if den == 0:
-                self.error("zero denominator")
-            return Fraction(num, den)
-        return num
+def _syntax_error(message: str, pos: int, text: str):
+    raise ValidationError("syntax error", f"{message} at position {pos}: {text!r}")
 
 
 def parse_poly(text: str) -> HPoly:
@@ -91,52 +72,38 @@ def parse_poly(text: str) -> HPoly:
 
 def _parse_form(text: str) -> HPoly:
     """Parse the polynomial grammar, keeping the coefficients as written."""
-    sc = _Scanner(text)
-    var_index = {"x": 0, "y": 1, "z": 2}
     terms = []
-    first = True
-    while True:
-        ch = sc.peek()
-        if ch == "":
-            break
-        sign = 1
-        if ch in "+-":
-            sign = -1 if ch == "-" else 1
-            sc.pos += 1
-            ch = sc.peek()
-        elif not first:
-            sc.error("expected '+' or '-' between terms")
-        if ch == "":
-            sc.error("dangling sign")
+    pos, end = _WHITESPACE.match(text).end(), len(text)
+    while pos < end:
+        m = _TERM.match(text, pos)
+        sign, num, den, factors = m.group("sign", "num", "den", "factors")
+        stop = m.end()
+        if not sign and terms:
+            _syntax_error("expected '+' or '-' between terms", pos, text)
+        if sign and stop == end and num is None and not factors:
+            _syntax_error("dangling sign", end, text)
         coeff = 1
-        if "0" <= ch <= "9":
-            coeff = sc.take_number()
-            if sc.peek() == "*":
-                sc.pos += 1
+        if num is not None:
+            coeff = int(num)
+            if den is not None:
+                if not den:
+                    _syntax_error("expected a denominator", m.end("den"), text)
+                if int(den) == 0:
+                    _syntax_error("zero denominator", m.end("den"), text)
+                coeff = Fraction(coeff, int(den))
         exps = [0, 0, 0]
-        saw_var = False
-        while True:
-            ch = sc.peek()
-            if ch in var_index:
-                saw_var = True
-                v = var_index[ch]
-                sc.pos += 1
-                e = 1
-                if sc.peek() == "^":
-                    sc.pos += 1
-                    sc.skip_ws()
-                    e = sc.take_digits()
-                exps[v] += e
-                if sc.peek() == "*":
-                    sc.pos += 1
-                    if sc.peek() not in var_index and not "0" <= sc.peek() <= "9":
-                        sc.error("dangling '*'")
-                continue
-            break
-        if not saw_var and coeff == 1 and ch != "":
-            sc.error("expected a term")
-        terms.append((sign * coeff, tuple(exps)))
-        first = False
+        star = None
+        for f in _FACTOR.finditer(text, m.start("factors"), m.end("factors")):
+            var, e, star = f.groups()
+            if e == "":
+                _syntax_error("expected a number", f.start(2), text)
+            exps[_VAR_INDEX[var]] += 1 if e is None else int(e)
+        if star and not _DIGITS.match(text, stop):
+            _syntax_error("dangling '*'", stop, text)
+        if not factors and coeff == 1 and stop < end:
+            _syntax_error("expected a term", stop, text)
+        terms.append((-coeff if sign == "-" else coeff, tuple(exps)))
+        pos = stop
     if not terms:
         raise ValidationError("syntax error", "empty polynomial")
     if len(terms) == 1 and terms[0][0] == 0:
@@ -150,7 +117,8 @@ def _parse_form(text: str) -> HPoly:
     for c, e in terms:
         acc[e] = acc.get(e, 0) + c
     degree = degrees.pop() if degrees else 0
-    return HPoly(degree, {e: c for e, c in acc.items() if c != 0})
+    # every term left has a nonzero coefficient and one of the degrees
+    return HPoly._make(degree, {e: c for e, c in acc.items() if c != 0})
 
 
 def parse_point(text: str) -> ProjPoint:

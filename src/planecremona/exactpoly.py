@@ -430,27 +430,34 @@ _GCD_PRIME = (1 << 61) - 1
 _PROBE_LINES = (((1, 3, 7), (2, -5, 1)), ((3, -1, 2), (1, 4, -3)))
 
 
-def _line_restriction(f: HPoly, p, q):
-    """f(p + t q) modulo _GCD_PRIME for an integer form f, entry i at t^i:
-    the restriction of f to the line pq, read at s = 1.
+def _line_restrictions(forms, p, q) -> list:
+    """f(p + t q) modulo _GCD_PRIME for each integer form f of the family,
+    entry i at t^i: the restriction of f to the line pq, read at s = 1.
 
-    A polynomial of degree n in t is fixed by its values at t = 0, ..., n:
-    take them, then Newton divided differences at those nodes, then expand
-    the Newton form in the monomial basis, all mod p (von zur
-    Gathen-Gerhard, Modern Computer Algebra, ch. 5)."""
+    A polynomial of degree n in t is fixed by its values at t = 0, ..., n.
+    One Evaluator of the family gives the values at t = 0, ..., max degree;
+    each form takes its own first n + 1 of them, then Newton divided
+    differences at those nodes, then expands the Newton form in the monomial
+    basis, all mod p (von zur Gathen-Gerhard, Modern Computer Algebra,
+    ch. 5)."""
     P = _GCD_PRIME
-    n = f.degree
-    c = [f.eval([a + t * b for a, b in zip(p, q)]) % P for t in range(n + 1)]
-    # divided differences: the nodes t and t - k are k apart
-    for k in range(1, n + 1):
-        inv = pow(k, -1, P)
-        for t in range(n, k - 1, -1):
-            c[t] = (c[t] - c[t - 1]) * inv % P
-    # Horner on c_0 + (t - 0)(c_1 + (t - 1)(c_2 + ...))
-    out = [c[n]]
-    for k in range(n - 1, -1, -1):
-        out = [(lo * -k + hi) % P for lo, hi in zip(out + [0], [0] + out)]
-        out[0] = (out[0] + c[k]) % P
+    evaluate = Evaluator(forms)
+    values = [evaluate([a + t * b for a, b in zip(p, q)]) for t in range(evaluate.top + 1)]
+    out = []
+    for col, f in enumerate(forms):
+        n = f.degree
+        c = [values[t][col] % P for t in range(n + 1)]
+        # divided differences: the nodes t and t - k are k apart
+        for k in range(1, n + 1):
+            inv = pow(k, -1, P)
+            for t in range(n, k - 1, -1):
+                c[t] = (c[t] - c[t - 1]) * inv % P
+        # Horner on c_0 + (t - 0)(c_1 + (t - 1)(c_2 + ...))
+        r = [c[n]]
+        for k in range(n - 1, -1, -1):
+            r = [(lo * -k + hi) % P for lo, hi in zip(r + [0], [0] + r)]
+            r[0] = (r[0] + c[k]) % P
+        out.append(r)
     return out
 
 
@@ -483,8 +490,7 @@ def _gcd_degree_bound(forms) -> int:
         if bound == 0:
             break
         g, mults = [], []
-        for f in forms:
-            r = _line_restriction(f, p, q)
+        for f, r in zip(forms, _line_restrictions(forms, p, q)):
             while r and r[-1] == 0:
                 r.pop()
             if r:

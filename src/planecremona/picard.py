@@ -16,6 +16,7 @@ validity domain.
 
 from dataclasses import dataclass
 from math import isqrt
+from operator import mul
 
 from .errors import ValidationError
 from .exactpoly import kernel_basis
@@ -40,8 +41,7 @@ class PicLattice:
         return len(self.k)
 
     def dot(self, u, v) -> int:
-        g = self.gram
-        return sum(u[i] * g[i][j] * v[j] for i in range(len(u)) for j in range(len(v)))
+        return sum(map(mul, u, _mat_vec(self.gram, v)))
 
     def k_square(self) -> int:
         return self.dot(self.k, self.k)
@@ -65,15 +65,12 @@ def quadric_lattice() -> PicLattice:
 
 
 def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def _mat_vec(m, v):
-    return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def _identity(n):
@@ -268,14 +265,17 @@ class MinimalityResult:
 def is_minimal(lat: PicLattice, inv: LatticeInvolution) -> MinimalityResult:
     """Blow-down criterion on classes: minimal iff every exceptional class E
     has ME != E and E.(ME) >= 1; otherwise the witness and the failed
-    condition are returned."""
+    condition are returned. E.(ME) is E against (GM)E, with G the Gram
+    matrix and GM formed once."""
     if lat.kind == "quadric":
         return MinimalityResult(True)
+    m = inv.matrix
+    gm = _mat_mul(lat.gram, m)
     for e in exceptional_classes(lat):
-        me = inv.apply(e)
+        me = _mat_vec(m, e)
+        prod = sum(map(mul, e, _mat_vec(gm, e)))
         if me == e:
-            return MinimalityResult(False, e, me, "fixed", lat.dot(e, me))
-        prod = lat.dot(e, me)
+            return MinimalityResult(False, e, me, "fixed", prod)
         if prod <= 0:
             return MinimalityResult(False, e, me, "disjoint", prod)
     return MinimalityResult(True)

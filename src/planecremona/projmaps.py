@@ -14,8 +14,8 @@ from functools import cached_property
 
 from .errors import ValidationError
 from .exactpoly import (
-    HPoly, adjugate3, det3, hpoly_gcd_many, kernel_basis, odd_multiplicity_root_count, primitive,
-    values_at,
+    Evaluator, HPoly, adjugate3, det3, hpoly_gcd_many, kernel_basis, odd_multiplicity_root_count,
+    primitive, values_at,
 )
 
 
@@ -184,15 +184,17 @@ def involution_on_grid(f: RationalMap) -> bool:
     The minors of (x, y, z) against the components of f(f) are forms of
     degree D = d^2 + 1, so they vanish identically iff they vanish on the
     unisolvent grid {(i:j:1) : i + j <= D}. They are evaluated there in
-    integers, with f(f)(p) = f(f(p)) taken without normalising f(p); the
-    first nonzero minor ends the test. A composite that vanishes on the
-    whole grid vanishes identically, and is not the identity.
+    integers, through one Evaluator of the components, with f(f)(p) =
+    f(f(p)) taken without normalising f(p); the first nonzero minor ends the
+    test. A composite that vanishes on the whole grid vanishes identically,
+    and is not the identity.
     """
+    evaluate = Evaluator(f.components)
     top = f.degree ** 2 + 1
     composite_seen = False
     for i in range(top + 1):
         for j in range(top + 1 - i):
-            a, b, c = values_at(f.components, values_at(f.components, (i, j, 1)))
+            a, b, c = evaluate(evaluate((i, j, 1)))
             if i * b != j * a or i * c != a or j * c != b:
                 return False
             composite_seen = composite_seen or bool(a or b or c)

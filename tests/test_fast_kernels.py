@@ -1,10 +1,11 @@
 """The exact kernels against naive references.
 
 HPoly's ring operations build their results with the trusted HPoly._make,
-substitute accumulates into one dict and _line_restriction interpolates
-values. Each is checked here against a slow reference that goes through the
-validating HPoly(...) or, for the line restriction, against the list
-convolution it replaced.
+substitute accumulates into one dict and _line_restrictions interpolates
+the values of a family of forms from one Evaluator. Each is checked here
+against a slow reference that goes through the validating HPoly(...) or, for
+the line restrictions, against the list convolution they replaced, form by
+form.
 """
 
 from fractions import Fraction
@@ -15,7 +16,7 @@ from planecremona.exactpoly import (
     _GCD_PRIME,
     _PROBE_LINES,
     HPoly,
-    _line_restriction,
+    _line_restrictions,
     monomials,
 )
 
@@ -133,17 +134,45 @@ BIG = st.integers(-10 ** 30, 10 ** 30)
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_line_restriction_matches_the_convolution(data):
-    f = _form(data, data.draw(st.integers(0, 9)), coeffs=BIG)
+    forms = [_form(data, data.draw(st.integers(0, 9)), coeffs=BIG)
+             for _ in range(data.draw(st.integers(1, 3)))]
     point = st.tuples(*[st.integers(-50, 50)] * 3)
     p, q = data.draw(st.one_of(st.sampled_from(_PROBE_LINES), st.tuples(point, point)))
-    assert _line_restriction(f, p, q) == _ref_line_restriction(f, p, q)
+    assert _line_restrictions(forms, p, q) == [_ref_line_restriction(f, p, q) for f in forms]
 
 
 def test_line_restriction_of_the_zero_form_and_of_multiples_of_the_prime():
     line = _PROBE_LINES[0]
-    assert _line_restriction(HPoly.zero(4), *line) == [0] * 5
+    assert _line_restrictions([HPoly.zero(4)], *line) == [[0] * 5]
     f = HPoly(3, {(3, 0, 0): _GCD_PRIME, (0, 1, 2): 3 * _GCD_PRIME})
-    assert _line_restriction(f, *line) == [0] * 4
+    assert _line_restrictions([f], *line) == [[0] * 4]
+
+
+def test_line_restrictions_of_a_family_of_different_degrees():
+    # each form is interpolated from its own deg + 1 values of the family's
+    # Evaluator, so each restriction has exactly deg + 1 entries
+    x, y, z = (HPoly.variable(i) for i in range(3))
+    forms = [x * 3 - z, HPoly.constant(7), (x * y - z * z * 5) * (y + z * 2) * x, HPoly.zero(2),
+             y ** 6 - x ** 5 * z * 11]
+    for p, q in _PROBE_LINES:
+        got = _line_restrictions(forms, p, q)
+        assert [len(r) for r in got] == [f.degree + 1 for f in forms]
+        assert got == [_ref_line_restriction(f, p, q) for f in forms]
+
+
+def test_line_restrictions_vanishing_mod_p_in_a_family():
+    # 38 x + 13 y - 11 z vanishes on the first probe line, through (1:3:7)
+    # and (2:-5:1), so a multiple of it restricts to zero; p (5 x^2 - y z) is
+    # nonzero over Q and zero mod p. Neither changes the other restrictions.
+    x, y, z = (HPoly.variable(i) for i in range(3))
+    line = _PROBE_LINES[0]
+    on_line = HPoly(1, {(1, 0, 0): 38, (0, 1, 0): 13, (0, 0, 1): -11}) * (x * x + y * z)
+    multiple_of_p = HPoly(2, {(2, 0, 0): _GCD_PRIME * 5, (0, 1, 1): -_GCD_PRIME})
+    others = [x * y + z * z, x]
+    got = _line_restrictions([on_line, others[0], multiple_of_p, others[1]], *line)
+    assert got[0] == [0] * 4 and got[2] == [0] * 3
+    assert [got[1], got[3]] == [_ref_line_restriction(f, *line) for f in others]
+    assert all(any(r) for r in (got[1], got[3]))
 
 
 # -- every arithmetic result is in the validated normal form ------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -7,6 +8,7 @@ from planecremona.exactpoly import kernel_basis
 from planecremona.picard import (
     ConicBundleModel,
     LatticeInvolution,
+    MinimalityResult,
     anti_reflection_in_k,
     classify_pair,
     elementary_transformation,
@@ -233,6 +235,80 @@ def test_classification_stable_under_basis_permutation():
         conj = _mat_mul(p_mat, _mat_mul(inv.matrix, p_inv))
         inv2 = LatticeInvolution(lat, conj)
         assert classify_pair(lat, inv2).label == base_label
+
+
+# -- is_minimal against the loop it replaced ----------------------------------------
+
+def _loop_is_minimal(lat, inv):
+    """The minimality loop with one matrix-vector product and one Gram
+    double sum per class, as is_minimal had it before it formed G M."""
+    if lat.kind == "quadric":
+        return MinimalityResult(True)
+    m, g = inv.matrix, lat.gram
+    r = lat.rank
+
+    def dot(u, v):
+        return sum(u[i] * g[i][j] * v[j] for i in range(r) for j in range(r))
+
+    for e in exceptional_classes(lat):
+        me = tuple(sum(m[i][j] * e[j] for j in range(r)) for i in range(r))
+        if me == e:
+            return MinimalityResult(False, e, me, "fixed", dot(e, me))
+        prod = dot(e, me)
+        if prod <= 0:
+            return MinimalityResult(False, e, me, "disjoint", prod)
+    return MinimalityResult(True)
+
+
+def _naive_mul(a, b):
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n))
+
+
+def _root(n, i, j):
+    """E_i - E_j, 1-based, on the blow-up lattice of n points."""
+    v = [0] * (n + 1)
+    v[i], v[j] = 1, -1
+    return tuple(v)
+
+
+def _involutions(lat):
+    """Reflections in the roots E_i - E_j and products of commuting ones,
+    and where it is integral the anti-reflection in K and its products with
+    four of those reflections; all conjugated by permutations of the E_i."""
+    n = lat.n
+    refl = [reflection_through(lat, _root(n, i, j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    mats = list(refl)
+    prod = refl[0]
+    for a in range(3, n, 2):
+        # E_1 - E_2, E_3 - E_4, ... have disjoint supports, so they commute
+        prod = _naive_mul(prod, reflection_through(lat, _root(n, a, a + 1)))
+        mats.append(prod)
+    if lat.k_square() in (1, 2):
+        anti = anti_reflection_in_k(lat).matrix
+        mats.append(anti)
+        mats += [_naive_mul(anti, r) for r in refl[:4]]
+    rnd = random.Random(9907028 + n)
+    perms = [list(range(n)), list(range(n))[::-1]] + [rnd.sample(range(n), n) for _ in range(2)]
+    out = []
+    for perm in perms:
+        idx = [0] + [1 + p for p in perm]
+        p_mat = tuple(tuple(1 if j == idx[i] else 0 for j in range(n + 1)) for i in range(n + 1))
+        p_inv = tuple(zip(*p_mat))
+        out += [LatticeInvolution(lat, _naive_mul(p_mat, _naive_mul(mat, p_inv))) for mat in mats]
+    return out
+
+
+def test_is_minimal_equals_the_loop_it_replaced():
+    outcomes = set()
+    for n in range(2, 9):
+        lat = make_lattice(n)
+        for inv in _involutions(lat):
+            res = is_minimal(lat, inv)
+            assert res == _loop_is_minimal(lat, inv), (n, inv.matrix)
+            outcomes.add(res.failure)
+    outcomes.add(is_minimal(*dj3_conic_bundle_involution()).failure)
+    assert outcomes == {None, "fixed", "disjoint"}
 
 
 def test_involution_validation_rejects_bad_matrices():
