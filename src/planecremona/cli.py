@@ -45,13 +45,13 @@ from .projmaps import ProjPoint, RationalMap, is_involution
 _WHITESPACE = re.compile(r"\s*")
 _DIGITS = re.compile(r"[0-9]+")
 # One term, each piece optional: a sign, a coefficient a or a/b with an
-# optional '*', then the run of factors x^e, each with an optional '*'. The
-# term ends where the match stops, and a syntax error is read off the groups
-# and that position. Digits are ASCII: \d or str.isdigit would also take
-# superscript or full-width digits.
+# optional '*' (cstar), then the run of factors x^e, each with an optional
+# '*'. The term ends where the match stops, and a syntax error is read off
+# the groups and that position. Digits are ASCII: \d or str.isdigit would
+# also take superscript or full-width digits.
 _TERM = re.compile(
     r"(?P<sign>[+-]?)\s*"
-    r"(?:(?P<num>[0-9]+)(?:\s*/(?P<den>[0-9]*))?(?:\s*\*)?)?"
+    r"(?:(?P<num>[0-9]+)(?:\s*/(?P<den>[0-9]*))?(?P<cstar>\s*\*)?)?"
     r"(?P<factors>(?:\s*[xyz](?:\s*\^\s*[0-9]*)?(?:\s*\*)?)*)"
     r"\s*"
 )
@@ -76,7 +76,7 @@ def _parse_form(text: str) -> HPoly:
     pos, end = _WHITESPACE.match(text).end(), len(text)
     while pos < end:
         m = _TERM.match(text, pos)
-        sign, num, den, factors = m.group("sign", "num", "den", "factors")
+        sign, num, den, cstar, factors = m.group("sign", "num", "den", "cstar", "factors")
         stop = m.end()
         if not sign and terms:
             _syntax_error("expected '+' or '-' between terms", pos, text)
@@ -98,9 +98,9 @@ def _parse_form(text: str) -> HPoly:
             if e == "":
                 _syntax_error("expected a number", f.start(2), text)
             exps[_VAR_INDEX[var]] += 1 if e is None else int(e)
-        if star and not _DIGITS.match(text, stop):
+        if (star or cstar and not factors) and not _DIGITS.match(text, stop):
             _syntax_error("dangling '*'", stop, text)
-        if not factors and coeff == 1 and stop < end:
+        if not factors and num is None and stop < end:
             _syntax_error("expected a term", stop, text)
         terms.append((-coeff if sign == "-" else coeff, tuple(exps)))
         pos = stop
@@ -202,21 +202,21 @@ def _map_json(m: RationalMap):
 
 
 def _record_json(record, seed: int):
+    inv = fixedcurve.invariant_of(record)
     out = {
-        "kind": record.label,
-        "label": record.label,
+        "kind": inv.source,
+        "label": inv.source,
         "degree": record.degree,
-        "invariant": record.invariant.as_dict(),
+        "invariant": inv.as_dict(),
         "seed": seed,
     }
     if record.map is not None:
         out.update(_map_json(record.map))
     if record.fixed_curve is not None:
         out["fixed_curve"] = format_hpoly(record.fixed_curve)
-    if record.center is not None:
-        out["center"] = str(record.center)
-    if record.validation is not None:
-        out["validation"] = record.validation.as_dict()
+    if record.dj_data is not None:
+        out["center"] = str(record.dj_data.pencil.center)
+        out["validation"] = {"checks": list(record.dj_data.checks)}
     return out
 
 
@@ -376,7 +376,7 @@ def _cmd_invariant(args) -> int:
     if record is None:
         return _cmd_classify(args)
     inv = fixedcurve.invariant_of(record)
-    emit({"label": record.label, "invariant": inv.as_dict(), "seed": args.seed}, args.json)
+    emit({"label": inv.source, "invariant": inv.as_dict(), "seed": args.seed}, args.json)
     return 0
 
 

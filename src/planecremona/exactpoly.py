@@ -2,8 +2,9 @@
 
 Rationals (stdlib Fraction), homogeneous polynomials in x, y, z (one type,
 HPoly; binary forms are HPoly in (x, z)), gcds (a degree bound modulo a
-prime, then one linear system), Sylvester resultants and fraction-free
-kernel computation. Everything is exact; nothing here ever rounds. All
+prime, then one linear system), Sylvester resultants, fraction-free
+kernel computation and the linear conditions for multiplicity at points
+(multiplicity_conditions). Everything is exact; nothing here ever rounds. All
 values are immutable after construction and all operations are pure
 functions, so they can be shared freely between workers.
 
@@ -29,8 +30,8 @@ int and every HPoly, however built, satisfies the convention above.
 """
 
 from fractions import Fraction
-from itertools import repeat
-from math import gcd as igcd, isqrt, lcm
+from itertools import combinations_with_replacement, repeat
+from math import gcd as igcd, isqrt, lcm, perm
 from operator import mul
 
 from .errors import ValidationError
@@ -391,6 +392,49 @@ def monomials(degree: int, variables=(0, 1, 2)) -> list:
         for j in range(min(degree - i, top[1]), -1, -1)
         if degree - i - j <= top[2]
     ]
+
+
+def multiplicity_conditions(points, degree: int, mults) -> list:
+    """Linear conditions on the forms of the given degree to have
+    multiplicity >= m at each point, a coordinate triple: one row per
+    partial derivative of order m - 1 at the point, over monomials(degree),
+    taken in the order of combinations_with_replacement (lower orders follow
+    by Euler)."""
+    monos = monomials(degree)
+    rows = []
+    for (a, b, c), m in zip(points, mults):
+        for var in combinations_with_replacement(range(3), m - 1):
+            i, j, k = (var.count(v) for v in range(3))
+            rows.append([(f := perm(e[0], i) * perm(e[1], j) * perm(e[2], k))
+                         and f * a ** (e[0] - i) * b ** (e[1] - j) * c ** (e[2] - k) for e in monos])
+    return rows
+
+
+def multiplicity_values(forms, points, mults) -> list:
+    """The rows of multiplicity_conditions applied to forms of one degree:
+    entry [r][i] is condition r evaluated on form i, the partial derivative
+    of that row at its point. All vanish exactly when every form has
+    multiplicity >= m at each point."""
+    degree = forms[0].degree
+    coeffs = [[f.terms.get(e, 0) for e in monomials(degree)] for f in forms]
+    return [[sum(map(mul, row, c)) for c in coeffs]
+            for row in multiplicity_conditions(points, degree, mults)]
+
+
+def forms_with_multiplicities(points, degree: int, mults, expected, what: str) -> list:
+    """Deterministic basis of the forms of the degree with multiplicity >= m
+    at each point, the kernel of multiplicity_conditions. Refused when a
+    point repeats, or when the basis does not have `expected` members
+    (None: any number); `what` names the forms in that refusal."""
+    pts = tuple(points)
+    if len(set(pts)) != len(pts):
+        raise ValidationError("degenerate configuration", "repeated point")
+    kern = kernel_basis(multiplicity_conditions(pts, degree, mults))
+    if expected is not None and len(kern) != expected:
+        raise ValidationError("degenerate configuration",
+                              f"{what} form a system of dimension {len(kern)}, expected {expected}")
+    monos = monomials(degree)
+    return [HPoly(degree, {e: c for e, c in zip(monos, v) if c != 0}).canonical() for v in kern]
 
 
 def format_hpoly(f: HPoly) -> str:

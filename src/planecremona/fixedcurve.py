@@ -11,18 +11,22 @@ For a map with a center p (projmaps.pencil_form) the invariant is computed
 from equations: the map acts by a Moebius involution on each line through
 p, and the normalized fixed curve is the double cover of that pencil
 branched at the odd-multiplicity roots of the branch form beta. Its base
-points besides p lie over the rational roots of det M. Geiser and Bertini
-records carry their fixed curves, the Jacobian sextic double at the 7
-points and the nonic triple at the 8, which invariant_of checks; their
-labels, and those of raw maps without a center, are still assigned from the
-construction or the degree.
+points besides p lie over the rational roots of det M.
+
+invariant_of is the one source of a record's invariant and label. A de
+Jonquieres record is read from the pencil form of its data, as a raw map
+with a center is, and its genus must be d - 2. Geiser and Bertini records
+carry their fixed curves, the Jacobian sextic double at the 7 points and
+the nonic triple at the 8, which invariant_of checks
+(exactpoly.multiplicity_values) before it gives the invariant of the kind.
+Raw maps without a center are labelled from their degree.
 """
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .errors import ValidationError
-from .exactpoly import HPoly, bform_rational_roots, hpoly_gcd_many, values_at
+from .exactpoly import HPoly, bform_rational_roots, hpoly_gcd_many, multiplicity_values, values_at
+from .involutions import InvolutionRecord
 from .projmaps import (
     ProjPoint, RationalMap, identity_minors, involution_on_grid, is_identity, pencil_form,
 )
@@ -76,32 +80,39 @@ def invariant_for_kind(kind: str, d: int | None = None) -> FixedCurveInvariant:
     raise ValidationError("unknown kind", f"no invariant for kind {kind!r}")
 
 
-def invariant_of(record) -> FixedCurveInvariant:
-    """Invariant of a constructed involution record, with cross-checks.
+def _dj_invariant(form) -> FixedCurveInvariant:
+    """DJ(g + 2) for the genus g of the fixed curve of a pencil form
+    (PencilForm.genus), with g <= 0 the class of the linear involutions,
+    DJ(2)."""
+    return invariant_for_kind("dj", max(form.genus(), 0) + 2)
 
-    The checks read the record's fixed curve: its degree for DJ(d); for
-    Geiser a sextic double at the 7 base points, for Bertini a nonic triple
-    at the 8. A mismatch means the record is corrupted.
+
+def invariant_of(record: InvolutionRecord) -> FixedCurveInvariant:
+    """Invariant of a constructed involution record, computed from what it
+    was built from.
+
+    DJ(d): from the pencil form of its data (_dj_invariant), which must
+    give genus d - 2. Geiser and Bertini: the record's fixed curve must be a
+    sextic double at the 7 base points, resp. a nonic triple at the 8. A
+    mismatch means the record is corrupted.
     """
     kind = record.kind
-    curve = record.fixed_curve
     if kind == "dj":
-        d = record.degree
-        if curve is None or curve.degree != d:
-            raise ValidationError("corrupted record", "fixed curve degree does not match")
-        return invariant_for_kind("dj", d)
+        inv = _dj_invariant(record.dj_data.pencil)
+        if inv != invariant_for_kind("dj", record.degree):
+            raise ValidationError("corrupted record",
+                                  f"{inv.source} data in a record of degree {record.degree}")
+        return inv
     if kind in ("geiser", "bertini"):
+        inv = invariant_for_kind(kind)
         degree, mult = (6, 2) if kind == "geiser" else (9, 3)
+        curve = record.fixed_curve
         if curve is None or curve.degree != degree:
-            raise ValidationError("corrupted record", f"{record.label} fixed curve must have degree {degree}")
-        for var in combinations_with_replacement(range(3), mult - 1):
-            q = curve
-            for v in var:
-                q = q.partial(v)
-            for p in record.config.points:
-                if q.eval(p.coords) != 0:
-                    raise ValidationError("corrupted record", f"fixed curve not of multiplicity {mult} at {p}")
-        return invariant_for_kind(kind)
+            raise ValidationError("corrupted record", f"{inv.source} fixed curve must have degree {degree}")
+        for p in record.config.points:
+            if any(v for (v,) in multiplicity_values([curve], [p.coords], [mult])):
+                raise ValidationError("corrupted record", f"fixed curve not of multiplicity {mult} at {p}")
+        return inv
     raise ValidationError("unknown kind", f"cannot derive invariant for {kind!r}")
 
 
@@ -144,7 +155,7 @@ def rational_base_points(arg):
 
 
 def classify_involution(arg) -> Classification:
-    """Classify a constructed record (from its construction) or a raw map.
+    """Classify a constructed record (invariant_of) or a raw map.
 
     A raw map with a center (projmaps.pencil_form) is classified from its
     pencil form: it must pass PencilForm.is_involution, and its normalized
@@ -154,9 +165,8 @@ def classify_involution(arg) -> Classification:
     degree 8 with a sextic fixed locus is then a Geiser candidate and degree
     17 a Bertini candidate, labels assigned from the degree.
     """
-    if hasattr(arg, "kind") and hasattr(arg, "invariant"):
-        record = arg
-        inv = record.invariant
+    if isinstance(arg, InvolutionRecord):
+        inv = invariant_of(arg)
         return Classification(inv.source, inv, "construction metadata")
     sigma: RationalMap = arg
     if is_identity(sigma):
@@ -165,10 +175,9 @@ def classify_involution(arg) -> Classification:
     if form is not None:
         if not form.is_involution():
             raise ValidationError("not involutive", "the map composed with itself is not the identity")
-        g = form.genus()
-        inv = invariant_for_kind("dj", max(g, 0) + 2)
+        inv = _dj_invariant(form)
         note = (f"preserves the lines through {form.center}; the fixed curve is a double cover "
-                f"of that pencil branched at {2 * g + 2} points")
+                f"of that pencil branched at {form.branch_count} points")
         return Classification(inv.source, inv, note)
     if not involution_on_grid(sigma):
         raise ValidationError("not involutive", "the map composed with itself is not the identity")

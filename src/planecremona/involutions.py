@@ -34,12 +34,16 @@ and one evaluated sample. It is checked at 100 seeded points by the same
 ninth-base-point certificate, applied to its own image, not by evaluating
 those points again.
 All pseudo-random choices come from the package's seeded SplitMix64 streams.
+
+A record (InvolutionRecord) keeps what was built; fixedcurve.invariant_of
+computes its invariant and label from that, and this module does not import
+fixedcurve.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement, islice
-from math import gcd as igcd, perm
+from itertools import combinations, islice
+from math import gcd as igcd
 
 from .errors import ExtractionError, IndeterminacyError, ValidationError
 from .exactpoly import (
@@ -48,14 +52,15 @@ from .exactpoly import (
     adjugate3,
     bform_gcd,
     det3,
+    forms_with_multiplicities,
     is_squarefree,
-    kernel_basis,
     matrix_rank,
     monomials,
+    multiplicity_conditions,
+    multiplicity_values,
     primitive,
     values_at,
 )
-from . import fixedcurve
 from .projmaps import (
     PencilForm, ProjPoint, RationalMap, collinear, frame_conjugate, frame_moving_to_center,
 )
@@ -67,26 +72,16 @@ from .rng import SplitMix64
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple
-
-    def as_dict(self):
-        return {"checks": list(self.checks)}
-
-
-@dataclass(frozen=True)
 class DJData:
-    """Normal-form data of a validated de Jonquieres instance: the curve
-    A y^2 + B y + C_d in the frame where the center is (0:1:0), and the
-    pencil form of its involution, u = 2 A y + B and v = -B y - 2 C_d."""
+    """A validated de Jonquieres instance: the curve, of degree d, is
+    A y^2 + B y + C_d in the frame where the center is (0:1:0), the pencil
+    form of its involution has u = 2 A y + B and v = -B y - 2 C_d, and
+    checks names the validation steps it passed, in order."""
 
     d: int
-    A: HPoly
-    B: HPoly
-    Cd: HPoly
     pencil: PencilForm
     curve: HPoly
-    report: ValidationReport
+    checks: tuple
 
 
 def _dj_decompose(c_norm: HPoly, d: int):
@@ -111,11 +106,12 @@ def validate_dj(curve: HPoly, p: ProjPoint) -> DJData:
     Checks, in order: degree >= 2; multiplicity at p exactly d-2 (A != 0 and
     no higher y-power in the normal frame); ordinarity (A squarefree); no
     line of the curve through p (gcd(A,B,Cd) constant); discriminant nonzero
-    and squarefree. Together these make p the only singular point: a point
-    q != p lies on a line through p, where the curve is A w^2 - Delta/(4A)
-    with w = y + B/(2A) if A != 0 there, singular only over a double root of
-    Delta; if A = 0 there, either dC/dy = B != 0 or no point of the curve
-    but p lies on that line.
+    and squarefree, that is with as many branch points as its degree
+    (PencilForm.branch_count). Together these make p the only singular
+    point: a point q != p lies on a line through p, where the curve is
+    A w^2 - Delta/(4A) with w = y + B/(2A) if A != 0 there, singular only
+    over a double root of Delta; if A = 0 there, either dC/dy = B != 0 or
+    no point of the curve but p lies on that line.
     """
     curve = curve.canonical()
     d = curve.degree
@@ -148,13 +144,12 @@ def validate_dj(curve: HPoly, p: ProjPoint) -> DJData:
     delta = pencil.beta                 # 4 (B^2 - 4 A C_d)
     if delta.is_zero():
         raise ValidationError("degenerate", "zero discriminant")
-    if not is_squarefree(delta):
+    if pencil.branch_count != delta.degree:
         raise ValidationError(
             "extra singularities", "discriminant is not squarefree"
         )
     checks.append(f"discriminant squarefree of degree {delta.degree}")
-    report = ValidationReport(tuple(checks))
-    return DJData(d, a, b, cd, pencil, curve, report)
+    return DJData(d, pencil, curve, tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -163,22 +158,16 @@ def validate_dj(curve: HPoly, p: ProjPoint) -> DJData:
 
 @dataclass(frozen=True)
 class InvolutionRecord:
-    """A verified involution plus its construction metadata."""
+    """A verified involution and what it was built from; its invariant and
+    label are computed from these (fixedcurve.invariant_of)."""
 
     kind: str                       # "dj" | "geiser" | "bertini"
     degree: int                     # map degree: d, 8 or 17
     evaluator: object               # callable ProjPoint -> ProjPoint | None
-    invariant: fixedcurve.FixedCurveInvariant
     map: RationalMap | None = None
     fixed_curve: HPoly | None = None
-    center: ProjPoint | None = None
     config: "PointConfig | None" = None
     dj_data: DJData | None = None
-    validation: ValidationReport | None = None
-
-    @property
-    def label(self) -> str:
-        return self.invariant.source
 
     def eval(self, pt: ProjPoint):
         return self.evaluator(pt)
@@ -199,18 +188,14 @@ def dj_involution(curve: HPoly, p: ProjPoint) -> InvolutionRecord:
     given curve pointwise."""
     data = validate_dj(curve, p)
     sigma = conjugated_map(data)
-    record = InvolutionRecord(
+    return InvolutionRecord(
         kind="dj",
         degree=data.d,
         evaluator=sigma.eval,
-        invariant=fixedcurve.invariant_for_kind("dj", data.d),
         map=sigma,
         fixed_curve=data.curve,
-        center=p,
         dj_data=data,
-        validation=data.report,
     )
-    return record
 
 
 def dj_from_conic(q: HPoly, p: ProjPoint) -> InvolutionRecord:
@@ -227,28 +212,6 @@ def dj_from_conic(q: HPoly, p: ProjPoint) -> InvolutionRecord:
 # ---------------------------------------------------------------------------
 # point configurations
 # ---------------------------------------------------------------------------
-
-def _vector_to_poly(vec, degree: int) -> HPoly:
-    monos = monomials(degree)
-    return HPoly(degree, {m: c for m, c in zip(monos, vec) if c != 0}).canonical()
-
-
-def _conditions(points, degree: int, mults) -> list:
-    """Linear conditions on the forms of the given degree to have
-    multiplicity >= m at each point p: one row per partial derivative of
-    order m - 1 at p, over the monomials of that degree in the global order,
-    taken in the order of combinations_with_replacement (lower orders follow
-    by Euler)."""
-    monos = monomials(degree)
-    rows = []
-    for p, m in zip(points, mults):
-        a, b, c = p.coords
-        for var in combinations_with_replacement(range(3), m - 1):
-            i, j, k = (var.count(v) for v in range(3))
-            rows.append([(f := perm(e[0], i) * perm(e[1], j) * perm(e[2], k))
-                         and f * a ** (e[0] - i) * b ** (e[1] - j) * c ** (e[2] - k) for e in monos])
-    return rows
-
 
 @dataclass(frozen=True)
 class PointConfig:
@@ -279,14 +242,15 @@ def make_point_config(points, kind: str) -> PointConfig:
     for t in combinations(range(n), 3):
         if collinear(*(pts[i] for i in t)):
             raise ValidationError("degenerate configuration", "points {}, {}, {} are collinear".format(*t))
-    conic_rows = _conditions(pts, 2, [1] * n)
+    coords = [p.coords for p in pts]
+    conic_rows = multiplicity_conditions(coords, 2, [1] * n)
     for six in combinations(range(n), 6):
         if matrix_rank([conic_rows[i] for i in six]) < 6:
             raise ValidationError("degenerate configuration",
                                   "points {}, {}, {}, {}, {}, {} lie on a conic".format(*six))
     if n == 8:
         for i in range(n):
-            if matrix_rank(_conditions(pts, 3, [1] * i + [2] + [1] * (n - 1 - i))) < 10:
+            if matrix_rank(multiplicity_conditions(coords, 3, [1] * i + [2] + [1] * (n - 1 - i))) < 10:
                 raise ValidationError("degenerate configuration",
                                       f"a cubic through the points is singular at point {i}")
     basis = cubic_system(pts) if kind == "geiser" else sextic_system(pts)
@@ -296,40 +260,17 @@ def make_point_config(points, kind: str) -> PointConfig:
 def cubic_system(points) -> list:
     """Deterministic basis of the cubics through the points: a net for 7
     points, a pencil for 8."""
-    pts = tuple(points)
-    if len(set(pts)) != len(pts):
-        raise ValidationError("degenerate configuration", "repeated point")
-    kern = kernel_basis(_conditions(pts, 3, [1] * len(pts)))
-    if len(pts) in (7, 8) and len(kern) != 10 - len(pts):
-        raise ValidationError(
-            "degenerate configuration",
-            f"cubics through the points form a system of dimension {len(kern)}, expected {10 - len(pts)}",
-        )
-    return [_vector_to_poly(v, 3) for v in kern]
+    n = len(points)
+    return forms_with_multiplicities([p.coords for p in points], 3, [1] * n,
+                                     10 - n if n in (7, 8) else None, "cubics through the points")
 
 
 def sextic_system(points) -> list:
     """Deterministic basis of the sextics singular at all 8 points (24
     conditions on 28 coefficients)."""
-    pts = tuple(points)
-    if len(set(pts)) != len(pts):
-        raise ValidationError("degenerate configuration", "repeated point")
-    kern = kernel_basis(_conditions(pts, 6, [2] * len(pts)))
-    if len(pts) == 8 and len(kern) != 4:
-        raise ValidationError(
-            "degenerate configuration",
-            f"sextics singular along the points form a system of dimension {len(kern)}, expected 4",
-        )
-    return [_vector_to_poly(v, 6) for v in kern]
-
-
-def _unique_form(points, degree: int, mults, what: str) -> HPoly:
-    """The one form of the degree with multiplicity >= m at each point."""
-    kern = kernel_basis(_conditions(points, degree, mults))
-    if len(kern) != 1:
-        raise ValidationError("degenerate configuration",
-                              f"{what} form a system of dimension {len(kern)}, expected 1")
-    return _vector_to_poly(kern[0], degree)
+    n = len(points)
+    return forms_with_multiplicities([p.coords for p in points], 6, [2] * n,
+                                     4 if n == 8 else None, "sextics singular along the points")
 
 
 # the sides p1p2, p1p3, p2p3 of the triangle of the first three points
@@ -343,14 +284,15 @@ def octic_triple_system(points) -> list:
     These are the pull-backs of the sides by the Geiser involution: on the
     blow-up, sigma* H = 8H - 3 sum E_i is the sum of sigma* E_a = C_a,
     sigma* E_b = C_b and sigma* (H - E_a - E_b) = Q_ab."""
-    pts = tuple(points)
-    n = len(pts)
-    cubics = [_unique_form(pts, 3, [1] * a + [2] + [1] * (n - 1 - a), f"cubics singular at point {a}")
+    coords = [p.coords for p in points]
+    n = len(coords)
+    cubics = [forms_with_multiplicities(coords, 3, [1] * a + [2] + [1] * (n - 1 - a), 1,
+                                        f"cubics singular at point {a}")[0]
               for a in range(3)]
     octics = []
     for a, b in _SIDES:
-        others = [p for i, p in enumerate(pts) if i not in (a, b)]
-        conic = _unique_form(others, 2, [1] * (n - 2), f"conics missing points {a}, {b}")
+        others = [p for i, p in enumerate(coords) if i not in (a, b)]
+        (conic,) = forms_with_multiplicities(others, 2, [1] * (n - 2), 1, f"conics missing points {a}, {b}")
         octics.append(cubics[a] * cubics[b] * conic)
     return octics
 
@@ -642,11 +584,12 @@ class GeiserInvolution:
     def _candidates(self, stream: SplitMix64, count: int):
         """Seeded points with coordinates in [-9, 9] other than the base
         points, from at most 200 * count draws."""
+        base = {p.coords for p in self.config.points}
         for _ in range(200 * count):
             coords = tuple(stream.next_int(-9, 9) for _ in range(3))
             if coords != (0, 0, 0):
                 x = ProjPoint(*coords)
-                if x not in self.config.points:
+                if x.coords not in base:
                     yield x
         raise ValidationError("sampling failed", "could not draw enough sample points")
 
@@ -656,7 +599,6 @@ class GeiserInvolution:
             kind="geiser",
             degree=8,
             evaluator=self.eval,
-            invariant=fixedcurve.invariant_for_kind("geiser"),
             map=sigma,
             fixed_curve=self.fixed_sextic,
             config=self.config,
@@ -676,8 +618,13 @@ class BertiniInvolution:
         return list(self.config.system)
 
     @cached_property
+    def _pencil_forms(self):
+        """Basis c1, c2 of the pencil of cubics through the 8 points."""
+        return cubic_system(self.config.points)
+
+    @cached_property
     def _cubic_pencil(self):
-        return [_Cubic.from_hpoly(c) for c in cubic_system(self.config.points)]
+        return [_Cubic.from_hpoly(c) for c in self._pencil_forms]
 
     @cached_property
     def _space_at(self):
@@ -695,7 +642,7 @@ class BertiniInvolution:
         """The curve fixed by the involution, of degree 9 with triple points
         at the 8 points: the Jacobian of c1, c2 spanning the cubic pencil
         and a sextic s of the space outside span{c1^2, c1 c2, c2^2}."""
-        c1, c2 = cubic_system(self.config.points)
+        c1, c2 = self._pencil_forms
         squares = [c1 * c1, c1 * c2, c2 * c2]
         monos = monomials(6)
         rows = [[q.terms.get(e, 0) for e in monos] for q in squares]
@@ -745,15 +692,13 @@ class BertiniInvolution:
         through its one Evaluator, are a nonzero multiple of vx, and where
         y is x its gradients there have rank < 3."""
         if y in self.config.points:
-            rows = [vx] + [[s.partial(v1).partial(v2).eval(y.coords) for s in self.space]
-                           for v1 in range(3) for v2 in range(v1, 3)]
+            rows = [vx] + multiplicity_values(self.space, [y.coords], [3])
             return matrix_rank(rows) < len(self.space)
         vy = self._space_at(y.coords)
         if not any(vy) or not _in_span(vx, vy):
             return False
         if y == x:
-            rows = [[s.partial(v).eval(x.coords) for v in range(3)] for s in self.space]
-            return matrix_rank(rows) < 3
+            return matrix_rank(multiplicity_values(self.space, [x.coords], [2])) < 3
         return True
 
     def record(self) -> InvolutionRecord:
@@ -761,7 +706,6 @@ class BertiniInvolution:
             kind="bertini",
             degree=17,
             evaluator=self.eval,
-            invariant=fixedcurve.invariant_for_kind("bertini"),
             fixed_curve=self.fixed_curve,
             config=self.config,
         )

@@ -271,16 +271,18 @@ class PencilForm:
         """
         return self.linear and (self.b + self.c).is_zero() and not self.beta.is_zero()
 
+    @cached_property
     def branch_count(self) -> int:
         """Number of distinct odd-multiplicity roots of beta: the branch
-        points of the normalized fixed curve over the pencil of lines."""
+        points of the normalized fixed curve over the pencil of lines. It
+        equals the degree of beta exactly when beta is squarefree."""
         return odd_multiplicity_root_count(self.beta)
 
     def genus(self) -> int:
         """Genus of the normalized fixed curve of an involution, the double
-        cover of the pencil branched at branch_count() points; -1 when that
+        cover of the pencil branched at branch_count points; -1 when that
         cover splits into two rational curves."""
-        return self.branch_count() // 2 - 1
+        return self.branch_count // 2 - 1
 
     def components(self):
         """The components (x u, v, z u) of sigma in the frame."""

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations_with_replacement
 from math import gcd, isqrt, prod
 
 import pytest
@@ -17,6 +19,7 @@ from planecremona.exactpoly import (
     kernel_basis,
     matrix_rank,
     monomials,
+    multiplicity_values,
     odd_multiplicity_root_count,
     resultant,
     values_at,
@@ -693,3 +696,16 @@ def test_zero_polynomial_has_degree_tag():
     assert z2.is_zero() and z2.degree == 2
     with pytest.raises(ValidationError):
         HPoly(2, {(1, 0, 0): 1})
+
+
+def test_multiplicity_values_are_the_partials_at_the_points():
+    # entry [r][i]: the r-th partial of order m - 1, in the order of
+    # combinations_with_replacement, of form i at its point
+    stream = SplitMix64(1919)
+    for degree in range(2, 10):
+        forms = [HPoly(degree, {e: stream.next_int(-4, 4) for e in monomials(degree)}) for _ in range(3)]
+        points = [tuple(stream.next_int(-5, 5) for _ in range(3)) for _ in range(2)]
+        for m in (1, 2, 3):
+            expected = [[reduce(HPoly.partial, var, f).eval(p) for f in forms]
+                        for p in points for var in combinations_with_replacement(range(3), m - 1)]
+            assert multiplicity_values(forms, points, [m, m]) == expected, (degree, m)

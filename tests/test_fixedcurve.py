@@ -1,7 +1,10 @@
+import re
+from dataclasses import replace
+
 import pytest
 
 from planecremona.errors import ValidationError
-from planecremona.exactpoly import HPoly, adjugate3
+from planecremona.exactpoly import HPoly, adjugate3, forms_with_multiplicities, multiplicity_values
 from planecremona.fixedcurve import (
     FixedCurveInvariant,
     classify_involution,
@@ -53,6 +56,40 @@ def test_invariant_of_records(dj_records, geiser, bertini):
     assert b.genus == 4 and "singular quadric" in b.kind
 
 
+def test_dj_record_with_data_of_another_degree_is_corrupted(dj_records):
+    # the invariant is read from the pencil form of the data: genus 3 there
+    # contradicts a record of degree 4
+    record = replace(dj_records[4], dj_data=dj_records[5].dj_data)
+    with pytest.raises(ValidationError, match=r"DJ\(5\) data in a record of degree 4") as info:
+        invariant_of(record)
+    assert info.value.reason == "corrupted record"
+    with pytest.raises(ValidationError, match=r"DJ\(5\) data in a record of degree 4"):
+        classify_involution(record)
+
+
+def test_geiser_record_with_a_sextic_simple_at_a_base_point_is_corrupted(geiser):
+    # Q^2 L^2, with Q the conic through p2..p6 and L the line p2p7, is
+    # double at p2..p7 and nonzero at p1, so adding it keeps the sextic
+    # double at every base point but the first
+    pts = geiser.config.points
+    coords = [p.coords for p in pts]
+    (conic,) = forms_with_multiplicities(coords[1:6], 2, [1] * 5, 1, "conics")
+    (line,) = forms_with_multiplicities([coords[1], coords[6]], 1, [1, 1], 1, "lines")
+    curve = geiser.fixed_sextic + conic * conic * line * line
+    assert not any(v for (v,) in multiplicity_values([curve], coords[1:], [2] * 6))
+    record = replace(geiser.record(), fixed_curve=curve)
+    with pytest.raises(ValidationError, match="not of multiplicity 2 at " + re.escape(str(pts[0]))) as info:
+        invariant_of(record)
+    assert info.value.reason == "corrupted record"
+
+
+def test_bertini_record_with_a_sextic_for_its_curve_is_corrupted(bertini):
+    record = replace(bertini.record(), fixed_curve=bertini.space[0])
+    with pytest.raises(ValidationError, match="Bertini fixed curve must have degree 9") as info:
+        invariant_of(record)
+    assert info.value.reason == "corrupted record"
+
+
 def test_elliptic_case_counts_as_hyperelliptic(dj_records):
     inv = invariant_of(dj_records[3])
     assert inv.kind == "hyperelliptic" and inv.genus == 1
@@ -79,7 +116,7 @@ def test_invariant_constant_under_linear_conjugation(dj_records):
             phi = RationalMap.linear(m)
             phi_inv = RationalMap.linear(minv)
             curve2 = rec.fixed_curve.apply_matrix(minv)
-            center2 = rec.center.apply_matrix(m)
+            center2 = rec.dj_data.pencil.center.apply_matrix(m)
             rec2 = dj_involution(curve2, center2)
             assert invariant_of(rec2).key() == invariant_of(rec).key()
             assert conjugate(rec.map, phi, phi_inv) == rec2.map

@@ -16,9 +16,11 @@ from itertools import chain, combinations
 from hypothesis import given
 
 from planecremona.errors import ValidationError
-from planecremona.exactpoly import HPoly, kernel_basis, matrix_rank, monomials, values_at
+from planecremona.exactpoly import (
+    HPoly, kernel_basis, matrix_rank, monomials, multiplicity_conditions, values_at,
+)
 from planecremona.involutions import (
-    GeiserInvolution, _conditions, make_point_config, octic_triple_system,
+    GeiserInvolution, make_point_config, octic_triple_system,
 )
 from planecremona.projmaps import ProjPoint, RationalMap
 from planecremona.rng import SplitMix64
@@ -59,7 +61,7 @@ def octic_vector(f):
 
 def triple_point_octics(pts):
     """Basis of the octics triple at the points: the 42 x 45 elimination."""
-    return [form(8, v) for v in kernel_basis(_conditions(pts, 8, [3] * 7))]
+    return [form(8, v) for v in kernel_basis(multiplicity_conditions([p.coords for p in pts], 8, [3] * 7))]
 
 
 def six_sample_fit(inv):
@@ -119,7 +121,7 @@ def test_sides_pull_back_to_two_singular_cubics_and_a_conic(pts):
 @given(pts=point_sets(7))
 def test_octic_triple_system_spans_the_triple_point_octics(pts):
     octics = octic_triple_system(pts)
-    rows = _conditions(pts, 8, [3] * 7)
+    rows = multiplicity_conditions([p.coords for p in pts], 8, [3] * 7)
     assert len(rows) == 42 and len(rows[0]) == 45
     vecs = [octic_vector(f) for f in octics]
     assert all(sum(r * c for r, c in zip(row, v)) == 0 for row in rows for v in vecs)

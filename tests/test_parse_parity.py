@@ -75,10 +75,13 @@ def _scanner_parse(text):
         if ch == "":
             sc.error("dangling sign")
         coeff = 1
-        if "0" <= ch <= "9":
+        saw_num = "0" <= ch <= "9"
+        if saw_num:
             coeff = sc.take_number()
             if sc.peek() == "*":
                 sc.pos += 1
+                if sc.peek() not in var_index and not "0" <= sc.peek() <= "9":
+                    sc.error("dangling '*'")
         exps = [0, 0, 0]
         saw_var = False
         while True:
@@ -99,7 +102,7 @@ def _scanner_parse(text):
                         sc.error("dangling '*'")
                 continue
             break
-        if not saw_var and coeff == 1 and ch != "":
+        if not saw_var and not saw_num and ch != "":
             sc.error("expected a term")
         terms.append((sign * coeff, tuple(exps)))
         first = False
@@ -146,9 +149,7 @@ def _term(draw, degree):
     sp = lambda: draw(SPACE)  # noqa: E731
     parts = []
     if degree == 0:
-        # a bare coefficient 1 followed by more text is refused ("expected a
-        # term"), so a constant term is written as an integer other than 1
-        return str(draw(st.sampled_from([0, 2, 3, 17, 40])))
+        return str(draw(st.sampled_from([0, 1, 2, 3, 17, 40])))
     if draw(st.booleans()):
         coeff = str(draw(st.integers(0, 40)))
         if draw(st.booleans()):
@@ -244,3 +245,15 @@ def test_every_error_message_is_met():
         got = _outcome(_parse_form, text)
         assert got == _outcome(_scanner_parse, text)
         assert got[0] == "error" and message in got[2], (text, got)
+
+
+def test_a_bare_coefficient_is_a_term_and_needs_no_star():
+    # a term that read a number is a term, 1 included; a '*' after a
+    # coefficient with no variable after it dangles, as one after x does
+    for text, value in {"1 + 2": 3, "2/2 + 3": 4, "2 + 1": 3, " 1 ": 1, "-1 - 1/2": Fraction(-3, 2)}.items():
+        assert _parse_form(text) == HPoly.constant(value), text
+        _same_as_scanner(text)
+    for text, pos in {"2*": 2, "1*": 2, "2* + 3": 3, "1/2 *\t": 6, "3 * ^2": 4}.items():
+        got = _outcome(_parse_form, text)
+        assert got == ("error", "syntax error", f"dangling '*' at position {pos}: {text!r}"), text
+        _same_as_scanner(text)
