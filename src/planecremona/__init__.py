@@ -19,7 +19,6 @@ from .projmaps import (
     ProjPoint,
     RationalMap,
     compose,
-    conjugate,
     is_identity,
     is_involution,
     pencil_form,

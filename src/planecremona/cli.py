@@ -266,46 +266,37 @@ def _load_config(args, kind: str):
     return involutions.make_point_config(pts, kind)
 
 
-def _cmd_geiser(args) -> int:
-    config = _load_config(args, "geiser")
-    inv = involutions.GeiserInvolution(config, seed=args.seed)
+def _configuration_involution(args, kind: str):
+    config = _load_config(args, kind)
+    if kind == "geiser":
+        return involutions.GeiserInvolution(config, seed=args.seed)
+    return involutions.BertiniInvolution(config)
+
+
+def _cmd_configuration(args) -> int:
+    """geiser and bertini: the involution of a point configuration, with its
+    label and invariant from invariant_of, which checks its fixed curve."""
+    inv = _configuration_involution(args, args.command)
+    invariant = fixedcurve.invariant_of(inv.record())
     payload = {
-        "kind": "Geiser",
-        "label": "Geiser",
+        "kind": invariant.source,
+        "label": invariant.source,
         "seed": args.seed,
-        "points": [str(p) for p in config.points],
-        "invariant": fixedcurve.invariant_for_kind("geiser").as_dict(),
-        "fixed_curve": format_hpoly(inv.fixed_sextic),
+        "points": [str(p) for p in inv.config.points],
+        "invariant": invariant.as_dict(),
     }
+    if args.command == "geiser":
+        payload["fixed_curve"] = format_hpoly(inv.fixed_sextic)
+    else:
+        payload["sextic_system_dimension"] = len(inv.space)
     if args.x:
         x = parse_point(args.x)
         image, trace = inv.eval_detail(x)
         payload["x"] = str(x)
         payload["image"] = str(image)
         payload["trace"] = {"attempts": trace.attempts}
-    if args.interpolate:
+    if getattr(args, "interpolate", False):
         payload["map"] = _map_json(inv.interpolated_map)
-    emit(payload, args.json)
-    return 0
-
-
-def _cmd_bertini(args) -> int:
-    config = _load_config(args, "bertini")
-    inv = involutions.BertiniInvolution(config)
-    payload = {
-        "kind": "Bertini",
-        "label": "Bertini",
-        "seed": args.seed,
-        "points": [str(p) for p in config.points],
-        "invariant": fixedcurve.invariant_for_kind("bertini").as_dict(),
-        "sextic_system_dimension": len(inv.space),
-    }
-    if args.x:
-        x = parse_point(args.x)
-        image, trace = inv.eval_detail(x)
-        payload["x"] = str(x)
-        payload["image"] = str(image)
-        payload["trace"] = {"attempts": trace.attempts}
     emit(payload, args.json)
     return 0
 
@@ -362,10 +353,7 @@ def _build_record(args):
         kind = args.kind
         if kind not in ("geiser", "bertini"):
             raise ValidationError("bad request", "--kind must be geiser or bertini with --points")
-        config = _load_config(args, kind)
-        if kind == "geiser":
-            return involutions.GeiserInvolution(config, seed=args.seed).record()
-        return involutions.BertiniInvolution(config).record()
+        return _configuration_involution(args, kind).record()
     return None
 
 
@@ -510,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_dj, construct=involutions.dj_from_conic)
 
-    for name, handler in (("geiser", _cmd_geiser), ("bertini", _cmd_bertini)):
+    for name in ("geiser", "bertini"):
         p = sub.add_parser(name, help=f"{name} involution on a point configuration")
         p.add_argument("--points", help="point file, one (a:b:c) per line")
         p.add_argument("--builtin", action="store_true", help="use the committed configuration")
@@ -519,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--interpolate", action="store_true",
                            help="also fit the closed-form degree-8 map")
         common(p)
-        p.set_defaults(func=handler)
+        p.set_defaults(func=_cmd_configuration)
 
     p = sub.add_parser("verify", help="check that a map is an involution")
     p.add_argument("--map", help=MAP_HELP)

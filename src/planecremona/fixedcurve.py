@@ -87,6 +87,10 @@ def _dj_invariant(form) -> FixedCurveInvariant:
     return invariant_for_kind("dj", max(form.genus(), 0) + 2)
 
 
+# fixed curve degree and multiplicity at the configuration points
+_CONFIG_FIXED_CURVES = {"geiser": (6, 2), "bertini": (9, 3)}
+
+
 def invariant_of(record: InvolutionRecord) -> FixedCurveInvariant:
     """Invariant of a constructed involution record, computed from what it
     was built from.
@@ -103,9 +107,9 @@ def invariant_of(record: InvolutionRecord) -> FixedCurveInvariant:
             raise ValidationError("corrupted record",
                                   f"{inv.source} data in a record of degree {record.degree}")
         return inv
-    if kind in ("geiser", "bertini"):
+    if kind in _CONFIG_FIXED_CURVES:
         inv = invariant_for_kind(kind)
-        degree, mult = (6, 2) if kind == "geiser" else (9, 3)
+        degree, mult = _CONFIG_FIXED_CURVES[kind]
         curve = record.fixed_curve
         if curve is None or curve.degree != degree:
             raise ValidationError("corrupted record", f"{inv.source} fixed curve must have degree {degree}")
@@ -154,9 +158,16 @@ def rational_base_points(arg):
     return sorted(found, key=lambda q: q.coords)
 
 
+def _pencil_note(form) -> str:
+    return (f"preserves the lines through {form.center}; the fixed curve is a double cover "
+            f"of that pencil branched at {form.branch_count} points")
+
+
 def classify_involution(arg) -> Classification:
     """Classify a constructed record (invariant_of) or a raw map.
 
+    A record's note names what was computed: a DJ record's pencil form, or
+    the fixed curve check of invariant_of.
     A raw map with a center (projmaps.pencil_form) is classified from its
     pencil form: it must pass PencilForm.is_involution, and its normalized
     fixed curve has genus g = (odd-multiplicity roots of beta)/2 - 1, so it
@@ -167,7 +178,12 @@ def classify_involution(arg) -> Classification:
     """
     if isinstance(arg, InvolutionRecord):
         inv = invariant_of(arg)
-        return Classification(inv.source, inv, "construction metadata")
+        if arg.dj_data is not None:
+            return Classification(inv.source, inv, _pencil_note(arg.dj_data.pencil))
+        degree, mult = _CONFIG_FIXED_CURVES[arg.kind]
+        return Classification(inv.source, inv, (
+            f"the fixed curve has degree {degree} and multiplicity at least {mult} "
+            f"at each of the {len(arg.config.points)} base points"))
     sigma: RationalMap = arg
     if is_identity(sigma):
         raise ValidationError("not involutive", "the identity is not a nontrivial involution")
@@ -176,9 +192,7 @@ def classify_involution(arg) -> Classification:
         if not form.is_involution():
             raise ValidationError("not involutive", "the map composed with itself is not the identity")
         inv = _dj_invariant(form)
-        note = (f"preserves the lines through {form.center}; the fixed curve is a double cover "
-                f"of that pencil branched at {form.branch_count} points")
-        return Classification(inv.source, inv, note)
+        return Classification(inv.source, inv, _pencil_note(form))
     if not involution_on_grid(sigma):
         raise ValidationError("not involutive", "the map composed with itself is not the identity")
     d = sigma.degree

@@ -1,10 +1,11 @@
 """Constructors and evaluators for the three involution families.
 
 * de Jonquieres of degree d: harmonic conjugation on the lines through a
-  center p with respect to a degree-d curve having an ordinary (d-2)-fold
-  point at p and no other singularity. In the frame where p = (0:1:0) and
-  C = A y^2 + B y + C_d (A, B, C_d binary in x, z), the map is the closed
-  form ( x(2Ay+B) : -(By+2C_d) : z(2Ay+B) ), conjugated back.
+  center p with respect to a degree-d curve C having an ordinary (d-2)-fold
+  point at p and no other singularity. C(x + t p) is quadratic in t, so the
+  map is x -> (D_p C)(x) x - 2 C(x) p, D_p the derivative along p; where
+  p = (0:1:0) and C = A y^2 + B y + C_d (A, B, C_d binary in x, z) that is
+  ( x(2Ay+B) : -(By+2C_d) : z(2Ay+B) ).
 * Geiser: x goes to the ninth base point of the pencil of cubics through a
   fixed general 7-point set and x.
 * Bertini: x goes to the residual common point of the net of sextics through
@@ -62,7 +63,7 @@ from .exactpoly import (
     values_at,
 )
 from .projmaps import (
-    PencilForm, ProjPoint, RationalMap, collinear, frame_conjugate, frame_moving_to_center,
+    PencilForm, ProjPoint, RationalMap, collinear, frame_moving_to_center, pencil_form_at,
 )
 from .rng import SplitMix64
 
@@ -75,8 +76,8 @@ from .rng import SplitMix64
 class DJData:
     """A validated de Jonquieres instance: the curve, of degree d, is
     A y^2 + B y + C_d in the frame where the center is (0:1:0), the pencil
-    form of its involution has u = 2 A y + B and v = -B y - 2 C_d, and
-    checks names the validation steps it passed, in order."""
+    form of its polar map has u = 2 A y + B and v = -B y - 2 C_d up to a
+    nonzero scalar, and checks names the validation steps it passed."""
 
     d: int
     pencil: PencilForm
@@ -84,29 +85,23 @@ class DJData:
     checks: tuple
 
 
-def _dj_decompose(c_norm: HPoly, d: int):
-    by_y = c_norm.coeffs_by_var(1)
-    top = len(by_y) - 1
-    if top > 2:
-        raise ValidationError(
-            "multiplicity mismatch",
-            f"multiplicity at the center is {d - top}, expected {d - 2}",
-        )
-    if top < 2 or by_y[2].is_zero():
-        raise ValidationError(
-            "multiplicity mismatch",
-            f"multiplicity at the center exceeds {d - 2}",
-        )
-    return by_y[2], by_y[1], by_y[0]
+def _polar_map(curve: HPoly, p: ProjPoint):
+    """Components D_p C x_i - 2 C p_i, not normalised, of harmonic
+    conjugation on the lines through p with respect to the curve C."""
+    polar = sum((curve.partial(i) * c for i, c in enumerate(p.coords) if c),
+                HPoly.zero(curve.degree - 1))
+    return tuple(polar * HPoly.variable(i) - curve * (2 * c) for i, c in enumerate(p.coords))
 
 
 def validate_dj(curve: HPoly, p: ProjPoint) -> DJData:
     """Validate a (curve, center) pair as de Jonquieres data.
 
-    Checks, in order: degree >= 2; multiplicity at p exactly d-2 (A != 0 and
-    no higher y-power in the normal frame); ordinarity (A squarefree); no
-    line of the curve through p (gcd(A,B,Cd) constant); discriminant nonzero
-    and squarefree, that is with as many branch points as its degree
+    Every check reads the pencil form of the polar map: with C = sum C_k y^k
+    in the frame of p, u = sum k C_k y^(k-1) and v = sum (k - 2) C_k y^k up
+    to a scalar. Checks, in order: degree >= 2; multiplicity at p exactly
+    d-2 (v of y-degree <= 2 and A != 0); ordinarity (A squarefree); no line
+    of the curve through p (gcd(A,B,Cd) constant); discriminant nonzero and
+    squarefree, that is with as many branch points as its degree
     (PencilForm.branch_count). Together these make p the only singular
     point: a point q != p lies on a line through p, where the curve is
     A w^2 - Delta/(4A) with w = y + B/(2A) if A != 0 there, singular only
@@ -117,9 +112,12 @@ def validate_dj(curve: HPoly, p: ProjPoint) -> DJData:
     d = curve.degree
     if d < 2 or curve.is_zero():
         raise ValidationError("bad degree", "the curve must have degree >= 2")
-    m, minv = frame_moving_to_center(p)
-    c_norm = curve.apply_matrix(minv).canonical()
-    a, b, cd = _dj_decompose(c_norm, d)
+    pencil = pencil_form_at(_polar_map(curve, p), p)
+    top = len(pencil.v) - 1
+    a = pencil.a                        # 2 A
+    if top > 2 or a.is_zero():
+        found = f"is {d - top}, expected" if top > 2 else "exceeds"
+        raise ValidationError("multiplicity mismatch", f"multiplicity at the center {found} {d - 2}")
     checks = ["multiplicity d-2 at center"]
 
     if not is_squarefree(a):
@@ -129,7 +127,7 @@ def validate_dj(curve: HPoly, p: ProjPoint) -> DJData:
     checks.append("ordinary tangent cone (A squarefree)")
 
     g = a
-    for q in (b, cd):
+    for q in (pencil.b, pencil.e):      # B and -2 C_d
         if g.degree == 0:
             break
         if not q.is_zero():
@@ -140,8 +138,7 @@ def validate_dj(curve: HPoly, p: ProjPoint) -> DJData:
         )
     checks.append("no line through the center (gcd(A,B,Cd) = 1)")
 
-    pencil = PencilForm(p, (m, minv), (b, a * 2), (cd * -2, -b))
-    delta = pencil.beta                 # 4 (B^2 - 4 A C_d)
+    delta = pencil.beta                 # 4 (B^2 - 4 A C_d), up to a square
     if delta.is_zero():
         raise ValidationError("degenerate", "zero discriminant")
     if pencil.branch_count != delta.degree:
@@ -174,10 +171,9 @@ class InvolutionRecord:
 
 
 def conjugated_map(data: DJData) -> RationalMap:
-    """Closed-form map of a validated de Jonquieres instance: its pencil
-    form (x u : v : z u) moved back from the frame of the center."""
-    m, minv = data.pencil.frame
-    sigma = RationalMap(*frame_conjugate(data.pencil.components(), minv, m))
+    """Closed-form map of a validated de Jonquieres instance: its polar map,
+    normalised."""
+    sigma = RationalMap(*_polar_map(data.curve, data.pencil.center))
     if sigma.degree != data.d:
         raise ValidationError("internal", "constructed map has the wrong degree")
     return sigma

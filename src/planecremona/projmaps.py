@@ -1,6 +1,6 @@
 """Projective points and frames, plane rational maps with composition,
-projective identity and involution tests and conjugation, and the pencil
-normal form of a map with a center.
+projective identity and involution tests, and the pencil normal form of a
+map with a center.
 
 A map with a center p preserves every line through p. In a frame where
 p = (0:1:0) it is (x u : v : z u) with u and v polynomials in y over binary
@@ -201,13 +201,6 @@ def involution_on_grid(f: RationalMap) -> bool:
     return composite_seen
 
 
-def frame_conjugate(comps, outer, inner):
-    """Components of outer . f . inner for integer 3x3 matrices outer and
-    inner and the component triple comps of f."""
-    moved = [c.apply_matrix(inner) for c in comps]
-    return [moved[0] * row[0] + moved[1] * row[1] + moved[2] * row[2] for row in outer]
-
-
 def pencil_center(sigma: RationalMap):
     """The point p collinear with every x and sigma(x), or None.
 
@@ -236,7 +229,8 @@ class PencilForm:
     that u = a y + b and v = c y + e when both are linear in y. On the line
     over (x : z) sigma acts by y -> v / u, for linear u and v by the Moebius
     matrix M = [[c, e], [a, b]], whose fixed points solve
-    a y^2 + (b - c) y - e = 0.
+    a y^2 + (b - c) y - e = 0. Proportional components give proportional
+    (u, v).
     """
 
     center: ProjPoint
@@ -262,8 +256,8 @@ class PencilForm:
     def is_involution(self) -> bool:
         """Whether sigma composed with itself is the identity.
 
-        u and v are coprime, so sigma has degree max(deg_y u, deg_y v) on a
-        general line through p, and an involution needs degree 1. Then by
+        For coprime components u and v are coprime, so sigma has degree
+        max(deg_y u, deg_y v) on a general line through p, and an involution needs degree 1. Then by
         Cayley-Hamilton M^2 = (b + c) M - det(M) I, so M^2 is scalar exactly
         when b + c = 0 or M is scalar; b + c = 0 and beta = -4 det(M) != 0
         rule out a scalar M, the identity, and an M of rank <= 1, whose map
@@ -284,13 +278,6 @@ class PencilForm:
         cover splits into two rational curves."""
         return self.branch_count // 2 - 1
 
-    def components(self):
-        """The components (x u, v, z u) of sigma in the frame."""
-        y = HPoly.variable(1)
-        u, v = (sum((f * y ** k for k, f in enumerate(forms)), HPoly.zero(0))
-                for forms in (self.u, self.v))
-        return HPoly.variable(0) * u, v, HPoly.variable(2) * u
-
 
 def _by_y(f: HPoly):
     """The coefficients of y^0, y^1, ... of f, binary forms in (x, z),
@@ -305,20 +292,19 @@ def pencil_form(sigma: RationalMap):
     if sigma.degree == 0:
         return None
     p = pencil_center(sigma)
-    if p is None:
-        return None
+    return pencil_form_at(sigma.components, p) if p is not None else None
+
+
+def pencil_form_at(comps, p: ProjPoint) -> PencilForm:
+    """The PencilForm of the components comps, not necessarily coprime, of
+    a map with center p: each of the first two rows of m combines them, and
+    minv moves the combination; the third row, z u, is never read."""
     m, minv = frame_moving_to_center(p)
-    xu, v, _zu = frame_conjugate(sigma.components, m, minv)
+    xu, v = ((comps[0] * row[0] + comps[1] * row[1] + comps[2] * row[2]).apply_matrix(minv)
+             for row in m[:2])
     # every term of x u has x: lowering its x exponent divides by x
     u = tuple(
         HPoly(max(f.degree - 1, 0), {(i - 1, j, k): c for (i, j, k), c in f.terms.items()})
         for f in _by_y(xu)
     )
     return PencilForm(p, (m, minv), u, tuple(_by_y(v)))
-
-
-def conjugate(sigma: RationalMap, phi: RationalMap, phi_inverse: RationalMap) -> RationalMap:
-    """phi o sigma o phi_inverse; phi_inverse must be a two-sided inverse."""
-    if not is_identity(compose(phi, phi_inverse)) or not is_identity(compose(phi_inverse, phi)):
-        raise ValidationError("bad inverse", "phi_inverse is not a two-sided inverse of phi")
-    return compose(phi, compose(sigma, phi_inverse))

@@ -1,7 +1,9 @@
-"""Seeded draws that only the tests use, on the package's SplitMix64."""
+"""Seeded draws on the package's SplitMix64, and reference constructions,
+that only the tests use."""
 
-from planecremona.errors import ExtractionError
-from planecremona.projmaps import ProjPoint
+from planecremona.errors import ExtractionError, ValidationError
+from planecremona.exactpoly import HPoly
+from planecremona.projmaps import ProjPoint, compose, is_identity
 from planecremona.rng import SplitMix64
 
 
@@ -52,3 +54,25 @@ def sample_points(seed: int, count: int, avoid=()):
             continue
         out.append(p)
     return out
+
+
+def frame_conjugate(comps, outer, inner):
+    """Components of outer . f . inner for integer 3x3 matrices outer and
+    inner and the component triple comps of f."""
+    moved = [c.apply_matrix(inner) for c in comps]
+    return [moved[0] * row[0] + moved[1] * row[1] + moved[2] * row[2] for row in outer]
+
+
+def pencil_components(u, v):
+    """The components (x u, v, z u) of a map in the frame of its center, for
+    u and v given by their coefficients of y^0, y^1, ... (PencilForm.u, .v)."""
+    y = HPoly.variable(1)
+    u, v = (sum((f * y ** k for k, f in enumerate(forms)), HPoly.zero(0)) for forms in (u, v))
+    return HPoly.variable(0) * u, v, HPoly.variable(2) * u
+
+
+def conjugate(sigma, phi, phi_inverse):
+    """phi o sigma o phi_inverse; phi_inverse must be a two-sided inverse."""
+    if not is_identity(compose(phi, phi_inverse)) or not is_identity(compose(phi_inverse, phi)):
+        raise ValidationError("bad inverse", "phi_inverse is not a two-sided inverse of phi")
+    return compose(phi, compose(sigma, phi_inverse))

@@ -13,9 +13,9 @@ from planecremona.fixedcurve import (
     invariant_of,
 )
 from planecremona.involutions import dj_involution, make_dj_instance
-from planecremona.projmaps import ProjPoint, RationalMap, frame_conjugate, is_involution, pencil_form
+from planecremona.projmaps import ProjPoint, RationalMap, is_involution, pencil_form
 from planecremona.rng import SplitMix64
-from tests.streams import unimodular_matrix
+from tests.streams import conjugate, frame_conjugate, unimodular_matrix
 
 X, Y, Z = (HPoly.variable(i) for i in range(3))
 
@@ -105,8 +105,6 @@ def test_invariant_constant_under_linear_conjugation(dj_records):
     # conjugating the construction data by plane automorphisms must not
     # change the invariant, and the conjugated involution is the one built
     # from the transformed curve and center
-    from planecremona.projmaps import compose, conjugate
-
     stream = SplitMix64(303)
     for d in (3, 4):
         rec = dj_records[d]
@@ -127,6 +125,8 @@ def test_invariant_constant_under_linear_conjugation(dj_records):
 def test_classify_records(dj_records, geiser, bertini):
     for d in range(2, 7):
         assert classify_involution(dj_records[d]).label == f"DJ({d})"
+        # a record is classified from its pencil form, as its map is
+        assert classify_involution(dj_records[d]) == classify_involution(dj_records[d].map)
     assert classify_involution(geiser.record()).label == "Geiser"
     assert classify_involution(bertini.record()).label == "Bertini"
 

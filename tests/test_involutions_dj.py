@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,6 +11,7 @@ from planecremona.exactpoly import (
 )
 from planecremona.fixedcurve import classify_involution, fixed_locus, rational_base_points
 from planecremona.involutions import (
+    _polar_map,
     conjugated_map,
     dj_from_conic,
     dj_involution,
@@ -17,10 +19,10 @@ from planecremona.involutions import (
     validate_dj,
 )
 from planecremona.projmaps import (
-    ProjPoint, RationalMap, compose, is_identity, is_involution, pencil_center,
+    ProjPoint, RationalMap, compose, is_identity, is_involution, pencil_center, pencil_form,
 )
 from planecremona.rng import SplitMix64
-from tests.streams import unimodular_matrix
+from tests.streams import frame_conjugate, pencil_components, unimodular_matrix
 
 X, Y, Z = (HPoly.variable(i) for i in range(3))
 CONIC = X * Z - Y * Y
@@ -151,15 +153,85 @@ def _normal_coefficients(data):
     return a, b, cd
 
 
+def _ratio(f: HPoly, g: HPoly):
+    """The scalar r with f == g * r, or None when there is none."""
+    if f.is_zero() or g.is_zero():
+        return None
+    e, c = next(iter(g.terms.items()))
+    r = Fraction(f.terms.get(e, 0), c)
+    return r if r and f == g * r else None
+
+
+def _is_square(r: Fraction) -> bool:
+    return r > 0 and all(isqrt(n) ** 2 == n for n in (r.numerator, r.denominator))
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_discriminant_profile(d, dj_records):
+    # the pencil form is that of the unnormalised polar map, so its branch
+    # form is 4 (B^2 - 4 A C_d) up to the square of that scale
     data = dj_records[d].dj_data
     a, b, cd = _normal_coefficients(data)
     delta = b * b - (a * cd) * 4      # B^2 - 4 A C_d
-    assert data.pencil.beta == delta * 4
+    assert _is_square(_ratio(data.pencil.beta, delta * 4))
     assert delta.degree == 2 * d - 2
     assert is_squarefree(delta)
     assert data.pencil.branch_count == 2 * (d - 2) + 2
+
+
+@pytest.mark.parametrize("frame_seed", [None, 5, 6])
+def test_multiplicity_refusals_name_the_multiplicity(frame_seed):
+    # in the frame of (0:1:0): a quintic of y-degree 3, double at the center,
+    # and a quartic of y-degree 1, triple there
+    quintic = X * X * Y ** 3 + Z ** 3 * Y * Y + X ** 4 * Y + Z ** 5
+    quartic = X ** 3 * Y + Z ** 4 + X * Z ** 3
+    center = ProjPoint(0, 1, 0)
+    if frame_seed is not None:
+        m = unimodular_matrix(SplitMix64(frame_seed))
+        adj = adjugate3(m)
+        quintic, quartic = quintic.apply_matrix(m), quartic.apply_matrix(m)
+        center = ProjPoint(adj[0][1], adj[1][1], adj[2][1])
+    for curve, message in ((quintic, "multiplicity at the center is 2, expected 3"),
+                           (quartic, "multiplicity at the center exceeds 2")):
+        with pytest.raises(ValidationError) as err:
+            validate_dj(curve, center)
+        assert (err.value.reason, str(err.value)) == ("multiplicity mismatch", message)
+
+
+def _proportional(forms, others) -> bool:
+    """Whether two tuples of forms are one nonzero scalar apart."""
+    if len(forms) != len(others):
+        return False
+    ratios = {_ratio(f, g) for f, g in zip(forms, others) if not (f.is_zero() and g.is_zero())}
+    return len(ratios) == 1 and None not in ratios
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 7), seed=st.integers(0, 2**32), moved=st.booleans())
+def test_pencil_form_of_the_map_is_the_validation_form(d, seed, moved):
+    """The pencil form of the normalised map has the center and frame of the
+    form validate_dj read off the polar map, and (u, v) one scalar apart."""
+    curve, center = make_dj_instance(d, seed)
+    if moved:
+        m = unimodular_matrix(SplitMix64(seed))
+        curve, center = curve.apply_matrix(adjugate3(m)), center.apply_matrix(m)
+    data = validate_dj(curve, center)
+    form = pencil_form(conjugated_map(data))
+    assert (form.center, form.frame) == (data.pencil.center, data.pencil.frame)
+    assert _proportional(form.u + form.v, data.pencil.u + data.pencil.v)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_polar_map_equals_the_frame_round_trip(d):
+    # reference: the closed form (x (2Ay+B) : -(By+2C_d) : z (2Ay+B)) in the
+    # frame of the center, moved back by the frame matrices
+    curve, center = make_dj_instance(d, seed=d)
+    data = validate_dj(curve, center)
+    a, b, cd = _normal_coefficients(data)
+    m, minv = data.pencil.frame
+    round_trip = frame_conjugate(pencil_components((b, a * 2), (cd * -2, -b)), minv, m)
+    assert RationalMap(*_polar_map(data.curve, center)) == RationalMap(*round_trip)
+    assert conjugated_map(data) == RationalMap(*round_trip)
 
 
 def test_normal_form_minors_expose_the_curve():

@@ -9,8 +9,6 @@ from planecremona.projmaps import (
     ProjPoint,
     RationalMap,
     compose,
-    conjugate,
-    frame_conjugate,
     identity_minors,
     involution_on_grid,
     is_identity,
@@ -18,7 +16,7 @@ from planecremona.projmaps import (
     pencil_form,
 )
 from planecremona.rng import SplitMix64
-from tests.streams import unimodular_matrix
+from tests.streams import conjugate, frame_conjugate, unimodular_matrix
 
 X, Y, Z = (HPoly.variable(i) for i in range(3))
 SIGMA = RationalMap(X * Y, X * Z, Y * Z)
