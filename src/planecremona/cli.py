@@ -351,7 +351,7 @@ def _build_record(args):
         return involutions.dj_involution(parse_poly(args.curve), parse_point(args.p))
     if args.points or args.builtin:
         kind = args.kind
-        if kind not in ("geiser", "bertini"):
+        if kind not in involutions.DEL_PEZZO:
             raise ValidationError("bad request", "--kind must be geiser or bertini with --points")
         return _configuration_involution(args, kind).record()
     return None
@@ -498,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_dj, construct=involutions.dj_from_conic)
 
-    for name in ("geiser", "bertini"):
+    for name in involutions.DEL_PEZZO:
         p = sub.add_parser(name, help=f"{name} involution on a point configuration")
         p.add_argument("--points", help="point file, one (a:b:c) per line")
         p.add_argument("--builtin", action="store_true", help="use the committed configuration")
@@ -527,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p")
         p.add_argument("--points")
         p.add_argument("--builtin", action="store_true")
-        p.add_argument("--kind", choices=("geiser", "bertini"))
+        p.add_argument("--kind", choices=tuple(involutions.DEL_PEZZO))
         p.add_argument("--map", help=MAP_HELP)
         p.add_argument("--map-file")
         common(p)

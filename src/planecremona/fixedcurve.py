@@ -16,17 +16,18 @@ points besides p lie over the rational roots of det M.
 invariant_of is the one source of a record's invariant and label. A de
 Jonquieres record is read from the pencil form of its data, as a raw map
 with a center is, and its genus must be d - 2. Geiser and Bertini records
-carry their fixed curves, the Jacobian sextic double at the 7 points and
-the nonic triple at the 8, which invariant_of checks
-(exactpoly.multiplicity_values) before it gives the invariant of the kind.
-Raw maps without a center are labelled from their degree.
+carry their fixed curves, which invariant_of checks against the table
+involutions.DEL_PEZZO (exactpoly.multiplicity_values): degree 3(m + 1) and
+multiplicity m + 1 at each of the n points, the Jacobian sextic double at
+the 7 and the nonic triple at the 8. Raw maps without a center are
+labelled from their degree, the map degrees of that table.
 """
 
 from dataclasses import dataclass
 
 from .errors import ValidationError
 from .exactpoly import HPoly, bform_rational_roots, hpoly_gcd_many, multiplicity_values, values_at
-from .involutions import InvolutionRecord
+from .involutions import DEL_PEZZO, InvolutionRecord
 from .projmaps import (
     ProjPoint, RationalMap, identity_minors, involution_on_grid, is_identity, pencil_form,
 )
@@ -87,18 +88,15 @@ def _dj_invariant(form) -> FixedCurveInvariant:
     return invariant_for_kind("dj", max(form.genus(), 0) + 2)
 
 
-# fixed curve degree and multiplicity at the configuration points
-_CONFIG_FIXED_CURVES = {"geiser": (6, 2), "bertini": (9, 3)}
-
-
 def invariant_of(record: InvolutionRecord) -> FixedCurveInvariant:
     """Invariant of a constructed involution record, computed from what it
     was built from.
 
     DJ(d): from the pencil form of its data (_dj_invariant), which must
-    give genus d - 2. Geiser and Bertini: the record's fixed curve must be a
-    sextic double at the 7 base points, resp. a nonic triple at the 8. A
-    mismatch means the record is corrupted.
+    give genus d - 2. Geiser and Bertini: the record's fixed curve must
+    have degree 3(m + 1) and multiplicity m + 1 at each base point, m of
+    DEL_PEZZO: a sextic double at the 7 points, resp. a nonic triple at the
+    8. A mismatch means the record is corrupted.
     """
     kind = record.kind
     if kind == "dj":
@@ -107,9 +105,9 @@ def invariant_of(record: InvolutionRecord) -> FixedCurveInvariant:
             raise ValidationError("corrupted record",
                                   f"{inv.source} data in a record of degree {record.degree}")
         return inv
-    if kind in _CONFIG_FIXED_CURVES:
+    if kind in DEL_PEZZO:
         inv = invariant_for_kind(kind)
-        degree, mult = _CONFIG_FIXED_CURVES[kind]
+        degree, mult = DEL_PEZZO[kind].fixed_curve
         curve = record.fixed_curve
         if curve is None or curve.degree != degree:
             raise ValidationError("corrupted record", f"{inv.source} fixed curve must have degree {degree}")
@@ -174,13 +172,14 @@ def classify_involution(arg) -> Classification:
     is DJ(g + 2), with g <= 0 the class of the linear involutions, DJ(2).
     Any other raw map must pass the grid test (projmaps.involution_on_grid);
     degree 8 with a sextic fixed locus is then a Geiser candidate and degree
-    17 a Bertini candidate, labels assigned from the degree.
+    17 a Bertini candidate (the degrees of DEL_PEZZO), labels assigned from
+    the degree.
     """
     if isinstance(arg, InvolutionRecord):
         inv = invariant_of(arg)
         if arg.dj_data is not None:
             return Classification(inv.source, inv, _pencil_note(arg.dj_data.pencil))
-        degree, mult = _CONFIG_FIXED_CURVES[arg.kind]
+        degree, mult = DEL_PEZZO[arg.kind].fixed_curve
         return Classification(inv.source, inv, (
             f"the fixed curve has degree {degree} and multiplicity at least {mult} "
             f"at each of the {len(arg.config.points)} base points"))
@@ -198,12 +197,12 @@ def classify_involution(arg) -> Classification:
     d = sigma.degree
     fixed = fixed_locus(sigma)
     caveat = "; rational fixed components not certified"
-    if d == 8 and fixed.degree == 6:
+    if d == DEL_PEZZO["geiser"].degree and fixed.degree == DEL_PEZZO["geiser"].fixed_curve[0]:
         return Classification("Geiser", invariant_for_kind("geiser"),
-                              "raw-map heuristic: degree 8 with fixed sextic" + caveat)
-    if d == 17:
+                              f"raw-map heuristic: degree {d} with fixed sextic" + caveat)
+    if d == DEL_PEZZO["bertini"].degree:
         return Classification("Bertini", invariant_for_kind("bertini"),
-                              "raw-map heuristic: degree 17" + caveat)
+                              f"raw-map heuristic: degree {d}" + caveat)
     raise ValidationError(
         "unrecognized", "unrecognized involution: supply construction metadata"
     )

@@ -6,10 +6,12 @@
   map is x -> (D_p C)(x) x - 2 C(x) p, D_p the derivative along p; where
   p = (0:1:0) and C = A y^2 + B y + C_d (A, B, C_d binary in x, z) that is
   ( x(2Ay+B) : -(By+2C_d) : z(2Ay+B) ).
-* Geiser: x goes to the ninth base point of the pencil of cubics through a
-  fixed general 7-point set and x.
-* Bertini: x goes to the residual common point of the net of sextics through
-  a fixed general 8-point set and x, singular along the 8 points.
+* Geiser and Bertini, the del Pezzo involutions of the table DEL_PEZZO:
+  the deck involution of the map given by |-mK| on the blow-up of n general
+  points, (n, m) = (7, 1) or (8, 2), a plane map of degree 8 or 17. x goes
+  to the other common point of the members of |-mK| through x: the ninth
+  base point of the pencil of cubics through the 7 points and x, or the
+  residual point of the net of sextics singular at the 8 points through x.
 
 Geiser and Bertini are evaluated by chord-tangent constructions on one
 cubic, in integers (Bayle-Beauville, section 2). On a cubic f, third(P, Q)
@@ -21,19 +23,21 @@ takes the pencil through its 8 points, whose ninth base point p9 is the
 origin of the group law on each member, and sends x to -x on the member
 through x: third(x, third(p9, p9)).
 
-Each image is certified exactly by the linear system the involution is
-defined by before it is returned; a degenerate or uncertified construction
-gives way to the next one in a fixed order. The certificates assume general
-position: no 3 points collinear, no 6 on a conic, and for 8 points no cubic
-through all of them singular at one, which make_point_config checks. Then
-no curve lies in the base locus of the pencil or net through x, which has
-exactly one base point besides the configuration and x.
+Each image is certified exactly before it is returned, by one certificate
+on |-mK| for both (DelPezzoInvolution.certifies): the values of |-mK| at x
+and at the image are proportional, with one more clause where the image is
+x or a base point. A degenerate or uncertified construction gives way to
+the next one in a fixed order. The certificate assumes general position: no
+3 points collinear, no 6 on a conic, and for 8 points no cubic through all
+of them singular at one, which make_point_config checks. Then no curve lies
+in the base locus of the members through x, which has exactly one point
+besides the configuration and x.
 
 An optional closed form of the degree-8 Geiser map is built from the
 pull-backs of the sides of the triangle p1p2p3 (the octics C_a C_b Q_ab)
 and one evaluated sample. It is checked at 100 seeded points by the same
-ninth-base-point certificate, applied to its own image, not by evaluating
-those points again.
+certificate, applied to its own image, not by evaluating those points
+again.
 All pseudo-random choices come from the package's seeded SplitMix64 streams.
 
 A record (InvolutionRecord) keeps what was built; fixedcurve.invariant_of
@@ -45,6 +49,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, islice
 from math import gcd as igcd
+from typing import NamedTuple
 
 from .errors import ExtractionError, IndeterminacyError, ValidationError
 from .exactpoly import (
@@ -209,30 +214,52 @@ def dj_from_conic(q: HPoly, p: ProjPoint) -> InvolutionRecord:
 # point configurations
 # ---------------------------------------------------------------------------
 
+class DelPezzoType(NamedTuple):
+    """|-mK| on the blow-up of n points, the forms of degree 3m with
+    multiplicity m at the points, and the degree of its deck involution."""
+
+    n: int
+    m: int
+    degree: int
+
+    @property
+    def fixed_curve(self):
+        """Degree of the fixed curve and its multiplicity at the points."""
+        return 3 * (self.m + 1), self.m + 1
+
+
+# Dolgachev, Classical Algebraic Geometry, ch. 8: on the blow-up S the map
+# acts by H -> degree H - 3m sum E_i, the anti-reflection in K_S
+DEL_PEZZO = {"geiser": DelPezzoType(7, 1, 8), "bertini": DelPezzoType(8, 2, 17)}
+
+
 @dataclass(frozen=True)
 class PointConfig:
     points: tuple
-    kind: str            # "geiser" | "bertini"
-    # basis of the configuration's linear system: the net of cubics through
-    # the 7 points, or the sextics singular at the 8 (solved once, here)
+    kind: str            # a key of DEL_PEZZO
+    # basis of |-mK|: the net of cubics through the 7 points, or the
+    # sextics singular at the 8 (solved once, here)
     system: tuple = field(compare=False)
 
 
 def make_point_config(points, kind: str) -> PointConfig:
-    """Validate a 7-point (Geiser) or 8-point (Bertini) configuration.
+    """Validate the configuration of a kind of DEL_PEZZO: 7 points (Geiser)
+    or 8 points (Bertini).
 
     The points must be in general position: pairwise distinct, no 3
     collinear, no 6 on a conic, and for 8 points no cubic through all of
     them singular at one. Then the blow-up is a del Pezzo surface of degree
-    2 (resp. 1), no curve lies in the base locus of the pencil (net) through
-    any other point, and the linear system has the expected dimension (3
+    2 (resp. 1), no curve lies in the base locus of the members of |-mK|
+    through any other point, and |-mK| has the expected dimension (3
     cubics, resp. 4 sextics).
     """
-    expected = {"geiser": 7, "bertini": 8}[kind]
+    if kind not in DEL_PEZZO:
+        raise ValidationError("unknown kind", f"no point configuration for kind {kind!r}")
+    dp = DEL_PEZZO[kind]
     pts = tuple(points)
     n = len(pts)
-    if n != expected:
-        raise ValidationError("bad count", f"{kind} needs {expected} points, got {n}")
+    if n != dp.n:
+        raise ValidationError("bad count", f"{kind} needs {dp.n} points, got {n}")
     if len(set(pts)) != n:
         raise ValidationError("degenerate configuration", "points are not pairwise distinct")
     for t in combinations(range(n), 3):
@@ -249,7 +276,7 @@ def make_point_config(points, kind: str) -> PointConfig:
             if matrix_rank(multiplicity_conditions(coords, 3, [1] * i + [2] + [1] * (n - 1 - i))) < 10:
                 raise ValidationError("degenerate configuration",
                                       f"a cubic through the points is singular at point {i}")
-    basis = cubic_system(pts) if kind == "geiser" else sextic_system(pts)
+    basis = cubic_system(pts) if dp.m == 1 else sextic_system(pts)
     return PointConfig(pts, kind, tuple(basis))
 
 
@@ -393,52 +420,28 @@ def _in_span(u, v) -> bool:
                                           for i in range(n) for j in range(i + 1, n))
 
 
-def _is_ninth_base_point(cubics, base, x: ProjPoint, cx, y, cy) -> bool:
-    """Certificate that the point with integer coordinates y (any nonzero
-    multiple will do: the test is homogeneous) is the ninth base point of
-    the pencil of cubics through x in the span of `cubics`, whose other base
-    points are the seven points `base` and x. cx and cy are the values of
-    `cubics` at x and at y; the members through x are those whose
-    coefficients are orthogonal to cx.
-
-    Every member vanishes at y exactly when cy lies in span(cx): then f(y) =
-    h(y) = 0 for the two members f, h of _perp_basis(cx) spanning the
-    pencil. Where y is x or a base point (cy = 0 there), grad f and grad h
-    must also be parallel at y (a double base point); only then are f and h
-    built. In general position the pencil has exactly nine base points
-    counted with multiplicity, so y is unique."""
-    if not _in_span(cx, cy):
-        return False
-    if any(_cross(x.coords, y)) and (any(cy) or ProjPoint(*y) not in base):
-        return True
-    f, h = (_Cubic.combination(c, cubics) for c in _perp_basis(cx))
-    return not any(_cross(f.grad(y), h.grad(y)))
-
-
-def _ninth_base_point(cubics, base, x: ProjPoint, cx):
-    """Certified ninth base point of the pencil of cubics through x in the
-    span of `cubics`, whose values at x are cx, and whose other base points
-    are the seven points `base` and x.
+def _ninth_base_point(cubics, base, x: ProjPoint, cx, accept):
+    """The ninth base point of the pencil of cubics through x in the span
+    of `cubics`, whose values at x are cx, and whose other base points are
+    the seven points `base` and x: the first candidate q, an integer triple,
+    that accept(q) takes.
 
     On each member s f + t h in the order of _MEMBERS, with f, h the members
     of _perp_basis(cx), the seven rotations of the base points are tried in
-    turn until a candidate passes _is_ninth_base_point. On a smooth member
-    no step degenerates, so one of the 13 members certifies. Returns the
-    point and the number of constructions tried."""
+    turn. On a smooth member no step degenerates, so one of the 13 members
+    gives the point. Returns it and the number of constructions tried."""
     fc, hc = _perp_basis(cx)
     f, h = _Cubic.combination(fc, cubics), None
     pts = tuple(p.coords for p in base)
     attempts = 0
     for s, t in _MEMBERS:
         if t and h is None:
-            h = _Cubic.combination(hc, cubics)       # most points certify on f
+            h = _Cubic.combination(hc, cubics)       # most points are found on f
         member = f if not t else h if not s else _Cubic.combination((s, t), (f, h))
         for k in range(7):
             attempts += 1
             q = _cayley_bacharach(member, pts[k:] + pts[:k], x.coords)
-            if q is None:
-                continue
-            if _is_ninth_base_point(cubics, base, x, cx, q, [g.value(q) for g in cubics]):
+            if q is not None and accept(q):
                 return ProjPoint(*q), attempts
     raise ExtractionError(f"no certified ninth base point after {attempts} constructions")
 
@@ -473,51 +476,103 @@ class EvalTrace:
     attempts: int
 
 
-class GeiserInvolution:
-    """Geiser involution attached to 7 points in general position."""
+class DelPezzoInvolution:
+    """The deck involution of the map given by |-mK| on the blow-up of the
+    points of a configuration in general position, for the kind of
+    DEL_PEZZO that a subclass names. A subclass gives the chord-tangent
+    construction (eval_detail) and the fixed curve."""
 
-    def __init__(self, config: PointConfig, seed: int = 0):
-        if config.kind != "geiser":
-            raise ValidationError("bad config", "expected a 7-point configuration")
+    kind = ""
+
+    def __init__(self, config: PointConfig):
+        self.family = DEL_PEZZO[self.kind]
+        if config.kind != self.kind:
+            raise ValidationError("bad config", f"expected a {self.kind} configuration of {self.family.n} points")
         self.config = config
-        self.seed = seed
 
     @cached_property
-    def net(self):
+    def space(self):
+        """Basis of |-mK| (PointConfig.system)."""
         return list(self.config.system)
 
     @cached_property
-    def _net_cubics(self):
-        return [_Cubic.from_hpoly(g) for g in self.net]
+    def _at(self):
+        """The space's one Evaluator, for its values at an integer triple."""
+        return Evaluator(self.space)
 
-    @cached_property
-    def fixed_sextic(self) -> HPoly:
-        """Jacobian of the net."""
-        j = _jacobian(*self.net)
-        if j.is_zero():
-            raise ValidationError("degenerate configuration", "Jacobian sextic vanishes")
-        return j
-
-    def _net_values(self, x: ProjPoint):
-        """Values of the net basis at x; the members through x, those with
-        coefficients orthogonal to them, form a pencil."""
-        vals = [g.value(x.coords) for g in self._net_cubics]
+    def _values(self, x: ProjPoint):
+        """Values of the space at x, orthogonal to the members through x."""
+        vals = self._at(x.coords)
         if not any(vals):
-            raise ValidationError("pencil dimension wrong", f"net does not restrict to a pencil at {x}")
+            raise ValidationError("system dimension wrong",
+                                  f"the members through {x} do not form a hyperplane of the system")
         return vals
+
+    def certifies(self, x, vx, y, vy) -> bool:
+        """Certificate that y is the image of x, for integer triples x off
+        the base points and y != 0 with values vx and vy of the space;
+        homogeneous in y. If y is a base point, x lies on the member with
+        multiplicity m + 1 at y, the curve contracted to y. Otherwise vy is
+        a nonzero multiple of vx, and if also y = x, the gradients of the
+        space at x have rank < 3. In general position the members through x
+        meet in one more point, counted with multiplicity: the image.
+
+        For Geiser, with f and h spanning the pencil through x, both clauses
+        say that grad f and grad h are parallel at y (a double base point).
+        At a base point: some member of the pencil is singular there. At x:
+        a member g not through x has x . grad g(x) = 3 g(x) != 0 (Euler)
+        while x . grad f(x) = x . grad h(x) = 0, so the net's gradients at x
+        have rank one more than grad f(x) and grad h(x)."""
+        if not any(vy):
+            y = ProjPoint(*y)
+            return y in self.config.points and matrix_rank(
+                [vx] + multiplicity_values(self.space, [y.coords], [self.family.m + 1])) < len(self.space)
+        if not _in_span(vx, vy):
+            return False
+        if any(_cross(x, y)):
+            return True
+        return matrix_rank(multiplicity_values(self.space, [x], [2])) < 3
 
     def eval(self, x: ProjPoint) -> ProjPoint:
         return self.eval_detail(x)[0]
 
+    def record(self) -> InvolutionRecord:
+        return InvolutionRecord(kind=self.kind, degree=self.family.degree, evaluator=self.eval,
+                                fixed_curve=self.fixed_curve, config=self.config)
+
+
+class GeiserInvolution(DelPezzoInvolution):
+    """Geiser involution attached to 7 points in general position."""
+
+    kind = "geiser"
+
+    def __init__(self, config: PointConfig, seed: int = 0):
+        super().__init__(config)
+        self.seed = seed
+
+    @cached_property
+    def _net_cubics(self):
+        return [_Cubic.from_hpoly(g) for g in self.space]
+
+    @cached_property
+    def fixed_curve(self) -> HPoly:
+        """Jacobian of the net, a sextic."""
+        j = _jacobian(*self.space)
+        if j.is_zero():
+            raise ValidationError("degenerate configuration", "Jacobian sextic vanishes")
+        return j
+
+    fixed_sextic = property(lambda self: self.fixed_curve)
+
     def eval_detail(self, x: ProjPoint):
         """Ninth base point of the pencil of cubics through the 7 points and
-        x, and the EvalTrace of its construction (_ninth_base_point): the
-        net takes values proportional to its values at x on the image, which
-        is x or a base point only where the pencil has a double base point
-        there."""
+        x, the first candidate of _ninth_base_point that passes certifies,
+        and the EvalTrace of its construction."""
         if x in self.config.points:
             raise IndeterminacyError(f"{x} is a base point of the involution")
-        image, attempts = _ninth_base_point(self._net_cubics, self.config.points, x, self._net_values(x))
+        vx = self._values(x)
+        image, attempts = _ninth_base_point(self._net_cubics, self.config.points, x, vx,
+                                            lambda q: self.certifies(x.coords, vx, q, self._at(q)))
         return image, EvalTrace(attempts)
 
     @cached_property
@@ -529,8 +584,8 @@ class GeiserInvolution:
         the matrix of the l_k, sigma = adj(L) diag(lambda) P. At the first
         seeded x where no P_k vanishes, with y = sigma(x) from the evaluator,
         lambda_k is proportional to l_k(y) times the product of the other
-        P_j(x). The result is then checked at 100 fresh seeded points by the
-        ninth-base-point certificate (_check_fit).
+        P_j(x). The result is then checked at 100 fresh seeded points by
+        certifies (_check_fit).
         """
         pts = self.config.points
         octics = octic_triple_system(pts)
@@ -560,19 +615,14 @@ class GeiserInvolution:
         return sigma
 
     def _check_fit(self, sigma: RationalMap, stream: SplitMix64):
-        """Refuse sigma unless, at 100 points drawn from the stream, sigma(x)
-        is the ninth base point of the pencil through x. In general position
-        that pencil has one base point besides the 7 points and x, the only
-        point _is_ninth_base_point accepts and the only image the evaluator
-        can return, so this is the comparison with the evaluator. The net
-        and sigma are each evaluated through one Evaluator, the net at x and
-        at the values of sigma at x, as they are (the certificate is
-        homogeneous in y)."""
-        net, comps = Evaluator(self.net), Evaluator(sigma.components)
+        """Refuse sigma unless, at 100 points drawn from the stream,
+        certifies takes sigma(x), the only point it takes in general position
+        and so the evaluator's image. The net is evaluated at x and at the
+        values of sigma at x, as they are (the certificate is homogeneous)."""
+        net, comps = self._at, Evaluator(sigma.components)
         for x in islice(self._candidates(stream, 100), 100):
             y = comps(x.coords)
-            if not any(y) or not _is_ninth_base_point(self._net_cubics, self.config.points,
-                                                      x, net(x.coords), y, net(y)):
+            if not any(y) or not self.certifies(x.coords, net(x.coords), y, net(y)):
                 image = ProjPoint(*y) if any(y) else None
                 raise ValidationError("interpolation failed",
                                       f"fitted map sends {x} to {image}, not to the ninth base point")
@@ -589,29 +639,11 @@ class GeiserInvolution:
                     yield x
         raise ValidationError("sampling failed", "could not draw enough sample points")
 
-    def record(self, interpolate: bool = False) -> InvolutionRecord:
-        sigma = self.interpolated_map if interpolate else None
-        return InvolutionRecord(
-            kind="geiser",
-            degree=8,
-            evaluator=self.eval,
-            map=sigma,
-            fixed_curve=self.fixed_sextic,
-            config=self.config,
-        )
 
-
-class BertiniInvolution:
+class BertiniInvolution(DelPezzoInvolution):
     """Bertini involution attached to 8 points in general position."""
 
-    def __init__(self, config: PointConfig):
-        if config.kind != "bertini":
-            raise ValidationError("bad config", "expected an 8-point configuration")
-        self.config = config
-
-    @cached_property
-    def space(self):
-        return list(self.config.system)
+    kind = "bertini"
 
     @cached_property
     def _pencil_forms(self):
@@ -623,15 +655,18 @@ class BertiniInvolution:
         return [_Cubic.from_hpoly(c) for c in self._pencil_forms]
 
     @cached_property
-    def _space_at(self):
-        return Evaluator(self.space)
-
-    @cached_property
     def ninth_point(self) -> ProjPoint:
         """Ninth base point p9 of the cubic pencil through the 8 points: the
         Geiser construction on that pencil, with p8 in the role of x (where
-        both members vanish)."""
-        return _ninth_base_point(self._cubic_pencil, self.config.points[:7], self.config.points[7], (0, 0))[0]
+        both members vanish), taking a common zero of c1 and c2 that is not
+        one of the 8. In general position p9 is a simple base point off the
+        8: blown up, it is the base point of |-K| on the del Pezzo surface
+        of degree 1, which lies on no (-1)-curve, the E_i among them."""
+        c1, c2 = self._cubic_pencil
+        pts = self.config.points
+        return _ninth_base_point(
+            self._cubic_pencil, pts[:7], pts[7], (0, 0),
+            lambda q: not c1.value(q) and not c2.value(q) and ProjPoint(*q) not in pts)[0]
 
     @cached_property
     def fixed_curve(self) -> HPoly:
@@ -645,28 +680,16 @@ class BertiniInvolution:
         s = next(s for s in self.space if matrix_rank(rows + [[s.terms.get(e, 0) for e in monos]]) == 4)
         return _jacobian(c1, c2, s)
 
-    def _space_values(self, x: ProjPoint):
-        vals = self._space_at(x.coords)
-        if not any(vals):
-            raise ValidationError("net dimension wrong", f"sextic space does not restrict to a net at {x}")
-        return vals
-
-    def eval(self, x: ProjPoint) -> ProjPoint:
-        return self.eval_detail(x)[0]
-
     def eval_detail(self, x: ProjPoint):
         """Image of x under the Bertini involution, and the EvalTrace.
 
         On the member f of the cubic pencil through x the image is -x in the
         group law with origin p9, third(x, third(p9, p9)); at a singular
-        point of f, where no chord is defined, x itself is the candidate. A
-        candidate y is certified when the sextics singular at the 8 points
-        take proportional values at x and y, and, if y is x, when their
-        gradients at x have rank < 3, or, if y is a base point, when x lies
-        on the member with a triple point at y."""
+        point of f, where no chord is defined, x itself is the candidate.
+        The first candidate that passes certifies is the image."""
         if x in self.config.points:
             raise IndeterminacyError(f"{x} is a base point of the involution")
-        vx = self._space_values(x)
+        vx = self._values(x)
         c1, c2 = self._cubic_pencil
         u1, u2 = c1.value(x.coords), c2.value(x.coords)
         f = _Cubic.combination((u2, -u1), (c1, c2)) if u1 or u2 else c1
@@ -674,37 +697,9 @@ class BertiniInvolution:
         o = f.third(p9, p9)
         y = o and f.third(x.coords, o)
         for attempts, candidate in enumerate((y, x.coords), start=1):
-            if candidate is None:
-                continue
-            image = ProjPoint(*candidate)
-            if self._certified(x, vx, image):
-                return image, EvalTrace(attempts)
+            if candidate is not None and self.certifies(x.coords, vx, candidate, self._at(candidate)):
+                return ProjPoint(*candidate), EvalTrace(attempts)
         raise ExtractionError("no certified image: the chord construction degenerates at this point")
-
-    def _certified(self, x: ProjPoint, vx, y: ProjPoint) -> bool:
-        """Certificate that y is the image of x, given the values vx of the
-        sextic space at x: where y is a base point, x lies on the member
-        with a triple point at y; elsewhere the space's values at y, taken
-        through its one Evaluator, are a nonzero multiple of vx, and where
-        y is x its gradients there have rank < 3."""
-        if y in self.config.points:
-            rows = [vx] + multiplicity_values(self.space, [y.coords], [3])
-            return matrix_rank(rows) < len(self.space)
-        vy = self._space_at(y.coords)
-        if not any(vy) or not _in_span(vx, vy):
-            return False
-        if y == x:
-            return matrix_rank(multiplicity_values(self.space, [x.coords], [2])) < 3
-        return True
-
-    def record(self) -> InvolutionRecord:
-        return InvolutionRecord(
-            kind="bertini",
-            degree=17,
-            evaluator=self.eval,
-            fixed_curve=self.fixed_curve,
-            config=self.config,
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 tracer wraps (perfbench/tracer.py, TRACED) must be defined where the tracer
 looks for it; otherwise a traced benchmark run fails with KeyError while
 installing its wrappers. Every point configuration it draws must pass
-make_point_config, or the worker fails while setting up."""
+make_point_config, or the worker fails while setting up. And the worker
+must run its ops on the package and get answers its checker accepts."""
 
 import importlib
 import importlib.util
@@ -29,16 +30,35 @@ def test_traced_names_resolve():
     assert missing == []
 
 
-def test_benchmark_configurations_pass_the_gate(monkeypatch):
-    from planecremona.involutions import make_point_config
-    from planecremona.projmaps import ProjPoint
-
+def _load_run(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
+    return run
+
+
+def test_benchmark_configurations_pass_the_gate(monkeypatch):
+    from planecremona.involutions import make_point_config
+    from planecremona.projmaps import ProjPoint
+
+    run = _load_run(monkeypatch)
     for kind in ("geiser", "bertini"):
         _job, _expects, ctx = run.build(kind, seed=1, seconds=1)
         assert ctx["configs"]
         for pts in ctx["configs"]:
             make_point_config([ProjPoint(*p) for p in pts], kind)
+
+
+def test_the_worker_runs_each_op_kind_and_its_answers_check(monkeypatch):
+    """One configuration per workload: a Geiser eval and fit, a Bertini
+    eval, run through the worker in a fresh interpreter and checked by
+    run.correct."""
+    run = _load_run(monkeypatch)
+    for kind, wanted in (("geiser", ("interp", "eval")), ("bertini", ("eval",))):
+        job, expects, ctx = run.build(kind, seed=1, seconds=1)
+        keep = [next(i for i, op in enumerate(job["ops"]) if op[0] == k and op[1] == 0) for k in wanted]
+        job.update(configs=job["configs"][:1], ops=[job["ops"][i] for i in keep])
+        ops = run.run_worker(job)["ops"]
+        assert [op["error"] for op in ops] == [None] * len(keep)
+        assert all(run.correct(expects[i], op, ctx) for i, op in zip(keep, ops))

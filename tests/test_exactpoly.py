@@ -308,8 +308,8 @@ def test_resultant_pencil_of_cubics_degree_nine(seven_config):
     from planecremona.projmaps import ProjPoint
 
     g = GeiserInvolution(seven_config)
-    f, h = (sum((q * c for c, q in zip(coeffs, g.net)), HPoly.zero(3))
-            for coeffs in _perp_basis(g._net_values(ProjPoint(2, 3, 7))))
+    f, h = (sum((q * c for c, q in zip(coeffs, g.space)), HPoly.zero(3))
+            for coeffs in _perp_basis(g._values(ProjPoint(2, 3, 7))))
     # move to coordinates where no intersection point sits at the projection
     # center (0:0:1); otherwise the elimination drops that point and one
     # degree with it

@@ -7,6 +7,7 @@ from planecremona.errors import IndeterminacyError, ValidationError
 from planecremona.exactpoly import kernel_basis, matrix_rank
 from planecremona.fixedcurve import invariant_of
 from planecremona.involutions import (
+    DEL_PEZZO,
     BertiniInvolution,
     GeiserInvolution,
     _perp_basis,
@@ -14,6 +15,7 @@ from planecremona.involutions import (
     make_point_config,
     sextic_system,
 )
+from planecremona.picard import anti_reflection_in_k, make_lattice
 from planecremona.projmaps import ProjPoint
 from tests.streams import sample_points
 
@@ -37,6 +39,28 @@ def test_repeated_point_rejected():
         cubic_system(pts)
 
 
+def test_unknown_kind_refused(seven_config):
+    pts = list(seven_config.points)
+    for kind in ("Geiser", "dj", ""):
+        with pytest.raises(ValidationError, match=f"no point configuration for kind {kind!r}") as err:
+            make_point_config(pts, kind)
+        assert err.value.reason == "unknown kind"
+
+
+@pytest.mark.parametrize("kind", DEL_PEZZO)
+def test_del_pezzo_table_is_the_anti_reflection_in_k(kind, geiser, bertini):
+    """On the blow-up of n points the involution pulls H back to
+    degree H - 3m sum E_i: column 0 of the anti-reflection in K, (8, -3, ...)
+    and (17, -6, ...); the record carries that degree."""
+    dp = DEL_PEZZO[kind]
+    matrix = anti_reflection_in_k(make_lattice(dp.n)).matrix
+    assert [row[0] for row in matrix] == [dp.degree] + [-3 * dp.m] * dp.n
+    inv = geiser if kind == "geiser" else bertini
+    assert inv.config.kind == kind and len(inv.config.points) == dp.n
+    assert inv.record().degree == dp.degree
+    assert (inv.fixed_curve.degree, dp.m + 1) == dp.fixed_curve
+
+
 def test_collinear_triple_rejected():
     pts = [ProjPoint(*c) for c in [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1),
                                    (1, 2, 3), (2, 5, 1), (3, 1, 2)]]
@@ -54,8 +78,8 @@ def test_collinear_eight_rejected():
 # -- the linear systems ----------------------------------------------------------
 
 def test_net_cubics_vanish_at_base_points(seven_config, geiser):
-    assert len(geiser.net) == 3
-    for g in geiser.net:
+    assert len(geiser.space) == 3
+    for g in geiser.space:
         assert g.degree == 3
         for p in seven_config.points:
             assert g.eval(p.coords) == 0
@@ -103,7 +127,7 @@ def test_geiser_jacobian_properties(geiser, seven_config):
 def test_jacobian_invariant_under_basis_change(geiser, seven_config):
     # replacing the net basis by an invertible combination rescales the
     # determinant by a constant, so the canonical form is unchanged
-    g1, g2, g3 = geiser.net
+    g1, g2, g3 = geiser.space
     new_basis = [g1 + g2, g2, g3 + g1]
     rows = [[g.partial(v) for v in range(3)] for g in new_basis]
     det = (
@@ -301,20 +325,20 @@ def test_net_restriction_dimensions(geiser, bertini):
     x = ProjPoint(2, 3, 7)
     # the members of the net of cubics through x: a pencil, spanned by the
     # two coefficient vectors orthogonal to the net's values at x
-    values = [g.eval(x.coords) for g in geiser.net]
-    assert geiser._net_values(x) == values
+    values = [g.eval(x.coords) for g in geiser.space]
+    assert geiser._values(x) == values
     members = _perp_basis(values)
     assert matrix_rank(members) == 2 == len(kernel_basis([values]))
     assert all(sum(c * v for c, v in zip(m, values)) == 0 for m in members)
     # the members of the space of 4 sextics through x: a net
-    vx = bertini._space_values(x)
+    vx = bertini._values(x)
     assert vx == [s.eval(x.coords) for s in bertini.space]
     assert len(kernel_basis([vx])) == 3
     # at a base point the restriction degenerates
     with pytest.raises(ValidationError):
-        geiser._net_values(geiser.config.points[0])
+        geiser._values(geiser.config.points[0])
     with pytest.raises(ValidationError):
-        bertini._space_values(bertini.config.points[0])
+        bertini._values(bertini.config.points[0])
 
 
 def test_involutions_commute_with_relabeling(seven_config):

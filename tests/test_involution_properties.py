@@ -3,14 +3,15 @@ sets in general position. Linear systems and general position are computed
 here with plain Fraction elimination, apart from the package."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from math import lcm
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from planecremona.errors import ValidationError
 from planecremona.exactpoly import HPoly
 from planecremona.involutions import (
-    BertiniInvolution, GeiserInvolution, _Cubic, _is_ninth_base_point, make_point_config,
+    BertiniInvolution, GeiserInvolution, _Cubic, make_point_config,
 )
 from planecremona.projmaps import ProjPoint, RationalMap
 from planecremona.rng import SplitMix64
@@ -142,8 +143,8 @@ def test_bertini_involutive_and_on_net(pts, x):
 
 def pencil_through(inv, x):
     """Two HPoly members spanning the pencil of net cubics through x."""
-    vx = [g.eval(x.coords) for g in inv.net]
-    return [sum((g * c for c, g in zip(vec, inv.net) if c), HPoly.zero(3)).canonical()
+    vx = [g.eval(x.coords) for g in inv.space]
+    return [sum((g * c for c, g in zip(vec, inv.space) if c), HPoly.zero(3)).canonical()
             for vec in kernel([vx])]
 
 
@@ -159,11 +160,11 @@ def pencil_certificate(f, h, base, x, y):
 
 
 def net_certificate(inv, x, y, scale=1):
-    """_is_ninth_base_point on the net's values at x and at y, the latter
-    given as the triple of y times scale."""
+    """The shared certificate (certifies) on the net's values at x and at
+    y, the latter given as the triple of y times scale."""
     q = [scale * v for v in y.coords]
-    return _is_ninth_base_point(inv._net_cubics, inv.config.points, x, inv._net_values(x), q,
-                                [g.eval(q) for g in inv.net])
+    return inv.certifies(x.coords, [g.eval(x.coords) for g in inv.space], q,
+                         [g.eval(q) for g in inv.space])
 
 
 @seeded(20)
@@ -244,6 +245,92 @@ def test_net_certificate_agrees_with_the_pencil_form(case):
         expected = pencil_certificate(f, h, pts, x, q)
         assert net_certificate(inv, x, q) == expected == net_certificate(inv, x, q, -3), q
     assert pencil_certificate(f, h, pts, x, y)
+
+
+def derivative_value(e, orders, p):
+    """The partial derivative of the monomial e along the variables in
+    orders, at p."""
+    e = list(e)
+    factor = 1
+    for v in orders:
+        factor *= e[v]
+        e[v] -= 1
+    return factor and factor * monomial_value(e, p)
+
+
+def contracted_curve(points, a):
+    """Monomials and coefficients of the member of |-mK|, m = n - 6, with
+    multiplicity m + 1 at points[a]: the cubic C_a through the 7 points
+    singular at p_a, or the sextic S_a singular at the 8 and triple at p_a."""
+    m = len(points) - 6
+    monos = monomials(3 * m)
+    rows = [[derivative_value(e, orders, p) for e in monos]
+            for i, p in enumerate(points)
+            for orders in combinations_with_replacement(range(3), m if i == a else m - 1)]
+    (vec,) = kernel(rows)
+    return monos, vec
+
+
+def contracted_point(points, a, q):
+    """The point other than p_a and q where the line from p_a to q meets
+    the member of contracted_curve(points, a), or None. That member has
+    multiplicity m + 1 at p_a; with q a point off it (Geiser) or another
+    base point (Bertini), f(p_a + t q) = t^(m+1) (c + c' t) once its terms
+    beyond t^(m+2) vanish."""
+    m = len(points) - 6
+    p = points[a]
+    coeffs = [Fraction(0)] * (3 * m + 1)
+    for e, c in zip(*contracted_curve(points, a)):
+        poly = [c]
+        for i in range(3):
+            for _ in range(e[i]):
+                poly = [p[i] * u + q[i] * w for u, w in zip(poly + [0], [0] + poly)]
+        coeffs = [u + w for u, w in zip(coeffs, poly)]
+    assert not any(coeffs[:m + 1])
+    if any(coeffs[m + 3:]):
+        return None
+    r = [coeffs[m + 2] * u - coeffs[m + 1] * w for u, w in zip(p, q)]
+    den = lcm(*(v.denominator for v in r))
+    return ProjPoint(*(int(v * den) for v in r)) if any(r) else None
+
+
+def involution(pts):
+    n = len(pts)
+    kind, cls = ("geiser", GeiserInvolution) if n == 7 else ("bertini", BertiniInvolution)
+    return cls(make_point_config(pts, kind))
+
+
+@seeded(12)
+@given(case=st.sampled_from((7, 8)).flatmap(
+    lambda n: st.tuples(point_sets(n), st.integers(0, n - 1), coords)))
+def test_certificate_on_the_contracted_curves(case):
+    """For x on the curve contracted to p_a (C_a or S_a), the certificate
+    takes p_a, also as a multiple of its triple, and refuses every other
+    base point, and the evaluator returns p_a. Off the fixed curve it also
+    refuses x itself."""
+    pts, a, d = case
+    base = [p.coords for p in pts]
+    x = contracted_point(base, a, d if len(pts) == 7 else base[a - 1])
+    assume(x is not None and x not in pts)
+    inv = involution(pts)
+    vx = [g.eval(x.coords) for g in inv.space]
+    for b, p in enumerate(base):
+        for q in (p, [-2 * v for v in p]):
+            assert inv.certifies(x.coords, vx, q, [g.eval(q) for g in inv.space]) == (b == a), (b, q)
+    assert inv.eval(x) == pts[a]
+    if inv.fixed_curve.eval(x.coords):
+        assert not inv.certifies(x.coords, vx, x.coords, vx)
+
+
+@seeded(5)
+@given(pts=point_sets(8))
+def test_ninth_point_is_the_ninth_base_point_of_the_cubic_pencil(pts):
+    p9 = BertiniInvolution(make_point_config(pts, "bertini")).ninth_point
+    monos = monomials(3)
+    pencil = kernel([[monomial_value(e, p.coords) for e in monos] for p in pts])
+    assert len(pencil) == 2
+    assert values((monos, pencil), p9.coords) == [0, 0]
+    assert p9 not in pts
 
 
 @seeded(3)

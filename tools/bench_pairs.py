@@ -12,7 +12,8 @@ the output holds both sides' medians, first and third quartiles, raw runs
 and the number of seeds in which the change reads better. With
 --traced-seed N, one `--trace 1` run of each workload at seed N on each side
 adds, as traced_<workload>_seed_<N>, the per-layer calls and self time per op
-of every layer that ran.
+of every layer that ran. src_lines gives each side's line count of
+src/**/*.py, for the net lines a change adds or removes.
 
 Nothing is imported from perfbench/; the runs are subprocesses.
 """
@@ -109,6 +110,17 @@ def traced_workload(parent, change, workload, seed):
     return out
 
 
+def src_lines(checkout):
+    """Lines of the Python files under the checkout's src/."""
+    total = 0
+    for root, _dirs, files in os.walk(os.path.join(checkout, "src")):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(root, name), encoding="utf-8") as fh:
+                    total += sum(1 for _ in fh)
+    return total
+
+
 def git_rev(checkout):
     proc = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=checkout,
                           capture_output=True, text=True)
@@ -133,6 +145,7 @@ def main(argv=None):
         "host": f"{os.cpu_count()}-core {platform.machine()}, Python {platform.python_version()}; "
                 f"{len(args.seeds)} pairs per workload, alternating which side runs first",
         "parent": git_rev(parent),
+        "src_lines": {"parent": src_lines(parent), "change": src_lines(change)},
         "pairs_won": "pairs of the same seed in which the change reads better; ties count for neither",
         "iqr": "first and third quartiles, Python statistics.quantiles(n=4), exclusive method",
         "workloads": {w: paired_workload(parent, change, w, args.seeds, end_to_end)
