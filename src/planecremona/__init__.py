@@ -44,12 +44,10 @@ from .fixedcurve import (
     invariant_of,
 )
 from .picard import (
-    ConicBundleModel,
     LatticeInvolution,
     PicLattice,
     anti_reflection_in_k,
     classify_pair,
-    elementary_transformation,
     exceptional_classes,
     exceptional_classes_bruteforce,
     fixed_rank,

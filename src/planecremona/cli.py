@@ -2,11 +2,12 @@
 
 Subcommands mirror the package's objects: dj, dj-conic, geiser, bertini,
 verify, fixed-curve, invariant, classify, lattice (make | reflect |
-exceptionals | minimal | classify), elmt. With --json the output is a
-single JSON document that is byte-identical across runs with equal inputs
-and seed (keys sorted, fixed separators, no timestamps or timing). Exit
-codes: 0 success, 2 validation failure (machine-readable reason), 1
-internal error.
+exceptionals | minimal | classify). With --json the output is a single
+JSON document that is byte-identical across runs with equal arguments
+(keys sorted, fixed separators, no timestamps or timing). Exit codes: 0
+success, 2 validation failure (machine-readable reason), 1 internal error.
+Only geiser takes --seed, and only geiser --interpolate reads it: it seeds
+the sample stream of the fit and is printed with the fitted map.
 
 Input grammars:
   polynomials   signed terms  c x^i*y^j*z^k  with rational c like 3/4 and
@@ -21,7 +22,7 @@ Input grammars:
                 list of three such strings
   point files   one point per line, '#' comments allowed
   matrix files  whitespace-separated integers, row-major, first line = rank
-  integer lists --alpha and --contacts take comma-separated integers
+  integer lists --alpha takes comma-separated integers
 """
 
 import argparse
@@ -201,14 +202,12 @@ def _map_json(m: RationalMap):
     }
 
 
-def _record_json(record, seed: int):
+def _record_json(record):
     inv = fixedcurve.invariant_of(record)
     out = {
-        "kind": inv.source,
         "label": inv.source,
         "degree": record.degree,
         "invariant": inv.as_dict(),
-        "seed": seed,
     }
     if record.map is not None:
         out.update(_map_json(record.map))
@@ -236,8 +235,6 @@ def _default_human(payload, prefix=""):
         if isinstance(val, dict):
             lines.append(f"{prefix}{key}:")
             lines.extend(_default_human(val, prefix + "  "))
-        elif isinstance(val, list):
-            lines.append(f"{prefix}{key}: {val}")
         else:
             lines.append(f"{prefix}{key}: {val}")
     return lines
@@ -250,7 +247,7 @@ def _default_human(payload, prefix=""):
 def _cmd_dj(args) -> int:
     """dj and dj-conic: args.construct is dj_involution or dj_from_conic."""
     record = args.construct(parse_poly(args.curve), parse_point(args.p))
-    payload = _record_json(record, args.seed)
+    payload = _record_json(record)
     base = fixedcurve.rational_base_points(record)
     payload["rational_base_points"] = [str(b) for b in base]
     emit(payload, args.json)
@@ -266,22 +263,25 @@ def _load_config(args, kind: str):
     return involutions.make_point_config(pts, kind)
 
 
-def _configuration_involution(args, kind: str):
+def _configuration_involution(args, kind: str, seed: int = 0):
     config = _load_config(args, kind)
     if kind == "geiser":
-        return involutions.GeiserInvolution(config, seed=args.seed)
+        return involutions.GeiserInvolution(config, seed=seed)
     return involutions.BertiniInvolution(config)
 
 
 def _cmd_configuration(args) -> int:
     """geiser and bertini: the involution of a point configuration, with its
-    label and invariant from invariant_of, which checks its fixed curve."""
-    inv = _configuration_involution(args, args.command)
+    label and invariant from invariant_of, which checks its fixed curve.
+    geiser --interpolate also fits the closed-form map from the stream of
+    --seed, and prints that seed."""
+    seed = getattr(args, "seed", 0)
+    if seed < 0:
+        raise ValidationError("bad request", "--seed must be >= 0")
+    inv = _configuration_involution(args, args.command, seed)
     invariant = fixedcurve.invariant_of(inv.record())
     payload = {
-        "kind": invariant.source,
         "label": invariant.source,
-        "seed": args.seed,
         "points": [str(p) for p in inv.config.points],
         "invariant": invariant.as_dict(),
     }
@@ -296,6 +296,7 @@ def _cmd_configuration(args) -> int:
         payload["image"] = str(image)
         payload["trace"] = {"attempts": trace.attempts}
     if getattr(args, "interpolate", False):
+        payload["seed"] = seed
         payload["map"] = _map_json(inv.interpolated_map)
     emit(payload, args.json)
     return 0
@@ -322,13 +323,11 @@ def _cmd_verify(args) -> int:
     exit code 2 with reason "not involutive" when it fails."""
     sigma = _load_map(args)
     ok = is_involution(sigma)
-    payload = {"involutive": ok, "degree": sigma.degree, "seed": args.seed}
+    payload = {"involutive": ok, "degree": sigma.degree}
     if not ok:
         payload["reason"] = "not involutive"
-        emit(payload, args.json)
-        return 2
     emit(payload, args.json)
-    return 0
+    return 0 if ok else 2
 
 
 def _cmd_fixed_curve(args) -> int:
@@ -340,7 +339,6 @@ def _cmd_fixed_curve(args) -> int:
         "degree": sigma.degree,
         "fixed_curve": format_hpoly(locus),
         "fixed_curve_degree": locus.degree,
-        "seed": args.seed,
     }
     emit(payload, args.json)
     return 0
@@ -364,7 +362,7 @@ def _cmd_invariant(args) -> int:
     if record is None:
         return _cmd_classify(args)
     inv = fixedcurve.invariant_of(record)
-    emit({"label": inv.source, "invariant": inv.as_dict(), "seed": args.seed}, args.json)
+    emit({"label": inv.source, "invariant": inv.as_dict()}, args.json)
     return 0
 
 
@@ -375,7 +373,6 @@ def _cmd_classify(args) -> int:
         "label": result.label,
         "invariant": result.invariant.as_dict() if result.invariant else None,
         "note": result.note,
-        "seed": args.seed,
     }
     emit(payload, args.json)
     return 0
@@ -398,7 +395,6 @@ def _cmd_lattice(args) -> int:
             "rank": lat.rank,
             "K": list(lat.k),
             "K_square": lat.k_square(),
-            "seed": args.seed,
         }
         emit(payload, args.json)
         return 0
@@ -406,21 +402,19 @@ def _cmd_lattice(args) -> int:
         if args.alpha:
             alpha = parse_int_list(args.alpha)
             matrix = picard.reflection_through(lat, alpha)
-            payload = {"matrix": [list(r) for r in matrix], "alpha": list(alpha), "seed": args.seed}
+            payload = {"matrix": [list(r) for r in matrix], "alpha": list(alpha)}
         else:
             inv = picard.anti_reflection_in_k(lat)
             payload = {
                 "matrix": [list(r) for r in inv.matrix],
                 "anti_reflection_in_K": True,
                 "fixed_rank": picard.fixed_rank(inv),
-                "seed": args.seed,
             }
         emit(payload, args.json)
         return 0
     if sub == "exceptionals":
         classes = picard.exceptional_classes(lat)
-        payload = {"n": lat.n, "count": len(classes),
-                   "classes": [list(c) for c in classes], "seed": args.seed}
+        payload = {"n": lat.n, "count": len(classes), "classes": [list(c) for c in classes]}
         if args.oracle:
             oracle = picard.exceptional_classes_bruteforce(lat)
             payload["oracle_count"] = len(oracle)
@@ -434,36 +428,16 @@ def _cmd_lattice(args) -> int:
         inv = picard.LatticeInvolution(lat, matrix)
         if sub == "minimal":
             res = picard.is_minimal(lat, inv)
-            payload = {"minimal": res.minimal, "seed": args.seed}
+            payload = {"minimal": res.minimal}
             if res.witness is not None:
                 payload["witness"] = list(res.witness)
                 payload["witness_image"] = list(res.image)
                 payload["failure"] = res.failure
             emit(payload, args.json)
             return 0
-        cls = picard.classify_pair(lat, inv)
-        payload = cls.as_dict()
-        payload["seed"] = args.seed
-        emit(payload, args.json)
+        emit(picard.classify_pair(lat, inv).as_dict(), args.json)
         return 0
     raise ValidationError("bad request", f"unknown lattice subcommand {sub!r}")
-
-
-def _cmd_elmt(args) -> int:
-    contacts = parse_int_list(args.contacts) if args.contacts else ()
-    model = picard.ConicBundleModel(args.n, args.s, contacts)
-    moved = picard.elementary_transformation(
-        model, on_negative_section=args.on, contact_index=args.contact_index
-    )
-    payload = {
-        "before": {"n": model.n, "singular_fibres": model.singular_fibres,
-                   "contact_orders": list(model.contact_orders)},
-        "after": {"n": moved.n, "singular_fibres": moved.singular_fibres,
-                  "contact_orders": list(moved.contact_orders)},
-        "seed": args.seed,
-    }
-    emit(payload, args.json)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0, help="seed of the deterministic stream")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("dj", help="de Jonquieres involution from a curve and center")
@@ -506,6 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "geiser":
             p.add_argument("--interpolate", action="store_true",
                            help="also fit the closed-form degree-8 map")
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed of the sample stream of --interpolate")
         common(p)
         p.set_defaults(func=_cmd_configuration)
 
@@ -542,17 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix-file", help="involution matrix file")
     common(p)
     p.set_defaults(func=_cmd_lattice)
-
-    p = sub.add_parser("elmt", help="elementary transformation bookkeeping")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, default=0, help="singular fibre count")
-    p.add_argument("--contacts", help="comma-separated contact orders")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--on", action="store_true", help="center on the negative section")
-    group.add_argument("--off", dest="on", action="store_false", help="center off the negative section")
-    p.add_argument("--contact-index", type=int)
-    common(p)
-    p.set_defaults(func=_cmd_elmt)
 
     return top
 

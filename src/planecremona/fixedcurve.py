@@ -20,7 +20,8 @@ carry their fixed curves, which invariant_of checks against the table
 involutions.DEL_PEZZO (exactpoly.multiplicity_values): degree 3(m + 1) and
 multiplicity m + 1 at each of the n points, the Jacobian sextic double at
 the 7 and the nonic triple at the 8. Raw maps without a center are
-labelled from their degree, the map degrees of that table.
+labelled from their degree and the degree of their fixed locus, the map and
+fixed-curve degrees of that table.
 """
 
 from dataclasses import dataclass
@@ -172,8 +173,8 @@ def classify_involution(arg) -> Classification:
     is DJ(g + 2), with g <= 0 the class of the linear involutions, DJ(2).
     Any other raw map must pass the grid test (projmaps.involution_on_grid);
     degree 8 with a sextic fixed locus is then a Geiser candidate and degree
-    17 a Bertini candidate (the degrees of DEL_PEZZO), labels assigned from
-    the degree.
+    17 with a nonic fixed locus a Bertini candidate (the map and fixed-curve
+    degrees of DEL_PEZZO), labels assigned from those two degrees.
     """
     if isinstance(arg, InvolutionRecord):
         inv = invariant_of(arg)
@@ -196,13 +197,12 @@ def classify_involution(arg) -> Classification:
         raise ValidationError("not involutive", "the map composed with itself is not the identity")
     d = sigma.degree
     fixed = fixed_locus(sigma)
-    caveat = "; rational fixed components not certified"
-    if d == DEL_PEZZO["geiser"].degree and fixed.degree == DEL_PEZZO["geiser"].fixed_curve[0]:
-        return Classification("Geiser", invariant_for_kind("geiser"),
-                              f"raw-map heuristic: degree {d} with fixed sextic" + caveat)
-    if d == DEL_PEZZO["bertini"].degree:
-        return Classification("Bertini", invariant_for_kind("bertini"),
-                              f"raw-map heuristic: degree {d}" + caveat)
+    for kind, dp in DEL_PEZZO.items():
+        if (d, fixed.degree) == (dp.degree, dp.fixed_curve[0]):
+            inv = invariant_for_kind(kind)
+            return Classification(inv.source, inv, (
+                f"raw-map heuristic: degree {d} with a fixed curve of degree {fixed.degree}; "
+                "rational fixed components not certified"))
     raise ValidationError(
         "unrecognized", "unrecognized involution: supply construction metadata"
     )

@@ -329,50 +329,3 @@ def classify_pair(lat: PicLattice, inv: LatticeInvolution) -> PairClassification
         LABEL_FIBRATION, mres, r,
         note="base involution triviality is not decidable at lattice level",
     )
-
-
-# ---------------------------------------------------------------------------
-# conic-bundle bookkeeping
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConicBundleModel:
-    """Bookkeeping for a ruled model: Hirzebruch index n (the negative
-    section has self-intersection -n), singular fibre count s, and the
-    contact orders between the fixed curve and the negative section."""
-
-    n: int
-    singular_fibres: int
-    contact_orders: tuple = ()
-
-    def __post_init__(self):
-        if self.n < 0 or self.singular_fibres < 0:
-            raise ValidationError("bad model", "n and s must be >= 0")
-        if any(c < 1 for c in self.contact_orders):
-            raise ValidationError("bad model", "contact orders must be >= 1")
-
-
-def elementary_transformation(
-    model: ConicBundleModel, on_negative_section: bool, contact_index: int | None = None
-) -> ConicBundleModel:
-    """Blow up a fibre point, blow down the fibre's proper transform.
-
-    The index moves to n-1 when the center is off the negative section and
-    to n+1 when it is on it; at n = 0 there is no negative section and the
-    index always increments. A transformation at a recorded contact point
-    lowers that contact order by 1 (orders below 1 are not representable:
-    order 1 means transverse)."""
-    if model.n == 0:
-        new_n = 1
-    elif on_negative_section:
-        new_n = model.n + 1
-    else:
-        new_n = model.n - 1
-    contacts = list(model.contact_orders)
-    if contact_index is not None:
-        if not 0 <= contact_index < len(contacts):
-            raise ValidationError("bad contact", "contact index out of range")
-        if contacts[contact_index] <= 1:
-            raise ValidationError("bad contact", "contact is already transverse")
-        contacts[contact_index] -= 1
-    return ConicBundleModel(new_n, model.singular_fibres, tuple(contacts))

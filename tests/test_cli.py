@@ -78,7 +78,7 @@ def test_dj_conic_reproduces_standard_map():
     assert code == 0
     assert payload["components"] == ["x*y", "x*z", "y*z"]
     assert payload["invariant"]["kind"] == "empty"
-    assert payload["kind"] == "DJ(2)"
+    assert payload["label"] == "DJ(2)"
     assert set(payload["rational_base_points"]) == {"(0:1:0)", "(1:0:0)", "(0:0:1)"}
 
 
@@ -196,7 +196,7 @@ def test_unreadable_input_file_is_a_validation_failure(tmp_path, argv, reason):
 
 @pytest.mark.parametrize("argv, reason", [
     (["lattice", "reflect", "--n", "3", "--alpha", "1,a"], "syntax error"),
-    (["elmt", "--n", "1", "--contacts", "1,x", "--on"], "syntax error"),
+    (["verify", "--map", "x;y"], "syntax error"),
     (["lattice", "reflect", "--n", "3", "--alpha", "0,1,-1,0,5"], "bad reflection"),
     (["dj", "--curve", "x*z - y^2", "--p", "(0:0:1/0)"], "syntax error"),
     (["fixed-curve", "--map", "0;0;x"], "not involutive"),
@@ -258,17 +258,6 @@ def test_quadric_lattice_classify(tmp_path):
     assert payload["label"] == "(iv)"
 
 
-def test_elmt_command():
-    code, payload, _ = run_json(["elmt", "--n", "2", "--s", "4", "--off"])
-    assert payload["after"]["n"] == 1
-    code, payload, _ = run_json(["elmt", "--n", "0", "--s", "4", "--off"])
-    assert payload["after"]["n"] == 1
-    code, payload, _ = run_json(
-        ["elmt", "--n", "1", "--s", "4", "--contacts", "3,1", "--on", "--contact-index", "0"]
-    )
-    assert payload["after"]["contact_orders"] == [2, 1]
-
-
 def test_json_output_deterministic():
     _, _, raw1 = run_json(["geiser", "--builtin", "--x", "(2:3:7)", "--seed", "5"])
     _, _, raw2 = run_json(["geiser", "--builtin", "--x", "(2:3:7)", "--seed", "5"])
@@ -282,3 +271,38 @@ def test_interpolate_flag():
     code, payload, _ = run_json(["geiser", "--builtin", "--interpolate"])
     assert code == 0
     assert payload["map"]["degree"] == 8
+    assert payload["seed"] == 0
+
+
+def test_only_geiser_takes_a_seed():
+    for argv in (
+        ["dj", "--curve", "x*z - y^2", "--p", "(0:1:0)"],
+        ["dj-conic", "--q", "x*z - y^2", "--p", "(0:1:0)"],
+        ["bertini", "--builtin"],
+        ["verify", "--map", "x*y;x*z;y*z"],
+        ["fixed-curve", "--map", "x*y;x*z;y*z"],
+        ["invariant", "--builtin", "--kind", "geiser"],
+        ["classify", "--builtin", "--kind", "geiser"],
+        ["lattice", "make", "--n", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--seed", "5", "--json"])
+        assert exc.value.code == 2
+    code, payload, _ = run_json(["geiser", "--builtin", "--seed", "5"])
+    assert code == 0 and "seed" not in payload
+
+
+def test_the_seed_changes_the_sample_stream_not_the_fitted_map():
+    maps = []
+    for seed in (5, 6):
+        code, payload, _ = run_json(["geiser", "--builtin", "--interpolate", "--seed", str(seed)])
+        assert code == 0 and payload["seed"] == seed and payload["map"]["degree"] == 8
+        maps.append(payload["map"])
+    assert maps[0] == maps[1]
+
+
+def test_negative_seed_is_refused():
+    for argv in (["geiser", "--builtin", "--seed", "-1"],
+                 ["geiser", "--builtin", "--interpolate", "--seed", "-1"]):
+        code, payload, _ = run_json(argv)
+        assert code == 2 and payload == {"error": "--seed must be >= 0", "reason": "bad request"}

@@ -15,6 +15,8 @@ import json
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import jsonschema
+
 from planecremona.cli import run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,6 +48,26 @@ def test_cli_output_matches_the_golden_file(monkeypatch):
         if (code, out) != (call["code"], call["stdout"]):
             mismatches.append(" ".join(call["argv"]))
     assert not mismatches, f"{len(mismatches)} calls differ, first: {mismatches[0]}"
+
+
+def _json_calls():
+    for call in _golden():
+        if call["argv"][-1] == "--json":
+            yield call, json.loads(call["stdout"])
+
+
+def test_every_golden_payload_fits_the_schema():
+    schema = json.loads((ROOT / "schema" / "cli_output.schema.json").read_text(encoding="utf-8"))
+    validator = jsonschema.Draft7Validator(schema)
+    for call, payload in _json_calls():
+        errors = list(validator.iter_errors(payload))
+        assert not errors, f"{' '.join(call['argv'])}: {errors[0].message}"
+
+
+def test_a_payload_has_a_seed_exactly_when_geiser_fits_a_map():
+    for call, payload in _json_calls():
+        fitted = call["argv"][0] == "geiser" and "--interpolate" in call["argv"] and call["code"] == 0
+        assert ("seed" in payload) == fitted, " ".join(call["argv"])
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +126,14 @@ def calls():
         out += [
             [name, "--builtin"],
             [name, "--builtin", "--x", "(2:3:7)"],
-            [name, "--builtin", "--x", "(2:3:7)", "--seed", "5"],
             [name, "--builtin", "--x", "(-1/2:1:5)"],
             [name, "--builtin", "--x", "(1:0:0)"],                      # a base point
             [name],                                                     # no configuration
         ]
     out += [
+        ["geiser", "--builtin", "--x", "(2:3:7)", "--seed", "5"],    # read only by --interpolate
         ["geiser", "--builtin", "--interpolate"],
+        ["geiser", "--builtin", "--interpolate", "--seed", "5"],
         ["geiser", "--points", "data/points7.txt", "--x", "(3:-2:5)"],
         ["bertini", "--points", "data/points8.txt", "--x", "(3:-2:5)"],
         ["geiser", "--points", "data/points8.txt"],                     # eight points
@@ -124,7 +147,7 @@ def calls():
         ["verify"],
         ["fixed-curve", "--map-file", "data/absent.json"],
         ["verify", "--map-file", "data/points7.txt"],                   # not JSON
-        ["verify", "--map-file", "tests/data/conic_map.json", "--seed", "5"],
+        ["verify", "--map-file", "tests/data/conic_map.json"],
         ["classify", "--map-file", "tests/data/conic_map.json"],
         ["classify", "--builtin", "--kind", "geiser"],
         ["invariant", "--builtin", "--kind", "geiser"],
@@ -157,15 +180,6 @@ def calls():
         ["lattice", "classify", "--quadric", "--matrix-file", "tests/data/quadric_swap.txt"],
     ]
     out += [["lattice", "exceptionals", "--n", str(n), "--oracle"] for n in range(1, 7)]
-    out += [
-        ["elmt", "--n", "1", "--s", "2", "--on"],
-        ["elmt", "--n", "1", "--s", "2", "--off"],
-        ["elmt", "--n", "2", "--s", "1", "--contacts", "2,1", "--on", "--contact-index", "0"],
-        ["elmt", "--n", "2", "--s", "1", "--contacts", "2,1", "--off", "--contact-index", "1"],
-        ["elmt", "--n", "0", "--contacts", "1,x", "--on"],
-        ["elmt", "--n", "-1", "--on"],
-        ["elmt", "--n", "1", "--contacts", "1", "--on", "--contact-index", "4"],
-    ]
     return out
 
 

@@ -147,6 +147,23 @@ def test_classify_raw_geiser_interpolated(geiser):
     assert result.label == "Geiser"
 
 
+def test_a_raw_degree_17_map_is_bertini_only_with_a_fixed_nonic(monkeypatch):
+    # the grid test and the fixed locus of a real degree-17 map take about a
+    # minute, so both are stubbed: only the labelling rule is under test
+    from planecremona import fixedcurve
+
+    sigma = RationalMap(X ** 17, Y ** 17, Z ** 17)
+    assert pencil_form(sigma) is None
+    monkeypatch.setattr(fixedcurve, "involution_on_grid", lambda m: True)
+    monkeypatch.setattr(fixedcurve, "fixed_locus", lambda m: X ** 6 + Y ** 6)
+    with pytest.raises(ValidationError, match="unrecognized"):
+        classify_involution(sigma)
+    monkeypatch.setattr(fixedcurve, "fixed_locus", lambda m: X ** 9 + Y ** 9)
+    result = classify_involution(sigma)
+    assert result.label == "Bertini" and result.invariant == invariant_for_kind("bertini")
+    assert "fixed curve of degree 9" in result.note
+
+
 def test_classify_linear_involution():
     result = classify_involution(RationalMap.linear(((1, 0, 0), (0, -1, 0), (0, 0, 1))))
     assert result.label == "DJ(2)"

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import lcm
 
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, assume, given, settings, strategies as st
 
 from planecremona.errors import ValidationError
 from planecremona.exactpoly import HPoly
@@ -18,7 +18,10 @@ from planecremona.rng import SplitMix64
 
 
 def seeded(examples):
+    """Fixed examples with no shrink phase: a failure is reported as drawn,
+    since shrinking an exact evaluation can run for minutes."""
     return settings(max_examples=examples, deadline=None, derandomize=True, database=None,
+                    phases=[p for p in Phase if p is not Phase.shrink],
                     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 
 

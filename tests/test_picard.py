@@ -6,12 +6,10 @@ import pytest
 from planecremona.errors import ValidationError
 from planecremona.exactpoly import kernel_basis
 from planecremona.picard import (
-    ConicBundleModel,
     LatticeInvolution,
     MinimalityResult,
     anti_reflection_in_k,
     classify_pair,
-    elementary_transformation,
     exceptional_classes,
     exceptional_classes_bruteforce,
     fixed_rank,
@@ -319,35 +317,3 @@ def test_involution_validation_rejects_bad_matrices():
         LatticeInvolution(lat, ((1, 1), (0, 1)))        # not an isometry
     with pytest.raises(ValidationError):
         LatticeInvolution(make_lattice(2), ((1, 0), (0, 1)))  # wrong size
-
-
-# -- conic-bundle bookkeeping -----------------------------------------------------------
-
-def test_elementary_transformation_rules():
-    assert elementary_transformation(ConicBundleModel(2, 4), False).n == 1
-    assert elementary_transformation(ConicBundleModel(0, 4), False).n == 1
-    assert elementary_transformation(ConicBundleModel(0, 4), True).n == 1
-    assert elementary_transformation(ConicBundleModel(3, 4), True).n == 4
-
-
-def test_elementary_transformation_chain():
-    model = ConicBundleModel(5, 0)
-    for _ in range(4):
-        model = elementary_transformation(model, False)
-    assert model.n == 1
-
-
-def test_contact_order_bookkeeping():
-    model = ConicBundleModel(1, 4, (3, 1))
-    moved = elementary_transformation(model, True, contact_index=0)
-    assert moved.contact_orders == (2, 1)
-    with pytest.raises(ValidationError):
-        elementary_transformation(model, True, contact_index=1)  # transverse already
-    with pytest.raises(ValidationError):
-        elementary_transformation(model, True, contact_index=5)
-
-
-def test_negative_section_square():
-    # the negative section has square -n, so n >= 0
-    with pytest.raises(ValidationError):
-        ConicBundleModel(-1, 0)
