@@ -5,7 +5,8 @@ verify, fixed-curve, invariant, classify, lattice (make | reflect |
 exceptionals | minimal | classify). With --json the output is a single
 JSON document that is byte-identical across runs with equal arguments
 (keys sorted, fixed separators, no timestamps or timing). Exit codes: 0
-success, 2 validation failure (machine-readable reason), 1 internal error.
+success, 2 validation failure (machine-readable reason; "bad request" for
+a command line the parser refuses), 1 internal error.
 Only geiser takes --seed, and only geiser --interpolate reads it: it seeds
 the sample stream of the fit and is printed with the fitted map.
 
@@ -447,10 +448,19 @@ def _cmd_lattice(args) -> int:
 MAP_HELP = "three ';'-separated components; write --map=-x;y;z when the first starts with '-'"
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that refuses a bad command line with a
+    ValidationError, so that run reports it like any other (JSON under
+    --json); its subparsers are of the same class."""
+
+    def error(self, message):
+        raise ValidationError("bad request", f"{self.prog}: {message}")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once: parse_args leaves it unchanged."""
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="planecremona",
         description="Exact constructions and classification of plane birational involutions.",
     )
@@ -522,13 +532,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    as_json = "--json" in argv     # until parse_args has read the command line
     start = time.monotonic()
     try:
+        args = build_parser().parse_args(argv)
+        as_json = args.json
         code = args.func(args)
     except (ValidationError, IndeterminacyError) as exc:
         payload = {"error": str(exc), "reason": getattr(exc, "reason", "validation failure")}
-        if args.json:
+        if as_json:
             sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": ")) + "\n")
         else:
             print(f"error: {exc}", file=sys.stderr)
@@ -536,7 +549,7 @@ def run(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001  internal error path
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    if not args.json:
+    if not as_json:
         print(f"elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)
     return code
 

@@ -1,8 +1,8 @@
 """Exact arithmetic substrate.
 
 Rationals (stdlib Fraction), homogeneous polynomials in x, y, z (one type,
-HPoly; binary forms are HPoly in (x, z)), gcds (a degree bound modulo a
-prime, then one linear system), Sylvester resultants, fraction-free
+HPoly; binary forms are HPoly in (x, z)), gcds (restrict to lines,
+interpolate, certify by division), Sylvester resultants, fraction-free
 kernel computation and the linear conditions for multiplicity at points
 (multiplicity_conditions). Everything is exact; nothing here ever rounds. All
 values are immutable after construction and all operations are pure
@@ -30,8 +30,8 @@ int and every HPoly, however built, satisfies the convention above.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, repeat
-from math import gcd as igcd, isqrt, lcm, perm
+from itertools import combinations_with_replacement, count, repeat
+from math import comb, gcd as igcd, isqrt, lcm, perm
 from operator import mul
 
 from .errors import ValidationError
@@ -382,16 +382,10 @@ def values_at(forms, pt) -> list:
     return Evaluator(forms)(pt)
 
 
-def monomials(degree: int, variables=(0, 1, 2)) -> list:
-    """Exponent triples of the given degree in the given variables, in the
-    global order (descending lex)."""
-    top = [degree if v in variables else 0 for v in range(3)]
-    return [
-        (i, j, degree - i - j)
-        for i in range(top[0], -1, -1)
-        for j in range(min(degree - i, top[1]), -1, -1)
-        if degree - i - j <= top[2]
-    ]
+def monomials(degree: int) -> list:
+    """Exponent triples of the given degree, in the global order (descending
+    lex)."""
+    return [(i, j, degree - i - j) for i in range(degree, -1, -1) for j in range(degree - i, -1, -1)]
 
 
 def multiplicity_conditions(points, degree: int, mults) -> list:
@@ -465,141 +459,126 @@ def format_hpoly(f: HPoly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# gcd: a degree bound modulo a prime on two probe lines, then one linear system
+# gcd: restrict to lines, interpolate, certify by division
 # ---------------------------------------------------------------------------
 
-# a Mersenne prime: the degree bound of a gcd is read modulo it
-_GCD_PRIME = (1 << 61) - 1
-# two fixed lines, each given by two points, on which the bound is read
-_PROBE_LINES = (((1, 3, 7), (2, -5, 1)), ((3, -1, 2), (1, 4, -3)))
-
-
-def _line_restrictions(forms, p, q) -> list:
-    """f(p + t q) modulo _GCD_PRIME for each integer form f of the family,
-    entry i at t^i: the restriction of f to the line pq, read at s = 1.
-
-    A polynomial of degree n in t is fixed by its values at t = 0, ..., n.
-    One Evaluator of the family gives the values at t = 0, ..., max degree;
-    each form takes its own first n + 1 of them, then Newton divided
-    differences at those nodes, then expands the Newton form in the monomial
-    basis, all mod p (von zur Gathen-Gerhard, Modern Computer Algebra,
-    ch. 5)."""
-    P = _GCD_PRIME
-    evaluate = Evaluator(forms)
-    values = [evaluate([a + t * b for a, b in zip(p, q)]) for t in range(evaluate.top + 1)]
-    out = []
-    for col, f in enumerate(forms):
-        n = f.degree
-        c = [values[t][col] % P for t in range(n + 1)]
-        # divided differences: the nodes t and t - k are k apart
-        for k in range(1, n + 1):
-            inv = pow(k, -1, P)
-            for t in range(n, k - 1, -1):
-                c[t] = (c[t] - c[t - 1]) * inv % P
-        # Horner on c_0 + (t - 0)(c_1 + (t - 1)(c_2 + ...))
-        r = [c[n]]
-        for k in range(n - 1, -1, -1):
-            r = [(lo * -k + hi) % P for lo, hi in zip(r + [0], [0] + r)]
-            r[0] = (r[0] + c[k]) % P
-        out.append(r)
+def _restriction(f: HPoly, a: int, b: int, w0: int) -> list:
+    """f(t, a t + w0, b t + 1), the restriction of f to the line through
+    (1:a:b) and (0:w0:1), as the coefficient list in t (entry i at t^i, no
+    trailing zeros; [] when f contains the line), expanded straight from the
+    terms by the binomial theorem."""
+    d = f.degree
+    ys = [[comb(j, u) * a ** u * w0 ** (j - u) for u in range(j + 1)] if a else [w0 ** j]
+          for j in range(d + 1)]
+    zs = [[comb(k, v) * b ** v for v in range(k + 1)] if b else [1] for k in range(d + 1)]
+    out = [0] * (d + 1)
+    for (i, j, k), c in f.terms.items():
+        for u, cy in enumerate(ys[j], i):
+            cy *= c
+            for v, cz in enumerate(zs[k], u):
+                out[v] += cy * cz
+    while out and not out[-1]:
+        out.pop()
     return out
 
 
-def _gcd_mod_p(a, b):
-    """Euclid over the integers mod _GCD_PRIME on polynomials in t given as
-    coefficient lists (entry i at t^i, no trailing zeros); [] for 0."""
-    p = _GCD_PRIME
+def _prs_gcd(a: list, b: list) -> list:
+    """Gcd of two polynomials in t, coefficient lists as _restriction gives
+    them, as a primitive integer list, by the primitive pseudo-remainder
+    sequence (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 6); []
+    only for two zeros."""
+    a, b = primitive(a), primitive(b)
     while b:
-        inv = pow(b[-1], -1, p)
-        n = len(b) - 1
+        lc, n = b[-1], len(b) - 1
         while len(a) > n:
-            q = a.pop() * inv % p
-            shift = len(a) - n
-            for j in range(n):
-                a[shift + j] = (a[shift + j] - q * b[j]) % p
-            while a and a[-1] == 0:
+            c, shift = a.pop(), len(a) - n
+            a = [v * lc for v in a[:shift]] + [v * lc - c * w for v, w in zip(a[shift:], b)]
+            while a and not a[-1]:
                 a.pop()
-        a, b = b, a
+        a, b = b, primitive(a)
     return a
 
 
-def _gcd_degree_bound(forms) -> int:
-    """An upper bound on the degree of the gcd of nonzero integer forms: on
-    each probe line whose restrictions are not all zero mod _GCD_PRIME, the
-    degree of the gcd of those restrictions as binary forms, which is the
-    degree of their Euclid gcd at s = 1 plus the least multiplicity of the
-    root (0:1). The least value over the lines, and at most the least degree."""
-    bound = min(f.degree for f in forms)
-    for p, q in _PROBE_LINES:
-        if bound == 0:
-            break
-        g, mults = [], []
-        for f, r in zip(forms, _line_restrictions(forms, p, q)):
-            while r and r[-1] == 0:
-                r.pop()
-            if r:
-                g = _gcd_mod_p(g, r)
-                mults.append(f.degree + 1 - len(r))
-        if mults:
-            bound = min(bound, len(g) - 1 + min(mults))
-    return bound
-
-
-def hpoly_gcd(f: HPoly, g: HPoly) -> HPoly:
-    """Gcd of homogeneous polynomials, in canonical form.
-
-    Let h be the gcd. Its degree is at most k0 = _gcd_degree_bound([f, g])
-    (Brown, "On Euclid's algorithm and the computation of polynomial greatest
-    common divisors", JACM 1971): on a line that h does not contain, h
-    restricts to a factor of degree deg h of both restrictions, nonzero mod
-    p wherever one of them is; a factor that contains the line makes every
-    restriction vanish, and such a line is skipped. Then, for k = k0, ..., 1,
-    solve a f = b g for forms a, b of degrees deg g - k, deg f - k in the
-    variables f or g use (von zur Gathen-Gerhard, Modern Computer Algebra,
-    ch. 6): with f = h f1, g = h g1 the solutions are c (g1, f1) for forms c
-    of degree deg h - k, none for k > deg h and one up to scale for
-    k = deg h. The first k with a solution is deg h and h = f / b; with none,
-    h = 1.
-    """
-    if f.is_zero() and g.is_zero():
-        raise ValidationError("zero input", "gcd of two zero polynomials")
-    if f.is_zero():
-        return g.canonical()
-    if g.is_zero():
-        return f.canonical()
-    f, g = f.canonical(), g.canonical()
-    variables = [v for v in range(3) if f.uses_var(v) or g.uses_var(v)]
-    minus_g = -g
-    for k in range(_gcd_degree_bound([f, g]), 0, -1):
-        a_monos = monomials(g.degree - k, variables)
-        b_monos = monomials(f.degree - k, variables)
-        columns = [(m, f) for m in a_monos] + [(m, minus_g) for m in b_monos]
-        row_of = {e: i for i, e in enumerate(monomials(f.degree + g.degree - k, variables))}
-        rows = [[0] * len(columns) for _ in row_of]
-        for col, (m, form) in enumerate(columns):
-            for e, c in form.terms.items():
-                rows[row_of[(m[0] + e[0], m[1] + e[1], m[2] + e[2])]][col] = c
-        kernel = kernel_basis(rows)
-        if kernel:
-            b = dict(zip(b_monos, kernel[0][len(a_monos):]))
-            return f.divexact(HPoly(f.degree - k, b)).canonical()
-    return HPoly.constant(1)
+def _interpolate(nodes, values) -> list:
+    """Coefficients (entry m at w^m) of the polynomial of degree below
+    len(nodes) that takes the values at the nodes: Newton divided
+    differences, then the Newton form expanded by Horner."""
+    c, n = list(values), len(nodes)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (nodes[i] - nodes[i - k])
+    out = [c[-1]]
+    for i in range(n - 2, -1, -1):
+        out = [hi - lo * nodes[i] for lo, hi in zip(out + [0], [0] + out)]
+        out[0] += c[i]
+    return out
 
 
 def hpoly_gcd_many(polys) -> HPoly:
-    """Gcd of several polynomials, canonical: the constant 1 when the degree
-    bound of hpoly_gcd over all of them is 0, else the pairwise gcds."""
-    polys = [p.canonical() for p in polys if not p.is_zero()]
-    if not polys:
+    """Gcd of several forms, canonical; zero forms are dropped, and all zero
+    is refused.
+
+    Let h be the gcd. The first form f is nonzero at some q = (1:a:b) with
+    0 <= a, b <= deg f, and so is h. So on each line through q and (0:w0:1)
+    (_restriction) h restricts to degree deg h, its leading coefficient
+    h(q), and divides the restriction of every form: the degree k of the gcd
+    of all restrictions bounds deg h, and k = 0 proves h = 1. At the least k
+    seen, the monic gcds on min(k, deg_y) + 1 lines, w0 = 17, -17, 18, ...,
+    are interpolated in w0 into a candidate of degree k in the coordinates
+    (x, y - a x, z - b x) (Brown, JACM 1971, with exact images in place of
+    modular ones). If it divides every form it is h; if not, deg h < k, and
+    only lines of lower degree are used from then on. Only finitely many
+    lines give a degree above deg h.
+    """
+    forms = [p for p in polys if not p.is_zero()]
+    if not forms:
         raise ValidationError("zero input", "gcd of zero polynomials")
-    if _gcd_degree_bound(polys) == 0:
-        return HPoly.constant(1)
-    acc = polys[0]
-    for p in polys[1:]:
-        if acc.degree == 0:
-            break
-        acc = hpoly_gcd(acc, p)
-    return acc
+    if len(forms) == 1:
+        return forms[0].canonical()
+    f = forms[0]
+    a, b = next((a, b) for a in range(f.degree + 1) for b in range(f.degree + 1)
+                if sum(c * a ** j * b ** k for (_, j, k), c in f.terms.items()))
+    ydeg = min(g.max_exponent(1) for g in forms)
+    top = min(g.degree for g in forms) + 1   # deg h < top
+    nodes, rows = [], []                     # lines of degree top - 1, monic gcds
+    for w0 in (s * n for n in count(17) for s in (1, -1)):
+        r = []
+        for g in forms:
+            r = _prs_gcd(r, _restriction(g, a, b, w0))
+            if len(r) == 1:
+                return HPoly.constant(1)
+        k = len(r) - 1
+        if k >= top:
+            continue
+        if k < top - 1:
+            top, nodes, rows = k + 1, [], []
+        nodes.append(w0)
+        rows.append([Fraction(c, r[-1]) for c in r])
+        if len(nodes) > min(k, ydeg):
+            terms = {(k, 0, 0): 1}
+            for j in range(k):
+                for m, c in enumerate(_interpolate(nodes, [row[j] for row in rows])):
+                    if c and m <= k - j:   # a term above degree k: the lines were unlucky
+                        terms[(j, m, k - j - m)] = c
+            h = HPoly._make(k, terms)
+            if a or b:
+                x, y, z = (HPoly.variable(v) for v in range(3))
+                h = h.substitute((x, y - x * a, z - x * b))
+            h = h.canonical()
+            try:
+                for g in forms:
+                    g.divexact(h)
+            except ValidationError:         # not divisible: deg h < k
+                top, nodes, rows = k, [], []
+            else:
+                return h
+
+
+def hpoly_gcd(f: HPoly, g: HPoly) -> HPoly:
+    """Gcd of two forms, canonical (hpoly_gcd_many); refused when both are zero."""
+    if f.is_zero() and g.is_zero():
+        raise ValidationError("zero input", "gcd of two zero polynomials")
+    return hpoly_gcd_many((f, g))
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +593,8 @@ def _binary(q: HPoly) -> HPoly:
 
 
 def bform_gcd(f: HPoly, g: HPoly) -> HPoly:
-    """Gcd of binary forms, canonical: hpoly_gcd, with its degree bound mod p
-    and its linear system (see there)."""
+    """Gcd of binary forms, canonical: hpoly_gcd, which for forms free of y
+    reads one line (see hpoly_gcd_many)."""
     return hpoly_gcd(_binary(f), _binary(g))
 
 

@@ -61,8 +61,8 @@ def fixed_locus(sigma: RationalMap) -> HPoly:
     A constant result means the involution fixes no curve. Isolated fixed
     points are not extracted. The identity is rejected (all minors vanish).
     """
-    minors = [m for m in identity_minors(sigma.components) if not m.is_zero()]
-    if not minors:
+    minors = identity_minors(sigma.components)
+    if all(m.is_zero() for m in minors):
         raise ValidationError("identity map", "the identity fixes every point")
     return hpoly_gcd_many(minors)
 

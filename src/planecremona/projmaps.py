@@ -99,7 +99,7 @@ class RationalMap:
         if len(degs) != 1:
             raise ValidationError("inhomogeneous", "components of different degrees")
         if not _normalized:
-            g = hpoly_gcd_many([f for f in comps if not f.is_zero()])
+            g = hpoly_gcd_many(comps)
             if g.degree > 0:
                 comps = tuple(f.divexact(g) for f in comps)
             comps = _canon_triple(comps)
@@ -141,7 +141,7 @@ def _canon_triple(comps):
     taken in order."""
     terms = [f.sorted_terms() for f in comps]
     coeffs = iter(primitive(c for t in terms for _, c in t))
-    return tuple(HPoly(f.degree, {e: next(coeffs) for e, _ in t}) for f, t in zip(comps, terms))
+    return tuple(HPoly._make(f.degree, {e: next(coeffs) for e, _ in t}) for f, t in zip(comps, terms))
 
 
 def identity_minors(comps):

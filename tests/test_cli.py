@@ -206,6 +206,9 @@ def test_unreadable_input_file_is_a_validation_failure(tmp_path, argv, reason):
     # digits are ASCII: a superscript or full-width digit is not one
     (["verify", "--map", "x^\u00b2*y;y^3;z^3"], "syntax error"),
     (["verify", "--map", "\uff13x;y;z"], "syntax error"),
+    # a command line argparse refuses gives a payload too
+    (["verify", "--map", "x;y;z", "--seed", "3"], "bad request"),
+    (["lattice", "make", "--n", "abc"], "bad request"),
 ])
 def test_malformed_command_line_input_is_a_validation_failure(argv, reason):
     code, payload, _ = run_json(argv)
@@ -285,9 +288,8 @@ def test_only_geiser_takes_a_seed():
         ["classify", "--builtin", "--kind", "geiser"],
         ["lattice", "make", "--n", "3"],
     ):
-        with pytest.raises(SystemExit) as exc:
-            run(argv + ["--seed", "5", "--json"])
-        assert exc.value.code == 2
+        code, payload, _ = run_json(argv + ["--seed", "5"])
+        assert code == 2 and payload["reason"] == "bad request"
     code, payload, _ = run_json(["geiser", "--builtin", "--seed", "5"])
     assert code == 0 and "seed" not in payload
 

@@ -6,9 +6,9 @@ from math import gcd, isqrt, prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from planecremona.configs import reference_seven_points
 from planecremona.errors import ValidationError
 from planecremona.exactpoly import (
-    _gcd_degree_bound,
     Evaluator,
     HPoly,
     bform_gcd,
@@ -24,6 +24,7 @@ from planecremona.exactpoly import (
     resultant,
     values_at,
 )
+from planecremona.involutions import GeiserInvolution
 from planecremona.rng import SplitMix64
 from tests.streams import next_nonzero_int
 
@@ -159,22 +160,52 @@ def test_gcd_divides_both_exactly():
 
 
 def test_gcd_many_finds_planted_factor():
-    # the probe lines through (1:3:7), (2:-5:1) and (3:-1:2), (1:4:-3), on
-    # which the gcd's degree bound is read
-    probe1 = HPoly(1, {(1, 0, 0): 38, (0, 1, 0): 13, (0, 0, 1): -11})
-    probe2 = HPoly(1, {(1, 0, 0): -5, (0, 1, 0): 11, (0, 0, 1): 13})
-    assert probe1.eval((2, -5, 1)) == 0 and probe2.eval((1, 4, -3)) == 0
+    # two lines through (1:3:7), (2:-5:1) and (3:-1:2), (1:4:-3)
+    line1 = HPoly(1, {(1, 0, 0): 38, (0, 1, 0): 13, (0, 0, 1): -11})
+    line2 = HPoly(1, {(1, 0, 0): -5, (0, 1, 0): 11, (0, 0, 1): 13})
+    assert line1.eval((2, -5, 1)) == 0 and line2.eval((1, 4, -3)) == 0
     stream = SplitMix64(11)
     forms = [random_poly(stream, 3) for _ in range(3)]
     assert hpoly_gcd_many(forms).degree == 0
-    for planted in (X + Y * 2 - Z, CONIC, probe1, probe2 * X, probe1 * probe2):
+    for planted in (X + Y * 2 - Z, CONIC, line1, line2 * X, line1 * line2):
         found = hpoly_gcd_many([f * planted for f in forms])
         assert found == planted.canonical()
 
 
-# points of the probe lines: (1:3:7), (2:-5:1) on the first and (3:-1:2),
+def test_gcd_many_of_forms_without_a_pure_power():
+    # no form has a pure power of x, y or z: the lines are taken through a
+    # point (1:a:b) away from the coordinate points, and only the result is
+    # moved back
+    h = X * 3 - Y * 2 + Z * 7
+    assert hpoly_gcd_many([X * Y * h, X * Z * h, Y * Z * h]) == h
+    assert hpoly_gcd_many([X * Y, X * Z, Y * Z]) == HPoly.constant(1)
+
+
+def test_reference_geiser_components_are_coprime_though_each_two_share_a_cubic():
+    # the gcd of all three is taken on each line, not pairwise
+    comps = GeiserInvolution(reference_seven_points()).interpolated_map.components
+    assert [hpoly_gcd(comps[i], comps[j]).degree for i, j in ((0, 1), (0, 2), (1, 2))] == [3, 3, 3]
+    assert hpoly_gcd_many(comps) == HPoly.constant(1)
+
+
+def test_gcd_refuses_a_candidate_that_divides_neither_form():
+    # coprime conics through (5:17:1) and (3:-17:1), the points of the first
+    # two lines through (1:0:0), y = 17 z and y = -17 z: on both lines their
+    # restrictions share one root, so the line through the two points is
+    # interpolated as a candidate of degree 1, and only division refutes it
+    f = (X - Z * 5) * (X - Z * 3) + (Y - Z * 17) * (Y + Z * 17)
+    g = X * X + X * Y - X * Z * 76 + Z * Z * 270
+    for p in ((5, 17, 1), (3, -17, 1)):
+        assert f.eval(p) == 0 and g.eval(p) == 0
+    assert hpoly_gcd(f, g) == HPoly.constant(1)
+    assert hpoly_gcd_many([f, g]) == HPoly.constant(1)
+    assert hpoly_gcd(f * CONIC, g * CONIC) == CONIC.canonical()
+
+
+# points of two fixed lines: (1:3:7), (2:-5:1) on the first and (3:-1:2),
 # (1:4:-3) on the second; a line and a smooth conic through the first point
-# of each, and a line through the second point of each
+# of each, and a line through the second point of each: forms that meet, or
+# share a factor, at points of a common line
 THROUGH_FIRST = X * 13 + Y * 19 - Z * 10
 CONIC_THROUGH_FIRST = X * X * 159 + X * Y * 437 - Z * Z * 30
 THROUGH_SECOND = X * 11 + Y * 7 + Z * 13
@@ -188,25 +219,22 @@ def test_probe_points_lie_where_the_gcd_tests_need_them():
 
 
 def test_gcd_scan_reaches_one_for_forms_meeting_on_both_probe_lines():
-    # coprime, but their restrictions share a root on each probe line
+    # coprime, but they meet at a point of each line
     f, g = THROUGH_FIRST * (X * X + Y * Z), CONIC_THROUGH_FIRST
-    assert _gcd_degree_bound([f, g]) == 1
     assert hpoly_gcd(f, g) == HPoly.constant(1)
     assert hpoly_gcd_many([f, g]) == HPoly.constant(1)
 
 
 def test_gcd_scan_goes_below_the_bound():
+    # a common line, and cofactors that meet at a point of each fixed line
     common = X * 2 - Y * 7 + Z * 5
     f = THROUGH_FIRST * (X * X + Y * Z) * common
     g = CONIC_THROUGH_FIRST * common
-    assert _gcd_degree_bound([f, g]) == 2
     assert hpoly_gcd(f, g) == common
     assert hpoly_gcd_many([f, g]) == common
 
 
 def test_gcd_with_a_root_at_the_second_point_of_both_probe_lines():
-    # the common factor restricts to a multiple of s on both lines: only the
-    # multiplicity of (0:1) sees it, the Euclid gcd at s = 1 does not
     f, g = THROUGH_SECOND * (X * X + Y * Z), THROUGH_SECOND * CONIC_THROUGH_FIRST
     assert hpoly_gcd(f, g) == THROUGH_SECOND
     assert hpoly_gcd_many([f, g, THROUGH_SECOND * Z]) == THROUGH_SECOND
@@ -217,28 +245,37 @@ def test_gcd_with_a_root_at_the_second_point_of_both_probe_lines():
 
 
 def test_gcd_with_a_factor_containing_a_probe_line():
-    probe1 = HPoly(1, {(1, 0, 0): 38, (0, 1, 0): 13, (0, 0, 1): -11})
-    probe2 = HPoly(1, {(1, 0, 0): -5, (0, 1, 0): 11, (0, 0, 1): 13})
+    # the common factor contains the fixed lines through (1:3:7), (2:-5:1)
+    # and (3:-1:2), (1:4:-3)
+    line1 = HPoly(1, {(1, 0, 0): 38, (0, 1, 0): 13, (0, 0, 1): -11})
+    line2 = HPoly(1, {(1, 0, 0): -5, (0, 1, 0): 11, (0, 0, 1): 13})
     f, g = X * X + Y * Z, CONIC_THROUGH_FIRST
-    assert hpoly_gcd(probe1 * f, probe1 * g) == probe1.canonical()
-    both = probe1 * probe2
+    assert hpoly_gcd(line1 * f, line1 * g) == line1.canonical()
+    both = line1 * line2
     assert hpoly_gcd(both * f, both * g * X) == both.canonical()
 
 
 def test_gcd_of_forms_with_coefficients_multiples_of_the_prime():
+    # multiples of the prime P61 = 2^61 - 1, and a pair that shares a factor modulo it only
     conic = CONIC_THROUGH_FIRST
     assert hpoly_gcd(X * conic * P61, Y * conic * P61 * P61) == conic
     assert hpoly_gcd((X * Y + Z * Z) * P61, X * Z * P61) == HPoly.constant(1)
     # x y + p z^2 and x z share x mod p, not over Q
-    assert _gcd_degree_bound([X * Y + Z * Z * P61, X * Z]) == 1
     assert hpoly_gcd(X * Y + Z * Z * P61, X * Z) == HPoly.constant(1)
 
 
 def test_gcd_of_coprime_degree_twelve_forms():
     stream = SplitMix64(12)
     f, g = random_poly(stream, 12), random_poly(stream, 12)
-    assert _gcd_degree_bound([f, g]) == 0
     assert hpoly_gcd(f, g) == HPoly.constant(1)
+
+
+def test_gcd_of_degree_twelve_forms_sharing_a_line():
+    stream = SplitMix64(12)
+    line = X * 5 - Y * 3 + Z * 2
+    f, g = random_poly(stream, 11) * line, random_poly(stream, 11) * line
+    assert hpoly_gcd(f, g) == line
+    assert hpoly_gcd_many([f, g, f + g * 2]) == line
 
 
 def _linear_forms(data, variables, n):
@@ -264,7 +301,8 @@ def test_gcd_of_planted_factor_and_coprime_cofactors(data):
     variables = (0, 2) if binary else (0, 1, 2)
 
     def form(degree):
-        return HPoly(degree, {e: data.draw(st.integers(-6, 6)) for e in monomials(degree, variables)})
+        return HPoly(degree, {e: data.draw(st.integers(-6, 6)) for e in monomials(degree)
+                              if not (binary and e[1])})
 
     h = form(data.draw(st.integers(0, 3)))
     if data.draw(st.booleans()):

@@ -1,24 +1,17 @@
 """The exact kernels against naive references.
 
 HPoly's ring operations build their results with the trusted HPoly._make,
-substitute accumulates into one dict and _line_restrictions interpolates
-the values of a family of forms from one Evaluator. Each is checked here
-against a slow reference that goes through the validating HPoly(...) or, for
-the line restrictions, against the list convolution they replaced, form by
-form.
+substitute accumulates into one dict and the gcd's _restriction expands a
+form on a line straight from its terms. Each is checked here against a slow
+reference that goes through the validating HPoly(...) or, for the
+restriction, against substitute.
 """
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from planecremona.exactpoly import (
-    _GCD_PRIME,
-    _PROBE_LINES,
-    HPoly,
-    _line_restrictions,
-    monomials,
-)
+from planecremona.exactpoly import HPoly, _restriction, monomials
 
 SMALL = st.one_of(
     st.integers(-9, 9),
@@ -72,30 +65,6 @@ def _ref_substitute(f, comps):
     return HPoly(f.degree * comps[0].degree, acc)
 
 
-def _ref_mul_mod(u, v):
-    out = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        for j, b in enumerate(v):
-            out[i + j] += a * b
-    return [c % _GCD_PRIME for c in out]
-
-
-def _ref_line_restriction(f, p, q):
-    """f(p + t q) mod p by list convolutions of the powers of the linear
-    coordinates."""
-    powers = []
-    for a, b in zip(p, q):
-        table = [[1]]
-        for _ in range(f.degree):
-            table.append(_ref_mul_mod(table[-1], [a, b]))
-        powers.append(table)
-    out = [0] * (f.degree + 1)
-    for (i, j, k), c in f.terms.items():
-        for n, v in enumerate(_ref_mul_mod(_ref_mul_mod(powers[0][i], powers[1][j]), powers[2][k])):
-            out[n] += c * v
-    return [c % _GCD_PRIME for c in out]
-
-
 # -- substitute and apply_matrix --------------------------------------------------
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -126,53 +95,33 @@ def test_substitute_cancels_to_zero_and_to_integers():
     assert _same(r, HPoly(2, {(0, 2, 0): 2}))
 
 
-# -- line restrictions --------------------------------------------------------------
+# -- restriction to a line ---------------------------------------------------------
 
 BIG = st.integers(-10 ** 30, 10 ** 30)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def test_line_restriction_matches_the_convolution(data):
-    forms = [_form(data, data.draw(st.integers(0, 9)), coeffs=BIG)
-             for _ in range(data.draw(st.integers(1, 3)))]
-    point = st.tuples(*[st.integers(-50, 50)] * 3)
-    p, q = data.draw(st.one_of(st.sampled_from(_PROBE_LINES), st.tuples(point, point)))
-    assert _line_restrictions(forms, p, q) == [_ref_line_restriction(f, p, q) for f in forms]
+def test_restriction_matches_substitute_on_the_line(data):
+    """f(t, a t + w0, b t + 1) is f(t, a t + w0 s, b t + s) at s = 1, read
+    off substitute with t = x and s = z."""
+    f = _form(data, data.draw(st.integers(0, 9)), coeffs=BIG)
+    a, b = data.draw(st.integers(0, 9)), data.draw(st.integers(0, 9))
+    w0 = data.draw(st.integers(-40, 40))
+    x, z = HPoly.variable(0), HPoly.variable(2)
+    line = f.substitute([x, x * a + z * w0, x * b + z])
+    expect = [line.terms.get((i, 0, f.degree - i), 0) for i in range(f.degree + 1)]
+    while expect and expect[-1] == 0:
+        expect.pop()
+    assert _restriction(f, a, b, w0) == expect
 
 
-def test_line_restriction_of_the_zero_form_and_of_multiples_of_the_prime():
-    line = _PROBE_LINES[0]
-    assert _line_restrictions([HPoly.zero(4)], *line) == [[0] * 5]
-    f = HPoly(3, {(3, 0, 0): _GCD_PRIME, (0, 1, 2): 3 * _GCD_PRIME})
-    assert _line_restrictions([f], *line) == [[0] * 4]
-
-
-def test_line_restrictions_of_a_family_of_different_degrees():
-    # each form is interpolated from its own deg + 1 values of the family's
-    # Evaluator, so each restriction has exactly deg + 1 entries
+def test_restriction_of_a_form_containing_the_line():
+    # y - 17 z contains the line through (1:0:0) and (0:17:1)
     x, y, z = (HPoly.variable(i) for i in range(3))
-    forms = [x * 3 - z, HPoly.constant(7), (x * y - z * z * 5) * (y + z * 2) * x, HPoly.zero(2),
-             y ** 6 - x ** 5 * z * 11]
-    for p, q in _PROBE_LINES:
-        got = _line_restrictions(forms, p, q)
-        assert [len(r) for r in got] == [f.degree + 1 for f in forms]
-        assert got == [_ref_line_restriction(f, p, q) for f in forms]
-
-
-def test_line_restrictions_vanishing_mod_p_in_a_family():
-    # 38 x + 13 y - 11 z vanishes on the first probe line, through (1:3:7)
-    # and (2:-5:1), so a multiple of it restricts to zero; p (5 x^2 - y z) is
-    # nonzero over Q and zero mod p. Neither changes the other restrictions.
-    x, y, z = (HPoly.variable(i) for i in range(3))
-    line = _PROBE_LINES[0]
-    on_line = HPoly(1, {(1, 0, 0): 38, (0, 1, 0): 13, (0, 0, 1): -11}) * (x * x + y * z)
-    multiple_of_p = HPoly(2, {(2, 0, 0): _GCD_PRIME * 5, (0, 1, 1): -_GCD_PRIME})
-    others = [x * y + z * z, x]
-    got = _line_restrictions([on_line, others[0], multiple_of_p, others[1]], *line)
-    assert got[0] == [0] * 4 and got[2] == [0] * 3
-    assert [got[1], got[3]] == [_ref_line_restriction(f, *line) for f in others]
-    assert all(any(r) for r in (got[1], got[3]))
+    assert _restriction((y - z * 17) * (x * x + y * z), 0, 0, 17) == []
+    assert _restriction(HPoly.zero(3), 2, 5, 17) == []
+    assert _restriction(x * x + y * z, 0, 0, 17) == [17, 0, 1]
 
 
 # -- every arithmetic result is in the validated normal form ------------------------
