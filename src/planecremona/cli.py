@@ -1,14 +1,19 @@
 """Command-line front end: parsing, dispatch, deterministic JSON output.
 
 Subcommands mirror the package's objects: dj, dj-conic, geiser, bertini,
-verify, fixed-curve, invariant, classify, lattice (make | reflect |
-exceptionals | minimal | classify). With --json the output is a single
-JSON document that is byte-identical across runs with equal arguments
-(keys sorted, fixed separators, no timestamps or timing). Exit codes: 0
-success, 2 validation failure (machine-readable reason; "bad request" for
-a command line the parser refuses), 1 internal error.
-Only geiser takes --seed, and only geiser --interpolate reads it: it seeds
-the sample stream of the fit and is printed with the fitted map.
+verify, fixed-curve, invariant, classify, lattice (make | reflect [--alpha] |
+exceptionals [--oracle] | minimal --matrix-file | classify --matrix-file, each
+on --n or --quadric). With --json the output is a single JSON document that
+is byte-identical across runs with equal arguments (keys sorted, fixed
+separators, no timestamps or timing). Exit codes: 0 success, 2 validation
+failure (machine-readable reason; "bad request" for a command line the
+parser refuses, such as an option its subcommand does not read), 1 internal
+error. Only geiser takes --seed, and only geiser --interpolate reads it: it
+seeds the sample stream of the fit and is printed with the fitted map.
+geiser and bertini print the fixed curve that their label was checked on.
+classify takes one involution (--curve with --p, --points or --builtin with
+--kind, or --map or --map-file) and prints its label, invariant and a note
+on how they were computed; invariant prints the same without the note.
 
 Input grammars:
   polynomials   signed terms  c x^i*y^j*z^k  with rational c like 3/4 and
@@ -203,29 +208,18 @@ def _map_json(m: RationalMap):
     }
 
 
-def _record_json(record):
-    inv = fixedcurve.invariant_of(record)
-    out = {
-        "label": inv.source,
-        "degree": record.degree,
-        "invariant": inv.as_dict(),
-    }
-    if record.map is not None:
-        out.update(_map_json(record.map))
-    if record.fixed_curve is not None:
-        out["fixed_curve"] = format_hpoly(record.fixed_curve)
-    if record.dj_data is not None:
-        out["center"] = str(record.dj_data.pencil.center)
-        out["validation"] = {"checks": list(record.dj_data.checks)}
-    return out
+def _labelled(inv, **fields):
+    """The payload of an involution with invariant inv, labelled by its
+    source, with the given fields."""
+    return {"label": inv.source, "invariant": inv.as_dict(), **fields}
 
 
-def emit(payload: dict, as_json: bool, human_lines=None) -> None:
+def emit(payload: dict, as_json: bool) -> None:
     if as_json:
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": ")))
         sys.stdout.write("\n")
     else:
-        for line in human_lines or _default_human(payload):
+        for line in _default_human(payload):
             print(line)
 
 
@@ -242,54 +236,46 @@ def _default_human(payload, prefix=""):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns its answer payload
 # ---------------------------------------------------------------------------
 
-def _cmd_dj(args) -> int:
-    """dj and dj-conic: args.construct is dj_involution or dj_from_conic."""
+def _cmd_dj(args) -> dict:
+    """dj and dj-conic: args.construct is dj_involution or dj_from_conic;
+    the record's map, fixed curve, center and checks, and the rational base
+    points."""
     record = args.construct(parse_poly(args.curve), parse_point(args.p))
-    payload = _record_json(record)
-    base = fixedcurve.rational_base_points(record)
-    payload["rational_base_points"] = [str(b) for b in base]
-    emit(payload, args.json)
-    return 0
-
-
-def _load_config(args, kind: str):
-    if args.builtin:
-        return configs.reference_seven_points() if kind == "geiser" else configs.reference_eight_points()
-    if not args.points:
-        raise ValidationError("bad request", "supply --points FILE or --builtin")
-    pts = parse_points_file(args.points)
-    return involutions.make_point_config(pts, kind)
+    return _labelled(fixedcurve.invariant_of(record), **_map_json(record.map),
+                     fixed_curve=format_hpoly(record.fixed_curve),
+                     center=str(record.dj_data.pencil.center),
+                     validation={"checks": list(record.dj_data.checks)},
+                     rational_base_points=[str(b) for b in fixedcurve.rational_base_points(record)])
 
 
 def _configuration_involution(args, kind: str, seed: int = 0):
-    config = _load_config(args, kind)
+    """The involution of a kind of DEL_PEZZO on --builtin or --points."""
+    if args.builtin:
+        config = configs.reference_seven_points() if kind == "geiser" else configs.reference_eight_points()
+    elif args.points:
+        config = involutions.make_point_config(parse_points_file(args.points), kind)
+    else:
+        raise ValidationError("bad request", "supply --points FILE or --builtin")
     if kind == "geiser":
         return involutions.GeiserInvolution(config, seed=seed)
     return involutions.BertiniInvolution(config)
 
 
-def _cmd_configuration(args) -> int:
+def _cmd_configuration(args) -> dict:
     """geiser and bertini: the involution of a point configuration, with its
-    label and invariant from invariant_of, which checks its fixed curve.
-    geiser --interpolate also fits the closed-form map from the stream of
-    --seed, and prints that seed."""
+    label and invariant from invariant_of, and the fixed curve that
+    invariant_of checked. geiser --interpolate also fits the closed-form map
+    from the stream of --seed, and prints that seed."""
     seed = getattr(args, "seed", 0)
     if seed < 0:
         raise ValidationError("bad request", "--seed must be >= 0")
     inv = _configuration_involution(args, args.command, seed)
-    invariant = fixedcurve.invariant_of(inv.record())
-    payload = {
-        "label": invariant.source,
-        "points": [str(p) for p in inv.config.points],
-        "invariant": invariant.as_dict(),
-    }
-    if args.command == "geiser":
-        payload["fixed_curve"] = format_hpoly(inv.fixed_sextic)
-    else:
-        payload["sextic_system_dimension"] = len(inv.space)
+    payload = _labelled(fixedcurve.invariant_of(inv.record()),
+                        points=[str(p) for p in inv.config.points],
+                        fixed_curve=format_hpoly(inv.fixed_curve))
     if args.x:
         x = parse_point(args.x)
         image, trace = inv.eval_detail(x)
@@ -299,14 +285,13 @@ def _cmd_configuration(args) -> int:
     if getattr(args, "interpolate", False):
         payload["seed"] = seed
         payload["map"] = _map_json(inv.interpolated_map)
-    emit(payload, args.json)
-    return 0
+    return payload
 
 
 def _load_map(args) -> RationalMap:
-    if getattr(args, "map", None):
+    if args.map:
         return parse_map(args.map)
-    if getattr(args, "map_file", None):
+    if args.map_file:
         text = _read_file(args.map_file)
         try:
             data = json.loads(text)
@@ -319,126 +304,102 @@ def _load_map(args) -> RationalMap:
     raise ValidationError("bad request", "supply --map or --map-file")
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> dict:
     """Exact involution test of a raw map at any degree (is_involution);
-    exit code 2 with reason "not involutive" when it fails."""
+    reason "not involutive" when it fails."""
     sigma = _load_map(args)
     ok = is_involution(sigma)
     payload = {"involutive": ok, "degree": sigma.degree}
     if not ok:
         payload["reason"] = "not involutive"
-    emit(payload, args.json)
-    return 0 if ok else 2
+    return payload
 
 
-def _cmd_fixed_curve(args) -> int:
+def _cmd_fixed_curve(args) -> dict:
     sigma = _load_map(args)
     if not is_involution(sigma):
         raise ValidationError("not involutive", "the map composed with itself is not the identity")
     locus = fixedcurve.fixed_locus(sigma)
-    payload = {
-        "degree": sigma.degree,
-        "fixed_curve": format_hpoly(locus),
-        "fixed_curve_degree": locus.degree,
-    }
-    emit(payload, args.json)
-    return 0
+    return {"degree": sigma.degree, "fixed_curve": format_hpoly(locus), "fixed_curve_degree": locus.degree}
 
 
 def _build_record(args):
-    if args.curve and args.p:
+    """The record of a construction, --curve with --p or --points or
+    --builtin with --kind, or None for a map; the parser refuses two of
+    --curve, --points, --builtin, --map and --map-file."""
+    configured = args.points or args.builtin
+    if bool(args.curve) != bool(args.p):
+        raise ValidationError("bad request", "--curve and --p go together")
+    if args.kind and not configured:
+        raise ValidationError("bad request", "--kind goes with --points or --builtin")
+    if args.curve:
         return involutions.dj_involution(parse_poly(args.curve), parse_point(args.p))
-    if args.points or args.builtin:
-        kind = args.kind
-        if kind not in involutions.DEL_PEZZO:
+    if configured:
+        if args.kind is None:
             raise ValidationError("bad request", "--kind must be geiser or bertini with --points")
-        return _configuration_involution(args, kind).record()
+        return _configuration_involution(args, args.kind).record()
     return None
 
 
-def _cmd_invariant(args) -> int:
-    """The invariant of a construction, cross-checked against its fixed
-    curve (invariant_of); a raw map is classified as by classify."""
-    record = _build_record(args)
-    if record is None:
-        return _cmd_classify(args)
-    inv = fixedcurve.invariant_of(record)
-    emit({"label": inv.source, "invariant": inv.as_dict()}, args.json)
-    return 0
-
-
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> dict:
+    """classify and invariant: the label and invariant of a construction
+    (classify_involution checks its record by invariant_of) or of a raw map;
+    classify also prints the note on how they were computed."""
     record = _build_record(args)
     result = fixedcurve.classify_involution(record if record is not None else _load_map(args))
-    payload = {
-        "label": result.label,
-        "invariant": result.invariant.as_dict() if result.invariant else None,
-        "note": result.note,
-    }
-    emit(payload, args.json)
-    return 0
+    payload = _labelled(result.invariant)
+    if args.command == "classify":
+        payload["note"] = result.note
+    return payload
 
 
 def _lattice_of(args) -> picard.PicLattice:
-    if getattr(args, "quadric", False):
+    if args.quadric:
         return picard.quadric_lattice()
     if args.n is None:
         raise ValidationError("bad request", "supply --n or --quadric")
     return picard.make_lattice(args.n)
 
 
-def _cmd_lattice(args) -> int:
-    sub = args.lattice_cmd
+def _cmd_lattice_make(args) -> dict:
     lat = _lattice_of(args)
-    if sub == "make":
-        payload = {
-            "kind": lat.kind,
-            "rank": lat.rank,
-            "K": list(lat.k),
-            "K_square": lat.k_square(),
-        }
-        emit(payload, args.json)
-        return 0
-    if sub == "reflect":
-        if args.alpha:
-            alpha = parse_int_list(args.alpha)
-            matrix = picard.reflection_through(lat, alpha)
-            payload = {"matrix": [list(r) for r in matrix], "alpha": list(alpha)}
-        else:
-            inv = picard.anti_reflection_in_k(lat)
-            payload = {
-                "matrix": [list(r) for r in inv.matrix],
-                "anti_reflection_in_K": True,
-                "fixed_rank": picard.fixed_rank(inv),
-            }
-        emit(payload, args.json)
-        return 0
-    if sub == "exceptionals":
-        classes = picard.exceptional_classes(lat)
-        payload = {"n": lat.n, "count": len(classes), "classes": [list(c) for c in classes]}
-        if args.oracle:
-            oracle = picard.exceptional_classes_bruteforce(lat)
-            payload["oracle_count"] = len(oracle)
-            payload["oracle_agrees"] = oracle == classes
-        emit(payload, args.json)
-        return 0
-    if sub in ("minimal", "classify"):
-        if not args.matrix_file:
-            raise ValidationError("bad request", "supply --matrix-file")
-        matrix = parse_matrix_file(args.matrix_file)
-        inv = picard.LatticeInvolution(lat, matrix)
-        if sub == "minimal":
-            res = picard.is_minimal(lat, inv)
-            payload = {"minimal": res.minimal}
-            if res.witness is not None:
-                payload["witness"] = list(res.witness)
-                payload["witness_image"] = list(res.image)
-                payload["failure"] = res.failure
-            emit(payload, args.json)
-            return 0
-        emit(picard.classify_pair(lat, inv).as_dict(), args.json)
-        return 0
-    raise ValidationError("bad request", f"unknown lattice subcommand {sub!r}")
+    return {"kind": lat.kind, "rank": lat.rank, "K": list(lat.k), "K_square": lat.k_square()}
+
+
+def _cmd_lattice_reflect(args) -> dict:
+    lat = _lattice_of(args)
+    if args.alpha:
+        alpha = parse_int_list(args.alpha)
+        return {"matrix": [list(r) for r in picard.reflection_through(lat, alpha)], "alpha": list(alpha)}
+    inv = picard.anti_reflection_in_k(lat)
+    return {"matrix": [list(r) for r in inv.matrix], "anti_reflection_in_K": True,
+            "fixed_rank": picard.fixed_rank(inv)}
+
+
+def _cmd_lattice_exceptionals(args) -> dict:
+    lat = _lattice_of(args)
+    classes = picard.exceptional_classes(lat)
+    payload = {"n": lat.n, "count": len(classes), "classes": [list(c) for c in classes]}
+    if args.oracle:
+        oracle = picard.exceptional_classes_bruteforce(lat)
+        payload["oracle_count"] = len(oracle)
+        payload["oracle_agrees"] = oracle == classes
+    return payload
+
+
+def _lattice_involution(args):
+    lat = _lattice_of(args)
+    if not args.matrix_file:
+        raise ValidationError("bad request", "supply --matrix-file")
+    return lat, picard.LatticeInvolution(lat, parse_matrix_file(args.matrix_file))
+
+
+def _cmd_lattice_minimal(args) -> dict:
+    return picard.is_minimal(*_lattice_involution(args)).as_dict()
+
+
+def _cmd_lattice_classify(args) -> dict:
+    return picard.classify_pair(*_lattice_involution(args)).as_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -466,92 +427,102 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, func, **defaults):
+        """--json, and the handler that p's command line goes to."""
         p.add_argument("--json", action="store_true", help="machine-readable output")
+        p.set_defaults(func=func, **defaults)
 
     p = sub.add_parser("dj", help="de Jonquieres involution from a curve and center")
     p.add_argument("--curve", required=True)
     p.add_argument("--p", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_dj, construct=involutions.dj_involution)
+    common(p, _cmd_dj, construct=involutions.dj_involution)
 
     p = sub.add_parser("dj-conic", help="quadratic de Jonquieres involution from a conic")
     p.add_argument("--q", dest="curve", metavar="Q", required=True)
     p.add_argument("--p", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_dj, construct=involutions.dj_from_conic)
+    common(p, _cmd_dj, construct=involutions.dj_from_conic)
 
     for name in involutions.DEL_PEZZO:
         p = sub.add_parser(name, help=f"{name} involution on a point configuration")
-        p.add_argument("--points", help="point file, one (a:b:c) per line")
-        p.add_argument("--builtin", action="store_true", help="use the committed configuration")
+        config = p.add_mutually_exclusive_group()
+        config.add_argument("--points", help="point file, one (a:b:c) per line")
+        config.add_argument("--builtin", action="store_true", help="use the committed configuration")
         p.add_argument("--x", help="point to evaluate at")
         if name == "geiser":
             p.add_argument("--interpolate", action="store_true",
                            help="also fit the closed-form degree-8 map")
             p.add_argument("--seed", type=int, default=0,
                            help="seed of the sample stream of --interpolate")
-        common(p)
-        p.set_defaults(func=_cmd_configuration)
+        common(p, _cmd_configuration)
 
-    p = sub.add_parser("verify", help="check that a map is an involution")
-    p.add_argument("--map", help=MAP_HELP)
-    p.add_argument("--map-file", help="JSON file with a 'components' list")
-    common(p)
-    p.set_defaults(func=_cmd_verify)
+    def one_map(p):
+        """--map or --map-file, one of them, in a group of p's options."""
+        one = p.add_mutually_exclusive_group()
+        one.add_argument("--map", help=MAP_HELP)
+        one.add_argument("--map-file", help="JSON file with a 'components' list")
+        return one
 
-    p = sub.add_parser("fixed-curve", help="divisorial fixed locus of a map")
-    p.add_argument("--map", help=MAP_HELP)
-    p.add_argument("--map-file")
-    common(p)
-    p.set_defaults(func=_cmd_fixed_curve)
+    for name, handler, help_text in (("verify", _cmd_verify, "check that a map is an involution"),
+                                     ("fixed-curve", _cmd_fixed_curve, "divisorial fixed locus of a map")):
+        p = sub.add_parser(name, help=help_text)
+        one_map(p)
+        common(p, handler)
 
-    for name, handler in (("invariant", _cmd_invariant), ("classify", _cmd_classify)):
+    for name in ("invariant", "classify"):
         p = sub.add_parser(name, help=f"{name} of an involution (construction or raw map)")
-        p.add_argument("--curve")
+        one = one_map(p)
+        one.add_argument("--curve")
+        one.add_argument("--points")
+        one.add_argument("--builtin", action="store_true")
         p.add_argument("--p")
-        p.add_argument("--points")
-        p.add_argument("--builtin", action="store_true")
         p.add_argument("--kind", choices=tuple(involutions.DEL_PEZZO))
-        p.add_argument("--map", help=MAP_HELP)
-        p.add_argument("--map-file")
-        common(p)
-        p.set_defaults(func=handler)
+        common(p, _cmd_classify)
 
-    p = sub.add_parser("lattice", help="Picard-lattice computations")
-    p.add_argument("lattice_cmd", choices=("make", "reflect", "exceptionals", "minimal", "classify"))
-    p.add_argument("--n", type=int, help="number of blown-up points")
-    p.add_argument("--quadric", action="store_true", help="use the rank-2 quadric model")
-    p.add_argument("--alpha", help="comma-separated class for 'reflect'")
-    p.add_argument("--oracle", action="store_true", help="cross-check with the widened brute force")
-    p.add_argument("--matrix-file", help="involution matrix file")
-    common(p)
-    p.set_defaults(func=_cmd_lattice)
+    lattice = sub.add_parser("lattice", help="Picard-lattice computations")
+    actions = lattice.add_subparsers(dest="lattice_cmd", required=True)
+    for action, handler in (("make", _cmd_lattice_make), ("reflect", _cmd_lattice_reflect),
+                            ("exceptionals", _cmd_lattice_exceptionals),
+                            ("minimal", _cmd_lattice_minimal), ("classify", _cmd_lattice_classify)):
+        p = actions.add_parser(action)
+        which = p.add_mutually_exclusive_group()
+        which.add_argument("--n", type=int, help="number of blown-up points")
+        which.add_argument("--quadric", action="store_true", help="use the rank-2 quadric model")
+        if action == "reflect":
+            p.add_argument("--alpha", help="comma-separated class to reflect through")
+        if action == "exceptionals":
+            p.add_argument("--oracle", action="store_true", help="cross-check with the widened brute force")
+        if action in ("minimal", "classify"):
+            p.add_argument("--matrix-file", help="involution matrix file")
+        common(p, handler)
 
     return top
 
 
 def run(argv=None) -> int:
+    """Run one command line. Its handler returns the answer payload, which
+    is emitted here; a payload with a reason, like verify's "not
+    involutive", exits 2 as a refused request does."""
     argv = sys.argv[1:] if argv is None else argv
     as_json = "--json" in argv     # until parse_args has read the command line
     start = time.monotonic()
     try:
         args = build_parser().parse_args(argv)
         as_json = args.json
-        code = args.func(args)
+        payload = args.func(args)
     except (ValidationError, IndeterminacyError) as exc:
         payload = {"error": str(exc), "reason": getattr(exc, "reason", "validation failure")}
         if as_json:
-            sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": ")) + "\n")
+            emit(payload, True)
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001  internal error path
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
+    emit(payload, as_json)
     if not as_json:
         print(f"elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)
-    return code
+    return 2 if "reason" in payload else 0
 
 
 def main() -> None:

@@ -5,7 +5,9 @@ the map against (x, y, z). The conjugacy invariant of an involution is its
 normalized fixed curve (Bayle-Beauville): empty, a hyperelliptic curve of
 genus g >= 1 (an elliptic curve counts as hyperelliptic by convention), the
 non-hyperelliptic genus-3 curve of a Geiser involution, or the genus-4 curve
-on a singular quadric of a Bertini involution.
+on a singular quadric of a Bertini involution. The last two, with their
+labels, come from the table involutions.DEL_PEZZO, whose genus is that of a
+curve of degree 3(m + 1) with n ordinary points of multiplicity m + 1.
 
 For a map with a center p (projmaps.pencil_form) the invariant is computed
 from equations: the map acts by a Moebius involution on each line through
@@ -35,8 +37,6 @@ from .projmaps import (
 
 KIND_EMPTY = "empty"
 KIND_HYPERELLIPTIC = "hyperelliptic"
-KIND_GENUS3 = "non-hyperelliptic genus 3"
-KIND_GENUS4 = "non-hyperelliptic genus 4 on a singular quadric"
 
 
 @dataclass(frozen=True)
@@ -68,17 +68,18 @@ def fixed_locus(sigma: RationalMap) -> HPoly:
 
 
 def invariant_for_kind(kind: str, d: int | None = None) -> FixedCurveInvariant:
-    """Invariant attached to a construction type, before cross-checks."""
+    """Invariant attached to a construction type, before cross-checks:
+    DJ(d) of degree d, or the label, curve kind and genus of a kind of
+    DEL_PEZZO."""
     if kind == "dj":
         if d is None or d < 2:
             raise ValidationError("bad degree", "de Jonquieres needs a degree >= 2")
         if d == 2:
             return FixedCurveInvariant(KIND_EMPTY, None, "DJ(2)")
         return FixedCurveInvariant(KIND_HYPERELLIPTIC, d - 2, f"DJ({d})")
-    if kind == "geiser":
-        return FixedCurveInvariant(KIND_GENUS3, 3, "Geiser")
-    if kind == "bertini":
-        return FixedCurveInvariant(KIND_GENUS4, 4, "Bertini")
+    if kind in DEL_PEZZO:
+        dp = DEL_PEZZO[kind]
+        return FixedCurveInvariant(dp.curve, dp.genus, dp.label)
     raise ValidationError("unknown kind", f"no invariant for kind {kind!r}")
 
 
@@ -121,9 +122,15 @@ def invariant_of(record: InvolutionRecord) -> FixedCurveInvariant:
 
 @dataclass(frozen=True)
 class Classification:
-    label: str
-    invariant: FixedCurveInvariant | None
+    """An involution's invariant and a note on how it was computed; the
+    label is the invariant's source."""
+
+    invariant: FixedCurveInvariant
     note: str
+
+    @property
+    def label(self) -> str:
+        return self.invariant.source
 
 
 def rational_base_points(arg):
@@ -179,9 +186,9 @@ def classify_involution(arg) -> Classification:
     if isinstance(arg, InvolutionRecord):
         inv = invariant_of(arg)
         if arg.dj_data is not None:
-            return Classification(inv.source, inv, _pencil_note(arg.dj_data.pencil))
+            return Classification(inv, _pencil_note(arg.dj_data.pencil))
         degree, mult = DEL_PEZZO[arg.kind].fixed_curve
-        return Classification(inv.source, inv, (
+        return Classification(inv, (
             f"the fixed curve has degree {degree} and multiplicity at least {mult} "
             f"at each of the {len(arg.config.points)} base points"))
     sigma: RationalMap = arg
@@ -192,7 +199,7 @@ def classify_involution(arg) -> Classification:
         if not form.is_involution():
             raise ValidationError("not involutive", "the map composed with itself is not the identity")
         inv = _dj_invariant(form)
-        return Classification(inv.source, inv, _pencil_note(form))
+        return Classification(inv, _pencil_note(form))
     if not involution_on_grid(sigma):
         raise ValidationError("not involutive", "the map composed with itself is not the identity")
     d = sigma.degree
@@ -200,7 +207,7 @@ def classify_involution(arg) -> Classification:
     for kind, dp in DEL_PEZZO.items():
         if (d, fixed.degree) == (dp.degree, dp.fixed_curve[0]):
             inv = invariant_for_kind(kind)
-            return Classification(inv.source, inv, (
+            return Classification(inv, (
                 f"raw-map heuristic: degree {d} with a fixed curve of degree {fixed.degree}; "
                 "rational fixed components not certified"))
     raise ValidationError(

@@ -165,14 +165,10 @@ class InvolutionRecord:
 
     kind: str                       # "dj" | "geiser" | "bertini"
     degree: int                     # map degree: d, 8 or 17
-    evaluator: object               # callable ProjPoint -> ProjPoint | None
     map: RationalMap | None = None
     fixed_curve: HPoly | None = None
     config: "PointConfig | None" = None
     dj_data: DJData | None = None
-
-    def eval(self, pt: ProjPoint):
-        return self.evaluator(pt)
 
 
 def conjugated_map(data: DJData) -> RationalMap:
@@ -192,7 +188,6 @@ def dj_involution(curve: HPoly, p: ProjPoint) -> InvolutionRecord:
     return InvolutionRecord(
         kind="dj",
         degree=data.d,
-        evaluator=sigma.eval,
         map=sigma,
         fixed_curve=data.curve,
         dj_data=data,
@@ -216,21 +211,35 @@ def dj_from_conic(q: HPoly, p: ProjPoint) -> InvolutionRecord:
 
 class DelPezzoType(NamedTuple):
     """|-mK| on the blow-up of n points, the forms of degree 3m with
-    multiplicity m at the points, and the degree of its deck involution."""
+    multiplicity m at the points, the degree of its deck involution, the
+    family's label and the kind of its normalized fixed curve."""
 
     n: int
     m: int
     degree: int
+    label: str
+    curve: str
 
     @property
     def fixed_curve(self):
         """Degree of the fixed curve and its multiplicity at the points."""
         return 3 * (self.m + 1), self.m + 1
 
+    @property
+    def genus(self) -> int:
+        """Genus of the fixed curve: a curve of degree D whose only
+        singularities are n ordinary points of multiplicity m + 1, as in
+        general position, has genus (D - 1)(D - 2)/2 - n m(m + 1)/2."""
+        d, mult = self.fixed_curve
+        return (d - 1) * (d - 2) // 2 - self.n * mult * (mult - 1) // 2
+
 
 # Dolgachev, Classical Algebraic Geometry, ch. 8: on the blow-up S the map
 # acts by H -> degree H - 3m sum E_i, the anti-reflection in K_S
-DEL_PEZZO = {"geiser": DelPezzoType(7, 1, 8), "bertini": DelPezzoType(8, 2, 17)}
+DEL_PEZZO = {
+    "geiser": DelPezzoType(7, 1, 8, "Geiser", "non-hyperelliptic genus 3"),
+    "bertini": DelPezzoType(8, 2, 17, "Bertini", "non-hyperelliptic genus 4 on a singular quadric"),
+}
 
 
 @dataclass(frozen=True)
@@ -537,7 +546,7 @@ class DelPezzoInvolution:
         return self.eval_detail(x)[0]
 
     def record(self) -> InvolutionRecord:
-        return InvolutionRecord(kind=self.kind, degree=self.family.degree, evaluator=self.eval,
+        return InvolutionRecord(kind=self.kind, degree=self.family.degree,
                                 fixed_curve=self.fixed_curve, config=self.config)
 
 
@@ -671,14 +680,17 @@ class BertiniInvolution(DelPezzoInvolution):
     @cached_property
     def fixed_curve(self) -> HPoly:
         """The curve fixed by the involution, of degree 9 with triple points
-        at the 8 points: the Jacobian of c1, c2 spanning the cubic pencil
-        and a sextic s of the space outside span{c1^2, c1 c2, c2^2}."""
+        at the 8 points: the Jacobian J(c1, c2, s) of c1, c2 spanning the
+        cubic pencil and the first sextic s of the space where it is
+        nonzero. J(c1, c2, .) is linear and vanishes on span{c1^2, c1 c2,
+        c2^2}, a hyperplane of the space, so every such s gives the same
+        nonic up to a scalar."""
         c1, c2 = self._pencil_forms
-        squares = [c1 * c1, c1 * c2, c2 * c2]
-        monos = monomials(6)
-        rows = [[q.terms.get(e, 0) for e in monos] for q in squares]
-        s = next(s for s in self.space if matrix_rank(rows + [[s.terms.get(e, 0) for e in monos]]) == 4)
-        return _jacobian(c1, c2, s)
+        for s in self.space:
+            j = _jacobian(c1, c2, s)
+            if not j.is_zero():
+                return j
+        raise ValidationError("degenerate configuration", "Jacobian nonic vanishes")
 
     def eval_detail(self, x: ProjPoint):
         """Image of x under the Bertini involution, and the EvalTrace.

@@ -261,6 +261,14 @@ class MinimalityResult:
     def __bool__(self):
         return self.minimal
 
+    def as_dict(self):
+        """minimal, and for a non-minimal pair its witness, the witness'
+        image and the failed condition."""
+        d = {"minimal": self.minimal}
+        if self.witness is not None:
+            d.update(witness=list(self.witness), witness_image=list(self.image), failure=self.failure)
+        return d
+
 
 def is_minimal(lat: PicLattice, inv: LatticeInvolution) -> MinimalityResult:
     """Blow-down criterion on classes: minimal iff every exceptional class E
@@ -289,11 +297,7 @@ class PairClassification:
     note: str = ""
 
     def as_dict(self):
-        d = {"label": self.label, "fixed_rank": self.fixed_rank, "minimal": self.minimal.minimal}
-        if self.minimal.witness is not None:
-            d["witness"] = list(self.minimal.witness)
-            d["witness_image"] = list(self.minimal.image)
-            d["failure"] = self.minimal.failure
+        d = {"label": self.label, "fixed_rank": self.fixed_rank, **self.minimal.as_dict()}
         if self.note:
             d["note"] = self.note
         return d

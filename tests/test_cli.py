@@ -9,7 +9,8 @@ import pytest
 
 from planecremona.cli import parse_point, parse_poly, parse_map, run
 from planecremona.errors import ValidationError
-from planecremona.exactpoly import HPoly, format_hpoly
+from planecremona.exactpoly import HPoly, format_hpoly, multiplicity_values
+from planecremona.involutions import DEL_PEZZO
 from planecremona.projmaps import ProjPoint, RationalMap
 from planecremona.rng import SplitMix64
 
@@ -97,9 +98,20 @@ def test_dj_higher_degree():
     assert payload["invariant"] == {"kind": "hyperelliptic", "genus": 1, "source": "DJ(3)"}
 
 
+def assert_fixed_curve_of_the_family(kind, payload):
+    """The printed fixed curve has degree 3(m + 1) and multiplicity m + 1 at
+    every printed point, for the m that DEL_PEZZO gives the family."""
+    degree, mult = DEL_PEZZO[kind].fixed_curve
+    curve = parse_poly(payload["fixed_curve"])
+    assert curve.degree == degree
+    points = [parse_point(p).coords for p in payload["points"]]
+    assert not any(v for (v,) in multiplicity_values([curve], points, [mult] * len(points)))
+
+
 def test_geiser_builtin_eval():
     code, payload, _ = run_json(["geiser", "--builtin", "--x", "(2:3:7)"])
     assert code == 0
+    assert_fixed_curve_of_the_family("geiser", payload)
     assert payload["trace"] == {"attempts": 1}
     y = parse_point(payload["image"])
     code2, payload2, _ = run_json(["geiser", "--builtin", "--x", payload["image"]])
@@ -110,7 +122,7 @@ def test_bertini_builtin_eval():
     code, payload, _ = run_json(["bertini", "--builtin", "--x", "(2:3:7)"])
     assert code == 0
     assert payload["points"][7] == "(4:-1:3)"
-    assert payload["sextic_system_dimension"] == 4
+    assert_fixed_curve_of_the_family("bertini", payload)
     assert payload["trace"] == {"attempts": 1}
     assert payload["image"] == "(90248659568972575:140287127599959845:684641864192847228)"
     code, payload, _ = run_json(["bertini", "--builtin", "--x", payload["image"]])
@@ -209,6 +221,15 @@ def test_unreadable_input_file_is_a_validation_failure(tmp_path, argv, reason):
     # a command line argparse refuses gives a payload too
     (["verify", "--map", "x;y;z", "--seed", "3"], "bad request"),
     (["lattice", "make", "--n", "abc"], "bad request"),
+    # every option is read or refused
+    (["classify", "--curve", "x*z - y^2", "--map", "x*y;x*z;y*z"], "bad request"),
+    (["classify", "--kind", "bertini", "--curve", "x*z - y^2", "--p", "(0:1:0)"], "bad request"),
+    (["invariant", "--curve", "x*z - y^2"], "bad request"),
+    (["lattice", "make", "--n", "3", "--alpha", "1,0,0,0", "--oracle", "--matrix-file", "nowhere"],
+     "bad request"),
+    (["lattice", "make", "--n", "3", "--quadric"], "bad request"),
+    (["invariant", "--points", "data/points7.txt", "--builtin", "--kind", "geiser"], "bad request"),
+    (["verify", "--map", "x*y;x*z;y*z", "--map-file", "tests/data/conic_map.json"], "bad request"),
 ])
 def test_malformed_command_line_input_is_a_validation_failure(argv, reason):
     code, payload, _ = run_json(argv)

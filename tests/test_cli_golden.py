@@ -64,6 +64,28 @@ def test_every_golden_payload_fits_the_schema():
         assert not errors, f"{' '.join(call['argv'])}: {errors[0].message}"
 
 
+def test_invariant_prints_classify_without_the_note():
+    """Every argv stored under both invariant and classify gives the same
+    exit code and output, less classify's note, errors included."""
+    stored = {tuple(call["argv"]): call for call in _golden()}
+    twins = 0
+    for argv, call in stored.items():
+        twin = stored.get(("classify",) + argv[1:]) if argv[0] == "invariant" else None
+        if twin is None:
+            continue
+        twins += 1
+        assert call["code"] == twin["code"], " ".join(argv)
+        if argv[-1] == "--json":
+            payload = json.loads(twin["stdout"])
+            payload.pop("note", None)
+            expected = json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+        else:
+            expected = "".join(line for line in twin["stdout"].splitlines(True)
+                               if not line.startswith("note: "))
+        assert call["stdout"] == expected, " ".join(argv)
+    assert twins == 72
+
+
 def test_a_payload_has_a_seed_exactly_when_geiser_fits_a_map():
     for call, payload in _json_calls():
         fitted = call["argv"][0] == "geiser" and "--interpolate" in call["argv"] and call["code"] == 0

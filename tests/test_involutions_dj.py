@@ -283,10 +283,10 @@ def test_evaluator_round_trips():
         if coords == (0, 0, 0):
             continue
         p = ProjPoint(*coords)
-        img = rec.eval(p)
+        img = rec.map.eval(p)
         if img is None:
             continue
-        back = rec.eval(img)
+        back = rec.map.eval(img)
         if back is None:
             continue
         assert back == p
