@@ -27,7 +27,6 @@ from .involutions import (
     BertiniInvolution,
     DJData,
     GeiserInvolution,
-    InvolutionRecord,
     PointConfig,
     cubic_system,
     dj_from_conic,

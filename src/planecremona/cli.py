@@ -8,12 +8,10 @@ is byte-identical across runs with equal arguments (keys sorted, fixed
 separators, no timestamps or timing). Exit codes: 0 success, 2 validation
 failure (machine-readable reason; "bad request" for a command line the
 parser refuses, such as an option its subcommand does not read), 1 internal
-error. Only geiser takes --seed, and only geiser --interpolate reads it: it
-seeds the sample stream of the fit and is printed with the fitted map.
-geiser and bertini print the fixed curve that their label was checked on.
-classify takes one involution (--curve with --p, --points or --builtin with
---kind, or --map or --map-file) and prints its label, invariant and a note
-on how they were computed; invariant prints the same without the note.
+error. geiser and bertini print the fixed curve that their label was checked
+on. classify takes one involution (--curve with --p, --points or --builtin
+with --kind, or --map or --map-file) and prints its label, invariant and a
+note on how they were computed; invariant prints the same without the note.
 
 Input grammars:
   polynomials   signed terms  c x^i*y^j*z^k  with rational c like 3/4 and
@@ -241,17 +239,17 @@ def _default_human(payload, prefix=""):
 
 def _cmd_dj(args) -> dict:
     """dj and dj-conic: args.construct is dj_involution or dj_from_conic;
-    the record's map, fixed curve, center and checks, and the rational base
-    points."""
-    record = args.construct(parse_poly(args.curve), parse_point(args.p))
-    return _labelled(fixedcurve.invariant_of(record), **_map_json(record.map),
-                     fixed_curve=format_hpoly(record.fixed_curve),
-                     center=str(record.dj_data.pencil.center),
-                     validation={"checks": list(record.dj_data.checks)},
-                     rational_base_points=[str(b) for b in fixedcurve.rational_base_points(record)])
+    the map, fixed curve, center and checks of the DJData it returns, and
+    the rational base points."""
+    data = args.construct(parse_poly(args.curve), parse_point(args.p))
+    return _labelled(fixedcurve.invariant_of(data), **_map_json(data.map),
+                     fixed_curve=format_hpoly(data.fixed_curve),
+                     center=str(data.pencil.center),
+                     validation={"checks": list(data.checks)},
+                     rational_base_points=[str(b) for b in fixedcurve.rational_base_points(data)])
 
 
-def _configuration_involution(args, kind: str, seed: int = 0):
+def _configuration_involution(args, kind: str):
     """The involution of a kind of DEL_PEZZO on --builtin or --points."""
     if args.builtin:
         config = configs.reference_seven_points() if kind == "geiser" else configs.reference_eight_points()
@@ -259,21 +257,17 @@ def _configuration_involution(args, kind: str, seed: int = 0):
         config = involutions.make_point_config(parse_points_file(args.points), kind)
     else:
         raise ValidationError("bad request", "supply --points FILE or --builtin")
-    if kind == "geiser":
-        return involutions.GeiserInvolution(config, seed=seed)
-    return involutions.BertiniInvolution(config)
+    build = involutions.GeiserInvolution if kind == "geiser" else involutions.BertiniInvolution
+    return build(config)
 
 
 def _cmd_configuration(args) -> dict:
     """geiser and bertini: the involution of a point configuration, with its
     label and invariant from invariant_of, and the fixed curve that
-    invariant_of checked. geiser --interpolate also fits the closed-form map
-    from the stream of --seed, and prints that seed."""
-    seed = getattr(args, "seed", 0)
-    if seed < 0:
-        raise ValidationError("bad request", "--seed must be >= 0")
-    inv = _configuration_involution(args, args.command, seed)
-    payload = _labelled(fixedcurve.invariant_of(inv.record()),
+    invariant_of checked. geiser --interpolate also prints the closed-form
+    map."""
+    inv = _configuration_involution(args, args.command)
+    payload = _labelled(fixedcurve.invariant_of(inv),
                         points=[str(p) for p in inv.config.points],
                         fixed_curve=format_hpoly(inv.fixed_curve))
     if args.x:
@@ -283,7 +277,6 @@ def _cmd_configuration(args) -> dict:
         payload["image"] = str(image)
         payload["trace"] = {"attempts": trace.attempts}
     if getattr(args, "interpolate", False):
-        payload["seed"] = seed
         payload["map"] = _map_json(inv.interpolated_map)
     return payload
 
@@ -323,8 +316,8 @@ def _cmd_fixed_curve(args) -> dict:
     return {"degree": sigma.degree, "fixed_curve": format_hpoly(locus), "fixed_curve_degree": locus.degree}
 
 
-def _build_record(args):
-    """The record of a construction, --curve with --p or --points or
+def _construction(args):
+    """The construction given by --curve with --p or by --points or
     --builtin with --kind, or None for a map; the parser refuses two of
     --curve, --points, --builtin, --map and --map-file."""
     configured = args.points or args.builtin
@@ -336,17 +329,18 @@ def _build_record(args):
         return involutions.dj_involution(parse_poly(args.curve), parse_point(args.p))
     if configured:
         if args.kind is None:
-            raise ValidationError("bad request", "--kind must be geiser or bertini with --points")
-        return _configuration_involution(args, args.kind).record()
+            given = "--points" if args.points else "--builtin"
+            raise ValidationError("bad request", f"--kind must be geiser or bertini with {given}")
+        return _configuration_involution(args, args.kind)
     return None
 
 
 def _cmd_classify(args) -> dict:
     """classify and invariant: the label and invariant of a construction
-    (classify_involution checks its record by invariant_of) or of a raw map;
+    (classify_involution checks it by invariant_of) or of a raw map;
     classify also prints the note on how they were computed."""
-    record = _build_record(args)
-    result = fixedcurve.classify_involution(record if record is not None else _load_map(args))
+    construction = _construction(args)
+    result = fixedcurve.classify_involution(construction if construction is not None else _load_map(args))
     payload = _labelled(result.invariant)
     if args.command == "classify":
         payload["note"] = result.note
@@ -451,8 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "geiser":
             p.add_argument("--interpolate", action="store_true",
                            help="also fit the closed-form degree-8 map")
-            p.add_argument("--seed", type=int, default=0,
-                           help="seed of the sample stream of --interpolate")
         common(p, _cmd_configuration)
 
     def one_map(p):
@@ -479,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
         common(p, _cmd_classify)
 
     lattice = sub.add_parser("lattice", help="Picard-lattice computations")
-    actions = lattice.add_subparsers(dest="lattice_cmd", required=True)
+    actions = lattice.add_subparsers(required=True)
     for action, handler in (("make", _cmd_lattice_make), ("reflect", _cmd_lattice_reflect),
                             ("exceptionals", _cmd_lattice_exceptionals),
                             ("minimal", _cmd_lattice_minimal), ("classify", _cmd_lattice_classify)):

@@ -15,22 +15,23 @@ p, and the normalized fixed curve is the double cover of that pencil
 branched at the odd-multiplicity roots of the branch form beta. Its base
 points besides p lie over the rational roots of det M.
 
-invariant_of is the one source of a record's invariant and label. A de
-Jonquieres record is read from the pencil form of its data, as a raw map
-with a center is, and its genus must be d - 2. Geiser and Bertini records
-carry their fixed curves, which invariant_of checks against the table
-involutions.DEL_PEZZO (exactpoly.multiplicity_values): degree 3(m + 1) and
-multiplicity m + 1 at each of the n points, the Jacobian sextic double at
-the 7 and the nonic triple at the 8. Raw maps without a center are
-labelled from their degree and the degree of their fixed locus, the map and
-fixed-curve degrees of that table.
+invariant_of is the one source of a construction's invariant and label. A
+de Jonquieres construction (involutions.DJData) is read from its pencil
+form, as a raw map with a center is, and its genus must be d - 2. Geiser and
+Bertini involutions (involutions.DelPezzoInvolution) carry their fixed
+curves, which invariant_of checks against the table involutions.DEL_PEZZO
+(exactpoly.multiplicity_values): degree 3(m + 1) and multiplicity m + 1 at
+each of the n points, the Jacobian sextic double at the 7 and the nonic
+triple at the 8. Raw maps without a center are labelled from their degree
+and the degree of their fixed locus, the map and fixed-curve degrees of that
+table.
 """
 
 from dataclasses import dataclass
 
 from .errors import ValidationError
 from .exactpoly import HPoly, bform_rational_roots, hpoly_gcd_many, multiplicity_values, values_at
-from .involutions import DEL_PEZZO, InvolutionRecord
+from .involutions import DEL_PEZZO, DelPezzoInvolution, DJData
 from .projmaps import (
     ProjPoint, RationalMap, identity_minors, involution_on_grid, is_identity, pencil_form,
 )
@@ -90,34 +91,36 @@ def _dj_invariant(form) -> FixedCurveInvariant:
     return invariant_for_kind("dj", max(form.genus(), 0) + 2)
 
 
-def invariant_of(record: InvolutionRecord) -> FixedCurveInvariant:
-    """Invariant of a constructed involution record, computed from what it
-    was built from.
+def _unknown(arg) -> ValidationError:
+    return ValidationError("unknown kind", f"not a construction or a map: {type(arg).__name__}")
 
-    DJ(d): from the pencil form of its data (_dj_invariant), which must
-    give genus d - 2. Geiser and Bertini: the record's fixed curve must
-    have degree 3(m + 1) and multiplicity m + 1 at each base point, m of
-    DEL_PEZZO: a sextic double at the 7 points, resp. a nonic triple at the
-    8. A mismatch means the record is corrupted.
+
+def invariant_of(construction) -> FixedCurveInvariant:
+    """Invariant of a construction, computed from what it was built from.
+
+    DJData of degree d: from its pencil form (_dj_invariant), which must
+    give genus d - 2. DelPezzoInvolution: its fixed curve must have degree
+    3(m + 1) and multiplicity m + 1 at each point of its configuration, m of
+    its family: a sextic double at the 7 points, resp. a nonic triple at
+    the 8. A mismatch means the construction is corrupted.
     """
-    kind = record.kind
-    if kind == "dj":
-        inv = _dj_invariant(record.dj_data.pencil)
-        if inv != invariant_for_kind("dj", record.degree):
+    if isinstance(construction, DJData):
+        inv = _dj_invariant(construction.pencil)
+        if inv != invariant_for_kind("dj", construction.d):
             raise ValidationError("corrupted record",
-                                  f"{inv.source} data in a record of degree {record.degree}")
+                                  f"{inv.source} data in a record of degree {construction.d}")
         return inv
-    if kind in DEL_PEZZO:
-        inv = invariant_for_kind(kind)
-        degree, mult = DEL_PEZZO[kind].fixed_curve
-        curve = record.fixed_curve
-        if curve is None or curve.degree != degree:
-            raise ValidationError("corrupted record", f"{inv.source} fixed curve must have degree {degree}")
-        for p in record.config.points:
-            if any(v for (v,) in multiplicity_values([curve], [p.coords], [mult])):
-                raise ValidationError("corrupted record", f"fixed curve not of multiplicity {mult} at {p}")
-        return inv
-    raise ValidationError("unknown kind", f"cannot derive invariant for {kind!r}")
+    if not isinstance(construction, DelPezzoInvolution):
+        raise _unknown(construction)
+    inv = invariant_for_kind(construction.kind)
+    degree, mult = construction.family.fixed_curve
+    curve = construction.fixed_curve
+    if curve.degree != degree:
+        raise ValidationError("corrupted record", f"{inv.source} fixed curve must have degree {degree}")
+    for p in construction.config.points:
+        if any(v for (v,) in multiplicity_values([curve], [p.coords], [mult])):
+            raise ValidationError("corrupted record", f"fixed curve not of multiplicity {mult} at {p}")
+    return inv
 
 
 @dataclass(frozen=True)
@@ -135,7 +138,7 @@ class Classification:
 
 def rational_base_points(arg):
     """Rational base points of a map with a center p, given as a raw map or
-    as a de Jonquieres record, whose pencil form is reused.
+    as a de Jonquieres construction (DJData), whose pencil form is reused.
 
     In the frame of the pencil form the components are (x u, c y + e, z u)
     with u = a y + b; away from p they vanish together where a y + b and
@@ -143,10 +146,12 @@ def rational_base_points(arg):
     b c - a e. Returns p and the points above the rational roots, each kept
     only where every component vanishes.
     """
-    if isinstance(arg, RationalMap):
+    if isinstance(arg, DJData):
+        sigma, form = arg.map, arg.pencil
+    elif isinstance(arg, RationalMap):
         sigma, form = arg, pencil_form(arg)
     else:
-        sigma, form = arg.map, arg.dj_data.pencil if arg.dj_data else None
+        raise _unknown(arg)
     if form is None:
         raise ValidationError("no center", "the map preserves no pencil of lines")
     if not form.linear:
@@ -170,10 +175,10 @@ def _pencil_note(form) -> str:
 
 
 def classify_involution(arg) -> Classification:
-    """Classify a constructed record (invariant_of) or a raw map.
+    """Classify a construction (invariant_of) or a raw map.
 
-    A record's note names what was computed: a DJ record's pencil form, or
-    the fixed curve check of invariant_of.
+    A construction's note names what was computed: the pencil form of a
+    DJData, or the fixed curve check of invariant_of.
     A raw map with a center (projmaps.pencil_form) is classified from its
     pencil form: it must pass PencilForm.is_involution, and its normalized
     fixed curve has genus g = (odd-multiplicity roots of beta)/2 - 1, so it
@@ -183,15 +188,15 @@ def classify_involution(arg) -> Classification:
     17 with a nonic fixed locus a Bertini candidate (the map and fixed-curve
     degrees of DEL_PEZZO), labels assigned from those two degrees.
     """
-    if isinstance(arg, InvolutionRecord):
-        inv = invariant_of(arg)
-        if arg.dj_data is not None:
-            return Classification(inv, _pencil_note(arg.dj_data.pencil))
-        degree, mult = DEL_PEZZO[arg.kind].fixed_curve
+    if not isinstance(arg, RationalMap):
+        inv = invariant_of(arg)         # refuses anything but a construction
+        if isinstance(arg, DJData):
+            return Classification(inv, _pencil_note(arg.pencil))
+        degree, mult = arg.family.fixed_curve
         return Classification(inv, (
             f"the fixed curve has degree {degree} and multiplicity at least {mult} "
             f"at each of the {len(arg.config.points)} base points"))
-    sigma: RationalMap = arg
+    sigma = arg
     if is_identity(sigma):
         raise ValidationError("not involutive", "the identity is not a nontrivial involution")
     form = pencil_form(sigma)

@@ -40,9 +40,10 @@ certificate, applied to its own image, not by evaluating those points
 again.
 All pseudo-random choices come from the package's seeded SplitMix64 streams.
 
-A record (InvolutionRecord) keeps what was built; fixedcurve.invariant_of
-computes its invariant and label from that, and this module does not import
-fixedcurve.
+A construction keeps what it was built from: a DJData its pencil form,
+fixed curve and map, a DelPezzoInvolution its configuration and fixed curve.
+fixedcurve.invariant_of computes the invariant and label of either from
+that, and this module does not import fixedcurve.
 """
 
 from dataclasses import dataclass, field
@@ -79,15 +80,20 @@ from .rng import SplitMix64
 
 @dataclass(frozen=True)
 class DJData:
-    """A validated de Jonquieres instance: the curve, of degree d, is
+    """A validated de Jonquieres instance: the fixed curve, of degree d, is
     A y^2 + B y + C_d in the frame where the center is (0:1:0), the pencil
     form of its polar map has u = 2 A y + B and v = -B y - 2 C_d up to a
     nonzero scalar, and checks names the validation steps it passed."""
 
     d: int
     pencil: PencilForm
-    curve: HPoly
+    fixed_curve: HPoly
     checks: tuple
+
+    @cached_property
+    def map(self) -> RationalMap:
+        """The involution, built once (conjugated_map)."""
+        return conjugated_map(self)
 
 
 def _polar_map(curve: HPoly, p: ProjPoint):
@@ -154,47 +160,24 @@ def validate_dj(curve: HPoly, p: ProjPoint) -> DJData:
     return DJData(d, pencil, curve, tuple(checks))
 
 
-# ---------------------------------------------------------------------------
-# involution records
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InvolutionRecord:
-    """A verified involution and what it was built from; its invariant and
-    label are computed from these (fixedcurve.invariant_of)."""
-
-    kind: str                       # "dj" | "geiser" | "bertini"
-    degree: int                     # map degree: d, 8 or 17
-    map: RationalMap | None = None
-    fixed_curve: HPoly | None = None
-    config: "PointConfig | None" = None
-    dj_data: DJData | None = None
-
-
 def conjugated_map(data: DJData) -> RationalMap:
     """Closed-form map of a validated de Jonquieres instance: its polar map,
     normalised."""
-    sigma = RationalMap(*_polar_map(data.curve, data.pencil.center))
+    sigma = RationalMap(*_polar_map(data.fixed_curve, data.pencil.center))
     if sigma.degree != data.d:
         raise ValidationError("internal", "constructed map has the wrong degree")
     return sigma
 
 
-def dj_involution(curve: HPoly, p: ProjPoint) -> InvolutionRecord:
+def dj_involution(curve: HPoly, p: ProjPoint) -> DJData:
     """De Jonquieres involution preserving the lines through p and fixing the
-    given curve pointwise."""
+    given curve pointwise: its validated data, with the map built."""
     data = validate_dj(curve, p)
-    sigma = conjugated_map(data)
-    return InvolutionRecord(
-        kind="dj",
-        degree=data.d,
-        map=sigma,
-        fixed_curve=data.curve,
-        dj_data=data,
-    )
+    data.map                # built now, so that a wrong degree is refused here
+    return data
 
 
-def dj_from_conic(q: HPoly, p: ProjPoint) -> InvolutionRecord:
+def dj_from_conic(q: HPoly, p: ProjPoint) -> DJData:
     """Degree-2 specialization: harmonic conjugation with respect to a smooth
     conic, from a center off the conic."""
     q = q.canonical()
@@ -545,19 +528,11 @@ class DelPezzoInvolution:
     def eval(self, x: ProjPoint) -> ProjPoint:
         return self.eval_detail(x)[0]
 
-    def record(self) -> InvolutionRecord:
-        return InvolutionRecord(kind=self.kind, degree=self.family.degree,
-                                fixed_curve=self.fixed_curve, config=self.config)
-
 
 class GeiserInvolution(DelPezzoInvolution):
     """Geiser involution attached to 7 points in general position."""
 
     kind = "geiser"
-
-    def __init__(self, config: PointConfig, seed: int = 0):
-        super().__init__(config)
-        self.seed = seed
 
     @cached_property
     def _net_cubics(self):
@@ -594,12 +569,13 @@ class GeiserInvolution(DelPezzoInvolution):
         seeded x where no P_k vanishes, with y = sigma(x) from the evaluator,
         lambda_k is proportional to l_k(y) times the product of the other
         P_j(x). The result is then checked at 100 fresh seeded points by
-        certifies (_check_fit).
+        certifies (_check_fit). The fit is unique up to scale and normalised,
+        so the points drawn do not change the map.
         """
         pts = self.config.points
         octics = octic_triple_system(pts)
         lines = [_cross(pts[a].coords, pts[b].coords) for a, b in _SIDES]
-        stream = SplitMix64(self.seed ^ 0x6A09E667F3BCC908)
+        stream = SplitMix64(0x6A09E667F3BCC908)
         for x in self._candidates(stream, 1):
             px = values_at(octics, x.coords)
             if not all(px):

@@ -17,7 +17,7 @@ def eight_config():
 def geiser(seven_config):
     from planecremona.involutions import GeiserInvolution
 
-    return GeiserInvolution(seven_config, seed=0)
+    return GeiserInvolution(seven_config)
 
 
 @pytest.fixture(scope="session")
@@ -29,7 +29,8 @@ def bertini(eight_config):
 
 @pytest.fixture(scope="session")
 def dj_records():
-    """Seeded validated de Jonquieres records for d = 2..6 (built once)."""
+    """Seeded validated de Jonquieres constructions (DJData) for d = 2..6
+    (built once)."""
     from planecremona.exactpoly import HPoly
     from planecremona.projmaps import ProjPoint
     from planecremona.involutions import dj_from_conic, dj_involution, make_dj_instance

@@ -86,10 +86,9 @@ def test_invariant_prints_classify_without_the_note():
     assert twins == 72
 
 
-def test_a_payload_has_a_seed_exactly_when_geiser_fits_a_map():
+def test_no_payload_has_a_seed():
     for call, payload in _json_calls():
-        fitted = call["argv"][0] == "geiser" and "--interpolate" in call["argv"] and call["code"] == 0
-        assert ("seed" in payload) == fitted, " ".join(call["argv"])
+        assert "seed" not in payload, " ".join(call["argv"])
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +152,7 @@ def calls():
             [name],                                                     # no configuration
         ]
     out += [
-        ["geiser", "--builtin", "--x", "(2:3:7)", "--seed", "5"],    # read only by --interpolate
         ["geiser", "--builtin", "--interpolate"],
-        ["geiser", "--builtin", "--interpolate", "--seed", "5"],
         ["geiser", "--points", "data/points7.txt", "--x", "(3:-2:5)"],
         ["bertini", "--points", "data/points8.txt", "--x", "(3:-2:5)"],
         ["geiser", "--points", "data/points8.txt"],                     # eight points
@@ -180,6 +177,7 @@ def calls():
     for n in range(10):
         out += [["lattice", "make", "--n", str(n)], ["lattice", "reflect", "--n", str(n)]]
     out += [
+        ["lattice"],                                                    # no action
         ["lattice", "make", "--quadric"],
         ["lattice", "reflect", "--quadric"],
         ["lattice", "make"],

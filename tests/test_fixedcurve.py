@@ -51,20 +51,28 @@ def test_invariant_of_records(dj_records, geiser, bertini):
     assert invariant_of(dj_records[2]) == FixedCurveInvariant("empty", None, "DJ(2)")
     assert invariant_of(dj_records[5]).genus == 3
     assert invariant_of(dj_records[5]).kind == "hyperelliptic"
-    assert invariant_of(geiser.record()).kind == "non-hyperelliptic genus 3"
-    b = invariant_of(bertini.record())
+    assert invariant_of(geiser).kind == "non-hyperelliptic genus 3"
+    b = invariant_of(bertini)
     assert b.genus == 4 and "singular quadric" in b.kind
 
 
 def test_dj_record_with_data_of_another_degree_is_corrupted(dj_records):
-    # the invariant is read from the pencil form of the data: genus 3 there
-    # contradicts a record of degree 4
-    record = replace(dj_records[4], dj_data=dj_records[5].dj_data)
+    # the invariant is read from the pencil form: genus 3 there contradicts
+    # a degree of 4
+    record = replace(dj_records[5], d=4)
     with pytest.raises(ValidationError, match=r"DJ\(5\) data in a record of degree 4") as info:
         invariant_of(record)
     assert info.value.reason == "corrupted record"
     with pytest.raises(ValidationError, match=r"DJ\(5\) data in a record of degree 4"):
         classify_involution(record)
+
+
+def with_fixed_curve(inv, curve):
+    """An involution on inv's configuration whose fixed curve is curve."""
+    class Corrupted(type(inv)):
+        fixed_curve = curve
+
+    return Corrupted(inv.config)
 
 
 def test_geiser_record_with_a_sextic_simple_at_a_base_point_is_corrupted(geiser):
@@ -77,17 +85,28 @@ def test_geiser_record_with_a_sextic_simple_at_a_base_point_is_corrupted(geiser)
     (line,) = forms_with_multiplicities([coords[1], coords[6]], 1, [1, 1], 1, "lines")
     curve = geiser.fixed_sextic + conic * conic * line * line
     assert not any(v for (v,) in multiplicity_values([curve], coords[1:], [2] * 6))
-    record = replace(geiser.record(), fixed_curve=curve)
+    record = with_fixed_curve(geiser, curve)
     with pytest.raises(ValidationError, match="not of multiplicity 2 at " + re.escape(str(pts[0]))) as info:
         invariant_of(record)
     assert info.value.reason == "corrupted record"
+    with pytest.raises(ValidationError, match="not of multiplicity 2 at " + re.escape(str(pts[0]))):
+        classify_involution(record)
 
 
 def test_bertini_record_with_a_sextic_for_its_curve_is_corrupted(bertini):
-    record = replace(bertini.record(), fixed_curve=bertini.space[0])
+    record = with_fixed_curve(bertini, bertini.space[0])
     with pytest.raises(ValidationError, match="Bertini fixed curve must have degree 9") as info:
         invariant_of(record)
     assert info.value.reason == "corrupted record"
+
+
+def test_a_point_configuration_is_not_a_construction(seven_config):
+    # a configuration names its kind but carries no fixed curve; only the
+    # involution built on it is read
+    for call in (invariant_of, classify_involution):
+        with pytest.raises(ValidationError, match="not a construction or a map: PointConfig") as info:
+            call(seven_config)
+        assert info.value.reason == "unknown kind"
 
 
 def test_elliptic_case_counts_as_hyperelliptic(dj_records):
@@ -96,7 +115,7 @@ def test_elliptic_case_counts_as_hyperelliptic(dj_records):
 
 
 def test_invariant_injective_on_labels(dj_records, geiser, bertini):
-    records = [dj_records[d] for d in (2, 3, 4, 5, 6)] + [geiser.record(), bertini.record()]
+    records = [dj_records[d] for d in (2, 3, 4, 5, 6)] + [geiser, bertini]
     keys = [invariant_of(r).key() for r in records]
     assert len(set(keys)) == len(keys)
 
@@ -114,7 +133,7 @@ def test_invariant_constant_under_linear_conjugation(dj_records):
             phi = RationalMap.linear(m)
             phi_inv = RationalMap.linear(minv)
             curve2 = rec.fixed_curve.apply_matrix(minv)
-            center2 = rec.dj_data.pencil.center.apply_matrix(m)
+            center2 = rec.pencil.center.apply_matrix(m)
             rec2 = dj_involution(curve2, center2)
             assert invariant_of(rec2).key() == invariant_of(rec).key()
             assert conjugate(rec.map, phi, phi_inv) == rec2.map
@@ -125,10 +144,10 @@ def test_invariant_constant_under_linear_conjugation(dj_records):
 def test_classify_records(dj_records, geiser, bertini):
     for d in range(2, 7):
         assert classify_involution(dj_records[d]).label == f"DJ({d})"
-        # a record is classified from its pencil form, as its map is
+        # a construction is classified from its pencil form, as its map is
         assert classify_involution(dj_records[d]) == classify_involution(dj_records[d].map)
-    assert classify_involution(geiser.record()).label == "Geiser"
-    assert classify_involution(bertini.record()).label == "Bertini"
+    assert classify_involution(geiser).label == "Geiser"
+    assert classify_involution(bertini).label == "Bertini"
 
 
 def test_classify_raw_quadratic():

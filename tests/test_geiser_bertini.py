@@ -51,13 +51,13 @@ def test_unknown_kind_refused(seven_config):
 def test_del_pezzo_table_is_the_anti_reflection_in_k(kind, geiser, bertini):
     """On the blow-up of n points the involution pulls H back to
     degree H - 3m sum E_i: column 0 of the anti-reflection in K, (8, -3, ...)
-    and (17, -6, ...); the record carries that degree."""
+    and (17, -6, ...); the involution's family carries that degree."""
     dp = DEL_PEZZO[kind]
     matrix = anti_reflection_in_k(make_lattice(dp.n)).matrix
     assert [row[0] for row in matrix] == [dp.degree] + [-3 * dp.m] * dp.n
     inv = geiser if kind == "geiser" else bertini
     assert inv.config.kind == kind and len(inv.config.points) == dp.n
-    assert inv.record().degree == dp.degree
+    assert inv.family.degree == dp.degree
     assert (inv.fixed_curve.degree, dp.m + 1) == dp.fixed_curve
 
 
@@ -152,10 +152,9 @@ def test_geiser_interpolated_map(geiser):
 
 
 def test_geiser_record(geiser):
-    rec = geiser.record()
-    assert rec.kind == "geiser" and rec.degree == 8
-    assert rec.fixed_curve == geiser.fixed_sextic
-    assert invariant_of(rec).genus == 3
+    assert geiser.kind == "geiser" and geiser.family.degree == 8
+    assert geiser.fixed_curve == geiser.fixed_sextic
+    assert invariant_of(geiser).genus == 3
 
 
 # images computed by the earlier resultant-elimination evaluators
@@ -271,12 +270,11 @@ def test_bertini_indeterminate_at_base_points(bertini, eight_config):
 
 
 def test_bertini_record(bertini, eight_config):
-    rec = bertini.record()
-    assert rec.kind == "bertini" and rec.degree == 17
-    assert invariant_of(rec).genus == 4
+    assert bertini.kind == "bertini" and bertini.family.degree == 17
+    assert invariant_of(bertini).genus == 4
     # the fixed curve: a nonic with a triple point at each of the 8 points
-    curve = rec.fixed_curve
-    assert curve == bertini.fixed_curve and curve.degree == 9
+    curve = bertini.fixed_curve
+    assert curve.degree == 9
     for p in eight_config.points:
         for v1 in range(3):
             for v2 in range(v1, 3):
@@ -356,7 +354,7 @@ def test_involutions_commute_with_relabeling(seven_config):
     # the Geiser image depends on the point set, not its ordering
     pts = list(seven_config.points)
     reordered = make_point_config(pts[::-1], "geiser")
-    a = GeiserInvolution(seven_config, seed=0)
-    b = GeiserInvolution(reordered, seed=0)
+    a = GeiserInvolution(seven_config)
+    b = GeiserInvolution(reordered)
     x = ProjPoint(2, 3, 7)
     assert a.eval(x) == b.eval(x)

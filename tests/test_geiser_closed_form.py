@@ -69,7 +69,7 @@ def six_sample_fit(inv):
     triple-point octics, 9 unknowns from the evaluator at the first 6 points
     of the seeded stream where it succeeds."""
     octics = triple_point_octics(inv.config.points)
-    stream = SplitMix64(inv.seed ^ 0x6A09E667F3BCC908)
+    stream = SplitMix64(0x6A09E667F3BCC908)
     samples = []
     for x in inv._candidates(stream, 6):
         try:
@@ -130,18 +130,29 @@ def test_octic_triple_system_spans_the_triple_point_octics(pts):
     assert matrix_rank(vecs) == 3 and matrix_rank(vecs + reference) == 3
 
 
+def drawing_from(inv, stream):
+    """inv, with its sample points drawn from stream in place of the stream
+    interpolated_map passes."""
+    draws = inv._candidates
+    inv._candidates = lambda _stream, count: draws(stream, count)
+    return inv
+
+
 def test_closed_form_matches_the_six_sample_fit():
+    # the fit does not depend on the order of the points or on the sample
     for config in seeded_configs(10):
         pts = config.points
         sigma = GeiserInvolution(config).interpolated_map
         assert sigma.components == six_sample_fit(GeiserInvolution(config)).components
         for order in (pts[::-1], pts[3:] + pts[:3]):
-            for seed in (0, 11):
-                inv = GeiserInvolution(make_point_config(order, "geiser"), seed=seed)
+            inv = GeiserInvolution(make_point_config(order, "geiser"))
+            assert inv.interpolated_map.components == sigma.components, order
+            for seed in (5, 11):
+                inv = drawing_from(GeiserInvolution(make_point_config(order, "geiser")), SplitMix64(seed))
                 assert inv.interpolated_map.components == sigma.components, (order, seed)
 
 
-# sha256 of str(interpolated_map) on seeded_configs(8), with seed 0: a faster
+# sha256 of str(interpolated_map) on seeded_configs(8): a faster
 # fit or fit check must leave these maps byte-identical
 FITTED_MAP_SHA256 = (
     "0eaa508e307ece1e2e969b749448ae18652021a4a6ba3ba0cfcdac87ee0347cb",
@@ -174,7 +185,7 @@ def test_sample_on_a_contracted_cubic_is_skipped(geiser):
     on_c1 = ProjPoint(*(c1.eval(r) * u - q * v for u, v in zip(p, r)))
     assert c1.eval(on_c1.coords) == 0 and on_c1 not in pts
     assert 0 in values_at(octic_triple_system(pts), on_c1.coords)
-    inv = GeiserInvolution(geiser.config, seed=geiser.seed)
+    inv = GeiserInvolution(geiser.config)
     draws = inv._candidates
     calls = []
 

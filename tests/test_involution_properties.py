@@ -339,7 +339,7 @@ def test_ninth_point_is_the_ninth_base_point_of_the_cubic_pencil(pts):
 @seeded(3)
 @given(pts=point_sets(7), seed=st.integers(0, 2**32))
 def test_fit_check_refuses_a_wrong_map(pts, seed):
-    inv = GeiserInvolution(make_point_config(pts, "geiser"), seed=seed)
+    inv = GeiserInvolution(make_point_config(pts, "geiser"))
     sigma = inv.interpolated_map
     inv._check_fit(sigma, SplitMix64(seed))
     f1, f2, f3 = sigma.components

@@ -10,6 +10,7 @@ from planecremona.exactpoly import (
     kernel_basis, values_at,
 )
 from planecremona.fixedcurve import classify_involution, fixed_locus, rational_base_points
+from planecremona import involutions
 from planecremona.involutions import (
     _polar_map,
     conjugated_map,
@@ -31,7 +32,7 @@ CONIC = X * Z - Y * Y
 def test_quadratic_dj_is_the_standard_involution():
     rec = dj_from_conic(CONIC, ProjPoint(0, 1, 0))
     assert rec.map == RationalMap(X * Y, X * Z, Y * Z)
-    assert rec.degree == 2
+    assert rec.d == 2
     assert is_involution(rec.map)
     assert rec.fixed_curve == CONIC.canonical()
 
@@ -118,7 +119,7 @@ def test_base_points_and_label_of_maps_with_large_resultants(d, seed):
     # 10**12 here, where a divisor-enumeration root search gave up
     rec = dj_involution(*make_dj_instance(d, seed))
     points = rational_base_points(rec.map)
-    assert rec.dj_data.pencil.center in points
+    assert rec.pencil.center in points
     assert all(not any(values_at(rec.map.components, pt.coords)) for pt in points)
     assert classify_involution(rec.map).label == f"DJ({d})"
 
@@ -126,13 +127,13 @@ def test_base_points_and_label_of_maps_with_large_resultants(d, seed):
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_kernel_center_is_the_construction_center(d, dj_records):
     rec = dj_records[d]
-    assert pencil_center(rec.map) == rec.dj_data.pencil.center
+    assert pencil_center(rec.map) == rec.pencil.center
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
 def test_seeded_instances_validate_and_square_to_identity(d, dj_records):
     rec = dj_records[d]
-    assert rec.degree == d
+    assert rec.d == d
     assert rec.map.degree == d
     # components coprime by construction
     assert hpoly_gcd_many(list(rec.map.components)).degree == 0
@@ -149,7 +150,7 @@ def test_seeded_instances_fix_their_curve(d, dj_records):
 def _normal_coefficients(data):
     """A, B, C_d of the curve A y^2 + B y + C_d in the frame of the center,
     read off the curve itself."""
-    cd, b, a = data.curve.apply_matrix(data.pencil.frame[1]).canonical().coeffs_by_var(1)
+    cd, b, a = data.fixed_curve.apply_matrix(data.pencil.frame[1]).canonical().coeffs_by_var(1)
     return a, b, cd
 
 
@@ -170,7 +171,7 @@ def _is_square(r: Fraction) -> bool:
 def test_discriminant_profile(d, dj_records):
     # the pencil form is that of the unnormalised polar map, so its branch
     # form is 4 (B^2 - 4 A C_d) up to the square of that scale
-    data = dj_records[d].dj_data
+    data = dj_records[d]
     a, b, cd = _normal_coefficients(data)
     delta = b * b - (a * cd) * 4      # B^2 - 4 A C_d
     assert _is_square(_ratio(data.pencil.beta, delta * 4))
@@ -230,8 +231,23 @@ def test_polar_map_equals_the_frame_round_trip(d):
     a, b, cd = _normal_coefficients(data)
     m, minv = data.pencil.frame
     round_trip = frame_conjugate(pencil_components((b, a * 2), (cd * -2, -b)), minv, m)
-    assert RationalMap(*_polar_map(data.curve, center)) == RationalMap(*round_trip)
+    assert RationalMap(*_polar_map(data.fixed_curve, center)) == RationalMap(*round_trip)
     assert conjugated_map(data) == RationalMap(*round_trip)
+
+
+def test_dj_involution_builds_its_map_once(monkeypatch):
+    calls = []
+
+    def counted(data):
+        calls.append(data.d)
+        return conjugated_map(data)
+
+    monkeypatch.setattr(involutions, "conjugated_map", counted)
+    data = dj_involution(*make_dj_instance(4, seed=0))
+    assert calls == [4]
+    assert data.map is data.map and classify_involution(data).label == "DJ(4)"
+    assert rational_base_points(data) and calls == [4]
+    assert validate_dj(data.fixed_curve, data.pencil.center) == data and calls == [4]
 
 
 def test_normal_form_minors_expose_the_curve():
@@ -241,7 +257,7 @@ def test_normal_form_minors_expose_the_curve():
     f1, f2, f3 = sigma.components
     m1 = X * f2 - Y * f1
     m3 = Y * f3 - Z * f2
-    c = data.curve
+    c = data.fixed_curve
     assert m1 == -(X * c) or m1 == (X * c)
     assert m3 == (Z * c) or m3 == -(Z * c)
 
