@@ -27,7 +27,7 @@ and the degree of their fixed locus, the map and fixed-curve degrees of that
 table.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .exactpoly import HPoly, bform_rational_roots, hpoly_gcd_many, multiplicity_values, values_at
@@ -40,8 +40,7 @@ KIND_EMPTY = "empty"
 KIND_HYPERELLIPTIC = "hyperelliptic"
 
 
-@dataclass(frozen=True)
-class FixedCurveInvariant:
+class FixedCurveInvariant(NamedTuple):
     """Conjugacy-class invariant: kind tag, genus, source label."""
 
     kind: str
@@ -123,8 +122,7 @@ def invariant_of(construction) -> FixedCurveInvariant:
     return inv
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """An involution's invariant and a note on how it was computed; the
     label is the invariant's source."""
 

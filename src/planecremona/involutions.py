@@ -46,7 +46,6 @@ fixedcurve.invariant_of computes the invariant and label of either from
 that, and this module does not import fixedcurve.
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, islice
 from math import gcd as igcd
@@ -61,6 +60,7 @@ from .exactpoly import (
     det3,
     forms_with_multiplicities,
     is_squarefree,
+    kernel_basis,
     matrix_rank,
     monomials,
     multiplicity_conditions,
@@ -78,17 +78,31 @@ from .rng import SplitMix64
 # de Jonquieres data and validation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class DJData:
     """A validated de Jonquieres instance: the fixed curve, of degree d, is
     A y^2 + B y + C_d in the frame where the center is (0:1:0), the pencil
     form of its polar map has u = 2 A y + B and v = -B y - 2 C_d up to a
     nonzero scalar, and checks names the validation steps it passed."""
 
-    d: int
-    pencil: PencilForm
-    fixed_curve: HPoly
-    checks: tuple
+    def __init__(self, d: int, pencil: PencilForm, fixed_curve: HPoly, checks: tuple):
+        vars(self).update(d=d, pencil=pencil, fixed_curve=fixed_curve, checks=checks)
+
+    def __setattr__(self, *args):
+        raise AttributeError("DJData is immutable")
+
+    def _key(self):
+        return self.d, self.pencil, self.fixed_curve, self.checks
+
+    def __eq__(self, other):
+        if not isinstance(other, DJData):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "DJData(d={!r}, pencil={!r}, fixed_curve={!r}, checks={!r})".format(*self._key())
 
     @cached_property
     def map(self) -> RationalMap:
@@ -225,13 +239,18 @@ DEL_PEZZO = {
 }
 
 
-@dataclass(frozen=True)
-class PointConfig:
+class PointConfig(NamedTuple):
+    """A configuration of a kind of DEL_PEZZO (make_point_config), with the
+    bases solved once from its points: system, of |-mK| (the net of cubics
+    through the 7 points, or the sextics singular at the 8), and cubics, of
+    the cubics through the points (the net again, or the pencil through the
+    8). Both are functions of the points, so two configurations are equal
+    exactly when their points and kinds are."""
+
     points: tuple
     kind: str            # a key of DEL_PEZZO
-    # basis of |-mK|: the net of cubics through the 7 points, or the
-    # sextics singular at the 8 (solved once, here)
-    system: tuple = field(compare=False)
+    system: tuple
+    cubics: tuple
 
 
 def make_point_config(points, kind: str) -> PointConfig:
@@ -243,7 +262,30 @@ def make_point_config(points, kind: str) -> PointConfig:
     them singular at one. Then the blow-up is a del Pezzo surface of degree
     2 (resp. 1), no curve lies in the base locus of the members of |-mK|
     through any other point, and |-mK| has the expected dimension (3
-    cubics, resp. 4 sextics).
+    cubics, resp. 4 sextics). The first failing triple, six or point, in
+    the order of combinations, is refused.
+
+    Each condition is read from one kernel, exactly:
+
+    * Six points lie on a conic exactly when the 6x6 minor R_S of the n x 6
+      matrix R of conic conditions (one row per point) vanishes. If R has
+      rank < 6, a conic passes through all n points and every minor
+      vanishes; the relations among its rows, lambda R = 0, then number more
+      than n - 6. Otherwise they span a space of dimension n - 6, and for a
+      basis L of it (n - 6 rows), det R_S = c det L_T, T the complement of
+      S and c != 0 the same for every S (Jacobi's complementary minor
+      identity: complete R to an invertible A = [R X]; the last n - 6 rows
+      of A^-1 annihilate R, so they are L up to an invertible change of
+      basis, and det R_S = +-det A det (A^-1)_T). So the six points lie on
+      a conic exactly when the (n - 6)-square minor L_T is singular: one
+      entry for 7 points, a 2x2 determinant for 8.
+    * A cubic through the 8 points singular at p_i is a member s c1 + t c2
+      of the pencil they span with s grad c1(p_i) + t grad c2(p_i) = 0, so
+      it exists exactly when the two gradients are parallel: their cross
+      product vanishes. If the cubics through the 8 points are more than a
+      pencil, the 10 conditions of such a cubic at p_0 (simple at 7 points,
+      double at p_0) have rank at most 7 + 2 < 10, and one is singular at
+      p_0.
     """
     if kind not in DEL_PEZZO:
         raise ValidationError("unknown kind", f"no point configuration for kind {kind!r}")
@@ -258,18 +300,23 @@ def make_point_config(points, kind: str) -> PointConfig:
         if collinear(*(pts[i] for i in t)):
             raise ValidationError("degenerate configuration", "points {}, {}, {} are collinear".format(*t))
     coords = [p.coords for p in pts]
-    conic_rows = multiplicity_conditions(coords, 2, [1] * n)
+    relations = kernel_basis(list(zip(*multiplicity_conditions(coords, 2, [1] * n))))
     for six in combinations(range(n), 6):
-        if matrix_rank([conic_rows[i] for i in six]) < 6:
+        rest = [i for i in range(n) if i not in six]
+        if len(relations) > n - 6 or matrix_rank([[r[i] for i in rest] for r in relations]) < n - 6:
             raise ValidationError("degenerate configuration",
                                   "points {}, {}, {}, {}, {}, {} lie on a conic".format(*six))
-    if n == 8:
+    if dp.m == 1:
+        cubics = system = cubic_system(pts)
+    else:
+        cubics = forms_with_multiplicities(coords, 3, [1] * n, None, "cubics through the points")
+        grads = multiplicity_values(cubics, coords, [2] * n)     # 3 rows per point
         for i in range(n):
-            if matrix_rank(multiplicity_conditions(coords, 3, [1] * i + [2] + [1] * (n - 1 - i))) < 10:
+            if len(cubics) != 2 or not any(_cross(*zip(*grads[3 * i:3 * i + 3]))):
                 raise ValidationError("degenerate configuration",
                                       f"a cubic through the points is singular at point {i}")
-    basis = cubic_system(pts) if dp.m == 1 else sextic_system(pts)
-    return PointConfig(pts, kind, tuple(basis))
+        system = sextic_system(pts)
+    return PointConfig(pts, kind, tuple(system), tuple(cubics))
 
 
 def cubic_system(points) -> list:
@@ -460,8 +507,7 @@ def _jacobian(f: HPoly, g: HPoly, h: HPoly) -> HPoly:
     return det3([[q.partial(v) for v in range(3)] for q in (f, g, h)]).canonical()
 
 
-@dataclass(frozen=True)
-class EvalTrace:
+class EvalTrace(NamedTuple):
     """What one Geiser or Bertini evaluation did: the number of chord-tangent
     constructions tried until one was certified."""
 
@@ -631,13 +677,10 @@ class BertiniInvolution(DelPezzoInvolution):
     kind = "bertini"
 
     @cached_property
-    def _pencil_forms(self):
-        """Basis c1, c2 of the pencil of cubics through the 8 points."""
-        return cubic_system(self.config.points)
-
-    @cached_property
     def _cubic_pencil(self):
-        return [_Cubic.from_hpoly(c) for c in self._pencil_forms]
+        """The pencil c1, c2 of cubics through the 8 points
+        (PointConfig.cubics), as _Cubic."""
+        return [_Cubic.from_hpoly(c) for c in self.config.cubics]
 
     @cached_property
     def ninth_point(self) -> ProjPoint:
@@ -661,7 +704,7 @@ class BertiniInvolution(DelPezzoInvolution):
         nonzero. J(c1, c2, .) is linear and vanishes on span{c1^2, c1 c2,
         c2^2}, a hyperplane of the space, so every such s gives the same
         nonic up to a scalar."""
-        c1, c2 = self._pencil_forms
+        c1, c2 = self.config.cubics
         for s in self.space:
             j = _jacobian(c1, c2, s)
             if not j.is_zero():

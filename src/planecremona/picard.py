@@ -14,9 +14,9 @@ the test decides minimality of the geometric pair; that is this module's
 validity domain.
 """
 
-from dataclasses import dataclass
 from math import isqrt
 from operator import mul
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .exactpoly import kernel_basis
@@ -29,8 +29,7 @@ LABEL_BERTINI = "(vi)"
 LABEL_NON_MINIMAL = "non-minimal"
 
 
-@dataclass(frozen=True)
-class PicLattice:
+class PicLattice(NamedTuple):
     gram: tuple
     k: tuple
     kind: str              # "blowup" | "quadric"
@@ -82,28 +81,40 @@ def _transpose(m):
     return tuple(tuple(m[j][i] for j in range(n)) for i in range(n))
 
 
-@dataclass(frozen=True)
 class LatticeInvolution:
     """Integer matrix acting as an involutive isometry fixing K."""
 
-    lattice: PicLattice
-    matrix: tuple
-
-    def __post_init__(self):
-        m = self.matrix
-        lat = self.lattice
-        r = lat.rank
-        if len(m) != r or any(len(row) != r for row in m):
+    def __init__(self, lattice: PicLattice, matrix: tuple):
+        r = lattice.rank
+        if len(matrix) != r or any(len(row) != r for row in matrix):
             raise ValidationError("bad matrix", f"expected a {r}x{r} matrix")
-        if any(not isinstance(v, int) for row in m for v in row):
+        if any(not isinstance(v, int) for row in matrix for v in row):
             raise ValidationError("bad matrix", "entries must be integers")
-        g = lat.gram
-        if _mat_mul(_transpose(m), _mat_mul(g, m)) != g:
+        g = lattice.gram
+        if _mat_mul(_transpose(matrix), _mat_mul(g, matrix)) != g:
             raise ValidationError("not an isometry", "M^T G M != G")
-        if _mat_mul(m, m) != _identity(r):
+        if _mat_mul(matrix, matrix) != _identity(r):
             raise ValidationError("not an involution", "M^2 != I")
-        if _mat_vec(m, lat.k) != lat.k:
+        if _mat_vec(matrix, lattice.k) != lattice.k:
             raise ValidationError("K not fixed", "M K != K")
+        vars(self).update(lattice=lattice, matrix=matrix)
+
+    def __setattr__(self, *args):
+        raise AttributeError("LatticeInvolution is immutable")
+
+    def _key(self):
+        return self.lattice, self.matrix
+
+    def __eq__(self, other):
+        if not isinstance(other, LatticeInvolution):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "LatticeInvolution(lattice={!r}, matrix={!r})".format(*self._key())
 
     def apply(self, v):
         return _mat_vec(self.matrix, v)
@@ -250,8 +261,7 @@ def exceptional_classes_bruteforce(lat: PicLattice, widen: int = 2):
     return out
 
 
-@dataclass(frozen=True)
-class MinimalityResult:
+class MinimalityResult(NamedTuple):
     minimal: bool
     witness: tuple | None = None
     image: tuple | None = None
@@ -289,8 +299,7 @@ def is_minimal(lat: PicLattice, inv: LatticeInvolution) -> MinimalityResult:
     return MinimalityResult(True)
 
 
-@dataclass(frozen=True)
-class PairClassification:
+class PairClassification(NamedTuple):
     label: str
     minimal: MinimalityResult
     fixed_rank: int

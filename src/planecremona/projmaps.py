@@ -9,7 +9,6 @@ by the Moebius involution y -> v / u, harmonic conjugation with respect to
 the two points of its fixed curve on that line.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ValidationError
@@ -216,7 +215,6 @@ def pencil_center(sigma: RationalMap):
     return ProjPoint(*basis[0]) if len(basis) == 1 else None
 
 
-@dataclass(frozen=True)
 class PencilForm:
     """A map sigma of degree d with a center p, in the frame (m, minv) of
     frame_moving_to_center(p), where p = (0:1:0):
@@ -233,10 +231,25 @@ class PencilForm:
     (u, v).
     """
 
-    center: ProjPoint
-    frame: tuple
-    u: tuple
-    v: tuple
+    def __init__(self, center: ProjPoint, frame: tuple, u: tuple, v: tuple):
+        vars(self).update(center=center, frame=frame, u=u, v=v)
+
+    def __setattr__(self, *args):
+        raise AttributeError("PencilForm is immutable")
+
+    def _key(self):
+        return self.center, self.frame, self.u, self.v
+
+    def __eq__(self, other):
+        if not isinstance(other, PencilForm):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "PencilForm(center={!r}, frame={!r}, u={!r}, v={!r})".format(*self._key())
 
     @property
     def linear(self) -> bool:

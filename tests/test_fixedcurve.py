@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -12,7 +11,7 @@ from planecremona.fixedcurve import (
     invariant_for_kind,
     invariant_of,
 )
-from planecremona.involutions import dj_involution, make_dj_instance
+from planecremona.involutions import DJData, dj_involution, make_dj_instance
 from planecremona.projmaps import ProjPoint, RationalMap, is_involution, pencil_form
 from planecremona.rng import SplitMix64
 from tests.streams import conjugate, frame_conjugate, unimodular_matrix
@@ -59,7 +58,8 @@ def test_invariant_of_records(dj_records, geiser, bertini):
 def test_dj_record_with_data_of_another_degree_is_corrupted(dj_records):
     # the invariant is read from the pencil form: genus 3 there contradicts
     # a degree of 4
-    record = replace(dj_records[5], d=4)
+    data = dj_records[5]
+    record = DJData(4, data.pencil, data.fixed_curve, data.checks)
     with pytest.raises(ValidationError, match=r"DJ\(5\) data in a record of degree 4") as info:
         invariant_of(record)
     assert info.value.reason == "corrupted record"

@@ -285,7 +285,7 @@ def test_bertini_fixed_curve_of_a_degenerate_space_is_refused(eight_config):
     """J(c1, c2, .) vanishes on span{c1^2, c1 c2, c2^2}: a space inside it
     has no fixed nonic, and is refused by name."""
     inv = BertiniInvolution(eight_config)
-    c1, c2 = inv._pencil_forms
+    c1, c2 = inv.config.cubics
     inv.space = [c1 * c1, c1 * c2, c2 * c2]
     with pytest.raises(ValidationError, match="Jacobian nonic vanishes") as err:
         inv.fixed_curve
