@@ -66,6 +66,7 @@ from .exactpoly import (
     multiplicity_conditions,
     multiplicity_values,
     primitive,
+    span_basis,
     values_at,
 )
 from .projmaps import (
@@ -279,13 +280,18 @@ def make_point_config(points, kind: str) -> PointConfig:
       basis, and det R_S = +-det A det (A^-1)_T). So the six points lie on
       a conic exactly when the (n - 6)-square minor L_T is singular: one
       entry for 7 points, a 2x2 determinant for 8.
+    * The cubics through the points (cubic_system) are a net for 7 points
+      and a pencil for 8: n points impose independent conditions on cubics
+      unless 5 of them are collinear or 8 lie on a conic (Eisenbud-Green-
+      Harris, Bull. AMS 33, 1996), which the checks above exclude.
     * A cubic through the 8 points singular at p_i is a member s c1 + t c2
       of the pencil they span with s grad c1(p_i) + t grad c2(p_i) = 0, so
       it exists exactly when the two gradients are parallel: their cross
-      product vanishes. If the cubics through the 8 points are more than a
-      pencil, the 10 conditions of such a cubic at p_0 (simple at 7 points,
-      double at p_0) have rank at most 7 + 2 < 10, and one is singular at
-      p_0.
+      product vanishes.
+
+    |-mK| is then the net itself for 7 points, and for 8 points the four
+    sextics c1^2, c1 c2, c2^2 and C_0 C_7 of sextic_system, which uses that
+    no cubic through the 8 points is singular at p_0.
     """
     if kind not in DEL_PEZZO:
         raise ValidationError("unknown kind", f"no point configuration for kind {kind!r}")
@@ -306,16 +312,14 @@ def make_point_config(points, kind: str) -> PointConfig:
         if len(relations) > n - 6 or matrix_rank([[r[i] for i in rest] for r in relations]) < n - 6:
             raise ValidationError("degenerate configuration",
                                   "points {}, {}, {}, {}, {}, {} lie on a conic".format(*six))
-    if dp.m == 1:
-        cubics = system = cubic_system(pts)
-    else:
-        cubics = forms_with_multiplicities(coords, 3, [1] * n, None, "cubics through the points")
+    system = cubics = cubic_system(pts)
+    if dp.m == 2:
         grads = multiplicity_values(cubics, coords, [2] * n)     # 3 rows per point
         for i in range(n):
-            if len(cubics) != 2 or not any(_cross(*zip(*grads[3 * i:3 * i + 3]))):
+            if not any(_cross(*zip(*grads[3 * i:3 * i + 3]))):
                 raise ValidationError("degenerate configuration",
                                       f"a cubic through the points is singular at point {i}")
-        system = sextic_system(pts)
+        system = sextic_system(pts, cubics)
     return PointConfig(pts, kind, tuple(system), tuple(cubics))
 
 
@@ -327,12 +331,42 @@ def cubic_system(points) -> list:
                                      10 - n if n in (7, 8) else None, "cubics through the points")
 
 
-def sextic_system(points) -> list:
-    """Deterministic basis of the sextics singular at all 8 points (24
-    conditions on 28 coefficients)."""
-    n = len(points)
-    return forms_with_multiplicities([p.coords for p in points], 6, [2] * n,
-                                     4 if n == 8 else None, "sextics singular along the points")
+def sextic_system(points, cubics) -> list:
+    """Deterministic basis of the sextics singular at the 8 points, |-2K|,
+    from the pencil c1, c2 of cubics through them: the basis that
+    forms_with_multiplicities solves from the 24 conditions on 28
+    coefficients, built from four products instead.
+
+    On the blow-up S of 8 points in general position (make_point_config),
+    h0(-2K) = 4 by Riemann-Roch with K^2 = 1, and c1^2, c1 c2, c2^2 are three
+    independent members. E = 3H - 2E_0 - E_1 - ... - E_6 is a (-1)-class,
+    and the Bertini involution, -1 on the orthogonal of K, maps it to
+    -2K - E = 3H - E_1 - ... - E_6 - 2E_7. Each class holds one curve: C_0,
+    the cubic through p_1..p_6 singular at p_0, and C_7, through p_1..p_6
+    singular at p_7. Their product is singular at all 8 points and is not in
+    the span of the squares: every member of that span factors over the
+    algebraic closure into two members of the pencil, C_0 is irreducible (a
+    line component would hold 3 of the points, a conic component 6), so C_0
+    would be a member of the pencil, a cubic through the 8 points singular
+    at p_0, which make_point_config has refused. Four members of rank < 4
+    are refused all the same.
+
+    span_basis reduces the four to the normal form of kernel_basis, so the
+    basis is the one the 24 x 28 kernel gives, coefficient for coefficient.
+    """
+    coords = [p.coords for p in points]
+    (c0,) = forms_with_multiplicities(coords[:7], 3, [2] + [1] * 6, 1,
+                                      "cubics through points 1-6 singular at point 0")
+    (c7,) = forms_with_multiplicities(coords[1:], 3, [1] * 6 + [2], 1,
+                                      "cubics through points 1-6 singular at point 7")
+    c1, c2 = cubics
+    monos = monomials(6)
+    products = (c1 * c1, c1 * c2, c2 * c2, c0 * c7)
+    basis = span_basis([[f.terms.get(e, 0) for e in monos] for f in products])
+    if len(basis) != 4:
+        raise ValidationError("degenerate configuration",
+                              f"sextics singular along the points form a system of dimension {len(basis)}, expected 4")
+    return [HPoly(6, {e: c for e, c in zip(monos, v) if c}).canonical() for v in basis]
 
 
 # the sides p1p2, p1p3, p2p3 of the triangle of the first three points

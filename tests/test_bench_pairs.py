@@ -1,4 +1,4 @@
-"""The seed parser, the per-metric summary and the src/ line counts of
+"""The seed parser, the per-metric summary and verdict and the src/ line counts of
 tools/bench_pairs.py, which writes the BENCH_*.json files; the runs
 themselves are not exercised."""
 
@@ -27,16 +27,51 @@ def test_parse_seeds_range_list_and_mix():
 
 def test_pairs_won_follows_the_direction_and_ties_count_for_neither():
     parent, change = [10, 20, 30, 40], [11, 19, 30, 45]
-    assert bench_pairs.summarize("higher", parent, change)["pairs_won"] == 2
-    assert bench_pairs.summarize("lower", parent, change)["pairs_won"] == 1
-    assert bench_pairs.summarize("higher", parent, parent)["pairs_won"] == 0
+    assert bench_pairs.summarize("higher", 0.1, parent, change)["pairs_won"] == 2
+    assert bench_pairs.summarize("lower", 0.1, parent, change)["pairs_won"] == 1
+    assert bench_pairs.summarize("higher", 0.1, parent, parent)["pairs_won"] == 0
 
 
 def test_summary_of_one_run_has_a_degenerate_iqr():
-    s = bench_pairs.summarize("lower", [2.5], [2.0])
+    s = bench_pairs.summarize("lower", 0.1, [2.5], [2.0])
     assert s["parent_iqr"] == [2.5, 2.5] and s["change_iqr"] == [2.0, 2.0]
     assert s["parent_median"] == 2.5 and s["change_median"] == 2.0
     assert s["pairs_won"] == 1
+
+
+PARENT = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]     # median 104.5, IQR 101.75-107.25
+
+
+def test_verdict_gain_needs_nine_pairs_in_ten_and_a_gap_wider_than_the_parent_iqr():
+    faster = [v - 8 for v in PARENT]
+    assert bench_pairs.verdict("lower", 0.2, PARENT, faster) == "gain"
+    assert bench_pairs.verdict("higher", 0.2, [-v for v in PARENT], [-v for v in faster]) == "gain"
+    # 8 pairs in 10 won: not a gain, though the gap, 8, is wider than the IQR
+    assert bench_pairs.verdict("lower", 0.5, PARENT, faster[:8] + [200, 200]) == "within bound"
+    # 10 pairs won, but the gap, 1, is inside the parent's IQR, 5.5
+    assert bench_pairs.verdict("lower", 0.2, PARENT, [v - 1 for v in PARENT]) == "within bound"
+
+
+def test_verdict_worse_beyond_the_bound_times_the_parent_median():
+    assert bench_pairs.verdict("lower", 0.1, PARENT, [v + 11 for v in PARENT]) == "worse"
+    assert bench_pairs.verdict("lower", 0.1, PARENT, [v + 10 for v in PARENT]) == "within bound"
+    assert bench_pairs.verdict("higher", 0.1, PARENT, [v - 11 for v in PARENT]) == "worse"
+
+
+def test_verdict_unresolved_when_an_iqr_is_wider_than_the_bound():
+    wide = [80, 90, 95, 100, 104, 105, 110, 115, 120, 130]     # IQR 93.75-116.25
+    assert bench_pairs.verdict("lower", 0.1, wide, wide[::-1]) == "unresolved"
+    assert bench_pairs.verdict("lower", 0.1, PARENT, wide) == "unresolved"
+    # every change run beats every parent run: resolved however wide
+    assert bench_pairs.verdict("lower", 0.1, [v + 51 for v in wide], wide) == "gain"
+    # separated, but the gap, 90.5, is inside the parent's IQR, about 188
+    spread = [110, 111, 112, 150, 190, 200, 210, 300, 301, 302]
+    assert bench_pairs.verdict("lower", 0.1, spread, PARENT) == "within bound"
+
+
+def test_verdict_within_bound_for_equal_runs():
+    assert bench_pairs.verdict("higher", 0.02, [1.0] * 10, [1.0] * 10) == "within bound"
+    assert bench_pairs.summarize("lower", 0.1, PARENT, PARENT)["verdict"] == "within bound"
 
 
 def _tree(root, files):

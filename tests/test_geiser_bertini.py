@@ -4,7 +4,7 @@ import pytest
 
 from planecremona.configs import SEXTIC_POINT
 from planecremona.errors import IndeterminacyError, ValidationError
-from planecremona.exactpoly import kernel_basis, matrix_rank
+from planecremona.exactpoly import format_hpoly, forms_with_multiplicities, kernel_basis, matrix_rank
 from planecremona.fixedcurve import invariant_of
 from planecremona.involutions import (
     DEL_PEZZO,
@@ -17,6 +17,7 @@ from planecremona.involutions import (
 )
 from planecremona.picard import anti_reflection_in_k, make_lattice
 from planecremona.projmaps import ProjPoint
+from planecremona.rng import SplitMix64
 from tests.streams import sample_points
 
 
@@ -95,9 +96,35 @@ def test_sextics_singular_at_base_points(eight_config, bertini):
                 assert g.partial(v).eval(p.coords) == 0
 
 
+def reference_sextics(points):
+    """The sextics singular at the 8 points as the 24 x 28 kernel of their
+    conditions gives them."""
+    return forms_with_multiplicities([p.coords for p in points], 6, [2] * 8, 4,
+                                     "sextics singular along the points")
+
+
 def test_sextic_dimension_is_28_minus_24(eight_config):
-    basis = sextic_system(eight_config.points)
-    assert len(basis) == 4
+    reference = reference_sextics(eight_config.points)
+    assert len(reference) == 4
+    assert sextic_system(eight_config.points, eight_config.cubics) == reference
+    assert list(eight_config.system) == reference
+
+
+def test_sextic_system_is_the_kernel_on_seeded_configurations():
+    """|-2K| built from the pencil and the nodal cubics C_0, C_7 is the
+    kernel's basis, coefficient for coefficient, on 200 seeded
+    configurations that make_point_config accepts."""
+    stream = SplitMix64(2899)
+    accepted = 0
+    while accepted < 200:
+        coords = [tuple(stream.next_int(-6, 6) for _ in range(3)) for _ in range(8)]
+        try:            # (0:0:0), or not in general position
+            config = make_point_config([ProjPoint(*c) for c in coords], "bertini")
+        except ValidationError:
+            continue
+        accepted += 1
+        assert [format_hpoly(f) for f in config.system] == \
+            [format_hpoly(f) for f in reference_sextics(config.points)], coords
 
 
 # -- Geiser ------------------------------------------------------------------------

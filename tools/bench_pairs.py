@@ -8,8 +8,9 @@ For each workload and seed, `python3 perfbench/run.py --workload W --seed N
 --seconds 25 --trace 0` runs once in each checkout, from its root, one run
 at a time; the side that runs first alternates from seed to seed. Per
 end-to-end metric (names and directions from the change's BENCHMARK.json)
-the output holds both sides' medians, first and third quartiles, raw runs
-and the number of seeds in which the change reads better. With
+the output holds both sides' medians, first and third quartiles, raw runs,
+the number of seeds in which the change reads better and a verdict read
+against the metric's bound (VERDICTS). With
 --traced-seed N, one `--trace 1` run of each workload at seed N on each side
 adds, as traced_<workload>_seed_<N>, the per-layer calls and self time per op
 of every layer that ran. src_lines gives each side's line count of
@@ -52,19 +53,50 @@ def _r(v):
     return round(v, 4)
 
 
-def summarize(better, parent_runs, change_runs):
-    """Medians, quartiles, raw runs and pairs won for one metric."""
-    def iqr(runs):
-        q = quantiles(runs, n=4) if len(runs) > 1 else [runs[0]] * 3
-        return [_r(q[0]), _r(q[2])]
+VERDICTS = ("gain: the change won at least 9 in 10 pairs and the medians differ, in its favour, by more "
+            "than the parent's IQR; worse: the change's median is worse than the parent's by more than the "
+            "bound times the parent's median; unresolved: either side's IQR is wider than that, and not every "
+            "change run beats every parent run; within bound: anything else")
+
+
+def _iqr(runs):
+    q = quantiles(runs, n=4) if len(runs) > 1 else [runs[0]] * 3
+    return q[0], q[2]
+
+
+def pairs_won(better, parent_runs, change_runs):
     sign = 1 if better == "higher" else -1
-    won = sum(1 for p, c in zip(parent_runs, change_runs) if sign * (c - p) > 0)
+    return sum(1 for p, c in zip(parent_runs, change_runs) if sign * (c - p) > 0)
+
+
+def verdict(better, bound, parent_runs, change_runs):
+    """One of the VERDICTS for a metric whose end-to-end bound is a share of
+    the parent's median, tested in that order."""
+    sign = 1 if better == "higher" else -1
+    won = pairs_won(better, parent_runs, change_runs)
+    gap = sign * (median(change_runs) - median(parent_runs))     # > 0: the change reads better
+    q1, q3 = _iqr(parent_runs)
+    if 10 * won >= 9 * len(parent_runs) and gap > q3 - q1:
+        return "gain"
+    allowed = bound * abs(median(parent_runs))
+    if -gap > allowed:
+        return "worse"
+    spread = max(q3 - q1 for q1, q3 in map(_iqr, (parent_runs, change_runs)))
+    separated = min(sign * c for c in change_runs) > max(sign * p for p in parent_runs)
+    return "unresolved" if spread > allowed and not separated else "within bound"
+
+
+def summarize(better, bound, parent_runs, change_runs):
+    """Medians, quartiles, raw runs, pairs won and verdict for one metric."""
+    def iqr(runs):
+        return [_r(q) for q in _iqr(runs)]
     return {
         "parent_median": _r(median(parent_runs)),
         "parent_iqr": iqr(parent_runs),
         "change_median": _r(median(change_runs)),
         "change_iqr": iqr(change_runs),
-        "pairs_won": won,
+        "pairs_won": pairs_won(better, parent_runs, change_runs),
+        "verdict": verdict(better, bound, parent_runs, change_runs),
         "parent_runs": [_r(v) for v in parent_runs],
         "change_runs": [_r(v) for v in change_runs],
     }
@@ -84,7 +116,7 @@ def paired_workload(parent, change, workload, seeds, end_to_end):
         "failed": {side: sum(r["failed"] for r in runs) for side, runs in results.items()},
         "correct": all(r["correct"] for runs in results.values() for r in runs),
         "metrics": {
-            m["name"]: summarize(m["better"],
+            m["name"]: summarize(m["better"], m["bound"],
                                  *([r["metrics"][m["name"]]["value"] for r in results[side]]
                                    for side in ("parent", "change")))
             for m in end_to_end
@@ -148,6 +180,7 @@ def main(argv=None):
         "src_lines": {"parent": src_lines(parent), "change": src_lines(change)},
         "pairs_won": "pairs of the same seed in which the change reads better; ties count for neither",
         "iqr": "first and third quartiles, Python statistics.quantiles(n=4), exclusive method",
+        "verdict": VERDICTS,
         "workloads": {w: paired_workload(parent, change, w, args.seeds, end_to_end)
                       for w in args.workloads},
     }
