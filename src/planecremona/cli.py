@@ -8,10 +8,12 @@ is byte-identical across runs with equal arguments (keys sorted, fixed
 separators, no timestamps or timing). Exit codes: 0 success, 2 validation
 failure (machine-readable reason; "bad request" for a command line the
 parser refuses, such as an option its subcommand does not read), 1 internal
-error. geiser and bertini print the fixed curve that their label was checked
-on. classify takes one involution (--curve with --p, --points or --builtin
-with --kind, or --map or --map-file) and prints its label, invariant and a
-note on how they were computed; invariant prints the same without the note.
+error. dj and dj-conic print the map, its fixed curve, center and rational
+base points, and the label read from the pencil form of the map; geiser and
+bertini print the fixed curve that their label was checked on. classify
+takes one involution (--curve with --p, --points or --builtin with --kind,
+or --map or --map-file) and prints its label, invariant and a note on how
+they were computed; invariant prints the same without the note.
 
 Input grammars:
   polynomials   signed terms  c x^i*y^j*z^k  with rational c like 3/4 and
@@ -238,14 +240,14 @@ def _default_human(payload, prefix=""):
 # ---------------------------------------------------------------------------
 
 def _cmd_dj(args) -> dict:
-    """dj and dj-conic: args.construct is dj_involution or dj_from_conic;
-    the map, fixed curve, center and checks of the DJData it returns, and
-    the rational base points."""
+    """dj and dj-conic: args.construct is validate_dj or dj_from_conic; the
+    map, fixed curve and center of the DJData it returns, its label and
+    invariant from its pencil form (invariant_of), and its rational base
+    points."""
     data = args.construct(parse_poly(args.curve), parse_point(args.p))
     return _labelled(fixedcurve.invariant_of(data), **_map_json(data.map),
                      fixed_curve=format_hpoly(data.fixed_curve),
                      center=str(data.pencil.center),
-                     validation={"checks": list(data.checks)},
                      rational_base_points=[str(b) for b in fixedcurve.rational_base_points(data)])
 
 
@@ -326,7 +328,7 @@ def _construction(args):
     if args.kind and not configured:
         raise ValidationError("bad request", "--kind goes with --points or --builtin")
     if args.curve:
-        return involutions.dj_involution(parse_poly(args.curve), parse_point(args.p))
+        return involutions.validate_dj(parse_poly(args.curve), parse_point(args.p))
     if configured:
         if args.kind is None:
             given = "--points" if args.points else "--builtin"
@@ -429,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dj", help="de Jonquieres involution from a curve and center")
     p.add_argument("--curve", required=True)
     p.add_argument("--p", required=True)
-    common(p, _cmd_dj, construct=involutions.dj_involution)
+    common(p, _cmd_dj, construct=involutions.validate_dj)
 
     p = sub.add_parser("dj-conic", help="quadratic de Jonquieres involution from a conic")
     p.add_argument("--q", dest="curve", metavar="Q", required=True)

@@ -415,20 +415,21 @@ def multiplicity_values(forms, points, mults) -> list:
             for row in multiplicity_conditions(points, degree, mults)]
 
 
-def forms_with_multiplicities(points, degree: int, mults, expected, what: str) -> list:
+def forms_with_multiplicities(points, degree: int, mults, expected: int, what: str) -> list:
     """Deterministic basis of the forms of the degree with multiplicity >= m
-    at each point, the kernel of multiplicity_conditions. Refused when a
-    point repeats, or when the basis does not have `expected` members
-    (None: any number); `what` names the forms in that refusal."""
+    at each point, the kernel of multiplicity_conditions, each form
+    canonical as built (kernel vectors are primitive in the monomial order).
+    Refused when a point repeats, or when the basis does not have `expected`
+    members; `what` names the forms in that refusal."""
     pts = tuple(points)
     if len(set(pts)) != len(pts):
         raise ValidationError("degenerate configuration", "repeated point")
     kern = kernel_basis(multiplicity_conditions(pts, degree, mults))
-    if expected is not None and len(kern) != expected:
+    if len(kern) != expected:
         raise ValidationError("degenerate configuration",
                               f"{what} form a system of dimension {len(kern)}, expected {expected}")
     monos = monomials(degree)
-    return [HPoly(degree, {e: c for e, c in zip(monos, v) if c != 0}).canonical() for v in kern]
+    return [HPoly._make(degree, {e: c for e, c in zip(monos, v) if c}) for v in kern]
 
 
 def format_hpoly(f: HPoly) -> str:

@@ -22,9 +22,10 @@ Bertini involutions (involutions.DelPezzoInvolution) carry their fixed
 curves, which invariant_of checks against the table involutions.DEL_PEZZO
 (exactpoly.multiplicity_values): degree 3(m + 1) and multiplicity m + 1 at
 each of the n points, the Jacobian sextic double at the 7 and the nonic
-triple at the 8. Raw maps without a center are labelled from their degree
-and the degree of their fixed locus, the map and fixed-curve degrees of that
-table.
+triple at the 8. Raw maps without a center are labelled DJ(2), the class of
+the linear involutions, when they fix no curve, and otherwise from their
+degree and the degree of their fixed locus, the map and fixed-curve degrees
+of that table.
 """
 
 from typing import NamedTuple
@@ -181,10 +182,12 @@ def classify_involution(arg) -> Classification:
     pencil form: it must pass PencilForm.is_involution, and its normalized
     fixed curve has genus g = (odd-multiplicity roots of beta)/2 - 1, so it
     is DJ(g + 2), with g <= 0 the class of the linear involutions, DJ(2).
-    Any other raw map must pass the grid test (projmaps.involution_on_grid);
-    degree 8 with a sextic fixed locus is then a Geiser candidate and degree
-    17 with a nonic fixed locus a Bertini candidate (the map and fixed-curve
-    degrees of DEL_PEZZO), labels assigned from those two degrees.
+    Any other raw map must pass the grid test (projmaps.involution_on_grid).
+    One that fixes no curve (a constant fixed_locus), like (yz : xz : xy),
+    is conjugate to a linear involution (Bayle-Beauville): DJ(2). Degree 8
+    with a sextic fixed locus is a Geiser candidate and degree 17 with a
+    nonic fixed locus a Bertini candidate (the map and fixed-curve degrees
+    of DEL_PEZZO), labels assigned from those two degrees.
     """
     if not isinstance(arg, RationalMap):
         inv = invariant_of(arg)         # refuses anything but a construction
@@ -207,6 +210,10 @@ def classify_involution(arg) -> Classification:
         raise ValidationError("not involutive", "the map composed with itself is not the identity")
     d = sigma.degree
     fixed = fixed_locus(sigma)
+    if fixed.degree == 0:
+        return Classification(invariant_for_kind("dj", 2), (
+            "preserves no pencil of lines and fixes no curve (the fixed-point minors "
+            "have a constant gcd), so it is conjugate to a linear involution"))
     for kind, dp in DEL_PEZZO.items():
         if (d, fixed.degree) == (dp.degree, dp.fixed_curve[0]):
             inv = invariant_for_kind(kind)

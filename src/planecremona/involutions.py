@@ -40,10 +40,11 @@ certificate, applied to its own image, not by evaluating those points
 again.
 All pseudo-random choices come from the package's seeded SplitMix64 streams.
 
-A construction keeps what it was built from: a DJData its pencil form,
-fixed curve and map, a DelPezzoInvolution its configuration and fixed curve.
+validate_dj builds a de Jonquieres construction once, from one polar map:
+a DJData of the pencil form its checks read, the fixed curve and that map
+normalised. A DelPezzoInvolution keeps its configuration and fixed curve.
 fixedcurve.invariant_of computes the invariant and label of either from
-that, and this module does not import fixedcurve.
+what it keeps, and this module does not import fixedcurve.
 """
 
 from functools import cached_property
@@ -79,36 +80,17 @@ from .rng import SplitMix64
 # de Jonquieres data and validation
 # ---------------------------------------------------------------------------
 
-class DJData:
-    """A validated de Jonquieres instance: the fixed curve, of degree d, is
-    A y^2 + B y + C_d in the frame where the center is (0:1:0), the pencil
-    form of its polar map has u = 2 A y + B and v = -B y - 2 C_d up to a
-    nonzero scalar, and checks names the validation steps it passed."""
+class DJData(NamedTuple):
+    """A validated de Jonquieres construction (validate_dj): the pencil form
+    of its polar map, with u = 2 A y + B and v = -B y - 2 C_d up to a nonzero
+    scalar, where the fixed curve is A y^2 + B y + C_d in the frame of the
+    center (0:1:0); the fixed curve, of degree d; and the map."""
 
-    def __init__(self, d: int, pencil: PencilForm, fixed_curve: HPoly, checks: tuple):
-        vars(self).update(d=d, pencil=pencil, fixed_curve=fixed_curve, checks=checks)
+    pencil: PencilForm
+    fixed_curve: HPoly
+    map: RationalMap
 
-    def __setattr__(self, *args):
-        raise AttributeError("DJData is immutable")
-
-    def _key(self):
-        return self.d, self.pencil, self.fixed_curve, self.checks
-
-    def __eq__(self, other):
-        if not isinstance(other, DJData):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "DJData(d={!r}, pencil={!r}, fixed_curve={!r}, checks={!r})".format(*self._key())
-
-    @cached_property
-    def map(self) -> RationalMap:
-        """The involution, built once (conjugated_map)."""
-        return conjugated_map(self)
+    d = property(lambda self: self.fixed_curve.degree)
 
 
 def _polar_map(curve: HPoly, p: ProjPoint):
@@ -120,7 +102,9 @@ def _polar_map(curve: HPoly, p: ProjPoint):
 
 
 def validate_dj(curve: HPoly, p: ProjPoint) -> DJData:
-    """Validate a (curve, center) pair as de Jonquieres data.
+    """The de Jonquieres involution preserving the lines through p and
+    fixing the curve pointwise, built from one polar map: the construction,
+    or a refusal of the (curve, center) pair.
 
     Every check reads the pencil form of the polar map: with C = sum C_k y^k
     in the frame of p, u = sum k C_k y^(k-1) and v = sum (k - 2) C_k y^k up
@@ -132,25 +116,25 @@ def validate_dj(curve: HPoly, p: ProjPoint) -> DJData:
     point: a point q != p lies on a line through p, where the curve is
     A w^2 - Delta/(4A) with w = y + B/(2A) if A != 0 there, singular only
     over a double root of Delta; if A = 0 there, either dC/dy = B != 0 or
-    no point of the curve but p lies on that line.
+    no point of the curve but p lies on that line. The map is the same
+    polar map, normalised (conjugated_map).
     """
     curve = curve.canonical()
     d = curve.degree
     if d < 2 or curve.is_zero():
         raise ValidationError("bad degree", "the curve must have degree >= 2")
-    pencil = pencil_form_at(_polar_map(curve, p), p)
+    polar = _polar_map(curve, p)
+    pencil = pencil_form_at(polar, p)
     top = len(pencil.v) - 1
     a = pencil.a                        # 2 A
     if top > 2 or a.is_zero():
         found = f"is {d - top}, expected" if top > 2 else "exceeds"
         raise ValidationError("multiplicity mismatch", f"multiplicity at the center {found} {d - 2}")
-    checks = ["multiplicity d-2 at center"]
 
     if not is_squarefree(a):
         raise ValidationError(
             "non-ordinary", "the tangent cone at the center has repeated lines"
         )
-    checks.append("ordinary tangent cone (A squarefree)")
 
     g = a
     for q in (pencil.b, pencil.e):      # B and -2 C_d
@@ -162,7 +146,6 @@ def validate_dj(curve: HPoly, p: ProjPoint) -> DJData:
         raise ValidationError(
             "line through center", "the curve contains a line through the center"
         )
-    checks.append("no line through the center (gcd(A,B,Cd) = 1)")
 
     delta = pencil.beta                 # 4 (B^2 - 4 A C_d), up to a square
     if delta.is_zero():
@@ -171,25 +154,16 @@ def validate_dj(curve: HPoly, p: ProjPoint) -> DJData:
         raise ValidationError(
             "extra singularities", "discriminant is not squarefree"
         )
-    checks.append(f"discriminant squarefree of degree {delta.degree}")
-    return DJData(d, pencil, curve, tuple(checks))
+    return DJData(pencil, curve, conjugated_map(polar, d))
 
 
-def conjugated_map(data: DJData) -> RationalMap:
-    """Closed-form map of a validated de Jonquieres instance: its polar map,
-    normalised."""
-    sigma = RationalMap(*_polar_map(data.fixed_curve, data.pencil.center))
-    if sigma.degree != data.d:
+def conjugated_map(polar, d: int) -> RationalMap:
+    """The map of a validated de Jonquieres instance of degree d: its polar
+    map (_polar_map), normalised."""
+    sigma = RationalMap(*polar)
+    if sigma.degree != d:
         raise ValidationError("internal", "constructed map has the wrong degree")
     return sigma
-
-
-def dj_involution(curve: HPoly, p: ProjPoint) -> DJData:
-    """De Jonquieres involution preserving the lines through p and fixing the
-    given curve pointwise: its validated data, with the map built."""
-    data = validate_dj(curve, p)
-    data.map                # built now, so that a wrong degree is refused here
-    return data
 
 
 def dj_from_conic(q: HPoly, p: ProjPoint) -> DJData:
@@ -200,7 +174,7 @@ def dj_from_conic(q: HPoly, p: ProjPoint) -> DJData:
         raise ValidationError("bad degree", "expected a conic")
     if q.eval(p.coords) == 0:
         raise ValidationError("center on conic", "the center must not lie on the conic")
-    return dj_involution(q, p)
+    return validate_dj(q, p)
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +299,10 @@ def make_point_config(points, kind: str) -> PointConfig:
 
 def cubic_system(points) -> list:
     """Deterministic basis of the cubics through the points: a net for 7
-    points, a pencil for 8."""
+    points, a pencil for 8; refused unless it has 10 - n members."""
     n = len(points)
-    return forms_with_multiplicities([p.coords for p in points], 3, [1] * n,
-                                     10 - n if n in (7, 8) else None, "cubics through the points")
+    return forms_with_multiplicities([p.coords for p in points], 3, [1] * n, 10 - n,
+                                     "cubics through the points")
 
 
 def sextic_system(points, cubics) -> list:
@@ -352,7 +326,8 @@ def sextic_system(points, cubics) -> list:
     are refused all the same.
 
     span_basis reduces the four to the normal form of kernel_basis, so the
-    basis is the one the 24 x 28 kernel gives, coefficient for coefficient.
+    basis is the one the 24 x 28 kernel gives, coefficient for coefficient,
+    and each vector is primitive in the monomial order: a canonical sextic.
     """
     coords = [p.coords for p in points]
     (c0,) = forms_with_multiplicities(coords[:7], 3, [2] + [1] * 6, 1,
@@ -366,7 +341,7 @@ def sextic_system(points, cubics) -> list:
     if len(basis) != 4:
         raise ValidationError("degenerate configuration",
                               f"sextics singular along the points form a system of dimension {len(basis)}, expected 4")
-    return [HPoly(6, {e: c for e, c in zip(monos, v) if c}).canonical() for v in basis]
+    return [HPoly._make(6, {e: c for e, c in zip(monos, v) if c}) for v in basis]
 
 
 # the sides p1p2, p1p3, p2p3 of the triangle of the first three points
@@ -562,10 +537,16 @@ class DelPezzoInvolution:
             raise ValidationError("bad config", f"expected a {self.kind} configuration of {self.family.n} points")
         self.config = config
 
-    @cached_property
+    @property
     def space(self):
         """Basis of |-mK| (PointConfig.system)."""
-        return list(self.config.system)
+        return self.config.system
+
+    @cached_property
+    def _cubics(self):
+        """The cubics through the points (PointConfig.cubics), as _Cubic:
+        the net of a Geiser configuration, the pencil of a Bertini one."""
+        return [_Cubic.from_hpoly(c) for c in self.config.cubics]
 
     @cached_property
     def _at(self):
@@ -615,10 +596,6 @@ class GeiserInvolution(DelPezzoInvolution):
     kind = "geiser"
 
     @cached_property
-    def _net_cubics(self):
-        return [_Cubic.from_hpoly(g) for g in self.space]
-
-    @cached_property
     def fixed_curve(self) -> HPoly:
         """Jacobian of the net, a sextic."""
         j = _jacobian(*self.space)
@@ -635,7 +612,7 @@ class GeiserInvolution(DelPezzoInvolution):
         if x in self.config.points:
             raise IndeterminacyError(f"{x} is a base point of the involution")
         vx = self._values(x)
-        image, attempts = _ninth_base_point(self._net_cubics, self.config.points, x, vx,
+        image, attempts = _ninth_base_point(self._cubics, self.config.points, x, vx,
                                             lambda q: self.certifies(x.coords, vx, q, self._at(q)))
         return image, EvalTrace(attempts)
 
@@ -711,12 +688,6 @@ class BertiniInvolution(DelPezzoInvolution):
     kind = "bertini"
 
     @cached_property
-    def _cubic_pencil(self):
-        """The pencil c1, c2 of cubics through the 8 points
-        (PointConfig.cubics), as _Cubic."""
-        return [_Cubic.from_hpoly(c) for c in self.config.cubics]
-
-    @cached_property
     def ninth_point(self) -> ProjPoint:
         """Ninth base point p9 of the cubic pencil through the 8 points: the
         Geiser construction on that pencil, with p8 in the role of x (where
@@ -724,10 +695,10 @@ class BertiniInvolution(DelPezzoInvolution):
         one of the 8. In general position p9 is a simple base point off the
         8: blown up, it is the base point of |-K| on the del Pezzo surface
         of degree 1, which lies on no (-1)-curve, the E_i among them."""
-        c1, c2 = self._cubic_pencil
+        c1, c2 = self._cubics
         pts = self.config.points
         return _ninth_base_point(
-            self._cubic_pencil, pts[:7], pts[7], (0, 0),
+            self._cubics, pts[:7], pts[7], (0, 0),
             lambda q: not c1.value(q) and not c2.value(q) and ProjPoint(*q) not in pts)[0]
 
     @cached_property
@@ -755,7 +726,7 @@ class BertiniInvolution(DelPezzoInvolution):
         if x in self.config.points:
             raise IndeterminacyError(f"{x} is a base point of the involution")
         vx = self._values(x)
-        c1, c2 = self._cubic_pencil
+        c1, c2 = self._cubics
         u1, u2 = c1.value(x.coords), c2.value(x.coords)
         f = _Cubic.combination((u2, -u1), (c1, c2)) if u1 or u2 else c1
         p9 = self.ninth_point.coords

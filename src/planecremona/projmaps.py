@@ -90,18 +90,17 @@ class RationalMap:
 
     __slots__ = ("components", "degree")
 
-    def __init__(self, f1: HPoly, f2: HPoly, f3: HPoly, _normalized: bool = False):
+    def __init__(self, f1: HPoly, f2: HPoly, f3: HPoly):
         comps = (f1, f2, f3)
         if all(f.is_zero() for f in comps):
             raise ValidationError("zero map", "all three components vanish")
         degs = {f.degree for f in comps if not f.is_zero()}
         if len(degs) != 1:
             raise ValidationError("inhomogeneous", "components of different degrees")
-        if not _normalized:
-            g = hpoly_gcd_many(comps)
-            if g.degree > 0:
-                comps = tuple(f.divexact(g) for f in comps)
-            comps = _canon_triple(comps)
+        g = hpoly_gcd_many(comps)
+        if g.degree > 0:
+            comps = tuple(f.divexact(g) for f in comps)
+        comps = _canon_triple(comps)
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "degree", next(f.degree for f in comps if not f.is_zero()))
 
@@ -110,7 +109,7 @@ class RationalMap:
 
     @classmethod
     def identity(cls) -> "RationalMap":
-        return cls(HPoly.variable(0), HPoly.variable(1), HPoly.variable(2), _normalized=True)
+        return cls(HPoly.variable(0), HPoly.variable(1), HPoly.variable(2))
 
     @classmethod
     def linear(cls, m) -> "RationalMap":
@@ -121,6 +120,9 @@ class RationalMap:
         if not isinstance(other, RationalMap):
             return NotImplemented
         return self.components == other.components
+
+    def __hash__(self):
+        return hash(self.components)
 
     def __str__(self):
         return "({} : {} : {})".format(*self.components)

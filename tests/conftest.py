@@ -33,11 +33,11 @@ def dj_records():
     (built once)."""
     from planecremona.exactpoly import HPoly
     from planecremona.projmaps import ProjPoint
-    from planecremona.involutions import dj_from_conic, dj_involution, make_dj_instance
+    from planecremona.involutions import dj_from_conic, make_dj_instance, validate_dj
 
     x, y, z = (HPoly.variable(i) for i in range(3))
     records = {2: dj_from_conic(x * z - y * y, ProjPoint(0, 1, 0))}
     for d in range(3, 7):
         curve, center = make_dj_instance(d, seed=0)
-        records[d] = dj_involution(curve, center)
+        records[d] = validate_dj(curve, center)
     return records

@@ -50,11 +50,13 @@ def test_benchmark_configurations_pass_the_gate(monkeypatch):
             make_point_config([ProjPoint(*p) for p in pts], kind)
 
 
-def test_the_worker_runs_each_op_kind_and_its_answers_check(monkeypatch):
-    """One configuration per workload: a Geiser eval and fit, a Bertini
-    eval, run through the worker in a fresh interpreter and checked by
-    run.correct."""
+def test_the_worker_runs_each_op_kind_and_its_answers_check(monkeypatch, tmp_path):
+    """One configuration per surface workload: a Geiser eval and fit, a
+    Bertini eval; and one dj op of each expectation kind. Each is run
+    through the worker in a fresh interpreter and checked by run.correct.
+    The dj workload writes its matrix files under run.OUT, here tmp_path."""
     run = _load_run(monkeypatch)
+    monkeypatch.setattr(run, "OUT", str(tmp_path))
     for kind, wanted in (("geiser", ("interp", "eval")), ("bertini", ("eval",))):
         job, expects, ctx = run.build(kind, seed=1, seconds=1)
         keep = [next(i for i, op in enumerate(job["ops"]) if op[0] == k and op[1] == 0) for k in wanted]
@@ -62,3 +64,10 @@ def test_the_worker_runs_each_op_kind_and_its_answers_check(monkeypatch):
         ops = run.run_worker(job)["ops"]
         assert [op["error"] for op in ops] == [None] * len(keep)
         assert all(run.correct(expects[i], op, ctx) for i, op in zip(keep, ops))
+    job, expects, ctx = run.build("dj", seed=1, seconds=1)
+    wanted = ("dj", "verify", "classify", "not_involutive", "exceptionals", "lattice_classify")
+    keep = [next(i for i, e in enumerate(expects) if e["kind"] == k) for k in wanted]
+    job.update(ops=[job["ops"][i] for i in keep])
+    ops = run.run_worker(job)["ops"]
+    assert [op["error"] for op in ops] == [None] * len(keep)
+    assert [run.correct(expects[i], op, ctx) for i, op in zip(keep, ops)] == [True] * len(keep)

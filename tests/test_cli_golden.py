@@ -83,7 +83,7 @@ def test_invariant_prints_classify_without_the_note():
             expected = "".join(line for line in twin["stdout"].splitlines(True)
                                if not line.startswith("note: "))
         assert call["stdout"] == expected, " ".join(argv)
-    assert twins == 72
+    assert twins == 74
 
 
 def test_no_payload_has_a_seed():
@@ -97,7 +97,8 @@ def test_no_payload_has_a_seed():
 
 CONIC_MAP = "x*y;x*z;y*z"
 RAW_MAPS = (
-    CONIC_MAP,                      # the standard quadratic involution
+    CONIC_MAP,                      # de Jonquieres, center (0:1:0), fixing the conic xz = y^2
+    "y*z;x*z;x*y",                  # the standard quadratic involution (1/x : 1/y : 1/z)
     "y;x;z",                        # a linear involution
     "-x;y;z",                       # a linear involution fixing a line
     "-y;-x;z",                      # a linear involution, negative lead
@@ -117,7 +118,7 @@ RAW_MAPS = (
 
 def _dj_calls():
     from planecremona.exactpoly import format_hpoly
-    from planecremona.involutions import dj_involution, make_dj_instance
+    from planecremona.involutions import make_dj_instance, validate_dj
 
     argvs, maps = [], []
     for d in range(2, 7):
@@ -126,7 +127,7 @@ def _dj_calls():
             given = ["--curve", format_hpoly(curve), "--p", str(center)]
             argvs += [["dj"] + given, ["invariant"] + given, ["classify"] + given]
             if seed == 0:
-                maps.append(";".join(map(format_hpoly, dj_involution(curve, center).map.components)))
+                maps.append(";".join(map(format_hpoly, validate_dj(curve, center).map.components)))
     return argvs, maps
 
 

@@ -11,7 +11,7 @@ from planecremona.fixedcurve import (
     invariant_for_kind,
     invariant_of,
 )
-from planecremona.involutions import DJData, dj_involution, make_dj_instance
+from planecremona.involutions import DJData, validate_dj
 from planecremona.projmaps import ProjPoint, RationalMap, is_involution, pencil_form
 from planecremona.rng import SplitMix64
 from tests.streams import conjugate, frame_conjugate, unimodular_matrix
@@ -57,9 +57,9 @@ def test_invariant_of_records(dj_records, geiser, bertini):
 
 def test_dj_record_with_data_of_another_degree_is_corrupted(dj_records):
     # the invariant is read from the pencil form: genus 3 there contradicts
-    # a degree of 4
-    data = dj_records[5]
-    record = DJData(4, data.pencil, data.fixed_curve, data.checks)
+    # the degree 4 of the fixed curve
+    quartic = dj_records[4]
+    record = DJData(dj_records[5].pencil, quartic.fixed_curve, quartic.map)
     with pytest.raises(ValidationError, match=r"DJ\(5\) data in a record of degree 4") as info:
         invariant_of(record)
     assert info.value.reason == "corrupted record"
@@ -134,7 +134,7 @@ def test_invariant_constant_under_linear_conjugation(dj_records):
             phi_inv = RationalMap.linear(minv)
             curve2 = rec.fixed_curve.apply_matrix(minv)
             center2 = rec.pencil.center.apply_matrix(m)
-            rec2 = dj_involution(curve2, center2)
+            rec2 = validate_dj(curve2, center2)
             assert invariant_of(rec2).key() == invariant_of(rec).key()
             assert conjugate(rec.map, phi, phi_inv) == rec2.map
 
@@ -154,6 +154,19 @@ def test_classify_raw_quadratic():
     result = classify_involution(RationalMap(X * Y, X * Z, Y * Z))
     assert result.label == "DJ(2)"
     assert result.invariant == invariant_for_kind("dj", 2)
+
+
+def test_the_standard_quadratic_involution_and_its_conjugates_are_dj2():
+    # (1/x : 1/y : 1/z) preserves no pencil of lines and fixes no curve, so
+    # it is in the class of the linear involutions; so are its conjugates
+    standard = RationalMap(Y * Z, X * Z, X * Y)
+    m = unimodular_matrix(SplitMix64(311))
+    conj = RationalMap(*frame_conjugate(standard.components, m, adjugate3(m)))
+    for sigma in (standard, conj):
+        assert pencil_form(sigma) is None and fixed_locus(sigma).degree == 0
+        result = classify_involution(sigma)
+        assert result.invariant == invariant_for_kind("dj", 2)
+        assert "fixes no curve" in result.note
 
 
 def test_classify_raw_dj3(dj_records):

@@ -110,6 +110,17 @@ def test_sextic_dimension_is_28_minus_24(eight_config):
     assert list(eight_config.system) == reference
 
 
+def test_solved_forms_are_canonical_as_built(seven_config, eight_config):
+    """The forms of forms_with_multiplicities and sextic_system are built
+    from primitive vectors in the monomial order, without canonical(): each
+    has the terms of its canonical form, in the same order."""
+    pts = eight_config.points
+    forms = [*seven_config.cubics, *eight_config.cubics, *sextic_system(pts, eight_config.cubics),
+             *reference_sextics(pts)]
+    for f in forms:
+        assert list(f.terms.items()) == list(f.canonical().terms.items()), f
+
+
 def test_sextic_system_is_the_kernel_on_seeded_configurations():
     """|-2K| built from the pencil and the nodal cubics C_0, C_7 is the
     kernel's basis, coefficient for coefficient, on 200 seeded
@@ -311,9 +322,8 @@ def test_bertini_record(bertini, eight_config):
 def test_bertini_fixed_curve_of_a_degenerate_space_is_refused(eight_config):
     """J(c1, c2, .) vanishes on span{c1^2, c1 c2, c2^2}: a space inside it
     has no fixed nonic, and is refused by name."""
-    inv = BertiniInvolution(eight_config)
-    c1, c2 = inv.config.cubics
-    inv.space = [c1 * c1, c1 * c2, c2 * c2]
+    c1, c2 = eight_config.cubics
+    inv = BertiniInvolution(eight_config._replace(system=(c1 * c1, c1 * c2, c2 * c2)))
     with pytest.raises(ValidationError, match="Jacobian nonic vanishes") as err:
         inv.fixed_curve
     assert err.value.reason == "degenerate configuration"

@@ -9,13 +9,12 @@ from planecremona.exactpoly import (
     HPoly, adjugate3, hpoly_gcd_many, is_squarefree,
     kernel_basis, values_at,
 )
-from planecremona.fixedcurve import classify_involution, fixed_locus, rational_base_points
+from planecremona.fixedcurve import classify_involution, fixed_locus, invariant_of, rational_base_points
 from planecremona import involutions
 from planecremona.involutions import (
+    DJData,
     _polar_map,
-    conjugated_map,
     dj_from_conic,
-    dj_involution,
     make_dj_instance,
     validate_dj,
 )
@@ -117,7 +116,7 @@ def test_planted_singular_point_is_refused(d, seed, s0, t0):
 def test_base_points_and_label_of_maps_with_large_resultants(d, seed):
     # eliminating a variable between the components gave coefficients above
     # 10**12 here, where a divisor-enumeration root search gave up
-    rec = dj_involution(*make_dj_instance(d, seed))
+    rec = validate_dj(*make_dj_instance(d, seed))
     points = rational_base_points(rec.map)
     assert rec.pencil.center in points
     assert all(not any(values_at(rec.map.components, pt.coords)) for pt in points)
@@ -217,7 +216,7 @@ def test_pencil_form_of_the_map_is_the_validation_form(d, seed, moved):
         m = unimodular_matrix(SplitMix64(seed))
         curve, center = curve.apply_matrix(adjugate3(m)), center.apply_matrix(m)
     data = validate_dj(curve, center)
-    form = pencil_form(conjugated_map(data))
+    form = pencil_form(data.map)
     assert (form.center, form.frame) == (data.pencil.center, data.pencil.frame)
     assert _proportional(form.u + form.v, data.pencil.u + data.pencil.v)
 
@@ -232,28 +231,38 @@ def test_polar_map_equals_the_frame_round_trip(d):
     m, minv = data.pencil.frame
     round_trip = frame_conjugate(pencil_components((b, a * 2), (cd * -2, -b)), minv, m)
     assert RationalMap(*_polar_map(data.fixed_curve, center)) == RationalMap(*round_trip)
-    assert conjugated_map(data) == RationalMap(*round_trip)
+    assert data.map == RationalMap(*round_trip)
 
 
-def test_dj_involution_builds_its_map_once(monkeypatch):
+def test_validate_dj_builds_its_polar_map_and_map_once(monkeypatch):
+    """A construction computes its polar map once and normalises it once;
+    its label, invariant and base points compute neither again."""
     calls = []
 
-    def counted(data):
-        calls.append(data.d)
-        return conjugated_map(data)
+    def counted(name, original):
+        return lambda *args: calls.append(name) or original(*args)
 
-    monkeypatch.setattr(involutions, "conjugated_map", counted)
-    data = dj_involution(*make_dj_instance(4, seed=0))
-    assert calls == [4]
-    assert data.map is data.map and classify_involution(data).label == "DJ(4)"
-    assert rational_base_points(data) and calls == [4]
-    assert validate_dj(data.fixed_curve, data.pencil.center) == data and calls == [4]
+    curve, center = make_dj_instance(4, seed=0)
+    for name in ("_polar_map", "conjugated_map"):
+        monkeypatch.setattr(involutions, name, counted(name, getattr(involutions, name)))
+    data = validate_dj(curve, center)
+    once = ["_polar_map", "conjugated_map"]
+    assert calls == once
+    assert classify_involution(data).label == "DJ(4)" and invariant_of(data).genus == 2
+    assert rational_base_points(data) and calls == once
+    assert validate_dj(data.fixed_curve, data.pencil.center) == data and calls == once * 2
+
+
+def test_a_construction_is_its_pencil_form_fixed_curve_and_map(dj_records):
+    assert DJData._fields == ("pencil", "fixed_curve", "map")
+    for d, data in dj_records.items():
+        assert data.d == data.fixed_curve.degree == data.map.degree == d
 
 
 def test_normal_form_minors_expose_the_curve():
     # in the normal frame the fixed-point minors are -2xC, 0 and -2zC
     data = validate_dj(CONIC, ProjPoint(0, 1, 0))
-    sigma = conjugated_map(data)
+    sigma = data.map
     f1, f2, f3 = sigma.components
     m1 = X * f2 - Y * f1
     m3 = Y * f3 - Z * f2
@@ -291,7 +300,7 @@ def test_lines_through_center_are_preserved():
 
 def test_evaluator_round_trips():
     curve, center = make_dj_instance(4, seed=1)
-    rec = dj_involution(curve, center)
+    rec = validate_dj(curve, center)
     stream = SplitMix64(9)
     done = 0
     while done < 10:
@@ -326,7 +335,7 @@ def test_dj_map_against_pointwise_harmonic_conjugation():
     sampled point."""
     curve, center = make_dj_instance(3, seed=0)
     data = validate_dj(curve, center)
-    sigma = conjugated_map(data)
+    sigma = data.map
     m, minv = data.pencil.frame
     forms = _normal_coefficients(data)
     stream = SplitMix64(77)
