@@ -22,8 +22,8 @@ Conventions fixed once for the whole package:
 
 Only outside input is validated. HPoly(degree, terms) checks every exponent
 triple and drops zero coefficients; the ring operations, partial,
-coeffs_by_var, canonical, divexact and substitute build their results with
-the trusted HPoly._make, whose caller guarantees that the terms are
+coeffs_by_var, canonical, divexact, substitute and shear build their results
+with the trusted HPoly._make, whose caller guarantees that the terms are
 homogeneous of the degree with nonzero coefficients. _make normalises only
 coefficients that are not int, so a Fraction with denominator 1 becomes an
 int and every HPoly, however built, satisfies the convention above.
@@ -268,6 +268,42 @@ class HPoly:
         ]
         return self.substitute(lin)
 
+    def shear(self, m, axis: int) -> "HPoly":
+        """apply_matrix(m) for a matrix whose columns other than `axis` are
+        distinct unit vectors, as the frames of frame_moving_to_center are.
+
+        With column j = e_k for j != axis and r the row left over, f(m x)
+        renames x_k to x_j and scales x_r to m[r][axis] x_axis, then moves
+        each x_j to x_j + m[k][axis] x_axis: one Taylor shift along x_axis
+        per binary slice (_taylor_shift), O(d^3) products in all, with no
+        power table and no product of forms.
+        """
+        d = self.degree
+        if not self.terms:
+            return HPoly.zero(d)
+        j0, j1 = (j for j in range(3) if j != axis)
+        k0, k1 = (next(i for i in range(3) if m[i][j]) for j in (j0, j1))
+        r = 3 - k0 - k1
+        s, t0, t1 = m[r][axis], m[k0][axis], m[k1][axis]
+        # grid[n1][n0]: the coefficient of x_j0^n0 x_j1^n1 x_axis^(d - n0 - n1)
+        grid = [[0] * (d + 1 - n1) for n1 in range(d + 1)]
+        for e, c in self.terms.items():
+            grid[e[k1]][e[k0]] = c * s ** e[r] if e[r] else c
+        if t0:
+            for row in grid:
+                _taylor_shift(row, t0)
+        terms = {}
+        for n0 in range(d + 1):
+            col = [grid[n1][n0] for n1 in range(d + 1 - n0)]
+            if t1:
+                _taylor_shift(col, t1)
+            for n1, c in enumerate(col):
+                if c:
+                    e = [d - n0 - n1] * 3
+                    e[j0], e[j1] = n0, n1
+                    terms[tuple(e)] = c
+        return HPoly._make(d, terms)
+
     def coeffs_by_var(self, var: int):
         """Coefficient list [c_0, ..., c_m] with f = sum c_k * var^k.
 
@@ -333,6 +369,18 @@ def _power_table(g: HPoly, top: int):
     for _ in range(top - 1):
         table.append(table[-1] * g)
     return table
+
+
+def _taylor_shift(c: list, t) -> None:
+    """In place, the coefficients of sum c[k] (w + t)^k from those of
+    sum c[k] w^k, by Horner's scheme: n (n + 1) / 2 multiply-adds for n + 1
+    coefficients (von zur Gathen-Gerhard, "Fast algorithms for Taylor shifts
+    and certain difference equations", ISSAC 1997)."""
+    n = len(c) - 1
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            if c[k + 1]:
+                c[k] += t * c[k + 1]
 
 
 class Evaluator:
@@ -562,9 +610,8 @@ def hpoly_gcd_many(polys) -> HPoly:
                     if c and m <= k - j:   # a term above degree k: the lines were unlucky
                         terms[(j, m, k - j - m)] = c
             h = HPoly._make(k, terms)
-            if a or b:
-                x, y, z = (HPoly.variable(v) for v in range(3))
-                h = h.substitute((x, y - x * a, z - x * b))
+            if a or b:                      # (x, y - a x, z - b x)
+                h = h.shear(((1, 0, 0), (-a, 1, 0), (-b, 0, 1)), 0)
             h = h.canonical()
             try:
                 for g in forms:

@@ -13,8 +13,8 @@ from functools import cached_property
 
 from .errors import ValidationError
 from .exactpoly import (
-    Evaluator, HPoly, adjugate3, det3, hpoly_gcd_many, kernel_basis, odd_multiplicity_root_count,
-    primitive, values_at,
+    Evaluator, HPoly, adjugate3, det3, hpoly_gcd_many, odd_multiplicity_root_count, primitive,
+    values_at,
 )
 
 
@@ -64,7 +64,11 @@ class ProjPoint:
 def frame_moving_to_center(p: ProjPoint):
     """Deterministic integer frame (M, Minv) with M @ p proportional to
     (0,1,0) and M @ Minv = det * I. Minv has p as its middle column and the
-    two standard basis vectors away from p's pivot as the others."""
+    two standard basis vectors away from p's pivot as the others, so it is
+    a shear up to a renaming of the variables: with o0 < o1 the indices
+    other than the pivot, Minv (x, y, z) puts x + p[o0] y at o0, p[pivot] y
+    at the pivot and z + p[o1] y at o1, and f(Minv x) is HPoly.shear(Minv,
+    1)."""
     pivot = next(i for i, c in enumerate(p.coords) if c != 0)
     others = [i for i in range(3) if i != pivot]
     cols = [None, list(p.coords), None]
@@ -109,7 +113,8 @@ class RationalMap:
 
     @classmethod
     def identity(cls) -> "RationalMap":
-        return cls(HPoly.variable(0), HPoly.variable(1), HPoly.variable(2))
+        """(x : y : z), built once: a map is immutable."""
+        return _IDENTITY
 
     @classmethod
     def linear(cls, m) -> "RationalMap":
@@ -143,6 +148,9 @@ def _canon_triple(comps):
     terms = [f.sorted_terms() for f in comps]
     coeffs = iter(primitive(c for t in terms for _, c in t))
     return tuple(HPoly._make(f.degree, {e: next(coeffs) for e, _ in t}) for f, t in zip(comps, terms))
+
+
+_IDENTITY = RationalMap(HPoly.variable(0), HPoly.variable(1), HPoly.variable(2))
 
 
 def identity_minors(comps):
@@ -205,16 +213,39 @@ def involution_on_grid(f: RationalMap) -> bool:
 def pencil_center(sigma: RationalMap):
     """The point p collinear with every x and sigma(x), or None.
 
-    That holds exactly when p is in the kernel of the matrix whose columns
-    are the coefficient vectors of x cross sigma(x). The kernel has
-    dimension at most 1 unless sigma is the identity: two such points force
-    sigma(x) = x.
+    That holds exactly when p . (x cross sigma(x)) vanishes identically:
+    when p is orthogonal to the row of coefficients, in the three
+    components, of every monomial of x cross sigma(x), rows read straight
+    off the terms of sigma. Two such points force sigma(x) = x, so unless
+    sigma is the identity (rank 0) the kernel is a point exactly when the
+    rows have rank 2, and it is then the cross product of any two
+    independent rows. That of the first two is kept only if every row is
+    orthogonal to it, the certificate of rank 2; rank <= 1 and rank 3 give
+    None.
     """
-    m1, m2, m3 = identity_minors(sigma.components)
-    cross = (m3, -m2, m1)
-    monomials = sorted(set().union(*(c.terms for c in cross)))
-    basis = kernel_basis([[c.terms.get(e, 0) for c in cross] for e in monomials], 3)
-    return ProjPoint(*basis[0]) if len(basis) == 1 else None
+    # component c of x cross sigma(x) is x_(c+1) f_(c+2) - x_(c+2) f_(c+1),
+    # indices mod 3: f_w enters component w + 1 times x_(w+2) and component
+    # w + 2 times -x_(w+1)
+    rows = {}
+    for w, f in enumerate(sigma.components):
+        for comp, v, sign in (((w + 1) % 3, (w + 2) % 3, 1), ((w + 2) % 3, (w + 1) % 3, -1)):
+            for (i, j, k), c in f.terms.items():
+                e = (i + (v == 0), j + (v == 1), k + (v == 2))
+                rows.setdefault(e, [0, 0, 0])[comp] += sign * c
+    first = next((r for r in rows.values() if any(r)), None)
+    if first is None:
+        return None
+    a0, a1, a2 = first
+    for b0, b1, b2 in rows.values():
+        kernel = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+        if any(kernel):
+            break
+    else:
+        return None
+    k0, k1, k2 = kernel
+    if any(r[0] * k0 + r[1] * k1 + r[2] * k2 for r in rows.values()):
+        return None
+    return ProjPoint(*kernel)
 
 
 class PencilForm:
@@ -313,9 +344,11 @@ def pencil_form(sigma: RationalMap):
 def pencil_form_at(comps, p: ProjPoint) -> PencilForm:
     """The PencilForm of the components comps, not necessarily coprime, of
     a map with center p: each of the first two rows of m combines them, and
-    minv moves the combination; the third row, z u, is never read."""
+    minv, a shear up to renaming (frame_moving_to_center), moves the
+    combination by Taylor shifts along y (HPoly.shear); the third row, z u,
+    is never read."""
     m, minv = frame_moving_to_center(p)
-    xu, v = ((comps[0] * row[0] + comps[1] * row[1] + comps[2] * row[2]).apply_matrix(minv)
+    xu, v = ((comps[0] * row[0] + comps[1] * row[1] + comps[2] * row[2]).shear(minv, 1)
              for row in m[:2])
     # every term of x u has x: lowering its x exponent divides by x
     u = tuple(

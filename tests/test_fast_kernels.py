@@ -1,13 +1,15 @@
 """The exact kernels against naive references.
 
 HPoly's ring operations build their results with the trusted HPoly._make,
-substitute accumulates into one dict and the gcd's _restriction expands a
-form on a line straight from its terms. Each is checked here against a slow
-reference that goes through the validating HPoly(...) or, for the
-restriction, against substitute.
+substitute accumulates into one dict, shear moves a form by Taylor shifts and
+the gcd's _restriction expands a form on a line straight from its terms. Each
+is checked here against a slow reference that goes through the validating
+HPoly(...) or, for the restriction, against substitute.
 """
 
 from fractions import Fraction
+
+from itertools import permutations
 
 from hypothesis import given, settings, strategies as st
 
@@ -84,6 +86,32 @@ def test_apply_matrix_matches_the_naive_sum(data):
     m = [[data.draw(SMALL) for _ in range(3)] for _ in range(3)]
     lin = [HPoly(1, {(1, 0, 0): r[0], (0, 1, 0): r[1], (0, 0, 1): r[2]}) for r in m]
     assert _same(f.apply_matrix(m), _ref_substitute(f, lin))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_shear_matches_the_naive_sum(data):
+    """f(m x) for m whose columns other than the axis are distinct unit
+    vectors, in any order, and whose axis column has zero and nonzero
+    entries."""
+    f = _form(data, data.draw(st.integers(0, 9)))
+    axis = data.draw(st.integers(0, 2))
+    units = iter(data.draw(st.sampled_from(list(permutations(range(3), 2)))))
+    col = [data.draw(st.one_of(st.just(0), SMALL)) for _ in range(3)]
+    columns = [col if j == axis else [int(i == k) for i in range(3)]
+               for j, k in ((j, None if j == axis else next(units)) for j in range(3))]
+    m = [[columns[j][i] for j in range(3)] for i in range(3)]
+    lin = [HPoly(1, {(1, 0, 0): r[0], (0, 1, 0): r[1], (0, 0, 1): r[2]}) for r in m]
+    assert _same(f.shear(m, axis), _ref_substitute(f, lin))
+
+
+def test_shear_of_a_pencil_frame():
+    # the frame that moves (2:1:1) to (0:1:0): x -> 2 y, y -> x + y, z -> z + y
+    x, y, z = (HPoly.variable(i) for i in range(3))
+    minv = ((0, 2, 0), (1, 1, 0), (0, 1, 1))
+    f = y * y - x * z * 2
+    assert _same(f.shear(minv, 1), (x + y) * (x + y) - y * (z + y) * 4)
+    assert _same(HPoly.zero(4).shear(minv, 1), HPoly.zero(4))
 
 
 def test_substitute_cancels_to_zero_and_to_integers():

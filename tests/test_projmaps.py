@@ -5,16 +5,22 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from planecremona.errors import ValidationError
-from planecremona.exactpoly import HPoly, adjugate3, det3
+from planecremona.exactpoly import HPoly, adjugate3, det3, kernel_basis
+from planecremona.involutions import CENTER_POOL
 from planecremona.projmaps import (
+    PencilForm,
     ProjPoint,
     RationalMap,
+    _by_y,
     compose,
+    frame_moving_to_center,
     identity_minors,
     involution_on_grid,
     is_identity,
     is_involution,
+    pencil_center,
     pencil_form,
+    pencil_form_at,
 )
 from planecremona.rng import SplitMix64
 from tests.streams import conjugate, frame_conjugate, unimodular_matrix
@@ -52,6 +58,13 @@ def test_compose_identity():
     f = RationalMap(X * Y, X * Z, Y * Z)
     assert compose(RationalMap.identity(), f) == f
     assert compose(f, RationalMap.identity()) == f
+
+
+def test_identity_is_built_once(dj_records):
+    assert RationalMap.identity() == RationalMap(X, Y, Z)
+    assert RationalMap.identity() is RationalMap.identity()
+    f = dj_records[4].map
+    assert compose(f, f) is RationalMap.identity()
 
 
 def test_equal_maps_hash_alike():
@@ -157,9 +170,8 @@ def _xz_form(draw, degree):
     return HPoly(degree, {(degree - i, 0, i): draw(coeff) for i in range(degree + 1)})
 
 
-@st.composite
-def pencil_maps(draw):
-    """(x u : v : z u) with u and v of y-degree 0-2, in a unimodular frame: a
+def _pencil_uv(draw):
+    """u and v of a map (x u : v : z u) of degree 1-3, of y-degree 0-2: a
     third planted involutions (u = a y + b, v = -b y + e), a third the same
     with a y^2 term added to v, and a third random."""
     d = draw(st.integers(1, 3))
@@ -173,6 +185,13 @@ def pencil_maps(draw):
         u = sum((_xz_form(draw, d - 1 - k) * Y ** k for k in range(min(2, d - 1) + 1)), HPoly.zero(0))
         v = sum((_xz_form(draw, d - k) * Y ** k for k in range(min(2, d) + 1)), HPoly.zero(0))
     assume(not (u.is_zero() and v.is_zero()))
+    return u, v
+
+
+@st.composite
+def pencil_maps(draw):
+    """(x u : v : z u) as _pencil_uv draws it, in a unimodular frame."""
+    u, v = _pencil_uv(draw)
     m = unimodular_matrix(SplitMix64(draw(st.integers(0, 2**32))))
     comps = frame_conjugate((X * u, v, Z * u), adjugate3(m), m)
     return RationalMap(*comps)
@@ -183,6 +202,62 @@ def pencil_maps(draw):
 def test_pencil_involution_test_agrees_with_symbolic(f):
     assert pencil_form(f) is not None or f.degree == 0
     assert is_involution(f) == symbolic_is_involution(f) == involution_on_grid(f)
+
+
+def kernel_center(sigma):
+    """Reference center: the kernel, by fraction-free elimination, of the
+    coefficient rows of x cross sigma(x) built from the minors, when it has
+    dimension 1."""
+    m1, m2, m3 = identity_minors(sigma.components)
+    cross = (m3, -m2, m1)
+    monomials = sorted(set().union(*(c.terms for c in cross)))
+    basis = kernel_basis([[c.terms.get(e, 0) for c in cross] for e in monomials], 3)
+    return ProjPoint(*basis[0]) if len(basis) == 1 else None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(f=st.one_of(integer_maps(), pencil_maps(), conjugated_involutions()))
+def test_pencil_center_matches_the_kernel(f):
+    assert pencil_center(f) == kernel_center(f)
+
+
+def test_pencil_center_examples():
+    const = RationalMap(HPoly.constant(1), HPoly.constant(2), HPoly.constant(3))
+    standard = RationalMap(Y * Z, X * Z, X * Y)
+    # the identity (rank 0) and the standard quadratic map (rank 3) have no
+    # center; a constant map has its value as center
+    for f, center in ((RationalMap.identity(), None), (standard, None), (const, ProjPoint(1, 2, 3))):
+        assert pencil_center(f) == kernel_center(f) == center
+
+
+def reference_pencil_form_at(comps, p):
+    """PencilForm by apply_matrix(minv), the generic substitution."""
+    m, minv = frame_moving_to_center(p)
+    xu, v = ((comps[0] * row[0] + comps[1] * row[1] + comps[2] * row[2]).apply_matrix(minv)
+             for row in m[:2])
+    u = tuple(HPoly(max(f.degree - 1, 0), {(i - 1, j, k): c for (i, j, k), c in f.terms.items()})
+              for f in _by_y(xu))
+    return PencilForm(p, (m, minv), u, tuple(_by_y(v)))
+
+
+def test_center_pool_puts_the_pivot_everywhere():
+    # the frames below then have their pivot at each index, and zero and
+    # nonzero shear entries
+    pivots = [next(i for i, c in enumerate(p) if c) for p in CENTER_POOL]
+    off_pivot = [c for p, i in zip(CENTER_POOL, pivots) for j, c in enumerate(p) if j != i]
+    assert set(pivots) == {0, 1, 2} and 0 in off_pivot and any(off_pivot)
+
+
+@pytest.mark.parametrize("center", CENTER_POOL)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_pencil_form_at_matches_apply_matrix(center, data):
+    """A planted (x u : v : z u) moved so that its center is p."""
+    p = ProjPoint(*center)
+    u, v = _pencil_uv(data.draw)
+    m, minv = frame_moving_to_center(p)
+    comps = frame_conjugate((X * u, v, Z * u), minv, m)
+    assert pencil_form_at(comps, p) == reference_pencil_form_at(comps, p)
 
 
 def test_pencil_map_of_degree_two_on_lines_is_not_an_involution():
