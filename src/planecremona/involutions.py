@@ -35,9 +35,11 @@ besides the configuration and x.
 
 An optional closed form of the degree-8 Geiser map is built from the
 pull-backs of the sides of the triangle p1p2p3 (the octics C_a C_b Q_ab)
-and one evaluated sample. It is checked at 100 seeded points by the same
-certificate, applied to its own image, not by evaluating those points
-again.
+and one evaluated sample. It is certified exactly from its homaloidal type
+(8; 3^7) and one projective frame (DelPezzoInvolution.certify_map): octics
+with triple points at the 7 points are sections of sigma* H on the blow-up,
+a space of dimension 3, so the fit is M o sigma for a 3x3 matrix M, and an
+M that fixes the four points of a frame is a scalar.
 All pseudo-random choices come from the package's seeded SplitMix64 streams.
 
 validate_dj builds a de Jonquieres construction once, from one polar map:
@@ -48,7 +50,7 @@ what it keeps, and this module does not import fixedcurve.
 """
 
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import chain, combinations
 from math import gcd as igcd
 from typing import NamedTuple
 
@@ -196,6 +198,13 @@ class DelPezzoType(NamedTuple):
     def fixed_curve(self):
         """Degree of the fixed curve and its multiplicity at the points."""
         return 3 * (self.m + 1), self.m + 1
+
+    @property
+    def map_multiplicity(self) -> int:
+        """Multiplicity of the involution's components at each point: the
+        map acts on the blow-up by H -> degree H - 3m sum E_i (DEL_PEZZO),
+        so its homaloidal type is (degree; (3m)^n), (8; 3^7) or (17; 6^8)."""
+        return 3 * self.m
 
     @property
     def genus(self) -> int:
@@ -589,6 +598,63 @@ class DelPezzoInvolution:
     def eval(self, x: ProjPoint) -> ProjPoint:
         return self.eval_detail(x)[0]
 
+    def certify_map(self, sigma: RationalMap, pairs):
+        """Refuse sigma, with reason "interpolation failed" and a message
+        naming the failed step, unless it is the involution. pairs yields
+        points x and their images y from the evaluator; the first four whose
+        images form a projective frame (_frame) are read.
+
+        1. sigma has the family's degree d.
+        2. Its components have multiplicity >= 3m at every point
+           (map_multiplicity, by multiplicity_values). Then they lie in
+           H^0(d H - 3m sum E_i) = H^0(sigma* H) on the blow-up, of
+           dimension h^0(H) = 3, which the components of the involution
+           span: sigma = M o (the involution) for a 3x3 matrix M.
+        3. At each frame point x, sigma(x) is a nonzero multiple of y. So M
+           has the four y as eigenvectors with nonzero eigenvalues; the
+           fourth is a combination of the other three with no zero
+           coefficient, which forces the eigenvalues equal: M is a scalar.
+        """
+        family, pts = self.family, self.config.points
+        if sigma.degree != family.degree:
+            raise ValidationError("interpolation failed", f"fitted map does not have degree {family.degree}")
+        mult = family.map_multiplicity
+        rows = multiplicity_values(sigma.components, [p.coords for p in pts], [mult] * len(pts))
+        per_point = len(rows) // len(pts)
+        for i, p in enumerate(pts):
+            if any(map(any, rows[per_point * i:per_point * (i + 1)])):
+                raise ValidationError("interpolation failed",
+                                      f"fitted map has multiplicity < {mult} at the base point {p}")
+        comps = Evaluator(sigma.components)
+        for x, y in self._frame(pairs):
+            v = comps(x.coords)
+            if not any(v) or any(_cross(v, y.coords)):
+                image = ProjPoint(*v) if any(v) else None
+                raise ValidationError("interpolation failed",
+                                      f"fitted map sends the frame point {x} to {image}, not to {y}")
+
+    def _frame(self, pairs):
+        """The first four pairs (x, y) whose images y form a projective
+        frame: no y is a base point, and no three are collinear (det3)."""
+        base, chosen = set(self.config.points), []
+        for x, y in pairs:
+            v = y.coords
+            if (y in base or not all(any(_cross(u, v)) for u in chosen)
+                    or not all(det3((u, w, v)) for u, w in combinations(chosen, 2))):
+                continue
+            yield x, y
+            chosen.append(v)
+            if len(chosen) == 4:
+                return
+
+    def _images(self, points):
+        """Pairs (x, eval(x)) of the points whose evaluation succeeds."""
+        for x in points:
+            try:
+                yield x, self.eval(x)
+            except (ValidationError, ExtractionError):
+                continue
+
 
 class GeiserInvolution(DelPezzoInvolution):
     """Geiser involution attached to 7 points in general position."""
@@ -625,9 +691,11 @@ class GeiserInvolution(DelPezzoInvolution):
         the matrix of the l_k, sigma = adj(L) diag(lambda) P. At the first
         seeded x where no P_k vanishes, with y = sigma(x) from the evaluator,
         lambda_k is proportional to l_k(y) times the product of the other
-        P_j(x). The result is then checked at 100 fresh seeded points by
-        certifies (_check_fit). The fit is unique up to scale and normalised,
-        so the points drawn do not change the map.
+        P_j(x). The result is certified exactly by certify_map, from its
+        type (8; 3^7) and a frame of images: the sample, then seeded points
+        evaluated until their images complete the frame. The fit is unique
+        up to scale and normalised, so the points drawn do not change the
+        map.
         """
         pts = self.config.points
         octics = octic_triple_system(pts)
@@ -651,23 +719,8 @@ class GeiserInvolution(DelPezzoInvolution):
         comps = [sum((octics[k] * (adj[i][k] * scales[k]) for k in range(3)), HPoly.zero(8))
                  for i in range(3)]
         sigma = RationalMap(*comps)
-        if sigma.degree != 8:
-            raise ValidationError("interpolation failed", "fitted map does not have degree 8")
-        self._check_fit(sigma, stream)
+        self.certify_map(sigma, chain([(x, y)], self._images(self._candidates(stream, 3))))
         return sigma
-
-    def _check_fit(self, sigma: RationalMap, stream: SplitMix64):
-        """Refuse sigma unless, at 100 points drawn from the stream,
-        certifies takes sigma(x), the only point it takes in general position
-        and so the evaluator's image. The net is evaluated at x and at the
-        values of sigma at x, as they are (the certificate is homogeneous)."""
-        net, comps = self._at, Evaluator(sigma.components)
-        for x in islice(self._candidates(stream, 100), 100):
-            y = comps(x.coords)
-            if not any(y) or not self.certifies(x.coords, net(x.coords), y, net(y)):
-                image = ProjPoint(*y) if any(y) else None
-                raise ValidationError("interpolation failed",
-                                      f"fitted map sends {x} to {image}, not to the ninth base point")
 
     def _candidates(self, stream: SplitMix64, count: int):
         """Seeded points with coordinates in [-9, 9] other than the base

