@@ -4,7 +4,10 @@ Rationals (stdlib Fraction), homogeneous polynomials in x, y, z (one type,
 HPoly; binary forms are HPoly in (x, z)), gcds (restrict to lines,
 interpolate, certify by division), Sylvester resultants, fraction-free
 kernel computation and the linear conditions for multiplicity at points
-(multiplicity_conditions). Everything is exact; nothing here ever rounds. All
+(multiplicity_conditions, multiplicity_values). Those read one cached table
+per (degree, order) of the partial derivatives of that order, a falling
+factorial and a target monomial for each monomial, and one table of powers
+of each point's coordinates. Everything is exact; nothing here ever rounds. All
 values are immutable after construction and all operations are pure
 functions, so they can be shared freely between workers.
 
@@ -30,6 +33,7 @@ int and every HPoly, however built, satisfies the convention above.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement, count, repeat
 from math import comb, gcd as igcd, isqrt, lcm, perm
 from operator import mul
@@ -411,17 +415,24 @@ class Evaluator:
                      else list(map(f.terms.get, keys, repeat(0))) for f in forms]
 
     def __call__(self, pt) -> list:
+        mv = _monomial_values(pt, self.top, self.support)
         a, b, c = pt
-        pa, pb, pc = [1], [1], [1]
-        for _ in range(self.top):
-            pa.append(pa[-1] * a)
-            pb.append(pb[-1] * b)
-            pc.append(pc[-1] * c)
-        mv = [pa[i] * pb[j] * pc[k] for i, j, k in self.support]
         if type(a) is int and type(b) is int and type(c) is int:
             return [sum(map(mul, row, mv)) for row in self.rows]
         # a zero entry times a Fraction is a Fraction: sum the form's own terms
         return [sum(u * v for u, v in zip(row, mv) if u) for row in self.rows]
+
+
+def _monomial_values(pt, top: int, exps) -> list:
+    """Values at a point of the monomials with the exponent triples exps,
+    none above top in a variable, from one table of powers per coordinate."""
+    a, b, c = pt
+    pa, pb, pc = [1], [1], [1]
+    for _ in range(top):
+        pa.append(pa[-1] * a)
+        pb.append(pb[-1] * b)
+        pc.append(pc[-1] * c)
+    return [pa[i] * pb[j] * pc[k] for i, j, k in exps]
 
 
 def values_at(forms, pt) -> list:
@@ -436,19 +447,52 @@ def monomials(degree: int) -> list:
     return [(i, j, degree - i - j) for i in range(degree, -1, -1) for j in range(degree - i, -1, -1)]
 
 
+@cache
+def _partial_table(degree: int, order: int) -> tuple:
+    """The partial derivatives of the order on forms of the degree: for each
+    d^alpha, in the order of combinations_with_replacement, one pair per
+    monomial x^e of monomials(degree), the falling factorial e!/(e - alpha)!
+    and the index of x^(e - alpha) in monomials(degree - order); (0, 0)
+    where alpha exceeds e, so every pair of an order above the degree."""
+    target = {e: k for k, e in enumerate(monomials(degree - order))}
+    table = []
+    for var in combinations_with_replacement(range(3), order):
+        i, j, k = (var.count(v) for v in range(3))
+        table.append(tuple((perm(a, i) * perm(b, j) * perm(c, k), target[a - i, b - j, c - k])
+                           if a >= i and b >= j and c >= k else (0, 0) for a, b, c in monomials(degree)))
+    return tuple(table)
+
+
 def multiplicity_conditions(points, degree: int, mults) -> list:
     """Linear conditions on the forms of the given degree to have
     multiplicity >= m at each point, a coordinate triple: one row per
     partial derivative of order m - 1 at the point, over monomials(degree),
     taken in the order of combinations_with_replacement (lower orders follow
-    by Euler)."""
-    monos = monomials(degree)
+    by Euler). Each entry is a factor of the one partial-derivative table of
+    (degree, m - 1) times a monomial value from the point's one power
+    table."""
     rows = []
-    for (a, b, c), m in zip(points, mults):
-        for var in combinations_with_replacement(range(3), m - 1):
-            i, j, k = (var.count(v) for v in range(3))
-            rows.append([(f := perm(e[0], i) * perm(e[1], j) * perm(e[2], k))
-                         and f * a ** (e[0] - i) * b ** (e[1] - j) * c ** (e[2] - k) for e in monos])
+    for pt, m in zip(points, mults):
+        low = degree - m + 1
+        mv = _monomial_values(pt, low, monomials(low))
+        rows.extend([f and f * mv[k] for f, k in pairs] for pairs in _partial_table(degree, m - 1))
+    return rows
+
+
+def partial_rows(f: HPoly, order: int) -> list:
+    """Coefficient rows over monomials(f.degree - order) of the partial
+    derivatives of f of the order, in the order of
+    combinations_with_replacement, read off the partial-derivative table."""
+    low = f.degree - order
+    size = (low + 1) * (low + 2) // 2 if low >= 0 else 0
+    coeffs = [f.terms.get(e, 0) for e in monomials(f.degree)]
+    rows = []
+    for pairs in _partial_table(f.degree, order):
+        row = [0] * size
+        for (factor, k), c in zip(pairs, coeffs):
+            if factor and c:
+                row[k] = factor * c
+        rows.append(row)
     return rows
 
 
@@ -456,11 +500,27 @@ def multiplicity_values(forms, points, mults) -> list:
     """The rows of multiplicity_conditions applied to forms of one degree:
     entry [r][i] is condition r evaluated on form i, the partial derivative
     of that row at its point. All vanish exactly when every form has
-    multiplicity >= m at each point."""
+    multiplicity >= m at each point. The forms' partial_rows are built once
+    per multiplicity; each point then costs one power table and one dot
+    product per row and form, and the condition rows are never built."""
     degree = forms[0].degree
-    coeffs = [[f.terms.get(e, 0) for e in monomials(degree)] for f in forms]
-    return [[sum(map(mul, row, c)) for c in coeffs]
-            for row in multiplicity_conditions(points, degree, mults)]
+    partials, out = {}, []
+    for pt, m in zip(points, mults):
+        if m not in partials:
+            partials[m] = list(zip(*(partial_rows(f, m - 1) for f in forms)))
+        low = degree - m + 1
+        mv = _monomial_values(pt, low, monomials(low))
+        out.extend([sum(map(mul, row, mv)) for row in rows] for rows in partials[m])
+    return out
+
+
+def first_below_multiplicity(forms, points, m: int):
+    """Index of the first point at which some of the forms has multiplicity
+    < m, from one call of multiplicity_values on all the points, or None."""
+    rows = multiplicity_values(forms, points, [m] * len(points))
+    per_point = comb(m + 1, 2)          # partials of order m - 1
+    return next((i for i in range(len(points))
+                 if any(map(any, rows[per_point * i:per_point * (i + 1)]))), None)
 
 
 def forms_with_multiplicities(points, degree: int, mults, expected: int, what: str) -> list:

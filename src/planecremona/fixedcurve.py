@@ -20,7 +20,7 @@ de Jonquieres construction (involutions.DJData) is read from its pencil
 form, as a raw map with a center is, and its genus must be d - 2. Geiser and
 Bertini involutions (involutions.DelPezzoInvolution) carry their fixed
 curves, which invariant_of checks against the table involutions.DEL_PEZZO
-(exactpoly.multiplicity_values): degree 3(m + 1) and multiplicity m + 1 at
+(exactpoly.first_below_multiplicity): degree 3(m + 1) and multiplicity m + 1 at
 each of the n points, the Jacobian sextic double at the 7 and the nonic
 triple at the 8. Raw maps without a center are labelled DJ(2), the class of
 the linear involutions, when they fix no curve, and otherwise from their
@@ -31,7 +31,7 @@ of that table.
 from typing import NamedTuple
 
 from .errors import ValidationError
-from .exactpoly import HPoly, bform_rational_roots, hpoly_gcd_many, multiplicity_values, values_at
+from .exactpoly import HPoly, bform_rational_roots, first_below_multiplicity, hpoly_gcd_many, values_at
 from .involutions import DEL_PEZZO, DelPezzoInvolution, DJData
 from .projmaps import (
     ProjPoint, RationalMap, identity_minors, involution_on_grid, is_identity, pencil_form,
@@ -117,9 +117,10 @@ def invariant_of(construction) -> FixedCurveInvariant:
     curve = construction.fixed_curve
     if curve.degree != degree:
         raise ValidationError("corrupted record", f"{inv.source} fixed curve must have degree {degree}")
-    for p in construction.config.points:
-        if any(v for (v,) in multiplicity_values([curve], [p.coords], [mult])):
-            raise ValidationError("corrupted record", f"fixed curve not of multiplicity {mult} at {p}")
+    pts = construction.config.points
+    low = first_below_multiplicity([curve], [p.coords for p in pts], mult)
+    if low is not None:
+        raise ValidationError("corrupted record", f"fixed curve not of multiplicity {mult} at {pts[low]}")
     return inv
 
 

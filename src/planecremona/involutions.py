@@ -34,12 +34,13 @@ in the base locus of the members through x, which has exactly one point
 besides the configuration and x.
 
 An optional closed form of the degree-8 Geiser map is built from the
-pull-backs of the sides of the triangle p1p2p3 (the octics C_a C_b Q_ab)
-and one evaluated sample. It is certified exactly from its homaloidal type
-(8; 3^7) and one projective frame (DelPezzoInvolution.certify_map): octics
-with triple points at the 7 points are sections of sigma* H on the blow-up,
-a space of dimension 3, so the fit is M o sigma for a 3x3 matrix M, and an
-M that fixes the four points of a frame is a scalar.
+pull-backs of the sides of the triangle p1p2p3 (the octics C_a C_b Q_ab,
+C_a the member of the net singular at p_a) and one evaluated sample. It is
+certified exactly from its homaloidal type (8; 3^7) and one projective
+frame (DelPezzoInvolution.certify_map): octics with triple points at the 7
+points are sections of sigma* H on the blow-up, a space of dimension 3, so
+the fit is M o sigma for a 3x3 matrix M, and an M that fixes the four
+points of a frame is a scalar.
 All pseudo-random choices come from the package's seeded SplitMix64 streams.
 
 validate_dj builds a de Jonquieres construction once, from one polar map:
@@ -61,6 +62,7 @@ from .exactpoly import (
     adjugate3,
     bform_gcd,
     det3,
+    first_below_multiplicity,
     forms_with_multiplicities,
     is_squarefree,
     kernel_basis,
@@ -68,6 +70,7 @@ from .exactpoly import (
     monomials,
     multiplicity_conditions,
     multiplicity_values,
+    partial_rows,
     primitive,
     span_basis,
     values_at,
@@ -357,18 +360,19 @@ def sextic_system(points, cubics) -> list:
 _SIDES = ((0, 1), (0, 2), (1, 2))
 
 
-def octic_triple_system(points) -> list:
-    """Basis of the octics with points of multiplicity >= 3 at all 7 points:
-    C_a C_b Q_ab for the sides ab of _SIDES, where C_a is the cubic through
-    the points singular at p_a and Q_ab the conic through the five others.
-    These are the pull-backs of the sides by the Geiser involution: on the
-    blow-up, sigma* H = 8H - 3 sum E_i is the sum of sigma* E_a = C_a,
-    sigma* E_b = C_b and sigma* (H - E_a - E_b) = Q_ab."""
-    coords = [p.coords for p in points]
+def octic_triple_system(config: PointConfig) -> list:
+    """Basis of the octics with points of multiplicity >= 3 at the 7 points
+    of a Geiser configuration: C_a C_b Q_ab for the sides ab of _SIDES,
+    where C_a is the cubic through the points singular at p_a and Q_ab the
+    conic through the five others. These are the pull-backs of the sides by
+    the Geiser involution: on the blow-up, sigma* H = 8H - 3 sum E_i is the
+    sum of sigma* E_a = C_a, sigma* E_b = C_b and sigma* (H - E_a - E_b) =
+    Q_ab. C_a is the member of the net config.cubics whose gradient vanishes
+    at p_a (_singular_member); Q_ab is the kernel of 5 conditions on conics.
+    """
+    coords = [p.coords for p in config.points]
     n = len(coords)
-    cubics = [forms_with_multiplicities(coords, 3, [1] * a + [2] + [1] * (n - 1 - a), 1,
-                                        f"cubics singular at point {a}")[0]
-              for a in range(3)]
+    cubics = [_singular_member(config.cubics, coords[a], a) for a in range(3)]
     octics = []
     for a, b in _SIDES:
         others = [p for i, p in enumerate(coords) if i not in (a, b)]
@@ -377,11 +381,28 @@ def octic_triple_system(points) -> list:
     return octics
 
 
+def _singular_member(net, p, a: int) -> HPoly:
+    """The member lambda . net of the net of cubics through the points that
+    is singular at their point p = p_a, canonical: lambda is orthogonal to
+    the three rows of the 3x3 matrix of the net's gradients at p. Euler's
+    relation puts the gradients at p in the plane orthogonal to p, so the
+    rank is at most 2; lambda, the cross product of the first two
+    independent rows, is kept only if every row is orthogonal to it, the
+    certificate of rank exactly 2 and of a unique member. Refused with
+    "degenerate configuration" otherwise."""
+    grads = multiplicity_values(net, [p], [2])
+    first = next((r for r in grads if any(r)), None)
+    lam = next((k for r in grads if any(k := _cross(first, r))), None) if first else None
+    if lam is None or any(_dot(r, lam) for r in grads):
+        raise ValidationError("degenerate configuration",
+                              f"the net's gradients at point {a} do not have rank 2")
+    return sum((c * k for c, k in zip(net, lam) if k), HPoly.zero(3)).canonical()
+
+
 # ---------------------------------------------------------------------------
 # chord-tangent arithmetic on plane cubics, in integers
 # ---------------------------------------------------------------------------
 
-_QUADRICS = monomials(2)           # x^2, xy, xz, y^2, yz, z^2
 # pencil members s f + t h, tried in turn: 13 distinct ratios, one more than
 # the 12 singular members a cubic pencil with a smooth member can have
 _MEMBERS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, -1),
@@ -398,7 +419,8 @@ def _cross(u, v):
 
 class _Cubic:
     """Integer plane cubic held as the rows of its three partial derivatives
-    over the quadric monomials, so that a gradient costs a few products."""
+    over the quadric monomials x^2, xy, xz, y^2, yz, z^2 (partial_rows), so
+    that a gradient costs a few products."""
 
     __slots__ = ("rows",)
 
@@ -407,7 +429,7 @@ class _Cubic:
 
     @classmethod
     def from_hpoly(cls, f: HPoly) -> "_Cubic":
-        return cls([[f.partial(v).terms.get(m, 0) for m in _QUADRICS] for v in range(3)])
+        return cls(partial_rows(f, 1))
 
     @classmethod
     def combination(cls, coeffs, cubics) -> "_Cubic":
@@ -619,12 +641,10 @@ class DelPezzoInvolution:
         if sigma.degree != family.degree:
             raise ValidationError("interpolation failed", f"fitted map does not have degree {family.degree}")
         mult = family.map_multiplicity
-        rows = multiplicity_values(sigma.components, [p.coords for p in pts], [mult] * len(pts))
-        per_point = len(rows) // len(pts)
-        for i, p in enumerate(pts):
-            if any(map(any, rows[per_point * i:per_point * (i + 1)])):
-                raise ValidationError("interpolation failed",
-                                      f"fitted map has multiplicity < {mult} at the base point {p}")
+        low = first_below_multiplicity(sigma.components, [p.coords for p in pts], mult)
+        if low is not None:
+            raise ValidationError("interpolation failed",
+                                  f"fitted map has multiplicity < {mult} at the base point {pts[low]}")
         comps = Evaluator(sigma.components)
         for x, y in self._frame(pairs):
             v = comps(x.coords)
@@ -698,7 +718,7 @@ class GeiserInvolution(DelPezzoInvolution):
         map.
         """
         pts = self.config.points
-        octics = octic_triple_system(pts)
+        octics = octic_triple_system(self.config)
         lines = [_cross(pts[a].coords, pts[b].coords) for a, b in _SIDES]
         stream = SplitMix64(0x6A09E667F3BCC908)
         for x in self._candidates(stream, 1):

@@ -1,7 +1,8 @@
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, perm, prod
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,6 +20,7 @@ from planecremona.exactpoly import (
     kernel_basis,
     matrix_rank,
     monomials,
+    multiplicity_conditions,
     multiplicity_values,
     odd_multiplicity_root_count,
     resultant,
@@ -776,3 +778,53 @@ def test_multiplicity_values_are_the_partials_at_the_points():
             expected = [[reduce(HPoly.partial, var, f).eval(p) for f in forms]
                         for p in points for var in combinations_with_replacement(range(3), m - 1)]
             assert multiplicity_values(forms, points, [m, m]) == expected, (degree, m)
+
+
+def reference_conditions(points, degree, mults):
+    """multiplicity_conditions by its formula, entry by entry: the partial
+    d^alpha of x^e at the point is e!/(e - alpha)! x^(e - alpha), three
+    falling factorials and three powers."""
+    rows = []
+    for (a, b, c), m in zip(points, mults):
+        for var in combinations_with_replacement(range(3), m - 1):
+            i, j, k = (var.count(v) for v in range(3))
+            rows.append([(f := perm(e[0], i) * perm(e[1], j) * perm(e[2], k))
+                         and f * a ** (e[0] - i) * b ** (e[1] - j) * c ** (e[2] - k) for e in monomials(degree)])
+    return rows
+
+
+small_fraction = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_multiplicity_rows_are_the_falling_factorial_formula(data):
+    """The table-built rows equal the formula, for degrees 0-10 and
+    multiplicities 1-5 (orders above the degree give zero rows), at integer
+    or Fraction points; multiplicity_values is those rows applied to the
+    coefficient vectors."""
+    degree = data.draw(st.integers(0, 10), label="degree")
+    n = data.draw(st.integers(1, 3), label="points")
+    coord = small_fraction if data.draw(st.booleans(), label="fractions") else st.integers(-6, 6)
+    points = data.draw(st.lists(st.tuples(coord, coord, coord), min_size=n, max_size=n), label="points")
+    mults = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n), label="mults")
+    rows = multiplicity_conditions(points, degree, mults)
+    expected = reference_conditions(points, degree, mults)
+    assert rows == expected
+    start = 0
+    for m in mults:
+        count = m * (m + 1) // 2
+        if m - 1 > degree:
+            assert not any(map(any, rows[start:start + count]))
+        start += count
+    monos = monomials(degree)
+    forms = [HPoly(degree, {e: data.draw(st.one_of(st.integers(-9, 9), small_fraction)) for e in monos})
+             for _ in range(data.draw(st.integers(1, 3), label="forms"))]
+    vecs = [[f.terms.get(e, 0) for e in monos] for f in forms]
+    assert multiplicity_values(forms, points, mults) == [[sum(map(mul, row, v)) for v in vecs] for row in expected]
+
+
+def test_multiplicity_rows_above_the_degree_are_zero():
+    assert multiplicity_conditions([(1, 2, 3), (Fraction(1, 2), 1, -1)], 2, [4, 1]) == (
+        [[0] * 6] * 10 + [[Fraction(1, 4), Fraction(1, 2), Fraction(-1, 2), 1, -1, 1]])
+    assert multiplicity_values([X * Y], [(1, 2, 3)], [3]) == [[0], [1], [0], [0], [0], [0]]

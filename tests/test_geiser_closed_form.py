@@ -18,11 +18,11 @@ from hypothesis import given, strategies as st
 
 from planecremona.errors import ValidationError
 from planecremona.exactpoly import (
-    HPoly, adjugate3, kernel_basis, matrix_rank, monomials, multiplicity_conditions,
-    multiplicity_values, values_at,
+    HPoly, adjugate3, forms_with_multiplicities, kernel_basis, matrix_rank, monomials,
+    multiplicity_conditions, multiplicity_values, values_at,
 )
 from planecremona.involutions import (
-    GeiserInvolution, make_point_config, octic_triple_system,
+    GeiserInvolution, _singular_member, make_point_config, octic_triple_system,
 )
 from planecremona.projmaps import ProjPoint, RationalMap
 from planecremona.rng import SplitMix64
@@ -122,7 +122,7 @@ def test_sides_pull_back_to_two_singular_cubics_and_a_conic(pts):
 @seeded(3)
 @given(pts=point_sets(7))
 def test_octic_triple_system_spans_the_triple_point_octics(pts):
-    octics = octic_triple_system(pts)
+    octics = octic_triple_system(make_point_config(pts, "geiser"))
     rows = multiplicity_conditions([p.coords for p in pts], 8, [3] * 7)
     assert len(rows) == 42 and len(rows[0]) == 45
     vecs = [octic_vector(f) for f in octics]
@@ -130,6 +130,52 @@ def test_octic_triple_system_spans_the_triple_point_octics(pts):
     reference = [octic_vector(f) for f in triple_point_octics(pts)]
     assert len(reference) == 3
     assert matrix_rank(vecs) == 3 and matrix_rank(vecs + reference) == 3
+
+
+def kernel_cubic(coords, a):
+    """C_a as the kernel of the 9 x 10 conditions on cubics: through the
+    points, singular at the point a."""
+    (cubic,) = forms_with_multiplicities(coords, 3, [1] * a + [2] + [1] * (len(coords) - 1 - a), 1,
+                                         f"cubics singular at point {a}")
+    return cubic
+
+
+@seeded(4)
+@given(pts=point_sets(7))
+def test_singular_cubics_from_the_net_are_the_kernels(pts):
+    """The member of the net singular at p_a is the kernel's cubic, term for
+    term, and the octics are the products of those kernels and the conics."""
+    config = make_point_config(pts, "geiser")
+    coords = [p.coords for p in pts]
+    cubics = [kernel_cubic(coords, a) for a in range(7)]
+    for a in range(7):
+        got = _singular_member(config.cubics, coords[a], a)
+        assert got.degree == 3 and got.terms == cubics[a].terms, a
+    expected = []
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        (conic,) = forms_with_multiplicities([c for i, c in enumerate(coords) if i not in (a, b)], 2,
+                                             [1] * 5, 1, "conics")
+        expected.append(cubics[a] * cubics[b] * conic)
+    assert [f.terms for f in octic_triple_system(config)] == [f.terms for f in expected]
+
+
+def test_a_net_without_one_member_singular_at_a_point_is_refused(geiser):
+    """Three cubics all singular at p_0 have gradients of rank 0 there, and
+    x_i s^2, s the linear form of p_0, gradients of rank 3: in neither net
+    is one member singled out, and the octics are refused, naming p_0."""
+    config = geiser.config
+    p0 = config.points[0].coords
+    singular = forms_with_multiplicities([p0], 3, [2], 7, "cubics singular at point 0")[:3]
+    s = sum((HPoly.variable(i) * c for i, c in enumerate(p0) if c), HPoly.zero(1))
+    independent = [HPoly.variable(i) * s * s for i in range(3)]
+    for cubics in (singular, independent):
+        try:
+            octic_triple_system(config._replace(cubics=tuple(cubics)))
+        except ValidationError as exc:
+            assert exc.reason == "degenerate configuration"
+            assert "point 0" in str(exc)
+        else:
+            raise AssertionError("a net with no one member singular at p_0 was accepted")
 
 
 def drawing_from(inv, stream):
@@ -186,7 +232,7 @@ def test_sample_on_a_contracted_cubic_is_skipped(geiser):
     q = c1.eval(tuple(u + v for u, v in zip(p, r))) - c1.eval(r)
     on_c1 = ProjPoint(*(c1.eval(r) * u - q * v for u, v in zip(p, r)))
     assert c1.eval(on_c1.coords) == 0 and on_c1 not in pts
-    assert 0 in values_at(octic_triple_system(pts), on_c1.coords)
+    assert 0 in values_at(octic_triple_system(geiser.config), on_c1.coords)
     inv = GeiserInvolution(geiser.config)
     draws = inv._candidates
     calls = []
