@@ -33,6 +33,15 @@ of them singular at one, which make_point_config checks. Then no curve lies
 in the base locus of the members through x, which has exactly one point
 besides the configuration and x.
 
+Geiser reads the values of |-K|, the net, off its three cubics. Bertini
+reads the values of |-2K| off its cubic factors: c1, c2 spanning the pencil
+through the 8 points and the nodal cubics C_0, C_7 (sextic_system). One
+evaluation of 10 monomials gives the four cubics' values, their products
+c1^2, c1 c2, c2^2, C_0 C_7 follow, and the integer change of basis
+(D T, D) that the configuration keeps turns them into exactly the integers
+that the four sextics give. A BertiniInvolution certifies the change of
+basis coefficient for coefficient when it is built.
+
 An optional closed form of the degree-8 Geiser map is built from the
 pull-backs of the sides of the triangle p1p2p3 (the octics C_a C_b Q_ab,
 C_a the member of the net singular at p_a) and one evaluated sample. It is
@@ -50,9 +59,10 @@ fixedcurve.invariant_of computes the invariant and label of either from
 what it keeps, and this module does not import fixedcurve.
 """
 
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, combinations
-from math import gcd as igcd
+from math import gcd as igcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .errors import ExtractionError, IndeterminacyError, ValidationError
@@ -230,14 +240,20 @@ class PointConfig(NamedTuple):
     """A configuration of a kind of DEL_PEZZO (make_point_config), with the
     bases solved once from its points: system, of |-mK| (the net of cubics
     through the 7 points, or the sextics singular at the 8), and cubics, of
-    the cubics through the points (the net again, or the pencil through the
-    8). Both are functions of the points, so two configurations are equal
-    exactly when their points and kinds are."""
+    the cubics through the points (the net again, or the pencil c1, c2
+    through the 8). For 8 points also the nodal cubics (C_0, C_7) and the
+    change of basis (D T, D) of sextic_system, with D system = (D T)
+    (c1^2, c1 c2, c2^2, C_0 C_7): |-2K| is evaluated through these four
+    cubics (BertiniInvolution). Both are empty for 7 points. All are
+    functions of the points, so two configurations are equal exactly when
+    their points and kinds are."""
 
     points: tuple
     kind: str            # a key of DEL_PEZZO
     system: tuple
     cubics: tuple
+    nodal: tuple
+    change: tuple
 
 
 def make_point_config(points, kind: str) -> PointConfig:
@@ -277,7 +293,8 @@ def make_point_config(points, kind: str) -> PointConfig:
 
     |-mK| is then the net itself for 7 points, and for 8 points the four
     sextics c1^2, c1 c2, c2^2 and C_0 C_7 of sextic_system, which uses that
-    no cubic through the 8 points is singular at p_0.
+    no cubic through the 8 points is singular at p_0, reduced to the
+    kernel's basis, with the nodal pair and the change of basis.
     """
     if kind not in DEL_PEZZO:
         raise ValidationError("unknown kind", f"no point configuration for kind {kind!r}")
@@ -299,14 +316,15 @@ def make_point_config(points, kind: str) -> PointConfig:
             raise ValidationError("degenerate configuration",
                                   "points {}, {}, {}, {}, {}, {} lie on a conic".format(*six))
     system = cubics = cubic_system(pts)
+    nodal = change = ()
     if dp.m == 2:
         grads = multiplicity_values(cubics, coords, [2] * n)     # 3 rows per point
         for i in range(n):
             if not any(_cross(*zip(*grads[3 * i:3 * i + 3]))):
                 raise ValidationError("degenerate configuration",
                                       f"a cubic through the points is singular at point {i}")
-        system = sextic_system(pts, cubics)
-    return PointConfig(pts, kind, tuple(system), tuple(cubics))
+        system, nodal, change = sextic_system(pts, cubics)
+    return PointConfig(pts, kind, tuple(system), tuple(cubics), nodal, change)
 
 
 def cubic_system(points) -> list:
@@ -317,11 +335,13 @@ def cubic_system(points) -> list:
                                      "cubics through the points")
 
 
-def sextic_system(points, cubics) -> list:
+def sextic_system(points, cubics):
     """Deterministic basis of the sextics singular at the 8 points, |-2K|,
     from the pencil c1, c2 of cubics through them: the basis that
     forms_with_multiplicities solves from the 24 conditions on 28
-    coefficients, built from four products instead.
+    coefficients, built from four products instead. Returns the basis, the
+    nodal pair (C_0, C_7) and the change of basis (D T, D) from the
+    products to the basis (_change_of_basis).
 
     On the blow-up S of 8 points in general position (make_point_config),
     h0(-2K) = 4 by Riemann-Roch with K^2 = 1, and c1^2, c1 c2, c2^2 are three
@@ -346,14 +366,60 @@ def sextic_system(points, cubics) -> list:
                                       "cubics through points 1-6 singular at point 0")
     (c7,) = forms_with_multiplicities(coords[1:], 3, [1] * 6 + [2], 1,
                                       "cubics through points 1-6 singular at point 7")
-    c1, c2 = cubics
-    monos = monomials(6)
-    products = (c1 * c1, c1 * c2, c2 * c2, c0 * c7)
-    basis = span_basis([[f.terms.get(e, 0) for e in monos] for f in products])
+    products = _sextic_products(*cubics, c0, c7)
+    basis = span_basis(products)
     if len(basis) != 4:
         raise ValidationError("degenerate configuration",
                               f"sextics singular along the points form a system of dimension {len(basis)}, expected 4")
-    return [HPoly._make(6, {e: c for e, c in zip(monos, v) if c}) for v in basis]
+    monos = monomials(6)
+    system = [HPoly._make(6, {e: c for e, c in zip(monos, v) if c}) for v in basis]
+    return system, (c0, c7), _change_of_basis(products, basis)
+
+
+@cache
+def _cubic_products() -> tuple:
+    """Triples (i, j, k): monomial i times monomial j of monomials(3) is
+    monomial k of monomials(6)."""
+    sextics = {e: k for k, e in enumerate(monomials(6))}
+    cubics = monomials(3)
+    return tuple((i, j, sextics[a + u, b + v, c + w])
+                 for i, (a, b, c) in enumerate(cubics) for j, (u, v, w) in enumerate(cubics))
+
+
+def _sextic_products(c1, c2, c0, c7) -> list:
+    """Coefficient rows over monomials(6) of c1^2, c1 c2, c2^2 and C_0 C_7,
+    from the cubics' coefficients over monomials(3) (_cubic_products)."""
+    a, b, p, q = ([f.terms.get(e, 0) for e in monomials(3)] for f in (c1, c2, c0, c7))
+    rows = [[0] * 28 for _ in range(4)]
+    s11, s12, s22, s07 = rows
+    for i, j, k in _cubic_products():
+        s11[k] += a[i] * a[j]
+        s12[k] += a[i] * b[j]
+        s22[k] += b[i] * b[j]
+        s07[k] += p[i] * q[j]
+    return rows
+
+
+def _change_of_basis(products, basis):
+    """The integer change of basis (D T, D), D > 0, with D basis = (D T)
+    products, for two bases of one space, coefficient rows, where each row
+    of `basis` is alone nonzero at some column (its pivot, span_basis).
+
+    On the pivot columns J, basis is diagonal, so a vector (t, w) with
+    t products_J = w basis_J is fixed by w: the kernel of the 4 x 8 matrix
+    [products_J^T | -basis_J^T] has its free columns at w, and its vector
+    for w_i gives row i of T times the entry w_i. D is the lcm of those
+    entries. The equation holds on every column because the rows of
+    products span the space of basis."""
+    n, pivot = len(basis), {}
+    for j, column in enumerate(zip(*basis)):
+        rows = [i for i, c in enumerate(column) if c]
+        if len(rows) == 1:
+            pivot.setdefault(rows[0], j)
+    pivots = [pivot[i] for i in range(n)]
+    kern = kernel_basis([[p[j] for p in products] + [-v[j] for v in basis] for j in pivots])
+    d = lcm(*(vec[n + i] for i, vec in enumerate(kern)))
+    return tuple(tuple(t * (d // vec[n + i]) for t in vec[:n]) for i, vec in enumerate(kern)), d
 
 
 # the sides p1p2, p1p3, p2p3 of the triangle of the first three points
@@ -542,6 +608,24 @@ def _perp_basis(values):
     return out
 
 
+def _combinations(matrix, forms) -> list:
+    """The forms sum_k matrix[i][k] forms[k], one per row of the matrix, for
+    forms of one degree: each coefficient is one dot product of the row with
+    the forms' coefficients at a monomial, with no intermediate form."""
+    degree = forms[0].degree
+    monos = monomials(degree)
+    columns = [[f.terms.get(e, 0) for f in forms] for e in monos]
+    out = []
+    for row in matrix:
+        terms = {}
+        for e, col in zip(monos, columns):
+            v = sum(map(mul, row, col))
+            if v:
+                terms[e] = v
+        out.append(HPoly._make(degree, terms))
+    return out
+
+
 def _jacobian(f: HPoly, g: HPoly, h: HPoly) -> HPoly:
     """Determinant of the 3x3 matrix of partials of f, g, h, canonical."""
     return det3([[q.partial(v) for v in range(3)] for q in (f, g, h)]).canonical()
@@ -552,6 +636,15 @@ class EvalTrace(NamedTuple):
     constructions tried until one was certified."""
 
     attempts: int
+
+
+def _hyperplane_values(x: ProjPoint, vals):
+    """vals, the values of the space at x, unless all vanish: then the
+    members through x are not a hyperplane, and x is refused."""
+    if not any(vals):
+        raise ValidationError("system dimension wrong",
+                              f"the members through {x} do not form a hyperplane of the system")
+    return vals
 
 
 class DelPezzoInvolution:
@@ -586,11 +679,7 @@ class DelPezzoInvolution:
 
     def _values(self, x: ProjPoint):
         """Values of the space at x, orthogonal to the members through x."""
-        vals = self._at(x.coords)
-        if not any(vals):
-            raise ValidationError("system dimension wrong",
-                                  f"the members through {x} do not form a hyperplane of the system")
-        return vals
+        return _hyperplane_values(x, self._at(x.coords))
 
     def certifies(self, x, vx, y, vy) -> bool:
         """Certificate that y is the image of x, for integer triples x off
@@ -735,10 +824,8 @@ class GeiserInvolution(DelPezzoInvolution):
             raise ValidationError("interpolation failed",
                                   f"the image {y} of {x} lies on a side of the triangle")
         scales = primitive([ly[k] * px[k - 1] * px[k - 2] for k in range(3)])
-        adj = adjugate3(lines)
-        comps = [sum((octics[k] * (adj[i][k] * scales[k]) for k in range(3)), HPoly.zero(8))
-                 for i in range(3)]
-        sigma = RationalMap(*comps)
+        sigma = RationalMap(*_combinations([[a * s for a, s in zip(row, scales)] for row in adjugate3(lines)],
+                                           octics))
         self.certify_map(sigma, chain([(x, y)], self._images(self._candidates(stream, 3))))
         return sigma
 
@@ -759,6 +846,24 @@ class BertiniInvolution(DelPezzoInvolution):
     """Bertini involution attached to 8 points in general position."""
 
     kind = "bertini"
+
+    def __init__(self, config: PointConfig):
+        """Refuse the configuration, with reason "degenerate configuration",
+        unless its change of basis (D T, D) gives its sextics from their
+        cubic factors: D times each sextic of the space is (D T) (c1^2,
+        c1 c2, c2^2, C_0 C_7), coefficient for coefficient. Then keep one
+        Evaluator of the factors c1, c2, C_0, C_7 (PointConfig.cubics and
+        nodal), over 10 monomials."""
+        super().__init__(config)
+        rows, d = config.change
+        columns = list(zip(*_sextic_products(*config.cubics, *config.nodal)))
+        system = [[s.terms.get(e, 0) for e in monomials(6)] for s in config.system]
+        if not d or len(rows) != len(system) or any(
+                [sum(map(mul, row, col)) for col in columns] != [d * c for c in sextic]
+                for row, sextic in zip(rows, system)):
+            raise ValidationError("degenerate configuration",
+                                  "the sextics are not the change of basis of the products of the cubics")
+        self._factors = Evaluator(config.cubics + config.nodal)
 
     @cached_property
     def ninth_point(self) -> ProjPoint:
@@ -789,18 +894,34 @@ class BertiniInvolution(DelPezzoInvolution):
                 return j
         raise ValidationError("degenerate configuration", "Jacobian nonic vanishes")
 
+    def _sextics(self, u):
+        """Values of the space from the values u of its cubic factors
+        (_factors): (D T) (u1^2, u1 u2, u2^2, u3 u4), divided by D exactly."""
+        u1, u2, u3, u4 = u
+        p1, p2, p3, p4 = u1 * u1, u1 * u2, u2 * u2, u3 * u4
+        rows, d = self.config.change
+        return [(a * p1 + b * p2 + c * p3 + e * p4) // d for a, b, c, e in rows]
+
+    def _at(self, q):
+        """Values of the space at an integer triple, from its cubic factors:
+        exactly the integers that an Evaluator of the four sextics gives."""
+        return self._sextics(self._factors(q))
+
     def eval_detail(self, x: ProjPoint):
         """Image of x under the Bertini involution, and the EvalTrace.
 
         On the member f of the cubic pencil through x the image is -x in the
         group law with origin p9, third(x, third(p9, p9)); at a singular
         point of f, where no chord is defined, x itself is the candidate.
-        The first candidate that passes certifies is the image."""
+        The first candidate that passes certifies is the image. The values
+        of the space at x and the pencil coordinates c1(x), c2(x) come from
+        one evaluation of the cubic factors."""
         if x in self.config.points:
             raise IndeterminacyError(f"{x} is a base point of the involution")
-        vx = self._values(x)
+        u = self._factors(x.coords)
+        vx = _hyperplane_values(x, self._sextics(u))
+        u1, u2 = u[0], u[1]
         c1, c2 = self._cubics
-        u1, u2 = c1.value(x.coords), c2.value(x.coords)
         f = _Cubic.combination((u2, -u1), (c1, c2)) if u1 or u2 else c1
         p9 = self.ninth_point.coords
         o = f.third(p9, p9)

@@ -1,10 +1,14 @@
-"""The seed parser, the per-metric summary and verdict and the src/ line counts of
+"""The seed parser, the per-metric summary and verdict, the src/ line counts
+and the refusal of a parent that is not a git checkout of
 tools/bench_pairs.py, which writes the BENCH_*.json files; the runs
 themselves are not exercised."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
+
+import pytest
 
 BENCH_PAIRS = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
@@ -83,13 +87,51 @@ def _tree(root, files):
     return root
 
 
+def _commit(root):
+    """root made a git checkout of one commit of its files; its short hash."""
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.invalid",
+                               "-c", "commit.gpgsign=false", *args], cwd=root, check=True,
+                              capture_output=True, text=True).stdout.strip()
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "--no-verify", "-m", "parent")
+    return git("rev-parse", "--short", "HEAD")
+
+
 def test_src_lines_of_both_checkouts_are_written(tmp_path, monkeypatch):
     parent = _tree(tmp_path / "parent", {"src/pkg/a.py": "a = 1\nb = 2\n", "src/pkg/sub/b.py": "c = 3\n",
                                          "src/pkg/notes.txt": "x\ny\n", "tools/t.py": "d = 4\n"})
+    rev = _commit(parent)
     change = _tree(tmp_path / "change", {"src/pkg/a.py": "a = 1\n", "src/c.py": "\n\n\nlast"})
     assert bench_pairs.src_lines(parent) == 3 and bench_pairs.src_lines(change) == 5
     monkeypatch.setattr(bench_pairs, "paired_workload", lambda *args: {})
     out = tmp_path / "bench.json"
     assert bench_pairs.main([str(parent), str(change), "--workloads", "dj", "--seeds", "1",
                              "--out", str(out)]) == 0
-    assert json.loads(out.read_text(encoding="utf-8"))["src_lines"] == {"parent": 3, "change": 5}
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["src_lines"] == {"parent": 3, "change": 5}
+    assert doc["parent"] == rev == bench_pairs.git_rev(parent)
+    # a directory inside the checkout is not a checkout of its own
+    assert bench_pairs.git_rev(parent / "src") is None
+
+
+def test_a_parent_that_is_not_a_git_checkout_is_refused_before_any_run(tmp_path, monkeypatch, capsys):
+    """An archive extract has no commit to name: the parent field would be
+    null. It is refused, naming `git worktree add`, and nothing runs."""
+    parent = _tree(tmp_path / "parent", {"src/pkg/a.py": "a = 1\n"})
+    change = _tree(tmp_path / "change", {"src/pkg/a.py": "a = 1\n"})
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))    # wherever tmp_path lies
+    assert bench_pairs.git_rev(parent) is None
+
+    def no_run(*args):
+        raise AssertionError("a benchmark ran")
+
+    monkeypatch.setattr(bench_pairs, "run_bench", no_run)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as err:
+        bench_pairs.main([str(parent), str(change), "--workloads", "dj", "--seeds", "1", "--out", str(out)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert "is not the root of a git checkout" in message and "git worktree add" in message
+    assert not out.exists()

@@ -4,7 +4,7 @@ import pytest
 
 from planecremona.configs import SEXTIC_POINT
 from planecremona.errors import IndeterminacyError, ValidationError
-from planecremona.exactpoly import format_hpoly, forms_with_multiplicities, kernel_basis, matrix_rank
+from planecremona.exactpoly import HPoly, format_hpoly, forms_with_multiplicities, kernel_basis, matrix_rank
 from planecremona.fixedcurve import invariant_of
 from planecremona.involutions import (
     DEL_PEZZO,
@@ -106,7 +106,7 @@ def reference_sextics(points):
 def test_sextic_dimension_is_28_minus_24(eight_config):
     reference = reference_sextics(eight_config.points)
     assert len(reference) == 4
-    assert sextic_system(eight_config.points, eight_config.cubics) == reference
+    assert sextic_system(eight_config.points, eight_config.cubics)[0] == reference
     assert list(eight_config.system) == reference
 
 
@@ -115,7 +115,7 @@ def test_solved_forms_are_canonical_as_built(seven_config, eight_config):
     from primitive vectors in the monomial order, without canonical(): each
     has the terms of its canonical form, in the same order."""
     pts = eight_config.points
-    forms = [*seven_config.cubics, *eight_config.cubics, *sextic_system(pts, eight_config.cubics),
+    forms = [*seven_config.cubics, *eight_config.cubics, *sextic_system(pts, eight_config.cubics)[0],
              *reference_sextics(pts)]
     for f in forms:
         assert list(f.terms.items()) == list(f.canonical().terms.items()), f
@@ -323,9 +323,50 @@ def test_bertini_fixed_curve_of_a_degenerate_space_is_refused(eight_config):
     """J(c1, c2, .) vanishes on span{c1^2, c1 c2, c2^2}: a space inside it
     has no fixed nonic, and is refused by name."""
     c1, c2 = eight_config.cubics
-    inv = BertiniInvolution(eight_config._replace(system=(c1 * c1, c1 * c2, c2 * c2)))
+    squares = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))       # the first three products
+    inv = BertiniInvolution(eight_config._replace(system=(c1 * c1, c1 * c2, c2 * c2), change=(squares, 1)))
     with pytest.raises(ValidationError, match="Jacobian nonic vanishes") as err:
         inv.fixed_curve
+    assert err.value.reason == "degenerate configuration"
+
+
+def _perturbed(config, what):
+    c1, c2 = config.cubics
+    c0, c7 = config.nodal
+    rows, d = config.change
+    if what == "wrong C_0":
+        return config._replace(nodal=(c1, c7))
+    if what == "C_0 twice":
+        return config._replace(nodal=(c0, c0))
+    if what == "one entry of D T":
+        return config._replace(change=(((rows[0][0] + 1,) + rows[0][1:],) + rows[1:], d))
+    return config._replace(change=(rows, d + 1 if what == "D" else 0))
+
+
+def test_change_of_basis_reads_the_sextics_off_the_products(eight_config):
+    """D times each sextic of the space is (D T) (c1^2, c1 c2, c2^2, C_0 C_7),
+    with C_0 and C_7 the cubics through points 1-6 singular at point 0 and
+    at point 7."""
+    coords = [p.coords for p in eight_config.points]
+    c1, c2 = eight_config.cubics
+    c0, c7 = eight_config.nodal
+    assert [c0] == forms_with_multiplicities(coords[:7], 3, [2] + [1] * 6, 1, "C_0")
+    assert [c7] == forms_with_multiplicities(coords[1:], 3, [1] * 6 + [2], 1, "C_7")
+    rows, d = eight_config.change
+    assert d > 0 and len(rows) == 4
+    products = (c1 * c1, c1 * c2, c2 * c2, c0 * c7)
+    for row, sextic in zip(rows, eight_config.system):
+        combo = sum((p * t for t, p in zip(row, products)), HPoly.zero(6))
+        assert combo == sextic * d
+
+
+@pytest.mark.parametrize("what", ["wrong C_0", "C_0 twice", "one entry of D T", "D", "zero D"])
+def test_a_change_of_basis_that_misses_the_sextics_is_refused(eight_config, what):
+    """A configuration whose nodal cubics or change of basis do not give its
+    sextics is refused by the coefficient check when the involution is
+    built."""
+    with pytest.raises(ValidationError, match="not the change of basis") as err:
+        BertiniInvolution(_perturbed(eight_config, what))
     assert err.value.reason == "degenerate configuration"
 
 

@@ -8,7 +8,7 @@ from math import lcm
 
 from hypothesis import HealthCheck, Phase, assume, given, settings, strategies as st
 
-from planecremona.errors import ValidationError
+from planecremona.errors import ExtractionError, ValidationError
 from planecremona.exactpoly import HPoly
 from planecremona.involutions import (
     BertiniInvolution, GeiserInvolution, _Cubic, make_point_config,
@@ -142,6 +142,55 @@ def test_geiser_involutive_and_on_pencil(pts, x):
 def test_bertini_involutive_and_on_net(pts, x):
     inv = BertiniInvolution(make_point_config(pts, "bertini"))
     check_involution(inv, pts, x)
+
+
+def sextic_values(space, q):
+    """Values of the sextics at an integer triple, term by term: the
+    sextic-basis evaluator that the Bertini evaluator's cubic factors
+    replace."""
+    return [sum(c * monomial_value(e, q) for e, c in g.terms.items()) for g in space]
+
+
+def eval_by_sextics(inv, x):
+    """The Bertini construction of eval_detail with every value of the space
+    read off the four sextics, and c1(x), c2(x) off the pencil's own terms:
+    (image, attempts), or None when no candidate is certified."""
+    vx = sextic_values(inv.space, x.coords)
+    c1, c2 = (_Cubic.from_hpoly(c) for c in inv.config.cubics)
+    u1, u2 = sextic_values(inv.config.cubics, x.coords)
+    f = _Cubic.combination((u2, -u1), (c1, c2)) if u1 or u2 else c1
+    p9 = inv.ninth_point.coords
+    o = f.third(p9, p9)
+    y = o and f.third(x.coords, o)
+    for attempts, q in enumerate((y, x.coords), start=1):
+        if q is not None and inv.certifies(x.coords, vx, q, sextic_values(inv.space, q)):
+            return ProjPoint(*q), attempts
+    return None
+
+
+@seeded(12)
+@given(pts=point_sets(8), xs=st.lists(coords.map(lambda c: ProjPoint(*c)), min_size=6, max_size=6))
+def test_bertini_values_from_the_cubic_factors_are_the_sextics(pts, xs):
+    """The space's values through c1, c2, C_0, C_7 and the change of basis
+    are the sextics' values, integer for integer: at random points, at their
+    images (large coordinates), at the 8 base points and at p9. And
+    eval_detail gives the image and attempts of the same construction on
+    the sextics' values."""
+    inv = BertiniInvolution(make_point_config(pts, "bertini"))
+    targets = [x.coords for x in xs] + [p.coords for p in pts] + [inv.ninth_point.coords]
+    for x in xs:
+        if x in pts:
+            continue
+        expected = eval_by_sextics(inv, x)
+        try:
+            image, trace = inv.eval_detail(x)
+        except ExtractionError:
+            assert expected is None, x
+            continue
+        assert (image, trace.attempts) == expected, x
+        targets.append(image.coords)
+    for q in targets:
+        assert inv._at(q) == sextic_values(inv.space, q) == [g.eval(q) for g in inv.space], q
 
 
 def pencil_through(inv, x):

@@ -14,7 +14,10 @@ against the metric's bound (VERDICTS). With
 --traced-seed N, one `--trace 1` run of each workload at seed N on each side
 adds, as traced_<workload>_seed_<N>, the per-layer calls and self time per op
 of every layer that ran. src_lines gives each side's line count of
-src/**/*.py, for the net lines a change adds or removes.
+src/**/*.py, for the net lines a change adds or removes. PARENT_DIR must be
+the root of a git checkout (`git worktree add` or `git clone`), whose commit
+the output names as parent; any other directory is refused before a run
+starts.
 
 Nothing is imported from perfbench/; the runs are subprocesses.
 """
@@ -154,9 +157,14 @@ def src_lines(checkout):
 
 
 def git_rev(checkout):
-    proc = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=checkout,
+    """The checkout's short commit hash, or None where it is not the root of
+    a git checkout (a directory inside one names the enclosing commit)."""
+    proc = subprocess.run(["git", "rev-parse", "--show-toplevel", "--short", "HEAD"], cwd=checkout,
                           capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else None
+    if proc.returncode != 0:
+        return None
+    top, rev = proc.stdout.split()
+    return rev if os.path.realpath(top) == os.path.realpath(checkout) else None
 
 
 def main(argv=None):
@@ -169,6 +177,10 @@ def main(argv=None):
     parser.add_argument("--traced-seed", type=int, help="also compare one traced run of each workload at this seed")
     args = parser.parse_args(argv)
     parent, change = os.path.abspath(args.parent), os.path.abspath(args.change)
+    parent_rev = git_rev(parent)
+    if parent_rev is None:
+        parser.error(f"{parent} is not the root of a git checkout, so the output could not name the parent commit; "
+                     f"check the parent out with `git worktree add DIR COMMIT` (or `git clone`)")
     with open(os.path.join(change, "BENCHMARK.json"), encoding="utf-8") as fh:
         end_to_end = json.load(fh)["end_to_end"]
 
@@ -176,7 +188,7 @@ def main(argv=None):
         "command": f"python3 perfbench/run.py --workload W --seed N --seconds {SECONDS} --trace 0",
         "host": f"{os.cpu_count()}-core {platform.machine()}, Python {platform.python_version()}; "
                 f"{len(args.seeds)} pairs per workload, alternating which side runs first",
-        "parent": git_rev(parent),
+        "parent": parent_rev,
         "src_lines": {"parent": src_lines(parent), "change": src_lines(change)},
         "pairs_won": "pairs of the same seed in which the change reads better; ties count for neither",
         "iqr": "first and third quartiles, Python statistics.quantiles(n=4), exclusive method",
