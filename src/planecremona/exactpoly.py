@@ -930,29 +930,6 @@ def kernel_basis(rows, ncols: int | None = None):
     return basis
 
 
-def span_basis(rows) -> list:
-    """The basis kernel_basis gives of the space spanned by the rows:
-    primitive vectors, one per pivot column, each zero at the other pivot
-    columns, ordered by pivot column. Dependent rows add nothing.
-
-    kernel_basis puts its unit entries on the free columns of the
-    conditions, the complement of their leftmost pivots. By matroid duality
-    (the column matroid of a kernel basis is dual to that of the
-    conditions, and the complement of the greedy basis from the left is the
-    greedy basis of the dual from the right) those are the rightmost pivots
-    of any basis of the kernel. So the pivots here are searched from the
-    right, by echelon form of the reversed rows, then cleared upwards
-    (Gauss-Jordan)."""
-    rev, pivots = _bareiss_echelon([primitive(row[::-1]) for row in rows])
-    for r in range(len(pivots) - 1, 0, -1):
-        pc, row = pivots[r], rev[r]
-        for i in range(r):
-            if rev[i][pc]:
-                f, g = row[pc], rev[i][pc]
-                rev[i] = primitive([f * a - g * b for a, b in zip(rev[i], row)])
-    return [tuple(primitive(row[::-1])) for row in reversed(rev)]
-
-
 def det3(m):
     """Determinant of a 3x3 matrix over any commutative ring, by cofactors
     along the first row."""

@@ -34,13 +34,10 @@ in the base locus of the members through x, which has exactly one point
 besides the configuration and x.
 
 Geiser reads the values of |-K|, the net, off its three cubics. Bertini
-reads the values of |-2K| off its cubic factors: c1, c2 spanning the pencil
-through the 8 points and the nodal cubics C_0, C_7 (sextic_system). One
-evaluation of 10 monomials gives the four cubics' values, their products
-c1^2, c1 c2, c2^2, C_0 C_7 follow, and the integer change of basis
-(D T, D) that the configuration keeps turns them into exactly the integers
-that the four sextics give. A BertiniInvolution certifies the change of
-basis coefficient for coefficient when it is built.
+takes |-2K| in the basis c1^2, c1 c2, c2^2, C_0 C_7 (sextic_system), with
+c1, c2 spanning the pencil through the 8 points and C_0, C_7 the nodal
+cubics that the involution exchanges, and reads its values off those four
+cubic factors: one evaluation of 10 monomials and four products.
 
 An optional closed form of the degree-8 Geiser map is built from the
 pull-backs of the sides of the triangle p1p2p3 (the octics C_a C_b Q_ab,
@@ -59,9 +56,9 @@ fixedcurve.invariant_of computes the invariant and label of either from
 what it keeps, and this module does not import fixedcurve.
 """
 
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain, combinations
-from math import gcd as igcd, lcm
+from math import gcd as igcd
 from operator import mul
 from typing import NamedTuple
 
@@ -82,7 +79,6 @@ from .exactpoly import (
     multiplicity_values,
     partial_rows,
     primitive,
-    span_basis,
     values_at,
 )
 from .projmaps import (
@@ -241,19 +237,17 @@ class PointConfig(NamedTuple):
     bases solved once from its points: system, of |-mK| (the net of cubics
     through the 7 points, or the sextics singular at the 8), and cubics, of
     the cubics through the points (the net again, or the pencil c1, c2
-    through the 8). For 8 points also the nodal cubics (C_0, C_7) and the
-    change of basis (D T, D) of sextic_system, with D system = (D T)
-    (c1^2, c1 c2, c2^2, C_0 C_7): |-2K| is evaluated through these four
-    cubics (BertiniInvolution). Both are empty for 7 points. All are
-    functions of the points, so two configurations are equal exactly when
-    their points and kinds are."""
+    through the 8). For 8 points also the nodal cubics (C_0, C_7) of
+    sextic_system, so that system is (c1^2, c1 c2, c2^2, C_0 C_7) and |-2K|
+    is evaluated through these four cubics (BertiniInvolution); empty for 7
+    points. All are functions of the points, so two configurations are
+    equal exactly when their points and kinds are."""
 
     points: tuple
     kind: str            # a key of DEL_PEZZO
     system: tuple
     cubics: tuple
     nodal: tuple
-    change: tuple
 
 
 def make_point_config(points, kind: str) -> PointConfig:
@@ -293,8 +287,7 @@ def make_point_config(points, kind: str) -> PointConfig:
 
     |-mK| is then the net itself for 7 points, and for 8 points the four
     sextics c1^2, c1 c2, c2^2 and C_0 C_7 of sextic_system, which uses that
-    no cubic through the 8 points is singular at p_0, reduced to the
-    kernel's basis, with the nodal pair and the change of basis.
+    no cubic through the 8 points is singular at p_0, with the nodal pair.
     """
     if kind not in DEL_PEZZO:
         raise ValidationError("unknown kind", f"no point configuration for kind {kind!r}")
@@ -316,15 +309,15 @@ def make_point_config(points, kind: str) -> PointConfig:
             raise ValidationError("degenerate configuration",
                                   "points {}, {}, {}, {}, {}, {} lie on a conic".format(*six))
     system = cubics = cubic_system(pts)
-    nodal = change = ()
+    nodal = ()
     if dp.m == 2:
         grads = multiplicity_values(cubics, coords, [2] * n)     # 3 rows per point
         for i in range(n):
             if not any(_cross(*zip(*grads[3 * i:3 * i + 3]))):
                 raise ValidationError("degenerate configuration",
                                       f"a cubic through the points is singular at point {i}")
-        system, nodal, change = sextic_system(pts, cubics)
-    return PointConfig(pts, kind, tuple(system), tuple(cubics), nodal, change)
+        system, nodal = sextic_system(pts, cubics)
+    return PointConfig(pts, kind, tuple(system), tuple(cubics), nodal)
 
 
 def cubic_system(points) -> list:
@@ -336,12 +329,9 @@ def cubic_system(points) -> list:
 
 
 def sextic_system(points, cubics):
-    """Deterministic basis of the sextics singular at the 8 points, |-2K|,
-    from the pencil c1, c2 of cubics through them: the basis that
-    forms_with_multiplicities solves from the 24 conditions on 28
-    coefficients, built from four products instead. Returns the basis, the
-    nodal pair (C_0, C_7) and the change of basis (D T, D) from the
-    products to the basis (_change_of_basis).
+    """Basis of the sextics singular at the 8 points, |-2K|, from the pencil
+    c1, c2 of cubics through them: c1^2, c1 c2, c2^2 and C_0 C_7, with the
+    nodal pair (C_0, C_7).
 
     On the blow-up S of 8 points in general position (make_point_config),
     h0(-2K) = 4 by Riemann-Roch with K^2 = 1, and c1^2, c1 c2, c2^2 are three
@@ -357,69 +347,22 @@ def sextic_system(points, cubics):
     at p_0, which make_point_config has refused. Four members of rank < 4
     are refused all the same.
 
-    span_basis reduces the four to the normal form of kernel_basis, so the
-    basis is the one the 24 x 28 kernel gives, coefficient for coefficient,
-    and each vector is primitive in the monomial order: a canonical sextic.
+    Any basis serves: the certificate (DelPezzoInvolution.certifies) asks
+    only that the values at x and at the image be proportional and that
+    some ranks fall, and the fixed curve is a Jacobian taken canonical.
     """
     coords = [p.coords for p in points]
     (c0,) = forms_with_multiplicities(coords[:7], 3, [2] + [1] * 6, 1,
                                       "cubics through points 1-6 singular at point 0")
     (c7,) = forms_with_multiplicities(coords[1:], 3, [1] * 6 + [2], 1,
                                       "cubics through points 1-6 singular at point 7")
-    products = _sextic_products(*cubics, c0, c7)
-    basis = span_basis(products)
-    if len(basis) != 4:
+    c1, c2 = cubics
+    system = [c1 * c1, c1 * c2, c2 * c2, c0 * c7]
+    rank = matrix_rank([[f.terms.get(e, 0) for e in monomials(6)] for f in system])
+    if rank != 4:
         raise ValidationError("degenerate configuration",
-                              f"sextics singular along the points form a system of dimension {len(basis)}, expected 4")
-    monos = monomials(6)
-    system = [HPoly._make(6, {e: c for e, c in zip(monos, v) if c}) for v in basis]
-    return system, (c0, c7), _change_of_basis(products, basis)
-
-
-@cache
-def _cubic_products() -> tuple:
-    """Triples (i, j, k): monomial i times monomial j of monomials(3) is
-    monomial k of monomials(6)."""
-    sextics = {e: k for k, e in enumerate(monomials(6))}
-    cubics = monomials(3)
-    return tuple((i, j, sextics[a + u, b + v, c + w])
-                 for i, (a, b, c) in enumerate(cubics) for j, (u, v, w) in enumerate(cubics))
-
-
-def _sextic_products(c1, c2, c0, c7) -> list:
-    """Coefficient rows over monomials(6) of c1^2, c1 c2, c2^2 and C_0 C_7,
-    from the cubics' coefficients over monomials(3) (_cubic_products)."""
-    a, b, p, q = ([f.terms.get(e, 0) for e in monomials(3)] for f in (c1, c2, c0, c7))
-    rows = [[0] * 28 for _ in range(4)]
-    s11, s12, s22, s07 = rows
-    for i, j, k in _cubic_products():
-        s11[k] += a[i] * a[j]
-        s12[k] += a[i] * b[j]
-        s22[k] += b[i] * b[j]
-        s07[k] += p[i] * q[j]
-    return rows
-
-
-def _change_of_basis(products, basis):
-    """The integer change of basis (D T, D), D > 0, with D basis = (D T)
-    products, for two bases of one space, coefficient rows, where each row
-    of `basis` is alone nonzero at some column (its pivot, span_basis).
-
-    On the pivot columns J, basis is diagonal, so a vector (t, w) with
-    t products_J = w basis_J is fixed by w: the kernel of the 4 x 8 matrix
-    [products_J^T | -basis_J^T] has its free columns at w, and its vector
-    for w_i gives row i of T times the entry w_i. D is the lcm of those
-    entries. The equation holds on every column because the rows of
-    products span the space of basis."""
-    n, pivot = len(basis), {}
-    for j, column in enumerate(zip(*basis)):
-        rows = [i for i, c in enumerate(column) if c]
-        if len(rows) == 1:
-            pivot.setdefault(rows[0], j)
-    pivots = [pivot[i] for i in range(n)]
-    kern = kernel_basis([[p[j] for p in products] + [-v[j] for v in basis] for j in pivots])
-    d = lcm(*(vec[n + i] for i, vec in enumerate(kern)))
-    return tuple(tuple(t * (d // vec[n + i]) for t in vec[:n]) for i, vec in enumerate(kern)), d
+                              f"sextics singular along the points form a system of dimension {rank}, expected 4")
+    return system, (c0, c7)
 
 
 # the sides p1p2, p1p3, p2p3 of the triangle of the first three points
@@ -848,21 +791,9 @@ class BertiniInvolution(DelPezzoInvolution):
     kind = "bertini"
 
     def __init__(self, config: PointConfig):
-        """Refuse the configuration, with reason "degenerate configuration",
-        unless its change of basis (D T, D) gives its sextics from their
-        cubic factors: D times each sextic of the space is (D T) (c1^2,
-        c1 c2, c2^2, C_0 C_7), coefficient for coefficient. Then keep one
-        Evaluator of the factors c1, c2, C_0, C_7 (PointConfig.cubics and
-        nodal), over 10 monomials."""
+        """Keep one Evaluator of the cubic factors c1, c2, C_0, C_7 of the
+        space (PointConfig.cubics and nodal), over 10 monomials."""
         super().__init__(config)
-        rows, d = config.change
-        columns = list(zip(*_sextic_products(*config.cubics, *config.nodal)))
-        system = [[s.terms.get(e, 0) for e in monomials(6)] for s in config.system]
-        if not d or len(rows) != len(system) or any(
-                [sum(map(mul, row, col)) for col in columns] != [d * c for c in sextic]
-                for row, sextic in zip(rows, system)):
-            raise ValidationError("degenerate configuration",
-                                  "the sextics are not the change of basis of the products of the cubics")
         self._factors = Evaluator(config.cubics + config.nodal)
 
     @cached_property
@@ -882,25 +813,23 @@ class BertiniInvolution(DelPezzoInvolution):
     @cached_property
     def fixed_curve(self) -> HPoly:
         """The curve fixed by the involution, of degree 9 with triple points
-        at the 8 points: the Jacobian J(c1, c2, s) of c1, c2 spanning the
-        cubic pencil and the first sextic s of the space where it is
-        nonzero. J(c1, c2, .) is linear and vanishes on span{c1^2, c1 c2,
-        c2^2}, a hyperplane of the space, so every such s gives the same
-        nonic up to a scalar."""
+        at the 8 points: the Jacobian J(c1, c2, C_0 C_7) of c1, c2 spanning
+        the cubic pencil and the nodal pair. J(c1, c2, .) is linear and
+        vanishes on span{c1^2, c1 c2, c2^2}, a hyperplane of |-2K|, so every
+        other member gives the same nonic up to a scalar."""
         c1, c2 = self.config.cubics
-        for s in self.space:
-            j = _jacobian(c1, c2, s)
-            if not j.is_zero():
-                return j
-        raise ValidationError("degenerate configuration", "Jacobian nonic vanishes")
+        c0, c7 = self.config.nodal
+        j = _jacobian(c1, c2, c0 * c7)
+        if j.is_zero():
+            raise ValidationError("degenerate configuration", "Jacobian nonic vanishes")
+        return j
 
-    def _sextics(self, u):
+    @staticmethod
+    def _sextics(u):
         """Values of the space from the values u of its cubic factors
-        (_factors): (D T) (u1^2, u1 u2, u2^2, u3 u4), divided by D exactly."""
+        (_factors): u1^2, u1 u2, u2^2, u3 u4."""
         u1, u2, u3, u4 = u
-        p1, p2, p3, p4 = u1 * u1, u1 * u2, u2 * u2, u3 * u4
-        rows, d = self.config.change
-        return [(a * p1 + b * p2 + c * p3 + e * p4) // d for a, b, c, e in rows]
+        return [u1 * u1, u1 * u2, u2 * u2, u3 * u4]
 
     def _at(self, q):
         """Values of the space at an integer triple, from its cubic factors:

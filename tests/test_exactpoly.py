@@ -24,7 +24,6 @@ from planecremona.exactpoly import (
     multiplicity_values,
     odd_multiplicity_root_count,
     resultant,
-    span_basis,
     values_at,
 )
 from planecremona.involutions import GeiserInvolution
@@ -506,34 +505,6 @@ def test_kernel_basis_matches_fraction_rref(data):
                                 max_size=3))
     rows += [[sum(c * row[j] for c, row in zip(cs, rows)) for j in range(ncols)] for cs in combos]
     assert kernel_basis(rows) == _rref_kernel(rows)
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_span_basis_of_a_recombined_kernel_is_the_kernel_basis(data):
-    """span_basis(B) == kernel_basis(M) for an invertible integer
-    recombination B = P L U of kernel_basis(M) (P a permutation, L unit
-    lower and U upper triangular with a nonzero diagonal), and one more
-    dependent row changes nothing."""
-    nrows, ncols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
-    rows = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols),
-                              min_size=nrows, max_size=nrows))
-    combos = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=nrows, max_size=nrows),
-                                max_size=3))
-    rows += [[sum(c * row[j] for c, row in zip(cs, rows)) for j in range(ncols)] for cs in combos]
-    kern = kernel_basis(rows)
-    k = len(kern)
-    small, nonzero = st.integers(-3, 3), st.integers(-4, 4).filter(bool)
-    lower = [[1 if i == j else data.draw(small) if j < i else 0 for j in range(k)] for i in range(k)]
-    upper = [[data.draw(nonzero) if i == j else data.draw(small) if j > i else 0 for j in range(k)]
-             for i in range(k)]
-    perm = data.draw(st.permutations(range(k)))
-    mix = [[sum(lower[perm[i]][t] * upper[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
-    recombined = [[sum(m * v[c] for m, v in zip(row, kern)) for c in range(ncols)] for row in mix]
-    assert span_basis(recombined) == kern
-    cs = data.draw(st.lists(small, min_size=k, max_size=k))
-    extra = [sum(c * v[j] for c, v in zip(cs, kern)) for j in range(ncols)]
-    assert span_basis(recombined + [extra]) == kern
 
 
 # -- binary forms ----------------------------------------------------------------

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from hashlib import sha256
 
 import pytest
 
-from planecremona.configs import SEXTIC_POINT
-from planecremona.errors import IndeterminacyError, ValidationError
-from planecremona.exactpoly import HPoly, format_hpoly, forms_with_multiplicities, kernel_basis, matrix_rank
+from planecremona.configs import SEXTIC_POINT, reference_eight_points
+from planecremona.errors import ExtractionError, IndeterminacyError, ValidationError
+from planecremona.exactpoly import forms_with_multiplicities, kernel_basis, matrix_rank, monomials
 from planecremona.fixedcurve import invariant_of
 from planecremona.involutions import (
     DEL_PEZZO,
@@ -103,27 +104,58 @@ def reference_sextics(points):
                                      "sextics singular along the points")
 
 
+def sextic_rank(forms):
+    """Rank of the coefficient rows of sextics."""
+    return matrix_rank([[f.terms.get(e, 0) for e in monomials(6)] for f in forms])
+
+
+def assert_spans_the_kernel(system, points):
+    """system and the kernel's basis (reference_sextics) each have rank 4,
+    and so does their union: they span one space."""
+    reference = reference_sextics(points)
+    assert sextic_rank(system) == sextic_rank(reference) == sextic_rank([*system, *reference]) == 4
+
+
 def test_sextic_dimension_is_28_minus_24(eight_config):
-    reference = reference_sextics(eight_config.points)
-    assert len(reference) == 4
-    assert sextic_system(eight_config.points, eight_config.cubics)[0] == reference
-    assert list(eight_config.system) == reference
+    system, nodal = sextic_system(eight_config.points, eight_config.cubics)
+    assert (tuple(system), nodal) == (eight_config.system, eight_config.nodal)
+    assert len(reference_sextics(eight_config.points)) == 4
+    assert_spans_the_kernel(system, eight_config.points)
+
+
+def test_nodal_cubics_are_the_kernels_and_the_system_their_products(eight_config):
+    """|-2K| is (c1^2, c1 c2, c2^2, C_0 C_7), with C_0 and C_7 the cubics
+    through points 1-6 singular at point 0 and at point 7."""
+    coords = [p.coords for p in eight_config.points]
+    c1, c2 = eight_config.cubics
+    c0, c7 = eight_config.nodal
+    assert [c0] == forms_with_multiplicities(coords[:7], 3, [2] + [1] * 6, 1, "C_0")
+    assert [c7] == forms_with_multiplicities(coords[1:], 3, [1] * 6 + [2], 1, "C_7")
+    assert eight_config.system == (c1 * c1, c1 * c2, c2 * c2, c0 * c7)
+
+
+def test_a_sextic_system_of_rank_below_4_is_refused(eight_config):
+    """A pencil given as (c1, c1) makes three of the four products equal:
+    the system has dimension 2 and is refused by name."""
+    c1, _ = eight_config.cubics
+    with pytest.raises(ValidationError, match="system of dimension 2, expected 4") as err:
+        sextic_system(eight_config.points, (c1, c1))
+    assert err.value.reason == "degenerate configuration"
 
 
 def test_solved_forms_are_canonical_as_built(seven_config, eight_config):
-    """The forms of forms_with_multiplicities and sextic_system are built
-    from primitive vectors in the monomial order, without canonical(): each
-    has the terms of its canonical form, in the same order."""
-    pts = eight_config.points
-    forms = [*seven_config.cubics, *eight_config.cubics, *sextic_system(pts, eight_config.cubics)[0],
-             *reference_sextics(pts)]
+    """The forms of forms_with_multiplicities are built from primitive
+    vectors in the monomial order, without canonical(): each has the terms
+    of its canonical form, in the same order."""
+    forms = [*seven_config.cubics, *eight_config.cubics, *eight_config.nodal,
+             *reference_sextics(eight_config.points)]
     for f in forms:
         assert list(f.terms.items()) == list(f.canonical().terms.items()), f
 
 
 def test_sextic_system_is_the_kernel_on_seeded_configurations():
-    """|-2K| built from the pencil and the nodal cubics C_0, C_7 is the
-    kernel's basis, coefficient for coefficient, on 200 seeded
+    """|-2K| built from the pencil and the nodal cubics C_0, C_7 spans the
+    kernel of the 24 conditions on 28 coefficients, on 200 seeded
     configurations that make_point_config accepts."""
     stream = SplitMix64(2899)
     accepted = 0
@@ -134,8 +166,7 @@ def test_sextic_system_is_the_kernel_on_seeded_configurations():
         except ValidationError:
             continue
         accepted += 1
-        assert [format_hpoly(f) for f in config.system] == \
-            [format_hpoly(f) for f in reference_sextics(config.points)], coords
+        assert_spans_the_kernel(config.system, config.points)
 
 
 # -- Geiser ------------------------------------------------------------------------
@@ -320,54 +351,57 @@ def test_bertini_record(bertini, eight_config):
 
 
 def test_bertini_fixed_curve_of_a_degenerate_space_is_refused(eight_config):
-    """J(c1, c2, .) vanishes on span{c1^2, c1 c2, c2^2}: a space inside it
-    has no fixed nonic, and is refused by name."""
-    c1, c2 = eight_config.cubics
-    squares = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))       # the first three products
-    inv = BertiniInvolution(eight_config._replace(system=(c1 * c1, c1 * c2, c2 * c2), change=(squares, 1)))
+    """J(c1, c2, .) vanishes on span{c1^2, c1 c2, c2^2}: with (c1, c2) in
+    place of the nodal pair, J(c1, c2, c1 c2) = 0, there is no fixed nonic,
+    and the configuration is refused by name."""
+    inv = BertiniInvolution(eight_config._replace(nodal=eight_config.cubics))
     with pytest.raises(ValidationError, match="Jacobian nonic vanishes") as err:
         inv.fixed_curve
     assert err.value.reason == "degenerate configuration"
 
 
-def _perturbed(config, what):
-    c1, c2 = config.cubics
-    c0, c7 = config.nodal
-    rows, d = config.change
-    if what == "wrong C_0":
-        return config._replace(nodal=(c1, c7))
-    if what == "C_0 twice":
-        return config._replace(nodal=(c0, c0))
-    if what == "one entry of D T":
-        return config._replace(change=(((rows[0][0] + 1,) + rows[0][1:],) + rows[1:], d))
-    return config._replace(change=(rows, d + 1 if what == "D" else 0))
+def seeded_eight_point_configs(count):
+    """The first `count` seeded 8-point sets in general position."""
+    out = []
+    seed = 0
+    while len(out) < count:
+        seed += 1
+        try:
+            out.append(make_point_config(sample_points(seed, 8), "bertini"))
+        except ValidationError:
+            continue
+    return out
 
 
-def test_change_of_basis_reads_the_sextics_off_the_products(eight_config):
-    """D times each sextic of the space is (D T) (c1^2, c1 c2, c2^2, C_0 C_7),
-    with C_0 and C_7 the cubics through points 1-6 singular at point 0 and
-    at point 7."""
-    coords = [p.coords for p in eight_config.points]
-    c1, c2 = eight_config.cubics
-    c0, c7 = eight_config.nodal
-    assert [c0] == forms_with_multiplicities(coords[:7], 3, [2] + [1] * 6, 1, "C_0")
-    assert [c7] == forms_with_multiplicities(coords[1:], 3, [1] * 6 + [2], 1, "C_7")
-    rows, d = eight_config.change
-    assert d > 0 and len(rows) == 4
-    products = (c1 * c1, c1 * c2, c2 * c2, c0 * c7)
-    for row, sextic in zip(rows, eight_config.system):
-        combo = sum((p * t for t, p in zip(row, products)), HPoly.zero(6))
-        assert combo == sextic * d
+def bertini_images(config, seed):
+    """x, its image and attempts, or "refused", at 100 seeded points."""
+    inv = BertiniInvolution(config)
+    lines = []
+    for x in sample_points(seed, 100, avoid=config.points):
+        try:
+            image, trace = inv.eval_detail(x)
+            lines.append(f"{x.coords} {image.coords} {trace.attempts}")
+        except ExtractionError:
+            lines.append(f"{x.coords} refused")
+    return "\n".join(lines)
 
 
-@pytest.mark.parametrize("what", ["wrong C_0", "C_0 twice", "one entry of D T", "D", "zero D"])
-def test_a_change_of_basis_that_misses_the_sextics_is_refused(eight_config, what):
-    """A configuration whose nodal cubics or change of basis do not give its
-    sextics is refused by the coefficient check when the involution is
-    built."""
-    with pytest.raises(ValidationError, match="not the change of basis") as err:
-        BertiniInvolution(_perturbed(eight_config, what))
-    assert err.value.reason == "degenerate configuration"
+# sha256 of bertini_images(config, k) on the reference 8 points (k = 1) and
+# seeded_eight_point_configs(3) (k = 2, 3, 4): a faster evaluator or another
+# basis of |-2K| must leave these images and attempts identical
+BERTINI_IMAGES_SHA256 = (
+    "0b3e278ce8be08f1b92e1b663c49dc8d6d572d118439f05aef808d6c8cac0651",
+    "44ac30078d40034be5af30814d89d8ccd51ba815663a28d6d3a34327c7bc6ef5",
+    "8334b684dcd781580639e75459d57ab5c3c4c821dda739befad41be1b364cebb",
+    "e15840ca9c9186c92b57553a3925cd5ebbf2a5ffdad3c38cc8cc8535ac8e5502",
+)
+
+
+def test_bertini_images_are_pinned():
+    configs = [reference_eight_points(), *seeded_eight_point_configs(len(BERTINI_IMAGES_SHA256) - 1)]
+    digests = tuple(sha256(bertini_images(config, seed).encode()).hexdigest()
+                    for seed, config in enumerate(configs, start=1))
+    assert digests == BERTINI_IMAGES_SHA256
 
 
 def test_bertini_fixed_curve_divides_the_jacobians_of_the_sextics(bertini):
