@@ -255,7 +255,7 @@ def _configuration_involution(args, kind: str):
     """The involution of a kind of DEL_PEZZO on --builtin or --points."""
     if args.builtin:
         config = configs.reference_seven_points() if kind == "geiser" else configs.reference_eight_points()
-    elif args.points:
+    elif args.points is not None:
         config = involutions.make_point_config(parse_points_file(args.points), kind)
     else:
         raise ValidationError("bad request", "supply --points FILE or --builtin")
@@ -272,7 +272,7 @@ def _cmd_configuration(args) -> dict:
     payload = _labelled(fixedcurve.invariant_of(inv),
                         points=[str(p) for p in inv.config.points],
                         fixed_curve=format_hpoly(inv.fixed_curve))
-    if args.x:
+    if args.x is not None:
         x = parse_point(args.x)
         image, trace = inv.eval_detail(x)
         payload["x"] = str(x)
@@ -284,9 +284,9 @@ def _cmd_configuration(args) -> dict:
 
 
 def _load_map(args) -> RationalMap:
-    if args.map:
+    if args.map is not None:
         return parse_map(args.map)
-    if args.map_file:
+    if args.map_file is not None:
         text = _read_file(args.map_file)
         try:
             data = json.loads(text)
@@ -322,16 +322,16 @@ def _construction(args):
     """The construction given by --curve with --p or by --points or
     --builtin with --kind, or None for a map; the parser refuses two of
     --curve, --points, --builtin, --map and --map-file."""
-    configured = args.points or args.builtin
-    if bool(args.curve) != bool(args.p):
+    configured = args.points is not None or args.builtin
+    if (args.curve is None) != (args.p is None):
         raise ValidationError("bad request", "--curve and --p go together")
-    if args.kind and not configured:
+    if args.kind is not None and not configured:
         raise ValidationError("bad request", "--kind goes with --points or --builtin")
-    if args.curve:
+    if args.curve is not None:
         return involutions.validate_dj(parse_poly(args.curve), parse_point(args.p))
     if configured:
         if args.kind is None:
-            given = "--points" if args.points else "--builtin"
+            given = "--points" if args.points is not None else "--builtin"
             raise ValidationError("bad request", f"--kind must be geiser or bertini with {given}")
         return _configuration_involution(args, args.kind)
     return None
@@ -364,7 +364,7 @@ def _cmd_lattice_make(args) -> dict:
 
 def _cmd_lattice_reflect(args) -> dict:
     lat = _lattice_of(args)
-    if args.alpha:
+    if args.alpha is not None:
         alpha = parse_int_list(args.alpha)
         return {"matrix": [list(r) for r in picard.reflection_through(lat, alpha)], "alpha": list(alpha)}
     inv = picard.anti_reflection_in_k(lat)
@@ -385,7 +385,7 @@ def _cmd_lattice_exceptionals(args) -> dict:
 
 def _lattice_involution(args):
     lat = _lattice_of(args)
-    if not args.matrix_file:
+    if args.matrix_file is None:
         raise ValidationError("bad request", "supply --matrix-file")
     return lat, picard.LatticeInvolution(lat, parse_matrix_file(args.matrix_file))
 

@@ -896,21 +896,18 @@ def matrix_rank(rows) -> int:
     return len(pivots)
 
 
-def kernel_basis(rows, ncols: int | None = None):
+def kernel_basis(rows):
     """Exact basis of the right kernel via fraction-free elimination.
 
     Returns primitive integer vectors, one per free column, ordered by free
     column index. The basis is deterministic because pivoting is.
     """
     if not rows:
-        if ncols is None:
-            raise ValidationError("bad input", "empty matrix needs an explicit width")
-        rows_e, pivots = [], []
-    else:
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise ValidationError("bad input", "ragged matrix")
-        rows_e, pivots = _bareiss_echelon([primitive(row) for row in rows])
+        raise ValidationError("bad input", "empty matrix")
+    ncols = len(rows[0])
+    if any(len(r) != ncols for r in rows):
+        raise ValidationError("bad input", "ragged matrix")
+    rows_e, pivots = _bareiss_echelon([primitive(row) for row in rows])
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -928,6 +925,32 @@ def kernel_basis(rows, ncols: int | None = None):
             vec[pc] = -s // g
         basis.append(tuple(primitive(vec)))
     return basis
+
+
+def dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def null_vector(rows):
+    """The integer vector orthogonal to every row of a matrix with three
+    columns and rank exactly 2, or None for any other rank. rows may be any
+    iterable that can be read twice.
+
+    The kernel of a rank-2 matrix is spanned by the cross product of any two
+    independent rows. That of the first two is kept only if every row is
+    orthogonal to it, the certificate of rank 2: at rank 3 some row is not.
+    Rank 0 and rank 1 have no two independent rows."""
+    first = next((r for r in rows if any(r)), None)
+    if first is None:
+        return None
+    k = next((k for r in rows if any(k := cross(first, r))), None)
+    if k is None or any(dot(r, k) for r in rows):
+        return None
+    return k
 
 
 def det3(m):

@@ -33,11 +33,12 @@ of them singular at one, which make_point_config checks. Then no curve lies
 in the base locus of the members through x, which has exactly one point
 besides the configuration and x.
 
-Geiser reads the values of |-K|, the net, off its three cubics. Bertini
-takes |-2K| in the basis c1^2, c1 c2, c2^2, C_0 C_7 (sextic_system), with
-c1, c2 spanning the pencil through the 8 points and C_0, C_7 the nodal
-cubics that the involution exchanges, and reads its values off those four
-cubic factors: one evaluation of 10 monomials and four products.
+Both read |-mK| off its cubic factors (DelPezzoInvolution), with one
+evaluation of 10 monomials per point: |-K| is the net itself, and |-2K| is
+taken in the basis c1^2, c1 c2, c2^2, C_0 C_7 (sextic_system), with c1, c2
+spanning the pencil through the 8 points and C_0, C_7 the nodal cubics that
+the involution exchanges. The fixed curve is a Jacobian of the same
+factors.
 
 An optional closed form of the degree-8 Geiser map is built from the
 pull-backs of the sides of the triangle p1p2p3 (the octics C_a C_b Q_ab,
@@ -56,7 +57,7 @@ fixedcurve.invariant_of computes the invariant and label of either from
 what it keeps, and this module does not import fixedcurve.
 """
 
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, combinations
 from math import gcd as igcd
 from operator import mul
@@ -68,7 +69,9 @@ from .exactpoly import (
     HPoly,
     adjugate3,
     bform_gcd,
+    cross,
     det3,
+    dot,
     first_below_multiplicity,
     forms_with_multiplicities,
     is_squarefree,
@@ -77,6 +80,7 @@ from .exactpoly import (
     monomials,
     multiplicity_conditions,
     multiplicity_values,
+    null_vector,
     partial_rows,
     primitive,
     values_at,
@@ -239,7 +243,7 @@ class PointConfig(NamedTuple):
     the cubics through the points (the net again, or the pencil c1, c2
     through the 8). For 8 points also the nodal cubics (C_0, C_7) of
     sextic_system, so that system is (c1^2, c1 c2, c2^2, C_0 C_7) and |-2K|
-    is evaluated through these four cubics (BertiniInvolution); empty for 7
+    is evaluated through these four cubics (DelPezzoInvolution); empty for 7
     points. All are functions of the points, so two configurations are
     equal exactly when their points and kinds are."""
 
@@ -313,7 +317,7 @@ def make_point_config(points, kind: str) -> PointConfig:
     if dp.m == 2:
         grads = multiplicity_values(cubics, coords, [2] * n)     # 3 rows per point
         for i in range(n):
-            if not any(_cross(*zip(*grads[3 * i:3 * i + 3]))):
+            if not any(cross(*zip(*grads[3 * i:3 * i + 3]))):
                 raise ValidationError("degenerate configuration",
                                       f"a cubic through the points is singular at point {i}")
         system, nodal = sextic_system(pts, cubics)
@@ -395,14 +399,10 @@ def _singular_member(net, p, a: int) -> HPoly:
     is singular at their point p = p_a, canonical: lambda is orthogonal to
     the three rows of the 3x3 matrix of the net's gradients at p. Euler's
     relation puts the gradients at p in the plane orthogonal to p, so the
-    rank is at most 2; lambda, the cross product of the first two
-    independent rows, is kept only if every row is orthogonal to it, the
-    certificate of rank exactly 2 and of a unique member. Refused with
-    "degenerate configuration" otherwise."""
-    grads = multiplicity_values(net, [p], [2])
-    first = next((r for r in grads if any(r)), None)
-    lam = next((k for r in grads if any(k := _cross(first, r))), None) if first else None
-    if lam is None or any(_dot(r, lam) for r in grads):
+    rank is at most 2; null_vector certifies rank exactly 2, and so a
+    unique member. Refused with "degenerate configuration" otherwise."""
+    lam = null_vector(multiplicity_values(net, [p], [2]))
+    if lam is None:
         raise ValidationError("degenerate configuration",
                               f"the net's gradients at point {a} do not have rank 2")
     return sum((c * k for c, k in zip(net, lam) if k), HPoly.zero(3)).canonical()
@@ -416,14 +416,6 @@ def _singular_member(net, p, a: int) -> HPoly:
 # the 12 singular members a cubic pencil with a smooth member can have
 _MEMBERS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, -1),
             (1, 3), (3, 1), (1, -3), (3, -1), (2, 3))
-
-
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _cross(u, v):
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
 class _Cubic:
@@ -457,7 +449,7 @@ class _Cubic:
                      for r in self.rows)
 
     def value(self, p) -> int:
-        return _dot(self.grad(p), p) // 3          # Euler: grad f(p).p = 3 f(p)
+        return dot(self.grad(p), p) // 3          # Euler: grad f(p).p = 3 f(p)
 
     def third(self, p, q):
         """Third intersection of the line pq with the cubic, for p and q on
@@ -468,15 +460,15 @@ class _Cubic:
         gp = self.grad(p)
         if not any(gp):
             return None
-        if any(_cross(p, q)):
+        if any(cross(p, q)):
             gq = self.grad(q)
             if not any(gq):
                 return None
-            s, t, d = _dot(gq, p), _dot(gp, q), q
+            s, t, d = dot(gq, p), dot(gp, q), q
         else:
-            d = _cross(gp, p)
+            d = cross(gp, p)
             gd = self.grad(d)
-            s, t = _dot(gd, d), 3 * _dot(gd, p)     # 3 f(D), 3 grad f(D).p
+            s, t = dot(gd, d), 3 * dot(gd, p)     # 3 f(D), 3 grad f(D).p
         r = (s * p[0] - t * d[0], s * p[1] - t * d[1], s * p[2] - t * d[2])
         g = igcd(*r)
         if g == 0:
@@ -581,20 +573,19 @@ class EvalTrace(NamedTuple):
     attempts: int
 
 
-def _hyperplane_values(x: ProjPoint, vals):
-    """vals, the values of the space at x, unless all vanish: then the
-    members through x are not a hyperplane, and x is refused."""
-    if not any(vals):
-        raise ValidationError("system dimension wrong",
-                              f"the members through {x} do not form a hyperplane of the system")
-    return vals
+# the name of each family's fixed curve, by its degree, for the refusal of
+# a vanishing Jacobian (DelPezzoInvolution.fixed_curve)
+_CURVE_NAMES = {6: "sextic", 9: "nonic"}
 
 
 class DelPezzoInvolution:
     """The deck involution of the map given by |-mK| on the blow-up of the
     points of a configuration in general position, for the kind of
-    DEL_PEZZO that a subclass names. A subclass gives the chord-tangent
-    construction (eval_detail) and the fixed curve."""
+    DEL_PEZZO that a subclass names. Everything is read off the cubic
+    factors of the space, PointConfig.cubics + nodal: the net, or c1, c2,
+    C_0, C_7. A subclass gives the values of the space from the values of
+    its factors (_space_values) and the chord-tangent construction
+    (eval_detail)."""
 
     kind = ""
 
@@ -603,6 +594,7 @@ class DelPezzoInvolution:
         if config.kind != self.kind:
             raise ValidationError("bad config", f"expected a {self.kind} configuration of {self.family.n} points")
         self.config = config
+        self._factors = Evaluator(config.cubics + config.nodal)
 
     @property
     def space(self):
@@ -615,14 +607,40 @@ class DelPezzoInvolution:
         the net of a Geiser configuration, the pencil of a Bertini one."""
         return [_Cubic.from_hpoly(c) for c in self.config.cubics]
 
-    @cached_property
-    def _at(self):
-        """The space's one Evaluator, for its values at an integer triple."""
-        return Evaluator(self.space)
+    def _at(self, q):
+        """Values of the space at an integer triple, from one evaluation of
+        its cubic factors."""
+        return self._space_values(self._factors(q))
 
-    def _values(self, x: ProjPoint):
-        """Values of the space at x, orthogonal to the members through x."""
-        return _hyperplane_values(x, self._at(x.coords))
+    def _through(self, x: ProjPoint):
+        """(u, vx): the values u of the cubic factors at x and the values vx
+        of the space, orthogonal to the members through x. x is refused if
+        it is a base point, or if vx vanishes: then the members through x
+        are not a hyperplane of the space."""
+        if x in self.config.points:
+            raise IndeterminacyError(f"{x} is a base point of the involution")
+        u = self._factors(x.coords)
+        vx = self._space_values(u)
+        if not any(vx):
+            raise ValidationError("system dimension wrong",
+                                  f"the members through {x} do not form a hyperplane of the system")
+        return u, vx
+
+    @cached_property
+    def fixed_curve(self) -> HPoly:
+        """The curve fixed by the involution, of degree 3(m + 1) with points
+        of multiplicity m + 1 at the points: the Jacobian J(c1, c2, g) of
+        the first two cubic factors and the product g of the others. For
+        Geiser that is J(c1, c2, c3), the Jacobian sextic of the net. For
+        Bertini it is J(c1, c2, C_0 C_7): J(c1, c2, .) is linear and
+        vanishes on span{c1^2, c1 c2, c2^2}, a hyperplane of |-2K|, so every
+        other member gives the same nonic up to a scalar."""
+        c1, c2, *rest = self.config.cubics + self.config.nodal
+        j = _jacobian(c1, c2, reduce(mul, rest))
+        if j.is_zero():
+            name = _CURVE_NAMES[self.family.fixed_curve[0]]
+            raise ValidationError("degenerate configuration", f"Jacobian {name} vanishes")
+        return j
 
     def certifies(self, x, vx, y, vy) -> bool:
         """Certificate that y is the image of x, for integer triples x off
@@ -645,7 +663,7 @@ class DelPezzoInvolution:
                 [vx] + multiplicity_values(self.space, [y.coords], [self.family.m + 1])) < len(self.space)
         if not _in_span(vx, vy):
             return False
-        if any(_cross(x, y)):
+        if any(cross(x, y)):
             return True
         return matrix_rank(multiplicity_values(self.space, [x], [2])) < 3
 
@@ -680,7 +698,7 @@ class DelPezzoInvolution:
         comps = Evaluator(sigma.components)
         for x, y in self._frame(pairs):
             v = comps(x.coords)
-            if not any(v) or any(_cross(v, y.coords)):
+            if not any(v) or any(cross(v, y.coords)):
                 image = ProjPoint(*v) if any(v) else None
                 raise ValidationError("interpolation failed",
                                       f"fitted map sends the frame point {x} to {image}, not to {y}")
@@ -691,7 +709,7 @@ class DelPezzoInvolution:
         base, chosen = set(self.config.points), []
         for x, y in pairs:
             v = y.coords
-            if (y in base or not all(any(_cross(u, v)) for u in chosen)
+            if (y in base or not all(any(cross(u, v)) for u in chosen)
                     or not all(det3((u, w, v)) for u, w in combinations(chosen, 2))):
                 continue
             yield x, y
@@ -713,23 +731,18 @@ class GeiserInvolution(DelPezzoInvolution):
 
     kind = "geiser"
 
-    @cached_property
-    def fixed_curve(self) -> HPoly:
-        """Jacobian of the net, a sextic."""
-        j = _jacobian(*self.space)
-        if j.is_zero():
-            raise ValidationError("degenerate configuration", "Jacobian sextic vanishes")
-        return j
-
     fixed_sextic = property(lambda self: self.fixed_curve)
+
+    @staticmethod
+    def _space_values(u):
+        """The space is the net, its own cubic factors: their values u."""
+        return u
 
     def eval_detail(self, x: ProjPoint):
         """Ninth base point of the pencil of cubics through the 7 points and
         x, the first candidate of _ninth_base_point that passes certifies,
         and the EvalTrace of its construction."""
-        if x in self.config.points:
-            raise IndeterminacyError(f"{x} is a base point of the involution")
-        vx = self._values(x)
+        vx = self._through(x)[1]
         image, attempts = _ninth_base_point(self._cubics, self.config.points, x, vx,
                                             lambda q: self.certifies(x.coords, vx, q, self._at(q)))
         return image, EvalTrace(attempts)
@@ -744,39 +757,34 @@ class GeiserInvolution(DelPezzoInvolution):
         seeded x where no P_k vanishes, with y = sigma(x) from the evaluator,
         lambda_k is proportional to l_k(y) times the product of the other
         P_j(x). The result is certified exactly by certify_map, from its
-        type (8; 3^7) and a frame of images: the sample, then seeded points
-        evaluated until their images complete the frame. The fit is unique
-        up to scale and normalised, so the points drawn do not change the
-        map.
+        type (8; 3^7) and a frame of images: the sample, then the next
+        seeded points of the same draws whose images complete the frame. The
+        fit is unique up to scale and normalised, so the points drawn do not
+        change the map.
         """
         pts = self.config.points
         octics = octic_triple_system(self.config)
-        lines = [_cross(pts[a].coords, pts[b].coords) for a, b in _SIDES]
-        stream = SplitMix64(0x6A09E667F3BCC908)
-        for x in self._candidates(stream, 1):
+        lines = [cross(pts[a].coords, pts[b].coords) for a, b in _SIDES]
+        pairs = self._images(self._candidates(SplitMix64(0x6A09E667F3BCC908)))
+        for x, y in pairs:
             px = values_at(octics, x.coords)
-            if not all(px):
-                continue
-            try:
-                y = self.eval(x)
-            except (ValidationError, ExtractionError):
-                continue
-            break
-        ly = [_dot(line, y.coords) for line in lines]
+            if all(px):
+                break
+        ly = [dot(line, y.coords) for line in lines]
         if not all(ly):
             raise ValidationError("interpolation failed",
                                   f"the image {y} of {x} lies on a side of the triangle")
         scales = primitive([ly[k] * px[k - 1] * px[k - 2] for k in range(3)])
         sigma = RationalMap(*_combinations([[a * s for a, s in zip(row, scales)] for row in adjugate3(lines)],
                                            octics))
-        self.certify_map(sigma, chain([(x, y)], self._images(self._candidates(stream, 3))))
+        self.certify_map(sigma, chain([(x, y)], pairs))
         return sigma
 
-    def _candidates(self, stream: SplitMix64, count: int):
+    def _candidates(self, stream: SplitMix64):
         """Seeded points with coordinates in [-9, 9] other than the base
-        points, from at most 200 * count draws."""
+        points, from at most 800 draws."""
         base = {p.coords for p in self.config.points}
-        for _ in range(200 * count):
+        for _ in range(800):
             coords = tuple(stream.next_int(-9, 9) for _ in range(3))
             if coords != (0, 0, 0):
                 x = ProjPoint(*coords)
@@ -789,12 +797,6 @@ class BertiniInvolution(DelPezzoInvolution):
     """Bertini involution attached to 8 points in general position."""
 
     kind = "bertini"
-
-    def __init__(self, config: PointConfig):
-        """Keep one Evaluator of the cubic factors c1, c2, C_0, C_7 of the
-        space (PointConfig.cubics and nodal), over 10 monomials."""
-        super().__init__(config)
-        self._factors = Evaluator(config.cubics + config.nodal)
 
     @cached_property
     def ninth_point(self) -> ProjPoint:
@@ -810,31 +812,12 @@ class BertiniInvolution(DelPezzoInvolution):
             self._cubics, pts[:7], pts[7], (0, 0),
             lambda q: not c1.value(q) and not c2.value(q) and ProjPoint(*q) not in pts)[0]
 
-    @cached_property
-    def fixed_curve(self) -> HPoly:
-        """The curve fixed by the involution, of degree 9 with triple points
-        at the 8 points: the Jacobian J(c1, c2, C_0 C_7) of c1, c2 spanning
-        the cubic pencil and the nodal pair. J(c1, c2, .) is linear and
-        vanishes on span{c1^2, c1 c2, c2^2}, a hyperplane of |-2K|, so every
-        other member gives the same nonic up to a scalar."""
-        c1, c2 = self.config.cubics
-        c0, c7 = self.config.nodal
-        j = _jacobian(c1, c2, c0 * c7)
-        if j.is_zero():
-            raise ValidationError("degenerate configuration", "Jacobian nonic vanishes")
-        return j
-
     @staticmethod
-    def _sextics(u):
-        """Values of the space from the values u of its cubic factors
-        (_factors): u1^2, u1 u2, u2^2, u3 u4."""
+    def _space_values(u):
+        """Values of the space from the values u of its cubic factors c1,
+        c2, C_0, C_7: u1^2, u1 u2, u2^2, u3 u4."""
         u1, u2, u3, u4 = u
         return [u1 * u1, u1 * u2, u2 * u2, u3 * u4]
-
-    def _at(self, q):
-        """Values of the space at an integer triple, from its cubic factors:
-        exactly the integers that an Evaluator of the four sextics gives."""
-        return self._sextics(self._factors(q))
 
     def eval_detail(self, x: ProjPoint):
         """Image of x under the Bertini involution, and the EvalTrace.
@@ -845,10 +828,7 @@ class BertiniInvolution(DelPezzoInvolution):
         The first candidate that passes certifies is the image. The values
         of the space at x and the pencil coordinates c1(x), c2(x) come from
         one evaluation of the cubic factors."""
-        if x in self.config.points:
-            raise IndeterminacyError(f"{x} is a base point of the involution")
-        u = self._factors(x.coords)
-        vx = _hyperplane_values(x, self._sextics(u))
+        u, vx = self._through(x)
         u1, u2 = u[0], u[1]
         c1, c2 = self._cubics
         f = _Cubic.combination((u2, -u1), (c1, c2)) if u1 or u2 else c1

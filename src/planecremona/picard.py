@@ -177,16 +177,20 @@ def fixed_rank(inv: LatticeInvolution) -> int:
 # exceptional classes
 # ---------------------------------------------------------------------------
 
-def _degree_bounds(n: int, widen: int = 0):
+def _degree_bounds(n: int):
     """Integer range of the H-degree a: Cauchy-Schwarz against the E-part
     gives (1-3a)^2 <= n (a^2+1); scan a safe window and keep what satisfies
-    it, then widen by request (the widened window is the oracle's knob)."""
+    it."""
     lo, hi = 0, 0
     for a in range(-12, 25):
         if (1 - 3 * a) ** 2 <= n * (a * a + 1):
             lo = min(lo, a)
             hi = max(hi, a)
-    return lo - widen, hi + widen
+    return lo, hi
+
+
+# degrees the oracle (exceptional_classes_bruteforce) adds on each side
+_ORACLE_WIDEN = 2
 
 
 def _fill_classes(a: int, n: int, rem_sum: int, rem_sq: int, prefix, out):
@@ -226,7 +230,7 @@ def exceptional_classes(lat: PicLattice):
     return out
 
 
-def exceptional_classes_bruteforce(lat: PicLattice, widen: int = 2):
+def exceptional_classes_bruteforce(lat: PicLattice):
     """Independent oracle: naive box search over a widened degree window.
 
     Pruning uses only elementary box bounds (each |c| <= isqrt(rem_sq),
@@ -239,7 +243,7 @@ def exceptional_classes_bruteforce(lat: PicLattice, widen: int = 2):
     n = lat.n
     if n == 0:
         return []
-    lo, hi = _degree_bounds(n, widen)
+    lo, hi = _degree_bounds(n)
     out = []
 
     def rec(a, target_sum, target_sq, slots, prefix):
@@ -255,7 +259,7 @@ def exceptional_classes_bruteforce(lat: PicLattice, widen: int = 2):
         for c in range(-top, top + 1):
             rec(a, target_sum - c, target_sq - c * c, slots - 1, prefix + [c])
 
-    for a in range(lo, hi + 1):
+    for a in range(lo - _ORACLE_WIDEN, hi + _ORACLE_WIDEN + 1):
         rec(a, 1 - 3 * a, a * a + 1, n, [])
     out.sort()
     return out

@@ -13,8 +13,8 @@ from functools import cached_property
 
 from .errors import ValidationError
 from .exactpoly import (
-    Evaluator, HPoly, adjugate3, det3, hpoly_gcd_many, odd_multiplicity_root_count, primitive,
-    values_at,
+    Evaluator, HPoly, adjugate3, det3, hpoly_gcd_many, null_vector, odd_multiplicity_root_count,
+    primitive, values_at,
 )
 
 
@@ -217,10 +217,7 @@ def pencil_center(sigma: RationalMap):
     components, of every monomial of x cross sigma(x), rows read straight
     off the terms of sigma. Two such points force sigma(x) = x, so unless
     sigma is the identity (rank 0) the kernel is a point exactly when the
-    rows have rank 2, and it is then the cross product of any two
-    independent rows. That of the first two is kept only if every row is
-    orthogonal to it, the certificate of rank 2; rank <= 1 and rank 3 give
-    None.
+    rows have rank 2 (null_vector); rank <= 1 and rank 3 give None.
     """
     # component c of x cross sigma(x) is x_(c+1) f_(c+2) - x_(c+2) f_(c+1),
     # indices mod 3: f_w enters component w + 1 times x_(w+2) and component
@@ -231,20 +228,8 @@ def pencil_center(sigma: RationalMap):
             for (i, j, k), c in f.terms.items():
                 e = (i + (v == 0), j + (v == 1), k + (v == 2))
                 rows.setdefault(e, [0, 0, 0])[comp] += sign * c
-    first = next((r for r in rows.values() if any(r)), None)
-    if first is None:
-        return None
-    a0, a1, a2 = first
-    for b0, b1, b2 in rows.values():
-        kernel = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-        if any(kernel):
-            break
-    else:
-        return None
-    k0, k1, k2 = kernel
-    if any(r[0] * k0 + r[1] * k1 + r[2] * k2 for r in rows.values()):
-        return None
-    return ProjPoint(*kernel)
+    kernel = null_vector(rows.values())
+    return None if kernel is None else ProjPoint(*kernel)
 
 
 class PencilForm:

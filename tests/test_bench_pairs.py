@@ -1,5 +1,5 @@
-"""The seed parser, the per-metric summary and verdict, the src/ line counts
-and the refusal of a parent that is not a git checkout of
+"""The seed parser, the per-metric summary and verdict, the src/ line and
+code-line counts and the refusal of a parent that is not a git checkout of
 tools/bench_pairs.py, which writes the BENCH_*.json files; the runs
 themselves are not exercised."""
 
@@ -111,9 +111,36 @@ def test_src_lines_of_both_checkouts_are_written(tmp_path, monkeypatch):
                              "--out", str(out)]) == 0
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert doc["src_lines"] == {"parent": 3, "change": 5}
+    assert doc["src_code_lines"] == {"parent": 3, "change": 2}
     assert doc["parent"] == rev == bench_pairs.git_rev(parent)
     # a directory inside the checkout is not a checkout of its own
     assert bench_pairs.git_rev(parent / "src") is None
+
+
+CODE_AND_PROSE = '''"""Module
+docstring."""
+
+# a comment
+import os  # a trailing comment
+
+
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Function
+        docstring."""
+        s = """a string
+        that is not a docstring"""
+        return s
+'''
+
+
+def test_code_lines_skip_docstrings_comments_and_blank_lines(tmp_path):
+    # import, class, def, the two lines of s and return
+    assert bench_pairs.code_lines(CODE_AND_PROSE) == 6
+    root = _tree(tmp_path / "tree", {"src/pkg/a.py": CODE_AND_PROSE})
+    assert bench_pairs.src_lines(root) == 16 and bench_pairs.src_code_lines(root) == 6
 
 
 def test_a_parent_that_is_not_a_git_checkout_is_refused_before_any_run(tmp_path, monkeypatch, capsys):

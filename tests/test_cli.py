@@ -237,6 +237,23 @@ def test_malformed_command_line_input_is_a_validation_failure(argv, reason):
     assert code == 2 and payload["reason"] == reason
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["geiser", "--builtin", "--x", ""], "syntax error"),
+    (["lattice", "reflect", "--n", "7", "--alpha", ""], "syntax error"),
+    (["verify", "--map", ""], "syntax error"),
+    (["verify", "--map-file", ""], "unreadable file"),
+    (["lattice", "classify", "--n", "3", "--matrix-file", ""], "unreadable file"),
+    (["classify", "--curve", "", "--p", "(0:1:0)"], "syntax error"),
+    (["classify", "--points", "", "--kind", "geiser"], "unreadable file"),
+    (["geiser", "--points", ""], "unreadable file"),
+])
+def test_an_empty_option_value_is_read_as_given(argv, reason):
+    """An empty value is a value, refused as a bad non-empty one is, not
+    taken for an absent option."""
+    code, payload, _ = run_json(argv)
+    assert code == 2 and payload["reason"] == reason
+
+
 def test_fixed_curve_command():
     code, payload, _ = run_json(["fixed-curve", "--map", "x*y; x*z; y*z"])
     assert code == 0

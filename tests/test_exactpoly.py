@@ -14,6 +14,8 @@ from planecremona.exactpoly import (
     HPoly,
     bform_gcd,
     bform_rational_roots,
+    cross,
+    dot,
     hpoly_gcd,
     hpoly_gcd_many,
     is_squarefree,
@@ -22,6 +24,7 @@ from planecremona.exactpoly import (
     monomials,
     multiplicity_conditions,
     multiplicity_values,
+    null_vector,
     odd_multiplicity_root_count,
     resultant,
     values_at,
@@ -349,7 +352,7 @@ def test_resultant_pencil_of_cubics_degree_nine(seven_config):
 
     g = GeiserInvolution(seven_config)
     f, h = (sum((q * c for c, q in zip(coeffs, g.space)), HPoly.zero(3))
-            for coeffs in _perp_basis(g._values(ProjPoint(2, 3, 7))))
+            for coeffs in _perp_basis(g._through(ProjPoint(2, 3, 7))[1]))
     # move to coordinates where no intersection point sits at the projection
     # center (0:0:1); otherwise the elimination drops that point and one
     # degree with it
@@ -491,6 +494,29 @@ def test_kernel_annihilation_and_rank_nullity_random():
         for v in basis:
             for row in rows:
                 assert sum(a * b for a, b in zip(row, v)) == 0
+
+
+@pytest.mark.parametrize("rows", [[], [[1, 2], [3]]])
+def test_kernel_basis_refuses_an_empty_or_ragged_matrix(rows):
+    with pytest.raises(ValidationError) as err:
+        kernel_basis(rows)
+    assert err.value.reason == "bad input"
+
+
+@pytest.mark.parametrize("rows, rank", [
+    ([[0, 0, 0], [0, 0, 0]], 0),
+    ([[0, 0, 0], [2, -4, 6], [-1, 2, -3]], 1),
+    ([[0, 0, 0], [1, 2, 3], [2, 4, 6], [0, 1, -1], [1, 3, 2]], 2),
+    ([[1, 2, 3], [2, 4, 6], [0, 1, -1], [1, 0, 0]], 3),
+])
+def test_null_vector_is_certified_at_rank_2_only(rows, rank):
+    assert matrix_rank(rows) == rank
+    k = null_vector(rows)
+    if rank != 2:
+        assert k is None
+        return
+    # the cross product of the first two independent rows, orthogonal to all
+    assert k == cross([1, 2, 3], [0, 1, -1]) and all(dot(r, k) == 0 for r in rows)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

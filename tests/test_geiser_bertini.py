@@ -3,7 +3,7 @@ from hashlib import sha256
 
 import pytest
 
-from planecremona.configs import SEXTIC_POINT, reference_eight_points
+from planecremona.configs import SEXTIC_POINT, reference_eight_points, reference_seven_points
 from planecremona.errors import ExtractionError, IndeterminacyError, ValidationError
 from planecremona.exactpoly import forms_with_multiplicities, kernel_basis, matrix_rank, monomials
 from planecremona.fixedcurve import invariant_of
@@ -360,24 +360,44 @@ def test_bertini_fixed_curve_of_a_degenerate_space_is_refused(eight_config):
     assert err.value.reason == "degenerate configuration"
 
 
-def seeded_eight_point_configs(count):
-    """The first `count` seeded 8-point sets in general position."""
+def test_geiser_fixed_curve_of_a_degenerate_net_is_refused(seven_config):
+    """With c1 in place of c3, J(c1, c2, c1) = 0: there is no fixed sextic,
+    and the configuration is refused by name."""
+    c1, c2, _ = seven_config.cubics
+    inv = GeiserInvolution(seven_config._replace(cubics=(c1, c2, c1)))
+    with pytest.raises(ValidationError, match="Jacobian sextic vanishes") as err:
+        inv.fixed_curve
+    assert err.value.reason == "degenerate configuration"
+
+
+def seeded_point_configs(kind, count):
+    """The first `count` seeded point sets of a kind of DEL_PEZZO in general
+    position: sample_points(seed, n) for seed = 1, 2, ..."""
     out = []
     seed = 0
     while len(out) < count:
         seed += 1
         try:
-            out.append(make_point_config(sample_points(seed, 8), "bertini"))
+            out.append(make_point_config(sample_points(seed, DEL_PEZZO[kind].n), kind))
         except ValidationError:
             continue
     return out
 
 
-def bertini_images(config, seed):
+INVOLUTIONS = {"geiser": GeiserInvolution, "bertini": BertiniInvolution}
+
+
+def pinned_involutions(kind):
+    """The involutions of the reference configuration of a kind and of
+    seeded_point_configs(kind, 3), in that order."""
+    reference = reference_seven_points() if kind == "geiser" else reference_eight_points()
+    return [INVOLUTIONS[kind](config) for config in (reference, *seeded_point_configs(kind, 3))]
+
+
+def involution_images(inv, seed):
     """x, its image and attempts, or "refused", at 100 seeded points."""
-    inv = BertiniInvolution(config)
     lines = []
-    for x in sample_points(seed, 100, avoid=config.points):
+    for x in sample_points(seed, 100, avoid=inv.config.points):
         try:
             image, trace = inv.eval_detail(x)
             lines.append(f"{x.coords} {image.coords} {trace.attempts}")
@@ -386,9 +406,10 @@ def bertini_images(config, seed):
     return "\n".join(lines)
 
 
-# sha256 of bertini_images(config, k) on the reference 8 points (k = 1) and
-# seeded_eight_point_configs(3) (k = 2, 3, 4): a faster evaluator or another
-# basis of |-2K| must leave these images and attempts identical
+# sha256 of involution_images(inv, k) on pinned_involutions("bertini"), the
+# reference 8 points (k = 1) and three seeded sets (k = 2, 3, 4): a faster
+# evaluator or another basis of |-2K| must leave these images and attempts
+# identical
 BERTINI_IMAGES_SHA256 = (
     "0b3e278ce8be08f1b92e1b663c49dc8d6d572d118439f05aef808d6c8cac0651",
     "44ac30078d40034be5af30814d89d8ccd51ba815663a28d6d3a34327c7bc6ef5",
@@ -396,12 +417,49 @@ BERTINI_IMAGES_SHA256 = (
     "e15840ca9c9186c92b57553a3925cd5ebbf2a5ffdad3c38cc8cc8535ac8e5502",
 )
 
+# the same on pinned_involutions("geiser"): the reference 7 points and three
+# seeded 7-point sets
+GEISER_IMAGES_SHA256 = (
+    "2d3c6ac46ea2e17ea41b8458e0c898a2d4d51011cd21190b1aedb33e3e88cf39",
+    "052a28b99d602adcc793e9b6817711b3c1a3653041bdef15801456d26095f97b",
+    "c4f5f74a6b27232fda5ec04b3465c06f8ed8d5d7348f513a9d3ced19aa4659af",
+    "ea4a4673630b757e4f310e72928bc998200ae8f0fba351ba57d9dffc8b3652ec",
+)
+
+# sha256 of str(fixed_curve) on pinned_involutions(kind), per kind
+FIXED_CURVE_SHA256 = {
+    "geiser": (
+        "3ee9b77292b92b1f49e22a050094936f875b0ce7e953fda2f0ce9ad4a03263f4",
+        "b015d248e2285d402654462bef0bd67849a1bf42b8f663c9ab1ef04f8b00349a",
+        "575e18004207c68e859932e74d00aae1e56c24787005c541aee3fd176af64ec8",
+        "ffb7fb40f167d1e09c85bc9ff2f72bebf17293a9420cbbb4bdab1de13bebcd44",
+    ),
+    "bertini": (
+        "cdec59c2815362406fef783695fe97641e57b38fac237cbd4e7609f1b39bba6a",
+        "174470e298463302e9e1d1640fca3253616a2d2a60d092ae32783ebdc197b841",
+        "84d5e9e4d9232e2bcf1c3fa097055cca646e000036539079afa60133c1e3e214",
+        "98442b2e3cc7907370b71d944cb36b8de88cb8a761248b429320f2ed0672ec31",
+    ),
+}
+
+
+def image_digests(kind):
+    return tuple(sha256(involution_images(inv, seed).encode()).hexdigest()
+                 for seed, inv in enumerate(pinned_involutions(kind), start=1))
+
 
 def test_bertini_images_are_pinned():
-    configs = [reference_eight_points(), *seeded_eight_point_configs(len(BERTINI_IMAGES_SHA256) - 1)]
-    digests = tuple(sha256(bertini_images(config, seed).encode()).hexdigest()
-                    for seed, config in enumerate(configs, start=1))
-    assert digests == BERTINI_IMAGES_SHA256
+    assert image_digests("bertini") == BERTINI_IMAGES_SHA256
+
+
+def test_geiser_images_are_pinned():
+    assert image_digests("geiser") == GEISER_IMAGES_SHA256
+
+
+@pytest.mark.parametrize("kind", DEL_PEZZO)
+def test_fixed_curves_are_pinned(kind):
+    digests = tuple(sha256(str(inv.fixed_curve).encode()).hexdigest() for inv in pinned_involutions(kind))
+    assert digests == FIXED_CURVE_SHA256[kind]
 
 
 def test_bertini_fixed_curve_divides_the_jacobians_of_the_sextics(bertini):
@@ -447,19 +505,19 @@ def test_net_restriction_dimensions(geiser, bertini):
     # the members of the net of cubics through x: a pencil, spanned by the
     # two coefficient vectors orthogonal to the net's values at x
     values = [g.eval(x.coords) for g in geiser.space]
-    assert geiser._values(x) == values
+    assert geiser._through(x)[1] == values
     members = _perp_basis(values)
     assert matrix_rank(members) == 2 == len(kernel_basis([values]))
     assert all(sum(c * v for c, v in zip(m, values)) == 0 for m in members)
     # the members of the space of 4 sextics through x: a net
-    vx = bertini._values(x)
+    vx = bertini._through(x)[1]
     assert vx == [s.eval(x.coords) for s in bertini.space]
     assert len(kernel_basis([vx])) == 3
     # at a base point the restriction degenerates
-    with pytest.raises(ValidationError):
-        geiser._values(geiser.config.points[0])
-    with pytest.raises(ValidationError):
-        bertini._values(bertini.config.points[0])
+    with pytest.raises(IndeterminacyError):
+        geiser._through(geiser.config.points[0])
+    with pytest.raises(IndeterminacyError):
+        bertini._through(bertini.config.points[0])
 
 
 def test_involutions_commute_with_relabeling(seven_config):

@@ -73,7 +73,7 @@ def six_sample_fit(inv):
     octics = triple_point_octics(inv.config.points)
     stream = SplitMix64(0x6A09E667F3BCC908)
     samples = []
-    for x in inv._candidates(stream, 6):
+    for x in inv._candidates(stream):
         try:
             samples.append((x, inv.eval(x)))
         except ValidationError:
@@ -182,7 +182,7 @@ def drawing_from(inv, stream):
     """inv, with its sample points drawn from stream in place of the stream
     interpolated_map passes."""
     draws = inv._candidates
-    inv._candidates = lambda _stream, count: draws(stream, count)
+    inv._candidates = lambda _stream: draws(stream)
     return inv
 
 
@@ -237,20 +237,20 @@ def test_sample_on_a_contracted_cubic_is_skipped(geiser):
     draws = inv._candidates
     calls = []
 
-    def candidates(stream, count):
-        calls.append(count)
-        return chain([on_c1] if len(calls) == 1 else [], draws(stream, count))
+    def candidates(stream):
+        calls.append(stream)
+        return chain([on_c1], draws(stream))
 
     inv._candidates = candidates
     assert inv.interpolated_map.components == geiser.interpolated_map.components
-    # one draw for the sample, then the frame's draws for three more points
-    assert calls == [1, 3]
+    # one draw stream for the sample and the frame
+    assert len(calls) == 1
 
 
 def seeded_pairs(inv, seed):
     """Points drawn from a seeded stream with their images, as
     interpolated_map draws the frame of its certificate."""
-    return inv._images(inv._candidates(SplitMix64(seed), 3))
+    return inv._images(inv._candidates(SplitMix64(seed)))
 
 
 def refusal(inv, sigma, seed):

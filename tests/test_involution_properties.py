@@ -393,10 +393,10 @@ def test_ninth_point_is_the_ninth_base_point_of_the_cubic_pencil(pts):
 def test_fit_check_refuses_a_wrong_map(pts, seed):
     inv = GeiserInvolution(make_point_config(pts, "geiser"))
     sigma = inv.interpolated_map
-    inv.certify_map(sigma, inv._images(inv._candidates(SplitMix64(seed), 3)))
+    inv.certify_map(sigma, inv._images(inv._candidates(SplitMix64(seed))))
     f1, f2, f3 = sigma.components
     try:
-        inv.certify_map(RationalMap(f2, f1, f3), inv._images(inv._candidates(SplitMix64(seed), 3)))
+        inv.certify_map(RationalMap(f2, f1, f3), inv._images(inv._candidates(SplitMix64(seed))))
     except ValidationError as exc:
         assert exc.reason == "interpolation failed"
     else:

@@ -148,7 +148,7 @@ def test_exceptional_class_counts(n):
 @pytest.mark.parametrize("n", list(range(1, 9)))
 def test_exceptional_classes_confirmed_by_widened_oracle(n):
     lat = make_lattice(n)
-    assert exceptional_classes_bruteforce(lat, widen=2) == exceptional_classes(lat)
+    assert exceptional_classes_bruteforce(lat) == exceptional_classes(lat)
 
 
 def test_small_cases_by_hand():

@@ -207,7 +207,9 @@ def kernel_center(sigma):
     m1, m2, m3 = identity_minors(sigma.components)
     cross = (m3, -m2, m1)
     monomials = sorted(set().union(*(c.terms for c in cross)))
-    basis = kernel_basis([[c.terms.get(e, 0) for c in cross] for e in monomials], 3)
+    if not monomials:           # x cross sigma(x) = 0: the kernel is the whole plane
+        return None
+    basis = kernel_basis([[c.terms.get(e, 0) for c in cross] for e in monomials])
     return ProjPoint(*basis[0]) if len(basis) == 1 else None
 
 

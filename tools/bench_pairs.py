@@ -14,20 +14,24 @@ against the metric's bound (VERDICTS). With
 --traced-seed N, one `--trace 1` run of each workload at seed N on each side
 adds, as traced_<workload>_seed_<N>, the per-layer calls and self time per op
 of every layer that ran. src_lines gives each side's line count of
-src/**/*.py, for the net lines a change adds or removes. PARENT_DIR must be
-the root of a git checkout (`git worktree add` or `git clone`), whose commit
-the output names as parent; any other directory is refused before a run
-starts.
+src/**/*.py, for the net lines a change adds or removes, and src_code_lines
+the count of those lines that hold code: a token outside comments and
+docstrings. PARENT_DIR must be the root of a git checkout (`git worktree
+add` or `git clone`), whose commit the output names as parent; any other
+directory is refused before a run starts.
 
 Nothing is imported from perfbench/; the runs are subprocesses.
 """
 
 import argparse
+import ast
+import io
 import json
 import os
 import platform
 import subprocess
 import sys
+import tokenize
 from statistics import median, quantiles
 
 SECONDS = 25
@@ -145,15 +149,46 @@ def traced_workload(parent, change, workload, seed):
     return out
 
 
-def src_lines(checkout):
-    """Lines of the Python files under the checkout's src/."""
-    total = 0
+def _src_texts(checkout):
+    """The text of each Python file under the checkout's src/."""
     for root, _dirs, files in os.walk(os.path.join(checkout, "src")):
         for name in files:
             if name.endswith(".py"):
                 with open(os.path.join(root, name), encoding="utf-8") as fh:
-                    total += sum(1 for _ in fh)
-    return total
+                    yield fh.read()
+
+
+def src_lines(checkout):
+    """Lines of the Python files under the checkout's src/."""
+    return sum(sum(1 for _ in io.StringIO(text)) for text in _src_texts(checkout))
+
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+             tokenize.ENDMARKER, tokenize.ENCODING}
+
+
+def code_lines(text):
+    """Lines of Python source that hold a token outside comments and
+    module, class or function docstrings; blank lines hold none."""
+    docstrings = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                docstrings.append(range(first.lineno, first.end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type in _NOT_CODE or tok.type == tokenize.STRING and any(tok.start[0] in d for d in docstrings):
+            continue
+        lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
+def src_code_lines(checkout):
+    """code_lines of the Python files under the checkout's src/: the lines
+    a change adds or removes, not counting comments and docstrings."""
+    return sum(code_lines(text) for text in _src_texts(checkout))
 
 
 def git_rev(checkout):
@@ -190,6 +225,7 @@ def main(argv=None):
                 f"{len(args.seeds)} pairs per workload, alternating which side runs first",
         "parent": parent_rev,
         "src_lines": {"parent": src_lines(parent), "change": src_lines(change)},
+        "src_code_lines": {"parent": src_code_lines(parent), "change": src_code_lines(change)},
         "pairs_won": "pairs of the same seed in which the change reads better; ties count for neither",
         "iqr": "first and third quartiles, Python statistics.quantiles(n=4), exclusive method",
         "verdict": VERDICTS,
