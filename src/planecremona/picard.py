@@ -12,14 +12,28 @@ E^2 = E.K = -1 must satisfy ME != E and E.(ME) >= 1. On a Del Pezzo lattice
 (n <= 8) every such class is the class of an actual exceptional curve, so
 the test decides minimality of the geometric pair; that is this module's
 validity domain.
+
+The test reads E.(ME) off the eigenspaces V+ = ker(M - I) and
+V- = ker(M + I). They are orthogonal, and E = E+ + E- with
+E+- = (E +- ME)/2, so with E^2 = -1
+
+    E.(ME) = E+^2 - E-^2 = 2 E+^2 + 1 = -1 - 2 E-^2.
+
+K lies in V+, so V- lies in K's orthogonal, which is negative definite
+for n <= 8 (K^2 = 9 - n > 0 on a form of signature (1, n)). Hence
+E-^2 <= 0, with equality exactly when E- = 0, that is ME = E: E.(ME) >= -1
+on every exceptional class, a fixed class is exactly E.(ME) = -1, and a
+moved class fails exactly at E.(ME) = 0. Each square is a sum over an
+orthogonal basis of the smaller eigenspace, of rank at most 4.
 """
 
-from math import isqrt
+from functools import cached_property
+from math import isqrt, lcm
 from operator import mul
 from typing import NamedTuple
 
 from .errors import ValidationError
-from .exactpoly import kernel_basis
+from .exactpoly import kernel_basis, primitive
 
 LABEL_FIBRATION = "(i)/(ii) fibration"
 LABEL_PLANE = "(iii)"
@@ -116,8 +130,12 @@ class LatticeInvolution:
     def __repr__(self):
         return "LatticeInvolution(lattice={!r}, matrix={!r})".format(*self._key())
 
-    def apply(self, v):
-        return _mat_vec(self.matrix, v)
+    @cached_property
+    def fixed_basis(self) -> tuple:
+        """Primitive integer basis of the fixed sublattice ker(M - I)."""
+        m = self.matrix
+        r = len(m)
+        return tuple(kernel_basis([[m[i][j] - (i == j) for j in range(r)] for i in range(r)]))
 
 
 def reflection_through(lat: PicLattice, alpha) -> tuple:
@@ -167,10 +185,7 @@ def anti_reflection_in_k(lat: PicLattice) -> LatticeInvolution:
 
 def fixed_rank(inv: LatticeInvolution) -> int:
     """Rank of the fixed sublattice: kernel of M - I over the rationals."""
-    m = inv.matrix
-    r = inv.lattice.rank
-    rows = [[m[i][j] - (1 if i == j else 0) for j in range(r)] for i in range(r)]
-    return len(kernel_basis(rows))
+    return len(inv.fixed_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -193,27 +208,50 @@ def _degree_bounds(n: int):
 _ORACLE_WIDEN = 2
 
 
-def _fill_classes(a: int, n: int, rem_sum: int, rem_sq: int, prefix, out):
-    """Enumerate integer tails c with sum(c) = rem_sum, sum(c^2) = rem_sq."""
-    slots = n - len(prefix)
+def _tails(rem_sum: int, rem_sq: int, slots: int, top: int, prefix: tuple, out: list):
+    """Non-increasing integer tails c, each entry at most top, with
+    sum(c) = rem_sum and sum(c^2) = rem_sq."""
     if slots == 0:
         if rem_sum == 0 and rem_sq == 0:
-            out.append((a,) + tuple(prefix))
+            out.append(prefix)
         return
     # Cauchy-Schwarz feasibility for the remaining block
     if rem_sq < 0 or rem_sum * rem_sum > slots * rem_sq:
         return
-    top = isqrt(rem_sq)
-    for c in range(-top, top + 1):
-        _fill_classes(a, n, rem_sum - c, rem_sq - c * c, prefix + [c], out)
+    r = isqrt(rem_sq)
+    # the first entry is the largest, so at least the mean
+    for c in range(max(-r, -(-rem_sum // slots)), min(r, top) + 1):
+        _tails(rem_sum - c, rem_sq - c * c, slots - 1, c, prefix + (c,), out)
+
+
+def _orderings(values: tuple) -> list:
+    """The distinct permutations of a non-decreasing tuple, in lexicographic
+    order: each next one by the standard next-permutation step."""
+    p = list(values)
+    out = [values]
+    n = len(p)
+    while True:
+        i = n - 2
+        while i >= 0 and p[i] >= p[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = n - 1
+        while p[j] <= p[i]:
+            j -= 1
+        p[i], p[j] = p[j], p[i]
+        p[i + 1:] = p[:i:-1]
+        out.append(tuple(p))
 
 
 def exceptional_classes(lat: PicLattice):
     """All classes with E^2 = -1 and E.K = -1, deterministically ordered.
 
-    Exhaustive search: for each H-degree a in the proven window, integer
-    vectors c with sum c_i = 1 - 3a and sum c_i^2 = a^2 + 1. Only blow-up
-    lattices with n <= 8 are supported (beyond that the list is infinite).
+    Exhaustive search: for each H-degree a in the proven window, the
+    non-increasing integer tails c with sum c_i = 1 - 3a and
+    sum c_i^2 = a^2 + 1, each expanded into its distinct orderings. Only
+    blow-up lattices with n <= 8 are supported (beyond that the list is
+    infinite).
     """
     if lat.kind != "blowup":
         raise ValidationError("bad lattice", "exceptional classes need a blow-up lattice")
@@ -225,7 +263,10 @@ def exceptional_classes(lat: PicLattice):
     out: list = []
     lo, hi = _degree_bounds(n)
     for a in range(lo, hi + 1):
-        _fill_classes(a, n, 1 - 3 * a, a * a + 1, [], out)
+        tails: list = []
+        _tails(1 - 3 * a, a * a + 1, n, isqrt(a * a + 1), (), tails)
+        for tail in tails:
+            out += [(a,) + c for c in _orderings(tail[::-1])]
     out.sort()
     return out
 
@@ -284,22 +325,54 @@ class MinimalityResult(NamedTuple):
         return d
 
 
+def _orthogonal_basis(lat: PicLattice, vectors) -> list:
+    """Integer Gram-Schmidt: primitive, pairwise orthogonal vectors spanning
+    the same space, the zero remainders of dependent vectors dropped. No
+    remainder may be isotropic: the first vector is not, and the others are
+    taken in a definite space."""
+    basis = []
+    for v in vectors:
+        for b in basis:
+            vb, bb = lat.dot(v, b), lat.dot(b, b)
+            v = tuple(bb * x - vb * y for x, y in zip(v, b))
+        if any(v):
+            basis.append(tuple(primitive(v)))
+    return basis
+
+
+def _smaller_eigenbasis(lat: PicLattice, inv: LatticeInvolution):
+    """(sign, orthogonal basis) of the smaller eigenspace of M: (+1, V+)
+    with K first, or (-1, V-) read off the columns of M - I, which span
+    ker(M + I) because M^2 = I."""
+    m = inv.matrix
+    r = lat.rank
+    if 2 * len(inv.fixed_basis) <= r:
+        return 1, _orthogonal_basis(lat, [lat.k, *inv.fixed_basis])
+    return -1, _orthogonal_basis(lat, [tuple(m[i][j] - (i == j) for i in range(r)) for j in range(r)])
+
+
 def is_minimal(lat: PicLattice, inv: LatticeInvolution) -> MinimalityResult:
     """Blow-down criterion on classes: minimal iff every exceptional class E
-    has ME != E and E.(ME) >= 1; otherwise the witness and the failed
-    condition are returned. E.(ME) is E against (GM)E, with G the Gram
-    matrix and GM formed once."""
+    has ME != E and E.(ME) >= 1; otherwise the first failing class, its
+    image and the failed condition are returned.
+
+    E.(ME) = +-(1 + 2 sum_i (E.b_i)^2 / b_i^2) over the orthogonal basis b
+    of the smaller eigenspace, V+ or V-; see the module docstring. The sum
+    is taken in integers, each term weighted by D / b_i^2 for D the lcm of
+    the |b_i^2|, and the division by D is exact. ME is formed only for the
+    witness."""
     if lat.kind == "quadric":
         return MinimalityResult(True)
-    m = inv.matrix
-    gm = _mat_mul(lat.gram, m)
-    for e in exceptional_classes(lat):
-        me = _mat_vec(m, e)
-        prod = sum(map(mul, e, _mat_vec(gm, e)))
-        if me == e:
-            return MinimalityResult(False, e, me, "fixed", prod)
+    classes = exceptional_classes(lat)
+    sign, basis = _smaller_eigenbasis(lat, inv)
+    squares = [lat.dot(b, b) for b in basis]
+    d = lcm(*squares)
+    forms = [(d // b2, _mat_vec(lat.gram, b)) for b2, b in zip(squares, basis)]
+    for e in classes:
+        prod = sign * (d + 2 * sum(w * sum(map(mul, e, gb)) ** 2 for w, gb in forms)) // d
         if prod <= 0:
-            return MinimalityResult(False, e, me, "disjoint", prod)
+            failure = "fixed" if prod == -1 else "disjoint"
+            return MinimalityResult(False, e, _mat_vec(inv.matrix, e), failure, prod)
     return MinimalityResult(True)
 
 

@@ -200,7 +200,11 @@ def calls():
         ["lattice", "classify", "--n", "3", "--matrix-file", "tests/data/lattice3_nonminimal.txt"],
         ["lattice", "classify", "--quadric", "--matrix-file", "tests/data/quadric_swap.txt"],
     ]
-    out += [["lattice", "exceptionals", "--n", str(n), "--oracle"] for n in range(1, 7)]
+    out += [["lattice", "exceptionals", "--n", str(n), "--oracle"] for n in range(1, 9)]
+    # the anti-reflection in K at n = 8, and de Jonquieres pairs of degree 2, 3, 4
+    for n, name in ((8, "bertini"), (3, "dj2"), (5, "dj3"), (7, "dj4")):
+        for action in ("minimal", "classify"):
+            out.append(["lattice", action, "--n", str(n), "--matrix-file", f"tests/data/lattice{n}_{name}.txt"])
     return out
 
 

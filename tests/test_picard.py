@@ -1,13 +1,19 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+from planecremona.cli import parse_matrix_file
 from planecremona.errors import ValidationError
 from planecremona.exactpoly import kernel_basis
 from planecremona.picard import (
     LatticeInvolution,
     MinimalityResult,
+    _identity,
+    _mat_mul,
+    _mat_vec,
+    _smaller_eigenbasis,
     anti_reflection_in_k,
     classify_pair,
     exceptional_classes,
@@ -24,22 +30,27 @@ EXPECTED_COUNTS = {1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 CREMONA_N3 = ((2, 1, 1, 1), (-1, 0, -1, -1), (-1, -1, 0, -1), (-1, -1, -1, 0))
 
 
-def dj3_conic_bundle_involution():
-    """Involution of the 5-point blow-up lattice modeling a degree-3
-    de Jonquieres pair: fibres H - E_p are preserved, the four simple base
-    points swap with their residual fibre components, the center's class
-    goes to the conic through all five points."""
-    lat = make_lattice(5)
-    cols = [
-        (3, -2, -1, -1, -1, -1),   # H
-        (2, -1, -1, -1, -1, -1),   # E_p
-    ]
-    for i in range(4):
-        v = [1, -1, 0, 0, 0, 0]
+def dj_lattice_involution(d):
+    """Involution of the (2d-1)-point blow-up lattice, basis
+    (H, E_0, E_1, ..., E_{2d-2}), modeling a degree-d de Jonquieres pair
+    with center E_0: sigma H = dH - (d-1)E_0 - sum E_i,
+    sigma E_0 = (d-1)H - (d-2)E_0 - sum E_i and sigma E_i = H - E_0 - E_i.
+    Fibres H - E_0 are preserved, each simple base point swaps with its
+    residual fibre component."""
+    n = 2 * d - 1
+    cols = [(d, 1 - d) + (-1,) * (n - 1), (d - 1, 2 - d) + (-1,) * (n - 1)]
+    for i in range(n - 1):
+        v = [1, -1] + [0] * (n - 1)
         v[2 + i] -= 1
         cols.append(tuple(v))
-    m = tuple(tuple(cols[j][i] for j in range(6)) for i in range(6))
-    return lat, LatticeInvolution(lat, m)
+    lat = make_lattice(n)
+    return lat, LatticeInvolution(lat, tuple(zip(*cols)))
+
+
+def dj3_conic_bundle_involution():
+    """The degree-3 pair on the 5-point blow-up lattice: the center's class
+    goes to the conic through all five points."""
+    return dj_lattice_involution(3)
 
 
 # -- lattices -----------------------------------------------------------------------
@@ -68,21 +79,15 @@ def test_reflection_negates_alpha_and_fixes_orthogonal():
     lat = make_lattice(7)
     alpha = lat.k  # K^2 = 2
     m = reflection_through(lat, alpha)
-    from planecremona.picard import _mat_vec
-
     assert _mat_vec(m, alpha) == tuple(-v for v in alpha)
     # orthogonal vector: E_1 - E_2
     v = (0, 1, -1, 0, 0, 0, 0, 0)
     assert lat.dot(alpha, v) == 0
     assert _mat_vec(m, v) == v
-    from planecremona.picard import _identity, _mat_mul
-
     assert _mat_mul(m, m) == _identity(8)
 
 
 def test_reflection_in_a_root_swaps_e1_and_e2():
-    from planecremona.picard import _identity, _mat_mul, _mat_vec
-
     lat = make_lattice(3)
     alpha = (0, 1, -1, 0)  # E_1 - E_2, square -2
     m = reflection_through(lat, alpha)
@@ -115,7 +120,7 @@ def test_anti_reflection_properties(n):
     # fixed sublattice is exactly the span of K
     assert any(b == tuple(s * v for v in lat.k) or lat.k == tuple(s * v for v in b)
                for s in (1, -1))
-    assert inv.apply(lat.k) == lat.k
+    assert _mat_vec(inv.matrix, lat.k) == lat.k
 
 
 def test_anti_reflection_sends_exceptionals_to_exceptionals():
@@ -123,9 +128,9 @@ def test_anti_reflection_sends_exceptionals_to_exceptionals():
     inv = anti_reflection_in_k(lat)
     cls = exceptional_classes(lat)
     e1 = (0, 1, 0, 0, 0, 0, 0, 0)
-    img = inv.apply(e1)
+    img = _mat_vec(inv.matrix, e1)
     assert lat.dot(img, img) == -1 and lat.dot(img, lat.k) == -1
-    assert sorted(tuple(inv.apply(e)) for e in cls) == cls
+    assert sorted(_mat_vec(inv.matrix, e) for e in cls) == cls
 
 
 def test_anti_reflection_needs_low_degree():
@@ -145,7 +150,7 @@ def test_exceptional_class_counts(n):
         assert lat.dot(e, lat.k) == -1
 
 
-@pytest.mark.parametrize("n", list(range(1, 9)))
+@pytest.mark.parametrize("n", list(range(0, 9)))
 def test_exceptional_classes_confirmed_by_widened_oracle(n):
     lat = make_lattice(n)
     assert exceptional_classes_bruteforce(lat) == exceptional_classes(lat)
@@ -228,8 +233,6 @@ def test_classification_stable_under_basis_permutation():
         idx = [0, 1] + [2 + p for p in perm]
         p_mat = tuple(tuple(1 if j == idx[i] else 0 for j in range(6)) for i in range(6))
         p_inv = tuple(tuple(1 if i == idx[j] else 0 for j in range(6)) for i in range(6))
-        from planecremona.picard import _mat_mul
-
         conj = _mat_mul(p_mat, _mat_mul(inv.matrix, p_inv))
         inv2 = LatticeInvolution(lat, conj)
         assert classify_pair(lat, inv2).label == base_label
@@ -307,6 +310,44 @@ def test_is_minimal_equals_the_loop_it_replaced():
             outcomes.add(res.failure)
     outcomes.add(is_minimal(*dj3_conic_bundle_involution()).failure)
     assert outcomes == {None, "fixed", "disjoint"}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_is_minimal_equals_the_loop_on_de_jonquieres_pairs(d):
+    lat, inv = dj_lattice_involution(d)
+    res = is_minimal(lat, inv)
+    assert res == _loop_is_minimal(lat, inv)
+    assert res.minimal == (d > 2)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_de_jonquieres_matrix_files_hold_the_model(d):
+    lat, inv = dj_lattice_involution(d)
+    path = Path(__file__).parent / "data" / f"lattice{lat.n}_dj{d}.txt"
+    assert parse_matrix_file(str(path)) == inv.matrix
+
+
+def test_anti_reflection_reads_the_fixed_line_of_k():
+    for n in (7, 8):
+        lat = make_lattice(n)
+        sign, basis = _smaller_eigenbasis(lat, anti_reflection_in_k(lat))
+        assert sign == 1 and basis == [tuple(-v for v in lat.k)]
+
+
+def test_root_reflection_reads_its_root():
+    for n in range(2, 9):
+        lat = make_lattice(n)
+        inv = LatticeInvolution(lat, reflection_through(lat, _root(n, 1, 2)))
+        assert _smaller_eigenbasis(lat, inv) == (-1, [_root(n, 1, 2)])
+
+
+def test_identity_has_no_moved_part_and_fails_fixed_first():
+    for n in range(1, 9):
+        lat = make_lattice(n)
+        ident = LatticeInvolution(lat, _identity(n + 1))
+        assert _smaller_eigenbasis(lat, ident) == (-1, [])
+        first = exceptional_classes(lat)[0]
+        assert is_minimal(lat, ident) == MinimalityResult(False, first, first, "fixed", -1)
 
 
 def test_involution_validation_rejects_bad_matrices():
