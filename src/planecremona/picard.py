@@ -23,8 +23,9 @@ K lies in V+, so V- lies in K's orthogonal, which is negative definite
 for n <= 8 (K^2 = 9 - n > 0 on a form of signature (1, n)). Hence
 E-^2 <= 0, with equality exactly when E- = 0, that is ME = E: E.(ME) >= -1
 on every exceptional class, a fixed class is exactly E.(ME) = -1, and a
-moved class fails exactly at E.(ME) = 0. Each square is a sum over an
-orthogonal basis of the smaller eigenspace, of rank at most 4.
+moved class fails exactly at E.(ME) = 0. E+^2 is a sum over an
+orthogonal basis of V+ started from K: rank 1, K alone, for the
+anti-reflection in K of the Geiser and Bertini cases.
 """
 
 from functools import cached_property
@@ -340,36 +341,25 @@ def _orthogonal_basis(lat: PicLattice, vectors) -> list:
     return basis
 
 
-def _smaller_eigenbasis(lat: PicLattice, inv: LatticeInvolution):
-    """(sign, orthogonal basis) of the smaller eigenspace of M: (+1, V+)
-    with K first, or (-1, V-) read off the columns of M - I, which span
-    ker(M + I) because M^2 = I."""
-    m = inv.matrix
-    r = lat.rank
-    if 2 * len(inv.fixed_basis) <= r:
-        return 1, _orthogonal_basis(lat, [lat.k, *inv.fixed_basis])
-    return -1, _orthogonal_basis(lat, [tuple(m[i][j] - (i == j) for i in range(r)) for j in range(r)])
-
-
 def is_minimal(lat: PicLattice, inv: LatticeInvolution) -> MinimalityResult:
     """Blow-down criterion on classes: minimal iff every exceptional class E
     has ME != E and E.(ME) >= 1; otherwise the first failing class, its
     image and the failed condition are returned.
 
-    E.(ME) = +-(1 + 2 sum_i (E.b_i)^2 / b_i^2) over the orthogonal basis b
-    of the smaller eigenspace, V+ or V-; see the module docstring. The sum
-    is taken in integers, each term weighted by D / b_i^2 for D the lcm of
-    the |b_i^2|, and the division by D is exact. ME is formed only for the
+    E.(ME) = 1 + 2 sum_i (E.b_i)^2 / b_i^2 over the orthogonal basis b of
+    V+ = ker(M - I) with b_1 = K; see the module docstring. The sum is taken
+    in integers, each term weighted by D / b_i^2 for D the lcm of the
+    |b_i^2|, and the division by D is exact. ME is formed only for the
     witness."""
     if lat.kind == "quadric":
         return MinimalityResult(True)
     classes = exceptional_classes(lat)
-    sign, basis = _smaller_eigenbasis(lat, inv)
+    basis = _orthogonal_basis(lat, [lat.k, *inv.fixed_basis])
     squares = [lat.dot(b, b) for b in basis]
     d = lcm(*squares)
     forms = [(d // b2, _mat_vec(lat.gram, b)) for b2, b in zip(squares, basis)]
     for e in classes:
-        prod = sign * (d + 2 * sum(w * sum(map(mul, e, gb)) ** 2 for w, gb in forms)) // d
+        prod = (d + 2 * sum(w * sum(map(mul, e, gb)) ** 2 for w, gb in forms)) // d
         if prod <= 0:
             failure = "fixed" if prod == -1 else "disjoint"
             return MinimalityResult(False, e, _mat_vec(inv.matrix, e), failure, prod)

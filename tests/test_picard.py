@@ -13,7 +13,7 @@ from planecremona.picard import (
     _identity,
     _mat_mul,
     _mat_vec,
-    _smaller_eigenbasis,
+    _orthogonal_basis,
     anti_reflection_in_k,
     classify_pair,
     exceptional_classes,
@@ -327,25 +327,46 @@ def test_de_jonquieres_matrix_files_hold_the_model(d):
     assert parse_matrix_file(str(path)) == inv.matrix
 
 
+def _fixed_orthogonal_basis(lat, inv):
+    """The basis is_minimal sums over: V+ = ker(M - I), Gram-Schmidt from K."""
+    return _orthogonal_basis(lat, [lat.k, *inv.fixed_basis])
+
+
+def _assert_orthogonal_fixed_basis(lat, inv, basis):
+    assert basis[0] == tuple(-v for v in lat.k)
+    for i, b in enumerate(basis):
+        assert _mat_vec(inv.matrix, b) == b
+        assert lat.dot(b, b) != 0
+        assert all(lat.dot(b, c) == 0 for c in basis[:i])
+
+
 def test_anti_reflection_reads_the_fixed_line_of_k():
     for n in (7, 8):
         lat = make_lattice(n)
-        sign, basis = _smaller_eigenbasis(lat, anti_reflection_in_k(lat))
-        assert sign == 1 and basis == [tuple(-v for v in lat.k)]
+        inv = anti_reflection_in_k(lat)
+        basis = _fixed_orthogonal_basis(lat, inv)
+        assert basis == [tuple(-v for v in lat.k)]
+        _assert_orthogonal_fixed_basis(lat, inv, basis)
 
 
-def test_root_reflection_reads_its_root():
+def test_root_reflection_reads_k_and_the_roots_orthogonal_part():
     for n in range(2, 9):
         lat = make_lattice(n)
-        inv = LatticeInvolution(lat, reflection_through(lat, _root(n, 1, 2)))
-        assert _smaller_eigenbasis(lat, inv) == (-1, [_root(n, 1, 2)])
+        root = _root(n, 1, 2)
+        inv = LatticeInvolution(lat, reflection_through(lat, root))
+        basis = _fixed_orthogonal_basis(lat, inv)
+        assert len(basis) == n
+        _assert_orthogonal_fixed_basis(lat, inv, basis)
+        assert all(lat.dot(b, root) == 0 for b in basis)
 
 
-def test_identity_has_no_moved_part_and_fails_fixed_first():
+def test_identity_reads_the_whole_lattice_and_fails_fixed_first():
     for n in range(1, 9):
         lat = make_lattice(n)
         ident = LatticeInvolution(lat, _identity(n + 1))
-        assert _smaller_eigenbasis(lat, ident) == (-1, [])
+        basis = _fixed_orthogonal_basis(lat, ident)
+        assert len(basis) == n + 1
+        _assert_orthogonal_fixed_basis(lat, ident, basis)
         first = exceptional_classes(lat)[0]
         assert is_minimal(lat, ident) == MinimalityResult(False, first, first, "fixed", -1)
 
