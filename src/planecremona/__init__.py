@@ -30,7 +30,6 @@ from .involutions import (
     PointConfig,
     cubic_system,
     dj_from_conic,
-    make_dj_instance,
     make_point_config,
     sextic_system,
     validate_dj,

@@ -20,7 +20,8 @@ Input grammars:
                 exponents i, j, k, all written with the ASCII digits 0-9; the
                 '*' between coefficient and variables and between variables
                 is optional; all terms must have the same total degree
-  points        (a:b:c) with rational entries, not all zero
+  points        (a:b:c) with entries n or n/m, n a signed and m an unsigned
+                run of the ASCII digits 0-9, not all zero
   maps          --map takes three ';'-separated components; one whose first
                 component starts with '-' must be written --map=-x;y;z,
                 since argparse reads "--map -x;y;z" as a new option.
@@ -28,7 +29,9 @@ Input grammars:
                 list of three such strings
   point files   one point per line, '#' comments allowed
   matrix files  whitespace-separated integers, row-major, first line = rank
-  integer lists --alpha takes comma-separated integers
+  integer lists --alpha takes comma-separated integers; an integer, here,
+                in matrix files and in --n, is an optional sign and a run
+                of the ASCII digits 0-9
 """
 
 import argparse
@@ -40,7 +43,7 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import IndeterminacyError, ValidationError
-from .exactpoly import HPoly, format_hpoly, rat
+from .exactpoly import HPoly, format_hpoly
 from . import configs, fixedcurve, involutions, picard
 from .projmaps import ProjPoint, RationalMap, is_involution
 
@@ -66,6 +69,11 @@ _TERM = re.compile(
 # '^', "" for a '^' without digits) and a trailing '*'
 _FACTOR = re.compile(r"\s*([xyz])(?:\s*\^\s*([0-9]*))?(\s*\*)?")
 _VAR_INDEX = {"x": 0, "y": 1, "z": 2}
+# numbers outside polynomials, in the same ASCII digits: int() and
+# Fraction() alone also read other Unicode digits, '_', exponents and
+# decimal points
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
 def _syntax_error(message: str, pos: int, text: str):
@@ -128,6 +136,22 @@ def _parse_form(text: str) -> HPoly:
     return HPoly._make(degree, {e: c for e, c in acc.items() if c != 0})
 
 
+def ascii_int(text: str) -> int:
+    """An integer of the grammar; ValueError for anything else."""
+    if _INTEGER.fullmatch(text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def _rational(text: str) -> Fraction:
+    """n or n/m of the grammar; ValueError for anything else."""
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise ValueError(f"not a rational number: {text!r}")
+    num, den = m.groups()
+    return Fraction(int(num), int(den or 1))
+
+
 def parse_point(text: str) -> ProjPoint:
     """Parse '(a:b:c)' with rational entries into a canonical point."""
     s = text.strip()
@@ -137,7 +161,7 @@ def parse_point(text: str) -> ProjPoint:
     if len(parts) != 3:
         raise ValidationError("syntax error", f"point needs three coordinates: {text!r}")
     try:
-        vals = [rat(p) for p in parts]
+        vals = [_rational(p) for p in parts]
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError("syntax error", f"bad coordinate in {text!r}: {exc}") from None
     return ProjPoint(*vals)
@@ -146,7 +170,7 @@ def parse_point(text: str) -> ProjPoint:
 def parse_int_list(text: str) -> tuple:
     """Parse a comma-separated list of integers."""
     try:
-        return tuple(int(v) for v in text.split(","))
+        return tuple(ascii_int(v) for v in text.split(","))
     except ValueError:
         raise ValidationError(
             "syntax error", f"expected comma-separated integers: {text!r}"
@@ -187,7 +211,7 @@ def parse_matrix_file(path: str):
     if not tokens:
         raise ValidationError("syntax error", "empty matrix file")
     try:
-        rank, *vals = (int(t) for t in tokens)
+        rank, *vals = (ascii_int(t) for t in tokens)
     except ValueError:
         raise ValidationError("syntax error", "the matrix file holds a token that is not an integer") from None
     if len(vals) != rank * rank:
@@ -479,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
                             ("minimal", _cmd_lattice_minimal), ("classify", _cmd_lattice_classify)):
         p = actions.add_parser(action)
         which = p.add_mutually_exclusive_group()
-        which.add_argument("--n", type=int, help="number of blown-up points")
+        which.add_argument("--n", type=ascii_int, help="number of blown-up points")
         which.add_argument("--quadric", action="store_true", help="use the rank-2 quadric model")
         if action == "reflect":
             p.add_argument("--alpha", help="comma-separated class to reflect through")

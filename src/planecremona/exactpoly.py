@@ -57,23 +57,24 @@ def _norm_coeff(c):
 def primitive(values) -> list:
     """The normal form of a vector of rationals up to a nonzero scalar:
     coprime integers whose first nonzero entry is positive. The zero vector
-    is returned unchanged."""
+    is returned as zeros."""
     values = list(values)
-    if not all(type(v) is int for v in values):
+    try:
+        g = igcd(*values)
+    except TypeError:                         # a Fraction or another non-integer
         fracs = [Fraction(v) for v in values]
         den = lcm(*(f.denominator for f in fracs))
         values = [f.numerator * (den // f.denominator) for f in fracs]
-    g = igcd(*values)
+        g = igcd(*values)
     if g == 0:
-        return values
-    if next(v for v in values if v) < 0:
-        g = -g
-    return values if g == 1 else [v // g for v in values]
-
-
-def rat(text: str) -> Fraction:
-    """Parse 'p' or 'p/q' into an exact rational."""
-    return Fraction(text.strip())
+        return [0] * len(values)
+    for v in values:
+        if v:
+            if v < 0:
+                g = -g
+            break
+    # divided even by 1: gcd takes bools too, and the entries must be plain ints
+    return [v // g for v in values]
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ from .exactpoly import (
     values_at,
 )
 from .projmaps import (
-    PencilForm, ProjPoint, RationalMap, collinear, frame_moving_to_center, pencil_form_at,
+    PencilForm, ProjPoint, RationalMap, collinear, pencil_form_at,
 )
 from .rng import SplitMix64
 
@@ -421,7 +421,11 @@ _MEMBERS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, -1),
 class _Cubic:
     """Integer plane cubic held as the rows of its three partial derivatives
     over the quadric monomials x^2, xy, xz, y^2, yz, z^2 (partial_rows), so
-    that a gradient costs a few products."""
+    that a gradient costs a few products.
+
+    grad and third are written out on purpose, on unpacked coordinates and
+    without generators, cross or dot: they are most of the self time of a
+    Geiser or Bertini evaluation."""
 
     __slots__ = ("rows",)
 
@@ -444,9 +448,11 @@ class _Cubic:
 
     def grad(self, p):
         a, b, c = p
-        q = (a * a, a * b, a * c, b * b, b * c, c * c)
-        return tuple(r[0] * q[0] + r[1] * q[1] + r[2] * q[2] + r[3] * q[3] + r[4] * q[4] + r[5] * q[5]
-                     for r in self.rows)
+        aa, ab, ac, bb, bc, cc = a * a, a * b, a * c, b * b, b * c, c * c
+        r, s, t = self.rows
+        return (r[0] * aa + r[1] * ab + r[2] * ac + r[3] * bb + r[4] * bc + r[5] * cc,
+                s[0] * aa + s[1] * ab + s[2] * ac + s[3] * bb + s[4] * bc + s[5] * cc,
+                t[0] * aa + t[1] * ab + t[2] * ac + t[3] * bb + t[4] * bc + t[5] * cc)
 
     def value(self, p) -> int:
         return dot(self.grad(p), p) // 3          # Euler: grad f(p).p = 3 f(p)
@@ -457,23 +463,26 @@ class _Cubic:
         f(p) x p on the tangent, R = f(D) p - (grad f(D).p) D. Returns a
         primitive integer triple, or None when p or q is singular or the
         line is a component of the cubic."""
-        gp = self.grad(p)
-        if not any(gp):
+        g0, g1, g2 = self.grad(p)
+        if not (g0 or g1 or g2):
             return None
-        if any(cross(p, q)):
-            gq = self.grad(q)
-            if not any(gq):
+        p0, p1, p2 = p
+        d0, d1, d2 = q                    # R = s p - t d: d is q on a chord, D on the tangent
+        if p1 * d2 != p2 * d1 or p2 * d0 != p0 * d2 or p0 * d1 != p1 * d0:    # p x q != 0
+            h0, h1, h2 = self.grad(q)
+            if not (h0 or h1 or h2):
                 return None
-            s, t, d = dot(gq, p), dot(gp, q), q
+            s, t = h0 * p0 + h1 * p1 + h2 * p2, g0 * d0 + g1 * d1 + g2 * d2
         else:
-            d = cross(gp, p)
-            gd = self.grad(d)
-            s, t = dot(gd, d), 3 * dot(gd, p)     # 3 f(D), 3 grad f(D).p
-        r = (s * p[0] - t * d[0], s * p[1] - t * d[1], s * p[2] - t * d[2])
-        g = igcd(*r)
+            d0, d1, d2 = g1 * p2 - g2 * p1, g2 * p0 - g0 * p2, g0 * p1 - g1 * p0
+            h0, h1, h2 = self.grad((d0, d1, d2))
+            s = h0 * d0 + h1 * d1 + h2 * d2                   # 3 f(D)
+            t = 3 * (h0 * p0 + h1 * p1 + h2 * p2)             # 3 grad f(D).p
+        r0, r1, r2 = s * p0 - t * d0, s * p1 - t * d1, s * p2 - t * d2
+        g = igcd(r0, r1, r2)
         if g == 0:
             return None
-        return (r[0] // g, r[1] // g, r[2] // g)
+        return (r0 // g, r1 // g, r2 // g)
 
 
 def _cayley_bacharach(cubic: _Cubic, base, x):
@@ -839,51 +848,3 @@ class BertiniInvolution(DelPezzoInvolution):
             if candidate is not None and self.certifies(x.coords, vx, candidate, self._at(candidate)):
                 return ProjPoint(*candidate), EvalTrace(attempts)
         raise ExtractionError("no certified image: the chord construction degenerates at this point")
-
-
-# ---------------------------------------------------------------------------
-# seeded instance generation (deterministic test corpus)
-# ---------------------------------------------------------------------------
-
-CENTER_POOL = (
-    (0, 1, 0),
-    (1, 1, 1),
-    (1, 0, 0),
-    (0, 0, 1),
-    (1, -1, 1),
-    (2, 1, 1),
-)
-
-
-def _random_xz_form(stream: SplitMix64, degree: int) -> HPoly:
-    terms = {}
-    for i in range(degree + 1):
-        c = stream.next_int(-5, 5)
-        if c:
-            terms[(i, 0, degree - i)] = c
-    return HPoly(degree, terms)
-
-
-def make_dj_instance(d: int, seed: int):
-    """Deterministic seeded de Jonquieres instance (curve, center) of degree
-    d that passes full validation; drawing continues until one does."""
-    if d < 2:
-        raise ValidationError("bad degree", "degree must be >= 2")
-    stream = SplitMix64(seed ^ (0x9E3779B97F4A7C15 * d & (2**64 - 1)))
-    for _ in range(400):
-        center = ProjPoint(*CENTER_POOL[stream.next_below(len(CENTER_POOL))])
-        a = _random_xz_form(stream, d - 2)
-        b = _random_xz_form(stream, d - 1)
-        cd = _random_xz_form(stream, d)
-        if a.is_zero() or cd.is_zero():
-            continue
-        y = HPoly.variable(1)
-        c_norm = (a * y * y) + (b * y) + cd
-        m, _minv = frame_moving_to_center(center)
-        curve = c_norm.apply_matrix(m).canonical()
-        try:
-            validate_dj(curve, center)
-        except ValidationError:
-            continue
-        return curve, center
-    raise ExtractionError(f"no valid degree-{d} instance found for this seed")

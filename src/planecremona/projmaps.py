@@ -161,8 +161,10 @@ def identity_minors(comps):
 
 
 def is_identity(f: RationalMap) -> bool:
-    """Projective identity test: all minors against (x, y, z) vanish."""
-    return all(m.is_zero() for m in identity_minors(f.components))
+    """Projective identity test. The minors against (x, y, z) vanish exactly
+    when the components are h (x, y, z) for a form h, and RationalMap divides
+    h out and scales canonically, so that is f == (x : y : z)."""
+    return f == _IDENTITY
 
 
 def compose(f: RationalMap, g: RationalMap) -> RationalMap:

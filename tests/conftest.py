@@ -33,7 +33,8 @@ def dj_records():
     (built once)."""
     from planecremona.exactpoly import HPoly
     from planecremona.projmaps import ProjPoint
-    from planecremona.involutions import dj_from_conic, make_dj_instance, validate_dj
+    from planecremona.involutions import dj_from_conic, validate_dj
+    from tests.streams import make_dj_instance
 
     x, y, z = (HPoly.variable(i) for i in range(3))
     records = {2: dj_from_conic(x * z - y * y, ProjPoint(0, 1, 0))}

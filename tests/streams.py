@@ -1,9 +1,11 @@
-"""Seeded draws on the package's SplitMix64, and reference constructions,
-that only the tests use."""
+"""Seeded draws on the package's SplitMix64, reference constructions and
+the seeded de Jonquieres instances (make_dj_instance), that only the tests
+use."""
 
 from planecremona.errors import ExtractionError, ValidationError
 from planecremona.exactpoly import HPoly
-from planecremona.projmaps import ProjPoint, compose, is_identity
+from planecremona.involutions import validate_dj
+from planecremona.projmaps import ProjPoint, compose, frame_moving_to_center, is_identity
 from planecremona.rng import SplitMix64
 
 
@@ -76,3 +78,47 @@ def conjugate(sigma, phi, phi_inverse):
     if not is_identity(compose(phi, phi_inverse)) or not is_identity(compose(phi_inverse, phi)):
         raise ValidationError("bad inverse", "phi_inverse is not a two-sided inverse of phi")
     return compose(phi, compose(sigma, phi_inverse))
+
+
+CENTER_POOL = (
+    (0, 1, 0),
+    (1, 1, 1),
+    (1, 0, 0),
+    (0, 0, 1),
+    (1, -1, 1),
+    (2, 1, 1),
+)
+
+
+def _random_xz_form(stream: SplitMix64, degree: int) -> HPoly:
+    terms = {}
+    for i in range(degree + 1):
+        c = stream.next_int(-5, 5)
+        if c:
+            terms[(i, 0, degree - i)] = c
+    return HPoly(degree, terms)
+
+
+def make_dj_instance(d: int, seed: int):
+    """Deterministic seeded de Jonquieres instance (curve, center) of degree
+    d that passes full validation; drawing continues until one does."""
+    if d < 2:
+        raise ValidationError("bad degree", "degree must be >= 2")
+    stream = SplitMix64(seed ^ (0x9E3779B97F4A7C15 * d & (2**64 - 1)))
+    for _ in range(400):
+        center = ProjPoint(*CENTER_POOL[stream.next_below(len(CENTER_POOL))])
+        a = _random_xz_form(stream, d - 2)
+        b = _random_xz_form(stream, d - 1)
+        cd = _random_xz_form(stream, d)
+        if a.is_zero() or cd.is_zero():
+            continue
+        y = HPoly.variable(1)
+        c_norm = (a * y * y) + (b * y) + cd
+        m, _minv = frame_moving_to_center(center)
+        curve = c_norm.apply_matrix(m).canonical()
+        try:
+            validate_dj(curve, center)
+        except ValidationError:
+            continue
+        return curve, center
+    raise ExtractionError(f"no valid degree-{d} instance found for this seed")

@@ -197,11 +197,14 @@ def test_malformed_map_file_is_a_validation_failure(tmp_path, text):
     (["geiser", "--points", "{absent}"], "unreadable file"),
     (["lattice", "classify", "--n", "3", "--matrix-file", "{absent}"], "unreadable file"),
     (["lattice", "classify", "--n", "3", "--matrix-file", "{bad_token}"], "syntax error"),
+    (["lattice", "classify", "--n", "3", "--matrix-file", "{wide_digit}"], "syntax error"),
 ])
 def test_unreadable_input_file_is_a_validation_failure(tmp_path, argv, reason):
     bad = tmp_path / "bad.txt"
     bad.write_text("4\n2 1 1 1\n-1 0 -1 x\n-1 -1 0 -1\n-1 -1 -1 0\n")
-    paths = {"absent": tmp_path / "absent.txt", "bad_token": bad}
+    wide = tmp_path / "wide.txt"     # a full-width 0 in a matrix that is fine in ASCII
+    wide.write_text("4\n2 1 1 1\n-1 0 -1 -1\n-1 -1 \uff10 -1\n-1 -1 -1 0\n", encoding="utf-8")
+    paths = {"absent": tmp_path / "absent.txt", "bad_token": bad, "wide_digit": wide}
     code, payload, _ = run_json([a.format(**paths) for a in argv])
     assert code == 2 and payload["reason"] == reason
 
@@ -231,6 +234,19 @@ def test_unreadable_input_file_is_a_validation_failure(tmp_path, argv, reason):
     (["invariant", "--points", "data/points7.txt", "--builtin", "--kind", "geiser"], "bad request"),
     (["verify", "--map", "x*y;x*z;y*z", "--map-file", "tests/data/conic_map.json"], "bad request"),
     (["lattice"], "bad request"),
+    # numbers in points, integer lists and --n are ASCII digits too, with no
+    # '_', exponent or decimal point
+    (["dj", "--curve", "x*z - y^2", "--p", "(\u0661:2:3)"], "syntax error"),
+    (["dj", "--curve", "x*z - y^2", "--p", "(\uff11:2:3)"], "syntax error"),
+    (["dj", "--curve", "x*z - y^2", "--p", "(1e3:2:3)"], "syntax error"),
+    (["dj", "--curve", "x*z - y^2", "--p", "(1.5:2:3)"], "syntax error"),
+    (["dj", "--curve", "x*z - y^2", "--p", "(1_0:2:3)"], "syntax error"),
+    (["dj", "--curve", "x*z - y^2", "--p", "(1/\uff12:2:3)"], "syntax error"),
+    (["lattice", "reflect", "--n", "3", "--alpha", "0,1,-1,\uff10"], "syntax error"),
+    (["lattice", "reflect", "--n", "3", "--alpha", "0,1,-1,0_0"], "syntax error"),
+    (["lattice", "make", "--n", "\uff13"], "bad request"),
+    (["lattice", "make", "--n", "\u0663"], "bad request"),
+    (["lattice", "make", "--n", "1_0"], "bad request"),
 ])
 def test_malformed_command_line_input_is_a_validation_failure(argv, reason):
     code, payload, _ = run_json(argv)

@@ -118,7 +118,8 @@ RAW_MAPS = (
 
 def _dj_calls():
     from planecremona.exactpoly import format_hpoly
-    from planecremona.involutions import make_dj_instance, validate_dj
+    from planecremona.involutions import validate_dj
+    from tests.streams import make_dj_instance
 
     argvs, maps = [], []
     for d in range(2, 7):

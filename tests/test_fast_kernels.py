@@ -4,16 +4,20 @@ HPoly's ring operations build their results with the trusted HPoly._make,
 substitute accumulates into one dict, shear moves a form by Taylor shifts and
 the gcd's _restriction expands a form on a line straight from its terms. Each
 is checked here against a slow reference that goes through the validating
-HPoly(...) or, for the restriction, against substitute.
+HPoly(...) or, for the restriction, against substitute. The chord
+construction's _Cubic.grad and _Cubic.third, written out by hand, are checked
+against HPoly.partial and the chord formulas in cross and dot.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from itertools import permutations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from planecremona.exactpoly import HPoly, _restriction, monomials
+from planecremona.exactpoly import HPoly, _restriction, cross, dot, monomials
+from planecremona.involutions import _Cubic
 
 SMALL = st.one_of(
     st.integers(-9, 9),
@@ -178,3 +182,110 @@ def test_fraction_sums_with_denominator_one_become_int():
               (x * x * 2).divexact(x * 2), (half * half).canonical(),
               HPoly(2, {(2, 0, 0): Fraction(1, 2)}).coeffs_by_var(1)[0] * 2):
         assert _trusted(r) and all(type(c) is int for c in r.terms.values())
+
+
+# -- the chord construction on a cubic ----------------------------------------------
+
+COORD = st.integers(-40, 40)
+
+
+def _gradient(f, p):
+    return tuple(f.partial(v).eval(p) for v in range(3))
+
+
+def _cubic_through(data, p, q):
+    """A random integer cubic through p and q: a f1 + b f2 + c f3 with (a, b, c)
+    orthogonal to the values of the fi at p and at q (f2(p) f1 - f1(p) f2
+    when q is a multiple of p)."""
+    fs = [_form(data, 3, coeffs=st.integers(-9, 9)) for _ in range(3)]
+    at_p = [f.eval(p) for f in fs]
+    abc = cross(at_p, [f.eval(q) for f in fs]) if any(cross(p, q)) else (at_p[1], -at_p[0], 0)
+    assume(any(abc))
+    return fs[0] * abc[0] + fs[1] * abc[1] + fs[2] * abc[2]
+
+
+def _coprime(r):
+    g = gcd(*r)
+    return None if g == 0 else tuple(v // g for v in r)
+
+
+def _ref_third(f, p, q):
+    """(grad f(q).p) p - (grad f(p).q) q, or for q a multiple of p the
+    tangent formula f(D) p - (grad f(D).p) D with D = grad f(p) x p, as
+    3 f(D) = grad f(D).D; divided by its gcd, None where p or q is singular
+    or the formula gives 0."""
+    gp, gq = _gradient(f, p), _gradient(f, q)
+    if not any(gp) or not any(gq):
+        return None
+    if any(cross(p, q)):
+        s, t, d = dot(gq, p), dot(gp, q), q
+    else:
+        d = cross(gp, p)
+        gd = _gradient(f, d)
+        s, t = dot(gd, d), 3 * dot(gd, p)
+    return _coprime([s * p[i] - t * d[i] for i in range(3)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cubic_grad_is_the_gradient(data):
+    f = _form(data, 3, coeffs=st.integers(-20, 20))
+    p = tuple(data.draw(COORD) for _ in range(3))
+    assert _Cubic.from_hpoly(f).grad(p) == _gradient(f, p)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cubic_third_is_the_chord_formula(data):
+    """On random cubics through p and q, for q apart from p and for q a
+    multiple of p (the tangent)."""
+    p = tuple(data.draw(COORD) for _ in range(3))
+    assume(any(p))
+    if data.draw(st.booleans()):
+        k = data.draw(st.sampled_from((1, -1, 2, -3)))
+        q = tuple(k * v for v in p)
+    else:
+        q = tuple(data.draw(COORD) for _ in range(3))
+        assume(any(q))
+    f = _cubic_through(data, p, q)
+    assert f.eval(p) == 0 and f.eval(q) == 0
+    r = _Cubic.from_hpoly(f).third(p, q)
+    assert r == _ref_third(f, p, q)
+    if r is not None:
+        assert f.eval(r) == 0
+        assert not any(cross(p, q)) or dot(cross(p, q), r) == 0    # on the line pq
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cubic_third_is_none_at_a_singular_point(data):
+    """Cubics with no term in z^2 or z^3 are singular at p = (0:0:1); of two
+    of them, f2(q) f1 - f1(q) f2 passes through q as well."""
+    p = (0, 0, 1)
+    q = tuple(data.draw(COORD) for _ in range(3))
+    assume(any(cross(p, q)))
+    f1, f2 = (HPoly(3, {e: data.draw(st.integers(-9, 9)) for e in monomials(3) if e[2] < 2})
+              for _ in range(2))
+    f = f1 * f2.eval(q) - f2 * f1.eval(q)
+    assume(not f.is_zero())
+    cubic = _Cubic.from_hpoly(f)
+    assert cubic.third(p, q) is None
+    assert cubic.third(q, p) is None
+    assert cubic.third(p, p) is None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cubic_third_is_none_on_a_line_of_the_cubic(data):
+    """f = L Q with L the line through p and q: the chord pq and the tangent
+    at p both lie in the cubic."""
+    p = tuple(data.draw(COORD) for _ in range(3))
+    q = tuple(data.draw(COORD) for _ in range(3))
+    line = cross(p, q)
+    assume(any(line))
+    lin = HPoly(1, {(1, 0, 0): line[0], (0, 1, 0): line[1], (0, 0, 1): line[2]})
+    quadric = _form(data, 2, coeffs=st.integers(-9, 9))
+    assume(not quadric.is_zero())
+    cubic = _Cubic.from_hpoly(lin * quadric)
+    assert cubic.third(p, q) is None
+    assert cubic.third(p, p) is None

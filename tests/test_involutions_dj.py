@@ -15,14 +15,13 @@ from planecremona.involutions import (
     DJData,
     _polar_map,
     dj_from_conic,
-    make_dj_instance,
     validate_dj,
 )
 from planecremona.projmaps import (
     ProjPoint, RationalMap, compose, is_identity, is_involution, pencil_center, pencil_form,
 )
 from planecremona.rng import SplitMix64
-from tests.streams import frame_conjugate, pencil_components, unimodular_matrix
+from tests.streams import frame_conjugate, make_dj_instance, pencil_components, unimodular_matrix
 
 X, Y, Z = (HPoly.variable(i) for i in range(3))
 CONIC = X * Z - Y * Y

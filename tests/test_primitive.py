@@ -2,7 +2,7 @@
 forms (HPoly.canonical), points (ProjPoint) and maps (RationalMap)."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -15,6 +15,7 @@ ENTRIES = st.one_of(
     st.just(0),
     st.integers(-60, 60),
     st.fractions(-20, 20, max_denominator=12),
+    st.booleans(),      # math.gcd takes bools; primitive still gives plain ints
 )
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -43,6 +44,36 @@ def test_primitive_is_the_normal_form(values):
     out = primitive(values)
     _assert_normal_form(values, out)
     assert primitive(out) == out
+
+
+def _primitive_through_fractions(values):
+    """primitive as it read before its gcd-first fast path: every vector
+    that is not all int goes through Fraction."""
+    values = list(values)
+    if not all(type(v) is int for v in values):
+        fracs = [Fraction(v) for v in values]
+        den = lcm(*(f.denominator for f in fracs))
+        values = [f.numerator * (den // f.denominator) for f in fracs]
+    g = gcd(*values)
+    if g == 0:
+        return values
+    if next(v for v in values if v) < 0:
+        g = -g
+    return values if g == 1 else [v // g for v in values]
+
+
+@PROPERTY
+@given(st.lists(st.one_of(ENTRIES, st.integers(-10 ** 40, 10 ** 40)), max_size=12))
+@example([])
+@example([False, False])
+@example([True, 0, 4])
+@example([0, -True, 2])
+@example([-6, Fraction(4, 2), 0])
+@example([0, -(10 ** 30), 4 * 10 ** 30])
+def test_primitive_matches_the_fraction_formula(values):
+    out = primitive(iter(values))
+    assert out == _primitive_through_fractions(values)
+    assert all(type(v) is int for v in out)
 
 
 @PROPERTY

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from planecremona.errors import ValidationError
-from planecremona.exactpoly import HPoly, adjugate3, det3, kernel_basis
-from planecremona.involutions import CENTER_POOL
+from planecremona.exactpoly import HPoly, adjugate3, det3, kernel_basis, monomials
 from planecremona.projmaps import (
     PencilForm,
     ProjPoint,
@@ -22,7 +21,7 @@ from planecremona.projmaps import (
     pencil_form_at,
 )
 from planecremona.rng import SplitMix64
-from tests.streams import conjugate, frame_conjugate, unimodular_matrix
+from tests.streams import CENTER_POOL, conjugate, frame_conjugate, unimodular_matrix
 
 X, Y, Z = (HPoly.variable(i) for i in range(3))
 SIGMA = RationalMap(X * Y, X * Z, Y * Z)
@@ -102,7 +101,54 @@ def test_compose_associative_up_to_normalization():
 def test_is_identity_examples():
     assert is_identity(RationalMap.identity())
     assert is_identity(RationalMap(X * X, X * Y, X * Z))
+    assert is_identity(RationalMap.linear(((-3, 0, 0), (0, -3, 0), (0, 0, -3))))
     assert not is_identity(RationalMap(Y, X, Z))
+    assert not is_identity(RationalMap(*(HPoly.constant(c) for c in (1, 1, 1))))
+
+
+def _minor_test(sigma):
+    """The identity test by the minors against (x, y, z)."""
+    return all(m.is_zero() for m in identity_minors(sigma.components))
+
+
+COEFF = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_is_identity_agrees_with_the_minor_test(data):
+    """On maps lam (x, y, z), g (x, y, z) for a form g, linear maps (scalar
+    ones among them), constant maps and random maps of degree up to 3."""
+    def form(degree):
+        return HPoly(degree, {e: data.draw(COEFF) for e in monomials(degree)})
+
+    kind = data.draw(st.sampled_from(("scalar", "times a form", "linear", "constant", "random")))
+    if kind == "scalar":
+        lam = data.draw(COEFF.filter(bool))
+        comps = (X * lam, Y * lam, Z * lam)
+    elif kind == "times a form":
+        g = form(data.draw(st.integers(0, 3)))
+        assume(not g.is_zero())
+        comps = (X * g, Y * g, Z * g)
+    elif kind == "linear":
+        if data.draw(st.booleans()):
+            lam = data.draw(st.integers(-3, 3).filter(bool))
+            m = [[lam * (i == j) for j in range(3)] for i in range(3)]
+        else:
+            m = [[data.draw(st.integers(-2, 2)) for _ in range(3)] for _ in range(3)]
+        comps = [HPoly(1, {(1, 0, 0): r[0], (0, 1, 0): r[1], (0, 0, 1): r[2]}) for r in m]
+    elif kind == "constant":
+        comps = [HPoly.constant(data.draw(COEFF)) for _ in range(3)]
+    else:
+        degree = data.draw(st.integers(1, 3))
+        comps = [form(degree) for _ in range(3)]
+    try:
+        sigma = RationalMap(*comps)
+    except ValidationError:
+        assume(False)
+    assert is_identity(sigma) == _minor_test(sigma)
+    if kind in ("scalar", "times a form"):
+        assert is_identity(sigma)
 
 
 def symbolic_is_involution(f):
