@@ -136,10 +136,6 @@ class HPoly:
         return cls(0, {(0, 0, 0): c})
 
     @classmethod
-    def monomial(cls, c, exps) -> "HPoly":
-        return cls(sum(exps), {tuple(exps): c})
-
-    @classmethod
     def variable(cls, index: int) -> "HPoly":
         exps = [0, 0, 0]
         exps[index] = 1
@@ -191,16 +187,21 @@ class HPoly:
             if c == 0:
                 return HPoly.zero(self.degree)
             return HPoly._make(self.degree, {e: cc * c for e, cc in self.terms.items()})
-        res: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                s = res.get(e, 0) + c1 * c2
-                if s == 0:
-                    res.pop(e, None)
-                else:
-                    res[e] = s
-        return HPoly._make(self.degree + other.degree, res)
+        # monomials(d) lists x^i y^j z^k by i descending, then j descending,
+        # so by s = j + k ascending and, within one s, by k ascending: the
+        # s(s + 1)/2 monomials with j + k < s come first, and x^i y^j z^k
+        # sits at s(s + 1)/2 + k. A product of terms adds the exponents, so
+        # with s = s1 + s2 its index is s1(s1 + 1)/2 + k1 + s2(s2 + 1)/2 + k2
+        # + s1 s2: the indices of the two factors plus s1 s2.
+        degree = self.degree + other.degree
+        acc = [0] * ((degree + 1) * (degree + 2) // 2)
+        right = [((j + k) * (j + k + 1) // 2 + k, j + k, c) for (_, j, k), c in other.terms.items()]
+        for (_, j, k), c1 in self.terms.items():
+            s1 = j + k
+            base = s1 * (s1 + 1) // 2 + k
+            for i2, s2, c2 in right:
+                acc[base + i2 + s1 * s2] += c1 * c2
+        return HPoly._make(degree, {e: c for e, c in zip(monomials(degree), acc) if c})
 
     __rmul__ = __mul__
 
@@ -442,10 +443,11 @@ def values_at(forms, pt) -> list:
     return Evaluator(forms)(pt)
 
 
-def monomials(degree: int) -> list:
+@cache
+def monomials(degree: int) -> tuple:
     """Exponent triples of the given degree, in the global order (descending
-    lex)."""
-    return [(i, j, degree - i - j) for i in range(degree, -1, -1) for j in range(degree - i, -1, -1)]
+    lex), built once per degree."""
+    return tuple((i, j, degree - i - j) for i in range(degree, -1, -1) for j in range(degree - i, -1, -1))
 
 
 @cache

@@ -41,13 +41,19 @@ the involution exchanges. The fixed curve is a Jacobian of the same
 factors.
 
 An optional closed form of the degree-8 Geiser map is built from the
-pull-backs of the sides of the triangle p1p2p3 (the octics C_a C_b Q_ab,
-C_a the member of the net singular at p_a) and one evaluated sample. It is
-certified exactly from its homaloidal type (8; 3^7) and one projective
-frame (DelPezzoInvolution.certify_map): octics with triple points at the 7
-points are sections of sigma* H on the blow-up, a space of dimension 3, so
-the fit is M o sigma for a 3x3 matrix M, and an M that fixes the four
-points of a frame is a scalar.
+pull-backs of the sides of the triangle p1p2p3 (the octics C_a C_b Q_ab)
+and one evaluated sample. The factors are read off data shared by the
+three sides (octic_triple_system): C_a is the member of the net singular at
+p_a, from the net's gradient rows at p_a; Q_ab, the conic through the five
+other points, is the member through the third vertex p_c of the one pencil
+of conics through points 3-6, which has dimension 2 because no three of
+those points are collinear and has one member through p_c because p_c is
+not among its base points. The map is certified exactly from its
+homaloidal type (8; 3^7) and one projective frame
+(DelPezzoInvolution.certify_map): octics with triple points at the 7 points
+are sections of sigma* H on the blow-up, a space of dimension 3, so the fit
+is M o sigma for a 3x3 matrix M, and an M that fixes the four points of a
+frame is a scalar.
 All pseudo-random choices come from the package's seeded SplitMix64 streams.
 
 validate_dj builds a de Jonquieres construction once, from one polar map:
@@ -380,32 +386,53 @@ def octic_triple_system(config: PointConfig) -> list:
     conic through the five others. These are the pull-backs of the sides by
     the Geiser involution: on the blow-up, sigma* H = 8H - 3 sum E_i is the
     sum of sigma* E_a = C_a, sigma* E_b = C_b and sigma* (H - E_a - E_b) =
-    Q_ab. C_a is the member of the net config.cubics whose gradient vanishes
-    at p_a (_singular_member); Q_ab is the kernel of 5 conditions on conics.
+    Q_ab.
+
+    Each factor comes from data shared by the three sides. C_a is the
+    member of the net config.cubics whose gradient vanishes at p_a, read
+    off the gradients of the net's _Cubic rows, built once
+    (_singular_member). Q_ab passes through points 3-6 and the third vertex
+    p_c of the triangle: it is the member of the pencil q1, q2 of conics
+    through points 3-6 that passes through p_c, q2(p_c) q1 - q1(p_c) q2,
+    canonical. The pencil is one 4 x 6 kernel. No three of points 3-6 are
+    collinear, so they impose independent conditions on conics and the
+    pencil has dimension 2; p_c is not one of its four base points, so
+    some member misses p_c and its member through p_c is unique. Refused
+    with "degenerate configuration" otherwise, naming the points or the
+    side.
     """
     coords = [p.coords for p in config.points]
-    n = len(coords)
-    cubics = [_singular_member(config.cubics, coords[a], a) for a in range(3)]
+    net = [_Cubic.from_hpoly(c) for c in config.cubics]
+    cubics = [_singular_member(config.cubics, net, coords[a], a) for a in range(3)]
+    pencil = forms_with_multiplicities(coords[3:], 2, [1] * 4, 2, "conics through points 3-6")
+    values = Evaluator(pencil)
     octics = []
     for a, b in _SIDES:
-        others = [p for i, p in enumerate(coords) if i not in (a, b)]
-        (conic,) = forms_with_multiplicities(others, 2, [1] * (n - 2), 1, f"conics missing points {a}, {b}")
-        octics.append(cubics[a] * cubics[b] * conic)
+        c = 3 - a - b
+        v1, v2 = values(coords[c])
+        if not (v1 or v2):
+            raise ValidationError("degenerate configuration",
+                                  f"conics missing points {a}, {b}: every conic through points 3-6 "
+                                  f"passes through point {c}")
+        (conic,) = _combinations([[v2, -v1]], pencil)
+        octics.append(cubics[a] * cubics[b] * conic.canonical())
     return octics
 
 
-def _singular_member(net, p, a: int) -> HPoly:
+def _singular_member(net, rows, p, a: int) -> HPoly:
     """The member lambda . net of the net of cubics through the points that
     is singular at their point p = p_a, canonical: lambda is orthogonal to
-    the three rows of the 3x3 matrix of the net's gradients at p. Euler's
-    relation puts the gradients at p in the plane orthogonal to p, so the
-    rank is at most 2; null_vector certifies rank exactly 2, and so a
-    unique member. Refused with "degenerate configuration" otherwise."""
-    lam = null_vector(multiplicity_values(net, [p], [2]))
+    the three rows of the 3x3 matrix of the net's gradients at p, read off
+    rows, the net as _Cubic. Euler's relation puts the gradients at p in the
+    plane orthogonal to p, so the rank is at most 2; null_vector certifies
+    rank exactly 2, and so a unique member. Refused with "degenerate
+    configuration" otherwise."""
+    lam = null_vector(list(zip(*(cubic.grad(p) for cubic in rows))))
     if lam is None:
         raise ValidationError("degenerate configuration",
                               f"the net's gradients at point {a} do not have rank 2")
-    return sum((c * k for c, k in zip(net, lam) if k), HPoly.zero(3)).canonical()
+    (member,) = _combinations([lam], net)
+    return member.canonical()
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +530,20 @@ def _cayley_bacharach(cubic: _Cubic, base, x):
 
 
 def _in_span(u, v) -> bool:
-    """Whether the integer vector v is a multiple of u, zero included."""
-    n = len(u)
-    return (any(u) or not any(v)) and all(u[i] * v[j] == u[j] * v[i]
-                                          for i in range(n) for j in range(i + 1, n))
+    """Whether the integer vector v, of length 3 or 4 as u, is a multiple of
+    u, zero included: u is nonzero or v is zero, and u_i v_j = u_j v_i for
+    every i < j. Written out, with no generator: DelPezzoInvolution.certifies
+    calls it on every candidate of an evaluation."""
+    if len(u) == 3:
+        u0, u1, u2 = u
+        v0, v1, v2 = v
+        return ((u0 or u1 or u2 or not (v0 or v1 or v2))
+                and u0 * v1 == u1 * v0 and u0 * v2 == u2 * v0 and u1 * v2 == u2 * v1)
+    u0, u1, u2, u3 = u
+    v0, v1, v2, v3 = v
+    return ((u0 or u1 or u2 or u3 or not (v0 or v1 or v2 or v3))
+            and u0 * v1 == u1 * v0 and u0 * v2 == u2 * v0 and u0 * v3 == u3 * v0
+            and u1 * v2 == u2 * v1 and u1 * v3 == u3 * v1 and u2 * v3 == u3 * v2)
 
 
 def _ninth_base_point(cubics, base, x: ProjPoint, cx, accept):

@@ -4,9 +4,11 @@ HPoly's ring operations build their results with the trusted HPoly._make,
 substitute accumulates into one dict, shear moves a form by Taylor shifts and
 the gcd's _restriction expands a form on a line straight from its terms. Each
 is checked here against a slow reference that goes through the validating
-HPoly(...) or, for the restriction, against substitute. The chord
-construction's _Cubic.grad and _Cubic.third, written out by hand, are checked
-against HPoly.partial and the chord formulas in cross and dot.
+HPoly(...) or, for the restriction, against substitute. The product,
+indexed by arithmetic, is checked against the dict product it replaced. The
+chord construction's _Cubic.grad and _Cubic.third, written out by hand, are
+checked against HPoly.partial and the chord formulas in cross and dot, and
+the written-out proportionality test _in_span against its generator form.
 """
 
 from fractions import Fraction
@@ -17,7 +19,8 @@ from itertools import permutations
 from hypothesis import assume, given, settings, strategies as st
 
 from planecremona.exactpoly import HPoly, _restriction, cross, dot, monomials
-from planecremona.involutions import _Cubic
+from planecremona.involutions import _Cubic, _in_span
+from planecremona.rng import SplitMix64
 
 SMALL = st.one_of(
     st.integers(-9, 9),
@@ -182,6 +185,108 @@ def test_fraction_sums_with_denominator_one_become_int():
               (x * x * 2).divexact(x * 2), (half * half).canonical(),
               HPoly(2, {(2, 0, 0): Fraction(1, 2)}).coeffs_by_var(1)[0] * 2):
         assert _trusted(r) and all(type(c) is int for c in r.terms.values())
+
+
+# -- the product --------------------------------------------------------------------
+
+def _dict_mul(f, g):
+    """HPoly.__mul__ as it was before its output was indexed by arithmetic:
+    one dict keyed by the exponent triples, a zero sum popped."""
+    res = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
+            s = res.get(e, 0) + c1 * c2
+            if s == 0:
+                res.pop(e, None)
+            else:
+                res[e] = s
+    return HPoly._make(f.degree + g.degree, res)
+
+
+BIG = st.integers(-10**40, 10**40)
+PRODUCT_COEFFS = (SMALL, BIG, st.builds(Fraction, BIG, st.integers(1, 10**6)))
+
+
+def _factor(data):
+    """A form of degree 0-9: dense, free of y, a single term or zero, with
+    small, large or fractional coefficients."""
+    degree = data.draw(st.integers(0, 9))
+    shape = data.draw(st.sampled_from(("dense", "free of y", "single term", "zero")))
+    if shape == "zero":
+        return HPoly.zero(degree)
+    coeffs = data.draw(st.sampled_from(PRODUCT_COEFFS))
+    monos = monomials(degree)
+    if shape == "free of y":
+        monos = [e for e in monos if e[1] == 0]
+    elif shape == "single term":
+        monos = [data.draw(st.sampled_from(monos))]
+    return HPoly(degree, {e: data.draw(coeffs) for e in monos if shape != "dense" or data.draw(st.integers(0, 2))})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_product_matches_the_dict_product(data):
+    """Also on (f + g)(f - g), whose cross terms cancel when f and g have
+    one degree."""
+    f, g = _factor(data), _factor(data)
+    pairs = [(f, g), (g, f)]
+    if f.degree == g.degree:
+        pairs.append((f + g, f - g))
+    for a, b in pairs:
+        r, ref = a * b, _dict_mul(a, b)
+        assert r.degree == ref.degree == a.degree + b.degree
+        assert r.terms == ref.terms
+        assert 0 not in r.terms.values()
+        assert all(type(c) is int or c.denominator != 1 for c in r.terms.values())
+        assert _trusted(r)
+
+
+def test_products_whose_middle_terms_cancel():
+    x, y, z = (HPoly.variable(i) for i in range(3))
+    assert ((x + y) * (x - y)).terms == {(2, 0, 0): 1, (0, 2, 0): -1}
+    assert ((x * x + x * y + y * y) * (x - y)).terms == {(3, 0, 0): 1, (0, 3, 0): -1}
+    assert ((x * z - y * y) * (x * z + y * y)).terms == {(2, 0, 2): 1, (0, 4, 0): -1}
+    half = HPoly(1, {(1, 0, 0): Fraction(1, 2), (0, 1, 0): Fraction(1, 2)})
+    r = half * HPoly(1, {(1, 0, 0): 2, (0, 1, 0): -2})
+    assert r.terms == {(2, 0, 0): 1, (0, 2, 0): -1}
+    assert all(type(c) is int for c in r.terms.values())
+    zero = (x + y) * HPoly.zero(4)
+    assert zero.is_zero() and zero.degree == 5
+    assert (HPoly.constant(3) * HPoly.constant(Fraction(1, 3))).terms == {(0, 0, 0): 1}
+
+
+# -- the proportionality test of the certificate ------------------------------------
+
+def _generator_in_span(u, v):
+    """_in_span as it was before it was written out: an all(...) generator
+    over every index pair."""
+    n = len(u)
+    return (any(u) or not any(v)) and all(u[i] * v[j] == u[j] * v[i]
+                                          for i in range(n) for j in range(i + 1, n))
+
+
+def test_in_span_matches_the_generator_form():
+    """Seeded vectors of length 3 and 4 with many zero entries: zero u, zero
+    v, multiples of u and vectors that are not."""
+    stream = SplitMix64(3911)
+    for n in (3, 4):
+        for _ in range(3000):
+            u = [stream.next_int(-2, 2) for _ in range(n)]
+            kind = stream.next_int(0, 3)
+            if kind == 0:
+                v = [0] * n
+            elif kind == 1:
+                k = stream.next_int(-3, 3)
+                v = [k * c for c in u]
+            else:
+                v = [stream.next_int(-2, 2) for _ in range(n)]
+            if kind == 3:
+                u = [0] * n
+            got = _in_span(u, v)
+            assert type(got) is bool and got == _generator_in_span(u, v), (u, v)
+    assert _in_span([0, 0, 0], [0, 0, 0]) and not _in_span([0, 0, 0, 0], [0, 1, 0, 0])
+    assert _in_span([1, 2, 0, 3], [-2, -4, 0, -6]) and not _in_span([1, 2, 0, 3], [2, 4, 1, 6])
 
 
 # -- the chord construction on a cubic ----------------------------------------------

@@ -22,7 +22,7 @@ from planecremona.exactpoly import (
     multiplicity_conditions, multiplicity_values, values_at,
 )
 from planecremona.involutions import (
-    GeiserInvolution, _singular_member, make_point_config, octic_triple_system,
+    GeiserInvolution, _Cubic, _singular_member, make_point_config, octic_triple_system,
 )
 from planecremona.projmaps import ProjPoint, RationalMap
 from planecremona.rng import SplitMix64
@@ -148,8 +148,9 @@ def test_singular_cubics_from_the_net_are_the_kernels(pts):
     config = make_point_config(pts, "geiser")
     coords = [p.coords for p in pts]
     cubics = [kernel_cubic(coords, a) for a in range(7)]
+    net = [_Cubic.from_hpoly(c) for c in config.cubics]
     for a in range(7):
-        got = _singular_member(config.cubics, coords[a], a)
+        got = _singular_member(config.cubics, net, coords[a], a)
         assert got.degree == 3 and got.terms == cubics[a].terms, a
     expected = []
     for a, b in ((0, 1), (0, 2), (1, 2)):
@@ -176,6 +177,29 @@ def test_a_net_without_one_member_singular_at_a_point_is_refused(geiser):
             assert "point 0" in str(exc)
         else:
             raise AssertionError("a net with no one member singular at p_0 was accepted")
+
+
+def test_a_third_vertex_on_every_conic_of_the_pencil_is_refused(geiser):
+    """With points 3, 4, 5 on a line L through the vertex p_c, every conic
+    through points 3-6 is L times a line through p_6, so it passes through
+    p_c: no conic of the side opposite p_c is singled out, and the octics are
+    refused, naming that side. With p_6 on L as well the conics through
+    points 3-6 form a net, refused by its dimension."""
+    config = geiser.config
+    pts = list(config.points)
+    q = (3, -5, 7)
+    for c, (a, b) in ((2, (0, 1)), (1, (0, 2)), (0, (1, 2))):
+        p = pts[c].coords
+        on_line = [ProjPoint(*(u + t * v for u, v in zip(p, q))) for t in (1, 2, 3, 4)]
+        for moved, message in ((on_line[:3] + pts[6:], f"conics missing points {a}, {b}"),
+                               (on_line, "conics through points 3-6 form a system of dimension 3")):
+            try:
+                octic_triple_system(config._replace(points=tuple(pts[:3] + moved)))
+            except ValidationError as exc:
+                assert exc.reason == "degenerate configuration"
+                assert message in str(exc), (c, str(exc))
+            else:
+                raise AssertionError(f"a pencil of conics all through point {c} was accepted")
 
 
 def drawing_from(inv, stream):

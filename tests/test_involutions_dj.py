@@ -84,6 +84,11 @@ def _xz_form(stream, degree):
                           if (c := stream.next_int(-4, 4))})
 
 
+def _monomial(c, exps):
+    """The form c x^i y^j z^k, for exps = (i, j, k)."""
+    return HPoly(sum(exps), {tuple(exps): c})
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(d=st.integers(2, 6), seed=st.integers(0, 2**32),
        s0=st.integers(-3, 3), t0=st.integers(-3, 3))
@@ -96,7 +101,7 @@ def test_planted_singular_point_is_refused(d, seed, s0, t0):
     av, bv = a.eval((s0, 0, t0)), b.eval((s0, 0, t0))
     assume((s0, t0) != (0, 0) and av != 0)
     q = (2 * av * s0, -bv, 2 * av * t0)   # where 2 A y + B = 0 above (s0 : t0)
-    columns = [HPoly.monomial(1, (d - i, 0, i)) for i in range(d + 1)] + [a * Y * Y + b * Y]
+    columns = [_monomial(1, (d - i, 0, i)) for i in range(d + 1)] + [a * Y * Y + b * Y]
     rows = [values_at(columns, q)]
     rows += [values_at([f.partial(v) for f in columns], q) for v in range(3)]
     weights = [(w, stream.next_int(-3, 3)) for w in kernel_basis(rows)]
