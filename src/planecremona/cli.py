@@ -42,7 +42,7 @@ import time
 from fractions import Fraction
 from functools import cache
 
-from .errors import IndeterminacyError, ValidationError
+from .errors import ValidationError
 from .exactpoly import HPoly, format_hpoly
 from . import configs, fixedcurve, involutions, picard
 from .projmaps import ProjPoint, RationalMap, is_involution
@@ -240,7 +240,7 @@ def _labelled(inv, **fields):
 
 def emit(payload: dict, as_json: bool) -> None:
     if as_json:
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": ")))
+        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2))
         sys.stdout.write("\n")
     else:
         for line in _default_human(payload):
@@ -527,8 +527,8 @@ def run(argv=None) -> int:
         args = build_parser().parse_args(argv)
         as_json = args.json
         payload = args.func(args)
-    except (ValidationError, IndeterminacyError) as exc:
-        payload = {"error": str(exc), "reason": getattr(exc, "reason", "validation failure")}
+    except ValidationError as exc:
+        payload = {"error": str(exc), "reason": exc.reason}
         if as_json:
             emit(payload, True)
         else:

@@ -266,17 +266,10 @@ class HPoly:
                     acc[e] = acc.get(e, 0) + c1 * c2
         return HPoly._make(d * sub_deg, {e: c for e, c in acc.items() if c})
 
-    def apply_matrix(self, m) -> "HPoly":
-        """Substitute the linear forms (m @ (x,y,z)) for the variables."""
-        lin = [
-            HPoly(1, {(1, 0, 0): m[i][0], (0, 1, 0): m[i][1], (0, 0, 1): m[i][2]})
-            for i in range(3)
-        ]
-        return self.substitute(lin)
-
     def shear(self, m, axis: int) -> "HPoly":
-        """apply_matrix(m) for a matrix whose columns other than `axis` are
-        distinct unit vectors, as the frames of frame_moving_to_center are.
+        """f(m x), the linear forms of m's rows substituted for the variables,
+        for a matrix whose columns other than `axis` are distinct unit
+        vectors, as the frames of frame_moving_to_center are.
 
         With column j = e_k for j != axis and r the row left over, f(m x)
         renames x_k to x_j and scales x_r to m[r][axis] x_axis, then moves

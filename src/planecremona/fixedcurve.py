@@ -48,10 +48,6 @@ class FixedCurveInvariant(NamedTuple):
     genus: int | None
     source: str
 
-    def key(self):
-        """The part that must separate conjugacy classes."""
-        return (self.kind, self.genus)
-
     def as_dict(self):
         return {"kind": self.kind, "genus": self.genus, "source": self.source}
 
@@ -130,10 +126,6 @@ class Classification(NamedTuple):
 
     invariant: FixedCurveInvariant
     note: str
-
-    @property
-    def label(self) -> str:
-        return self.invariant.source
 
 
 def rational_base_points(arg):

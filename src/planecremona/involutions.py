@@ -379,7 +379,7 @@ def sextic_system(points, cubics):
 _SIDES = ((0, 1), (0, 2), (1, 2))
 
 
-def octic_triple_system(config: PointConfig) -> list:
+def octic_triple_system(config: PointConfig, net) -> list:
     """Basis of the octics with points of multiplicity >= 3 at the 7 points
     of a Geiser configuration: C_a C_b Q_ab for the sides ab of _SIDES,
     where C_a is the cubic through the points singular at p_a and Q_ab the
@@ -390,10 +390,11 @@ def octic_triple_system(config: PointConfig) -> list:
 
     Each factor comes from data shared by the three sides. C_a is the
     member of the net config.cubics whose gradient vanishes at p_a, read
-    off the gradients of the net's _Cubic rows, built once
-    (_singular_member). Q_ab passes through points 3-6 and the third vertex
-    p_c of the triangle: it is the member of the pencil q1, q2 of conics
-    through points 3-6 that passes through p_c, q2(p_c) q1 - q1(p_c) q2,
+    off the gradients of net, those cubics as the _Cubic rows that the
+    involution already holds (GeiserInvolution._cubics; _singular_member).
+    Q_ab passes through points 3-6 and the third vertex p_c of the
+    triangle: it is the member of the pencil q1, q2 of conics through
+    points 3-6 that passes through p_c, q2(p_c) q1 - q1(p_c) q2,
     canonical. The pencil is one 4 x 6 kernel. No three of points 3-6 are
     collinear, so they impose independent conditions on conics and the
     pencil has dimension 2; p_c is not one of its four base points, so
@@ -402,7 +403,6 @@ def octic_triple_system(config: PointConfig) -> list:
     side.
     """
     coords = [p.coords for p in config.points]
-    net = [_Cubic.from_hpoly(c) for c in config.cubics]
     cubics = [_singular_member(config.cubics, net, coords[a], a) for a in range(3)]
     pencil = forms_with_multiplicities(coords[3:], 2, [1] * 4, 2, "conics through points 3-6")
     values = Evaluator(pencil)
@@ -768,7 +768,7 @@ class DelPezzoInvolution:
         for x in points:
             try:
                 yield x, self.eval(x)
-            except (ValidationError, ExtractionError):
+            except ValidationError:
                 continue
 
 
@@ -809,7 +809,7 @@ class GeiserInvolution(DelPezzoInvolution):
         change the map.
         """
         pts = self.config.points
-        octics = octic_triple_system(self.config)
+        octics = octic_triple_system(self.config, self._cubics)
         lines = [cross(pts[a].coords, pts[b].coords) for a, b in _SIDES]
         pairs = self._images(self._candidates(SplitMix64(0x6A09E667F3BCC908)))
         for x, y in pairs:

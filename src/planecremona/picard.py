@@ -154,20 +154,14 @@ def reflection_through(lat: PicLattice, alpha) -> tuple:
         raise ValidationError(
             "bad reflection", f"alpha has {len(alpha)} entries, the lattice rank is {lat.rank}"
         )
-    a2 = lat.dot(alpha, alpha)
+    ga = _mat_vec(lat.gram, alpha)      # a.e_j for each basis vector e_j
+    a2 = sum(map(mul, alpha, ga))
     if a2 == 0:
         raise ValidationError("bad reflection", "alpha.alpha = 0, no reflection")
+    if any(2 * v % a2 for v in ga):
+        raise ValidationError("bad reflection", "reflection is not integral")
     r = lat.rank
-    cols = []
-    for j in range(r):
-        e = tuple(1 if i == j else 0 for i in range(r))
-        ax = lat.dot(alpha, e)
-        num = 2 * ax
-        if num % a2 != 0:
-            raise ValidationError("bad reflection", "reflection is not integral")
-        coef = num // a2
-        cols.append(tuple(e[i] - coef * alpha[i] for i in range(r)))
-    return tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
+    return tuple(tuple((i == j) - 2 * ga[j] // a2 * alpha[i] for j in range(r)) for i in range(r))
 
 
 def anti_reflection_in_k(lat: PicLattice) -> LatticeInvolution:
@@ -388,9 +382,9 @@ def classify_pair(lat: PicLattice, inv: LatticeInvolution) -> PairClassification
     lattice question, so the two fibration cases stay merged.
     """
     mres = is_minimal(lat, inv)
-    if not mres.minimal:
-        return PairClassification(LABEL_NON_MINIMAL, mres, fixed_rank(inv))
     r = fixed_rank(inv)
+    if not mres.minimal:
+        return PairClassification(LABEL_NON_MINIMAL, mres, r)
     if r == 1:
         if lat.kind == "quadric":
             return PairClassification(LABEL_QUADRIC, mres, r)

@@ -14,7 +14,7 @@ from functools import cached_property
 from .errors import ValidationError
 from .exactpoly import (
     Evaluator, HPoly, adjugate3, det3, hpoly_gcd_many, null_vector, odd_multiplicity_root_count,
-    primitive, values_at,
+    primitive,
 )
 
 
@@ -116,11 +116,6 @@ class RationalMap:
         """(x : y : z), built once: a map is immutable."""
         return _IDENTITY
 
-    @classmethod
-    def linear(cls, m) -> "RationalMap":
-        rows = [HPoly(1, {(1, 0, 0): r[0], (0, 1, 0): r[1], (0, 0, 1): r[2]}) for r in m]
-        return cls(*rows)
-
     def __eq__(self, other):
         if not isinstance(other, RationalMap):
             return NotImplemented
@@ -133,13 +128,6 @@ class RationalMap:
         return "({} : {} : {})".format(*self.components)
 
     __repr__ = __str__
-
-    def eval(self, pt: ProjPoint):
-        """Image of a point, or None at an indeterminacy (a base point)."""
-        vals = values_at(self.components, pt.coords)
-        if all(v == 0 for v in vals):
-            return None
-        return ProjPoint(*vals)
 
 
 def _canon_triple(comps):

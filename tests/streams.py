@@ -3,9 +3,9 @@ the seeded de Jonquieres instances (make_dj_instance), that only the tests
 use."""
 
 from planecremona.errors import ExtractionError, ValidationError
-from planecremona.exactpoly import HPoly
+from planecremona.exactpoly import HPoly, values_at
 from planecremona.involutions import validate_dj
-from planecremona.projmaps import ProjPoint, compose, frame_moving_to_center, is_identity
+from planecremona.projmaps import ProjPoint, RationalMap, compose, frame_moving_to_center, is_identity
 from planecremona.rng import SplitMix64
 
 
@@ -58,10 +58,31 @@ def sample_points(seed: int, count: int, avoid=()):
     return out
 
 
+def _row_forms(m):
+    return [HPoly(1, {(1, 0, 0): r[0], (0, 1, 0): r[1], (0, 0, 1): r[2]}) for r in m]
+
+
+def apply_matrix(f, m) -> HPoly:
+    """f(m @ (x, y, z)): the linear forms of m's rows substituted for the
+    variables."""
+    return f.substitute(_row_forms(m))
+
+
+def linear_map(m) -> RationalMap:
+    """The linear map (m @ (x, y, z)) of a 3x3 matrix m."""
+    return RationalMap(*_row_forms(m))
+
+
+def image(sigma: RationalMap, p: ProjPoint):
+    """sigma(p), or None at a base point of sigma."""
+    vals = values_at(sigma.components, p.coords)
+    return ProjPoint(*vals) if any(vals) else None
+
+
 def frame_conjugate(comps, outer, inner):
     """Components of outer . f . inner for integer 3x3 matrices outer and
     inner and the component triple comps of f."""
-    moved = [c.apply_matrix(inner) for c in comps]
+    moved = [apply_matrix(c, inner) for c in comps]
     return [moved[0] * row[0] + moved[1] * row[1] + moved[2] * row[2] for row in outer]
 
 
@@ -115,7 +136,7 @@ def make_dj_instance(d: int, seed: int):
         y = HPoly.variable(1)
         c_norm = (a * y * y) + (b * y) + cd
         m, _minv = frame_moving_to_center(center)
-        curve = c_norm.apply_matrix(m).canonical()
+        curve = apply_matrix(c_norm, m).canonical()
         try:
             validate_dj(curve, center)
         except ValidationError:

@@ -7,7 +7,7 @@ byte. A change meant to leave the output alone passes it unchanged; a change
 meant to alter the output regenerates the file, from the repository root,
 and shows the difference in review:
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src:. python tests/test_cli_golden.py
 """
 
 import io
@@ -83,7 +83,7 @@ def test_invariant_prints_classify_without_the_note():
             expected = "".join(line for line in twin["stdout"].splitlines(True)
                                if not line.startswith("note: "))
         assert call["stdout"] == expected, " ".join(argv)
-    assert twins == 74
+    assert twins == 76
 
 
 def test_no_payload_has_a_seed():
@@ -153,6 +153,7 @@ def calls():
             [name, "--builtin", "--x", "(1:0:0)"],                      # a base point
             [name],                                                     # no configuration
         ]
+    out.append(["geiser", "--builtin", "--x", "(1:2:-1)"])               # fixed: configs.SEXTIC_POINT
     out += [
         ["geiser", "--builtin", "--interpolate"],
         ["geiser", "--points", "data/points7.txt", "--x", "(3:-2:5)"],
@@ -170,6 +171,11 @@ def calls():
         ["verify", "--map-file", "data/points7.txt"],                   # not JSON
         ["verify", "--map-file", "tests/data/conic_map.json"],
         ["classify", "--map-file", "tests/data/conic_map.json"],
+    ]
+    # the closed-form Geiser map of the builtin 7 points (geiser --builtin --interpolate)
+    out += [[cmd, "--map-file", "tests/data/geiser7_map.json"]
+            for cmd in ("verify", "fixed-curve", "classify", "invariant")]
+    out += [
         ["classify", "--builtin", "--kind", "geiser"],
         ["invariant", "--builtin", "--kind", "geiser"],
         ["invariant", "--points", "data/points7.txt", "--kind", "geiser"],

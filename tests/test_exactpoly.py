@@ -31,7 +31,7 @@ from planecremona.exactpoly import (
 )
 from planecremona.involutions import GeiserInvolution
 from planecremona.rng import SplitMix64
-from tests.streams import next_nonzero_int
+from tests.streams import apply_matrix, next_nonzero_int
 
 X, Y, Z = (HPoly.variable(i) for i in range(3))
 CONIC = X * Z - Y * Y
@@ -357,7 +357,7 @@ def test_resultant_pencil_of_cubics_degree_nine(seven_config):
     # center (0:0:1); otherwise the elimination drops that point and one
     # degree with it
     m = ((1, 0, 1), (0, 1, 2), (0, 0, 1))
-    fm, hm = f.apply_matrix(m), h.apply_matrix(m)
+    fm, hm = apply_matrix(f, m), apply_matrix(h, m)
     assert fm.eval((0, 0, 1)) != 0 and hm.eval((0, 0, 1)) != 0
     r = resultant(fm, hm, 2)
     assert r.degree == 9 and not r.is_zero()

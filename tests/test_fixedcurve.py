@@ -14,7 +14,7 @@ from planecremona.fixedcurve import (
 from planecremona.involutions import DJData, validate_dj
 from planecremona.projmaps import ProjPoint, RationalMap, is_involution, pencil_form
 from planecremona.rng import SplitMix64
-from tests.streams import conjugate, frame_conjugate, unimodular_matrix
+from tests.streams import apply_matrix, conjugate, frame_conjugate, linear_map, unimodular_matrix
 
 X, Y, Z = (HPoly.variable(i) for i in range(3))
 
@@ -38,7 +38,7 @@ def test_fixed_locus_of_validated_dj_is_the_curve(dj_records):
 
 
 def test_fixed_locus_constant_when_no_curve_is_fixed():
-    sigma = RationalMap.linear(((0, 1, 0), (1, 0, 0), (0, 0, 1)))
+    sigma = linear_map(((0, 1, 0), (1, 0, 0), (0, 0, 1)))
     locus = fixed_locus(sigma)
     # the swap fixes the line x = y and the isolated point; divisorial part
     assert locus.degree == 1
@@ -116,7 +116,7 @@ def test_elliptic_case_counts_as_hyperelliptic(dj_records):
 
 def test_invariant_injective_on_labels(dj_records, geiser, bertini):
     records = [dj_records[d] for d in (2, 3, 4, 5, 6)] + [geiser, bertini]
-    keys = [invariant_of(r).key() for r in records]
+    keys = [(inv.kind, inv.genus) for inv in map(invariant_of, records)]
     assert len(set(keys)) == len(keys)
 
 
@@ -130,12 +130,13 @@ def test_invariant_constant_under_linear_conjugation(dj_records):
         for _ in range(2):
             m = unimodular_matrix(stream)
             minv = adjugate3(m)             # the inverse up to the sign det m
-            phi = RationalMap.linear(m)
-            phi_inv = RationalMap.linear(minv)
-            curve2 = rec.fixed_curve.apply_matrix(minv)
+            phi = linear_map(m)
+            phi_inv = linear_map(minv)
+            curve2 = apply_matrix(rec.fixed_curve, minv)
             center2 = rec.pencil.center.apply_matrix(m)
             rec2 = validate_dj(curve2, center2)
-            assert invariant_of(rec2).key() == invariant_of(rec).key()
+            inv, inv2 = invariant_of(rec), invariant_of(rec2)
+            assert (inv2.kind, inv2.genus) == (inv.kind, inv.genus)
             assert conjugate(rec.map, phi, phi_inv) == rec2.map
 
 
@@ -143,16 +144,16 @@ def test_invariant_constant_under_linear_conjugation(dj_records):
 
 def test_classify_records(dj_records, geiser, bertini):
     for d in range(2, 7):
-        assert classify_involution(dj_records[d]).label == f"DJ({d})"
+        assert classify_involution(dj_records[d]).invariant.source == f"DJ({d})"
         # a construction is classified from its pencil form, as its map is
         assert classify_involution(dj_records[d]) == classify_involution(dj_records[d].map)
-    assert classify_involution(geiser).label == "Geiser"
-    assert classify_involution(bertini).label == "Bertini"
+    assert classify_involution(geiser).invariant.source == "Geiser"
+    assert classify_involution(bertini).invariant.source == "Bertini"
 
 
 def test_classify_raw_quadratic():
     result = classify_involution(RationalMap(X * Y, X * Z, Y * Z))
-    assert result.label == "DJ(2)"
+    assert result.invariant.source == "DJ(2)"
     assert result.invariant == invariant_for_kind("dj", 2)
 
 
@@ -171,12 +172,12 @@ def test_the_standard_quadratic_involution_and_its_conjugates_are_dj2():
 
 def test_classify_raw_dj3(dj_records):
     result = classify_involution(dj_records[3].map)
-    assert result.label == "DJ(3)"
+    assert result.invariant.source == "DJ(3)"
 
 
 def test_classify_raw_geiser_interpolated(geiser):
     result = classify_involution(geiser.interpolated_map)
-    assert result.label == "Geiser"
+    assert result.invariant.source == "Geiser"
 
 
 def test_a_raw_degree_17_map_is_bertini_only_with_a_fixed_nonic(monkeypatch):
@@ -192,17 +193,17 @@ def test_a_raw_degree_17_map_is_bertini_only_with_a_fixed_nonic(monkeypatch):
         classify_involution(sigma)
     monkeypatch.setattr(fixedcurve, "fixed_locus", lambda m: X ** 9 + Y ** 9)
     result = classify_involution(sigma)
-    assert result.label == "Bertini" and result.invariant == invariant_for_kind("bertini")
+    assert result.invariant.source == "Bertini" and result.invariant == invariant_for_kind("bertini")
     assert "fixed curve of degree 9" in result.note
 
 
 def test_classify_linear_involution():
-    result = classify_involution(RationalMap.linear(((1, 0, 0), (0, -1, 0), (0, 0, 1))))
-    assert result.label == "DJ(2)"
+    result = classify_involution(linear_map(((1, 0, 0), (0, -1, 0), (0, 0, 1))))
+    assert result.invariant.source == "DJ(2)"
 
 
 def test_classify_rejects_non_involution():
-    cyc = RationalMap.linear(((0, 1, 0), (0, 0, 1), (1, 0, 0)))
+    cyc = linear_map(((0, 1, 0), (0, 0, 1), (1, 0, 0)))
     with pytest.raises(ValidationError, match="not involutive|identity"):
         classify_involution(cyc)
     with pytest.raises(ValidationError):
@@ -224,7 +225,7 @@ def test_nodal_fixed_curve_is_elliptic():
     sigma = _pencil_map(a * Y * 2 + b, -(b * Y + c4 * 2))
     assert sigma.degree == 4 and is_involution(sigma)
     result = classify_involution(sigma)
-    assert result.label == "DJ(3)"
+    assert result.invariant.source == "DJ(3)"
     assert result.invariant == invariant_for_kind("dj", 3) and result.invariant.genus == 1
 
 
@@ -234,7 +235,7 @@ def test_map_with_a_rational_fixed_curve_is_dj2():
     b, e = X * X + Z * Z, X ** 3 + Z ** 3 * 2
     sigma = _pencil_map(b, -(b * Y) + e)
     assert sigma.degree == 3 and is_involution(sigma)
-    assert classify_involution(sigma).label == "DJ(2)"
+    assert classify_involution(sigma).invariant.source == "DJ(2)"
 
 
 def test_pencil_genus_of_dj_maps_and_their_linear_conjugates(dj_records):
@@ -245,4 +246,4 @@ def test_pencil_genus_of_dj_maps_and_their_linear_conjugates(dj_records):
         conj = RationalMap(*frame_conjugate(sigma.components, m, adjugate3(m)))
         for f in (sigma, conj):
             assert pencil_form(f).genus() == d - 2
-            assert classify_involution(f).label == f"DJ({d})"
+            assert classify_involution(f).invariant.source == f"DJ({d})"

@@ -119,10 +119,16 @@ def test_sides_pull_back_to_two_singular_cubics_and_a_conic(pts):
         assert pulled.canonical() == (cubics[a] * cubics[b] * conic).canonical(), (a, b)
 
 
+def _rows(config):
+    """The net of config as _Cubic rows, as GeiserInvolution._cubics."""
+    return [_Cubic.from_hpoly(c) for c in config.cubics]
+
+
 @seeded(3)
 @given(pts=point_sets(7))
 def test_octic_triple_system_spans_the_triple_point_octics(pts):
-    octics = octic_triple_system(make_point_config(pts, "geiser"))
+    config = make_point_config(pts, "geiser")
+    octics = octic_triple_system(config, _rows(config))
     rows = multiplicity_conditions([p.coords for p in pts], 8, [3] * 7)
     assert len(rows) == 42 and len(rows[0]) == 45
     vecs = [octic_vector(f) for f in octics]
@@ -148,7 +154,7 @@ def test_singular_cubics_from_the_net_are_the_kernels(pts):
     config = make_point_config(pts, "geiser")
     coords = [p.coords for p in pts]
     cubics = [kernel_cubic(coords, a) for a in range(7)]
-    net = [_Cubic.from_hpoly(c) for c in config.cubics]
+    net = _rows(config)
     for a in range(7):
         got = _singular_member(config.cubics, net, coords[a], a)
         assert got.degree == 3 and got.terms == cubics[a].terms, a
@@ -157,7 +163,7 @@ def test_singular_cubics_from_the_net_are_the_kernels(pts):
         (conic,) = forms_with_multiplicities([c for i, c in enumerate(coords) if i not in (a, b)], 2,
                                              [1] * 5, 1, "conics")
         expected.append(cubics[a] * cubics[b] * conic)
-    assert [f.terms for f in octic_triple_system(config)] == [f.terms for f in expected]
+    assert [f.terms for f in octic_triple_system(config, net)] == [f.terms for f in expected]
 
 
 def test_a_net_without_one_member_singular_at_a_point_is_refused(geiser):
@@ -171,7 +177,8 @@ def test_a_net_without_one_member_singular_at_a_point_is_refused(geiser):
     independent = [HPoly.variable(i) * s * s for i in range(3)]
     for cubics in (singular, independent):
         try:
-            octic_triple_system(config._replace(cubics=tuple(cubics)))
+            degenerate = config._replace(cubics=tuple(cubics))
+            octic_triple_system(degenerate, _rows(degenerate))
         except ValidationError as exc:
             assert exc.reason == "degenerate configuration"
             assert "point 0" in str(exc)
@@ -194,7 +201,8 @@ def test_a_third_vertex_on_every_conic_of_the_pencil_is_refused(geiser):
         for moved, message in ((on_line[:3] + pts[6:], f"conics missing points {a}, {b}"),
                                (on_line, "conics through points 3-6 form a system of dimension 3")):
             try:
-                octic_triple_system(config._replace(points=tuple(pts[:3] + moved)))
+                degenerate = config._replace(points=tuple(pts[:3] + moved))
+                octic_triple_system(degenerate, _rows(degenerate))
             except ValidationError as exc:
                 assert exc.reason == "degenerate configuration"
                 assert message in str(exc), (c, str(exc))
@@ -256,7 +264,7 @@ def test_sample_on_a_contracted_cubic_is_skipped(geiser):
     q = c1.eval(tuple(u + v for u, v in zip(p, r))) - c1.eval(r)
     on_c1 = ProjPoint(*(c1.eval(r) * u - q * v for u, v in zip(p, r)))
     assert c1.eval(on_c1.coords) == 0 and on_c1 not in pts
-    assert 0 in values_at(octic_triple_system(geiser.config), on_c1.coords)
+    assert 0 in values_at(octic_triple_system(geiser.config, geiser._cubics), on_c1.coords)
     inv = GeiserInvolution(geiser.config)
     draws = inv._candidates
     calls = []
