@@ -3,7 +3,7 @@ the seeded de Jonquieres instances (make_dj_instance), that only the tests
 use."""
 
 from planecremona.errors import ExtractionError, ValidationError
-from planecremona.exactpoly import HPoly, values_at
+from planecremona.exactpoly import HPoly, adjugate3, values_at
 from planecremona.involutions import validate_dj
 from planecremona.projmaps import ProjPoint, RationalMap, compose, frame_moving_to_center, is_identity
 from planecremona.rng import SplitMix64
@@ -99,6 +99,22 @@ def conjugate(sigma, phi, phi_inverse):
     if not is_identity(compose(phi, phi_inverse)) or not is_identity(compose(phi_inverse, phi)):
         raise ValidationError("bad inverse", "phi_inverse is not a two-sided inverse of phi")
     return compose(phi, compose(sigma, phi_inverse))
+
+
+def linear_conjugator(stream: SplitMix64):
+    """(A, A^-1) as linear maps, for A = unimodular_matrix(stream)."""
+    a = unimodular_matrix(stream)
+    return linear_map(a), linear_map(adjugate3(a))
+
+
+def quadratic_conjugator(stream: SplitMix64):
+    """(phi, phi^-1) for phi = A o s o B, with A then B drawn by
+    unimodular_matrix and s = (yz : xz : xy), its own inverse: phi^-1 is
+    B^-1 o s o A^-1."""
+    (a, a_inv), (b, b_inv) = linear_conjugator(stream), linear_conjugator(stream)
+    x, y, z = (HPoly.variable(i) for i in range(3))
+    s = RationalMap(y * z, x * z, x * y)
+    return compose(a, compose(s, b)), compose(b_inv, compose(s, a_inv))
 
 
 CENTER_POOL = (

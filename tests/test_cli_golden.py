@@ -144,6 +144,11 @@ def calls():
         ["dj", "--curve", "x*y^2 + z^2*y + x^3 + z^3", "--p", "(0:0:0)"],
         ["dj", "--curve", "x +", "--p", "(0:1:0)"],
         ["dj", "--curve", "x*y", "--p", "(0:1)"],
+        # validate_dj's refusals, in the order of its checks
+        ["dj", "--curve", "x^2*y^2 + z^3*y + x^2*z^2 + z^4", "--p", "(0:1:0)"],   # non-ordinary
+        ["dj", "--curve", "x*y^2 + x*z*y + x*z^2", "--p", "(0:1:0)"],           # line through center
+        ["dj", "--curve", "y^2 + 2*x*y + x^2", "--p", "(0:1:0)"],               # zero discriminant
+        ["dj", "--curve", "z*y^2 - x^3 - x^2*z", "--p", "(0:1:0)"],             # extra singularities
     ]
     for name in ("geiser", "bertini"):
         out += [

@@ -172,9 +172,12 @@ def test_gcd_many_finds_planted_factor():
     stream = SplitMix64(11)
     forms = [random_poly(stream, 3) for _ in range(3)]
     assert hpoly_gcd_many(forms).degree == 0
-    for planted in (X + Y * 2 - Z, CONIC, line1, line2 * X, line1 * line2):
-        found = hpoly_gcd_many([f * planted for f in forms])
-        assert found == planted.canonical()
+    # times y, the first form vanishes at (1:0:0): the lines are taken
+    # through a point (1:a:b) away from it, in the frame sheared to it
+    for common in (HPoly.constant(1), Y):
+        for planted in (X + Y * 2 - Z, CONIC, line1, line2 * X, line1 * line2):
+            found = hpoly_gcd_many([f * common * planted for f in forms])
+            assert found == (common * planted).canonical()
 
 
 def test_gcd_many_of_forms_without_a_pure_power():

@@ -53,24 +53,42 @@ def test_singular_conic_rejected():
         dj_from_conic(X * Z, ProjPoint(0, 1, 0))  # line pair
 
 
+def _assert_refused(curve, reason, message):
+    """validate_dj refuses the curve with center (0:1:0), and again with
+    both moved to two seeded unimodular frames, with the reason and message."""
+    cases = [(curve, ProjPoint(0, 1, 0))]
+    for seed in (5, 6):
+        m = unimodular_matrix(SplitMix64(seed))
+        adj = adjugate3(m)
+        cases.append((apply_matrix(curve, m), ProjPoint(adj[0][1], adj[1][1], adj[2][1])))
+    for moved, center in cases:
+        with pytest.raises(ValidationError) as err:
+            validate_dj(moved, center)
+        assert (err.value.reason, str(err.value)) == (reason, message)
+
+
 def test_nodal_cubic_rejected():
     nodal = Z * Y * Y - X ** 3 - X * X * Z  # node at (0:0:1)
-    with pytest.raises(ValidationError, match="singular|squarefree"):
-        validate_dj(nodal, ProjPoint(0, 1, 0))
+    _assert_refused(nodal, "extra singularities", "discriminant is not squarefree")
 
 
 def test_non_ordinary_tangent_cone_rejected():
     # A = x^2: double tangent line at the center
     curve = (X * X) * (Y * Y) + (Z ** 3) * Y + (X * Z) ** 2 + Z ** 4
-    with pytest.raises(ValidationError, match="ordinar|repeated"):
-        validate_dj(curve, ProjPoint(0, 1, 0))
+    _assert_refused(curve, "non-ordinary", "the tangent cone at the center has repeated lines")
 
 
 def test_line_through_center_rejected():
-    # every coefficient divisible by x: the line x = 0 through (0:1:0) is a component
-    curve = X * (Y * Y) + (X * Z) * Y + X * Z * Z
-    with pytest.raises(ValidationError, match="line"):
-        validate_dj(curve.canonical(), ProjPoint(0, 1, 0))
+    # every coefficient divisible by x: the line x = 0 through (0:1:0) is a
+    # component; in the second curve B = 0, so the gcd reads A and C_d alone
+    for curve in (X * (Y * Y) + (X * Z) * Y + X * Z * Z, X * (Y * Y) + X * Z * Z):
+        _assert_refused(curve.canonical(), "line through center",
+                        "the curve contains a line through the center")
+
+
+def test_zero_discriminant_rejected():
+    # (y + x)^2: B^2 - 4 A C_d = (2x)^2 - 4 x^2 vanishes
+    _assert_refused((Y + X) * (Y + X), "degenerate", "zero discriminant")
 
 
 def test_multiplicity_mismatch_rejected():
