@@ -567,28 +567,20 @@ def format_hpoly(f: HPoly) -> str:
 # gcd: restrict to lines, interpolate, certify by division
 # ---------------------------------------------------------------------------
 
-def _restriction(f: HPoly, a: int, b: int, w0: int) -> list:
-    """f(t, a t + w0, b t + 1), the restriction of f to the line through
-    (1:a:b) and (0:w0:1), as the coefficient list in t (entry i at t^i, no
-    trailing zeros; [] when f contains the line), expanded straight from the
-    terms by the binomial theorem."""
-    d = f.degree
-    ys = [[comb(j, u) * a ** u * w0 ** (j - u) for u in range(j + 1)] if a else [w0 ** j]
-          for j in range(d + 1)]
-    zs = [[comb(k, v) * b ** v for v in range(k + 1)] if b else [1] for k in range(d + 1)]
-    out = [0] * (d + 1)
-    for (i, j, k), c in f.terms.items():
-        for u, cy in enumerate(ys[j], i):
-            cy *= c
-            for v, cz in enumerate(zs[k], u):
-                out[v] += cy * cz
+def _on_line(f: HPoly, w0: int) -> list:
+    """f(t, w0, 1), the restriction of f to the line through (1:0:0) and
+    (0:w0:1), as the coefficient list in t (entry i at t^i, no trailing
+    zeros; [] when f contains the line)."""
+    out = [0] * (f.degree + 1)
+    for (i, j, _), c in f.terms.items():
+        out[i] += c * w0 ** j
     while out and not out[-1]:
         out.pop()
     return out
 
 
 def _prs_gcd(a: list, b: list) -> list:
-    """Gcd of two polynomials in t, coefficient lists as _restriction gives
+    """Gcd of two polynomials in t, coefficient lists as _on_line gives
     them, as a primitive integer list, by the primitive pseudo-remainder
     sequence (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 6); []
     only for two zeros."""
@@ -624,12 +616,14 @@ def hpoly_gcd_many(polys) -> HPoly:
     is refused.
 
     Let h be the gcd. The first form f is nonzero at some q = (1:a:b) with
-    0 <= a, b <= deg f, and so is h. So on each line through q and (0:w0:1)
-    (_restriction) h restricts to degree deg h, its leading coefficient
-    h(q), and divides the restriction of every form: the degree k of the gcd
+    0 <= a, b <= deg f, and so is h. Each form g is sheared once to
+    g(x, y + a x, z + b x) (HPoly.shear), which keeps its y-degree and moves
+    q to (1:0:0). On each line through (1:0:0) and (0:w0:1) (_on_line) the
+    sheared h restricts to degree deg h, its leading coefficient h(q), and
+    divides the restriction of every sheared form: the degree k of the gcd
     of all restrictions bounds deg h, and k = 0 proves h = 1. At the least k
     seen, the monic gcds on min(k, deg_y) + 1 lines, w0 = 17, -17, 18, ...,
-    are interpolated in w0 into a candidate of degree k in the coordinates
+    are interpolated in w0 into a candidate of degree k, sheared back to
     (x, y - a x, z - b x) (Brown, JACM 1971, with exact images in place of
     modular ones). If it divides every form it is h; if not, deg h < k, and
     only lines of lower degree are used from then on. Only finitely many
@@ -646,10 +640,11 @@ def hpoly_gcd_many(polys) -> HPoly:
     ydeg = min(g.max_exponent(1) for g in forms)
     top = min(g.degree for g in forms) + 1   # deg h < top
     nodes, rows = [], []                     # lines of degree top - 1, monic gcds
+    sheared = [g.shear(((1, 0, 0), (a, 1, 0), (b, 0, 1)), 0) for g in forms] if a or b else forms
     for w0 in (s * n for n in count(17) for s in (1, -1)):
         r = []
-        for g in forms:
-            r = _prs_gcd(r, _restriction(g, a, b, w0))
+        for g in sheared:
+            r = _prs_gcd(r, _on_line(g, w0))
             if len(r) == 1:
                 return HPoly.constant(1)
         k = len(r) - 1

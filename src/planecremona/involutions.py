@@ -74,12 +74,12 @@ from .exactpoly import (
     Evaluator,
     HPoly,
     adjugate3,
-    bform_gcd,
     cross,
     det3,
     dot,
     first_below_multiplicity,
     forms_with_multiplicities,
+    hpoly_gcd_many,
     is_squarefree,
     kernel_basis,
     matrix_rank,
@@ -157,13 +157,7 @@ def validate_dj(curve: HPoly, p: ProjPoint) -> DJData:
             "non-ordinary", "the tangent cone at the center has repeated lines"
         )
 
-    g = a
-    for q in (pencil.b, pencil.e):      # B and -2 C_d
-        if g.degree == 0:
-            break
-        if not q.is_zero():
-            g = bform_gcd(g, q)
-    if g.degree > 0:
+    if hpoly_gcd_many((a, pencil.b, pencil.e)).degree > 0:    # 2 A, B and -2 C_d
         raise ValidationError(
             "line through center", "the curve contains a line through the center"
         )

@@ -1,10 +1,10 @@
 """The exact kernels against naive references.
 
 HPoly's ring operations build their results with the trusted HPoly._make,
-substitute accumulates into one dict, shear moves a form by Taylor shifts and
-the gcd's _restriction expands a form on a line straight from its terms. Each
-is checked here against a slow reference that goes through the validating
-HPoly(...) or, for the restriction, against substitute. The product,
+substitute accumulates into one dict, and shear moves a form by Taylor
+shifts. Each is checked here against a slow reference that goes through the
+validating HPoly(...). The gcd restricts a form to a line by shearing it and
+reading _on_line off its terms; that is checked against substitute. The product,
 indexed by arithmetic, is checked against the dict product it replaced. The
 chord construction's _Cubic.grad and _Cubic.third, written out by hand, are
 checked against HPoly.partial and the chord formulas in cross and dot, and
@@ -18,7 +18,7 @@ from itertools import permutations
 
 from hypothesis import assume, given, settings, strategies as st
 
-from planecremona.exactpoly import HPoly, _restriction, cross, dot, monomials
+from planecremona.exactpoly import HPoly, _on_line, cross, dot, monomials
 from planecremona.involutions import _Cubic, _in_span
 from planecremona.rng import SplitMix64
 from tests.streams import apply_matrix
@@ -136,11 +136,17 @@ def test_substitute_cancels_to_zero_and_to_integers():
 BIG = st.integers(-10 ** 30, 10 ** 30)
 
 
+def _shear_to(a, b):
+    """The matrix of (x, y, z) -> (x, y + a x, z + b x), for HPoly.shear on axis 0."""
+    return ((1, 0, 0), (a, 1, 0), (b, 0, 1))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_restriction_matches_substitute_on_the_line(data):
-    """f(t, a t + w0, b t + 1) is f(t, a t + w0 s, b t + s) at s = 1, read
-    off substitute with t = x and s = z."""
+    """f(t, a t + w0, b t + 1), read off f sheared to f(x, y + a x, z + b x)
+    by _on_line, is f(t, a t + w0 s, b t + s) at s = 1, read off substitute
+    with t = x and s = z."""
     f = _form(data, data.draw(st.integers(0, 9)), coeffs=BIG)
     a, b = data.draw(st.integers(0, 9)), data.draw(st.integers(0, 9))
     w0 = data.draw(st.integers(-40, 40))
@@ -149,15 +155,17 @@ def test_restriction_matches_substitute_on_the_line(data):
     expect = [line.terms.get((i, 0, f.degree - i), 0) for i in range(f.degree + 1)]
     while expect and expect[-1] == 0:
         expect.pop()
-    assert _restriction(f, a, b, w0) == expect
+    assert _on_line(f.shear(_shear_to(a, b), 0), w0) == expect
 
 
 def test_restriction_of_a_form_containing_the_line():
-    # y - 17 z contains the line through (1:0:0) and (0:17:1)
+    # y - 17 z contains the line through (1:0:0) and (0:17:1), and
+    # -83 x - y + 17 z the line through (1:2:5) and (0:17:1)
     x, y, z = (HPoly.variable(i) for i in range(3))
-    assert _restriction((y - z * 17) * (x * x + y * z), 0, 0, 17) == []
-    assert _restriction(HPoly.zero(3), 2, 5, 17) == []
-    assert _restriction(x * x + y * z, 0, 0, 17) == [17, 0, 1]
+    assert _on_line((y - z * 17) * (x * x + y * z), 17) == []
+    assert _on_line(((x * -83 - y + z * 17) * (x * x + y * z)).shear(_shear_to(2, 5), 0), 17) == []
+    assert _on_line(HPoly.zero(3).shear(_shear_to(2, 5), 0), 17) == []
+    assert _on_line(x * x + y * z, 17) == [17, 0, 1]
 
 
 # -- every arithmetic result is in the validated normal form ------------------------

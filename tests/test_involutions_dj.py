@@ -53,15 +53,18 @@ def test_singular_conic_rejected():
         dj_from_conic(X * Z, ProjPoint(0, 1, 0))  # line pair
 
 
+def _moved(curve, seed):
+    """The curve and the center (0:1:0), moved to the frame of
+    unimodular_matrix(SplitMix64(seed))."""
+    m = unimodular_matrix(SplitMix64(seed))
+    adj = adjugate3(m)
+    return apply_matrix(curve, m), ProjPoint(adj[0][1], adj[1][1], adj[2][1])
+
+
 def _assert_refused(curve, reason, message):
     """validate_dj refuses the curve with center (0:1:0), and again with
     both moved to two seeded unimodular frames, with the reason and message."""
-    cases = [(curve, ProjPoint(0, 1, 0))]
-    for seed in (5, 6):
-        m = unimodular_matrix(SplitMix64(seed))
-        adj = adjugate3(m)
-        cases.append((apply_matrix(curve, m), ProjPoint(adj[0][1], adj[1][1], adj[2][1])))
-    for moved, center in cases:
+    for moved, center in [(curve, ProjPoint(0, 1, 0)), _moved(curve, 5), _moved(curve, 6)]:
         with pytest.raises(ValidationError) as err:
             validate_dj(moved, center)
         assert (err.value.reason, str(err.value)) == (reason, message)
@@ -211,10 +214,7 @@ def test_multiplicity_refusals_name_the_multiplicity(frame_seed):
     quartic = X ** 3 * Y + Z ** 4 + X * Z ** 3
     center = ProjPoint(0, 1, 0)
     if frame_seed is not None:
-        m = unimodular_matrix(SplitMix64(frame_seed))
-        adj = adjugate3(m)
-        quintic, quartic = apply_matrix(quintic, m), apply_matrix(quartic, m)
-        center = ProjPoint(adj[0][1], adj[1][1], adj[2][1])
+        (quintic, center), (quartic, _) = _moved(quintic, frame_seed), _moved(quartic, frame_seed)
     for curve, message in ((quintic, "multiplicity at the center is 2, expected 3"),
                            (quartic, "multiplicity at the center exceeds 2")):
         with pytest.raises(ValidationError) as err:
