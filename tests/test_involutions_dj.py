@@ -96,10 +96,8 @@ def test_zero_discriminant_rejected():
 
 def test_multiplicity_mismatch_rejected():
     smooth_cubic = X ** 3 + Y ** 3 + Z ** 3 - (X * Y * Z) * 3  # no singular point
-    # multiplicity at (0:1:0) is 1 but the y-degree structure gives mult 0 for d=3?
-    # the y^3 term means multiplicity d-3 < d-2 at the center
-    with pytest.raises(ValidationError, match="multiplicity"):
-        validate_dj(smooth_cubic, ProjPoint(0, 1, 0))
+    # the y^3 term puts (0:1:0) off the curve: multiplicity 0, not d - 2 = 1
+    _assert_refused(smooth_cubic, "multiplicity mismatch", "multiplicity at the center is 0, expected 1")
 
 
 def _xz_form(stream, degree):
