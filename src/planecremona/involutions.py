@@ -13,25 +13,41 @@
   base point of the pencil of cubics through the 7 points and x, or the
   residual point of the net of sextics singular at the 8 points through x.
 
-Geiser and Bertini are evaluated by chord-tangent constructions on one
-cubic, in integers (Bayle-Beauville, section 2). On a cubic f, third(P, Q)
-is the third point of the line PQ (of the tangent when P = Q). By
-Cayley-Bacharach the ninth base point of a cubic pencil through p1..p8 is
-third(third(a, b), third(c, w)), with a, b, c, w the third points of the
-chords p1p2, p3p4, p5p6, p7p8 on a member. Geiser takes p8 = x. Bertini
-takes the pencil through its 8 points, whose ninth base point p9 is the
-origin of the group law on each member, and sends x to -x on the member
-through x: third(x, third(p9, p9)).
+Geiser is evaluated by its closed form, the degree-8 map of homaloidal
+type (8; 3^7), built from the pull-backs of the sides of the triangle
+p1p2p3 (the octics C_a C_b Q_ab) and one known image. The factors are read
+off data shared by the three sides (octic_triple_system): C_a is the member
+of the net singular at p_a, from the net's gradient rows at p_a; Q_ab, the
+conic through the five other points, is the member through the third
+vertex p_c of the one pencil of conics through points 3-6, which has
+dimension 2 because no three of those points are collinear and has one
+member through p_c because p_c is not among its base points. The known
+images need no evaluation: the involution contracts C_a to p_a, and a
+point of C_a off the base points is the residual point of a line through
+its node (_residual). The map is certified exactly from its type and the
+four contracted pairs (x_a, p_a) of the points a = 3..6 off the triangle,
+whose images form a projective frame (DelPezzoInvolution.certify_map):
+octics with triple points at the 7 points are sections of sigma* H on the
+blow-up, a space of dimension 3, so the map is M o sigma for a 3x3 matrix
+M, and an M that fixes the four points of a frame is a scalar.
+
+Bertini is evaluated by chord-tangent constructions on one cubic, in
+integers (Bayle-Beauville, section 2). On a cubic f, third(P, Q) is the
+third point of the line PQ (of the tangent when P = Q). Its 8 points span
+a pencil of cubics whose ninth base point p9 is the origin of the group
+law on each member, and x goes to -x on the member through x: third(x,
+third(p9, p9)). By Cayley-Bacharach p9 is third(third(a, b), third(c, w)),
+with a, b, c, w the third points of the chords p1p2, p3p4, p5p6, p7p8 on a
+member; chords serve only Bertini and p9.
 
 Each image is certified exactly before it is returned, by one certificate
 on |-mK| for both (DelPezzoInvolution.certifies): the values of |-mK| at x
 and at the image are proportional, with one more clause where the image is
-x or a base point. A degenerate or uncertified construction gives way to
-the next one in a fixed order. The certificate assumes general position: no
-3 points collinear, no 6 on a conic, and for 8 points no cubic through all
-of them singular at one, which make_point_config checks. Then no curve lies
-in the base locus of the members through x, which has exactly one point
-besides the configuration and x.
+x or a base point. The certificate assumes general position: no 3 points
+collinear, no 6 on a conic, and for 8 points no cubic through all of them
+singular at one, which make_point_config checks. Then no curve lies in the
+base locus of the members through x, which has exactly one point besides
+the configuration and x.
 
 Both read |-mK| off its cubic factors (DelPezzoInvolution), with one
 evaluation of 10 monomials per point: |-K| is the net itself, and |-2K| is
@@ -39,22 +55,6 @@ taken in the basis c1^2, c1 c2, c2^2, C_0 C_7 (sextic_system), with c1, c2
 spanning the pencil through the 8 points and C_0, C_7 the nodal cubics that
 the involution exchanges. The fixed curve is a Jacobian of the same
 factors.
-
-An optional closed form of the degree-8 Geiser map is built from the
-pull-backs of the sides of the triangle p1p2p3 (the octics C_a C_b Q_ab)
-and one evaluated sample. The factors are read off data shared by the
-three sides (octic_triple_system): C_a is the member of the net singular at
-p_a, from the net's gradient rows at p_a; Q_ab, the conic through the five
-other points, is the member through the third vertex p_c of the one pencil
-of conics through points 3-6, which has dimension 2 because no three of
-those points are collinear and has one member through p_c because p_c is
-not among its base points. The map is certified exactly from its
-homaloidal type (8; 3^7) and one projective frame
-(DelPezzoInvolution.certify_map): octics with triple points at the 7 points
-are sections of sigma* H on the blow-up, a space of dimension 3, so the fit
-is M o sigma for a 3x3 matrix M, and an M that fixes the four points of a
-frame is a scalar.
-All pseudo-random choices come from the package's seeded SplitMix64 streams.
 
 validate_dj builds a de Jonquieres construction once, from one polar map:
 a DJData of the pencil form its checks read, the fixed curve and that map
@@ -64,7 +64,7 @@ what it keeps, and this module does not import fixedcurve.
 """
 
 from functools import cached_property, reduce
-from itertools import chain, combinations
+from itertools import combinations
 from math import gcd as igcd
 from operator import mul
 from typing import NamedTuple
@@ -94,7 +94,6 @@ from .exactpoly import (
 from .projmaps import (
     PencilForm, ProjPoint, RationalMap, collinear, pencil_form_at,
 )
-from .rng import SplitMix64
 
 
 # ---------------------------------------------------------------------------
@@ -413,20 +412,40 @@ def octic_triple_system(config: PointConfig, net) -> list:
     return octics
 
 
-def _singular_member(net, rows, p, a: int) -> HPoly:
-    """The member lambda . net of the net of cubics through the points that
-    is singular at their point p = p_a, canonical: lambda is orthogonal to
-    the three rows of the 3x3 matrix of the net's gradients at p, read off
-    rows, the net as _Cubic. Euler's relation puts the gradients at p in the
-    plane orthogonal to p, so the rank is at most 2; null_vector certifies
-    rank exactly 2, and so a unique member. Refused with "degenerate
-    configuration" otherwise."""
+def _singular_coefficients(rows, p, a: int):
+    """The coefficients lambda of the member lambda . net of the net of
+    cubics through the points that is singular at their point p = p_a:
+    lambda is orthogonal to the three rows of the 3x3 matrix of the net's
+    gradients at p, read off rows, the net as _Cubic. Euler's relation puts
+    the gradients at p in the plane orthogonal to p, so the rank is at most
+    2; null_vector certifies rank exactly 2, and so a unique member. Refused
+    with "degenerate configuration" otherwise."""
     lam = null_vector(list(zip(*(cubic.grad(p) for cubic in rows))))
     if lam is None:
         raise ValidationError("degenerate configuration",
                               f"the net's gradients at point {a} do not have rank 2")
-    (member,) = _combinations([lam], net)
+    return lam
+
+
+def _singular_member(net, rows, p, a: int) -> HPoly:
+    """The member of the net singular at p = p_a (_singular_coefficients),
+    canonical."""
+    (member,) = _combinations([_singular_coefficients(rows, p, a)], net)
     return member.canonical()
+
+
+def _residual(cubic: "_Cubic", p, d):
+    """The point other than p where the line pd meets a cubic C with a
+    double point at p, primitive, or None when that line is a branch
+    tangent at p. With g = grad C(d), C(s p + t d) = t^2 (s g.p + t C(d))
+    and 3 C(d) = g.d (Euler), so the point is 3 (g.p) d - (g.d) p, which
+    needs g.p != 0."""
+    g = cubic.grad(d)
+    gp = dot(g, p)
+    if not gp:
+        return None
+    gd = dot(g, d)
+    return primitive([3 * gp * u - gd * v for u, v in zip(d, p)])
 
 
 # ---------------------------------------------------------------------------
@@ -540,47 +559,22 @@ def _in_span(u, v) -> bool:
             and u1 * v2 == u2 * v1 and u1 * v3 == u3 * v1 and u2 * v3 == u3 * v2)
 
 
-def _ninth_base_point(cubics, base, x: ProjPoint, cx, accept):
-    """The ninth base point of the pencil of cubics through x in the span
-    of `cubics`, whose values at x are cx, and whose other base points are
-    the seven points `base` and x: the first candidate q, an integer triple,
-    that accept(q) takes.
+def _ninth_base_point(f: _Cubic, h: _Cubic, base, x: ProjPoint, accept) -> ProjPoint:
+    """The ninth base point of the pencil of cubics spanned by f and h,
+    whose other base points are the seven points `base` and x: the first
+    candidate q, an integer triple, that accept(q) takes.
 
-    On each member s f + t h in the order of _MEMBERS, with f, h the members
-    of _perp_basis(cx), the seven rotations of the base points are tried in
-    turn. On a smooth member no step degenerates, so one of the 13 members
-    gives the point. Returns it and the number of constructions tried."""
-    fc, hc = _perp_basis(cx)
-    f, h = _Cubic.combination(fc, cubics), None
+    On each member s f + t h in the order of _MEMBERS, the seven rotations
+    of the base points are tried in turn. On a smooth member no step
+    degenerates, so one of the 13 members gives the point."""
     pts = tuple(p.coords for p in base)
-    attempts = 0
     for s, t in _MEMBERS:
-        if t and h is None:
-            h = _Cubic.combination(hc, cubics)       # most points are found on f
         member = f if not t else h if not s else _Cubic.combination((s, t), (f, h))
         for k in range(7):
-            attempts += 1
             q = _cayley_bacharach(member, pts[k:] + pts[:k], x.coords)
             if q is not None and accept(q):
-                return ProjPoint(*q), attempts
-    raise ExtractionError(f"no certified ninth base point after {attempts} constructions")
-
-
-def _perp_basis(values):
-    """Integer basis of the vectors orthogonal to an integer vector: v_k e_i
-    - v_i e_k for i != k, with k its first nonzero entry; the standard basis
-    for the zero vector."""
-    n = len(values)
-    k = next((i for i, v in enumerate(values) if v), None)
-    if k is None:
-        return [[int(i == j) for j in range(n)] for i in range(n)]
-    out = []
-    for i in range(n):
-        if i != k:
-            vec = [0] * len(values)
-            vec[i], vec[k] = values[k], -values[i]
-            out.append(vec)
-    return out
+                return ProjPoint(*q)
+    raise ExtractionError(f"no certified ninth base point after {7 * len(_MEMBERS)} constructions")
 
 
 def _combinations(matrix, forms) -> list:
@@ -607,8 +601,9 @@ def _jacobian(f: HPoly, g: HPoly, h: HPoly) -> HPoly:
 
 
 class EvalTrace(NamedTuple):
-    """What one Geiser or Bertini evaluation did: the number of chord-tangent
-    constructions tried until one was certified."""
+    """What one Geiser or Bertini evaluation did: the number of candidate
+    images tried until one was certified. Geiser has one, its closed form's
+    value; Bertini two, the chord image and then x itself."""
 
     attempts: int
 
@@ -624,8 +619,7 @@ class DelPezzoInvolution:
     DEL_PEZZO that a subclass names. Everything is read off the cubic
     factors of the space, PointConfig.cubics + nodal: the net, or c1, c2,
     C_0, C_7. A subclass gives the values of the space from the values of
-    its factors (_space_values) and the chord-tangent construction
-    (eval_detail)."""
+    its factors (_space_values) and its evaluator (eval_detail)."""
 
     kind = ""
 
@@ -707,14 +701,12 @@ class DelPezzoInvolution:
             return True
         return matrix_rank(multiplicity_values(self.space, [x], [2])) < 3
 
-    def eval(self, x: ProjPoint) -> ProjPoint:
-        return self.eval_detail(x)[0]
-
     def certify_map(self, sigma: RationalMap, pairs):
         """Refuse sigma, with reason "interpolation failed" and a message
         naming the failed step, unless it is the involution. pairs yields
-        points x and their images y from the evaluator; the first four whose
-        images form a projective frame (_frame) are read.
+        points x and their certified images y, base points allowed; the
+        first four whose images form a projective frame (_frame) are read,
+        and fewer than four are refused.
 
         1. sigma has the family's degree d.
         2. Its components have multiplicity >= 3m at every point
@@ -722,7 +714,10 @@ class DelPezzoInvolution:
            H^0(d H - 3m sum E_i) = H^0(sigma* H) on the blow-up, of
            dimension h^0(H) = 3, which the components of the involution
            span: sigma = M o (the involution) for a 3x3 matrix M.
-        3. At each frame point x, sigma(x) is a nonzero multiple of y. So M
+        3. At each frame point x, sigma(x) is a nonzero multiple of y. The
+           involution's components at x, off the base points, are a nonzero
+           multiple of y, where y is a base point too: it contracts a curve
+           through x to y. So M
            has the four y as eigenvectors with nonzero eigenvalues; the
            fourth is a combination of the other three with no zero
            coefficient, which forces the eigenvalues equal: M is a scalar.
@@ -735,35 +730,31 @@ class DelPezzoInvolution:
         if low is not None:
             raise ValidationError("interpolation failed",
                                   f"fitted map has multiplicity < {mult} at the base point {pts[low]}")
+        frame = list(self._frame(pairs))
+        if len(frame) < 4:
+            raise ValidationError("interpolation failed", "the images hold no projective frame")
         comps = Evaluator(sigma.components)
-        for x, y in self._frame(pairs):
+        for x, y in frame:
             v = comps(x.coords)
             if not any(v) or any(cross(v, y.coords)):
                 image = ProjPoint(*v) if any(v) else None
                 raise ValidationError("interpolation failed",
                                       f"fitted map sends the frame point {x} to {image}, not to {y}")
 
-    def _frame(self, pairs):
+    @staticmethod
+    def _frame(pairs):
         """The first four pairs (x, y) whose images y form a projective
-        frame: no y is a base point, and no three are collinear (det3)."""
-        base, chosen = set(self.config.points), []
+        frame: no two are equal and no three are collinear (det3)."""
+        chosen = []
         for x, y in pairs:
             v = y.coords
-            if (y in base or not all(any(cross(u, v)) for u in chosen)
+            if (not all(any(cross(u, v)) for u in chosen)
                     or not all(det3((u, w, v)) for u, w in combinations(chosen, 2))):
                 continue
             yield x, y
             chosen.append(v)
             if len(chosen) == 4:
                 return
-
-    def _images(self, points):
-        """Pairs (x, eval(x)) of the points whose evaluation succeeds."""
-        for x in points:
-            try:
-                yield x, self.eval(x)
-            except ValidationError:
-                continue
 
 
 class GeiserInvolution(DelPezzoInvolution):
@@ -779,58 +770,86 @@ class GeiserInvolution(DelPezzoInvolution):
         return u
 
     def eval_detail(self, x: ProjPoint):
-        """Ninth base point of the pencil of cubics through the 7 points and
-        x, the first candidate of _ninth_base_point that passes certifies,
-        and the EvalTrace of its construction."""
+        """Image of x under the closed form (_raw), certified by certifies,
+        and EvalTrace(1). A value that fails the certificate is refused
+        with ExtractionError."""
         vx = self._through(x)[1]
-        image, attempts = _ninth_base_point(self._cubics, self.config.points, x, vx,
-                                            lambda q: self.certifies(x.coords, vx, q, self._at(q)))
-        return image, EvalTrace(attempts)
+        v = self._raw_values(x.coords)
+        if any(v):
+            y = ProjPoint(*v)
+            if self.certifies(x.coords, vx, y.coords, self._at(y.coords)):
+                return y, EvalTrace(1)
+        raise ExtractionError(f"the closed form's value at {x} is not certified")
 
     @cached_property
-    def interpolated_map(self) -> RationalMap:
-        """Closed-form degree-8 map, built from one evaluated sample.
+    def contracted_pairs(self):
+        """Pairs (x_a, p_a), a = 3..6, with x_a a point of C_a, the member
+        of the net singular at p_a, off the base points: the involution
+        contracts C_a to p_a. x_a is the residual point (_residual) of the
+        line from p_a to a point d of the line x_k = 0, where p_a has its
+        first nonzero coordinate k, so that the line misses p_a. At most 8
+        lines through p_a are unusable, the two branch tangents and the six
+        lines to the other base points, so one of 9 points d gives x_a.
+        Each pair passes the base-point clause of certifies, read off the
+        coefficients lambda of C_a (_singular_coefficients): C_a(x_a) =
+        lambda . (the net at x_a) = 0, and C_a is the unique member singular
+        at p_a."""
+        pts = self.config.points
+        pairs = []
+        for a in range(3, 7):
+            p = pts[a].coords
+            lam = _singular_coefficients(self._cubics, p, a)
+            cubic = _Cubic.combination(lam, self._cubics)
+            k = p.index(next(filter(None, p)))
+            i, j = (i for i in range(3) if i != k)
+            for t in range(9):
+                d = [0, 0, 0]
+                d[i], d[j] = 1, t
+                x = _residual(cubic, p, d)
+                if x is not None and ProjPoint(*x) not in pts and not dot(lam, self._factors(x)):
+                    pairs.append((ProjPoint(*x), pts[a]))
+                    break
+            else:
+                raise ExtractionError(f"no point off the base points found on the cubic singular at point {a}")
+        return pairs
+
+    @cached_property
+    def _raw(self) -> list:
+        """The components of the degree-8 map, not normalised.
 
         The side l_k of the triangle p1p2p3 pulls back to l_k(sigma) =
         lambda_k P_k, with P_k the octics of octic_triple_system. So, with L
-        the matrix of the l_k, sigma = adj(L) diag(lambda) P. At the first
-        seeded x where no P_k vanishes, with y = sigma(x) from the evaluator,
-        lambda_k is proportional to l_k(y) times the product of the other
-        P_j(x). The result is certified exactly by certify_map, from its
-        type (8; 3^7) and a frame of images: the sample, then the next
-        seeded points of the same draws whose images complete the frame. The
-        fit is unique up to scale and normalised, so the points drawn do not
-        change the map.
-        """
+        the matrix of the l_k, sigma = adj(L) diag(lambda) P, and at any x
+        off the base points with image y where no P_k(x) vanishes, lambda_k
+        is proportional to l_k(y) times the product of the other P_j(x).
+        The pair (x_3, p_3) of contracted_pairs is such a point: p_3 lies on
+        no side, and C_3 meets C_0, C_1, C_2 and each Q_ab only at base
+        points, so no P_k(x_3) vanishes: C_3 . C_a = 9 is 2 at each node
+        and 1 at the five other points, and C_3 . Q_ab = 6 is 2 at p_3 and
+        1 at the four other points of Q_ab."""
         pts = self.config.points
         octics = octic_triple_system(self.config, self._cubics)
         lines = [cross(pts[a].coords, pts[b].coords) for a, b in _SIDES]
-        pairs = self._images(self._candidates(SplitMix64(0x6A09E667F3BCC908)))
-        for x, y in pairs:
-            px = values_at(octics, x.coords)
-            if all(px):
-                break
+        x, y = self.contracted_pairs[0]
+        px = values_at(octics, x.coords)
         ly = [dot(line, y.coords) for line in lines]
-        if not all(ly):
-            raise ValidationError("interpolation failed",
-                                  f"the image {y} of {x} lies on a side of the triangle")
         scales = primitive([ly[k] * px[k - 1] * px[k - 2] for k in range(3)])
-        sigma = RationalMap(*_combinations([[a * s for a, s in zip(row, scales)] for row in adjugate3(lines)],
-                                           octics))
-        self.certify_map(sigma, chain([(x, y)], pairs))
-        return sigma
+        return _combinations([[a * s for a, s in zip(row, scales)] for row in adjugate3(lines)], octics)
 
-    def _candidates(self, stream: SplitMix64):
-        """Seeded points with coordinates in [-9, 9] other than the base
-        points, from at most 800 draws."""
-        base = {p.coords for p in self.config.points}
-        for _ in range(800):
-            coords = tuple(stream.next_int(-9, 9) for _ in range(3))
-            if coords != (0, 0, 0):
-                x = ProjPoint(*coords)
-                if x.coords not in base:
-                    yield x
-        raise ValidationError("sampling failed", "could not draw enough sample points")
+    @cached_property
+    def _raw_values(self) -> Evaluator:
+        return Evaluator(self._raw)
+
+    @cached_property
+    def interpolated_map(self) -> RationalMap:
+        """The closed-form degree-8 map (_raw), normalised and certified
+        exactly by certify_map from its type (8; 3^7) and the frame of the
+        four contracted pairs, p_3..p_6 being in general position. The map
+        is unique up to scale and normalised, so the pairs chosen do not
+        change it."""
+        sigma = RationalMap(*self._raw)
+        self.certify_map(sigma, self.contracted_pairs)
+        return sigma
 
 
 class BertiniInvolution(DelPezzoInvolution):
@@ -849,8 +868,8 @@ class BertiniInvolution(DelPezzoInvolution):
         c1, c2 = self._cubics
         pts = self.config.points
         return _ninth_base_point(
-            self._cubics, pts[:7], pts[7], (0, 0),
-            lambda q: not c1.value(q) and not c2.value(q) and ProjPoint(*q) not in pts)[0]
+            c1, c2, pts[:7], pts[7],
+            lambda q: not c1.value(q) and not c2.value(q) and ProjPoint(*q) not in pts)
 
     @staticmethod
     def _space_values(u):

@@ -1,12 +1,53 @@
-"""Seeded draws on the package's SplitMix64, reference constructions and
-the seeded de Jonquieres instances (make_dj_instance), that only the tests
-use."""
+"""Seeded draws on a SplitMix64 stream, reference constructions and the
+seeded de Jonquieres instances (make_dj_instance), that only the tests use.
+
+SplitMix64 is the generator published by Steele, Lea and Flood (used as
+the seeder of xoroshiro), so that every draw is reproducible from a single
+64-bit seed and can be replicated in any language:
+
+    state     <- (state + 0x9E3779B97F4A7C15) mod 2^64
+    z         <- state
+    z         <- (z XOR (z >> 30)) * 0xBF58476D1CE4E5B9  mod 2^64
+    z         <- (z XOR (z >> 27)) * 0x94D049BB133111EB  mod 2^64
+    output    <- z XOR (z >> 31)
+
+`next_below(n)` is plain modular reduction (bias is irrelevant here, exact
+reproducibility is not), and every derived helper documents its draw order.
+"""
 
 from planecremona.errors import ExtractionError, ValidationError
 from planecremona.exactpoly import HPoly, adjugate3, values_at
 from planecremona.involutions import validate_dj
 from planecremona.projmaps import ProjPoint, RationalMap, compose, frame_moving_to_center, is_identity
-from planecremona.rng import SplitMix64
+
+MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+
+class SplitMix64:
+    __slots__ = ("state",)
+
+    def __init__(self, seed: int):
+        self.state = seed & MASK64
+
+    def next_u64(self) -> int:
+        self.state = (self.state + _GAMMA) & MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+        return z ^ (z >> 31)
+
+    def next_below(self, n: int) -> int:
+        """Uniform-ish draw from {0, ..., n-1}; one next_u64 call."""
+        if n <= 0:
+            raise ValueError("n must be positive")
+        return self.next_u64() % n
+
+    def next_int(self, lo: int, hi: int) -> int:
+        """Draw from the inclusive range [lo, hi]; one next_u64 call."""
+        return lo + self.next_below(hi - lo + 1)
 
 
 def next_nonzero_int(stream: SplitMix64, lo: int, hi: int) -> int:
@@ -56,6 +97,30 @@ def sample_points(seed: int, count: int, avoid=()):
             continue
         out.append(p)
     return out
+
+
+def perp_basis(values):
+    """Integer basis of the vectors orthogonal to an integer vector: v_k e_i
+    - v_i e_k for i != k, with k its first nonzero entry; the standard basis
+    for the zero vector."""
+    n = len(values)
+    k = next((i for i, v in enumerate(values) if v), None)
+    if k is None:
+        return [[int(i == j) for j in range(n)] for i in range(n)]
+    out = []
+    for i in range(n):
+        if i != k:
+            vec = [0] * len(values)
+            vec[i], vec[k] = values[k], -values[i]
+            out.append(vec)
+    return out
+
+
+def evaluated_pairs(inv, seed: int, count: int = 40):
+    """Pairs (x, image of x) at sample_points(seed, count) off the base
+    points of a Geiser or Bertini involution, each image evaluated
+    (eval_detail) when the pair is read."""
+    return ((x, inv.eval_detail(x)[0]) for x in sample_points(seed, count, avoid=inv.config.points))
 
 
 def _row_forms(m):

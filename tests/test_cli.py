@@ -12,7 +12,7 @@ from planecremona.errors import ValidationError
 from planecremona.exactpoly import HPoly, format_hpoly, multiplicity_values
 from planecremona.involutions import DEL_PEZZO
 from planecremona.projmaps import ProjPoint, RationalMap
-from planecremona.rng import SplitMix64
+from tests.streams import SplitMix64
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "schema" / "cli_output.schema.json").read_text()

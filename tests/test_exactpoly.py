@@ -30,8 +30,7 @@ from planecremona.exactpoly import (
     values_at,
 )
 from planecremona.involutions import GeiserInvolution
-from planecremona.rng import SplitMix64
-from tests.streams import apply_matrix, next_nonzero_int
+from tests.streams import SplitMix64, apply_matrix, next_nonzero_int, perp_basis
 
 X, Y, Z = (HPoly.variable(i) for i in range(3))
 CONIC = X * Z - Y * Y
@@ -350,12 +349,12 @@ def test_resultant_linear_symbolic():
 
 
 def test_resultant_pencil_of_cubics_degree_nine(seven_config):
-    from planecremona.involutions import GeiserInvolution, _perp_basis
+    from planecremona.involutions import GeiserInvolution
     from planecremona.projmaps import ProjPoint
 
     g = GeiserInvolution(seven_config)
     f, h = (sum((q * c for c, q in zip(coeffs, g.space)), HPoly.zero(3))
-            for coeffs in _perp_basis(g._through(ProjPoint(2, 3, 7))[1]))
+            for coeffs in perp_basis(g._through(ProjPoint(2, 3, 7))[1]))
     # move to coordinates where no intersection point sits at the projection
     # center (0:0:1); otherwise the elimination drops that point and one
     # degree with it

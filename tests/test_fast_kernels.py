@@ -20,8 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from planecremona.exactpoly import HPoly, _on_line, cross, dot, monomials
 from planecremona.involutions import _Cubic, _in_span
-from planecremona.rng import SplitMix64
-from tests.streams import apply_matrix
+from tests.streams import SplitMix64, apply_matrix
 
 SMALL = st.one_of(
     st.integers(-9, 9),

@@ -13,8 +13,9 @@ from planecremona.fixedcurve import (
 )
 from planecremona.involutions import DJData, validate_dj
 from planecremona.projmaps import ProjPoint, RationalMap, is_involution, pencil_form
-from planecremona.rng import SplitMix64
-from tests.streams import apply_matrix, conjugate, frame_conjugate, linear_map, unimodular_matrix
+from tests.streams import (
+    SplitMix64, apply_matrix, conjugate, frame_conjugate, linear_map, unimodular_matrix,
+)
 
 X, Y, Z = (HPoly.variable(i) for i in range(3))
 

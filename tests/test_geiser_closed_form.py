@@ -4,31 +4,35 @@ against the fit it replaced.
 GeiserInvolution.interpolated_map builds sigma from the pull-backs of the
 sides of the triangle p1p2p3: l_ab(sigma) = lambda C_a C_b Q_ab, with C_a
 the cubic through the 7 points singular at p_a and Q_ab the conic through
-the five others (sigma* E_a = C_a on the blow-up). The reference fit below
-is the one it replaced: a basis of the triple-point octics from the 42 x 45
-conditions, and 9 unknowns solved from 6 evaluator samples. The wrong maps
-at the end are each refused by one step of DelPezzoInvolution.certify_map.
+the five others (sigma* E_a = C_a on the blow-up). The reference fits below
+are the ones it replaced: a basis of the triple-point octics from the 42 x
+45 conditions, and 9 unknowns solved from 6 evaluated samples; and the same
+octics scaled from one evaluated sample. Its scales and its frame come from
+the contracted pairs (x_a, p_a), x_a on the cubic C_a that the involution
+contracts to p_a. The wrong maps at the end are each refused by one step of
+DelPezzoInvolution.certify_map.
 """
 
 from fractions import Fraction
 from hashlib import sha256
 from itertools import chain, combinations, islice
 
+import pytest
 from hypothesis import given, strategies as st
 
 from planecremona.errors import ValidationError
 from planecremona.exactpoly import (
-    HPoly, adjugate3, forms_with_multiplicities, kernel_basis, matrix_rank, monomials,
-    multiplicity_conditions, multiplicity_values, values_at,
+    HPoly, adjugate3, cross, dot, forms_with_multiplicities, kernel_basis, matrix_rank, monomials,
+    multiplicity_conditions, multiplicity_values, primitive, values_at,
 )
 from planecremona.involutions import (
-    GeiserInvolution, _Cubic, _singular_member, make_point_config, octic_triple_system,
+    _SIDES, EvalTrace, GeiserInvolution, _Cubic, _singular_member, make_point_config,
+    octic_triple_system,
 )
 from planecremona.projmaps import ProjPoint, RationalMap
-from planecremona.rng import SplitMix64
-from tests.streams import sample_points
+from tests.streams import evaluated_pairs, perp_basis, sample_points
 from tests.test_involution_properties import (
-    kernel, monomial_value, partial_value, point_sets, seeded,
+    coords, kernel, monomial_value, partial_value, point_sets, seeded,
 )
 
 
@@ -66,20 +70,16 @@ def triple_point_octics(pts):
     return [form(8, v) for v in kernel_basis(multiplicity_conditions([p.coords for p in pts], 8, [3] * 7))]
 
 
-def six_sample_fit(inv):
-    """The fit interpolated_map used to run: sigma in the span of the
-    triple-point octics, 9 unknowns from the evaluator at the first 6 points
-    of the seeded stream where it succeeds."""
+# the seed of the sample points that the fits below drew by default
+FIT_SEED = 0x6A09E667F3BCC908
+
+
+def six_sample_fit(inv, seed=FIT_SEED):
+    """An earlier fit of interpolated_map: sigma in the span of the
+    triple-point octics, 9 unknowns from the evaluator at the first 6 seeded
+    sample points."""
     octics = triple_point_octics(inv.config.points)
-    stream = SplitMix64(0x6A09E667F3BCC908)
-    samples = []
-    for x in inv._candidates(stream):
-        try:
-            samples.append((x, inv.eval(x)))
-        except ValidationError:
-            continue
-        if len(samples) == 6:
-            break
+    samples = list(islice(evaluated_pairs(inv, seed), 6))
     rows = []
     for x, y in samples:
         ovals = values_at(octics, x.coords)
@@ -92,6 +92,37 @@ def six_sample_fit(inv):
     (coeffs,) = kernel_basis(rows)
     return RationalMap(*(sum((octics[j] * coeffs[3 * i + j] for j in range(3)), HPoly.zero(8))
                          for i in range(3)))
+
+
+# pencil members s f + t h that the chain tries in turn: 13 ratios, one
+# more than the 12 singular members a cubic pencil with a smooth member has
+MEMBERS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, -1),
+           (1, 3), (3, 1), (1, -3), (3, -1), (2, 3))
+
+
+def chain_image(inv, x):
+    """The Geiser image of x by the Cayley-Bacharach chain, or None: the
+    ninth base point of the pencil of cubics through the 7 points and x is
+    third(third(a, b), third(c, w)) on a member, a, b, c, w the third points
+    of the chords p1p2, p3p4, p5p6, p7x. Members s f + t h, f and h the
+    net's combinations orthogonal to its values at x (perp_basis), are tried
+    in the order of MEMBERS, each with the seven rotations of the points;
+    the first candidate that certifies takes is the image."""
+    vx = inv._through(x)[1]
+    fc, hc = perp_basis(vx)
+    pts = [p.coords for p in inv.config.points]
+    for s, t in MEMBERS:
+        third = _Cubic.combination([s * u + t * v for u, v in zip(fc, hc)], inv._cubics).third
+        for k in range(7):
+            p = pts[k:] + pts[:k] + [x.coords]
+            a, b, c, w = (third(p[i], p[i + 1]) for i in (0, 2, 4, 6))
+            if None in (a, b, c, w):
+                continue
+            e, g = third(a, b), third(c, w)
+            q = e and g and third(e, g)
+            if q and inv.certifies(x.coords, vx, q, inv._at(q)):
+                return ProjPoint(*q)
+    return None
 
 
 def seeded_configs(count):
@@ -210,14 +241,6 @@ def test_a_third_vertex_on_every_conic_of_the_pencil_is_refused(geiser):
                 raise AssertionError(f"a pencil of conics all through point {c} was accepted")
 
 
-def drawing_from(inv, stream):
-    """inv, with its sample points drawn from stream in place of the stream
-    interpolated_map passes."""
-    draws = inv._candidates
-    inv._candidates = lambda _stream: draws(stream)
-    return inv
-
-
 def test_closed_form_matches_the_six_sample_fit():
     # the fit does not depend on the order of the points or on the sample
     for config in seeded_configs(10):
@@ -228,8 +251,8 @@ def test_closed_form_matches_the_six_sample_fit():
             inv = GeiserInvolution(make_point_config(order, "geiser"))
             assert inv.interpolated_map.components == sigma.components, order
             for seed in (5, 11):
-                inv = drawing_from(GeiserInvolution(make_point_config(order, "geiser")), SplitMix64(seed))
-                assert inv.interpolated_map.components == sigma.components, (order, seed)
+                inv = GeiserInvolution(make_point_config(order, "geiser"))
+                assert six_sample_fit(inv, seed).components == sigma.components, (order, seed)
 
 
 # sha256 of str(interpolated_map) on seeded_configs(8): a faster
@@ -252,9 +275,28 @@ def test_fitted_maps_are_pinned():
     assert digests == FITTED_MAP_SHA256
 
 
+def one_sample_fit(inv, pairs, used):
+    """An earlier fit of interpolated_map: lambda_k proportional to l_k(y)
+    times the product of the other P_j(x), at the first pair (x, y) where no
+    octic P_j of octic_triple_system vanishes, which it appends to used."""
+    pts = inv.config.points
+    octics = octic_triple_system(inv.config, inv._cubics)
+    lines = [cross(pts[a].coords, pts[b].coords) for a, b in _SIDES]
+    for x, y in pairs:
+        px = values_at(octics, x.coords)
+        if all(px):
+            used.append(x)
+            break
+    scales = primitive([dot(lines[k], y.coords) * px[k - 1] * px[k - 2] for k in range(3)])
+    rows = [[a * s for a, s in zip(row, scales)] for row in adjugate3(lines)]
+    return RationalMap(*(sum((f * c for c, f in zip(row, octics)), HPoly.zero(8)) for row in rows))
+
+
 def test_sample_on_a_contracted_cubic_is_skipped(geiser):
-    """A first candidate on C_1, where two of the octics vanish, is skipped
-    and the map is the one built from the next candidate."""
+    """A first sample on C_1, where two of the octics vanish, is skipped
+    by the one-sample fit, and the map is the one built from the next
+    sample. The closed form takes its one sample off every such cubic: x_3
+    lies on C_4, where no octic vanishes."""
     pts = geiser.config.points
     c1 = singular_cubic(pts, 0)
     p = pts[0].coords
@@ -264,31 +306,22 @@ def test_sample_on_a_contracted_cubic_is_skipped(geiser):
     q = c1.eval(tuple(u + v for u, v in zip(p, r))) - c1.eval(r)
     on_c1 = ProjPoint(*(c1.eval(r) * u - q * v for u, v in zip(p, r)))
     assert c1.eval(on_c1.coords) == 0 and on_c1 not in pts
-    assert 0 in values_at(octic_triple_system(geiser.config, geiser._cubics), on_c1.coords)
-    inv = GeiserInvolution(geiser.config)
-    draws = inv._candidates
-    calls = []
-
-    def candidates(stream):
-        calls.append(stream)
-        return chain([on_c1], draws(stream))
-
-    inv._candidates = candidates
-    assert inv.interpolated_map.components == geiser.interpolated_map.components
-    # one draw stream for the sample and the frame
-    assert len(calls) == 1
-
-
-def seeded_pairs(inv, seed):
-    """Points drawn from a seeded stream with their images, as
-    interpolated_map draws the frame of its certificate."""
-    return inv._images(inv._candidates(SplitMix64(seed)))
+    octics = octic_triple_system(geiser.config, geiser._cubics)
+    assert 0 in values_at(octics, on_c1.coords)
+    assert geiser.eval_detail(on_c1)[0] == pts[0]
+    used = []
+    pairs = chain([(on_c1, pts[0])], evaluated_pairs(geiser, FIT_SEED))
+    assert one_sample_fit(geiser, pairs, used).components == geiser.interpolated_map.components
+    # one sample read, the first of the stream
+    assert used == sample_points(FIT_SEED, 1, avoid=pts)
+    x3, p3 = geiser.contracted_pairs[0]
+    assert p3 == pts[3] and all(values_at(octics, x3.coords))
 
 
 def refusal(inv, sigma, seed):
     """The message with which certify_map refuses sigma."""
     try:
-        inv.certify_map(sigma, seeded_pairs(inv, seed))
+        inv.certify_map(sigma, evaluated_pairs(inv, seed))
     except ValidationError as exc:
         assert exc.reason == "interpolation failed"
         return str(exc)
@@ -300,7 +333,7 @@ def refusal(inv, sigma, seed):
 def test_certificate_refuses_a_wrong_scale_and_an_extra_monomial(pts, seed):
     inv = GeiserInvolution(make_point_config(pts, "geiser"))
     sigma = inv.interpolated_map
-    inv.certify_map(sigma, seeded_pairs(inv, seed))
+    inv.certify_map(sigma, evaluated_pairs(inv, seed))
     f1, f2, f3 = sigma.components
     # a wrong lambda keeps the type (8; 3^7): only the frame can see it
     assert "frame point" in refusal(inv, RationalMap(f1 * 2, f2, f3), seed)
@@ -315,7 +348,7 @@ def test_certificate_reads_the_fourth_frame_point(pts, seed):
     the eigenvalues 1, 1, 2, agrees with sigma at three frame points."""
     inv = GeiserInvolution(make_point_config(pts, "geiser"))
     sigma = inv.interpolated_map
-    first = list(islice(inv._frame(seeded_pairs(inv, seed)), 3))
+    first = list(islice(inv._frame(evaluated_pairs(inv, seed)), 3))
     y = [[first[j][1].coords[i] for j in range(3)] for i in range(3)]     # columns y_1, y_2, y_3
     adj = adjugate3(y)
     m = [[sum(y[i][k] * (2 if k == 2 else 1) * adj[k][j] for k in range(3)) for j in range(3)]
@@ -336,7 +369,7 @@ def test_certificate_needs_triple_points(pts, seed):
     triple-point step refuses it."""
     inv = GeiserInvolution(make_point_config(pts, "geiser"))
     sigma = inv.interpolated_map
-    frame = list(inv._frame(seeded_pairs(inv, seed)))
+    frame = list(inv._frame(evaluated_pairs(inv, seed)))
     coords = [p.coords for p in pts]
     rows = multiplicity_conditions(coords + [x.coords for x, _ in frame], 8, [2] * 7 + [1] * 4)
     doubles = [HPoly(8, dict(zip(monomials(8), v))) for v in kernel_basis(rows)]
@@ -348,3 +381,49 @@ def test_certificate_needs_triple_points(pts, seed):
     for x, image in frame:
         assert ProjPoint(*values_at(wrong.components, x.coords)) == image
     assert "multiplicity < 3 at the base point" in refusal(inv, wrong, seed)
+
+
+@seeded(10)
+@given(pts=point_sets(7), xs=st.lists(coords.map(lambda c: ProjPoint(*c)), min_size=3, max_size=3))
+def test_closed_form_agrees_with_the_cayley_bacharach_chain(pts, xs):
+    """At seeded points and at their images the closed form's certified
+    value is the ninth base point that the chord chain builds."""
+    inv = GeiserInvolution(make_point_config(pts, "geiser"))
+    for x in xs:
+        if x in pts:
+            continue
+        y, trace = inv.eval_detail(x)
+        assert trace == EvalTrace(1)
+        assert y == chain_image(inv, x), x
+        if y not in pts:
+            assert inv.eval_detail(y)[0] == x == chain_image(inv, y), y
+
+
+def test_contracted_pairs_are_certified():
+    """Each x_a lies on C_a off the base points; the certificate takes p_a
+    as its image and refuses every other base point, and eval_detail
+    returns p_a. The four images p_3..p_6 are the frame certify_map reads."""
+    for config in seeded_configs(8):
+        inv = GeiserInvolution(config)
+        pts = config.points
+        pairs = inv.contracted_pairs
+        assert [p for _, p in pairs] == list(pts[3:])
+        for a, (x, p) in enumerate(pairs, start=3):
+            assert x not in pts
+            assert kernel_cubic([q.coords for q in pts], a).eval(x.coords) == 0
+            vx = inv._through(x)[1]
+            for q in pts:
+                assert inv.certifies(x.coords, vx, q.coords, inv._at(q.coords)) == (q == p), (a, q)
+            assert inv.eval_detail(x) == (p, EvalTrace(1))
+        assert list(inv._frame(pairs)) == pairs
+
+
+def test_certificate_refuses_pairs_without_a_frame(geiser):
+    """Three images, or four with one repeated, hold no projective frame:
+    the map is refused, though it is the involution."""
+    sigma = geiser.interpolated_map
+    pairs = geiser.contracted_pairs
+    for short in (pairs[:3], pairs[:3] + pairs[:1]):
+        with pytest.raises(ValidationError, match="no projective frame") as exc:
+            geiser.certify_map(sigma, short)
+        assert exc.value.reason == "interpolation failed"

@@ -20,9 +20,9 @@ from planecremona.involutions import (
 from planecremona.projmaps import (
     ProjPoint, RationalMap, compose, is_identity, is_involution, pencil_center, pencil_form,
 )
-from planecremona.rng import SplitMix64
 from tests.streams import (
-    apply_matrix, frame_conjugate, image, make_dj_instance, pencil_components, unimodular_matrix,
+    SplitMix64, apply_matrix, frame_conjugate, image, make_dj_instance, pencil_components,
+    unimodular_matrix,
 )
 
 X, Y, Z = (HPoly.variable(i) for i in range(3))

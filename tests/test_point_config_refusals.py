@@ -12,7 +12,7 @@ from planecremona.errors import ValidationError
 from planecremona.exactpoly import matrix_rank, multiplicity_conditions
 from planecremona.involutions import make_point_config
 from planecremona.projmaps import ProjPoint, collinear
-from planecremona.rng import SplitMix64
+from tests.streams import SplitMix64
 
 KINDS = {7: "geiser", 8: "bertini"}
 PER_CASE = 200

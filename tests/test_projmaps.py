@@ -20,9 +20,8 @@ from planecremona.projmaps import (
     pencil_form,
     pencil_form_at,
 )
-from planecremona.rng import SplitMix64
 from tests.streams import (
-    CENTER_POOL, apply_matrix, conjugate, frame_conjugate, image, linear_map, unimodular_matrix,
+    CENTER_POOL, SplitMix64, apply_matrix, conjugate, frame_conjugate, image, linear_map, unimodular_matrix,
 )
 
 X, Y, Z = (HPoly.variable(i) for i in range(3))

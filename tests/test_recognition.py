@@ -29,8 +29,9 @@ from planecremona.cli import parse_map
 from planecremona.errors import ValidationError
 from planecremona.fixedcurve import classify_involution
 from planecremona.involutions import validate_dj
-from planecremona.rng import SplitMix64
-from tests.streams import conjugate, linear_conjugator, linear_map, make_dj_instance, quadratic_conjugator
+from tests.streams import (
+    SplitMix64, conjugate, linear_conjugator, linear_map, make_dj_instance, quadratic_conjugator,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 TABLE = ROOT / "tests" / "data" / "recognition.json"
