@@ -25,7 +25,7 @@ member through p_c because p_c is not among its base points. The known
 images need no evaluation: the involution contracts C_a to p_a, and a
 point of C_a off the base points is the residual point of a line through
 its node (_residual). The map is certified exactly from its type and the
-four contracted pairs (x_a, p_a) of the points a = 3..6 off the triangle,
+contracted pairs (x_a, p_a) of the four points p_4..p_7 off the triangle,
 whose images form a projective frame (DelPezzoInvolution.certify_map):
 octics with triple points at the 7 points are sections of sigma* H on the
 blow-up, a space of dimension 3, so the map is M o sigma for a 3x3 matrix
@@ -800,7 +800,7 @@ class GeiserInvolution(DelPezzoInvolution):
             p = pts[a].coords
             lam = _singular_coefficients(self._cubics, p, a)
             cubic = _Cubic.combination(lam, self._cubics)
-            k = p.index(next(filter(None, p)))
+            k = next(i for i, c in enumerate(p) if c)
             i, j = (i for i in range(3) if i != k)
             for t in range(9):
                 d = [0, 0, 0]
@@ -817,7 +817,7 @@ class GeiserInvolution(DelPezzoInvolution):
     def _raw(self) -> list:
         """The components of the degree-8 map, not normalised.
 
-        The side l_k of the triangle p1p2p3 pulls back to l_k(sigma) =
+        The side l_k of the triangle p_0 p_1 p_2 pulls back to l_k(sigma) =
         lambda_k P_k, with P_k the octics of octic_triple_system. So, with L
         the matrix of the l_k, sigma = adj(L) diag(lambda) P, and at any x
         off the base points with image y where no P_k(x) vanishes, lambda_k

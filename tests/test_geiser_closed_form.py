@@ -295,8 +295,8 @@ def one_sample_fit(inv, pairs, used):
 def test_sample_on_a_contracted_cubic_is_skipped(geiser):
     """A first sample on C_1, where two of the octics vanish, is skipped
     by the one-sample fit, and the map is the one built from the next
-    sample. The closed form takes its one sample off every such cubic: x_3
-    lies on C_4, where no octic vanishes."""
+    sample. The closed form's own sample, its first contracted pair, lies
+    on the cubic singular at pts[3], where no octic vanishes."""
     pts = geiser.config.points
     c1 = singular_cubic(pts, 0)
     p = pts[0].coords
