@@ -16,12 +16,15 @@
 Geiser is evaluated by its closed form, the degree-8 map of homaloidal
 type (8; 3^7), built from the pull-backs of the sides of the triangle
 p1p2p3 (the octics C_a C_b Q_ab) and one known image. The factors are read
-off data shared by the three sides (octic_triple_system): C_a is the member
-of the net singular at p_a, from the net's gradient rows at p_a; Q_ab, the
+off data shared by the three sides (_octic_factors): C_a is the member of
+the net singular at p_a, from the net's gradient rows at p_a; Q_ab, the
 conic through the five other points, is the member through the third
-vertex p_c of the one pencil of conics through points 3-6, which has
-dimension 2 because no three of those points are collinear and has one
-member through p_c because p_c is not among its base points. The known
+vertex p_c of the pencil of conics through points 3-6, which two of its
+line pairs span because those points are not collinear, and which has
+one member through p_c because p_c is not among its base points. An
+evaluation reads the octics' values off the values of these factors, so
+it builds no octic; the fitted map (interpolated_map) multiplies them out
+(octic_triple_system). The known
 images need no evaluation: the involution contracts C_a to p_a, and a
 point of C_a off the base points is the residual point of a line through
 its node (_residual). The map is certified exactly from its type and the
@@ -370,46 +373,62 @@ def sextic_system(points, cubics):
 
 # the sides p1p2, p1p3, p2p3 of the triangle of the first three points
 _SIDES = ((0, 1), (0, 2), (1, 2))
+# two line pairs through points 3-6, p3p4 + p5p6 and p3p5 + p4p6
+_LINE_PAIRS = (((3, 4), (5, 6)), ((3, 5), (4, 6)))
+# the coordinate forms x, y, z, which _combinations turns into lines
+_VARIABLES = tuple(HPoly.variable(i) for i in range(3))
 
 
 def octic_triple_system(config: PointConfig, net) -> list:
     """Basis of the octics with points of multiplicity >= 3 at the 7 points
     of a Geiser configuration: C_a C_b Q_ab for the sides ab of _SIDES,
     where C_a is the cubic through the points singular at p_a and Q_ab the
-    conic through the five others. These are the pull-backs of the sides by
-    the Geiser involution: on the blow-up, sigma* H = 8H - 3 sum E_i is the
-    sum of sigma* E_a = C_a, sigma* E_b = C_b and sigma* (H - E_a - E_b) =
-    Q_ab.
+    conic through the five others, each canonical. These are the pull-backs
+    of the sides by the Geiser involution: on the blow-up, sigma* H = 8H -
+    3 sum E_i is the sum of sigma* E_a = C_a, sigma* E_b = C_b and sigma*
+    (H - E_a - E_b) = Q_ab. The factors are those of _octic_factors, with
+    net the cubics config.cubics as _Cubic rows."""
+    lams, lines, mix = _octic_factors(config, net)
+    cubics = [c.canonical() for c in _combinations(lams, config.cubics)]
+    conics = _combinations(mix, [l * m for l, m in (_combinations(pair, _VARIABLES) for pair in lines)])
+    return [cubics[a] * cubics[b] * q.canonical() for (a, b), q in zip(_SIDES, conics)]
 
-    Each factor comes from data shared by the three sides. C_a is the
-    member of the net config.cubics whose gradient vanishes at p_a, read
-    off the gradients of net, those cubics as the _Cubic rows that the
-    involution already holds (GeiserInvolution._cubics; _singular_member).
+
+def _octic_factors(config: PointConfig, net):
+    """The factors of octic_triple_system as coefficients, (lams, lines,
+    mix): C_a = lams[a] . config.cubics for a = 0, 1, 2, and Q_ab = mix[k] .
+    (l m for l, m in lines) for the side k = ab of _SIDES, from data shared
+    by the three sides.
+
+    C_a is the member of the net whose gradient vanishes at p_a, read off
+    the gradients of net, the net as _Cubic rows (_singular_coefficients).
     Q_ab passes through points 3-6 and the third vertex p_c of the
-    triangle: it is the member of the pencil q1, q2 of conics through
-    points 3-6 that passes through p_c, q2(p_c) q1 - q1(p_c) q2,
-    canonical. The pencil is one 4 x 6 kernel. No three of points 3-6 are
-    collinear, so they impose independent conditions on conics and the
-    pencil has dimension 2; p_c is not one of its four base points, so
-    some member misses p_c and its member through p_c is unique. Refused
-    with "degenerate configuration" otherwise, naming the points or the
-    side.
+    triangle. The conics through points 3-6 are the pencil spanned by two
+    of its line pairs, q1 = p3p4 + p5p6 and q2 = p3p5 + p4p6 (_LINE_PAIRS),
+    which are proportional only when the four points are collinear, and
+    Q_ab is its member through p_c, q2(p_c) q1 - q1(p_c) q2. p_c is not one
+    of the pencil's four base points, so some member misses p_c and its
+    member through p_c is unique. Refused with "degenerate configuration"
+    otherwise, naming the points or the side.
     """
     coords = [p.coords for p in config.points]
-    cubics = [_singular_member(config.cubics, net, coords[a], a) for a in range(3)]
-    pencil = forms_with_multiplicities(coords[3:], 2, [1] * 4, 2, "conics through points 3-6")
-    values = Evaluator(pencil)
-    octics = []
+    lams = [_singular_coefficients(net, coords[a], a) for a in range(3)]
+    if len(set(coords[3:])) < 4:
+        raise ValidationError("degenerate configuration", "repeated point")
+    if not (det3(coords[3:6]) or det3(coords[3:5] + coords[6:])):
+        raise ValidationError("degenerate configuration",
+                              "conics through points 3-6 form a system of dimension 3, expected 2")
+    lines = [[cross(coords[i], coords[j]) for i, j in pair] for pair in _LINE_PAIRS]
+    mix = []
     for a, b in _SIDES:
         c = 3 - a - b
-        v1, v2 = values(coords[c])
+        v1, v2 = (dot(l, coords[c]) * dot(m, coords[c]) for l, m in lines)
         if not (v1 or v2):
             raise ValidationError("degenerate configuration",
                                   f"conics missing points {a}, {b}: every conic through points 3-6 "
                                   f"passes through point {c}")
-        (conic,) = _combinations([[v2, -v1]], pencil)
-        octics.append(cubics[a] * cubics[b] * conic.canonical())
-    return octics
+        mix.append((v2, -v1))
+    return lams, lines, mix
 
 
 def _singular_coefficients(rows, p, a: int):
@@ -425,13 +444,6 @@ def _singular_coefficients(rows, p, a: int):
         raise ValidationError("degenerate configuration",
                               f"the net's gradients at point {a} do not have rank 2")
     return lam
-
-
-def _singular_member(net, rows, p, a: int) -> HPoly:
-    """The member of the net singular at p = p_a (_singular_coefficients),
-    canonical."""
-    (member,) = _combinations([_singular_coefficients(rows, p, a)], net)
-    return member.canonical()
 
 
 def _residual(cubic: "_Cubic", p, d):
@@ -770,11 +782,15 @@ class GeiserInvolution(DelPezzoInvolution):
         return u
 
     def eval_detail(self, x: ProjPoint):
-        """Image of x under the closed form (_raw), certified by certifies,
-        and EvalTrace(1). A value that fails the certificate is refused
-        with ExtractionError."""
-        vx = self._through(x)[1]
-        v = self._raw_values(x.coords)
+        """Image of x under the closed form, certified by certifies, and
+        EvalTrace(1). The closed form is evaluated through its factors
+        (_octic_values, _value_matrix), so no octic is built: the first
+        evaluation of a configuration adds four 3x3 kernels and one point
+        of C_3 to the next ones' cost. A value that fails the certificate is
+        refused with ExtractionError."""
+        u, vx = self._through(x)
+        px = self._octic_values(u, x.coords)
+        v = [dot(row, px) for row in self._value_matrix]
         if any(v):
             y = ProjPoint(*v)
             if self.certifies(x.coords, vx, y.coords, self._at(y.coords)):
@@ -782,63 +798,85 @@ class GeiserInvolution(DelPezzoInvolution):
         raise ExtractionError(f"the closed form's value at {x} is not certified")
 
     @cached_property
+    def _factored_octics(self):
+        """The factors of the octics as coefficients (_octic_factors)."""
+        return _octic_factors(self.config, self._cubics)
+
+    def _octic_values(self, u, q):
+        """The values at q of the octics C_a C_b Q_ab of octic_triple_system,
+        each up to a scalar fixed by the configuration, from the values u of
+        the net at q and of the four lines of _LINE_PAIRS."""
+        lams, lines, mix = self._factored_octics
+        c = [dot(lam, u) for lam in lams]
+        w1, w2 = (dot(l, q) * dot(m, q) for l, m in lines)
+        return [c[a] * c[b] * (m1 * w1 + m2 * w2) for (a, b), (m1, m2) in zip(_SIDES, mix)]
+
+    @cached_property
+    def _value_matrix(self):
+        """The matrix adj(L) diag(lambda) of the closed form (_side_matrix)
+        for the octics as _octic_values gives them."""
+        x = self._contracted_point(3).coords
+        return self._side_matrix(self._octic_values(self._factors(x), x))
+
+    def _side_matrix(self, px):
+        """adj(L) diag(lambda), with L the matrix of the sides l_k of the
+        triangle p_0 p_1 p_2 and lambda read off the values px of octics P_k
+        at the first contracted pair (x_3, p_3).
+
+        The side l_k pulls back to l_k(sigma) = lambda_k P_k, so sigma =
+        adj(L) diag(lambda) P, and at any x off the base points with image y
+        where no P_k(x) vanishes, lambda_k is proportional to l_k(y) times
+        the product of the other P_j(x). The pair (x_3, p_3) is such a
+        point: p_3 lies on no side, and C_3 meets C_0, C_1, C_2 and each
+        Q_ab only at base points, so no P_k(x_3) vanishes: C_3 . C_a = 9 is 2
+        at each node and 1 at the five other points, and C_3 . Q_ab = 6 is 2
+        at p_3 and 1 at the four other points of Q_ab."""
+        pts = self.config.points
+        lines = [cross(pts[a].coords, pts[b].coords) for a, b in _SIDES]
+        ly = [dot(line, pts[3].coords) for line in lines]
+        scales = primitive([ly[k] * px[k - 1] * px[k - 2] for k in range(3)])
+        return [[a * s for a, s in zip(row, scales)] for row in adjugate3(lines)]
+
+    @cached_property
     def contracted_pairs(self):
         """Pairs (x_a, p_a), a = 3..6, with x_a a point of C_a, the member
-        of the net singular at p_a, off the base points: the involution
-        contracts C_a to p_a. x_a is the residual point (_residual) of the
+        of the net singular at p_a, off the base points (_contracted_point):
+        the involution contracts C_a to p_a."""
+        pts = self.config.points
+        return [(self._contracted_point(a), pts[a]) for a in range(3, 7)]
+
+    def _contracted_point(self, a: int) -> ProjPoint:
+        """x_a of contracted_pairs: the residual point (_residual) of the
         line from p_a to a point d of the line x_k = 0, where p_a has its
         first nonzero coordinate k, so that the line misses p_a. At most 8
         lines through p_a are unusable, the two branch tangents and the six
         lines to the other base points, so one of 9 points d gives x_a.
-        Each pair passes the base-point clause of certifies, read off the
+        (x_a, p_a) passes the base-point clause of certifies, read off the
         coefficients lambda of C_a (_singular_coefficients): C_a(x_a) =
         lambda . (the net at x_a) = 0, and C_a is the unique member singular
         at p_a."""
         pts = self.config.points
-        pairs = []
-        for a in range(3, 7):
-            p = pts[a].coords
-            lam = _singular_coefficients(self._cubics, p, a)
-            cubic = _Cubic.combination(lam, self._cubics)
-            k = next(i for i, c in enumerate(p) if c)
-            i, j = (i for i in range(3) if i != k)
-            for t in range(9):
-                d = [0, 0, 0]
-                d[i], d[j] = 1, t
-                x = _residual(cubic, p, d)
-                if x is not None and ProjPoint(*x) not in pts and not dot(lam, self._factors(x)):
-                    pairs.append((ProjPoint(*x), pts[a]))
-                    break
-            else:
-                raise ExtractionError(f"no point off the base points found on the cubic singular at point {a}")
-        return pairs
+        p = pts[a].coords
+        lam = _singular_coefficients(self._cubics, p, a)
+        cubic = _Cubic.combination(lam, self._cubics)
+        k = next(i for i, c in enumerate(p) if c)
+        i, j = (i for i in range(3) if i != k)
+        for t in range(9):
+            d = [0, 0, 0]
+            d[i], d[j] = 1, t
+            x = _residual(cubic, p, d)
+            if x is not None and ProjPoint(*x) not in pts and not dot(lam, self._factors(x)):
+                return ProjPoint(*x)
+        raise ExtractionError(f"no point off the base points found on the cubic singular at point {a}")
 
     @cached_property
     def _raw(self) -> list:
-        """The components of the degree-8 map, not normalised.
-
-        The side l_k of the triangle p_0 p_1 p_2 pulls back to l_k(sigma) =
-        lambda_k P_k, with P_k the octics of octic_triple_system. So, with L
-        the matrix of the l_k, sigma = adj(L) diag(lambda) P, and at any x
-        off the base points with image y where no P_k(x) vanishes, lambda_k
-        is proportional to l_k(y) times the product of the other P_j(x).
-        The pair (x_3, p_3) of contracted_pairs is such a point: p_3 lies on
-        no side, and C_3 meets C_0, C_1, C_2 and each Q_ab only at base
-        points, so no P_k(x_3) vanishes: C_3 . C_a = 9 is 2 at each node
-        and 1 at the five other points, and C_3 . Q_ab = 6 is 2 at p_3 and
-        1 at the four other points of Q_ab."""
-        pts = self.config.points
+        """The components of the degree-8 map, not normalised: adj(L)
+        diag(lambda) P for the octics P of octic_triple_system
+        (_side_matrix)."""
         octics = octic_triple_system(self.config, self._cubics)
-        lines = [cross(pts[a].coords, pts[b].coords) for a, b in _SIDES]
-        x, y = self.contracted_pairs[0]
-        px = values_at(octics, x.coords)
-        ly = [dot(line, y.coords) for line in lines]
-        scales = primitive([ly[k] * px[k - 1] * px[k - 2] for k in range(3)])
-        return _combinations([[a * s for a, s in zip(row, scales)] for row in adjugate3(lines)], octics)
-
-    @cached_property
-    def _raw_values(self) -> Evaluator:
-        return Evaluator(self._raw)
+        x = self.contracted_pairs[0][0].coords
+        return _combinations(self._side_matrix(values_at(octics, x)), octics)
 
     @cached_property
     def interpolated_map(self) -> RationalMap:
@@ -859,12 +897,13 @@ class BertiniInvolution(DelPezzoInvolution):
 
     @cached_property
     def ninth_point(self) -> ProjPoint:
-        """Ninth base point p9 of the cubic pencil through the 8 points: the
-        Geiser construction on that pencil, with p8 in the role of x (where
-        both members vanish), taking a common zero of c1 and c2 that is not
-        one of the 8. In general position p9 is a simple base point off the
-        8: blown up, it is the base point of |-K| on the del Pezzo surface
-        of degree 1, which lies on no (-1)-curve, the E_i among them."""
+        """Ninth base point p9 of the cubic pencil c1, c2 through the 8
+        points: the Cayley-Bacharach chain of _ninth_base_point on that
+        pencil, with p8 in the role of x, taking a common zero of c1 and c2
+        that is not one of the 8. In general position p9 is a simple base
+        point off the 8: blown up, it is the base point of |-K| on the del
+        Pezzo surface of degree 1, which lies on no (-1)-curve, the E_i
+        among them."""
         c1, c2 = self._cubics
         pts = self.config.points
         return _ninth_base_point(

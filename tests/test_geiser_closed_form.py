@@ -4,30 +4,30 @@ against the fit it replaced.
 GeiserInvolution.interpolated_map builds sigma from the pull-backs of the
 sides of the triangle p1p2p3: l_ab(sigma) = lambda C_a C_b Q_ab, with C_a
 the cubic through the 7 points singular at p_a and Q_ab the conic through
-the five others (sigma* E_a = C_a on the blow-up). The reference fits below
-are the ones it replaced: a basis of the triple-point octics from the 42 x
-45 conditions, and 9 unknowns solved from 6 evaluated samples; and the same
-octics scaled from one evaluated sample. Its scales and its frame come from
-the contracted pairs (x_a, p_a), x_a on the cubic C_a that the involution
-contracts to p_a. The wrong maps at the end are each refused by one step of
+the five others (sigma* E_a = C_a on the blow-up). The reference fit below
+is one it replaced: a basis of the triple-point octics from the 42 x 45
+conditions, and 9 unknowns solved from 6 evaluated samples; the reference
+evaluator is the Cayley-Bacharach chain that Geiser evaluations used before
+the closed form. Its scales and its frame come from the contracted pairs
+(x_a, p_a), x_a on the cubic C_a that the involution contracts to p_a. The wrong maps at the end are each refused by one step of
 DelPezzoInvolution.certify_map.
 """
 
 from fractions import Fraction
 from hashlib import sha256
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, strategies as st
 
-from planecremona.errors import ValidationError
+from planecremona.errors import ExtractionError, ValidationError
 from planecremona.exactpoly import (
-    HPoly, adjugate3, cross, dot, forms_with_multiplicities, kernel_basis, matrix_rank, monomials,
-    multiplicity_conditions, multiplicity_values, primitive, values_at,
+    HPoly, adjugate3, forms_with_multiplicities, kernel_basis, matrix_rank, monomials,
+    multiplicity_conditions, multiplicity_values, values_at,
 )
 from planecremona.involutions import (
-    _SIDES, EvalTrace, GeiserInvolution, _Cubic, _singular_member, make_point_config,
-    octic_triple_system,
+    EvalTrace, GeiserInvolution, _Cubic, _ninth_base_point, _singular_coefficients,
+    make_point_config, octic_triple_system,
 )
 from planecremona.projmaps import ProjPoint, RationalMap
 from tests.streams import evaluated_pairs, perp_basis, sample_points
@@ -94,35 +94,19 @@ def six_sample_fit(inv, seed=FIT_SEED):
                          for i in range(3)))
 
 
-# pencil members s f + t h that the chain tries in turn: 13 ratios, one
-# more than the 12 singular members a cubic pencil with a smooth member has
-MEMBERS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, -1),
-           (1, 3), (3, 1), (1, -3), (3, -1), (2, 3))
-
-
 def chain_image(inv, x):
     """The Geiser image of x by the Cayley-Bacharach chain, or None: the
-    ninth base point of the pencil of cubics through the 7 points and x is
-    third(third(a, b), third(c, w)) on a member, a, b, c, w the third points
-    of the chords p1p2, p3p4, p5p6, p7x. Members s f + t h, f and h the
-    net's combinations orthogonal to its values at x (perp_basis), are tried
-    in the order of MEMBERS, each with the seven rotations of the points;
-    the first candidate that certifies takes is the image."""
+    ninth base point of the pencil of cubics through the 7 points and x,
+    f and h the net's combinations orthogonal to its values at x
+    (perp_basis), that _ninth_base_point builds from chords on its members
+    and that the certificate takes."""
     vx = inv._through(x)[1]
-    fc, hc = perp_basis(vx)
-    pts = [p.coords for p in inv.config.points]
-    for s, t in MEMBERS:
-        third = _Cubic.combination([s * u + t * v for u, v in zip(fc, hc)], inv._cubics).third
-        for k in range(7):
-            p = pts[k:] + pts[:k] + [x.coords]
-            a, b, c, w = (third(p[i], p[i + 1]) for i in (0, 2, 4, 6))
-            if None in (a, b, c, w):
-                continue
-            e, g = third(a, b), third(c, w)
-            q = e and g and third(e, g)
-            if q and inv.certifies(x.coords, vx, q, inv._at(q)):
-                return ProjPoint(*q)
-    return None
+    f, h = (_Cubic.combination(c, inv._cubics) for c in perp_basis(vx))
+    try:
+        return _ninth_base_point(f, h, inv.config.points, x,
+                                 lambda q: inv.certifies(x.coords, vx, q, inv._at(q)))
+    except ExtractionError:
+        return None
 
 
 def seeded_configs(count):
@@ -187,7 +171,8 @@ def test_singular_cubics_from_the_net_are_the_kernels(pts):
     cubics = [kernel_cubic(coords, a) for a in range(7)]
     net = _rows(config)
     for a in range(7):
-        got = _singular_member(config.cubics, net, coords[a], a)
+        lam = _singular_coefficients(net, coords[a], a)
+        got = sum((f * c for c, f in zip(lam, config.cubics)), HPoly.zero(3)).canonical()
         assert got.degree == 3 and got.terms == cubics[a].terms, a
     expected = []
     for a, b in ((0, 1), (0, 2), (1, 2)):
@@ -275,28 +260,11 @@ def test_fitted_maps_are_pinned():
     assert digests == FITTED_MAP_SHA256
 
 
-def one_sample_fit(inv, pairs, used):
-    """An earlier fit of interpolated_map: lambda_k proportional to l_k(y)
-    times the product of the other P_j(x), at the first pair (x, y) where no
-    octic P_j of octic_triple_system vanishes, which it appends to used."""
-    pts = inv.config.points
-    octics = octic_triple_system(inv.config, inv._cubics)
-    lines = [cross(pts[a].coords, pts[b].coords) for a, b in _SIDES]
-    for x, y in pairs:
-        px = values_at(octics, x.coords)
-        if all(px):
-            used.append(x)
-            break
-    scales = primitive([dot(lines[k], y.coords) * px[k - 1] * px[k - 2] for k in range(3)])
-    rows = [[a * s for a, s in zip(row, scales)] for row in adjugate3(lines)]
-    return RationalMap(*(sum((f * c for c, f in zip(row, octics)), HPoly.zero(8)) for row in rows))
-
-
 def test_sample_on_a_contracted_cubic_is_skipped(geiser):
-    """A first sample on C_1, where two of the octics vanish, is skipped
-    by the one-sample fit, and the map is the one built from the next
-    sample. The closed form's own sample, its first contracted pair, lies
-    on the cubic singular at pts[3], where no octic vanishes."""
+    """A point of C_1, where two of the octics vanish, could not scale the
+    closed form, and the closed form sends it to p_1. Its own sample, its
+    first contracted pair, lies on the cubic singular at pts[3], where no
+    octic vanishes."""
     pts = geiser.config.points
     c1 = singular_cubic(pts, 0)
     p = pts[0].coords
@@ -309,11 +277,6 @@ def test_sample_on_a_contracted_cubic_is_skipped(geiser):
     octics = octic_triple_system(geiser.config, geiser._cubics)
     assert 0 in values_at(octics, on_c1.coords)
     assert geiser.eval_detail(on_c1)[0] == pts[0]
-    used = []
-    pairs = chain([(on_c1, pts[0])], evaluated_pairs(geiser, FIT_SEED))
-    assert one_sample_fit(geiser, pairs, used).components == geiser.interpolated_map.components
-    # one sample read, the first of the stream
-    assert used == sample_points(FIT_SEED, 1, avoid=pts)
     x3, p3 = geiser.contracted_pairs[0]
     assert p3 == pts[3] and all(values_at(octics, x3.coords))
 
@@ -387,14 +350,15 @@ def test_certificate_needs_triple_points(pts, seed):
 @given(pts=point_sets(7), xs=st.lists(coords.map(lambda c: ProjPoint(*c)), min_size=3, max_size=3))
 def test_closed_form_agrees_with_the_cayley_bacharach_chain(pts, xs):
     """At seeded points and at their images the closed form's certified
-    value is the ninth base point that the chord chain builds."""
+    value, read off its factors, is the ninth base point that the chord
+    chain builds and the value of the fitted map."""
     inv = GeiserInvolution(make_point_config(pts, "geiser"))
     for x in xs:
         if x in pts:
             continue
         y, trace = inv.eval_detail(x)
         assert trace == EvalTrace(1)
-        assert y == chain_image(inv, x), x
+        assert y == chain_image(inv, x) == ProjPoint(*values_at(inv.interpolated_map.components, x.coords)), x
         if y not in pts:
             assert inv.eval_detail(y)[0] == x == chain_image(inv, y), y
 
