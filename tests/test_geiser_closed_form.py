@@ -9,7 +9,8 @@ is one it replaced: a basis of the triple-point octics from the 42 x 45
 conditions, and 9 unknowns solved from 6 evaluated samples; the reference
 evaluator is the Cayley-Bacharach chain that Geiser evaluations used before
 the closed form. Its scales and its frame come from the contracted pairs
-(x_a, p_a), x_a on the cubic C_a that the involution contracts to p_a. The wrong maps at the end are each refused by one step of
+(x_a, p_a), x_a on the cubic C_a that the involution contracts to p_a. The
+wrong maps at the end are each refused by one step of
 DelPezzoInvolution.certify_map.
 """
 
