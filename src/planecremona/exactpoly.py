@@ -35,8 +35,8 @@ int and every HPoly, however built, satisfies the convention above.
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, count, repeat
-from math import comb, gcd as igcd, isqrt, lcm, perm
-from operator import mul
+from math import gcd as igcd, isqrt, lcm, perm
+from operator import lshift, mul
 
 from .errors import ValidationError
 
@@ -511,12 +511,48 @@ def multiplicity_values(forms, points, mults) -> list:
 
 
 def first_below_multiplicity(forms, points, m: int):
-    """Index of the first point at which some of the forms has multiplicity
-    < m, from one call of multiplicity_values on all the points, or None."""
-    rows = multiplicity_values(forms, points, [m] * len(points))
-    per_point = comb(m + 1, 2)          # partials of order m - 1
-    return next((i for i in range(len(points))
-                 if any(map(any, rows[per_point * i:per_point * (i + 1)]))), None)
+    """Index of the first point, an integer triple, at which some of the
+    forms of one degree has multiplicity < m, or None.
+
+    Forms with a Fraction coefficient are made integral first (primitive):
+    a nonzero scalar does not change multiplicity. The partial derivatives
+    of order m - 1 (partial_rows) are then read at all the points at once,
+    by Kronecker substitution along the points: the values v_n[k] of the
+    monomial k of degree e = degree - m + 1 at the points n are packed as
+    the signed digits of one integer P_k = sum_n v_n[k] 2^(B n), so that
+    one dot product of a partial's row r with P is sum_n (r . v_n) 2^(B n),
+    the row's values at every point as digits. Each digit is at most
+    max|r| sum_k max_n |v_n[k]| <= max|r| (s_x + s_y + s_z)^e in size, s_v
+    the largest size of the coordinate v at the points, and B is chosen so
+    that 2^(B - 1) exceeds that bound over all rows. A sum of signed digits
+    all below 2^(B - 1) in size is 0 exactly when every digit is, since the
+    top nonzero digit outweighs all lower ones together. Only when some
+    packed sum is nonzero are the points read one at a time, to name the
+    first."""
+    forms = [f if all(type(c) is int for c in f.terms.values())
+             else HPoly._make(f.degree, dict(zip(f.terms, primitive(f.terms.values())))) for f in forms]
+    low = forms[0].degree - m + 1
+    rows = [row for f in forms for row in partial_rows(f, m - 1)]
+    n = len(points)
+    coords = list(zip(*points)) or [()] * 3
+    powers = []                         # powers[v][e]: coordinate v to the e at every point
+    for col in coords:
+        table = [(1,) * n]
+        for _ in range(low):
+            table.append(tuple(map(mul, table[-1], col)))
+        powers.append(table)
+    top = max((max(max(row), -min(row)) for row in rows if row), default=0)
+    bound = top * sum(max(map(abs, col), default=0) for col in coords) ** max(low, 0)
+    width = bound.bit_length() + 1
+    shifts = range(0, width * n, width)
+    pa, pb, pc = powers
+    packed = [sum(map(lshift, map(mul, map(mul, pa[i], pb[j]), pc[k]), shifts)) for i, j, k in monomials(low)]
+    if not any(sum(map(mul, row, packed)) for row in rows):
+        return None
+    for i, pt in enumerate(points):
+        mv = _monomial_values(pt, low, monomials(low))
+        if any(sum(map(mul, row, mv)) for row in rows):
+            return i
 
 
 def forms_with_multiplicities(points, degree: int, mults, expected: int, what: str) -> list:

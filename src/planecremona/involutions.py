@@ -23,8 +23,8 @@ vertex p_c of the pencil of conics through points 3-6, which two of its
 line pairs span because those points are not collinear, and which has
 one member through p_c because p_c is not among its base points. An
 evaluation reads the octics' values off the values of these factors, so
-it builds no octic; the fitted map (interpolated_map) multiplies them out
-(octic_triple_system). The known
+it builds no octic; the fitted map (interpolated_map) multiplies the same
+factors out (octic_triple_system). The known
 images need no evaluation: the involution contracts C_a to p_a, and a
 point of C_a off the base points is the residual point of a line through
 its node (_residual). The map is certified exactly from its type and the
@@ -379,16 +379,16 @@ _LINE_PAIRS = (((3, 4), (5, 6)), ((3, 5), (4, 6)))
 _VARIABLES = tuple(HPoly.variable(i) for i in range(3))
 
 
-def octic_triple_system(config: PointConfig, net) -> list:
+def octic_triple_system(config: PointConfig, factors) -> list:
     """Basis of the octics with points of multiplicity >= 3 at the 7 points
     of a Geiser configuration: C_a C_b Q_ab for the sides ab of _SIDES,
     where C_a is the cubic through the points singular at p_a and Q_ab the
     conic through the five others, each canonical. These are the pull-backs
     of the sides by the Geiser involution: on the blow-up, sigma* H = 8H -
     3 sum E_i is the sum of sigma* E_a = C_a, sigma* E_b = C_b and sigma*
-    (H - E_a - E_b) = Q_ab. The factors are those of _octic_factors, with
-    net the cubics config.cubics as _Cubic rows."""
-    lams, lines, mix = _octic_factors(config, net)
+    (H - E_a - E_b) = Q_ab. factors are the octics' factors as
+    _octic_factors gives them, multiplied out here."""
+    lams, lines, mix = factors
     cubics = [c.canonical() for c in _combinations(lams, config.cubics)]
     conics = _combinations(mix, [l * m for l, m in (_combinations(pair, _VARIABLES) for pair in lines)])
     return [cubics[a] * cubics[b] * q.canonical() for (a, b), q in zip(_SIDES, conics)]
@@ -722,7 +722,7 @@ class DelPezzoInvolution:
 
         1. sigma has the family's degree d.
         2. Its components have multiplicity >= 3m at every point
-           (map_multiplicity, by multiplicity_values). Then they lie in
+           (map_multiplicity, by first_below_multiplicity). Then they lie in
            H^0(d H - 3m sum E_i) = H^0(sigma* H) on the blow-up, of
            dimension h^0(H) = 3, which the components of the involution
            span: sigma = M o (the involution) for a 3x3 matrix M.
@@ -733,6 +733,11 @@ class DelPezzoInvolution:
            has the four y as eigenvectors with nonzero eigenvalues; the
            fourth is a combination of the other three with no zero
            coefficient, which forces the eigenvalues equal: M is a scalar.
+
+        So a map that passes has components c (the involution's components)
+        for a scalar c != 0. Those span sigma* |H| = |d H - 3m sum E_i|,
+        which has no fixed part, so they are coprime: sigma needs no gcd,
+        and a triple with a common factor fails step 2 or step 3.
         """
         family, pts = self.family, self.config.points
         if sigma.degree != family.degree:
@@ -815,7 +820,7 @@ class GeiserInvolution(DelPezzoInvolution):
     def _value_matrix(self):
         """The matrix adj(L) diag(lambda) of the closed form (_side_matrix)
         for the octics as _octic_values gives them."""
-        x = self._contracted_point(3).coords
+        x = self._first_contracted.coords
         return self._side_matrix(self._octic_values(self._factors(x), x))
 
     def _side_matrix(self, px):
@@ -843,7 +848,13 @@ class GeiserInvolution(DelPezzoInvolution):
         of the net singular at p_a, off the base points (_contracted_point):
         the involution contracts C_a to p_a."""
         pts = self.config.points
-        return [(self._contracted_point(a), pts[a]) for a in range(3, 7)]
+        return [(self._first_contracted, pts[3])] + [(self._contracted_point(a), pts[a]) for a in range(4, 7)]
+
+    @cached_property
+    def _first_contracted(self) -> ProjPoint:
+        """x_3, the point of the first contracted pair, which scales the
+        closed form for both the evaluator and the fit."""
+        return self._contracted_point(3)
 
     def _contracted_point(self, a: int) -> ProjPoint:
         """x_a of contracted_pairs: the residual point (_residual) of the
@@ -851,41 +862,44 @@ class GeiserInvolution(DelPezzoInvolution):
         first nonzero coordinate k, so that the line misses p_a. At most 8
         lines through p_a are unusable, the two branch tangents and the six
         lines to the other base points, so one of 9 points d gives x_a.
-        (x_a, p_a) passes the base-point clause of certifies, read off the
-        coefficients lambda of C_a (_singular_coefficients): C_a(x_a) =
-        lambda . (the net at x_a) = 0, and C_a is the unique member singular
-        at p_a."""
-        pts = self.config.points
-        p = pts[a].coords
-        lam = _singular_coefficients(self._cubics, p, a)
-        cubic = _Cubic.combination(lam, self._cubics)
+        (x_a, p_a) passes the base-point clause of certifies, read off C_a
+        = lambda . net (_singular_coefficients): C_a(x_a) = lambda . (the
+        net at x_a) = 0, and C_a is the unique member singular at p_a. x_a
+        is primitive as _residual gives it, so it is compared with the base
+        points' coordinates as it is."""
+        p = self.config.points[a].coords
+        cubic = _Cubic.combination(_singular_coefficients(self._cubics, p, a), self._cubics)
+        base = {q.coords for q in self.config.points}
         k = next(i for i, c in enumerate(p) if c)
         i, j = (i for i in range(3) if i != k)
         for t in range(9):
             d = [0, 0, 0]
             d[i], d[j] = 1, t
             x = _residual(cubic, p, d)
-            if x is not None and ProjPoint(*x) not in pts and not dot(lam, self._factors(x)):
+            if x is not None and tuple(x) not in base and not cubic.value(x):
                 return ProjPoint(*x)
         raise ExtractionError(f"no point off the base points found on the cubic singular at point {a}")
 
     @cached_property
     def _raw(self) -> list:
         """The components of the degree-8 map, not normalised: adj(L)
-        diag(lambda) P for the octics P of octic_triple_system
-        (_side_matrix)."""
-        octics = octic_triple_system(self.config, self._cubics)
-        x = self.contracted_pairs[0][0].coords
+        diag(lambda) P for the octics P of octic_triple_system, multiplied
+        out from the factors the evaluator reads (_factored_octics), and
+        scaled at x_3 (_side_matrix)."""
+        octics = octic_triple_system(self.config, self._factored_octics)
+        x = self._first_contracted.coords
         return _combinations(self._side_matrix(values_at(octics, x)), octics)
 
     @cached_property
     def interpolated_map(self) -> RationalMap:
-        """The closed-form degree-8 map (_raw), normalised and certified
+        """The closed-form degree-8 map (_raw), scaled jointly and certified
         exactly by certify_map from its type (8; 3^7) and the frame of the
-        four contracted pairs, p_3..p_6 being in general position. The map
-        is unique up to scale and normalised, so the pairs chosen do not
-        change it."""
-        sigma = RationalMap(*self._raw)
+        four contracted pairs, p_3..p_6 being in general position. No gcd is
+        taken (RationalMap._from_coprime): a map that certify_map accepts
+        is the involution up to a scalar, so its components are coprime.
+        The map is unique up to scale and normalised, so the pairs chosen do
+        not change it."""
+        sigma = RationalMap._from_coprime(self._raw)
         self.certify_map(sigma, self.contracted_pairs)
         return sigma
 

@@ -90,6 +90,12 @@ class RationalMap:
     divided out and their coefficients, taken component by component in the
     monomial order, are scaled jointly to a primitive vector, so `degree` is
     the degree of the map in the usual sense.
+
+    _from_coprime skips the gcd and only scales jointly. Its caller
+    guarantees that the triple is coprime, or refuses the map unless a
+    certificate proves it coprime. Its one caller is
+    GeiserInvolution.interpolated_map, whose certify_map proves it (steps 2
+    and 3 of DelPezzoInvolution.certify_map).
     """
 
     __slots__ = ("components", "degree")
@@ -107,6 +113,16 @@ class RationalMap:
         comps = _canon_triple(comps)
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "degree", next(f.degree for f in comps if not f.is_zero()))
+
+    @classmethod
+    def _from_coprime(cls, comps) -> "RationalMap":
+        """The map of a coprime triple of forms of one degree, not all
+        zero, scaled jointly (_canon_triple) with no gcd."""
+        comps = _canon_triple(comps)
+        self = object.__new__(cls)
+        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "degree", next(f.degree for f in comps if not f.is_zero()))
+        return self
 
     def __setattr__(self, *args):
         raise AttributeError("RationalMap is immutable")

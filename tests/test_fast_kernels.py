@@ -9,6 +9,9 @@ indexed by arithmetic, is checked against the dict product it replaced. The
 chord construction's _Cubic.grad and _Cubic.third, written out by hand, are
 checked against HPoly.partial and the chord formulas in cross and dot, and
 the written-out proportionality test _in_span against its generator form.
+The multiplicity test that packs all the points' values into one integer
+per monomial (first_below_multiplicity) is checked against the points read
+one at a time.
 """
 
 from fractions import Fraction
@@ -18,7 +21,9 @@ from itertools import permutations
 
 from hypothesis import assume, given, settings, strategies as st
 
-from planecremona.exactpoly import HPoly, _on_line, cross, dot, monomials
+from planecremona.exactpoly import (
+    HPoly, _on_line, cross, dot, first_below_multiplicity, monomials, multiplicity_values,
+)
 from planecremona.involutions import _Cubic, _in_span
 from tests.streams import SplitMix64, apply_matrix
 
@@ -402,3 +407,57 @@ def test_cubic_third_is_none_on_a_line_of_the_cubic(data):
     cubic = _Cubic.from_hpoly(lin * quadric)
     assert cubic.third(p, q) is None
     assert cubic.third(p, p) is None
+
+
+def per_point_first_below(forms, points, m):
+    """The reference for first_below_multiplicity: the first point at which
+    some partial of order m - 1 of some form is nonzero, one point at a
+    time."""
+    return next((i for i, p in enumerate(points) if any(map(any, multiplicity_values(forms, [p], [m])))),
+                None)
+
+
+BIG_COORD = st.integers(-2**40, 2**40)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_packed_multiplicity_test_is_the_per_point_test(data):
+    """Degrees 2-9, multiplicities 1-5 (partial orders 0-4), 1-8 points
+    with coordinates up to 2^40 in size, repeats allowed, and forms with
+    integer or Fraction coefficients. Each form is a product of m-th powers
+    of lines through some of the points times a random cofactor, so its
+    multiplicity at those points is at least m, and the first point below
+    m falls anywhere in the list, or nowhere."""
+    degree = data.draw(st.integers(2, 9), label="degree")
+    m = data.draw(st.integers(1, 5), label="m")
+    base = data.draw(st.lists(st.tuples(BIG_COORD, BIG_COORD, BIG_COORD).filter(any),
+                              min_size=1, max_size=4), label="base")
+    points = [base[i] for i in data.draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=8),
+                                         label="points")]
+    forms = []
+    for _ in range(data.draw(st.integers(1, 3), label="forms")):
+        planted = data.draw(st.lists(st.integers(0, len(base) - 1), unique=True,
+                                     max_size=degree // m), label="planted")
+        form = _form(data, degree - m * len(planted), coeffs=SMALL)
+        for i in planted:
+            q = data.draw(st.tuples(COORD, COORD, COORD), label="q")
+            a, b, c = cross(base[i], q)
+            form = form * HPoly(1, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c}) ** m
+        forms.append(form)
+    assert first_below_multiplicity(forms, points, m) == per_point_first_below(forms, points, m)
+
+
+def test_packed_values_do_not_cancel_across_slots():
+    """x at p_0 = (2^k : 0 : 1) and p_1 = (-1 : 0 : 1): the one row is
+    (1, 0, 0) and the monomials are the coordinates, so the digit bound is
+    2^k + 0 + 1, and the slots are k + 2 bits wide. Two bits narrower, the
+    values 2^k and -1 would pack to 2^k - 2^k = 0 and hide both points; with
+    a point of value 0 in front, the cancellation moves one slot up."""
+    x = HPoly.variable(0)
+    for k in (2, 7, 40, 100):
+        pair = [(2**k, 0, 1), (-1, 0, 1)]
+        assert first_below_multiplicity([x], pair, 1) == 0
+        assert first_below_multiplicity([x], [(0, 1, 1)] + pair, 1) == 1
+        assert first_below_multiplicity([x * Fraction(1, 3)], [(0, 1, 1)] + pair, 1) == 1
+        assert first_below_multiplicity([x], [(0, 1, 1), (0, 3, -2)], 1) is None

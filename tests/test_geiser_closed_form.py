@@ -14,6 +14,7 @@ wrong maps at the end are each refused by one step of
 DelPezzoInvolution.certify_map.
 """
 
+import re
 from fractions import Fraction
 from hashlib import sha256
 from itertools import combinations, islice
@@ -21,14 +22,15 @@ from itertools import combinations, islice
 import pytest
 from hypothesis import given, strategies as st
 
+from planecremona import involutions
 from planecremona.errors import ExtractionError, ValidationError
 from planecremona.exactpoly import (
-    HPoly, adjugate3, forms_with_multiplicities, kernel_basis, matrix_rank, monomials,
+    HPoly, adjugate3, cross, forms_with_multiplicities, kernel_basis, matrix_rank, monomials,
     multiplicity_conditions, multiplicity_values, values_at,
 )
 from planecremona.involutions import (
-    EvalTrace, GeiserInvolution, _Cubic, _ninth_base_point, _singular_coefficients,
-    make_point_config, octic_triple_system,
+    EvalTrace, GeiserInvolution, _Cubic, _ninth_base_point, _octic_factors,
+    _singular_coefficients, make_point_config, octic_triple_system,
 )
 from planecremona.projmaps import ProjPoint, RationalMap
 from tests.streams import evaluated_pairs, perp_basis, sample_points
@@ -140,11 +142,17 @@ def _rows(config):
     return [_Cubic.from_hpoly(c) for c in config.cubics]
 
 
+def _octics(config, net):
+    """octic_triple_system on the factors read off the net, as
+    GeiserInvolution._raw multiplies them out."""
+    return octic_triple_system(config, _octic_factors(config, net))
+
+
 @seeded(3)
 @given(pts=point_sets(7))
 def test_octic_triple_system_spans_the_triple_point_octics(pts):
     config = make_point_config(pts, "geiser")
-    octics = octic_triple_system(config, _rows(config))
+    octics = _octics(config, _rows(config))
     rows = multiplicity_conditions([p.coords for p in pts], 8, [3] * 7)
     assert len(rows) == 42 and len(rows[0]) == 45
     vecs = [octic_vector(f) for f in octics]
@@ -180,7 +188,7 @@ def test_singular_cubics_from_the_net_are_the_kernels(pts):
         (conic,) = forms_with_multiplicities([c for i, c in enumerate(coords) if i not in (a, b)], 2,
                                              [1] * 5, 1, "conics")
         expected.append(cubics[a] * cubics[b] * conic)
-    assert [f.terms for f in octic_triple_system(config, net)] == [f.terms for f in expected]
+    assert [f.terms for f in _octics(config, net)] == [f.terms for f in expected]
 
 
 def test_a_net_without_one_member_singular_at_a_point_is_refused(geiser):
@@ -195,7 +203,7 @@ def test_a_net_without_one_member_singular_at_a_point_is_refused(geiser):
     for cubics in (singular, independent):
         try:
             degenerate = config._replace(cubics=tuple(cubics))
-            octic_triple_system(degenerate, _rows(degenerate))
+            _octics(degenerate, _rows(degenerate))
         except ValidationError as exc:
             assert exc.reason == "degenerate configuration"
             assert "point 0" in str(exc)
@@ -219,7 +227,7 @@ def test_a_third_vertex_on_every_conic_of_the_pencil_is_refused(geiser):
                                (on_line, "conics through points 3-6 form a system of dimension 3")):
             try:
                 degenerate = config._replace(points=tuple(pts[:3] + moved))
-                octic_triple_system(degenerate, _rows(degenerate))
+                _octics(degenerate, _rows(degenerate))
             except ValidationError as exc:
                 assert exc.reason == "degenerate configuration"
                 assert message in str(exc), (c, str(exc))
@@ -261,6 +269,54 @@ def test_fitted_maps_are_pinned():
     assert digests == FITTED_MAP_SHA256
 
 
+def test_fit_without_a_gcd_is_the_normalised_map():
+    """The fit scales its raw components with no gcd (RationalMap.
+    _from_coprime); the map is the one the gcd path normalises them to."""
+    for config in seeded_configs(8):
+        inv = GeiserInvolution(config)
+        assert inv.interpolated_map == RationalMap(*inv._raw)
+
+
+def test_certificate_refuses_a_common_line_factor(geiser):
+    """The line through p_0 and p_1 times the x-partials of the involution's
+    components: a degree-8 triple with a common line factor, which the gcd
+    of RationalMap would divide out. Built without that gcd, it is refused
+    by the certificate itself: the partials are only double at p_2..p_6."""
+    sigma = geiser.interpolated_map
+    pts = geiser.config.points
+    a, b, c = cross(pts[0].coords, pts[1].coords)
+    line = HPoly(1, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
+    comps = [line * f.partial(0) for f in sigma.components]
+    assert RationalMap(*comps).degree == 7
+    planted = RationalMap._from_coprime(comps)
+    assert planted.degree == 8
+    with pytest.raises(ValidationError, match=re.escape(f"multiplicity < 3 at the base point {pts[2]}")) as exc:
+        geiser.certify_map(planted, geiser.contracted_pairs)
+    assert exc.value.reason == "interpolation failed"
+
+
+def test_an_evaluation_and_a_fit_read_each_singular_member_once(monkeypatch):
+    """An evaluation reads C_0, C_1, C_2 for the octics' factors and C_3 for
+    the point x_3 that scales the closed form; the fit after it multiplies
+    out the same factors, reuses x_3 and reads only C_4, C_5, C_6 for the
+    rest of its frame: 7 members, one per point."""
+    calls = []
+    real = involutions._singular_coefficients
+
+    def counted(rows, p, a):
+        calls.append(a)
+        return real(rows, p, a)
+
+    monkeypatch.setattr(involutions, "_singular_coefficients", counted)
+    config = seeded_configs(1)[0]
+    inv = GeiserInvolution(config)
+    x = next(p for p in sample_points(3, 10) if p not in config.points)
+    inv.eval_detail(x)
+    assert sorted(calls) == [0, 1, 2, 3]
+    inv.interpolated_map
+    assert sorted(calls) == list(range(7))
+
+
 def test_sample_on_a_contracted_cubic_is_skipped(geiser):
     """A point of C_1, where two of the octics vanish, could not scale the
     closed form, and the closed form sends it to p_1. Its own sample, its
@@ -275,7 +331,7 @@ def test_sample_on_a_contracted_cubic_is_skipped(geiser):
     q = c1.eval(tuple(u + v for u, v in zip(p, r))) - c1.eval(r)
     on_c1 = ProjPoint(*(c1.eval(r) * u - q * v for u, v in zip(p, r)))
     assert c1.eval(on_c1.coords) == 0 and on_c1 not in pts
-    octics = octic_triple_system(geiser.config, geiser._cubics)
+    octics = octic_triple_system(geiser.config, geiser._factored_octics)
     assert 0 in values_at(octics, on_c1.coords)
     assert geiser.eval_detail(on_c1)[0] == pts[0]
     x3, p3 = geiser.contracted_pairs[0]
