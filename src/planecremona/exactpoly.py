@@ -1,10 +1,11 @@
 """Exact arithmetic substrate.
 
 Rationals (stdlib Fraction), homogeneous polynomials in x, y, z (one type,
-HPoly; binary forms are HPoly in (x, z)), gcds (restrict to lines,
-interpolate, certify by division), Sylvester resultants, fraction-free
-kernel computation and the linear conditions for multiplicity at points
-(multiplicity_conditions, multiplicity_values). Those read one cached table
+HPoly; binary forms are HPoly in (x, z)), gcds (restrict to lines, prove
+coprime by one gcd of values, else interpolate and certify by division),
+Sylvester resultants, fraction-free kernel computation and the linear
+conditions for multiplicity at points (multiplicity_conditions,
+multiplicity_values). Those read one cached table
 per (degree, order) of the partial derivatives of that order, a falling
 factorial and a target monomial for each monomial, and one table of powers
 of each point's coordinates. Everything is exact; nothing here ever rounds. All
@@ -647,19 +648,49 @@ def _interpolate(nodes, values) -> list:
     return out
 
 
+def _coprime_at_a_value(lists) -> bool:
+    """True when one integer gcd of values proves the polynomials in t
+    (coefficient lists as _on_line gives them; [] is zero, and not all are)
+    coprime; False proves nothing.
+
+    Each nonzero list r_i is made primitive. With a the first and
+    xi = 2 max |a_i| + 2, the test is 2 gamma <= xi for gamma the gcd of the
+    values r_i(xi), each by Horner. Proof: every root alpha of a has
+    |alpha| < 1 + max |a_i / a_n| <= xi/2 (Cauchy), so a(xi) != 0 and
+    gamma != 0. A primitive common factor g of positive degree divides every
+    r_i in Z[t] (Gauss's lemma), so g(xi) divides gamma, and
+    |g(xi)| >= prod |xi - alpha| > (xi/2)^deg g >= xi/2 over the roots of g,
+    which are roots of a. So 2 gamma <= xi leaves no such g.
+    """
+    rs = [primitive(r) for r in lists if r]
+    xi = 2 * max(map(abs, rs[0])) + 2
+    values = []
+    for r in rs:
+        v = 0
+        for c in reversed(r):
+            v = v * xi + c
+        values.append(v)
+    return 2 * igcd(*values) <= xi
+
+
 def hpoly_gcd_many(polys) -> HPoly:
     """Gcd of several forms, canonical; zero forms are dropped, and all zero
     is refused.
 
-    Let h be the gcd. The first form f is nonzero at some q = (1:a:b) with
-    0 <= a, b <= deg f, and so is h. Each form g is sheared once to
-    g(x, y + a x, z + b x) (HPoly.shear), which keeps its y-degree and moves
-    q to (1:0:0). On each line through (1:0:0) and (0:w0:1) (_on_line) the
-    sheared h restricts to degree deg h, its leading coefficient h(q), and
-    divides the restriction of every sheared form: the degree k of the gcd
-    of all restrictions bounds deg h, and k = 0 proves h = 1. At the least k
-    seen, the monic gcds on min(k, deg_y) + 1 lines, w0 = 17, -17, 18, ...,
-    are interpolated in w0 into a candidate of degree k, sheared back to
+    Let h be the gcd. Some form is nonzero at q: q = (1:0:0) when some form
+    has its x^d term, else the first point (1:a:b), 0 <= a, b <= deg f, at
+    which the first form f is nonzero; h divides that form, so h(q) != 0.
+    Each form g is sheared once to g(x, y + a x, z + b x) (HPoly.shear),
+    which keeps its y-degree and moves q to (1:0:0). On each line through
+    (1:0:0) and (0:w0:1) (_on_line) the sheared h restricts to degree
+    deg h, its leading coefficient h(q), and divides the restriction of
+    every sheared form, so coprime restrictions prove h = 1. On each line
+    one integer gcd of their values tests that first (_coprime_at_a_value,
+    with its proof); a line it does not settle goes through the
+    pseudo-remainder sequence: the degree k of the gcd of all restrictions
+    bounds deg h, and k = 0 proves h = 1. At the least k seen, the monic
+    gcds on min(k, deg_y) + 1 lines, w0 = 17, -17, 18, ..., are
+    interpolated in w0 into a candidate of degree k, sheared back to
     (x, y - a x, z - b x) (Brown, JACM 1971, with exact images in place of
     modular ones). If it divides every form it is h; if not, deg h < k, and
     only lines of lower degree are used from then on. Only finitely many
@@ -670,17 +701,25 @@ def hpoly_gcd_many(polys) -> HPoly:
         raise ValidationError("zero input", "gcd of zero polynomials")
     if len(forms) == 1:
         return forms[0].canonical()
-    f = forms[0]
-    a, b = next((a, b) for a in range(f.degree + 1) for b in range(f.degree + 1)
-                if sum(c * a ** j * b ** k for (_, j, k), c in f.terms.items()))
-    ydeg = min(g.max_exponent(1) for g in forms)
-    top = min(g.degree for g in forms) + 1   # deg h < top
-    nodes, rows = [], []                     # lines of degree top - 1, monic gcds
+    if any((g.degree, 0, 0) in g.terms for g in forms):
+        a = b = 0
+    else:
+        f = forms[0]
+        a, b = next((a, b) for a in range(f.degree + 1) for b in range(f.degree + 1)
+                    if sum(c * a ** j * b ** k for (_, j, k), c in f.terms.items()))
     sheared = [g.shear(((1, 0, 0), (a, 1, 0), (b, 0, 1)), 0) for g in forms] if a or b else forms
+    top = None                               # deg h < top, once a line is unsettled
+    nodes, rows = [], []                     # lines of degree top - 1, monic gcds
     for w0 in (s * n for n in count(17) for s in (1, -1)):
+        restrictions = [_on_line(g, w0) for g in sheared]
+        if _coprime_at_a_value(restrictions):
+            return HPoly.constant(1)
+        if top is None:
+            ydeg = min(g.max_exponent(1) for g in forms)
+            top = min(g.degree for g in forms) + 1
         r = []
-        for g in sheared:
-            r = _prs_gcd(r, _on_line(g, w0))
+        for line in restrictions:
+            r = _prs_gcd(r, line)
             if len(r) == 1:
                 return HPoly.constant(1)
         k = len(r) - 1

@@ -171,16 +171,22 @@ def validate_dj(curve: HPoly, p: ProjPoint) -> DJData:
         raise ValidationError(
             "extra singularities", "discriminant is not squarefree"
         )
-    return DJData(pencil, curve, conjugated_map(polar, d))
+    return DJData(pencil, curve, conjugated_map(polar))
 
 
-def conjugated_map(polar, d: int) -> RationalMap:
-    """The map of a validated de Jonquieres instance of degree d: its polar
-    map (_polar_map), normalised."""
-    sigma = RationalMap(*polar)
-    if sigma.degree != d:
-        raise ValidationError("internal", "constructed map has the wrong degree")
-    return sigma
+def conjugated_map(polar) -> RationalMap:
+    """The map of a validated de Jonquieres instance: its polar map
+    (_polar_map), scaled jointly with no gcd (RationalMap._from_coprime).
+
+    The polar map of an instance that passed validate_dj is coprime. In the
+    frame of p its components are (x u : v : z u), with u = 2 A y + B and
+    v = -(B y + 2 C_d), so a common factor divides gcd(u, v). A factor free
+    of y divides 2 A, B and 2 C_d, which "line through center" refuses. A
+    factor that involves y divides u, of y-degree 1 since A != 0, so it
+    forces Res_y(u, v) = B^2 - 4 A C_d = 0, which "zero discriminant"
+    refuses.
+    """
+    return RationalMap._from_coprime(polar)
 
 
 def dj_from_conic(q: HPoly, p: ProjPoint) -> DJData:

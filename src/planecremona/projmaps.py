@@ -93,9 +93,10 @@ class RationalMap:
 
     _from_coprime skips the gcd and only scales jointly. Its caller
     guarantees that the triple is coprime, or refuses the map unless a
-    certificate proves it coprime. Its one caller is
+    certificate proves it coprime. It has two callers:
     GeiserInvolution.interpolated_map, whose certify_map proves it (steps 2
-    and 3 of DelPezzoInvolution.certify_map).
+    and 3 of DelPezzoInvolution.certify_map), and involutions.conjugated_map,
+    whose polar map validate_dj's checks prove coprime.
     """
 
     __slots__ = ("components", "degree")

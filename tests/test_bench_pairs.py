@@ -1,7 +1,8 @@
 """The seed parser, the per-metric summary and verdict, the src/ line and
-code-line counts and the refusal of a parent that is not a git checkout of
-tools/bench_pairs.py, which writes the BENCH_*.json files; the runs
-themselves are not exercised."""
+code-line counts, the inclusive layer time read from a spans file and the
+refusal of a parent that is not a git checkout of tools/bench_pairs.py,
+which writes the BENCH_*.json files; the runs themselves are not
+exercised."""
 
 import importlib.util
 import json
@@ -162,3 +163,45 @@ def test_a_parent_that_is_not_a_git_checkout_is_refused_before_any_run(tmp_path,
     message = capsys.readouterr().err
     assert "is not the root of a git checkout" in message and "git worktree add" in message
     assert not out.exists()
+
+
+# spans of two ops and set-up: row i is span i, parent -1 is none
+SPANS = """name,start_s,end_s,parent,op
+cli.emit,0.000000,0.001000,-1,-1
+projmaps.RationalMap.__init__,0.010000,0.014000,-1,0
+exactpoly.hpoly_gcd_many,0.011000,0.013000,1,0
+exactpoly.hpoly_gcd,0.020000,0.026000,-1,1
+exactpoly.hpoly_gcd_many,0.021000,0.025000,3,1
+exactpoly.hpoly_gcd_many,0.022000,0.023000,4,1
+exactpoly.bform_gcd,0.023500,0.024500,4,1
+exactpoly.hpoly_gcd_many,0.024000,0.024500,6,1
+exactpoly.hpoly_gcd_many,0.030000,0.031000,-1,-2
+"""
+
+
+def test_inclusive_time_sums_outermost_spans_of_a_name_over_ops(tmp_path):
+    """hpoly_gcd_many: 2 ms in op 0, and 4 ms in op 1 whose two nested
+    spans (one directly, one under bform_gcd) are not counted again; set-up
+    (-1) and warm-up (-2) spans are left out."""
+    path = tmp_path / "spans.csv"
+    path.write_text(SPANS, encoding="utf-8")
+    found = bench_pairs.inclusive_ms(path)
+    assert found.keys() == {"projmaps.RationalMap.__init__", "exactpoly.hpoly_gcd_many",
+                            "exactpoly.hpoly_gcd", "exactpoly.bform_gcd"}
+    assert found["exactpoly.hpoly_gcd_many"] == pytest.approx(6.0)
+    assert found["projmaps.RationalMap.__init__"] == pytest.approx(4.0)
+    assert found["exactpoly.hpoly_gcd"] == pytest.approx(6.0)
+    assert found["exactpoly.bform_gcd"] == pytest.approx(1.0)
+
+
+def test_a_traced_layer_reports_its_inclusive_time_per_op(tmp_path, monkeypatch):
+    for side in ("parent", "change"):
+        (tmp_path / side / ".bench_out").mkdir(parents=True)
+        (tmp_path / side / ".bench_out" / "spans-dj.csv").write_text(SPANS, encoding="utf-8")
+    metrics = {"exactpoly.hpoly_gcd_many.calls": 2.5, "exactpoly.hpoly_gcd_many.self_ms": 1.75,
+               "bench.ops": 2, "bench.raw_p50_ms": 5.0, "bench.raw_tail_ms": 6.0}
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda *args: {
+        "metrics": {name: {"value": v} for name, v in metrics.items()}})
+    out = bench_pairs.traced_workload(str(tmp_path / "parent"), str(tmp_path / "change"), "dj", 1)
+    assert out["exactpoly.hpoly_gcd_many"]["change"] == {
+        "calls_per_op": 2.5, "self_ms_per_op": 1.75, "inclusive_raw_ms_per_op": 3.0}

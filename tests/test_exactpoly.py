@@ -29,6 +29,7 @@ from planecremona.exactpoly import (
     resultant,
     values_at,
 )
+from planecremona.exactpoly import _coprime_at_a_value, _prs_gcd
 from planecremona.involutions import GeiserInvolution
 from tests.streams import SplitMix64, apply_matrix, next_nonzero_int, perp_basis
 
@@ -327,6 +328,112 @@ def test_gcd_of_planted_factor_and_coprime_cofactors(data):
     assert hpoly_gcd(f, g) == h.canonical()
     if binary:
         assert bform_gcd(f, g) == h.canonical()
+
+
+# -- the value certificate and the shear point of hpoly_gcd_many ---------------
+
+def _times(p, q):
+    """The product of two coefficient lists in t (entry i at t^i)."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _chain(lists):
+    r = []
+    for line in lists:
+        r = _prs_gcd(r, line)
+    return r
+
+
+def _coefficient_list(data, degree):
+    big = data.draw(st.booleans())
+    entry = st.integers(-2**64, 2**64) if big else st.integers(-9, 9)
+    if data.draw(st.booleans()):
+        entry = st.fractions(-99, 99, max_denominator=12)
+    body = data.draw(st.lists(entry, min_size=degree, max_size=degree))
+    return body + [data.draw(entry.filter(bool))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_the_value_certificate_claims_coprime_only_for_coprime_lists(data):
+    """Whenever _coprime_at_a_value says coprime, the pseudo-remainder
+    chain on the same lists ends at a constant. Some draws plant a factor
+    k t - m with |m| up to 2^40, or with its root near xi/2 (a planted
+    factor alone, or times a small cofactor), and some lists are empty."""
+    n = data.draw(st.integers(2, 4))
+    lists = [_coefficient_list(data, data.draw(st.integers(0, 12))) for _ in range(n)]
+    planted = data.draw(st.sampled_from(["none", "big", "near"]))
+    if planted != "none":
+        m = data.draw(st.integers(-2**40, 2**40) if planted == "big" else st.integers(-40, 40))
+        factor = [-m, data.draw(st.integers(1, 3))]
+        if planted == "near":                # the first list is the factor: root m, xi/2 = |m| + 1
+            lists[0] = factor
+        lists = [_times(r, factor) if i or planted == "big" else r for i, r in enumerate(lists)]
+    for i in data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1)):
+        lists[i] = []
+    if _coprime_at_a_value(lists):
+        assert len(_chain(lists)) == 1
+        assert planted == "none"
+
+
+@pytest.mark.parametrize("m", [1, 7, 2**40])
+def test_gcd_of_a_line_and_its_multiple_is_the_line(m):
+    # restricted to any line, t - m and (t - m)(t + 1): their values at
+    # xi = 2 m + 2 share m + 2 > xi / 2, so the pseudo-remainder sequence decides
+    line = X - Z * m
+    assert not _coprime_at_a_value([[-m, 1], [-m, 1 - m, 1]])
+    assert hpoly_gcd_many([line, line * (X + Z)]) == line
+    assert hpoly_gcd(line * (X + Z), line) == line
+
+
+def test_coprime_forms_whose_values_share_a_large_factor():
+    # x^2 + z^2 and x + 13 z: at xi = 4 both restrictions take the value 17
+    f, g = X * X + Z * Z, X + Z * 13
+    assert not _coprime_at_a_value([[1, 0, 1], [13, 1]])
+    assert hpoly_gcd_many([f, g]) == HPoly.constant(1)
+    assert bform_gcd(f, g) == HPoly.constant(1)
+
+
+def test_gcd_of_forms_one_of_which_contains_the_first_line():
+    # the first line through (1:0:0) is y = 17 z: the first form restricts to
+    # [] there, and the certificate reads the other two
+    first = (Y - Z * 17) * (X - Z)
+    assert hpoly_gcd_many([first, (X - Z) * (X + Z), (X - Z) * (X + Z * 2)]) == X - Z
+    assert hpoly_gcd_many([first, X + Z]) == HPoly.constant(1)
+    assert _coprime_at_a_value([[], [-1, 0, 1], [-1, 0, 1], [3, 1]])
+
+
+def _count_shears(monkeypatch):
+    sheared = []
+    original = HPoly.shear
+    monkeypatch.setattr(HPoly, "shear", lambda f, m, axis: sheared.append(m) or original(f, m, axis))
+    return sheared
+
+
+def test_the_shear_point_comes_from_any_form_with_its_x_power(monkeypatch):
+    # the first form vanishes at (1:0:0), the second does not: no shear, and
+    # the gcd is today's, with a planted factor and without one
+    stream = SplitMix64(45)
+    f, g, k = (random_poly(stream, 3) for _ in range(3))
+    g = g + X ** 3
+    sheared = _count_shears(monkeypatch)
+    for planted in (HPoly.constant(1), X + Y * 2 - Z, X * X + Y * Z):
+        assert hpoly_gcd_many([Y * f * planted, g * planted, Z * k * planted]) == planted.canonical()
+    assert sheared == []
+
+
+def test_forms_without_an_x_power_are_still_sheared(monkeypatch):
+    # no form has its x^d term: q = (1:1:1) is the first point (1:a:b) off
+    # the first form, and the frame is sheared to it
+    h = Y * 3 - Z * 2 + X
+    sheared = _count_shears(monkeypatch)
+    assert hpoly_gcd_many([Y * Z * h, Y * Y * h, Z * Z * h]) == h
+    assert hpoly_gcd_many([Y * Z, Y * Y + Z * Z, Y * Z * 2 + Z * Z]) == HPoly.constant(1)
+    assert sheared[0] == ((1, 0, 0), (1, 1, 0), (1, 0, 1))
 
 
 # -- resultants ----------------------------------------------------------------

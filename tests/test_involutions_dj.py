@@ -275,6 +275,19 @@ def test_validate_dj_builds_its_polar_map_and_map_once(monkeypatch):
     assert validate_dj(data.fixed_curve, data.pencil.center) == data and calls == once * 2
 
 
+def test_a_validated_polar_map_needs_no_gcd():
+    """conjugated_map scales the polar map with no gcd: on validated
+    instances it is the map the gcd would give, of degree d."""
+    cases = [make_dj_instance(d, seed) for d in range(2, 9) for seed in (0, 1)]
+    cases.append((CONIC, ProjPoint(0, 1, 0)))
+    cases.append((X * X + Y * Y * 2 - Z * Z * 3 + X * Z, ProjPoint(1, 1, 1)))
+    for curve, center in cases:
+        data = dj_from_conic(curve, center) if curve.degree == 2 else validate_dj(curve, center)
+        polar = _polar_map(data.fixed_curve, center)
+        assert involutions.conjugated_map(polar) == RationalMap(*polar) == data.map
+        assert data.map.degree == curve.degree
+
+
 def test_a_construction_is_its_pencil_form_fixed_curve_and_map(dj_records):
     assert DJData._fields == ("pencil", "fixed_curve", "map")
     for d, data in dj_records.items():

@@ -13,7 +13,9 @@ the number of seeds in which the change reads better and a verdict read
 against the metric's bound (VERDICTS). With
 --traced-seed N, one `--trace 1` run of each workload at seed N on each side
 adds, as traced_<workload>_seed_<N>, the per-layer calls and self time per op
-of every layer that ran. src_lines gives each side's line count of
+of every layer that ran, and its inclusive raw time per op, read from the
+spans file that run writes (inclusive_ms): self time alone puts a kernel's
+work in whichever wrapper calls it. src_lines gives each side's line count of
 src/**/*.py, for the net lines a change adds or removes, and src_code_lines
 the count of those lines that hold code: a token outside comments and
 docstrings. PARENT_DIR must be the root of a git checkout (`git worktree
@@ -25,6 +27,7 @@ Nothing is imported from perfbench/; the runs are subprocesses.
 
 import argparse
 import ast
+import csv
 import io
 import json
 import os
@@ -131,9 +134,31 @@ def paired_workload(parent, change, workload, seeds, end_to_end):
     }
 
 
+def inclusive_ms(path):
+    """Per span name, the summed duration in ms of its spans in ops (op id
+    >= 0) of a spans file (name,start_s,end_s,parent,op; row i is span i, and
+    a parent precedes its children), skipping a span nested in a span of
+    the same name, so that recursion is not counted twice."""
+    names, parents, totals = [], [], {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = csv.reader(fh)
+        next(rows)
+        for name, start, end, parent, op in rows:
+            outer = parent = int(parent)
+            while outer >= 0 and names[outer] != name:
+                outer = parents[outer]
+            names.append(name)
+            parents.append(parent)
+            if outer < 0 and int(op) >= 0:
+                totals[name] = totals.get(name, 0.0) + (float(end) - float(start)) * 1000.0
+    return totals
+
+
 def traced_workload(parent, change, workload, seed):
-    runs = {side: run_bench(d, workload, seed, 1)["metrics"]
-            for side, d in (("parent", parent), ("change", change))}
+    runs, inclusive = {}, {}
+    for side, d in (("parent", parent), ("change", change)):
+        runs[side] = run_bench(d, workload, seed, 1)["metrics"]
+        inclusive[side] = inclusive_ms(os.path.join(d, ".bench_out", f"spans-{workload}.csv"))
     out = {"command": f"python3 perfbench/run.py --workload {workload} --seed {seed} "
                       f"--seconds {SECONDS} --trace 1"}
     layers = [name[:-len(".calls")] for name in runs["change"] if name.endswith(".calls")]
@@ -141,7 +166,9 @@ def traced_workload(parent, change, workload, seed):
         if any(runs[side].get(f"{layer}.calls", {"value": 0})["value"] for side in runs):
             out[layer] = {
                 side: {"calls_per_op": _r(runs[side][f"{layer}.calls"]["value"]),
-                       "self_ms_per_op": _r(runs[side][f"{layer}.self_ms"]["value"])}
+                       "self_ms_per_op": _r(runs[side][f"{layer}.self_ms"]["value"]),
+                       "inclusive_raw_ms_per_op": _r(inclusive[side].get(layer, 0.0)
+                                                     / runs[side]["bench.ops"]["value"])}
                 for side in runs
             }
     for name in ("bench.raw_p50_ms", "bench.raw_tail_ms"):
