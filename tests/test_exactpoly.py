@@ -341,13 +341,6 @@ def _times(p, q):
     return out
 
 
-def _chain(lists):
-    r = []
-    for line in lists:
-        r = _prs_gcd(r, line)
-    return r
-
-
 def _coefficient_list(data, degree):
     big = data.draw(st.booleans())
     entry = st.integers(-2**64, 2**64) if big else st.integers(-9, 9)
@@ -357,7 +350,7 @@ def _coefficient_list(data, degree):
     return body + [data.draw(entry.filter(bool))]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_the_value_certificate_claims_coprime_only_for_coprime_lists(data):
     """Whenever _coprime_at_a_value says coprime, the pseudo-remainder
@@ -376,8 +369,10 @@ def test_the_value_certificate_claims_coprime_only_for_coprime_lists(data):
     for i in data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1)):
         lists[i] = []
     if _coprime_at_a_value(lists):
-        assert len(_chain(lists)) == 1
-        assert planted == "none"
+        r = []
+        for line in lists:
+            r = _prs_gcd(r, line)
+        assert len(r) == 1 and planted == "none"
 
 
 @pytest.mark.parametrize("m", [1, 7, 2**40])

@@ -15,7 +15,9 @@ against the metric's bound (VERDICTS). With
 adds, as traced_<workload>_seed_<N>, the per-layer calls and self time per op
 of every layer that ran, and its inclusive raw time per op, read from the
 spans file that run writes (inclusive_ms): self time alone puts a kernel's
-work in whichever wrapper calls it. src_lines gives each side's line count of
+work in whichever wrapper calls it. Raw times are CPU times not scaled by
+the reference kernel, so compare them across layers of one side; the two
+sides' traced runs can fall in different phases of the host's speed. src_lines gives each side's line count of
 src/**/*.py, for the net lines a change adds or removes, and src_code_lines
 the count of those lines that hold code: a token outside comments and
 docstrings. PARENT_DIR must be the root of a git checkout (`git worktree
