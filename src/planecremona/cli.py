@@ -40,7 +40,8 @@ import re
 import sys
 import time
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .errors import ValidationError
 from .exactpoly import HPoly, format_hpoly
@@ -86,7 +87,14 @@ def parse_poly(text: str) -> HPoly:
 
 
 def _parse_form(text: str) -> HPoly:
-    """Parse the polynomial grammar, keeping the coefficients as written."""
+    """Parse the polynomial grammar, keeping the coefficients as written.
+
+    One loop reads the terms: _TERM matches a whole term, and every syntax
+    error is read off its groups and where it stopped. The exponents of the
+    term's run of factors come from _factor_run, memoised on the run's text
+    (at most 4096 runs), so that a monomial written again, as in each
+    component of a map, is read once; it gives the offset of a bad exponent
+    relative to the run, to which the run's start here is added."""
     terms = []
     pos, end = _WHITESPACE.match(text).end(), len(text)
     while pos < end:
@@ -106,18 +114,14 @@ def _parse_form(text: str) -> HPoly:
                 if int(den) == 0:
                     _syntax_error("zero denominator", m.end("den"), text)
                 coeff = Fraction(coeff, int(den))
-        exps = [0, 0, 0]
-        star = None
-        for f in _FACTOR.finditer(text, m.start("factors"), m.end("factors")):
-            var, e, star = f.groups()
-            if e == "":
-                _syntax_error("expected a number", f.start(2), text)
-            exps[_VAR_INDEX[var]] += 1 if e is None else int(e)
+        exps, star, bad = _factor_run(factors)
+        if bad is not None:
+            _syntax_error("expected a number", m.start("factors") + bad, text)
         if (star or cstar and not factors) and not _DIGITS.match(text, stop):
             _syntax_error("dangling '*'", stop, text)
         if not factors and num is None and stop < end:
             _syntax_error("expected a term", stop, text)
-        terms.append((-coeff if sign == "-" else coeff, tuple(exps)))
+        terms.append((-coeff if sign == "-" else coeff, exps))
         pos = stop
     if not terms:
         raise ValidationError("syntax error", "empty polynomial")
@@ -134,6 +138,27 @@ def _parse_form(text: str) -> HPoly:
     degree = degrees.pop() if degrees else 0
     # every term left has a nonzero coefficient and one of the degrees
     return HPoly._make(degree, {e: c for e, c in acc.items() if c != 0})
+
+
+@lru_cache(maxsize=4096)
+def _factor_run(run: str) -> tuple:
+    """(exps, star, bad) of a run of factors x^e as _TERM's group "factors"
+    holds it: the exponent triple, whether its last factor ends in '*', and
+    the offset in the run of the first '^' with no digits after it (None if
+    there is none).
+
+    Memoised on the run's text, at most 4096 runs: a pure function of its
+    argument, so a hit gives what a new read would. The offset is relative
+    to the run, since one run recurs at different places of different texts,
+    and the caller adds the run's start to it."""
+    exps = [0, 0, 0]
+    star = None
+    for f in _FACTOR.finditer(run):
+        var, e, star = f.groups()
+        if e == "":
+            return (), False, f.start(2)
+        exps[_VAR_INDEX[var]] += 1 if e is None else int(e)
+    return tuple(exps), bool(star), None
 
 
 def ascii_int(text: str) -> int:
@@ -239,12 +264,40 @@ def _labelled(inv, **fields):
 
 
 def emit(payload: dict, as_json: bool) -> None:
+    """Print the payload: with as_json, the bytes of json.dumps(payload,
+    sort_keys=True, indent=2) and a newline, written by _json_text, since
+    json.dumps with an indent runs the pure-Python encoder; else one
+    line per key."""
     if as_json:
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2))
+        sys.stdout.write(_json_text(payload, "\n"))
         sys.stdout.write("\n")
     else:
         for line in _default_human(payload):
             print(line)
+
+
+def _json_text(value, pad: str) -> str:
+    """value as json.dumps(value, sort_keys=True, indent=2) writes it, pad
+    being the newline and indent of its level: dicts (with string keys) in
+    sorted key order and lists item by item, a list of ints (not bools,
+    which json writes as true and false) in one join, strings by the
+    encoder's ASCII escape and any other scalar by the C encoder."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + sep.join(encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                                      for k, v in sorted(value.items())) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(x) is int for x in value):
+            return "[" + inner + sep.join(map(int.__repr__, value)) + pad + "]"
+        return "[" + inner + sep.join(_json_text(x, inner) for x in value) + pad + "]"
+    return json.dumps(value)
 
 
 def _default_human(payload, prefix=""):

@@ -573,17 +573,20 @@ def forms_with_multiplicities(points, degree: int, mults, expected: int, what: s
     return [HPoly._make(degree, {e: c for e, c in zip(monos, v) if c}) for v in kern]
 
 
+@cache
+def _monomial_text(e: tuple) -> str:
+    """The text of the monomial x^e, as x^2*y ("" for the constant), built
+    once per exponent triple, like monomials once per degree."""
+    return "*".join(VAR_NAMES[v] if e[v] == 1 else f"{VAR_NAMES[v]}^{e[v]}" for v in range(3) if e[v])
+
+
 def format_hpoly(f: HPoly) -> str:
     """Canonical text form, re-parsable by the CLI grammar."""
     if f.is_zero():
         return "0"
     parts = []
     for e, c in f.sorted_terms():
-        mono = "*".join(
-            VAR_NAMES[v] if e[v] == 1 else f"{VAR_NAMES[v]}^{e[v]}"
-            for v in range(3)
-            if e[v] > 0
-        )
+        mono = _monomial_text(e)
         mag = abs(c)
         if not mono:
             body = str(mag)
@@ -591,13 +594,9 @@ def format_hpoly(f: HPoly) -> str:
             body = mono
         else:
             body = f"{mag}*{mono}"
-        sign = "-" if c < 0 else "+"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+        parts.append((" - " if c < 0 else " + ") + body)
+    text = "".join(parts)
+    return "-" + text[3:] if text[1] == "-" else text[3:]
 
 
 # ---------------------------------------------------------------------------

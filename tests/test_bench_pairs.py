@@ -194,14 +194,30 @@ def test_inclusive_time_sums_outermost_spans_of_a_name_over_ops(tmp_path):
     assert found["exactpoly.bform_gcd"] == pytest.approx(1.0)
 
 
+def test_raw_self_time_is_duration_less_child_spans_over_set_up_and_ops(tmp_path):
+    """Of SPANS: cli.emit 1 (set-up), RationalMap.__init__ 4 - 2, its child
+    2, hpoly_gcd 6 - 4, the gcd_many under it 4 - 1 - 1, then 1, bform_gcd
+    1 - 0.5 and 0.5: 11 ms; the warm-up span (-2) is left out."""
+    path = tmp_path / "spans.csv"
+    path.write_text(SPANS, encoding="utf-8")
+    assert bench_pairs.raw_self_ms(path) == pytest.approx(11.0)
+
+
 def test_a_traced_layer_reports_its_inclusive_time_per_op(tmp_path, monkeypatch):
+    """Raw inclusive time per op, and the same scaled by the run's scaled
+    self time (here 11 ms per op over 2 ops) over its raw self time (11 ms):
+    a scale of 2."""
     for side in ("parent", "change"):
         (tmp_path / side / ".bench_out").mkdir(parents=True)
         (tmp_path / side / ".bench_out" / "spans-dj.csv").write_text(SPANS, encoding="utf-8")
     metrics = {"exactpoly.hpoly_gcd_many.calls": 2.5, "exactpoly.hpoly_gcd_many.self_ms": 1.75,
+               "cli.emit.calls": 0.5, "cli.emit.self_ms": 9.25,
                "bench.ops": 2, "bench.raw_p50_ms": 5.0, "bench.raw_tail_ms": 6.0}
     monkeypatch.setattr(bench_pairs, "run_bench", lambda *args: {
         "metrics": {name: {"value": v} for name, v in metrics.items()}})
     out = bench_pairs.traced_workload(str(tmp_path / "parent"), str(tmp_path / "change"), "dj", 1)
     assert out["exactpoly.hpoly_gcd_many"]["change"] == {
-        "calls_per_op": 2.5, "self_ms_per_op": 1.75, "inclusive_raw_ms_per_op": 3.0}
+        "calls_per_op": 2.5, "self_ms_per_op": 1.75, "inclusive_ms_per_op": 6.0,
+        "inclusive_raw_ms_per_op": 3.0}
+    assert out["cli.emit"]["parent"]["inclusive_ms_per_op"] == 0.0      # its one span is set-up
+    assert out["raw_to_scaled"] == {"parent": 2.0, "change": 2.0}

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from planecremona.cli import parse_point, parse_poly, parse_map, run
+from planecremona.cli import emit, parse_point, parse_poly, parse_map, run
 from planecremona.errors import ValidationError
 from planecremona.exactpoly import HPoly, format_hpoly, multiplicity_values
 from planecremona.involutions import DEL_PEZZO
@@ -323,6 +324,49 @@ def test_json_output_deterministic():
     _, _, raw3 = run_json(["lattice", "exceptionals", "--n", "6"])
     _, _, raw4 = run_json(["lattice", "exceptionals", "--n", "6"])
     assert raw3 == raw4
+
+
+# -- the --json writer ---------------------------------------------------------------
+
+# quotes, backslashes, control and non-ASCII characters, astral ones included
+_TEXT = st.text(alphabet=st.sampled_from(list('ab"\\/\n\t\x00\x1f\x7f\u00e9\u2028\uff13\U0001d11e')) | st.characters(),
+                max_size=8)
+_INT = st.integers() | st.integers(-2 ** 80, 2 ** 80) | st.sampled_from([2 ** 64, 2 ** 64 + 1, -2 ** 64])
+# lists of ints, some holding a bool, which the writer must not write as an int
+_INT_LIST = st.lists(_INT, max_size=5) | st.lists(_INT | st.booleans(), min_size=1, max_size=5)
+_SCALAR = st.none() | st.booleans() | _INT | _TEXT | st.floats(allow_nan=True)
+_PAYLOAD = st.dictionaries(_TEXT, st.recursive(
+    _SCALAR | _INT_LIST,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=20), max_size=5)
+
+
+def _emitted(payload):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        emit(payload, True)
+    return buf.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_PAYLOAD)
+def test_the_json_writer_matches_json_dumps_with_indent_2(payload):
+    assert _emitted(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_the_json_writer_on_fixed_payloads():
+    for payload in ({}, {"a": []}, {"a": {}}, {"b": [True, 1, False], "a": [0, -1, 2 ** 70]},
+                    {"k": [[1, 2], [], [None, "x\"\\\u00e9"]], "e": {"z": {"y": [{}]}}}):
+        assert _emitted(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_a_refused_command_is_written_as_json_dumps_writes_it():
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = run(["dj", "--curve", "x*z - y^", "--p", "(0:1:0)", "--json"])
+    payload = json.loads(buf.getvalue())
+    assert code == 2 and payload["reason"] == "syntax error"
+    assert buf.getvalue() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def test_interpolate_flag():

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from planecremona.cli import _parse_form
+from planecremona.cli import _factor_run, _parse_form
 from planecremona.errors import ValidationError
 from planecremona.exactpoly import HPoly
 
@@ -257,3 +257,51 @@ def test_a_bare_coefficient_is_a_term_and_needs_no_star():
         got = _outcome(_parse_form, text)
         assert got == ("error", "syntax error", f"dangling '*' at position {pos}: {text!r}"), text
         _same_as_scanner(text)
+
+
+# -- the memoised run of factors -------------------------------------------------------
+
+def test_a_bad_run_is_refused_at_its_own_position_wherever_it_recurs():
+    """_factor_run keeps the offset of a bad '^' relative to its run, so
+    one cached run refused in several places names each place."""
+    _factor_run.cache_clear()
+    cases = {
+        "x^*y + y^2": 2,        # the run x^*y at 0
+        "x^2 + x^*y": 8,        # at 6 of another text
+        "  x^*y": 4,            # at 2
+        "y ^": 3,               # the run y ^ at 0
+        "x*y + y ^": 9,         # at 6
+        "x*y - 2 y ^": 11,      # at 8
+    }
+    for text, pos in cases.items():
+        got = _outcome(_parse_form, text)
+        assert got == ("error", "syntax error", f"expected a number at position {pos}: {text!r}"), text
+        _same_as_scanner(text)
+    assert _factor_run.cache_info().hits >= 3
+
+
+def test_runs_that_differ_only_by_whitespace_give_the_same_exponents():
+    for a, b in (("x ^ 2 * y", "x^2*y"), ("x y^ 3", "x*y^3"), ("z \t*x", "z*x")):
+        assert _factor_run(a)[0] == _factor_run(b)[0]
+        assert _parse_form(f"{a} + 2 {b}") == _parse_form(f"3 {b}")
+        _same_as_scanner(f"{a} + 2 {b}")
+
+
+def test_a_cached_run_before_a_dangling_star_is_still_refused():
+    """Whether a '*' dangles depends on the text after the run, which the
+    memo does not see: a run cached where it did not dangle still dangles
+    where nothing follows it, and the empty run of a bare coefficient
+    still dangles after a coefficient's '*'."""
+    _factor_run.cache_clear()
+    for text, message in (
+        ("x*y*3", "expected '+' or '-' between terms at position 4"),
+        ("x*y* + z^2", "dangling '*' at position 5"),
+        ("2 + 3", None),
+        ("2 + 3*", "dangling '*' at position 6"),
+        ("x^2*y + z^3", None),
+        ("x^2*y* + z^3", "dangling '*' at position 7"),
+    ):
+        got = _outcome(_parse_form, text)
+        assert (got[0] == "ok") if message is None else (got[0] == "error" and message in got[2]), (text, got)
+        _same_as_scanner(text)
+    assert _factor_run.cache_info().hits >= 2

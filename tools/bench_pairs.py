@@ -13,11 +13,15 @@ the number of seeds in which the change reads better and a verdict read
 against the metric's bound (VERDICTS). With
 --traced-seed N, one `--trace 1` run of each workload at seed N on each side
 adds, as traced_<workload>_seed_<N>, the per-layer calls and self time per op
-of every layer that ran, and its inclusive raw time per op, read from the
-spans file that run writes (inclusive_ms): self time alone puts a kernel's
-work in whichever wrapper calls it. Raw times are CPU times not scaled by
-the reference kernel, so compare them across layers of one side; the two
-sides' traced runs can fall in different phases of the host's speed. src_lines gives each side's line count of
+of every layer that ran, and its inclusive time per op, read from the spans
+file that run writes (inclusive_ms): self time alone puts a kernel's work in
+whichever wrapper calls it. The spans hold raw CPU times, which are not
+scaled by the reference kernel, so the two sides' traced runs can fall in
+different phases of the host's speed: inclusive_raw_ms_per_op is that raw
+time, and inclusive_ms_per_op is it times the run's ratio of its summed
+kernel-scaled self time to its summed raw span self time (raw_self_ms),
+written as raw_to_scaled, comparable across sides as self time is. src_lines
+gives each side's line count of
 src/**/*.py, for the net lines a change adds or removes, and src_code_lines
 the count of those lines that hold code: a token outside comments and
 docstrings. PARENT_DIR must be the root of a git checkout (`git worktree
@@ -136,43 +140,73 @@ def paired_workload(parent, change, workload, seeds, end_to_end):
     }
 
 
-def inclusive_ms(path):
-    """Per span name, the summed duration in ms of its spans in ops (op id
-    >= 0) of a spans file (name,start_s,end_s,parent,op; row i is span i, and
-    a parent precedes its children), skipping a span nested in a span of
-    the same name, so that recursion is not counted twice."""
-    names, parents, totals = [], [], {}
+# the op id of the worker's warm-up spans, which its self times leave out
+WARMUP = -2
+
+
+def _spans(path):
+    """The rows (name, ms, parent, op) of a spans file (name,start_s,end_s,
+    parent,op; row i is span i, and a parent precedes its children), ms
+    being the span's duration."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = csv.reader(fh)
         next(rows)
-        for name, start, end, parent, op in rows:
-            outer = parent = int(parent)
-            while outer >= 0 and names[outer] != name:
-                outer = parents[outer]
-            names.append(name)
-            parents.append(parent)
-            if outer < 0 and int(op) >= 0:
-                totals[name] = totals.get(name, 0.0) + (float(end) - float(start)) * 1000.0
+        return [(name, (float(end) - float(start)) * 1000.0, int(parent), int(op))
+                for name, start, end, parent, op in rows]
+
+
+def inclusive_ms(path):
+    """Per span name, the summed duration in ms of its spans in ops (op id
+    >= 0) of a spans file, skipping a span nested in a span of the same
+    name, so that recursion is not counted twice."""
+    names, parents, totals = [], [], {}
+    for name, ms, parent, op in _spans(path):
+        outer = parent
+        while outer >= 0 and names[outer] != name:
+            outer = parents[outer]
+        names.append(name)
+        parents.append(parent)
+        if outer < 0 and op >= 0:
+            totals[name] = totals.get(name, 0.0) + ms
     return totals
 
 
+def raw_self_ms(path):
+    """The summed raw self time in ms of the spans of a spans file that the
+    worker's self times count: set-up and ops, not warm-up. A span's self
+    time is its duration less the durations of its child spans, which lie
+    inside it."""
+    spans = _spans(path)
+    own = [ms for _name, ms, _parent, _op in spans]
+    for _name, ms, parent, _op in spans:
+        if parent >= 0:
+            own[parent] -= ms
+    return sum(o for o, (_name, _ms, _parent, op) in zip(own, spans) if op != WARMUP)
+
+
 def traced_workload(parent, change, workload, seed):
-    runs, inclusive = {}, {}
+    runs, inclusive, scale = {}, {}, {}
     for side, d in (("parent", parent), ("change", change)):
-        runs[side] = run_bench(d, workload, seed, 1)["metrics"]
-        inclusive[side] = inclusive_ms(os.path.join(d, ".bench_out", f"spans-{workload}.csv"))
+        runs[side] = metrics = run_bench(d, workload, seed, 1)["metrics"]
+        spans = os.path.join(d, ".bench_out", f"spans-{workload}.csv")
+        inclusive[side] = inclusive_ms(spans)
+        scaled = sum(m["value"] for name, m in metrics.items() if name.endswith(".self_ms")) \
+            * metrics["bench.ops"]["value"]
+        raw = raw_self_ms(spans)
+        scale[side] = scaled / raw if raw else 0.0
     out = {"command": f"python3 perfbench/run.py --workload {workload} --seed {seed} "
                       f"--seconds {SECONDS} --trace 1"}
     layers = [name[:-len(".calls")] for name in runs["change"] if name.endswith(".calls")]
     for layer in layers:
         if any(runs[side].get(f"{layer}.calls", {"value": 0})["value"] for side in runs):
-            out[layer] = {
-                side: {"calls_per_op": _r(runs[side][f"{layer}.calls"]["value"]),
-                       "self_ms_per_op": _r(runs[side][f"{layer}.self_ms"]["value"]),
-                       "inclusive_raw_ms_per_op": _r(inclusive[side].get(layer, 0.0)
-                                                     / runs[side]["bench.ops"]["value"])}
-                for side in runs
-            }
+            out[layer] = {}
+            for side in runs:
+                raw = inclusive[side].get(layer, 0.0) / runs[side]["bench.ops"]["value"]
+                out[layer][side] = {"calls_per_op": _r(runs[side][f"{layer}.calls"]["value"]),
+                                    "self_ms_per_op": _r(runs[side][f"{layer}.self_ms"]["value"]),
+                                    "inclusive_ms_per_op": _r(raw * scale[side]),
+                                    "inclusive_raw_ms_per_op": _r(raw)}
+    out["raw_to_scaled"] = {side: _r(scale[side]) for side in runs}
     for name in ("bench.raw_p50_ms", "bench.raw_tail_ms"):
         out[name] = {side: _r(runs[side][name]["value"]) for side in runs}
     return out
