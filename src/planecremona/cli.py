@@ -41,6 +41,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import cache, lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .errors import ValidationError
@@ -280,8 +281,10 @@ def _json_text(value, pad: str) -> str:
     """value as json.dumps(value, sort_keys=True, indent=2) writes it, pad
     being the newline and indent of its level: dicts (with string keys) in
     sorted key order and lists item by item, a list of ints (not bools,
-    which json writes as true and false) in one join, strings by the
-    encoder's ASCII escape and any other scalar by the C encoder."""
+    which json writes as true and false) in one join, and a list of
+    non-empty lists of ints, such as the exceptional classes, in one pass
+    of such joins; strings by the encoder's ASCII escape and any other
+    scalar by the C encoder."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     inner = pad + "  "
@@ -296,6 +299,10 @@ def _json_text(value, pad: str) -> str:
             return "[]"
         if all(type(x) is int for x in value):
             return "[" + inner + sep.join(map(int.__repr__, value)) + pad + "]"
+        if all(type(x) is list and x for x in value) and {*map(type, chain.from_iterable(value))} == {int}:
+            cell = sep + "  "
+            rows = (inner + "]" + sep + "[" + cell[1:]).join([cell.join(map(int.__repr__, x)) for x in value])
+            return "[" + inner + "[" + cell[1:] + rows + inner + "]" + pad + "]"
         return "[" + inner + sep.join(_json_text(x, inner) for x in value) + pad + "]"
     return json.dumps(value)
 

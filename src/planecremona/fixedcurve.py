@@ -31,7 +31,7 @@ of that table.
 from typing import NamedTuple
 
 from .errors import ValidationError
-from .exactpoly import HPoly, bform_rational_roots, first_below_multiplicity, hpoly_gcd_many, values_at
+from .exactpoly import Evaluator, HPoly, bform_rational_roots, first_below_multiplicity, hpoly_gcd_many
 from .involutions import DEL_PEZZO, DelPezzoInvolution, DJData
 from .projmaps import (
     ProjPoint, RationalMap, identity_minors, involution_on_grid, is_identity, pencil_form,
@@ -135,8 +135,11 @@ def rational_base_points(arg):
     In the frame of the pencil form the components are (x u, c y + e, z u)
     with u = a y + b; away from p they vanish together where a y + b and
     c y + e do, at y = -b/a (or -e/c where a = 0) above a root of
-    b c - a e. Returns p and the points above the rational roots, each kept
-    only where every component vanishes.
+    det M = b c - a e. When b + c = 0, as for every DJData and every
+    involution with a center, the branch form beta = (b + c)^2 - 4 det M
+    is -4 det M, with the same roots, so beta (kept by the pencil form) is
+    used. Returns p and the points above the rational roots, each kept only
+    where every component vanishes (one Evaluator of the map).
     """
     if isinstance(arg, DJData):
         sigma, form = arg.map, arg.pencil
@@ -149,15 +152,17 @@ def rational_base_points(arg):
     if not form.linear:
         raise ValidationError("not de Jonquieres", "a component is not linear in y at the center")
     a, b, c, e = form.a, form.b, form.c, form.e
-    det = b * c - a * e
+    det = form.beta if (b + c).is_zero() else b * c - a * e
     candidates = [form.center]
-    for s0, t0 in bform_rational_roots(det) if not det.is_zero() else []:
-        for h, k in ((a, b), (c, e)):
-            hv, kv = values_at((h, k), (s0, 0, t0))
-            if hv != 0:
+    if not det.is_zero():
+        pencil_values = Evaluator((a, b, c, e))
+        for s0, t0 in bform_rational_roots(det):
+            av, bv, cv, ev = pencil_values((s0, 0, t0))
+            hv, kv = (av, bv) if av else (cv, ev)
+            if hv:
                 candidates.append(ProjPoint(s0 * hv, -kv, t0 * hv).apply_matrix(form.frame[1]))
-                break
-    found = {q for q in candidates if not any(values_at(sigma.components, q.coords))}
+    evaluate = Evaluator(sigma.components)
+    found = {q for q in candidates if not any(evaluate(q.coords))}
     return sorted(found, key=lambda q: q.coords)
 
 

@@ -59,9 +59,9 @@ spanning the pencil through the 8 points and C_0, C_7 the nodal cubics that
 the involution exchanges. The fixed curve is a Jacobian of the same
 factors.
 
-validate_dj builds a de Jonquieres construction once, from one polar map:
-a DJData of the pencil form its checks read, the fixed curve and that map
-normalised. A DelPezzoInvolution keeps its configuration and fixed curve.
+validate_dj builds a de Jonquieres construction once: a DJData of the
+pencil form its checks read, off one shear of the curve (_dj_pencil), the
+fixed curve and the polar map normalised. A DelPezzoInvolution keeps its configuration and fixed curve.
 fixedcurve.invariant_of computes the invariant and label of either from
 what it keeps, and this module does not import fixedcurve.
 """
@@ -94,9 +94,7 @@ from .exactpoly import (
     primitive,
     values_at,
 )
-from .projmaps import (
-    PencilForm, ProjPoint, RationalMap, collinear, pencil_form_at,
-)
+from .projmaps import PencilForm, ProjPoint, RationalMap, collinear, frame_moving_to_center
 
 
 # ---------------------------------------------------------------------------
@@ -117,39 +115,78 @@ class DJData(NamedTuple):
 
 
 def _polar_map(curve: HPoly, p: ProjPoint):
-    """Components D_p C x_i - 2 C p_i, not normalised, of harmonic
-    conjugation on the lines through p with respect to the curve C."""
-    polar = sum((curve.partial(i) * c for i, c in enumerate(p.coords) if c),
-                HPoly.zero(curve.degree - 1))
-    return tuple(polar * HPoly.variable(i) - curve * (2 * c) for i, c in enumerate(p.coords))
+    """Components x_i D_p C - 2 p_i C, not normalised, of harmonic
+    conjugation on the lines through p with respect to the curve C, with
+    D_p C = sum p_v dC/dx_v, written term by term from C's terms."""
+    polar = {}                          # D_p C
+    for e, c in curve.terms.items():
+        for v, pv in enumerate(p.coords):
+            if pv and e[v]:
+                f = e[:v] + (e[v] - 1,) + e[v + 1:]
+                polar[f] = polar.get(f, 0) + pv * e[v] * c
+    comps = []
+    for i, pi in enumerate(p.coords):
+        terms = {f[:i] + (f[i] + 1,) + f[i + 1:]: c for f, c in polar.items()}
+        if pi:
+            for e, c in curve.terms.items():
+                terms[e] = terms.get(e, 0) - 2 * pi * c
+        comps.append(HPoly._make(curve.degree, {e: c for e, c in terms.items() if c}))
+    return tuple(comps)
+
+
+def _dj_pencil(curve: HPoly, p: ProjPoint) -> PencilForm:
+    """pencil_form_at(_polar_map(curve, p), p), read off one shear of the
+    curve: with (m, minv) the frame of p, m minv = s I and m p = s (0,1,0),
+    so the first two rows of m send the polar map to s x D_p C and
+    s (y D_p C - 2 C), and in the frame D_p C is d/dy of C(minv x) =
+    sum C_k y^k. Hence u = (k s C_k for k >= 1) and v = ((k - 2) s C_k),
+    cut, as the frame's y-coefficients are, at their last nonzero entry and
+    padded to two entries."""
+    m, minv = frame_moving_to_center(p)
+    s = det3(minv)
+    d = curve.degree
+    u = [{} for _ in range(d)]
+    v = [{} for _ in range(d + 1)]
+    for (i, k, j), c in curve.shear(minv, 1).terms.items():
+        if k:
+            u[k - 1][i, 0, j] = k * s * c
+        if k != 2:
+            v[k][i, 0, j] = (k - 2) * s * c
+    while len(u) > 2 and not u[-1]:
+        u.pop()
+    while len(v) > 2 and not v[-1]:
+        v.pop()
+    return PencilForm(p, (m, minv), tuple(HPoly._make(d - 1 - k, t) for k, t in enumerate(u)),
+                      tuple(HPoly._make(d - k, t) for k, t in enumerate(v)))
 
 
 def validate_dj(curve: HPoly, p: ProjPoint) -> DJData:
     """The de Jonquieres involution preserving the lines through p and
-    fixing the curve pointwise, built from one polar map: the construction,
-    or a refusal of the (curve, center) pair.
+    fixing the curve pointwise: the construction, or a refusal of the
+    (curve, center) pair.
 
-    Every check reads the pencil form of the polar map: with C = sum C_k y^k
-    in the frame of p, u = sum k C_k y^(k-1) and v = sum (k - 2) C_k y^k up
-    to a scalar. Checks, in order: degree >= 2; multiplicity at p exactly
-    d-2 (v of y-degree <= 2 and A != 0); ordinarity (A squarefree); no line
-    of the curve through p (gcd(A,B,Cd) constant); discriminant nonzero and
-    squarefree, that is with as many branch points as its degree
-    (PencilForm.branch_count). Together these make p the only singular
-    point: a point q != p lies on a line through p, where the curve is
-    A w^2 - Delta/(4A) with w = y + B/(2A) if A != 0 there, singular only
-    over a double root of Delta; if A = 0 there, either dC/dy = B != 0 or
-    no point of the curve but p lies on that line. The map is the same
-    polar map, normalised (conjugated_map).
+    Every check reads the pencil form of the polar map, read off C's
+    y-coefficients in the frame of p (_dj_pencil): with C = sum C_k y^k
+    there, u = sum k C_k y^(k-1) and v = sum (k - 2) C_k y^k, both scaled
+    by s = det(minv) of the frame. Checks, in order: degree >= 2;
+    multiplicity at p exactly d-2 (v of y-degree <= 2 and A != 0);
+    ordinarity (A squarefree); no line of the curve through p
+    (gcd(A,B,Cd) constant); discriminant nonzero and squarefree, that is
+    with as many branch points as its degree (PencilForm.branch_count).
+    Together these make p the only singular point: a point q != p lies on a
+    line through p, where the curve is A w^2 - Delta/(4A) with
+    w = y + B/(2A) if A != 0 there, singular only over a double root of
+    Delta; if A = 0 there, either dC/dy = B != 0 or no point of the curve
+    but p lies on that line. The map is the polar map (_polar_map),
+    built once the checks pass and normalised (conjugated_map).
     """
     curve = curve.canonical()
     d = curve.degree
     if d < 2 or curve.is_zero():
         raise ValidationError("bad degree", "the curve must have degree >= 2")
-    polar = _polar_map(curve, p)
-    pencil = pencil_form_at(polar, p)
+    pencil = _dj_pencil(curve, p)
     top = len(pencil.v) - 1
-    a = pencil.a                        # 2 A
+    a = pencil.a                        # 2 s A
     if top > 2 or a.is_zero():
         found = f"is {d - top}, expected" if top > 2 else "exceeds"
         raise ValidationError("multiplicity mismatch", f"multiplicity at the center {found} {d - 2}")
@@ -159,19 +196,19 @@ def validate_dj(curve: HPoly, p: ProjPoint) -> DJData:
             "non-ordinary", "the tangent cone at the center has repeated lines"
         )
 
-    if hpoly_gcd_many((a, pencil.b, pencil.e)).degree > 0:    # 2 A, B and -2 C_d
+    if hpoly_gcd_many((a, pencil.b, pencil.e)).degree > 0:    # 2 s A, s B and -2 s C_d
         raise ValidationError(
             "line through center", "the curve contains a line through the center"
         )
 
-    delta = pencil.beta                 # 4 (B^2 - 4 A C_d), up to a square
+    delta = pencil.beta                 # 4 s^2 (B^2 - 4 A C_d)
     if delta.is_zero():
         raise ValidationError("degenerate", "zero discriminant")
     if pencil.branch_count != delta.degree:
         raise ValidationError(
             "extra singularities", "discriminant is not squarefree"
         )
-    return DJData(pencil, curve, conjugated_map(polar))
+    return DJData(pencil, curve, conjugated_map(_polar_map(curve, p)))
 
 
 def conjugated_map(polar) -> RationalMap:

@@ -239,20 +239,25 @@ def _orderings(values: tuple) -> list:
         out.append(tuple(p))
 
 
+def _require_del_pezzo(lat: PicLattice) -> None:
+    """Refuse a lattice whose exceptional classes are not listed: not a
+    blow-up, or more than 8 points (beyond that the list is infinite)."""
+    if lat.kind != "blowup":
+        raise ValidationError("bad lattice", "exceptional classes need a blow-up lattice")
+    if lat.n is None or lat.n > 8:
+        raise ValidationError("unsupported rank", "n must be <= 8")
+
+
 def exceptional_classes(lat: PicLattice):
     """All classes with E^2 = -1 and E.K = -1, deterministically ordered.
 
     Exhaustive search: for each H-degree a in the proven window, the
     non-increasing integer tails c with sum c_i = 1 - 3a and
     sum c_i^2 = a^2 + 1, each expanded into its distinct orderings. Only
-    blow-up lattices with n <= 8 are supported (beyond that the list is
-    infinite).
+    blow-up lattices with n <= 8 are supported (_require_del_pezzo).
     """
-    if lat.kind != "blowup":
-        raise ValidationError("bad lattice", "exceptional classes need a blow-up lattice")
+    _require_del_pezzo(lat)
     n = lat.n
-    if n is None or n > 8:
-        raise ValidationError("unsupported rank", "n must be <= 8")
     if n == 0:
         return []
     out: list = []
@@ -341,19 +346,26 @@ def is_minimal(lat: PicLattice, inv: LatticeInvolution) -> MinimalityResult:
     image and the failed condition are returned.
 
     E.(ME) = 1 + 2 sum_i (E.b_i)^2 / b_i^2 over the orthogonal basis b of
-    V+ = ker(M - I) with b_1 = K; see the module docstring. The sum is taken
-    in integers, each term weighted by D / b_i^2 for D the lcm of the
+    V+ = ker(M - I) with b_1 = K; see the module docstring. E.K = -1 on
+    every class, so K's term is the constant 2 / K^2, and when V+ = <K>
+    (the anti-reflections in K) every class gives 1 + 2 / K^2 > 0: the pair
+    is minimal with no class listed. Otherwise the sum is taken in
+    integers, each term weighted by D / b_i^2 for D the lcm of the
     |b_i^2|, and the division by D is exact. ME is formed only for the
-    witness."""
+    witness. The lattice is refused first as exceptional_classes refuses
+    it (_require_del_pezzo), since K^2 = 0 at n = 9."""
     if lat.kind == "quadric":
         return MinimalityResult(True)
-    classes = exceptional_classes(lat)
+    _require_del_pezzo(lat)
     basis = _orthogonal_basis(lat, [lat.k, *inv.fixed_basis])
+    if len(basis) == 1:
+        return MinimalityResult(True)
     squares = [lat.dot(b, b) for b in basis]
     d = lcm(*squares)
-    forms = [(d // b2, _mat_vec(lat.gram, b)) for b2, b in zip(squares, basis)]
-    for e in classes:
-        prod = (d + 2 * sum(w * sum(map(mul, e, gb)) ** 2 for w, gb in forms)) // d
+    k_term = d + 2 * (d // squares[0])      # b_1 = +-K, so (E.b_1)^2 = 1
+    forms = [(d // b2, _mat_vec(lat.gram, b)) for b2, b in zip(squares[1:], basis[1:])]
+    for e in exceptional_classes(lat):
+        prod = (k_term + 2 * sum(w * sum(map(mul, e, gb)) ** 2 for w, gb in forms)) // d
         if prod <= 0:
             failure = "fixed" if prod == -1 else "disjoint"
             return MinimalityResult(False, e, _mat_vec(inv.matrix, e), failure, prod)

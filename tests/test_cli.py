@@ -12,6 +12,7 @@ from planecremona.cli import emit, parse_point, parse_poly, parse_map, run
 from planecremona.errors import ValidationError
 from planecremona.exactpoly import HPoly, format_hpoly, multiplicity_values
 from planecremona.involutions import DEL_PEZZO
+from planecremona.picard import exceptional_classes, make_lattice
 from planecremona.projmaps import ProjPoint, RationalMap
 from tests.streams import SplitMix64
 
@@ -310,6 +311,14 @@ def test_lattice_non_minimal_witness(tmp_path):
     assert payload["failure"] == "disjoint"
 
 
+@pytest.mark.parametrize("action", ["minimal", "classify"])
+def test_lattice_minimality_beyond_eight_points_is_refused(tmp_path, action):
+    mf = tmp_path / "id10.txt"
+    mf.write_text("10\n" + "\n".join(" ".join(str(int(i == j)) for j in range(10)) for i in range(10)))
+    code, payload, _ = run_json(["lattice", action, "--n", "9", "--matrix-file", str(mf)])
+    assert code == 2 and payload == {"reason": "unsupported rank", "error": "n must be <= 8"}
+
+
 def test_quadric_lattice_classify(tmp_path):
     mf = tmp_path / "sw.txt"
     mf.write_text("2\n0 1\n1 0\n")
@@ -336,7 +345,7 @@ _INT = st.integers() | st.integers(-2 ** 80, 2 ** 80) | st.sampled_from([2 ** 64
 _INT_LIST = st.lists(_INT, max_size=5) | st.lists(_INT | st.booleans(), min_size=1, max_size=5)
 _SCALAR = st.none() | st.booleans() | _INT | _TEXT | st.floats(allow_nan=True)
 _PAYLOAD = st.dictionaries(_TEXT, st.recursive(
-    _SCALAR | _INT_LIST,
+    _SCALAR | _INT_LIST | st.lists(_INT_LIST, max_size=4),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
     max_leaves=20), max_size=5)
 
@@ -355,8 +364,13 @@ def test_the_json_writer_matches_json_dumps_with_indent_2(payload):
 
 
 def test_the_json_writer_on_fixed_payloads():
+    classes = [list(c) for c in exceptional_classes(make_lattice(8))]
     for payload in ({}, {"a": []}, {"a": {}}, {"b": [True, 1, False], "a": [0, -1, 2 ** 70]},
-                    {"k": [[1, 2], [], [None, "x\"\\\u00e9"]], "e": {"z": {"y": [{}]}}}):
+                    {"k": [[1, 2], [], [None, "x\"\\\u00e9"]], "e": {"z": {"y": [{}]}}},
+                    {"classes": classes, "count": len(classes)},
+                    {"m": [[1, 2], []]}, {"m": [[], [1]]}, {"m": [[1, True], [0, 1]]}, {"m": [[False]]},
+                    {"m": [(1, 2), (3, 4)]}, {"m": [[1, 2], (3, 4)]},
+                    {"m": [[2 ** 64, -2 ** 64 - 1], [2 ** 100, 0]]}):
         assert _emitted(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 

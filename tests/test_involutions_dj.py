@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from planecremona.errors import ValidationError
 from planecremona.exactpoly import (
-    HPoly, adjugate3, hpoly_gcd_many, is_squarefree,
+    HPoly, adjugate3, det3, hpoly_gcd_many, is_squarefree,
     kernel_basis, values_at,
 )
 from planecremona.fixedcurve import classify_involution, fixed_locus, invariant_of, rational_base_points
@@ -19,6 +19,7 @@ from planecremona.involutions import (
 )
 from planecremona.projmaps import (
     ProjPoint, RationalMap, compose, is_identity, is_involution, pencil_center, pencil_form,
+    pencil_form_at,
 )
 from tests.streams import (
     SplitMix64, apply_matrix, frame_conjugate, image, make_dj_instance, pencil_components,
@@ -254,6 +255,151 @@ def test_polar_map_equals_the_frame_round_trip(d):
     round_trip = frame_conjugate(pencil_components((b, a * 2), (cd * -2, -b)), minv, m)
     assert RationalMap(*_polar_map(data.fixed_curve, center)) == RationalMap(*round_trip)
     assert data.map == RationalMap(*round_trip)
+
+
+def _three_line_polar_map(curve, p):
+    """The polar map x_i D_p C - 2 p_i C by products of forms, as it was
+    written before it was built term by term."""
+    polar = sum((curve.partial(i) * c for i, c in enumerate(p.coords) if c), HPoly.zero(curve.degree - 1))
+    return tuple(polar * HPoly.variable(i) - curve * (2 * c) for i, c in enumerate(p.coords))
+
+
+def _reference_validate_dj(curve, p):
+    """validate_dj's checks, in its order, on the pencil form of the
+    three-line polar map, with the map normalised by its gcd."""
+    curve = curve.canonical()
+    d = curve.degree
+    if d < 2 or curve.is_zero():
+        raise ValidationError("bad degree", "the curve must have degree >= 2")
+    polar = _three_line_polar_map(curve, p)
+    pencil = pencil_form_at(polar, p)
+    top = len(pencil.v) - 1
+    if top > 2 or pencil.a.is_zero():
+        found = f"is {d - top}, expected" if top > 2 else "exceeds"
+        raise ValidationError("multiplicity mismatch", f"multiplicity at the center {found} {d - 2}")
+    if not is_squarefree(pencil.a):
+        raise ValidationError("non-ordinary", "the tangent cone at the center has repeated lines")
+    if hpoly_gcd_many((pencil.a, pencil.b, pencil.e)).degree > 0:
+        raise ValidationError("line through center", "the curve contains a line through the center")
+    if pencil.beta.is_zero():
+        raise ValidationError("degenerate", "zero discriminant")
+    if pencil.branch_count != pencil.beta.degree:
+        raise ValidationError("extra singularities", "discriminant is not squarefree")
+    return DJData(pencil, curve, RationalMap(*polar))
+
+
+def _outcome(build, curve, p):
+    try:
+        return build(curve, p)
+    except ValidationError as err:
+        return err.reason, str(err)
+
+
+_COEFF = st.integers(-3, 3)
+# the check each kind of curve in the frame of (0:1:0) is built to meet
+_KINDS = {"valid": None, "generic": "multiplicity mismatch", "cubic in y": "multiplicity mismatch",
+          "no y^2": "multiplicity mismatch", "double line in A": "non-ordinary",
+          "line": "line through center", "square": "degenerate", "node": "extra singularities"}
+
+
+@st.composite
+def _binary_forms(draw, degree):
+    """A binary form in (x, z) of the given degree, not zero."""
+    coeffs = draw(st.lists(_COEFF, min_size=degree + 1, max_size=degree + 1).filter(any))
+    return HPoly(degree, {(degree - i, 0, i): c for i, c in enumerate(coeffs)})
+
+
+@st.composite
+def _frame_curve(draw, d, kind):
+    """A curve of degree d in the frame where the center is (0:1:0), of the
+    given kind of _KINDS: A y^2 + B y + C_d with parts drawn so as to meet
+    that kind's check, where its degree allows it. A zero discriminant with
+    A squarefree puts A in gcd(A, B, C_d), so past the line check it needs
+    a constant A: the square is a conic, a double line off the center."""
+    form = lambda k: draw(_binary_forms(k))     # noqa: E731
+    y = HPoly.variable(1)
+    line = form(1)
+    if kind == "generic":
+        mons = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+        coeffs = draw(st.lists(_COEFF, min_size=len(mons), max_size=len(mons)).filter(any))
+        return HPoly(d, dict(zip(mons, coeffs)))
+    if kind == "square" and d == 2:              # (a y + c)^2: B^2 = 4 A C_d
+        root = form(0) * y + line
+        return root * root
+    if kind == "line" and d >= 3:
+        return (form(d - 3) * y * y + form(d - 2) * y + form(d - 1)) * line
+    a = form(d - 2)
+    if kind == "double line in A" and d >= 4:
+        a = line * line * form(d - 4)
+    if kind == "no y^2":
+        a = HPoly.zero(d - 2)
+    b, cd = form(d - 1), form(d)
+    if kind == "node":                            # B = l B', C_d = l^2 C': l^2 divides Delta
+        b, cd = line * form(d - 2), line * line * form(d - 2)
+    curve = a * y * y + b * y + cd
+    if kind == "cubic in y" and d >= 3:
+        curve = curve + form(d - 3) * y ** 3
+    return curve
+
+
+@st.composite
+def _centers(draw):
+    """A center with its pivot at any index, nonzero there, and zero or
+    negative entries after it."""
+    pivot = draw(st.integers(0, 2))
+    coords = [0] * 3
+    coords[pivot] = draw(st.integers(-3, 3).filter(bool))
+    for i in range(pivot + 1, 3):
+        coords[i] = draw(_COEFF)
+    return ProjPoint(*coords)
+
+
+@st.composite
+def _moved_instances(draw):
+    """(curve, center, kind): a curve of _frame_curve moved by an integer
+    frame g whose middle column is a drawn center, so that the curve's
+    point (0:1:0) moves to the center."""
+    d = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(sorted(_KINDS)))
+    curve = draw(_frame_curve(d, kind))
+    center = draw(_centers())
+    while True:
+        cols = [draw(st.lists(_COEFF, min_size=3, max_size=3)), list(center.coords),
+                draw(st.lists(_COEFF, min_size=3, max_size=3))]
+        g = tuple(tuple(col[i] for col in cols) for i in range(3))
+        if det3(g):
+            break
+    return apply_matrix(curve, adjugate3(g)), center, kind
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_moved_instances())
+def test_the_pencil_read_off_one_shear_is_the_pencil_of_the_polar_map(instance):
+    """The pencil form validate_dj reads off the curve, its term-by-term
+    polar map and its verdict are those of the three-line polar map."""
+    curve, center, _ = instance
+    curve = curve.canonical()
+    reference = _three_line_polar_map(curve, center)
+    assert involutions._dj_pencil(curve, center) == pencil_form_at(reference, center)
+    assert _polar_map(curve, center) == reference
+    assert _outcome(validate_dj, curve, center) == _outcome(_reference_validate_dj, curve, center)
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_each_kind_of_curve_meets_its_check(kind):
+    """The kinds of the property above reach every outcome of validate_dj:
+    of 60 drawn instances of each kind some are refused by its check, or
+    for "valid" some are built."""
+    outcomes = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 8).flatmap(lambda d: _frame_curve(d, kind)).map(lambda c: c.canonical()))
+    def collect(curve):
+        outcome = _outcome(validate_dj, curve, ProjPoint(0, 1, 0))
+        outcomes.add(None if isinstance(outcome, DJData) else outcome[0])
+
+    collect()
+    assert _KINDS[kind] in outcomes
 
 
 def test_validate_dj_builds_its_polar_map_and_map_once(monkeypatch):

@@ -274,13 +274,14 @@ def _root(n, i, j):
 
 
 def _involutions(lat):
-    """Reflections in the roots E_i - E_j and products of commuting ones,
-    and where it is integral the anti-reflection in K and its products with
-    four of those reflections; all conjugated by permutations of the E_i."""
+    """The identity, reflections in the roots E_i - E_j and products of
+    commuting ones, and where it is integral the anti-reflection in K and
+    its products with four of those reflections; all conjugated by
+    permutations of the E_i. At n = 0 and 1 only the identity fixes K."""
     n = lat.n
     refl = [reflection_through(lat, _root(n, i, j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    mats = list(refl)
-    prod = refl[0]
+    mats = [_identity(n + 1), *refl]
+    prod = refl[0] if refl else None
     for a in range(3, n, 2):
         # E_1 - E_2, E_3 - E_4, ... have disjoint supports, so they commute
         prod = _naive_mul(prod, reflection_through(lat, _root(n, a, a + 1)))
@@ -302,7 +303,7 @@ def _involutions(lat):
 
 def test_is_minimal_equals_the_loop_it_replaced():
     outcomes = set()
-    for n in range(2, 9):
+    for n in range(0, 9):
         lat = make_lattice(n)
         for inv in _involutions(lat):
             res = is_minimal(lat, inv)
@@ -310,6 +311,36 @@ def test_is_minimal_equals_the_loop_it_replaced():
             outcomes.add(res.failure)
     outcomes.add(is_minimal(*dj3_conic_bundle_involution()).failure)
     assert outcomes == {None, "fixed", "disjoint"}
+
+
+def test_a_fixed_line_of_k_is_minimal_without_listing_the_classes(monkeypatch):
+    """V+ = <K> gives E.(ME) = 1 + 2/K^2 on every class, so is_minimal lists
+    no class for the anti-reflections at n = 7 and 8; a V+ of rank >= 2, as
+    for the degree-3 conic bundle, still lists them."""
+    from planecremona import picard
+    calls = []
+
+    def counted(lat):
+        calls.append(lat.n)
+        return exceptional_classes(lat)
+
+    monkeypatch.setattr(picard, "exceptional_classes", counted)
+    for n in (7, 8):
+        lat = make_lattice(n)
+        assert is_minimal(lat, anti_reflection_in_k(lat)) == MinimalityResult(True)
+    assert calls == []
+    lat, inv = dj3_conic_bundle_involution()
+    assert fixed_rank(inv) >= 2
+    assert is_minimal(lat, inv) == _loop_is_minimal(lat, inv)
+    assert calls == [5]
+
+
+def test_minimality_beyond_eight_points_is_refused_as_the_classes_are():
+    # K^2 = 0 at n = 9: the refusal comes before any sum over V+
+    lat = make_lattice(9)
+    with pytest.raises(ValidationError) as err:
+        is_minimal(lat, LatticeInvolution(lat, _identity(10)))
+    assert (err.value.reason, str(err.value)) == ("unsupported rank", "n must be <= 8")
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
