@@ -748,9 +748,8 @@ def hpoly_gcd_many(polys) -> HPoly:
 
 
 def hpoly_gcd(f: HPoly, g: HPoly) -> HPoly:
-    """Gcd of two forms, canonical (hpoly_gcd_many); refused when both are zero."""
-    if f.is_zero() and g.is_zero():
-        raise ValidationError("zero input", "gcd of two zero polynomials")
+    """Gcd of two forms, canonical: hpoly_gcd_many of the pair, which
+    refuses two zero forms ("zero input")."""
     return hpoly_gcd_many((f, g))
 
 

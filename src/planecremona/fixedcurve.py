@@ -13,7 +13,7 @@ For a map with a center p (projmaps.pencil_form) the invariant is computed
 from equations: the map acts by a Moebius involution on each line through
 p, and the normalized fixed curve is the double cover of that pencil
 branched at the odd-multiplicity roots of the branch form beta. Its base
-points besides p lie over the rational roots of det M.
+points besides p lie over the roots of beta = -4 det M.
 
 invariant_of is the one source of a construction's invariant and label. A
 de Jonquieres construction (involutions.DJData) is read from its pencil
@@ -33,9 +33,7 @@ from typing import NamedTuple
 from .errors import ValidationError
 from .exactpoly import Evaluator, HPoly, bform_rational_roots, first_below_multiplicity, hpoly_gcd_many
 from .involutions import DEL_PEZZO, DelPezzoInvolution, DJData
-from .projmaps import (
-    ProjPoint, RationalMap, identity_minors, involution_on_grid, is_identity, pencil_form,
-)
+from .projmaps import ProjPoint, RationalMap, identity_minors, involutive, is_identity, pencil_form
 
 KIND_EMPTY = "empty"
 KIND_HYPERELLIPTIC = "hyperelliptic"
@@ -129,17 +127,17 @@ class Classification(NamedTuple):
 
 
 def rational_base_points(arg):
-    """Rational base points of a map with a center p, given as a raw map or
-    as a de Jonquieres construction (DJData), whose pencil form is reused.
+    """Rational base points of an involution with a center p, given as a raw
+    map or as a de Jonquieres construction (DJData), whose pencil form is
+    reused; every other map is refused.
 
     In the frame of the pencil form the components are (x u, c y + e, z u)
-    with u = a y + b; away from p they vanish together where a y + b and
-    c y + e do, at y = -b/a (or -e/c where a = 0) above a root of
-    det M = b c - a e. When b + c = 0, as for every DJData and every
-    involution with a center, the branch form beta = (b + c)^2 - 4 det M
-    is -4 det M, with the same roots, so beta (kept by the pencil form) is
-    used. Returns p and the points above the rational roots, each kept only
-    where every component vanishes (one Evaluator of the map).
+    with u = a y + b and c = -b, as projmaps.involutive requires; away from
+    p they vanish together where a y + b and -b y + e do, at y = -b/a (or
+    e/b where a = 0) above a root of det M = -b^2 - a e, that is of the
+    branch form beta = -4 det M, which the pencil form keeps. Returns p and
+    the points above the rational roots of beta, each kept only where every
+    component vanishes (one Evaluator of the map).
     """
     if isinstance(arg, DJData):
         sigma, form = arg.map, arg.pencil
@@ -147,20 +145,15 @@ def rational_base_points(arg):
         sigma, form = arg, pencil_form(arg)
     else:
         raise _unknown(arg)
-    if form is None:
-        raise ValidationError("no center", "the map preserves no pencil of lines")
-    if not form.linear:
-        raise ValidationError("not de Jonquieres", "a component is not linear in y at the center")
-    a, b, c, e = form.a, form.b, form.c, form.e
-    det = form.beta if (b + c).is_zero() else b * c - a * e
+    if form is None or not involutive(sigma, form):
+        raise ValidationError("not de Jonquieres", "the map is not an involution with a center")
     candidates = [form.center]
-    if not det.is_zero():
-        pencil_values = Evaluator((a, b, c, e))
-        for s0, t0 in bform_rational_roots(det):
-            av, bv, cv, ev = pencil_values((s0, 0, t0))
-            hv, kv = (av, bv) if av else (cv, ev)
-            if hv:
-                candidates.append(ProjPoint(s0 * hv, -kv, t0 * hv).apply_matrix(form.frame[1]))
+    pencil_values = Evaluator((form.a, form.b, form.e))
+    for s0, t0 in bform_rational_roots(form.beta):
+        av, bv, ev = pencil_values((s0, 0, t0))
+        hv, yv = (av, -bv) if av else (bv, ev)
+        if hv:
+            candidates.append(ProjPoint(s0 * hv, yv, t0 * hv).apply_matrix(form.frame[1]))
     evaluate = Evaluator(sigma.components)
     found = {q for q in candidates if not any(evaluate(q.coords))}
     return sorted(found, key=lambda q: q.coords)
@@ -176,16 +169,16 @@ def classify_involution(arg) -> Classification:
 
     A construction's note names what was computed: the pencil form of a
     DJData, or the fixed curve check of invariant_of.
-    A raw map with a center (projmaps.pencil_form) is classified from its
-    pencil form: it must pass PencilForm.is_involution, and its normalized
-    fixed curve has genus g = (odd-multiplicity roots of beta)/2 - 1, so it
-    is DJ(g + 2), with g <= 0 the class of the linear involutions, DJ(2).
-    Any other raw map must pass the grid test (projmaps.involution_on_grid).
-    One that fixes no curve (a constant fixed_locus), like (yz : xz : xy),
-    is conjugate to a linear involution (Bayle-Beauville): DJ(2). Degree 8
-    with a sextic fixed locus is a Geiser candidate and degree 17 with a
-    nonic fixed locus a Bertini candidate (the map and fixed-curve degrees
-    of DEL_PEZZO), labels assigned from those two degrees.
+    A raw map other than the identity must pass projmaps.involutive on its
+    pencil form (projmaps.pencil_form). One with a center is classified from
+    that form: its normalized fixed curve has genus g = (odd-multiplicity
+    roots of beta)/2 - 1, so it is DJ(g + 2), with g <= 0 the class of the
+    linear involutions, DJ(2). Of the others, one that fixes no curve (a
+    constant fixed_locus), like (yz : xz : xy), is conjugate to a linear
+    involution (Bayle-Beauville): DJ(2). Degree 8 with a sextic fixed locus
+    is a Geiser candidate and degree 17 with a nonic fixed locus a Bertini
+    candidate (the map and fixed-curve degrees of DEL_PEZZO), labels
+    assigned from those two degrees.
     """
     if not isinstance(arg, RationalMap):
         inv = invariant_of(arg)         # refuses anything but a construction
@@ -199,13 +192,10 @@ def classify_involution(arg) -> Classification:
     if is_identity(sigma):
         raise ValidationError("not involutive", "the identity is not a nontrivial involution")
     form = pencil_form(sigma)
-    if form is not None:
-        if not form.is_involution():
-            raise ValidationError("not involutive", "the map composed with itself is not the identity")
-        inv = _dj_invariant(form)
-        return Classification(inv, _pencil_note(form))
-    if not involution_on_grid(sigma):
+    if not involutive(sigma, form):
         raise ValidationError("not involutive", "the map composed with itself is not the identity")
+    if form is not None:
+        return Classification(_dj_invariant(form), _pencil_note(form))
     d = sigma.degree
     fixed = fixed_locus(sigma)
     if fixed.degree == 0:

@@ -228,8 +228,7 @@ def conjugated_map(polar) -> RationalMap:
 
 def dj_from_conic(q: HPoly, p: ProjPoint) -> DJData:
     """Degree-2 specialization: harmonic conjugation with respect to a smooth
-    conic, from a center off the conic."""
-    q = q.canonical()
+    conic, from a center off the conic; validate_dj canonicalises it."""
     if q.degree != 2:
         raise ValidationError("bad degree", "expected a conic")
     if q.eval(p.coords) == 0:

@@ -278,9 +278,9 @@ def exceptional_classes_bruteforce(lat: PicLattice):
     |rem_sum| <= slots * isqrt(rem_sq)), strictly weaker than the main
     enumeration's Cauchy-Schwarz cut, so the two searches are independent;
     the widened window certifies that the derived degree bounds lose
-    nothing."""
-    if lat.kind != "blowup" or lat.n is None or lat.n > 8:
-        raise ValidationError("unsupported rank", "n must be <= 8 on a blow-up lattice")
+    nothing. It refuses what exceptional_classes refuses
+    (_require_del_pezzo)."""
+    _require_del_pezzo(lat)
     n = lat.n
     if n == 0:
         return []

@@ -40,12 +40,6 @@ class ProjPoint:
     def __hash__(self):
         return hash(self.coords)
 
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
     def __str__(self):
         return "({}:{}:{})".format(*self.coords)
 
@@ -187,10 +181,16 @@ def compose(f: RationalMap, g: RationalMap) -> RationalMap:
 
 
 def is_involution(f: RationalMap) -> bool:
-    """Exact test that f composed with itself is the identity: the test of
-    its pencil normal form (PencilForm.is_involution) when f has a center,
-    else the grid test (involution_on_grid)."""
-    form = pencil_form(f)
+    """Exact test that f composed with itself is the identity: involutive
+    on f's own pencil form."""
+    return involutive(f, pencil_form(f))
+
+
+def involutive(f: RationalMap, form) -> bool:
+    """The one involution dispatch, given f's pencil form (pencil_form):
+    the test of that form (PencilForm.is_involution) when f has a center,
+    else the grid test (involution_on_grid). Every command that needs an
+    involution decides it here, with the form it goes on to read."""
     return form.is_involution() if form is not None else involution_on_grid(f)
 
 
@@ -333,11 +333,12 @@ def pencil_form(sigma: RationalMap):
 
 
 def pencil_form_at(comps, p: ProjPoint) -> PencilForm:
-    """The PencilForm of the components comps, not necessarily coprime, of
-    a map with center p: each of the first two rows of m combines them, and
-    minv, a shear up to renaming (frame_moving_to_center), moves the
-    combination by Taylor shifts along y (HPoly.shear); the third row, z u,
-    is never read."""
+    """The PencilForm of the components comps of a map with center p:
+    pencil_form passes a RationalMap's coprime components, and any triple
+    with center p, such as a polar map, is read the same way. Each of the
+    first two rows of m combines them, and minv, a shear up to renaming
+    (frame_moving_to_center), moves the combination by Taylor shifts along
+    y (HPoly.shear); the third row, z u, is never read."""
     m, minv = frame_moving_to_center(p)
     xu, v = ((comps[0] * row[0] + comps[1] * row[1] + comps[2] * row[2]).shear(minv, 1)
              for row in m[:2])

@@ -319,6 +319,26 @@ def test_lattice_minimality_beyond_eight_points_is_refused(tmp_path, action):
     assert code == 2 and payload == {"reason": "unsupported rank", "error": "n must be <= 8"}
 
 
+@pytest.mark.parametrize("argv, text, reason, error", [
+    (["lattice", "classify", "--n", "2"], "", "syntax error", "empty matrix file"),
+    (["lattice", "classify", "--n", "2"], "3\n1 0 0\n0 1 0\n", "syntax error",
+     "expected 9 entries after the rank, got 6"),
+    # H fixed and E1 -> E2 -> E3 -> E1: an isometry fixing K whose square is not I
+    (["lattice", "minimal", "--n", "3"], "4\n1 0 0 0\n0 0 0 1\n0 1 0 0\n0 0 1 0\n",
+     "not an involution", "M^2 != I"),
+], ids=["empty", "short", "three-cycle"])
+def test_a_refused_matrix_file_names_its_fault(tmp_path, argv, text, reason, error):
+    mf = tmp_path / "m.txt"
+    mf.write_text(text)
+    code, payload, _ = run_json(argv + ["--matrix-file", str(mf)])
+    assert code == 2 and payload == {"reason": reason, "error": error}
+
+
+def test_a_de_jonquieres_curve_of_degree_one_is_refused():
+    code, payload, _ = run_json(["dj", "--curve", "x - y", "--p", "(0:0:1)"])
+    assert code == 2 and payload["reason"] == "bad degree"
+
+
 def test_quadric_lattice_classify(tmp_path):
     mf = tmp_path / "sw.txt"
     mf.write_text("2\n0 1\n1 0\n")

@@ -139,8 +139,9 @@ def test_gcd_examples():
 
 
 def test_gcd_rejects_two_zeros():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as err:
         hpoly_gcd(HPoly.zero(2), HPoly.zero(3))
+    assert err.value.reason == "zero input"
 
 
 def test_gcd_divides_both_exactly():

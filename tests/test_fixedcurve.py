@@ -1,7 +1,11 @@
+import io
+import json
 import re
+from contextlib import redirect_stdout
 
 import pytest
 
+from planecremona.cli import parse_map, run
 from planecremona.errors import ValidationError
 from planecremona.exactpoly import HPoly, adjugate3, forms_with_multiplicities, multiplicity_values
 from planecremona.fixedcurve import (
@@ -10,6 +14,7 @@ from planecremona.fixedcurve import (
     fixed_locus,
     invariant_for_kind,
     invariant_of,
+    rational_base_points,
 )
 from planecremona.involutions import DJData, validate_dj
 from planecremona.projmaps import ProjPoint, RationalMap, is_involution, pencil_form
@@ -184,11 +189,11 @@ def test_classify_raw_geiser_interpolated(geiser):
 def test_a_raw_degree_17_map_is_bertini_only_with_a_fixed_nonic(monkeypatch):
     # the grid test and the fixed locus of a real degree-17 map take about a
     # minute, so both are stubbed: only the labelling rule is under test
-    from planecremona import fixedcurve
+    from planecremona import fixedcurve, projmaps
 
     sigma = RationalMap(X ** 17, Y ** 17, Z ** 17)
     assert pencil_form(sigma) is None
-    monkeypatch.setattr(fixedcurve, "involution_on_grid", lambda m: True)
+    monkeypatch.setattr(projmaps, "involution_on_grid", lambda m: True)
     monkeypatch.setattr(fixedcurve, "fixed_locus", lambda m: X ** 6 + Y ** 6)
     with pytest.raises(ValidationError, match="unrecognized"):
         classify_involution(sigma)
@@ -209,6 +214,25 @@ def test_classify_rejects_non_involution():
         classify_involution(cyc)
     with pytest.raises(ValidationError):
         classify_involution(RationalMap.identity())
+
+
+def test_a_linear_map_with_a_center_that_is_no_involution_is_refused():
+    # diag(1, 2, 1) preserves the lines through (0:1:0), but squares to diag(1, 4, 1)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = run(["classify", "--map", "x;2*y;z", "--json"])
+    assert code == 2 and json.loads(buf.getvalue()) == {
+        "reason": "not involutive", "error": "the map composed with itself is not the identity"}
+
+
+# -- base points ------------------------------------------------------------------
+
+@pytest.mark.parametrize("text", ["x;2*y;z", "y;z;x"])
+def test_base_points_of_a_map_that_is_no_involution_with_a_center_are_refused(text):
+    # diag(1, 2, 1) has a center but is no involution, the 3-cycle has no center
+    with pytest.raises(ValidationError) as err:
+        rational_base_points(parse_map(text))
+    assert err.value.reason == "not de Jonquieres"
 
 
 # -- labels computed from the pencil normal form ------------------------------------

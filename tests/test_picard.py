@@ -156,6 +156,17 @@ def test_exceptional_classes_confirmed_by_widened_oracle(n):
     assert exceptional_classes_bruteforce(lat) == exceptional_classes(lat)
 
 
+@pytest.mark.parametrize("lat, reason", [(make_lattice(9), "unsupported rank"),
+                                         (quadric_lattice(), "bad lattice")], ids=["n9", "quadric"])
+def test_the_oracle_refuses_what_the_enumeration_refuses(lat, reason):
+    refusals = []
+    for enumerate_classes in (exceptional_classes, exceptional_classes_bruteforce):
+        with pytest.raises(ValidationError) as err:
+            enumerate_classes(lat)
+        refusals.append((err.value.reason, str(err.value)))
+    assert refusals[0] == refusals[1] and refusals[0][0] == reason
+
+
 def test_small_cases_by_hand():
     lat1 = make_lattice(1)
     assert exceptional_classes(lat1) == [(0, 1)]
