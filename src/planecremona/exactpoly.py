@@ -18,19 +18,21 @@ Conventions fixed once for the whole package:
   polynomials this is lex on the exponent triples, largest first);
 * one normal form, primitive(): denominators cleared, content divided
   out, first nonzero entry positive (the primitive part of von zur
-  Gathen-Gerhard, Modern Computer Algebra, ch. 6). A form's canonical()
-  is primitive over its coefficients in the monomial order; points, the
-  joint scaling of a map's components, kernel vectors and rational roots
-  are primitive vectors;
+  Gathen-Gerhard, Modern Computer Algebra, ch. 6), its scale read off one
+  gcd (primitive_scale). A form's canonical() is primitive over its
+  coefficients in the monomial order, with no sort; points, the joint
+  scaling of a map's components, kernel vectors and rational roots are
+  primitive vectors;
 * coefficients are stored as int when the denominator is 1, else Fraction.
 
 Only outside input is validated. HPoly(degree, terms) checks every exponent
 triple and drops zero coefficients; the ring operations, partial,
-coeffs_by_var, canonical, divexact, substitute and shear build their results
-with the trusted HPoly._make, whose caller guarantees that the terms are
-homogeneous of the degree with nonzero coefficients. _make normalises only
-coefficients that are not int, so a Fraction with denominator 1 becomes an
-int and every HPoly, however built, satisfies the convention above.
+coeffs_by_var, canonical, divexact, substitute and shear_sum (the kernel of
+HPoly.shear) build their results with the trusted HPoly._make, whose caller
+guarantees that the terms are homogeneous of the degree with nonzero
+coefficients. _make normalises only coefficients that are not int, so a
+Fraction with denominator 1 becomes an int and every HPoly, however built,
+satisfies the convention above.
 """
 
 from fractions import Fraction
@@ -60,22 +62,25 @@ def primitive(values) -> list:
     coprime integers whose first nonzero entry is positive. The zero vector
     is returned as zeros."""
     values = list(values)
+    for lead in values:
+        if lead:
+            den, g = primitive_scale(values, lead)
+            # divided even by 1: gcd takes bools too, and the entries must be plain ints
+            return [v // g for v in values] if den == 1 else [v * den // g for v in values]
+    return [0] * len(values)
+
+
+def primitive_scale(values, lead) -> tuple:
+    """(den, g) with v * den // g the entries of primitive(values), for a
+    nonzero vector of ints and Fractions whose first nonzero entry is lead:
+    den the lcm of the denominators, g the gcd of the values times den,
+    signed as lead. The values are read twice."""
     try:
-        g = igcd(*values)
-    except TypeError:                         # a Fraction or another non-integer
-        fracs = [Fraction(v) for v in values]
-        den = lcm(*(f.denominator for f in fracs))
-        values = [f.numerator * (den // f.denominator) for f in fracs]
-        g = igcd(*values)
-    if g == 0:
-        return [0] * len(values)
-    for v in values:
-        if v:
-            if v < 0:
-                g = -g
-            break
-    # divided even by 1: gcd takes bools too, and the entries must be plain ints
-    return [v // g for v in values]
+        den, g = 1, igcd(*values)
+    except TypeError:                         # a Fraction
+        den = lcm(*(v.denominator for v in values))
+        g = igcd(*(v.numerator * (den // v.denominator) for v in values))
+    return den, g if lead > 0 else -g
 
 
 # ---------------------------------------------------------------------------
@@ -270,39 +275,9 @@ class HPoly:
     def shear(self, m, axis: int) -> "HPoly":
         """f(m x), the linear forms of m's rows substituted for the variables,
         for a matrix whose columns other than `axis` are distinct unit
-        vectors, as the frames of frame_moving_to_center are.
-
-        With column j = e_k for j != axis and r the row left over, f(m x)
-        renames x_k to x_j and scales x_r to m[r][axis] x_axis, then moves
-        each x_j to x_j + m[k][axis] x_axis: one Taylor shift along x_axis
-        per binary slice (_taylor_shift), O(d^3) products in all, with no
-        power table and no product of forms.
-        """
-        d = self.degree
-        if not self.terms:
-            return HPoly.zero(d)
-        j0, j1 = (j for j in range(3) if j != axis)
-        k0, k1 = (next(i for i in range(3) if m[i][j]) for j in (j0, j1))
-        r = 3 - k0 - k1
-        s, t0, t1 = m[r][axis], m[k0][axis], m[k1][axis]
-        # grid[n1][n0]: the coefficient of x_j0^n0 x_j1^n1 x_axis^(d - n0 - n1)
-        grid = [[0] * (d + 1 - n1) for n1 in range(d + 1)]
-        for e, c in self.terms.items():
-            grid[e[k1]][e[k0]] = c * s ** e[r] if e[r] else c
-        if t0:
-            for row in grid:
-                _taylor_shift(row, t0)
-        terms = {}
-        for n0 in range(d + 1):
-            col = [grid[n1][n0] for n1 in range(d + 1 - n0)]
-            if t1:
-                _taylor_shift(col, t1)
-            for n1, c in enumerate(col):
-                if c:
-                    e = [d - n0 - n1] * 3
-                    e[j0], e[j1] = n0, n1
-                    terms[tuple(e)] = c
-        return HPoly._make(d, terms)
+        vectors, as the frames of frame_moving_to_center are: shear_sum of
+        the one form."""
+        return shear_sum(self.degree, (self,), (1,), m, axis)
 
     def coeffs_by_var(self, var: int):
         """Coefficient list [c_0, ..., c_m] with f = sum c_k * var^k.
@@ -322,10 +297,21 @@ class HPoly:
     # -- canonical form --------------------------------------------------------
 
     def canonical(self) -> "HPoly":
-        """primitive over the coefficients in the monomial order."""
-        terms = self.sorted_terms()
-        coeffs = primitive(c for _, c in terms)
-        return HPoly._make(self.degree, {e: c for (e, _), c in zip(terms, coeffs)})
+        """primitive over the coefficients in the monomial order, read with
+        no sort: the scale is primitive_scale of the coefficients, its sign
+        that of the term first in the order, the largest exponent triple.
+        The form itself when the scale is 1 (an HPoly is immutable). Term
+        order never reaches an output: format_hpoly sorts, and == and hash
+        ignore it."""
+        terms = self.terms
+        if not terms:
+            return self
+        den, g = primitive_scale(terms.values(), terms[max(terms)])
+        return self if den == g == 1 else self._rescaled(den, g)
+
+    def _rescaled(self, den: int, g: int) -> "HPoly":
+        """The form times den / g, for a scale from primitive_scale."""
+        return HPoly._make(self.degree, {e: c * den // g for e, c in self.terms.items()})
 
     def divexact(self, d: "HPoly") -> "HPoly":
         """Exact division; raises if d does not divide self."""
@@ -369,6 +355,43 @@ def _power_table(g: HPoly, top: int):
     for _ in range(top - 1):
         table.append(table[-1] * g)
     return table
+
+
+def shear_sum(d: int, forms, weights, m, axis: int) -> HPoly:
+    """sum_i w_i f_i(m x), for forms f_i of degree d (a zero form may carry
+    any degree), weights w_i and a matrix m whose columns other than `axis`
+    are distinct unit vectors (HPoly.shear).
+
+    With column j = e_k for j != axis and r the row left over, f(m x)
+    renames x_k to x_j and scales x_r to m[r][axis] x_axis, then moves
+    each x_j to x_j + m[k][axis] x_axis: one Taylor shift along x_axis
+    per binary slice (_taylor_shift), O(d^3) products in all, with no
+    power table and no product of forms. The shear is linear, so the sum
+    is moved as one grid, filled from every form's terms.
+    """
+    j0, j1 = (j for j in range(3) if j != axis)
+    k0, k1 = (next(i for i in range(3) if m[i][j]) for j in (j0, j1))
+    r = 3 - k0 - k1
+    s, t0, t1 = m[r][axis], m[k0][axis], m[k1][axis]
+    # grid[n1][n0]: the coefficient of x_j0^n0 x_j1^n1 x_axis^(d - n0 - n1)
+    grid = [[0] * (d + 1 - n1) for n1 in range(d + 1)]
+    for f, w in zip(forms, weights):
+        for e, c in f.terms.items() if w else ():
+            grid[e[k1]][e[k0]] += c * w * s ** e[r]
+    if t0:
+        for row in grid:
+            _taylor_shift(row, t0)
+    terms = {}
+    for n0 in range(d + 1):
+        col = [grid[n1][n0] for n1 in range(d + 1 - n0)]
+        if t1:
+            _taylor_shift(col, t1)
+        for n1, c in enumerate(col):
+            if c:
+                e = [d - n0 - n1] * 3
+                e[j0], e[j1] = n0, n1
+                terms[tuple(e)] = c
+    return HPoly._make(d, terms)
 
 
 def _taylor_shift(c: list, t) -> None:

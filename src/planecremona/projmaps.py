@@ -14,7 +14,7 @@ from functools import cached_property
 from .errors import ValidationError
 from .exactpoly import (
     Evaluator, HPoly, adjugate3, det3, hpoly_gcd_many, null_vector, odd_multiplicity_root_count,
-    primitive,
+    primitive, primitive_scale, shear_sum,
 )
 
 
@@ -62,7 +62,7 @@ def frame_moving_to_center(p: ProjPoint):
     a shear up to a renaming of the variables: with o0 < o1 the indices
     other than the pivot, Minv (x, y, z) puts x + p[o0] y at o0, p[pivot] y
     at the pivot and z + p[o1] y at o1, and f(Minv x) is HPoly.shear(Minv,
-    1)."""
+    1), or for a weighted sum of forms exactpoly.shear_sum."""
     pivot = next(i for i, c in enumerate(p.coords) if c != 0)
     others = [i for i in range(3) if i != pivot]
     cols = [None, list(p.coords), None]
@@ -142,11 +142,14 @@ class RationalMap:
 
 
 def _canon_triple(comps):
-    """The components scaled by one scalar: primitive over their terms,
-    taken in order."""
-    terms = [f.sorted_terms() for f in comps]
-    coeffs = iter(primitive(c for t in terms for _, c in t))
-    return tuple(HPoly._make(f.degree, {e: next(coeffs) for e, _ in t}) for f, t in zip(comps, terms))
+    """The components, not all zero, scaled by one scalar: primitive over
+    their terms, taken in order, read with no sort as HPoly.canonical reads
+    one form: the sign is that of the first nonzero component's largest
+    term. The triple itself when the scale is 1; term order never reaches
+    an output (HPoly.canonical)."""
+    lead = next(f.terms for f in comps if f.terms)
+    den, g = primitive_scale([c for f in comps for c in f.terms.values()], lead[max(lead)])
+    return comps if den == g == 1 else tuple(f._rescaled(den, g) for f in comps)
 
 
 _IDENTITY = RationalMap(HPoly.variable(0), HPoly.variable(1), HPoly.variable(2))
@@ -228,14 +231,21 @@ def pencil_center(sigma: RationalMap):
     """
     # component c of x cross sigma(x) is x_(c+1) f_(c+2) - x_(c+2) f_(c+1),
     # indices mod 3: f_w enters component w + 1 times x_(w+2) and component
-    # w + 2 times -x_(w+1)
-    rows = {}
+    # w + 2 times -x_(w+1). x^i y^j z^k sits at n = s(s + 1)/2 + k, s = j + k,
+    # in monomials of every degree (HPoly.__mul__): times x it stays at n,
+    # times y (s + 1, k) moves it to n + s + 1, times z (s + 1, k + 1) to
+    # n + s + 2, so times x_v to n + (v and s + v)
+    d = sigma.degree
+    cols = [[0] * ((d + 2) * (d + 3) // 2) for _ in range(3)]
     for w, f in enumerate(sigma.components):
-        for comp, v, sign in (((w + 1) % 3, (w + 2) % 3, 1), ((w + 2) % 3, (w + 1) % 3, -1)):
-            for (i, j, k), c in f.terms.items():
-                e = (i + (v == 0), j + (v == 1), k + (v == 2))
-                rows.setdefault(e, [0, 0, 0])[comp] += sign * c
-    kernel = null_vector(rows.values())
+        plus, minus = cols[(w + 1) % 3], cols[(w + 2) % 3]
+        vp, vm = (w + 2) % 3, (w + 1) % 3
+        for (_, j, k), c in f.terms.items():
+            s = j + k
+            n = s * (s + 1) // 2 + k
+            plus[n + (vp and s + vp)] += c
+            minus[n + (vm and s + vm)] -= c
+    kernel = null_vector(list(zip(*cols)))
     return None if kernel is None else ProjPoint(*kernel)
 
 
@@ -316,13 +326,6 @@ class PencilForm:
         return self.branch_count // 2 - 1
 
 
-def _by_y(f: HPoly):
-    """The coefficients of y^0, y^1, ... of f, binary forms in (x, z),
-    padded to two."""
-    forms = f.coeffs_by_var(1)
-    return forms if len(forms) > 1 else forms + [HPoly.zero(f.degree - 1)]
-
-
 def pencil_form(sigma: RationalMap):
     """The PencilForm of a nonconstant map with a center (pencil_center), or
     None."""
@@ -335,16 +338,24 @@ def pencil_form(sigma: RationalMap):
 def pencil_form_at(comps, p: ProjPoint) -> PencilForm:
     """The PencilForm of the components comps of a map with center p:
     pencil_form passes a RationalMap's coprime components, and any triple
-    with center p, such as a polar map, is read the same way. Each of the
-    first two rows of m combines them, and minv, a shear up to renaming
-    (frame_moving_to_center), moves the combination by Taylor shifts along
-    y (HPoly.shear); the third row, z u, is never read."""
+    with center p, such as a polar map, is read the same way. The first two
+    rows of m weight the components, and minv, a shear up to renaming
+    (frame_moving_to_center), moves both weighted sums by Taylor shifts
+    along y (shear_sum); the third row, z u, is never read. The two sums
+    x u and v are split by powers of y in one pass over their terms, x's
+    exponent lowered by one for u, and each list is cut, as a form's
+    y-coefficients are, at its last nonzero entry and padded to two."""
     m, minv = frame_moving_to_center(p)
-    xu, v = ((comps[0] * row[0] + comps[1] * row[1] + comps[2] * row[2]).shear(minv, 1)
-             for row in m[:2])
-    # every term of x u has x: lowering its x exponent divides by x
-    u = tuple(
-        HPoly(max(f.degree - 1, 0), {(i - 1, j, k): c for (i, j, k), c in f.terms.items()})
-        for f in _by_y(xu)
-    )
-    return PencilForm(p, (m, minv), u, tuple(_by_y(v)))
+    d = max(f.degree for f in comps)
+    xu, v = (shear_sum(d, comps, row, minv, 1) for row in m[:2])
+    u_terms = [{} for _ in range(max(d, 2))]
+    v_terms = [{} for _ in range(d + 1)]
+    for (i, j, k), c in xu.terms.items():
+        u_terms[j][i - 1, 0, k] = c
+    for (i, j, k), c in v.terms.items():
+        v_terms[j][i, 0, k] = c
+    for t in (u_terms, v_terms):
+        while len(t) > 2 and not t[-1]:
+            t.pop()
+    return PencilForm(p, (m, minv), tuple(HPoly._make(max(d - 1 - k, 0), t) for k, t in enumerate(u_terms)),
+                      tuple(HPoly._make(d - k, t) for k, t in enumerate(v_terms)))

@@ -403,6 +403,21 @@ def test_a_refused_command_is_written_as_json_dumps_writes_it():
     assert buf.getvalue() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_an_internal_error_exits_1_on_stderr_with_nothing_on_stdout(monkeypatch, capsys, as_json):
+    """An exception other than a ValidationError is not a refusal: exit 1,
+    "internal error: ..." on stderr, and no payload, --json or not."""
+    from planecremona import cli
+
+    def broken(sigma):
+        raise RuntimeError("broken test")
+
+    monkeypatch.setattr(cli, "is_involution", broken)
+    code = run(["verify", "--map", "x;y;z"] + ["--json"] * as_json)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and err == "internal error: broken test\n"
+
+
 def test_interpolate_flag():
     code, payload, _ = run_json(["geiser", "--builtin", "--interpolate"])
     assert code == 0

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from math import gcd, isqrt, perm, prod
 from operator import mul
 
@@ -29,7 +29,7 @@ from planecremona.exactpoly import (
     resultant,
     values_at,
 )
-from planecremona.exactpoly import _coprime_at_a_value, _prs_gcd
+from planecremona.exactpoly import _bareiss_det, _coprime_at_a_value, _prs_gcd
 from planecremona.involutions import GeiserInvolution
 from tests.streams import SplitMix64, apply_matrix, next_nonzero_int, perp_basis
 
@@ -505,6 +505,37 @@ def test_resultant_vanishing_iff_common_root():
         res = resultant(form_from(fc), form_from(gc), 0)
         shared = _brute_common_root(fc, gc)
         assert res.is_zero() == (shared is not None)
+
+
+def _leibniz_det(mat):
+    """Determinant of a square matrix of forms as the signed sum over
+    permutations, the sign counted from inversions."""
+    n, total = len(mat), HPoly.zero(0)
+    for perm in permutations(range(n)):
+        term = HPoly.constant((-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)))
+        for i, j in enumerate(perm):
+            term = term * mat[i][j]
+        total = total + term
+    return total
+
+
+def test_bareiss_det_swaps_rows_at_a_zero_pivot_with_its_sign():
+    zero = HPoly.zero(1)
+    mat = [[zero, X + Y, Z], [X - Z, Y * 2, X], [Y, Z * 3, X + Z]]
+    det = _bareiss_det(mat)
+    assert not det.is_zero() and det == _leibniz_det(mat)
+    assert _bareiss_det([mat[1], mat[0], mat[2]]) == -det == _leibniz_det([mat[1], mat[0], mat[2]])
+    assert _bareiss_det([[HPoly.zero(0), HPoly.constant(2)], [HPoly.constant(3), HPoly.constant(5)]]) \
+        == HPoly.constant(-6)
+    assert _bareiss_det([[zero, X], [zero, Y]]).is_zero()
+
+
+def test_resultant_with_an_operand_of_degree_zero_in_the_variable():
+    """res(f, g) = f^n for f free of the variable and g of degree n in it,
+    and res(g, f) = f^n too."""
+    f, g, h = X + Z * 2, Y * Y - X * Z, Y * 3 - X
+    assert resultant(f, g, 1) == resultant(g, f, 1) == f * f
+    assert resultant(f, h, 1) == resultant(h, f, 1) == f
 
 
 def test_resultant_zero_input_rejected():

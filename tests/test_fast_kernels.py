@@ -2,9 +2,12 @@
 
 HPoly's ring operations build their results with the trusted HPoly._make,
 substitute accumulates into one dict, and shear moves a form by Taylor
-shifts. Each is checked here against a slow reference that goes through the
-validating HPoly(...). The gcd restricts a form to a line by shearing it and
-reading _on_line off its terms; that is checked against substitute. The product,
+shifts, one weighted sum of forms at a time (shear_sum). Each is checked
+here against a slow reference that goes through the validating HPoly(...).
+The canonical scale, read with no sort (HPoly.canonical and the joint
+_canon_triple of a map), is checked against primitive over the sorted
+terms. The gcd restricts a form to a line by shearing it and reading
+_on_line off its terms; that is checked against substitute. The product,
 indexed by arithmetic, is checked against the dict product it replaced. The
 chord construction's _Cubic.grad and _Cubic.third, written out by hand, are
 checked against HPoly.partial and the chord formulas in cross and dot, and
@@ -22,9 +25,11 @@ from itertools import permutations
 from hypothesis import assume, given, settings, strategies as st
 
 from planecremona.exactpoly import (
-    HPoly, _on_line, cross, dot, first_below_multiplicity, monomials, multiplicity_values,
+    HPoly, _on_line, cross, dot, first_below_multiplicity, monomials, multiplicity_values, primitive,
+    shear_sum,
 )
 from planecremona.involutions import _Cubic, _in_span
+from planecremona.projmaps import _canon_triple
 from tests.streams import SplitMix64, apply_matrix
 
 SMALL = st.one_of(
@@ -100,21 +105,42 @@ def test_apply_matrix_matches_the_naive_sum(data):
     assert _same(apply_matrix(f, m), _ref_substitute(f, lin))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_shear_matches_the_naive_sum(data):
-    """f(m x) for m whose columns other than the axis are distinct unit
-    vectors, in any order, and whose axis column has zero and nonzero
-    entries."""
-    f = _form(data, data.draw(st.integers(0, 9)))
+def _shear_frame(data):
+    """(m, axis, rows of m as linear forms) for m whose columns other than
+    the axis are distinct unit vectors, in any order, and whose axis column
+    has zero and nonzero entries."""
     axis = data.draw(st.integers(0, 2))
     units = iter(data.draw(st.sampled_from(list(permutations(range(3), 2)))))
     col = [data.draw(st.one_of(st.just(0), SMALL)) for _ in range(3)]
     columns = [col if j == axis else [int(i == k) for i in range(3)]
                for j, k in ((j, None if j == axis else next(units)) for j in range(3))]
     m = [[columns[j][i] for j in range(3)] for i in range(3)]
-    lin = [HPoly(1, {(1, 0, 0): r[0], (0, 1, 0): r[1], (0, 0, 1): r[2]}) for r in m]
+    return m, axis, [HPoly(1, {(1, 0, 0): r[0], (0, 1, 0): r[1], (0, 0, 1): r[2]}) for r in m]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_shear_matches_the_naive_sum(data):
+    f = _form(data, data.draw(st.integers(0, 9)))
+    m, axis, lin = _shear_frame(data)
     assert _same(f.shear(m, axis), _ref_substitute(f, lin))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_weighted_shear_matches_the_naive_sum_of_the_weighted_forms(data):
+    """shear_sum of a family with zero weights and a zero form (of another
+    degree tag) among its forms is the sheared weighted sum."""
+    d = data.draw(st.integers(0, 7))
+    forms = [_form(data, d) for _ in range(data.draw(st.integers(1, 4)))]
+    forms.insert(data.draw(st.integers(0, len(forms))), HPoly.zero(data.draw(st.integers(0, 3))))
+    weights = [data.draw(st.one_of(st.just(0), SMALL)) for _ in forms]
+    m, axis, lin = _shear_frame(data)
+    total = {}
+    for f, w in zip(forms, weights):
+        for e, c in f.terms.items():
+            total[e] = total.get(e, 0) + w * c
+    assert _same(shear_sum(d, forms, weights, m, axis), _ref_substitute(HPoly(d, total), lin))
 
 
 def test_shear_of_a_pencil_frame():
@@ -198,6 +224,51 @@ def test_fraction_sums_with_denominator_one_become_int():
               (x * x * 2).divexact(x * 2), (half * half).canonical(),
               HPoly(2, {(2, 0, 0): Fraction(1, 2)}).coeffs_by_var(1)[0] * 2):
         assert _trusted(r) and all(type(c) is int for c in r.terms.values())
+
+
+# -- the canonical scale -------------------------------------------------------------
+
+def _shuffled(data, f: HPoly) -> HPoly:
+    """f with its terms stored in a drawn order, so that the term first in
+    the monomial order need not come first."""
+    return HPoly(f.degree, dict(data.draw(st.permutations(list(f.terms.items())))))
+
+
+def _ref_canonical(forms):
+    """primitive over the terms of the forms, each sorted into the monomial
+    order and taken form after form."""
+    terms = [f.sorted_terms() for f in forms]
+    coeffs = iter(primitive(c for t in terms for _, c in t))
+    return [HPoly(f.degree, {e: next(coeffs) for e, _ in t}) for f, t in zip(forms, terms)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_canonical_scale_read_with_no_sort_is_primitive_over_the_sorted_terms(data):
+    """Integer and Fraction coefficients, either sign first, shuffled term
+    order, zero forms; a form or triple already canonical is returned as
+    it is."""
+    d = data.draw(st.integers(0, 5))
+    coeffs = data.draw(st.sampled_from((st.integers(-40, 40), SMALL)))
+    forms = [_shuffled(data, _form(data, d, coeffs) if data.draw(st.integers(0, 3)) else HPoly.zero(d))
+             for _ in range(3)]
+    assume(any(f.terms for f in forms))
+    for f in forms:
+        g = f.canonical()
+        assert _same(g, _ref_canonical([f])[0]) and g.canonical() is g
+    triple = _canon_triple(tuple(forms))
+    assert all(_same(f, r) for f, r in zip(triple, _ref_canonical(forms)))
+    assert _canon_triple(triple) is triple
+
+
+def test_canonical_scale_of_a_negative_leading_term_stored_last():
+    x, y, z = (HPoly.variable(i) for i in range(3))
+    f = HPoly(2, {(0, 0, 2): 4, (0, 2, 0): 6, (2, 0, 0): -2})
+    assert _same(f.canonical(), y * y * -3 + x * x - z * z * 2)
+    half = HPoly(1, {(0, 0, 1): Fraction(1, 2), (1, 0, 0): Fraction(-3, 4)})
+    assert _same(half.canonical(), x * 3 - z * 2)
+    zero = HPoly.zero(2)
+    assert _canon_triple((zero, f, half * y)) == (zero, f * -4, half * y * -4)
 
 
 # -- the product --------------------------------------------------------------------

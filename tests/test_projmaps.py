@@ -9,7 +9,6 @@ from planecremona.projmaps import (
     PencilForm,
     ProjPoint,
     RationalMap,
-    _by_y,
     compose,
     frame_moving_to_center,
     identity_minors,
@@ -276,13 +275,18 @@ def test_pencil_center_examples():
 
 
 def reference_pencil_form_at(comps, p):
-    """PencilForm by apply_matrix(minv), the generic substitution."""
+    """PencilForm by apply_matrix(minv), the generic substitution, with the
+    coefficients of y^0, y^1, ... read by coeffs_by_var and padded to two."""
+    def by_y(f):
+        forms = f.coeffs_by_var(1)
+        return forms if len(forms) > 1 else forms + [HPoly.zero(f.degree - 1)]
+
     m, minv = frame_moving_to_center(p)
     xu, v = (apply_matrix(comps[0] * row[0] + comps[1] * row[1] + comps[2] * row[2], minv)
              for row in m[:2])
     u = tuple(HPoly(max(f.degree - 1, 0), {(i - 1, j, k): c for (i, j, k), c in f.terms.items()})
-              for f in _by_y(xu))
-    return PencilForm(p, (m, minv), u, tuple(_by_y(v)))
+              for f in by_y(xu))
+    return PencilForm(p, (m, minv), u, tuple(by_y(v)))
 
 
 def test_center_pool_puts_the_pivot_everywhere():
@@ -303,6 +307,23 @@ def test_pencil_form_at_matches_apply_matrix(center, data):
     m, minv = frame_moving_to_center(p)
     comps = frame_conjugate((X * u, v, Z * u), minv, m)
     assert pencil_form_at(comps, p) == reference_pencil_form_at(comps, p)
+
+
+@pytest.mark.parametrize("center", CENTER_POOL)
+def test_pencil_form_at_of_a_linear_map_and_of_a_triple_with_a_zero_component(center):
+    """A map of degree 1, whose u is a constant, and alpha (p_i x - x_i p),
+    whose component at the pivot i of p vanishes and whose center is p."""
+    p = ProjPoint(*center)
+    m, minv = frame_moving_to_center(p)
+    linear = frame_conjugate((X * 3, X - Y * 2 + Z * 5, Z * 3), minv, m)
+    pivot = next(i for i, c in enumerate(p.coords) if c)
+    alpha = X * X - Y * Z * 3 + Z * Z * 2
+    zero_at_pivot = [alpha * (HPoly.variable(i) * p.coords[pivot] - HPoly.variable(pivot) * c)
+                     for i, c in enumerate(p.coords)]
+    assert zero_at_pivot[pivot].is_zero()
+    for comps in (linear, zero_at_pivot):
+        assert pencil_form_at(comps, p) == reference_pencil_form_at(comps, p)
+    assert pencil_form_at(linear, p).u[0].degree == 0
 
 
 def test_pencil_map_of_degree_two_on_lines_is_not_an_involution():

@@ -34,6 +34,7 @@ ALLOWED = {
     "cli.main",                                 # the console script of pyproject.toml
     "exactpoly.resultant",                      # the elimination that ROADMAP items 9 and 13 build on
     "exactpoly._bareiss_det",                   # resultant's determinant (items 9 and 13)
+    "exactpoly.HPoly.coeffs_by_var",            # resultant's coefficients in the eliminated variable (items 9 and 13)
     "exactpoly.HPoly.substitute",               # perfbench/tracer.py traces it (TRACED); it goes with item 8
     "exactpoly._power_table",                   # substitute's powers (TRACED, item 8)
     "projmaps.compose",                         # TRACED; it goes with item 8
