@@ -60,8 +60,9 @@ the involution exchanges. The fixed curve is a Jacobian of the same
 factors.
 
 validate_dj builds a de Jonquieres construction once: a DJData of the
-pencil form its checks read, off one shear of the curve (_dj_pencil), the
-fixed curve and the polar map normalised. A DelPezzoInvolution keeps its configuration and fixed curve.
+pencil form its checks read, pencil_form_at of the polar map, the fixed
+curve and that polar map normalised; a gcd is taken only to name a
+refusal. A DelPezzoInvolution keeps its configuration and fixed curve.
 fixedcurve.invariant_of computes the invariant and label of either from
 what it keeps, and this module does not import fixedcurve.
 """
@@ -94,7 +95,7 @@ from .exactpoly import (
     primitive,
     values_at,
 )
-from .projmaps import PencilForm, ProjPoint, RationalMap, collinear, frame_moving_to_center
+from .projmaps import PencilForm, ProjPoint, RationalMap, collinear, pencil_form_at
 
 
 # ---------------------------------------------------------------------------
@@ -134,57 +135,32 @@ def _polar_map(curve: HPoly, p: ProjPoint):
     return tuple(comps)
 
 
-def _dj_pencil(curve: HPoly, p: ProjPoint) -> PencilForm:
-    """pencil_form_at(_polar_map(curve, p), p), read off one shear of the
-    curve: with (m, minv) the frame of p, m minv = s I and m p = s (0,1,0),
-    so the first two rows of m send the polar map to s x D_p C and
-    s (y D_p C - 2 C), and in the frame D_p C is d/dy of C(minv x) =
-    sum C_k y^k. Hence u = (k s C_k for k >= 1) and v = ((k - 2) s C_k),
-    cut, as the frame's y-coefficients are, at their last nonzero entry and
-    padded to two entries."""
-    m, minv = frame_moving_to_center(p)
-    s = det3(minv)
-    d = curve.degree
-    u = [{} for _ in range(d)]
-    v = [{} for _ in range(d + 1)]
-    for (i, k, j), c in curve.shear(minv, 1).terms.items():
-        if k:
-            u[k - 1][i, 0, j] = k * s * c
-        if k != 2:
-            v[k][i, 0, j] = (k - 2) * s * c
-    while len(u) > 2 and not u[-1]:
-        u.pop()
-    while len(v) > 2 and not v[-1]:
-        v.pop()
-    return PencilForm(p, (m, minv), tuple(HPoly._make(d - 1 - k, t) for k, t in enumerate(u)),
-                      tuple(HPoly._make(d - k, t) for k, t in enumerate(v)))
-
-
 def validate_dj(curve: HPoly, p: ProjPoint) -> DJData:
     """The de Jonquieres involution preserving the lines through p and
     fixing the curve pointwise: the construction, or a refusal of the
     (curve, center) pair.
 
-    Every check reads the pencil form of the polar map, read off C's
-    y-coefficients in the frame of p (_dj_pencil): with C = sum C_k y^k
-    there, u = sum k C_k y^(k-1) and v = sum (k - 2) C_k y^k, both scaled
-    by s = det(minv) of the frame. Checks, in order: degree >= 2;
-    multiplicity at p exactly d-2 (v of y-degree <= 2 and A != 0);
-    ordinarity (A squarefree); no line of the curve through p
-    (gcd(A,B,Cd) constant); discriminant nonzero and squarefree, that is
-    with as many branch points as its degree (PencilForm.branch_count).
-    Together these make p the only singular point: a point q != p lies on a
-    line through p, where the curve is A w^2 - Delta/(4A) with
-    w = y + B/(2A) if A != 0 there, singular only over a double root of
-    Delta; if A = 0 there, either dC/dy = B != 0 or no point of the curve
-    but p lies on that line. The map is the polar map (_polar_map),
-    built once the checks pass and normalised (conjugated_map).
+    Every check reads pencil_form_at of the polar map (_polar_map): with
+    C = sum C_k y^k in the frame of p, u = sum k C_k y^(k-1) and
+    v = sum (k - 2) C_k y^k, both times s = det(minv) of the frame. Checks,
+    in order: degree >= 2; multiplicity at p exactly d-2 (v of y-degree
+    <= 2 and A != 0); ordinarity (A squarefree); Delta = B^2 - 4 A C_d
+    nonzero and squarefree, that is with as many branch points as its
+    degree (PencilForm.branch_count). Together these make p the only singular
+    point: a point q != p lies on a line through p, where the curve is
+    A w^2 - Delta/(4A) with w = y + B/(2A) if A != 0 there, singular only
+    over a double root of Delta; if A = 0 there, either dC/dy = B != 0 or
+    no point of the curve but p lies on that line. A line of the curve
+    through p divides gcd(A, B, C_d), so its square divides Delta; the gcd
+    is taken only in a discriminant refusal, to name it "line through
+    center" first. The map is that polar map, normalised (conjugated_map).
     """
     curve = curve.canonical()
     d = curve.degree
     if d < 2 or curve.is_zero():
         raise ValidationError("bad degree", "the curve must have degree >= 2")
-    pencil = _dj_pencil(curve, p)
+    polar = _polar_map(curve, p)
+    pencil = pencil_form_at(polar, p)
     top = len(pencil.v) - 1
     a = pencil.a                        # 2 s A
     if top > 2 or a.is_zero():
@@ -196,19 +172,18 @@ def validate_dj(curve: HPoly, p: ProjPoint) -> DJData:
             "non-ordinary", "the tangent cone at the center has repeated lines"
         )
 
-    if hpoly_gcd_many((a, pencil.b, pencil.e)).degree > 0:    # 2 s A, s B and -2 s C_d
-        raise ValidationError(
-            "line through center", "the curve contains a line through the center"
-        )
-
     delta = pencil.beta                 # 4 s^2 (B^2 - 4 A C_d)
-    if delta.is_zero():
-        raise ValidationError("degenerate", "zero discriminant")
-    if pencil.branch_count != delta.degree:
+    if delta.is_zero() or pencil.branch_count != delta.degree:
+        if hpoly_gcd_many((a, pencil.b, pencil.e)).degree > 0:    # 2 s A, s B and -2 s C_d
+            raise ValidationError(
+                "line through center", "the curve contains a line through the center"
+            )
+        if delta.is_zero():
+            raise ValidationError("degenerate", "zero discriminant")
         raise ValidationError(
             "extra singularities", "discriminant is not squarefree"
         )
-    return DJData(pencil, curve, conjugated_map(_polar_map(curve, p)))
+    return DJData(pencil, curve, conjugated_map(polar))
 
 
 def conjugated_map(polar) -> RationalMap:
@@ -218,10 +193,10 @@ def conjugated_map(polar) -> RationalMap:
     The polar map of an instance that passed validate_dj is coprime. In the
     frame of p its components are (x u : v : z u), with u = 2 A y + B and
     v = -(B y + 2 C_d), so a common factor divides gcd(u, v). A factor free
-    of y divides 2 A, B and 2 C_d, which "line through center" refuses. A
+    of y divides 2 A, B and 2 C_d, so its square divides
+    Delta = B^2 - 4 A C_d, which a squarefree nonzero Delta excludes. A
     factor that involves y divides u, of y-degree 1 since A != 0, so it
-    forces Res_y(u, v) = B^2 - 4 A C_d = 0, which "zero discriminant"
-    refuses.
+    forces Res_y(u, v) = Delta = 0, which "zero discriminant" refuses.
     """
     return RationalMap._from_coprime(polar)
 

@@ -298,7 +298,8 @@ class PencilForm:
     def beta(self) -> HPoly:
         """Branch form (b - c)^2 + 4 a e, the discriminant of the fixed
         points on each line; 4 (B^2 - 4 A C_d) for a de Jonquieres map."""
-        return (self.b - self.c) * (self.b - self.c) + self.a * self.e * 4
+        diff = self.b - self.c
+        return diff * diff + self.a * self.e * 4
 
     def is_involution(self) -> bool:
         """Whether sigma composed with itself is the identity.

@@ -4,6 +4,7 @@ from math import isqrt
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from planecremona.cli import parse_poly
 from planecremona.errors import ValidationError
 from planecremona.exactpoly import (
     HPoly, adjugate3, det3, hpoly_gcd_many, is_squarefree,
@@ -375,12 +376,12 @@ def _moved_instances(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_moved_instances())
 def test_the_pencil_read_off_one_shear_is_the_pencil_of_the_polar_map(instance):
-    """The pencil form validate_dj reads off the curve, its term-by-term
-    polar map and its verdict are those of the three-line polar map."""
+    """validate_dj's term-by-term polar map, the pencil form it reads off
+    that map and its verdict, in the reference's order of checks, are those
+    of the three-line polar map."""
     curve, center, _ = instance
     curve = curve.canonical()
     reference = _three_line_polar_map(curve, center)
-    assert involutions._dj_pencil(curve, center) == pencil_form_at(reference, center)
     assert _polar_map(curve, center) == reference
     assert _outcome(validate_dj, curve, center) == _outcome(_reference_validate_dj, curve, center)
 
@@ -432,6 +433,26 @@ def test_a_validated_polar_map_needs_no_gcd():
         polar = _polar_map(data.fixed_curve, center)
         assert involutions.conjugated_map(polar) == RationalMap(*polar) == data.map
         assert data.map.degree == curve.degree
+
+
+def test_a_valid_curve_takes_no_gcd_and_the_gcd_names_a_refusal(monkeypatch):
+    """validate_dj takes gcd(A, B, C_d) only inside a discriminant refusal:
+    with the gcd made to raise, every seeded instance of degree 2..8 is
+    still built, and with the gcd back the golden curve with the line x = 0
+    through its center is refused as "line through center"."""
+    def no_gcd(*args):
+        raise AssertionError("validate_dj took a gcd on a valid curve")
+
+    cases = [make_dj_instance(d, seed) for d in range(2, 9) for seed in (0, 1, 2)]
+    with monkeypatch.context() as patch:
+        patch.setattr(involutions, "hpoly_gcd_many", no_gcd)
+        for curve, center in cases:
+            assert validate_dj(curve, center).d == curve.degree
+    golden = parse_poly("x*y^2 + x*z*y + x*z^2")
+    with pytest.raises(ValidationError) as err:
+        validate_dj(golden, ProjPoint(0, 1, 0))
+    assert (err.value.reason, str(err.value)) == (
+        "line through center", "the curve contains a line through the center")
 
 
 def test_a_construction_is_its_pencil_form_fixed_curve_and_map(dj_records):

@@ -1,8 +1,9 @@
 """The statement lister of tools/src_coverage.py, which reports the
 statements of src/ that no test enters; the traced pytest run itself is not
-exercised."""
+exercised, only the exit of main when pytest did not run."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 SRC_COVERAGE = Path(__file__).resolve().parents[1] / "tools" / "src_coverage.py"
@@ -70,3 +71,13 @@ def test_a_statement_is_entered_by_its_header_or_its_first_body_statement():
     # line 14 alone enters the two-line return; line 21 enters the try above it
     hit = {2, 8, 14, 18, 21, 24}
     assert src_coverage.unentered(SOURCE, hit) == [(19, 'return "pos"'), (23, "raise")]
+
+
+def test_a_run_that_did_not_start_lists_nothing(monkeypatch, capsys):
+    # pytest's status 4 (usage error, as when conftest fails to import)
+    # means nothing was traced, so no statement is reported as not entered
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(src_coverage, "trace_tests", lambda: (4, {}))
+    assert src_coverage.main() == 4
+    assert capsys.readouterr().out == ""
+    assert str(src_coverage.ROOT / "src") in sys.path

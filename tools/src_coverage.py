@@ -1,6 +1,6 @@
 """Statements of src/planecremona that no tier-1 test enters.
 
-    PYTHONPATH=src python3 tools/src_coverage.py   # from the repo root
+    python3 tools/src_coverage.py   # from the repo root
 
 Runs the tier-1 suite (pytest on tests/ with -q and
 --continue-on-collection-errors) in this process under sys.settrace, with
@@ -11,7 +11,9 @@ statements of their bodies are. A statement is entered when a line event
 falls on its header (for a simple statement, all of its lines), or when
 the first statement of its body is entered. Code that runs in a subprocess
 or in a thread started before the trace is not seen. The exit status is
-pytest's. The run takes a few times as long as the plain suite.
+pytest's; when pytest did not run the suite (a status other than 0 or 1,
+such as 4 for a conftest that fails to import), no statement is listed.
+The run takes a few times as long as the plain suite.
 """
 
 import ast
@@ -106,7 +108,11 @@ def trace_tests():
 
 def main():
     sys.path.insert(0, str(ROOT))   # the tests import tests.streams, as under python -m pytest
+    sys.path.insert(0, str(ROOT / "src"))
     status, hits = trace_tests()
+    if status not in (0, 1):        # pytest did not run the suite: nothing was traced
+        print(f"pytest exited with status {int(status)}; no statements listed", file=sys.stderr)
+        return int(status)
     total = 0
     for path in sorted(SRC.glob("*.py")):
         idle = unentered(path.read_text(encoding="utf-8"), hits.get(str(path), set()))
